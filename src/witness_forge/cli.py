@@ -47,6 +47,7 @@ from .qstate import (
     PureState,
     PurificationSelection,
     RANK_TOL,
+    _cached_eig,
     projector,
     spectral,
 )
@@ -190,11 +191,11 @@ def _cmd_cbounds(args):
     restarts = _resolve_restarts(args.restarts)
     opt = max_product_expectation if args.mode == "min" else min_product_expectation
     res = opt(obj.mat, restarts=restarts, seed=seed)
-    sd = spectral(obj)
+    vals, _ = _cached_eig(obj)
     oracle_value = None
     if args.oracle:
         try:
-            _support_check(obj.dims)
+            _support_check(obj.dims, args.resolution)
         except UnsupportedDims:
             print(
                 f"cbounds: oracle skipped, dims {list(obj.dims)} unsupported",
@@ -206,8 +207,8 @@ def _cmd_cbounds(args):
     results = {
         "converged": res.converged,
         "extremizer": _encode_product_state(res.extremizer),
-        "lambda_max": sd.eigenvalues[-1],
-        "lambda_min": sd.eigenvalues[0],
+        "lambda_max": vals[-1],
+        "lambda_min": vals[0],
         "mode": args.mode,
         "oracle": oracle_value,
         "restarts_used": res.restarts_used,
@@ -228,14 +229,14 @@ def _cmd_witness_make(args):
         check=args.check, restarts=restarts, seed=seed,
     )
     write_matrix_file(w, args.output)
-    sd = spectral(sigma)
+    vals, _ = _cached_eig(sigma)
     results = {
         "c": w.c,
         "check": args.check,
         "dims": list(w.dims),
         "form": w.form.value,
-        "lambda_max": sd.eigenvalues[-1],
-        "lambda_min": sd.eigenvalues[0],
+        "lambda_max": vals[-1],
+        "lambda_min": vals[0],
         "output": args.output,
     }
     summary = f"witness-make: wrote {args.output} (form {w.form.value}, c = {w.c:.12g})"
@@ -272,7 +273,7 @@ def _cmd_eval(args):
     return results, None, None, f"eval: tr(W rho) = {value:.12g}", 0
 
 
-def _parse_selection(text: str) -> tuple[tuple[int, int], ...]:
+def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
     pairs = []
     for chunk in text.split(","):
         parts = chunk.strip().split(":")
@@ -284,15 +285,24 @@ def _parse_selection(text: str) -> tuple[tuple[int, int], ...]:
             raise ParseError(f"selection indices must be integers, got {chunk!r}") from None
     if not pairs:
         raise ParseError("empty selection")
-    return tuple(pairs)
+    return PurificationSelection(tuple(pairs), ancilla_dim)
 
 
-_EXTEND_FLAGS = {
-    "purify": {"tails"},
-    "partial": {"selection", "ancilla_dim", "c_prime"},
-    "mixed": {"tails"},
-    "identity": {"tail_dims"},
-    "pure-tails": {"tails"},
+# Per method: the flags it accepts, the flags it requires, the kind of its
+# --tails files, and the extension. The lambdas look the extension
+# functions up in this module when they are called.
+_EXTEND_METHODS = {
+    "purify": ({"tails"}, (), PureState, lambda w, args, tails: (
+        purify_extend_n(w, tails) if tails else purify_extend(w))),
+    "partial": ({"selection", "ancilla_dim", "c_prime"}, ("selection", "ancilla_dim"), None,
+                lambda w, args, tails: partial_purify_extend(
+                    w, _parse_selection(args.selection, args.ancilla_dim), c_prime=args.c_prime)),
+    "mixed": ({"tails"}, ("tails",), DensityMatrix,
+              lambda w, args, tails: mixed_tensor_extend(w, tails)),
+    "identity": ({"tail_dims"}, ("tail_dims",), None,
+                 lambda w, args, tails: identity_extend(w, args.tail_dims)),
+    "pure-tails": ({"tails"}, ("tails",), PureState,
+                   lambda w, args, tails: pure_tails_extend(w, tails)),
 }
 
 
@@ -300,7 +310,7 @@ def _cmd_extend(args):
     w = _require_kind(parse_matrix_file(args.input), (Witness,), "extend input")
     seed = _resolve_seed(args.seed)
     restarts = _resolve_restarts(args.restarts)
-    allowed = _EXTEND_FLAGS[args.method]
+    allowed, required, tail_kind, extension = _EXTEND_METHODS[args.method]
     given = {
         name
         for name in ("selection", "ancilla_dim", "tails", "tail_dims", "c_prime")
@@ -312,41 +322,16 @@ def _cmd_extend(args):
             f"flags {sorted('--' + s.replace('_', '-') for s in stray)} "
             f"not valid for --method {args.method}"
         )
-
-    if args.method == "purify":
-        if args.tails:
-            tails = [
-                _require_kind(parse_matrix_file(t), (PureState,), f"tail {t}")
-                for t in args.tails
-            ]
-            w2 = purify_extend_n(w, tails)
-        else:
-            w2 = purify_extend(w)
-    elif args.method == "partial":
-        if args.selection is None or args.ancilla_dim is None:
-            raise ParseError("--method partial requires --selection and --ancilla-dim")
-        sel = PurificationSelection(_parse_selection(args.selection), args.ancilla_dim)
-        w2 = partial_purify_extend(w, sel, c_prime=args.c_prime)
-    elif args.method == "mixed":
-        if not args.tails:
-            raise ParseError("--method mixed requires --tails")
-        tails = [
-            _require_kind(parse_matrix_file(t), (DensityMatrix,), f"tail {t}")
-            for t in args.tails
-        ]
-        w2 = mixed_tensor_extend(w, tails)
-    elif args.method == "identity":
-        if not args.tail_dims:
-            raise ParseError("--method identity requires --tail-dims")
-        w2 = identity_extend(w, args.tail_dims)
-    else:  # pure-tails
-        if not args.tails:
-            raise ParseError("--method pure-tails requires --tails")
-        tails = [
-            _require_kind(parse_matrix_file(t), (PureState,), f"tail {t}")
-            for t in args.tails
-        ]
-        w2 = pure_tails_extend(w, tails)
+    if any(getattr(args, name) is None for name in required):
+        raise ParseError(
+            f"--method {args.method} requires "
+            + " and ".join("--" + name.replace("_", "-") for name in required)
+        )
+    tails = [
+        _require_kind(parse_matrix_file(t), (tail_kind,), f"tail {t}")
+        for t in args.tails or ()
+    ]
+    w2 = extension(w, args, tails)
 
     rep = verify_witness(w2, restarts=restarts, seed=seed)
     write_matrix_file(w2, args.output)

@@ -31,7 +31,6 @@ from .errors import (
     FormNotSupported,
     MaxEigenvalueNotSelected,
     ParamOutOfRange,
-    SelectionOutOfRange,
     UnnormalizedTail,
     ZeroMaxEigenvalue,
 )
@@ -40,11 +39,12 @@ from .qstate import (
     DensityMatrix,
     PureState,
     PurificationSelection,
-    RANK_TOL,
     SpectralDecomposition,
     _cached_eig,
-    has_max_eigenvalue,
-    spectral,
+    _check_selection,
+    _nonzero_indices,
+    _purification_columns,
+    _selects_top,
 )
 from .witness import Witness, WitnessForm, evaluate
 
@@ -71,14 +71,8 @@ def _weighted_projector(
     pairs: Sequence[tuple[int, int]],
     ancilla_dim: int,
 ) -> np.ndarray:
-    cols = []
-    lams = []
-    for idx, slot in pairs:
-        unit = np.zeros(ancilla_dim, dtype=np.complex128)
-        unit[slot] = 1.0
-        cols.append(np.kron(vecs[:, idx], unit))
-        lams.append(vals[idx])
-    wmat = np.column_stack(cols)
+    wmat = _purification_columns(vecs, pairs, ancilla_dim)
+    lams = [vals[idx] for idx, _ in pairs]
     gram = np.sqrt(np.outer(lams, lams))
     return (wmat @ gram) @ wmat.conj().T
 
@@ -93,7 +87,7 @@ def purify_extend(w: Witness) -> Witness:
     if not w.sigma.normalized:
         raise ParamOutOfRange("can only purify a normalized sigma")
     vals, vecs = _cached_eig(w.sigma)
-    nz = [i for i in range(vals.size) if vals[i] > RANK_TOL]
+    nz = _nonzero_indices(vals)
     pairs = [(idx, slot) for slot, idx in enumerate(nz)]
     proj = _weighted_projector(vals, vecs, pairs, len(nz))
     sigma2 = _wrap_density(w.sigma.dims + (len(nz),), proj)
@@ -139,18 +133,9 @@ def partial_purify_extend(
     eigenvalues (the squared norm of the partial purification).
     """
     _require_dual_form(w, "partial_purify_extend")
-    sd = spectral(w.sigma)
     vals, vecs = _cached_eig(w.sigma)
-    for idx, _ in sel.pairs:
-        if idx >= vals.size:
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} outside spectrum of size {vals.size}"
-            )
-        if vals[idx] <= RANK_TOL:
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} selects a zero eigenvalue ({vals[idx]:.3e})"
-            )
-    if not has_max_eigenvalue(sel, sd):
+    _check_selection(vals, sel.pairs)
+    if not _selects_top(vals, sel.pairs):
         raise MaxEigenvalueNotSelected(
             "selection omits the top eigenvalue, so the extended operator "
             "would go negative on a product state"
@@ -194,7 +179,7 @@ def enumerate_partial_purifications(
     d3 = int(d3)
     if d3 < 1:
         raise ParamOutOfRange("ancilla dimension must be >= 1")
-    nz = [i for i, v in enumerate(sd.eigenvalues) if v > RANK_TOL]
+    nz = _nonzero_indices(sd.eigenvalues)
     rank = len(nz)
     if rank == 0:
         return []

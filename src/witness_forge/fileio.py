@@ -126,40 +126,28 @@ def _decode_vector(raw, dim: int, where: str) -> np.ndarray:
 def encode_matrix_obj(obj) -> dict:
     """Build the JSON document dict for a supported object."""
     if isinstance(obj, Witness):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "witness",
-            "dims": list(obj.dims),
+        kind, body = "witness", {
             "data": _encode_matrix(obj.matrix().mat),
             "form": obj.form.value,
             "c": float(obj.c),
             "sigma": _encode_matrix(obj.sigma.mat.mat),
             "normalized": bool(obj.sigma.normalized),
         }
-    if isinstance(obj, DensityMatrix):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "density",
-            "dims": list(obj.dims),
+    elif isinstance(obj, DensityMatrix):
+        kind, body = "density", {
             "data": _encode_matrix(obj.mat.mat),
             "normalized": bool(obj.normalized),
         }
-    if isinstance(obj, PureState):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "pure",
-            "dims": list(obj.dims),
+    elif isinstance(obj, PureState):
+        kind, body = "pure", {
             "data": _encode_vector(obj.vec.vec),
             "normalized": bool(obj.normalized),
         }
-    if isinstance(obj, ComplexMatrix):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "hermitian",
-            "dims": list(obj.dims),
-            "data": _encode_matrix(obj.mat),
-        }
-    raise ParseError(f"cannot write object of type {type(obj).__name__}")
+    elif isinstance(obj, ComplexMatrix):
+        kind, body = "hermitian", {"data": _encode_matrix(obj.mat)}
+    else:
+        raise ParseError(f"cannot write object of type {type(obj).__name__}")
+    return {"version": FORMAT_VERSION, "kind": kind, "dims": list(obj.dims), **body}
 
 
 def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix:
@@ -181,9 +169,7 @@ def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix
     ):
         raise ParseError(f"dims must be a list of positive integers, got {dims_raw!r}")
     dims = tuple(dims_raw)
-    dim = 1
-    for d in dims:
-        dim *= d
+    dim = math.prod(dims)
 
     if kind == "pure":
         vec = _decode_vector(raw.get("data"), dim, "data")

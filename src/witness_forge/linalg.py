@@ -45,13 +45,6 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _prod(dims: Sequence[int]) -> int:
-    p = 1
-    for d in dims:
-        p *= d
-    return p
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexVector:
     """A vector on parties with local dimensions `dims`, length prod(dims)."""
@@ -62,7 +55,7 @@ class ComplexVector:
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
         arr = np.array(self.vec, dtype=np.complex128)
-        if arr.shape != (_prod(dims),):
+        if arr.shape != (math.prod(dims),):
             raise DimensionMismatch(
                 f"vector of shape {arr.shape} does not match dims {dims}"
             )
@@ -90,7 +83,7 @@ class ComplexMatrix:
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
         arr = np.array(self.mat, dtype=np.complex128)
-        d = _prod(dims)
+        d = math.prod(dims)
         if arr.shape != (d, d):
             raise DimensionMismatch(
                 f"matrix of shape {arr.shape} does not match dims {dims}"
@@ -105,21 +98,12 @@ class ComplexMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.dims, self.mat.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.mat))
 
     def hermiticity_defect(self) -> float:
         """Largest entrywise deviation from Hermitian symmetry."""
         return float(np.abs(self.mat - self.mat.conj().T).max())
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
 
     def require_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
         defect = self.hermiticity_defect()
@@ -127,30 +111,6 @@ class ComplexMatrix:
             raise NotHermitian(
                 f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}"
             )
-
-    def _same_dims(self, other: "ComplexMatrix") -> None:
-        if self.dims != other.dims:
-            raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
-
-    def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        self._same_dims(other)
-        return ComplexMatrix(self.dims, self.mat + other.mat)
-
-    def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        self._same_dims(other)
-        return ComplexMatrix(self.dims, self.mat - other.mat)
-
-    def __neg__(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.dims, -self.mat)
-
-    def __mul__(self, scalar: complex) -> "ComplexMatrix":
-        return ComplexMatrix(self.dims, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        self._same_dims(other)
-        return ComplexMatrix(self.dims, self.mat @ other.mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +142,7 @@ class SpectralDecomposition:
 
 def identity(dims: Iterable[int]) -> ComplexMatrix:
     dims = _as_dims(dims)
-    return ComplexMatrix(dims, np.eye(_prod(dims), dtype=np.complex128))
+    return ComplexMatrix(dims, np.eye(math.prod(dims), dtype=np.complex128))
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
@@ -218,23 +178,16 @@ def partial_trace(m: ComplexMatrix, keep: Sequence[int]) -> ComplexMatrix:
     n = len(m.dims)
     kept = _check_parties(n, keep)
     t = m.mat.reshape(m.dims + m.dims)
-    row = []
-    col = []
     pool = iter(_LETTERS)
-    for i in range(n):
-        if (i + 1) in kept:
-            row.append(next(pool))
-            col.append(next(pool))
-        else:
-            shared = next(pool)
-            row.append(shared)
-            col.append(shared)
-    out = "".join(row[i] for i in range(n) if (i + 1) in kept) + "".join(
-        col[i] for i in range(n) if (i + 1) in kept
-    )
+    row, col = [], []
+    for k in range(1, n + 1):
+        row.append(next(pool))
+        # a traced party shares its row letter with its column
+        col.append(next(pool) if k in kept else row[-1])
+    out = "".join(row[k - 1] for k in kept) + "".join(col[k - 1] for k in kept)
     sub = "".join(row) + "".join(col) + "->" + out
     new_dims = tuple(m.dims[k - 1] for k in kept)
-    d = _prod(new_dims)
+    d = math.prod(new_dims)
     reduced = np.einsum(sub, t).reshape(d, d)
     return ComplexMatrix(new_dims, reduced)
 
@@ -367,8 +320,12 @@ def hermitian_eig(m: ComplexMatrix, max_sweeps: int = JACOBI_SWEEPS) -> Spectral
     conventions documented at module level.
     """
     m.require_hermitian()
-    vals, vecs = _canonical_eig(m.mat, max_sweeps)
-    vectors = tuple(
-        ComplexVector(m.dims, vecs[:, k].copy()) for k in range(vecs.shape[1])
-    )
-    return SpectralDecomposition(tuple(float(v) for v in vals), vectors, m.dims)
+    return _decomposition(m.dims, *_canonical_eig(m.mat, max_sweeps))
+
+
+def _decomposition(
+    dims: tuple[int, ...], vals: np.ndarray, vecs: np.ndarray
+) -> SpectralDecomposition:
+    """Wrap canonical (eigenvalues, eigenvector columns) from `_canonical_eig`."""
+    vectors = tuple(ComplexVector(dims, vecs[:, k]) for k in range(vecs.shape[1]))
+    return SpectralDecomposition(tuple(float(v) for v in vals), vectors, dims)

@@ -15,9 +15,11 @@ theta_i = i*pi/resolution (i = 0..resolution) and phi_j =
 same phase grid, first amplitude real nonnegative (a global factor
 phase never changes the expectation).
 
-Supported: up to 2 parties with dimensions <= 4, or 3 qubit parties.
-The scan runs in fixed-size chunks, so memory stays bounded; requests
-whose joint grid exceeds 3e7 points are rejected.
+Supported: one or two parties of dimension <= 4, or three qubits, where
+the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
+`_support_check` alone decides this. (3,3) fits up to resolution 103,
+three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
+at 32). The scan runs in fixed-size chunks, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .witness import (
     ProductState,
     Witness,
     WitnessReport,
-    TOL_NEG,
-    TOL_POS,
     _contract_except,
     _expectation,
     _seesaw_run,
+    _witness_report,
 )
 
 MIN_RESOLUTION = 32
@@ -45,14 +46,28 @@ _CHUNK = 1 << 16
 _CHUNK_A = 256
 
 
-def _support_check(dims: tuple[int, ...]) -> None:
+def _support_check(dims: tuple[int, ...], resolution: int) -> int:
+    """Reject structures, resolutions and grids the scan does not cover.
+    Returns the party solved exactly: the largest one (the last of equal
+    largest ones); every other party is gridded."""
     n = len(dims)
     all_qubit = all(d == 2 for d in dims)
-    if (all_qubit and n <= 3) or (n <= 2 and all(d <= 4 for d in dims)):
-        return
-    raise UnsupportedDims(
-        f"oracle covers <=2 parties of dimension <=4 or 3 qubits, got {dims}"
+    if not ((all_qubit and n <= 3) or (n <= 2 and all(d <= 4 for d in dims))):
+        raise UnsupportedDims(
+            f"oracle covers <=2 parties of dimension <=4 or 3 qubits, got {dims}"
+        )
+    if resolution < MIN_RESOLUTION:
+        raise ParamOutOfRange(f"resolution {resolution} below {MIN_RESOLUTION}")
+    exact = max(range(n), key=lambda k: (dims[k], k))
+    points = math.prod(
+        _grid_size(d, resolution) for k, d in enumerate(dims) if k != exact
     )
+    if points > MAX_JOINT_GRID:
+        raise UnsupportedDims(
+            f"joint grid of {points} points exceeds the supported size at "
+            f"resolution {resolution}"
+        )
+    return exact
 
 
 def _grid_size(d: int, resolution: int) -> int:
@@ -123,18 +138,11 @@ def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _scan_two_party(
-    mt: np.ndarray, dims: tuple[int, int], mode: str, resolution: int
-) -> tuple[float, int]:
-    """Grid the smaller party, solve the other exactly. Returns the best
-    value and the winning grid index."""
-    x = 1 if dims[1] >= dims[0] else 0
-    g = 1 - x
+    mt: np.ndarray, dims: tuple[int, int], g: int, mode: str, resolution: int
+) -> int:
+    """Grid party `g`, solve the other exactly. Returns the winning grid
+    index."""
     n_grid = _grid_size(dims[g], resolution)
-    if n_grid > MAX_JOINT_GRID:
-        raise UnsupportedDims(
-            f"grid of {n_grid} points exceeds the supported size at "
-            f"resolution {resolution}"
-        )
     sign = 1.0 if mode == "max" else -1.0
     best_val = -np.inf
     best_idx = -1
@@ -150,20 +158,13 @@ def _scan_two_party(
         if lam[k] > best_val:
             best_val = lam[k]
             best_idx = start + k
-    return sign * best_val, best_idx
+    return best_idx
 
 
-def _scan_three_qubit(
-    mt: np.ndarray, mode: str, resolution: int
-) -> tuple[float, int, int]:
-    """Grid parties 1 and 2, solve party 3 exactly. Returns the best
-    value and the winning grid indices of the two gridded parties."""
+def _scan_three_qubit(mt: np.ndarray, mode: str, resolution: int) -> tuple[int, int]:
+    """Grid parties 1 and 2, solve party 3 exactly. Returns the winning
+    grid indices of the two gridded parties."""
     n1 = _grid_size(2, resolution)
-    if n1 * n1 > MAX_JOINT_GRID:
-        raise UnsupportedDims(
-            f"joint grid of {n1 * n1} points exceeds the supported size at "
-            f"resolution {resolution}"
-        )
     sign = 1.0 if mode == "max" else -1.0
     u2 = _grid_factors(2, resolution, np.arange(n1))
     p2 = (u2.conj()[:, :, None] * u2[:, None, :]).reshape(n1, 4)
@@ -182,7 +183,7 @@ def _scan_three_qubit(
             best_val = lam.flat[k]
             best_a = start + a_off
             best_b = b
-    return sign * best_val, best_a, best_b
+    return best_a, best_b
 
 
 def _scan(
@@ -192,10 +193,8 @@ def _scan(
     if mode not in ("max", "min"):
         raise ParamOutOfRange(f"mode must be 'max' or 'min', got {mode!r}")
     resolution = int(resolution)
-    if resolution < MIN_RESOLUTION:
-        raise ParamOutOfRange(f"resolution {resolution} below {MIN_RESOLUTION}")
     dims = m.dims
-    _support_check(dims)
+    x = _support_check(dims, resolution)
     n = len(dims)
     pick = -1 if mode == "max" else 0
 
@@ -206,19 +205,13 @@ def _scan(
 
     mt = m.mat.reshape(dims + dims)
     if n == 2:
-        _, best_idx = _scan_two_party(mt, dims, mode, resolution)
-        x = 1 if dims[1] >= dims[0] else 0
-        g = 1 - x
-        factors = [np.zeros(0)] * 2
-        factors[g] = _grid_factors(dims[g], resolution, np.array([best_idx]))[0]
+        best = [_scan_two_party(mt, dims, 1 - x, mode, resolution)]
     else:
-        _, best_a, best_b = _scan_three_qubit(mt, mode, resolution)
-        x = 2
-        factors = [
-            _grid_factors(2, resolution, np.array([best_a]))[0],
-            _grid_factors(2, resolution, np.array([best_b]))[0],
-            np.zeros(0),
-        ]
+        best = _scan_three_qubit(mt, mode, resolution)
+    gridded = [k for k in range(n) if k != x]
+    factors = [np.zeros(0)] * n
+    for k, idx in zip(gridded, best):
+        factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))[0]
 
     factors[x] = np.ones(dims[x], dtype=np.complex128) / math.sqrt(dims[x])
     b = _contract_except(mt, factors, x)
@@ -246,9 +239,5 @@ def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) ->
 
 def exhaustive_witness_check(w: Witness, resolution: int = 64) -> WitnessReport:
     """WitnessReport computed from the grid scan instead of see-saw."""
-    wm = w.matrix()
-    value, state = _scan(wm, "min", resolution)
-    vals, _ = _canonical_eig(wm.mat)
-    margin = -float(vals[0])
-    is_w = (value >= -TOL_POS) and (margin > TOL_NEG)
-    return WitnessReport(value, margin, is_w, state)
+    value, state = _scan(w.matrix(), "min", resolution)
+    return _witness_report(w, value, state)

@@ -15,6 +15,7 @@ extensions rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .linalg import (
     ComplexVector,
     SpectralDecomposition,
     _canonical_eig,
+    _decomposition,
 )
 
 RANK_TOL = 1e-10
@@ -141,15 +143,49 @@ def _cached_eig(d: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 def spectral(d: DensityMatrix) -> SpectralDecomposition:
     """Spectral decomposition in the canonical order, reusing the
     validation eigendecomposition."""
-    vals, vecs = _cached_eig(d)
-    vectors = tuple(
-        ComplexVector(d.dims, vecs[:, k].copy()) for k in range(vecs.shape[1])
-    )
-    return SpectralDecomposition(tuple(float(v) for v in vals), vectors, d.dims)
+    return _decomposition(d.dims, *_cached_eig(d))
 
 
-def _nonzero_indices(vals: np.ndarray) -> list[int]:
-    return [i for i in range(vals.size) if vals[i] > RANK_TOL]
+def _nonzero_indices(vals: Sequence[float]) -> list[int]:
+    return [i for i, v in enumerate(vals) if v > RANK_TOL]
+
+
+def _selected(vals: Sequence[float], pairs: Sequence[tuple[int, int]]):
+    """(eigen-index, eigenvalue) of each selected pair, in pair order; an
+    index outside the spectrum raises SelectionOutOfRange when reached."""
+    for idx, _ in pairs:
+        if idx >= len(vals):
+            raise SelectionOutOfRange(
+                f"eigen-index {idx} outside spectrum of size {len(vals)}"
+            )
+        yield idx, vals[idx]
+
+
+def _check_selection(vals: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
+    """Every selected eigen-index must lie in the spectrum and carry a
+    nonzero eigenvalue; the first offending pair raises SelectionOutOfRange."""
+    for idx, lam in _selected(vals, pairs):
+        if lam <= RANK_TOL:
+            raise SelectionOutOfRange(
+                f"eigen-index {idx} selects a zero eigenvalue ({lam:.3e})"
+            )
+
+
+def _selects_top(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> bool:
+    return any(lam >= vals[-1] - MAX_EIG_TIE_TOL for _, lam in _selected(vals, pairs))
+
+
+def _purification_columns(
+    vecs: np.ndarray, pairs: Sequence[tuple[int, int]], ancilla_dim: int
+) -> np.ndarray:
+    """The columns |e_i>|slot> (eigenvector i, ancilla basis vector) of
+    the selected (eigen-index, slot) pairs, in pair order."""
+    cols = []
+    for idx, slot in pairs:
+        unit = np.zeros(ancilla_dim, dtype=np.complex128)
+        unit[slot] = 1.0
+        cols.append(np.kron(vecs[:, idx], unit))
+    return np.column_stack(cols)
 
 
 def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
@@ -161,18 +197,14 @@ def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
     """
     if not d.normalized:
         raise ParamOutOfRange("can only purify a normalized density matrix")
-    vals, vecs = _cached_eig(d)
-    nz = _nonzero_indices(vals)
+    nz = _nonzero_indices(_cached_eig(d)[0])
     rank = len(nz)
     anc = rank if ancilla_dim is None else int(ancilla_dim)
     if anc < rank:
         raise ParamOutOfRange(f"ancilla dimension {anc} below rank {rank}")
-    out = np.zeros(d.dim * anc, dtype=np.complex128)
-    for slot, idx in enumerate(nz):
-        unit = np.zeros(anc, dtype=np.complex128)
-        unit[slot] = 1.0
-        out += np.sqrt(vals[idx]) * np.kron(vecs[:, idx], unit)
-    return PureState(ComplexVector(d.dims + (anc,), out), normalized=True)
+    pairs = [(idx, slot) for slot, idx in enumerate(nz)]
+    phi = partial_purify(d, PurificationSelection(pairs, anc))
+    return PureState(phi.vec, normalized=True)
 
 
 def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
@@ -183,19 +215,11 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
     zero raises SelectionOutOfRange.
     """
     vals, vecs = _cached_eig(d)
-    out = np.zeros(d.dim * sel.ancilla_dim, dtype=np.complex128)
-    for idx, slot in sel.pairs:
-        if idx >= vals.size:
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} outside spectrum of size {vals.size}"
-            )
-        if vals[idx] <= RANK_TOL:
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} selects a zero eigenvalue ({vals[idx]:.3e})"
-            )
-        unit = np.zeros(sel.ancilla_dim, dtype=np.complex128)
-        unit[slot] = 1.0
-        out += np.sqrt(vals[idx]) * np.kron(vecs[:, idx], unit)
+    _check_selection(vals, sel.pairs)
+    cols = _purification_columns(vecs, sel.pairs, sel.ancilla_dim)
+    out = np.zeros(cols.shape[0], dtype=np.complex128)
+    for k, (idx, _) in enumerate(sel.pairs):
+        out += np.sqrt(vals[idx]) * cols[:, k]
     return PureState(
         ComplexVector(d.dims + (sel.ancilla_dim,), out), normalized=False
     )
@@ -204,15 +228,7 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
 def has_max_eigenvalue(sel: PurificationSelection, sd: SpectralDecomposition) -> bool:
     """True iff some selected eigen-index attains the top eigenvalue
     (within 1e-12, so every member of a degenerate top eigenspace counts)."""
-    top = sd.eigenvalues[-1]
-    for idx, _ in sel.pairs:
-        if idx >= len(sd.eigenvalues):
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} outside spectrum of size {len(sd.eigenvalues)}"
-            )
-        if sd.eigenvalues[idx] >= top - MAX_EIG_TIE_TOL:
-            return True
-    return False
+    return _selects_top(sd.eigenvalues, sel.pairs)
 
 
 def isotropic(q: float) -> DensityMatrix:

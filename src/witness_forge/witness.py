@@ -36,7 +36,7 @@ from .errors import (
     NotOrthonormal,
     ParamOutOfRange,
 )
-from .linalg import ComplexMatrix, ComplexVector, _canonical_eig
+from .linalg import _LETTERS, ComplexMatrix, ComplexVector, _canonical_eig
 from .qstate import DensityMatrix, _cached_eig
 
 SEESAW_TOL = 1e-12
@@ -73,12 +73,6 @@ class ProductState:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dims[0] for f in self.factors)
-
-    def to_vector(self) -> ComplexVector:
-        out = self.factors[0].vec
-        for f in self.factors[1:]:
-            out = np.kron(out, f.vec)
-        return ComplexVector(self.dims, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,38 +135,35 @@ class WitnessReport:
     certificate_state: ProductState
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def _expectation(mt: np.ndarray, factors: Sequence[np.ndarray]) -> float:
-    n = len(factors)
-    rows = _LETTERS[:n]
-    cols = _LETTERS[n : 2 * n]
-    sub = [rows + cols]
-    ops: list[np.ndarray] = [mt]
-    for k, f in enumerate(factors):
-        sub.append(rows[k])
-        ops.append(f.conj())
-        sub.append(cols[k])
-        ops.append(f)
-    out = np.einsum(",".join(sub) + "->", *ops)
-    return float(out.real)
-
-
-def _contract_except(mt: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
+def _contract(
+    mt: np.ndarray, factors: Sequence[np.ndarray], keep: int | None = None
+) -> np.ndarray:
+    """Contract the (d1..dn, d1..dn) tensor `mt` with <f_j| and |f_j> on
+    every party j except `keep`; the result is a scalar, or the operator
+    left on party `keep`. Subscripts and operand order are fixed, so
+    results are reproducible bit for bit."""
     n = len(factors)
     rows = _LETTERS[:n]
     cols = _LETTERS[n : 2 * n]
     sub = [rows + cols]
     ops: list[np.ndarray] = [mt]
     for j, f in enumerate(factors):
-        if j == k:
+        if j == keep:
             continue
         sub.append(rows[j])
         ops.append(f.conj())
         sub.append(cols[j])
         ops.append(f)
-    out = np.einsum(",".join(sub) + "->" + rows[k] + cols[k], *ops)
+    out = "" if keep is None else rows[keep] + cols[keep]
+    return np.einsum(",".join(sub) + "->" + out, *ops)
+
+
+def _expectation(mt: np.ndarray, factors: Sequence[np.ndarray]) -> float:
+    return float(_contract(mt, factors).real)
+
+
+def _contract_except(mt: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
+    out = _contract(mt, factors, k)
     return 0.5 * (out + out.conj().T)
 
 
@@ -323,17 +314,27 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     return float(val.real)
 
 
+def _witness_report(w: Witness, min_value: float, state: ProductState) -> WitnessReport:
+    """The verdict on `w` given its minimal product expectation found by
+    a search. The margin -lambda_min(W) comes from sigma's cached
+    spectrum: lambda_max(sigma) - c for c*I - sigma, c - lambda_min(sigma)
+    for sigma - c*I."""
+    vals, _ = _cached_eig(w.sigma)
+    if w.form is WitnessForm.C_MINUS_SIGMA:
+        margin = float(vals[-1]) - w.c
+    else:
+        margin = w.c - float(vals[0])
+    is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
+    return WitnessReport(min_value, margin, is_w, state)
+
+
 def verify_witness(
     w: Witness, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> WitnessReport:
     """See-saw verification: nonnegative on product states (within
     TOL_POS) and at least one negative eigenvalue (margin above TOL_NEG)."""
-    wm = w.matrix()
-    opt = min_product_expectation(wm, restarts, seed)
-    vals, _ = _canonical_eig(wm.mat)
-    margin = -float(vals[0])
-    is_w = (opt.value >= -TOL_POS) and (margin > TOL_NEG)
-    return WitnessReport(opt.value, margin, is_w, opt.extremizer)
+    opt = min_product_expectation(w.matrix(), restarts, seed)
+    return _witness_report(w, opt.value, opt.extremizer)
 
 
 def is_ces(

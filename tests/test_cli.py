@@ -72,6 +72,30 @@ def test_cbounds_oracle(capsys, sq_file):
     assert abs(res["oracle"] - res["value"]) <= 1e-4
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+def test_cbounds_oracle_skips_grids_above_cap(capsys, tmp_path, dims):
+    # both grids exceed the oracle's point cap at the default resolution 256
+    rng = np.random.default_rng(sum(dims))
+    d = int(np.prod(dims))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    path = tmp_path / "rho.json"
+    write_matrix_file(DensityMatrix(ComplexMatrix(dims, rho / np.trace(rho).real)), path)
+    code, report, err = _run(
+        capsys, "cbounds", str(path), "--mode", "min", "--oracle", "--restarts", "1"
+    )
+    assert code == 0
+    assert report["results"]["oracle"] is None
+    assert "oracle skipped" in err
+    # a resolution below the floor is still a parameter error, not a skip
+    code, report, _ = _run(
+        capsys, "cbounds", str(path), "--mode", "min", "--oracle", "--restarts", "1",
+        "--resolution", "16",
+    )
+    assert code == 2
+    assert report["error"]["type"] == "ParamOutOfRange"
+
+
 def test_witness_make_verify_eval(capsys, sq_file, tmp_path):
     wpath = str(tmp_path / "w.json")
     code, report, _ = _run(

@@ -344,6 +344,38 @@ def test_detect_product_extension_four_level_example():
     assert abs(got + 1 / 8) <= 1e-12
 
 
+_SELECTION = PurificationSelection(((2, 1), (3, 0)), 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: purify_extend(_isotropic_witness()),
+        lambda: purify_extend(make_witness(
+            WitnessForm.C_MINUS_SIGMA,
+            _random_density(np.random.default_rng(31), (2, 3)),
+            0.3,
+            check="none",
+        )),
+        lambda: partial_purify_extend(_isotropic_witness(), _SELECTION),
+        lambda: partial_purify_extend(_isotropic_witness(), _SELECTION, c_prime=0.35),
+        lambda: identity_extend(_isotropic_witness(), [3]),
+        lambda: mixed_tensor_extend(_isotropic_witness(), [isotropic(0.6)]),
+        _example_four_level_witness,
+        lambda: identity_extend(_example_four_level_witness(), [2]),
+    ],
+    ids=[
+        "purify", "purify-random", "partial", "partial-c-prime",
+        "identity", "mixed", "sigma-minus-c", "sigma-minus-c-identity",
+    ],
+)
+def test_margin_is_negated_bottom_eigenvalue_of_witness(build):
+    w = build()
+    rep = verify_witness(w, restarts=2, seed=0)
+    lam_min = np.linalg.eigvalsh(w.matrix().mat)[0]
+    assert abs(rep.witnessing_margin + lam_min) <= 1e-12
+
+
 def test_extension_chain_stays_witness():
     # purify, add a pure tail, then an identity tail
     w = _isotropic_witness()

@@ -232,5 +232,5 @@ def test_matrix_validation():
     with pytest.raises(Exception):
         ComplexMatrix((2,), np.array([[np.inf, 0], [0, 0]]))
     m = ComplexMatrix((2,), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert m.is_hermitian()
+    m.require_hermitian()  # raises NotHermitian otherwise
     assert m.hermiticity_defect() == 0.0

@@ -101,6 +101,9 @@ def test_exhaustive_witness_check():
     assert rep.is_witness
     assert rep.min_product_expectation >= -1e-8
     assert abs(rep.witnessing_margin - 0.1) <= 1e-10
+    # the margin read from sigma's spectrum is -lambda_min of the witness
+    lam_min = np.linalg.eigvalsh(w.matrix().mat)[0]
+    assert abs(rep.witnessing_margin + lam_min) <= 1e-12
 
     flat = make_witness(
         WitnessForm.C_MINUS_SIGMA,
