@@ -3,7 +3,7 @@
 Three branches matter for the command-line surface: input problems (bad
 files, bad arguments) exit with code 1, domain violations (valid input
 that breaks a mathematical precondition) exit with code 2, and failure
-of the iterative eigensolver to converge exits with code 3.
+of LAPACK's Hermitian eigensolver to converge exits with code 3.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class DomainError(WitnessForgeError):
 
 
 class ConvergenceError(WitnessForgeError):
-    """An iterative routine exhausted its budget."""
+    """A numerical routine failed to converge."""
 
 
 class ParseError(InputError):
@@ -34,7 +34,8 @@ class NotHermitian(DomainError):
 
 
 class NoConvergence(ConvergenceError):
-    """The Jacobi eigensolver did not converge within its sweep budget."""
+    """LAPACK's Hermitian eigensolver (`numpy.linalg.eigh`) raised
+    LinAlgError: its iteration did not converge."""
 
 
 class BadPartyIndex(DomainError):

@@ -65,6 +65,17 @@ def _wrap_density(dims: tuple[int, ...], arr: np.ndarray) -> DensityMatrix:
     return DensityMatrix(m, normalized=normalized)
 
 
+def _kron_tails(
+    base: DensityMatrix, factors: Sequence[tuple[tuple[int, ...], np.ndarray]]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """(dims, array) of base (x) f_1 (x) f_2 ... for (dims, array) factors."""
+    dims, arr = base.dims, base.mat.mat
+    for fdims, f in factors:
+        arr = np.kron(arr, f)
+        dims = dims + fdims
+    return dims, arr
+
+
 def _weighted_projector(
     vals: np.ndarray,
     vecs: np.ndarray,
@@ -101,16 +112,12 @@ def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
     extension without any rescaling.
     """
     _require_dual_form(w, "pure_tails_extend")
-    arr = w.sigma.mat.mat
-    dims = w.sigma.dims
-    for t in tails:
-        if not t.normalized:
-            raise UnnormalizedTail("pure tails must be normalized")
-        arr = np.kron(arr, np.outer(t.vec.vec, t.vec.vec.conj()))
-        dims = dims + t.dims
+    if any(not t.normalized for t in tails):
+        raise UnnormalizedTail("pure tails must be normalized")
     if not tails:
         return w
-    return Witness(w.form, w.c, _wrap_density(dims, arr))
+    factors = [(t.dims, np.outer(t.vec.vec, t.vec.vec.conj())) for t in tails]
+    return Witness(w.form, w.c, _wrap_density(*_kron_tails(w.sigma, factors)))
 
 
 def purify_extend_n(w: Witness, pure_tails: Sequence[PureState]) -> Witness:
@@ -206,8 +213,7 @@ def mixed_tensor_extend(w: Witness, tails: Sequence[DensityMatrix]) -> Witness:
     """Tensor sigma with each tail scaled by its top eigenvalue,
     sigma (x) tail_i / lambda_max(tail_i), keeping c valid unchanged."""
     _require_dual_form(w, "mixed_tensor_extend")
-    arr = w.sigma.mat.mat
-    dims = w.sigma.dims
+    factors = []
     for t in tails:
         if not t.normalized:
             raise UnnormalizedTail("tensor tails must be normalized")
@@ -215,11 +221,10 @@ def mixed_tensor_extend(w: Witness, tails: Sequence[DensityMatrix]) -> Witness:
         lam_max = float(tvals[-1])
         if lam_max <= 1e-12:
             raise ZeroMaxEigenvalue("tail state has vanishing top eigenvalue")
-        arr = np.kron(arr, t.mat.mat / lam_max)
-        dims = dims + t.dims
+        factors.append((t.dims, t.mat.mat / lam_max))
     if not tails:
         return w
-    return Witness(w.form, w.c, _wrap_density(dims, arr))
+    return Witness(w.form, w.c, _wrap_density(*_kron_tails(w.sigma, factors)))
 
 
 def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
@@ -229,17 +234,13 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
     multiplicity, so the open interval side is revalidated against the
     extended spectrum as a numerics guard.
     """
-    dims = w.sigma.dims
-    arr = w.sigma.mat.mat
-    for d in tail_dims:
-        d = int(d)
+    sizes = [int(d) for d in tail_dims]
+    for d in sizes:
         if d < 1:
             raise ParamOutOfRange(f"tail dimension {d} must be >= 1")
-        arr = np.kron(arr, np.eye(d))
-        dims = dims + (d,)
-    if not tail_dims:
+    if not sizes:
         return w
-    sigma2 = _wrap_density(dims, arr)
+    sigma2 = _wrap_density(*_kron_tails(w.sigma, [((d,), np.eye(d)) for d in sizes]))
     vals, _ = _cached_eig(sigma2)
     if w.form is WitnessForm.C_MINUS_SIGMA:
         if not w.c < float(vals[-1]):
@@ -263,11 +264,7 @@ def detect_product_extension(
     base witness expectation on rho12, so a state detected before
     extension stays detected after it.
     """
-    arr = rho12.mat.mat
-    dims = rho12.dims
-    for t in tails:
-        arr = np.kron(arr, t.mat.mat)
-        dims = dims + t.dims
+    dims, arr = _kron_tails(rho12, [(t.dims, t.mat.mat) for t in tails])
     if dims != w_ext.dims:
         raise DimensionMismatch(
             f"extended witness dims {w_ext.dims} vs product state dims {dims}"

@@ -2,15 +2,25 @@
 
 Matrices and vectors carry the tuple of local dimensions (d1, ..., dn) of
 the parties they act on, so tensor bookkeeping (kron, partial trace,
-partial transpose) never guesses shapes. The Hermitian eigensolver is a
-cyclic Jacobi iteration with a fixed canonical output convention:
+partial transpose) never guesses shapes. The Hermitian eigensolver is
+LAPACK's `eigh` followed by one canonicalization pass, so its output
+depends only on the matrix, not on the basis LAPACK picks:
 
-* eigenvalues ascending;
-* eigenvalues closer than 1e-12 form a cluster whose eigenvectors are
-  ordered lexicographically by their (real, imag) entry pairs after
-  phase fixing;
+* eigenvalues ascending; eigenvalues within 1e-12 of the first member
+  of their run form a cluster;
+* a cluster's basis is the Gram-Schmidt orthonormalization of its
+  projector's columns P e_0, P e_1, ... in index order, so it depends
+  only on the eigenspace;
 * each eigenvector's first component with modulus above 1e-12 is made
-  real and positive.
+  real and positive;
+* within a cluster, eigenvectors are ordered lexicographically by their
+  (real, imag) entry pairs, parts of modulus <= 1e-12 counting as 0;
+* each eigenvalue is the Rayleigh quotient v^dagger A v / v^dagger v of
+  its final eigenvector, summed in `np.clongdouble` and rounded to
+  float64 once. The quotient's error is quadratic in the vector's, so
+  dyadic eigenvalues such as 1/16 come out exact; that relies on
+  `longdouble` being the 80-bit x87 format (x86-64 Linux). Where it is
+  plain float64 the values are correct only to rounding.
 
 The convention makes spectral output reproducible bit for bit across
 runs, which downstream code relies on for deterministic reports.
@@ -35,7 +45,7 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 TIE_TOL = 1e-12
 PHASE_PIVOT_TOL = 1e-12
-JACOBI_SWEEPS = 100
+GS_SKIP_TOL = 1e-8
 
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -203,102 +213,38 @@ def partial_transpose(m: ComplexMatrix, party: int) -> ComplexMatrix:
 
 def _phase_fix(vecs: np.ndarray) -> None:
     """Rotate each column so its first large component is real positive."""
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        big = np.flatnonzero(np.abs(col) > PHASE_PIVOT_TOL)
-        if big.size:
-            piv = col[big[0]]
-            vecs[:, k] = col * (piv.conjugate() / abs(piv))
+    big = np.abs(vecs) > PHASE_PIVOT_TOL
+    piv = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])]
+    piv = np.where(big.any(axis=0), piv, 1.0)
+    vecs *= piv.conj() / np.abs(piv)
 
 
-def _lex_key(col: np.ndarray) -> tuple[float, ...]:
-    out: list[float] = []
-    for z in col:
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return tuple(out)
+def _cluster_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(v) that depends only on the span.
 
-
-def _canonical_order(vals: np.ndarray, vecs: np.ndarray) -> list[int]:
-    n = vals.size
-    prelim = sorted(range(n), key=lambda k: vals[k])
-    out: list[int] = []
-    i = 0
-    while i < n:
-        j = i
-        anchor = vals[prelim[i]]
-        while j < n and vals[prelim[j]] - anchor <= TIE_TOL:
-            j += 1
-        cluster = prelim[i:j]
-        if len(cluster) > 1:
-            cluster.sort(key=lambda k: _lex_key(vecs[:, k]))
-        out.extend(cluster)
-        i = j
-    return out
-
-
-def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Diagonalize a Hermitian array in place by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvector columns, sweeps used). Raises
-    NoConvergence when the off-diagonal mass is not driven below
-    1e-13 * ||a||_F within the sweep budget.
+    Gram-Schmidt over the projector's columns P e_0, P e_1, ... in index
+    order, done in the coordinates V^dagger e_i of the given orthonormal
+    columns so every output vector lies in span(v) to rounding. Each
+    residual is orthogonalized twice; residuals of norm <= 1e-8 are
+    skipped; the pass stops after k = v.shape[1] vectors.
     """
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return a.real.diagonal().copy(), v, 0
-    fro = float(np.linalg.norm(a))
-    tol = 1e-13 * fro
-    for sweep in range(max_sweeps + 1):
-        off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-        if off <= tol:
-            return a.real.diagonal().copy(), v, sweep
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absb = abs(apq)
-                if absb == 0.0:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                if absb <= 1e-300 or absb <= 1e-18 * (abs(app) + abs(aqq)):
-                    continue
-                ph = apq / absb
-                tau = (aqq - app) / (2.0 * absb)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(tau, 1.0))
-                else:
-                    t = -1.0 / (-tau + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sph = s * ph.conjugate()
-                cph = c * ph.conjugate()
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sph * col_q
-                a[:, q] = s * col_p + cph * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sph.conjugate() * row_q
-                a[q, :] = s * row_p + cph.conjugate() * row_q
-                a[p, p] = app - t * absb
-                a[q, q] = aqq + t * absb
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - sph * col_q
-                v[:, q] = s * col_p + cph * col_q
-    raise NoConvergence(
-        f"Jacobi eigensolver: off-diagonal norm {off:.3e} above {tol:.3e} "
-        f"after {max_sweeps} sweeps"
-    )
+    k = v.shape[1]
+    basis = np.zeros((k, k), dtype=np.complex128)
+    m = 0
+    for row in v.conj():
+        r = row.copy()
+        for _ in range(2):
+            r -= basis[:, :m] @ (basis[:, :m].conj().T @ r)
+        nrm = float(np.linalg.norm(r))
+        if nrm > GS_SKIP_TOL:
+            basis[:, m] = r / nrm
+            m += 1
+            if m == k:
+                break
+    return v @ basis
 
 
-def _canonical_eig(arr: np.ndarray, max_sweeps: int = JACOBI_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_eig(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensolve a Hermitian ndarray, canonical order and phases.
 
     Returns (eigenvalues ascending, eigenvector columns). The input is
@@ -306,21 +252,42 @@ def _canonical_eig(arr: np.ndarray, max_sweeps: int = JACOBI_SWEEPS) -> tuple[np
     """
     work = np.array(arr, dtype=np.complex128)
     work = 0.5 * (work + work.conj().T)
-    vals, vecs, _ = _jacobi(work, max_sweeps)
-    _phase_fix(vecs)
-    order = _canonical_order(vals, vecs)
-    return vals[order], vecs[:, order]
+    try:
+        vals, vecs = np.linalg.eigh(work)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
+    _phase_fix(vecs)  # final for singletons; clusters get a new basis below
+    n = vals.size
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and vals[j] - vals[i] <= TIE_TOL:
+            j += 1
+        if j - i > 1:
+            block = _cluster_basis(vecs[:, i:j])
+            _phase_fix(block)
+            # lexicographic by (re, im) of entry 0, then entry 1, ...; parts
+            # at or below the pivot tolerance count as 0, because the
+            # staircase zeros of the Gram-Schmidt basis carry only noise
+            keys = np.stack([block.real, block.imag], axis=1).reshape(-1, j - i)
+            keys[np.abs(keys) <= PHASE_PIVOT_TOL] = 0.0
+            vecs[:, i:j] = block[:, np.lexsort(keys[::-1])]
+        i = j
+    wide = vecs.astype(np.clongdouble)
+    num = np.einsum("ij,ik,kj->j", wide.conj(), work.astype(np.clongdouble), wide)
+    den = np.einsum("ij,ij->j", wide.conj(), wide)
+    return (num.real / den.real).astype(np.float64), vecs
 
 
-def hermitian_eig(m: ComplexMatrix, max_sweeps: int = JACOBI_SWEEPS) -> SpectralDecomposition:
+def hermitian_eig(m: ComplexMatrix) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
-    Validates Hermiticity to the 1e-10 entrywise tolerance, then runs the
-    cyclic Jacobi iteration and applies the canonical ordering and phase
-    conventions documented at module level.
+    Validates Hermiticity to the 1e-10 entrywise tolerance, then runs
+    `_canonical_eig` (LAPACK plus the canonical conventions documented at
+    module level). LAPACK failure raises NoConvergence.
     """
     m.require_hermitian()
-    return _decomposition(m.dims, *_canonical_eig(m.mat, max_sweeps))
+    return _decomposition(m.dims, *_canonical_eig(m.mat))
 
 
 def _decomposition(

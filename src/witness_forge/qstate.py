@@ -150,20 +150,23 @@ def _nonzero_indices(vals: Sequence[float]) -> list[int]:
     return [i for i, v in enumerate(vals) if v > RANK_TOL]
 
 
-def _selected(vals: Sequence[float], pairs: Sequence[tuple[int, int]]):
-    """(eigen-index, eigenvalue) of each selected pair, in pair order; an
-    index outside the spectrum raises SelectionOutOfRange when reached."""
+def _selected(
+    vals: Sequence[float], pairs: Sequence[tuple[int, int]]
+) -> list[tuple[int, float]]:
+    """(eigen-index, eigenvalue) of each selected pair, in pair order; any
+    index outside the spectrum raises SelectionOutOfRange."""
     for idx, _ in pairs:
         if idx >= len(vals):
             raise SelectionOutOfRange(
                 f"eigen-index {idx} outside spectrum of size {len(vals)}"
             )
-        yield idx, vals[idx]
+    return [(idx, vals[idx]) for idx, _ in pairs]
 
 
 def _check_selection(vals: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
     """Every selected eigen-index must lie in the spectrum and carry a
-    nonzero eigenvalue; the first offending pair raises SelectionOutOfRange."""
+    nonzero eigenvalue; the first offending pair (indices outside the
+    spectrum first) raises SelectionOutOfRange."""
     for idx, lam in _selected(vals, pairs):
         if lam <= RANK_TOL:
             raise SelectionOutOfRange(

@@ -50,6 +50,16 @@ def test_spectral_accepts_hermitian_kind(capsys, tmp_path):
     assert report["results"]["eigenvalues"] == [-1.0, 1.0]
 
 
+def test_eigensolver_failure_exits_three(capsys, sq_file, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, report, _ = _run(capsys, "spectral", sq_file)
+    assert code == 3
+    assert report["error"]["type"] == "NoConvergence"
+
+
 def test_cbounds_modes(capsys, sq_file):
     code, report, _ = _run(capsys, "cbounds", sq_file, "--mode", "min", "--restarts", "16")
     assert code == 0

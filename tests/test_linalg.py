@@ -9,6 +9,8 @@ from witness_forge.errors import BadPartyIndex, NoConvergence, NotHermitian
 from witness_forge.linalg import (
     ComplexMatrix,
     ComplexVector,
+    _canonical_eig,
+    _phase_fix,
     hermitian_eig,
     identity,
     kron,
@@ -118,6 +120,21 @@ def test_phase_fix_makes_pivot_real_positive():
         pivot = next(z for z in vec.vec if abs(z) > 1e-12)
         assert abs(pivot.imag) <= 1e-14
         assert pivot.real > 0
+    # the vectorized rotation against the per-column loop it replaced,
+    # with leading zeros, tiny entries and an all-zero column
+    rng = np.random.default_rng(3)
+    vecs = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    vecs[:3, :3] = 0.0
+    vecs[0, 3] = 1e-13
+    vecs[:, 5] = 0.0
+    want = vecs.copy()
+    for k in range(want.shape[1]):
+        big = np.flatnonzero(np.abs(want[:, k]) > 1e-12)
+        if big.size:
+            piv = want[big[0], k]
+            want[:, k] *= piv.conjugate() / abs(piv)
+    _phase_fix(vecs)
+    np.testing.assert_allclose(vecs, want, atol=1e-15, rtol=0)
 
 
 def test_degenerate_identity_has_orthonormal_vectors():
@@ -133,11 +150,43 @@ def test_not_hermitian_rejected():
         hermitian_eig(m)
 
 
-def test_no_convergence_with_zero_sweep_budget():
+def test_no_convergence_when_lapack_fails(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     rng = np.random.default_rng(5)
     m = _random_hermitian(rng, (2, 2))
     with pytest.raises(NoConvergence):
-        hermitian_eig(m, max_sweeps=0)
+        hermitian_eig(m)
+
+
+def _random_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    return q
+
+
+def test_canonical_output_ignores_the_cluster_basis_lapack_returns(monkeypatch):
+    # spectrum 0.1 (x3), 0.5 (x2), 0.9 on a random frame: the canonical
+    # output must not depend on which basis of each eigenspace eigh hands back
+    rng = np.random.default_rng(17)
+    u = _random_unitary(rng, 6)
+    arr = (u * [0.1, 0.1, 0.1, 0.5, 0.5, 0.9]) @ u.conj().T
+    clusters = (slice(0, 3), slice(3, 5))
+    want_vals, want_vecs = _canonical_eig(arr)
+    lapack = np.linalg.eigh
+
+    def rotated(a):
+        vals, vecs = lapack(a)
+        for c in clusters:
+            vecs[:, c] = vecs[:, c] @ _random_unitary(rng, c.stop - c.start)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    for _ in range(5):
+        vals, vecs = _canonical_eig(arr)
+        np.testing.assert_allclose(vals, want_vals, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(vecs, want_vecs, atol=1e-12, rtol=0)
 
 
 def test_spectral_decomposition_reconstruct():

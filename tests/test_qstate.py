@@ -167,6 +167,9 @@ def test_has_max_eigenvalue():
     assert has_max_eigenvalue(PurificationSelection(((3, 0),), 1), sd)
     assert has_max_eigenvalue(PurificationSelection(((0, 0), (3, 1)), 2), sd)
     assert not has_max_eigenvalue(PurificationSelection(((0, 0), (1, 1)), 2), sd)
+    # every eigen-index is checked, not only those before the first top hit
+    with pytest.raises(SelectionOutOfRange):
+        has_max_eigenvalue(PurificationSelection(((3, 0), (7, 1)), 2), sd)
     # degenerate top eigenvalue: any index inside the top cluster counts
     arr = np.diag([5 / 16, 3 / 16, 3 / 16, 5 / 16]).astype(complex)
     arr[1, 2] = arr[2, 1] = 1 / 8
