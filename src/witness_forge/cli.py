@@ -30,17 +30,12 @@ from .extend import (
     pure_tails_extend,
 )
 from .fileio import (
-    _encode_vector,
     dumps_canonical,
+    kind_of,
     parse_matrix_file,
     write_matrix_file,
 )
-from .linalg import (
-    ComplexMatrix,
-    HERMITICITY_TOL,
-    TIE_TOL,
-    hermitian_eig,
-)
+from .linalg import HERMITICITY_TOL, TIE_TOL, hermitian_eig
 from .oracle import grid_product_extremum, _support_check
 from .qstate import (
     DensityMatrix,
@@ -57,7 +52,6 @@ from .witness import (
     SEESAW_TOL,
     TOL_NEG,
     TOL_POS,
-    Witness,
     WitnessForm,
     evaluate,
     make_witness,
@@ -156,21 +150,15 @@ def _resolve_restarts(value: int | None) -> int:
     return DEFAULT_RESTARTS if value is None else value
 
 
-def _require_kind(obj, kinds, what: str):
-    names = {DensityMatrix: "density", PureState: "pure", ComplexMatrix: "hermitian", Witness: "witness"}
-    if not isinstance(obj, kinds):
-        wanted = ", ".join(names[k] for k in kinds) if isinstance(kinds, tuple) else names[kinds]
-        raise ParseError(f"{what} must be a {wanted} file, got kind={names.get(type(obj), '?')}")
+def _require_kind(obj, kinds: tuple[str, ...], what: str):
+    kind = kind_of(obj)
+    if kind not in kinds:
+        raise ParseError(f"{what} must be a {', '.join(kinds)} file, got kind={kind}")
     return obj
 
 
-def _encode_product_state(state) -> list:
-    return [_encode_vector(f.vec) for f in state.factors]
-
-
 def _cmd_spectral(args):
-    obj = parse_matrix_file(args.input)
-    _require_kind(obj, (DensityMatrix, ComplexMatrix), "spectral input")
+    obj = _require_kind(parse_matrix_file(args.input), ("density", "hermitian"), "spectral input")
     sd = spectral(obj) if isinstance(obj, DensityMatrix) else hermitian_eig(obj)
     results = {
         "eigenvalues": list(sd.eigenvalues),
@@ -186,7 +174,7 @@ def _cmd_spectral(args):
 
 
 def _cmd_cbounds(args):
-    obj = _require_kind(parse_matrix_file(args.input), (DensityMatrix,), "cbounds input")
+    obj = _require_kind(parse_matrix_file(args.input), ("density",), "cbounds input")
     seed = _resolve_seed(args.seed)
     restarts = _resolve_restarts(args.restarts)
     opt = max_product_expectation if args.mode == "min" else min_product_expectation
@@ -206,7 +194,7 @@ def _cmd_cbounds(args):
             oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)
     results = {
         "converged": res.converged,
-        "extremizer": _encode_product_state(res.extremizer),
+        "extremizer": [f.vec for f in res.extremizer.factors],
         "lambda_max": vals[-1],
         "lambda_min": vals[0],
         "mode": args.mode,
@@ -221,7 +209,7 @@ def _cmd_cbounds(args):
 
 
 def _cmd_witness_make(args):
-    sigma = _require_kind(parse_matrix_file(args.sigma), (DensityMatrix,), "witness-make input")
+    sigma = _require_kind(parse_matrix_file(args.sigma), ("density",), "witness-make input")
     seed = _resolve_seed(args.seed)
     restarts = _resolve_restarts(args.restarts)
     w = make_witness(
@@ -244,12 +232,12 @@ def _cmd_witness_make(args):
 
 
 def _cmd_witness_verify(args):
-    w = _require_kind(parse_matrix_file(args.input), (Witness,), "witness-verify input")
+    w = _require_kind(parse_matrix_file(args.input), ("witness",), "witness-verify input")
     seed = _resolve_seed(args.seed)
     restarts = _resolve_restarts(args.restarts)
     rep = verify_witness(w, restarts=restarts, seed=seed)
     results = {
-        "certificate_state": _encode_product_state(rep.certificate_state),
+        "certificate_state": [f.vec for f in rep.certificate_state.factors],
         "is_witness": rep.is_witness,
         "min_product_expectation": rep.min_product_expectation,
         "witnessing_margin": rep.witnessing_margin,
@@ -263,9 +251,8 @@ def _cmd_witness_verify(args):
 
 
 def _cmd_eval(args):
-    w = _require_kind(parse_matrix_file(args.witness), (Witness,), "eval witness")
-    state = parse_matrix_file(args.state)
-    _require_kind(state, (DensityMatrix, PureState), "eval state")
+    w = _require_kind(parse_matrix_file(args.witness), ("witness",), "eval witness")
+    state = _require_kind(parse_matrix_file(args.state), ("density", "pure"), "eval state")
     if isinstance(state, PureState):
         state = projector(state)
     value = evaluate(w, state)
@@ -292,22 +279,22 @@ def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
 # --tails files, and the extension. The lambdas look the extension
 # functions up in this module when they are called.
 _EXTEND_METHODS = {
-    "purify": ({"tails"}, (), PureState, lambda w, args, tails: (
+    "purify": ({"tails"}, (), "pure", lambda w, args, tails: (
         purify_extend_n(w, tails) if tails else purify_extend(w))),
     "partial": ({"selection", "ancilla_dim", "c_prime"}, ("selection", "ancilla_dim"), None,
                 lambda w, args, tails: partial_purify_extend(
                     w, _parse_selection(args.selection, args.ancilla_dim), c_prime=args.c_prime)),
-    "mixed": ({"tails"}, ("tails",), DensityMatrix,
+    "mixed": ({"tails"}, ("tails",), "density",
               lambda w, args, tails: mixed_tensor_extend(w, tails)),
     "identity": ({"tail_dims"}, ("tail_dims",), None,
                  lambda w, args, tails: identity_extend(w, args.tail_dims)),
-    "pure-tails": ({"tails"}, ("tails",), PureState,
+    "pure-tails": ({"tails"}, ("tails",), "pure",
                    lambda w, args, tails: pure_tails_extend(w, tails)),
 }
 
 
 def _cmd_extend(args):
-    w = _require_kind(parse_matrix_file(args.input), (Witness,), "extend input")
+    w = _require_kind(parse_matrix_file(args.input), ("witness",), "extend input")
     seed = _resolve_seed(args.seed)
     restarts = _resolve_restarts(args.restarts)
     allowed, required, tail_kind, extension = _EXTEND_METHODS[args.method]
@@ -354,7 +341,7 @@ def _cmd_extend(args):
 
 
 def _cmd_enumerate(args):
-    d = _require_kind(parse_matrix_file(args.input), (DensityMatrix,), "enumerate input")
+    d = _require_kind(parse_matrix_file(args.input), ("density",), "enumerate input")
     sd = spectral(d)
     sels = enumerate_partial_purifications(sd, args.ancilla_dim)
     rank = sd.rank()

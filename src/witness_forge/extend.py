@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from .qstate import (
 from .witness import Witness, WitnessForm, evaluate
 
 ENUMERATION_CAP = 64
+# Largest total dimension an extension builds; checked before any dense allocation.
+MAX_TOTAL_DIM = 1024
 
 
 def _require_dual_form(w: Witness, op: str) -> None:
@@ -66,13 +68,16 @@ def _wrap_density(dims: tuple[int, ...], arr: np.ndarray) -> DensityMatrix:
 
 
 def _kron_tails(
-    base: DensityMatrix, factors: Sequence[tuple[tuple[int, ...], np.ndarray]]
+    base: DensityMatrix, tail_dims: Sequence[tuple[int, ...]], arrays: Iterable[np.ndarray]
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """(dims, array) of base (x) f_1 (x) f_2 ... for (dims, array) factors."""
-    dims, arr = base.dims, base.mat.mat
-    for fdims, f in factors:
+    """(dims, array) of base (x) f_1 (x) f_2 ... with f_k of dims tail_dims[k]. The
+    size is checked before `arrays` is read, so the factors may be built lazily."""
+    dims = base.dims + sum(tail_dims, ())
+    if math.prod(dims) > MAX_TOTAL_DIM:
+        raise ParamOutOfRange(f"product dimension {math.prod(dims)} > {MAX_TOTAL_DIM}")
+    arr = base.mat.mat
+    for f in arrays:
         arr = np.kron(arr, f)
-        dims = dims + fdims
     return dims, arr
 
 
@@ -82,6 +87,8 @@ def _weighted_projector(
     pairs: Sequence[tuple[int, int]],
     ancilla_dim: int,
 ) -> np.ndarray:
+    if len(vecs) * ancilla_dim > MAX_TOTAL_DIM:
+        raise ParamOutOfRange(f"purified dimension {len(vecs) * ancilla_dim} > {MAX_TOTAL_DIM}")
     wmat = _purification_columns(vecs, pairs, ancilla_dim)
     lams = [vals[idx] for idx, _ in pairs]
     gram = np.sqrt(np.outer(lams, lams))
@@ -116,8 +123,9 @@ def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
         raise UnnormalizedTail("pure tails must be normalized")
     if not tails:
         return w
-    factors = [(t.dims, np.outer(t.vec.vec, t.vec.vec.conj())) for t in tails]
-    return Witness(w.form, w.c, _wrap_density(*_kron_tails(w.sigma, factors)))
+    projectors = (np.outer(t.vec.vec, t.vec.vec.conj()) for t in tails)
+    sigma2 = _wrap_density(*_kron_tails(w.sigma, [t.dims for t in tails], projectors))
+    return Witness(w.form, w.c, sigma2)
 
 
 def purify_extend_n(w: Witness, pure_tails: Sequence[PureState]) -> Witness:
@@ -221,10 +229,11 @@ def mixed_tensor_extend(w: Witness, tails: Sequence[DensityMatrix]) -> Witness:
         lam_max = float(tvals[-1])
         if lam_max <= 1e-12:
             raise ZeroMaxEigenvalue("tail state has vanishing top eigenvalue")
-        factors.append((t.dims, t.mat.mat / lam_max))
+        factors.append(t.mat.mat / lam_max)
     if not tails:
         return w
-    return Witness(w.form, w.c, _wrap_density(*_kron_tails(w.sigma, factors)))
+    sigma2 = _wrap_density(*_kron_tails(w.sigma, [t.dims for t in tails], factors))
+    return Witness(w.form, w.c, sigma2)
 
 
 def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
@@ -240,7 +249,7 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
             raise ParamOutOfRange(f"tail dimension {d} must be >= 1")
     if not sizes:
         return w
-    sigma2 = _wrap_density(*_kron_tails(w.sigma, [((d,), np.eye(d)) for d in sizes]))
+    sigma2 = _wrap_density(*_kron_tails(w.sigma, [(d,) for d in sizes], map(np.eye, sizes)))
     vals, _ = _cached_eig(sigma2)
     if w.form is WitnessForm.C_MINUS_SIGMA:
         if not w.c < float(vals[-1]):
@@ -264,7 +273,7 @@ def detect_product_extension(
     base witness expectation on rho12, so a state detected before
     extension stays detected after it.
     """
-    dims, arr = _kron_tails(rho12, [(t.dims, t.mat.mat) for t in tails])
+    dims, arr = _kron_tails(rho12, [t.dims for t in tails], [t.mat.mat for t in tails])
     if dims != w_ext.dims:
         raise DimensionMismatch(
             f"extended witness dims {w_ext.dims} vs product state dims {dims}"

@@ -7,9 +7,12 @@ files additionally carry `form`, `c`, the `sigma` entries, and the
 `normalized` flag of sigma; `data` holds the materialized witness
 matrix and is checked against (form, c, sigma) on parse.
 
-The writer is canonical: keys sorted, compact separators, every float
-rendered with 17 significant digits, trailing newline. Writing a parsed
-canonical file reproduces it byte for byte.
+The document dict holds matrices and vectors as complex ndarrays, which
+one codec writes and reads whole. The writer is canonical: keys sorted,
+compact separators, every float at 17 significant digits, trailing
+newline; writing a parsed canonical file reproduces it byte for byte.
+The reader is strict (exact shapes; parts are numbers, not booleans,
+finite as float64), and any malformed file raises ParseError.
 """
 
 from __future__ import annotations
@@ -26,19 +29,29 @@ from .qstate import DensityMatrix, PureState
 from .witness import Witness, WitnessForm
 
 FORMAT_VERSION = "1"
-KINDS = ("density", "pure", "hermitian", "witness")
+KINDS = {
+    "density": DensityMatrix, "pure": PureState, "hermitian": ComplexMatrix, "witness": Witness,
+}
 _DATA_CONSISTENCY_TOL = 1e-12
+_FLOAT_FORMAT = ".17g"
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def kind_of(obj) -> str | None:
+    """The file kind whose class `obj` is an instance of, or None."""
+    return next((name for name, cls in KINDS.items() if isinstance(obj, cls)), None)
 
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ParseError(f"non-finite number {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT_FORMAT)
 
 
 def dumps_canonical(obj) -> str:
-    """Serialize to canonical JSON: sorted keys, compact separators,
-    floats at 17 significant digits. Ends without a newline."""
+    """Serialize to canonical JSON: sorted keys, compact separators, floats
+    at 17 significant digits, a complex ndarray as nested [re, im] pairs
+    (other arrays raise ParseError). Ends without a newline."""
     out: list[str] = []
     _dump(obj, out)
     return "".join(out)
@@ -63,6 +76,16 @@ def _dump(obj, out: list[str]) -> None:
                 out.append(",")
             _dump(item, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
+        parts = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64).ravel()
+        nonfinite = parts[~np.isfinite(parts)]
+        if nonfinite.size:
+            _fmt_float(nonfinite[0])  # raises ParseError
+        text = [format(x, _FLOAT_FORMAT) for x in parts.tolist()]
+        items = list(map("[{},{}]".format, text[0::2], text[1::2]))
+        for n in reversed(obj.shape):
+            items = ["[" + ",".join(items[i:i + n]) + "]" for i in range(0, len(items), n)]
+        out.append(items[0])
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif obj is None:
@@ -77,74 +100,54 @@ def _dump(obj, out: list[str]) -> None:
         raise ParseError(f"cannot serialize {type(obj).__name__}")
 
 
-def _encode_entry(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _encode_matrix(arr: np.ndarray) -> list:
-    return [[_encode_entry(z) for z in row] for row in arr]
+def _decode_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The complex array of `shape` that `raw` holds as nested [re, im] pairs
+    of numbers (not booleans), each finite as a float64."""
+    arr = np.array(raw, dtype=object)
+    if arr.shape != shape + (2,):
+        raise ParseError(f"{where}: expected shape {list(shape + (2,))}, got {list(arr.shape)}")
+    flat = arr.ravel()
 
+    def cell(i: int) -> str:
+        return where + "".join(f"[{k}]" for k in np.unravel_index(i // 2, shape))
 
-def _encode_vector(vec: np.ndarray) -> list:
-    return [_encode_entry(z) for z in vec]
-
-
-def _decode_entry(raw, where: str) -> complex:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-    ):
-        raise ParseError(f"{where}: complex entry must be a [re, im] pair, got {raw!r}")
-    re, im = float(raw[0]), float(raw[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParseError(f"{where}: non-finite entry {raw!r}")
-    return complex(re, im)
-
-
-def _decode_matrix(raw, dim: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ParseError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{where}: row {i} must have {dim} entries")
-        for j, cell in enumerate(row):
-            out[i, j] = _decode_entry(cell, f"{where}[{i}][{j}]")
-    return out
-
-
-def _decode_vector(raw, dim: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ParseError(f"{where}: expected {dim} entries")
-    out = np.empty(dim, dtype=np.complex128)
-    for i, cell in enumerate(raw):
-        out[i] = _decode_entry(cell, f"{where}[{i}]")
-    return out
+    if not set(map(type, flat)) <= {int, float}:  # the common case skips the per-part scan
+        bad = next((i for i, x in enumerate(flat) if not _is_number(x)), None)
+        if bad is not None:
+            raise ParseError(f"{cell(bad)}: complex entry must be a [re, im] pair of numbers")
+    try:
+        parts = flat.astype(np.float64)
+    except OverflowError:
+        bad = next(i for i, x in enumerate(flat) if not abs(x) <= _FLOAT_MAX)
+        raise ParseError(f"{cell(bad)}: number too large for a float64") from None
+    finite = np.isfinite(parts)
+    if not finite.all():
+        raise ParseError(f"{cell(int(np.argmin(finite)))}: entry is not a finite float64")
+    return parts.view(np.complex128).reshape(shape)
 
 
 def encode_matrix_obj(obj) -> dict:
-    """Build the JSON document dict for a supported object."""
-    if isinstance(obj, Witness):
-        kind, body = "witness", {
-            "data": _encode_matrix(obj.matrix().mat),
+    """Build the JSON document dict for a supported object. Its `data` and
+    `sigma` values are complex ndarrays, which only `dumps_canonical` renders."""
+    kind = kind_of(obj)
+    if kind == "witness":
+        body = {
+            "data": obj.matrix().mat,
             "form": obj.form.value,
             "c": float(obj.c),
-            "sigma": _encode_matrix(obj.sigma.mat.mat),
+            "sigma": obj.sigma.mat.mat,
             "normalized": bool(obj.sigma.normalized),
         }
-    elif isinstance(obj, DensityMatrix):
-        kind, body = "density", {
-            "data": _encode_matrix(obj.mat.mat),
-            "normalized": bool(obj.normalized),
-        }
-    elif isinstance(obj, PureState):
-        kind, body = "pure", {
-            "data": _encode_vector(obj.vec.vec),
-            "normalized": bool(obj.normalized),
-        }
-    elif isinstance(obj, ComplexMatrix):
-        kind, body = "hermitian", {"data": _encode_matrix(obj.mat)}
+    elif kind == "density":
+        body = {"data": obj.mat.mat, "normalized": bool(obj.normalized)}
+    elif kind == "pure":
+        body = {"data": obj.vec.vec, "normalized": bool(obj.normalized)}
+    elif kind == "hermitian":
+        body = {"data": obj.mat}
     else:
         raise ParseError(f"cannot write object of type {type(obj).__name__}")
     return {"version": FORMAT_VERSION, "kind": kind, "dims": list(obj.dims), **body}
@@ -172,10 +175,10 @@ def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix
     dim = math.prod(dims)
 
     if kind == "pure":
-        vec = _decode_vector(raw.get("data"), dim, "data")
+        vec = _decode_array(raw.get("data"), (dim,), "data")
         return PureState(ComplexVector(dims, vec), normalized=_get_normalized(raw))
 
-    data = _decode_matrix(raw.get("data"), dim, "data")
+    data = _decode_array(raw.get("data"), (dim, dim), "data")
     if kind == "hermitian":
         return ComplexMatrix(dims, data)
     if kind == "density":
@@ -187,9 +190,9 @@ def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix
     except ValueError:
         raise ParseError(f"unknown witness form {form_raw!r}") from None
     c_raw = raw.get("c")
-    if not isinstance(c_raw, (int, float)) or isinstance(c_raw, bool) or not math.isfinite(c_raw):
+    if not _is_number(c_raw) or not abs(c_raw) <= _FLOAT_MAX:
         raise ParseError(f"c must be a finite number, got {c_raw!r}")
-    sigma_arr = _decode_matrix(raw.get("sigma"), dim, "sigma")
+    sigma_arr = _decode_array(raw.get("sigma"), (dim, dim), "sigma")
     sigma = DensityMatrix(ComplexMatrix(dims, sigma_arr), normalized=_get_normalized(raw))
     w = Witness(form, float(c_raw), sigma)
     defect = float(np.abs(w.matrix().mat - data).max())
@@ -210,12 +213,10 @@ def _get_normalized(raw) -> bool:
 def parse_matrix_file(path: str | Path) -> Witness | DensityMatrix | PureState | ComplexMatrix:
     p = Path(path)
     try:
-        text = p.read_text()
+        raw = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
-    try:
-        raw = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too-deep nesting
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     return parse_matrix_obj(raw)
 

@@ -5,15 +5,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import witness_forge
 from witness_forge.cli import main
-from witness_forge.fileio import parse_matrix_file, write_matrix_file
+from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix
 from witness_forge.qstate import DensityMatrix, isotropic
-from witness_forge.witness import Witness
+from witness_forge.witness import Witness, WitnessForm, make_witness
 
 
 @pytest.fixture
@@ -189,6 +191,14 @@ def test_extend_methods(capsys, sq_file, tmp_path):
     assert code == 0
     assert report["results"]["dims"] == [2, 2, 2, 2]
 
+    # 4 * 257 exceeds the total-dimension cap before anything is allocated
+    code, report, _ = _run(
+        capsys, "extend", wpath, "--method", "identity", "--tail-dims", "257",
+        "-o", str(tmp_path / "huge.json"),
+    )
+    assert code == 2
+    assert report["error"]["type"] == "ParamOutOfRange"
+
 
 def test_extend_flag_consistency(capsys, sq_file, tmp_path):
     wpath = str(tmp_path / "w.json")
@@ -234,6 +244,26 @@ def test_parse_and_usage_failures_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_malformed_files_are_parse_errors(capsys, tmp_path):
+    w = make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3)
+    big_data = json.loads(matrix_file_text(w))
+    big_data["data"][0][0][0] = 10**400  # too large for a float
+    big_c = json.loads(matrix_file_text(w))
+    big_c["c"] = 10**400
+    payloads = {
+        "big_data.json": json.dumps(big_data).encode(),
+        "big_c.json": json.dumps(big_c).encode(),
+        "latin1.json": b'{"version": "1", "kind": "density\xe9"}',
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    }
+    for name, payload in payloads.items():
+        path = tmp_path / name
+        path.write_bytes(payload)
+        code, report, _ = _run(capsys, "spectral", str(path))
+        assert code == 1, name
+        assert report["error"]["type"] == "ParseError", name
+
+
 def test_wrong_kind_is_usage_error(capsys, sq_file, tmp_path):
     code, report, _ = _run(capsys, "witness-verify", sq_file)
     assert code == 1
@@ -262,9 +292,12 @@ def test_env_var_seed(capsys, sq_file, monkeypatch):
 
 
 def test_module_entry_point(sq_file):
+    # run from the directory that holds the package, so `-m` finds it
+    # whether or not it is installed or on PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "witness_forge", "spectral", sq_file],
         capture_output=True, text=True, timeout=120,
+        cwd=Path(witness_forge.__file__).parents[1],
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -319,6 +319,17 @@ def test_identity_extend_revalidates_interval():
         identity_extend(w2, [2])
 
 
+def test_extensions_refuse_a_total_dimension_above_the_cap():
+    # 4 * 257 > MAX_TOTAL_DIM: refused before the product or projector is built
+    w = _isotropic_witness()
+    with pytest.raises(ParamOutOfRange):
+        identity_extend(w, [257])
+    with pytest.raises(ParamOutOfRange):
+        pure_tails_extend(w, [PureState(ComplexVector((257,), np.eye(257)[0]))])
+    with pytest.raises(ParamOutOfRange):
+        partial_purify_extend(w, PurificationSelection(((3, 0),), 257))
+
+
 def test_detect_product_extension_values():
     w = identity_extend(_isotropic_witness(), [2])
     mixed_tail = DensityMatrix(ComplexMatrix((2,), np.eye(2) / 2))

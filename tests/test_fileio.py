@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from witness_forge.errors import ParamOutOfRange, ParseError
+from witness_forge.extend import purify_extend
 from witness_forge.fileio import (
     dumps_canonical,
+    encode_matrix_obj,
     matrix_file_text,
     parse_matrix_file,
     parse_matrix_obj,
@@ -96,10 +98,10 @@ def test_canonical_float_formatting():
 def test_parse_rejects_structural_problems(tmp_path):
     good = json.loads(matrix_file_text(isotropic(0.2)))
 
-    def reject(mutate):
+    def reject(mutate, match=None):
         doc = json.loads(json.dumps(good))
         mutate(doc)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=match):
             parse_matrix_obj(doc)
 
     reject(lambda d: d.update(version="2"))
@@ -109,9 +111,68 @@ def test_parse_rejects_structural_problems(tmp_path):
     reject(lambda d: d["data"].pop())
     reject(lambda d: d["data"][0].__setitem__(0, [1.0]))
     reject(lambda d: d["data"][0].__setitem__(0, "1+2j"))
+    reject(lambda d: d["data"][0].__setitem__(0, [True, 0.5]))
+    reject(lambda d: d["data"][0].__setitem__(0, [None, 0.5]), match=r"^data\[0\]\[0\]: complex")
+    reject(lambda d: d["data"][0].__setitem__(0, [{}, 0.5]))
+    reject(lambda d: d["data"][1].pop())  # ragged rows
+    reject(lambda d: d["data"][0].__setitem__(0, [1.0, 0.0, 0.0]))
+    reject(lambda d: d.update(data=0.5))
+    reject(lambda d: d.update(kind="pure"))  # a pure state whose data is a matrix
     reject(lambda d: d.update(normalized="yes"))
     with pytest.raises(ParseError):
         parse_matrix_obj(["not", "an", "object"])
+
+
+def _reference_file_text(obj) -> str:
+    """The format written out entry by entry: every float with 17
+    significant digits, complex entries as [re, im] pairs."""
+
+    def num(x) -> str:
+        return format(float(x), ".17g")
+
+    def render(v) -> str:
+        if isinstance(v, np.ndarray) and v.ndim == 1:
+            return "[" + ",".join(f"[{num(z.real)},{num(z.imag)}]" for z in v) + "]"
+        if isinstance(v, (list, np.ndarray)):
+            return "[" + ",".join(map(render, v)) + "]"
+        if isinstance(v, float):
+            return num(v)
+        return json.dumps(v)
+
+    doc = encode_matrix_obj(obj)
+    return "{" + ",".join(f"{json.dumps(k)}:{render(doc[k])}" for k in sorted(doc)) + "}\n"
+
+
+def _with_specials(rng: np.random.Generator, shape) -> np.ndarray:
+    """A random complex array whose first entries hold -0.0, 5e-324,
+    1e-310, 2**53 and 1/3 in their real and imaginary parts."""
+    specials = [-0.0, 5e-324, 1e-310, 2.0**53, 1 / 3]
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cells = [complex(x, y) for x, y in zip(specials, reversed(specials))]
+    arr.flat[: len(cells)] = cells[: arr.size]
+    return arr
+
+
+def test_writer_matches_per_entry_rendering():
+    rng = np.random.default_rng(5)
+    for dims in ((2,), (2, 2), (2, 2, 2), (2, 2, 2, 2)):
+        d = int(np.prod(dims))
+        # a PSD diagonal with the specials on it, and -0.0 everywhere else
+        diag = np.abs(_with_specials(rng, d).real)
+        sigma_arr = np.where(np.eye(d, dtype=bool), np.diag(diag), complex(-0.0, -0.0))
+        sigma = DensityMatrix(ComplexMatrix(dims, sigma_arr), normalized=False)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho = DensityMatrix(ComplexMatrix(dims, rho / np.trace(rho).real))
+        objects = [
+            ComplexMatrix(dims, _with_specials(rng, (d, d))),
+            sigma,
+            PureState(ComplexVector(dims, _with_specials(rng, d)), normalized=False),
+            make_witness(WitnessForm.C_MINUS_SIGMA, sigma, 1 / 3, check="none"),
+            purify_extend(make_witness(WitnessForm.C_MINUS_SIGMA, rho, 0.1, check="none")),
+        ]
+        for obj in objects:
+            assert matrix_file_text(obj) == _reference_file_text(obj)
 
 
 def test_parse_rejects_nonfinite_and_bad_json(tmp_path):
