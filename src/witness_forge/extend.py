@@ -34,7 +34,7 @@ from .errors import (
     UnnormalizedTail,
     ZeroMaxEigenvalue,
 )
-from .linalg import ComplexMatrix
+from .linalg import MAX_TOTAL_DIM, ComplexMatrix
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -49,8 +49,6 @@ from .qstate import (
 from .witness import Witness, WitnessForm, evaluate
 
 ENUMERATION_CAP = 64
-# Largest total dimension an extension builds; checked before any dense allocation.
-MAX_TOTAL_DIM = 1024
 
 
 def _require_dual_form(w: Witness, op: str) -> None:

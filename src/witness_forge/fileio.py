@@ -12,7 +12,9 @@ one codec writes and reads whole. The writer is canonical: keys sorted,
 compact separators, every float at 17 significant digits, trailing
 newline; writing a parsed canonical file reproduces it byte for byte.
 The reader is strict (exact shapes; parts are numbers, not booleans,
-finite as float64), and any malformed file raises ParseError.
+finite as float64), and any malformed file raises ParseError. A file
+whose `dims` multiply to more than MAX_TOTAL_DIM, the largest size the
+tool builds, is refused with ParamOutOfRange before its arrays are read.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .linalg import ComplexMatrix, ComplexVector
+from .errors import ParamOutOfRange, ParseError
+from .linalg import MAX_TOTAL_DIM, ComplexMatrix, ComplexVector
 from .qstate import DensityMatrix, PureState
 from .witness import Witness, WitnessForm
 
@@ -173,6 +175,8 @@ def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix
         raise ParseError(f"dims must be a list of positive integers, got {dims_raw!r}")
     dims = tuple(dims_raw)
     dim = math.prod(dims)
+    if dim > MAX_TOTAL_DIM:
+        raise ParamOutOfRange(f"total dimension {dim} > {MAX_TOTAL_DIM}")
 
     if kind == "pure":
         vec = _decode_array(raw.get("data"), (dim,), "data")

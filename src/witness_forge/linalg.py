@@ -46,12 +46,19 @@ HERMITICITY_TOL = 1e-10
 TIE_TOL = 1e-12
 PHASE_PIVOT_TOL = 1e-12
 GS_SKIP_TOL = 1e-8
+# Largest total dimension the tool reads or builds; checked before any dense allocation.
+MAX_TOTAL_DIM = 1024
+# einsum subscripts give each party a row and a column letter.
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+MAX_PARTIES = len(_LETTERS) // 2
 
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out or any(d < 1 for d in out):
         raise DimensionMismatch(f"local dimensions must be positive, got {out}")
+    if len(out) > MAX_PARTIES:
+        raise DimensionMismatch(f"{len(out)} parties exceed the supported {MAX_PARTIES}")
     return out
 
 
@@ -179,8 +186,6 @@ def _check_parties(n: int, parties: Sequence[int]) -> tuple[int, ...]:
         out.append(k)
     return tuple(sorted(out))
 
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def partial_trace(m: ComplexMatrix, keep: Sequence[int]) -> ComplexMatrix:

@@ -6,7 +6,7 @@ largest-dimension one) is never gridded; with all other factors fixed
 at grid points, the optimal remaining factor is known in closed form
 as an extremal eigenvector of the contracted operator, so the scan is
 exact in that coordinate and strictly dominates gridding it. The best
-grid point is then polished by a single see-saw run.
+grid point is then polished by the see-saw, run as a batch of one.
 
 Grids are nested under resolution doubling: qubit factors use
 theta_i = i*pi/resolution (i = 0..resolution) and phi_j =
@@ -34,8 +34,9 @@ from .witness import (
     ProductState,
     Witness,
     WitnessReport,
-    _contract_except,
     _expectation,
+    _extremal_factor,
+    _product_state,
     _seesaw_run,
     _witness_report,
 )
@@ -196,9 +197,9 @@ def _scan(
     dims = m.dims
     x = _support_check(dims, resolution)
     n = len(dims)
-    pick = -1 if mode == "max" else 0
 
     if n == 1:
+        pick = -1 if mode == "max" else 0
         vals, vecs = _canonical_eig(m.mat)
         state = ProductState((ComplexVector((dims[0],), vecs[:, pick].copy()),))
         return float(vals[pick]), state
@@ -214,16 +215,11 @@ def _scan(
         factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))[0]
 
     factors[x] = np.ones(dims[x], dtype=np.complex128) / math.sqrt(dims[x])
-    b = _contract_except(mt, factors, x)
-    vals, vecs = _canonical_eig(b)
-    factors[x] = vecs[:, pick].copy()
+    _, factors[x] = _extremal_factor(mt, factors, x, mode)
 
-    value, factors, _, _ = _seesaw_run(mt, dims, factors, mode)
-    value = _expectation(mt, factors)
-    state = ProductState(
-        tuple(ComplexVector((d,), f) for d, f in zip(dims, factors))
-    )
-    return float(value), state
+    _, polished, _, _ = _seesaw_run(mt, [f[None, :] for f in factors], mode)
+    state = _product_state([f[0] for f in polished])
+    return _expectation(mt, [f.vec for f in state.factors]), state
 
 
 def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) -> float:

@@ -13,7 +13,13 @@ with mu ranging over unit product states. The extremal expectations are
 computed by see-saw coordinate ascent: with all factors but one fixed,
 the optimal remaining factor is an extremal eigenvector of the
 contracted operator on that party, so each step solves a small
-eigenproblem and the objective is monotone. See-saw certifies only one
+eigenproblem and the objective is monotone. All restarts run as one
+batch: per party per sweep, one einsum builds the (R, d, d) contracted
+operators and one LAPACK `eigh` call solves them, restarts that have
+stopped leave the batch, and R is split into chunks of SEESAW_CHUNK so
+memory stays bounded. The inner eigensolve only picks a direction; the
+winning factors alone get the canonical phase, and the reported value
+is their expectation recomputed from sigma. See-saw certifies only one
 side (a lower bound for the max, an upper bound for the min); interval
 checks therefore widen the closed side by INTERVAL_PAD and use the
 exact spectral bound for the open side.
@@ -33,14 +39,17 @@ import numpy as np
 from .errors import (
     COutOfInterval,
     DimensionMismatch,
+    NoConvergence,
     NotOrthonormal,
     ParamOutOfRange,
 )
-from .linalg import _LETTERS, ComplexMatrix, ComplexVector, _canonical_eig
+from .linalg import _LETTERS, ComplexMatrix, ComplexVector, _phase_fix
 from .qstate import DensityMatrix, _cached_eig
 
 SEESAW_TOL = 1e-12
 SEESAW_MAX_ITERS = 500
+# Restarts run together per see-saw batch; bounds the batch arrays for any --restarts.
+SEESAW_CHUNK = 64
 DEFAULT_RESTARTS = 32
 INTERVAL_PAD = 1e-8
 TOL_POS = 1e-8
@@ -140,7 +149,9 @@ def _contract(
 ) -> np.ndarray:
     """Contract the (d1..dn, d1..dn) tensor `mt` with <f_j| and |f_j> on
     every party j except `keep`; the result is a scalar, or the operator
-    left on party `keep`. Subscripts and operand order are fixed, so
+    left on party `keep`. Each factor is a (d_j,) vector or an (R, d_j)
+    batch; the batch axis rides on `...`, which uses no subscript letter,
+    and leads the result. Subscripts and operand order are fixed, so
     results are reproducible bit for bit."""
     n = len(factors)
     rows = _LETTERS[:n]
@@ -150,11 +161,11 @@ def _contract(
     for j, f in enumerate(factors):
         if j == keep:
             continue
-        sub.append(rows[j])
+        sub.append("..." + rows[j])
         ops.append(f.conj())
-        sub.append(cols[j])
+        sub.append("..." + cols[j])
         ops.append(f)
-    out = "" if keep is None else rows[keep] + cols[keep]
+    out = "..." if keep is None else "..." + rows[keep] + cols[keep]
     return np.einsum(",".join(sub) + "->" + out, *ops)
 
 
@@ -164,36 +175,60 @@ def _expectation(mt: np.ndarray, factors: Sequence[np.ndarray]) -> float:
 
 def _contract_except(mt: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
     out = _contract(mt, factors, k)
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+
+
+def _extremal_factor(
+    mt: np.ndarray, factors: Sequence[np.ndarray], k: int, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extremal eigenvalue and unit eigenvector of the operator left on
+    party `k`, for every restart in the batch at once."""
+    try:
+        vals, vecs = np.linalg.eigh(_contract_except(mt, factors, k))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
+    pick = -1 if mode == "max" else 0
+    return vals[..., pick], vecs[..., :, pick]
 
 
 def _seesaw_run(
     mt: np.ndarray,
-    dims: tuple[int, ...],
-    start: list[np.ndarray],
+    start: Sequence[np.ndarray],
     mode: str,
     max_iters: int = SEESAW_MAX_ITERS,
     tol: float = SEESAW_TOL,
-) -> tuple[float, list[np.ndarray], bool, list[float]]:
-    """One coordinate-ascent run. Returns (value, factors, converged,
-    per-update objective trajectory)."""
-    factors = [f.copy() for f in start]
-    pick = -1 if mode == "max" else 0
-    value = _expectation(mt, factors)
-    traj = [value]
-    converged = False
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Coordinate ascent from R starts at once, `start` holding one (R, d_k)
+    array per party. A sweep updates parties 0, 1, ... in turn. A restart
+    stops after its first sweep that changes its objective by less than
+    `tol`, or after `max_iters` sweeps; stopped restarts leave the batch.
+    Returns (values (R,), factors [(R, d_k)], converged (R,), trajectory);
+    trajectory row u holds every restart's objective after u party
+    updates, a stopped restart keeping its last value."""
+    run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
+    factors = [np.empty_like(f) for f in run]
+    values = np.array(_contract(mt, run).real)
+    converged = np.zeros(values.shape, dtype=bool)
+    traj = [values.copy()]
+    active = np.arange(values.size)
     for _ in range(max_iters):
-        prev = value
-        for k in range(len(dims)):
-            b = _contract_except(mt, factors, k)
-            vals, vecs = _canonical_eig(b)
-            factors[k] = vecs[:, pick].copy()
-            value = float(vals[pick])
-            traj.append(value)
-        if abs(value - prev) < tol:
-            converged = True
-            break
-    return value, factors, converged, traj
+        prev = values[active]
+        for k, f in enumerate(run):
+            # a single party leaves no batch axis; assignment broadcasts it
+            values[active], f[...] = _extremal_factor(mt, run, k, mode)
+            traj.append(values.copy())
+        done = np.abs(values[active] - prev) < tol
+        if done.any():
+            for f, g in zip(factors, run):
+                f[active[done]] = g[done]
+            converged[active[done]] = True
+            active = active[~done]
+            run = [g[~done] for g in run]
+            if not active.size:
+                break
+    for f, g in zip(factors, run):
+        f[active] = g
+    return values, factors, converged, np.array(traj)
 
 
 def _random_product(rng: np.random.Generator, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -202,6 +237,15 @@ def _random_product(rng: np.random.Generator, dims: tuple[int, ...]) -> list[np.
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         out.append(v / np.linalg.norm(v))
     return out
+
+
+def _product_state(factors: Sequence[np.ndarray]) -> ProductState:
+    """The product state of unit `factors`, each given the canonical
+    phase: first component above 1e-12 in modulus real and positive."""
+    cols = [np.array(f, dtype=np.complex128)[:, None] for f in factors]
+    for col in cols:
+        _phase_fix(col)
+    return ProductState(tuple(ComplexVector((col.shape[0],), col[:, 0]) for col in cols))
 
 
 def _optimize(
@@ -216,23 +260,26 @@ def _optimize(
         raise ParamOutOfRange("seed must be nonnegative")
     dims = m.dims
     mt = m.mat.reshape(dims + dims)
-    best_value = -np.inf if mode == "max" else np.inf
+    sign = 1.0 if mode == "max" else -1.0
+    best_score = -np.inf
     best_factors: list[np.ndarray] | None = None
     all_converged = True
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        start = _random_product(rng, dims)
-        value, factors, converged, _ = _seesaw_run(mt, dims, start, mode)
-        all_converged = all_converged and converged
-        better = value > best_value if mode == "max" else value < best_value
-        if best_factors is None or better:
-            best_value = value
-            best_factors = factors
+    for lo in range(0, restarts, SEESAW_CHUNK):
+        starts = [
+            _random_product(np.random.default_rng(np.random.SeedSequence([seed, r])), dims)
+            for r in range(lo, min(restarts, lo + SEESAW_CHUNK))
+        ]
+        values, factors, converged, _ = _seesaw_run(
+            mt, [np.stack(fs) for fs in zip(*starts)], mode
+        )
+        all_converged = all_converged and bool(converged.all())
+        i = int(np.argmax(sign * values))  # the first restart at the best value
+        if best_factors is None or sign * values[i] > best_score:
+            best_score = sign * values[i]
+            best_factors = [f[i] for f in factors]
     assert best_factors is not None
-    state = ProductState(
-        tuple(ComplexVector((d,), f) for d, f in zip(dims, best_factors))
-    )
-    final = _expectation(mt, best_factors)
+    state = _product_state(best_factors)
+    final = _expectation(mt, [f.vec for f in state.factors])
     return OptResult(final, state, restarts, all_converged)
 
 

@@ -264,6 +264,38 @@ def test_malformed_files_are_parse_errors(capsys, tmp_path):
         assert report["error"]["type"] == "ParseError", name
 
 
+def _density_doc(dims: list[int]) -> dict:
+    """A density document with a 1x1 body, whatever its header says."""
+    return {"version": "1", "kind": "density", "dims": dims, "data": [[[1.0, 0.0]]]}
+
+
+def test_more_parties_than_subscript_letters_exit_two(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_density_doc([1] * 26)))
+    code, report, _ = _run(capsys, "cbounds", str(path), "--mode", "min", "--restarts", "2")
+    assert code == 0
+    assert report["results"]["value"] == 1.0
+
+    # more parties than einsum has subscript letters for
+    path.write_text(json.dumps(_density_doc([1] * 27)))
+    code, report, _ = _run(capsys, "cbounds", str(path), "--mode", "min")
+    assert code == 2
+    assert report["error"]["type"] == "DimensionMismatch"
+
+
+def test_over_cap_header_is_refused_before_decoding(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    for dims in ([1025], [2] * 11):
+        path.write_text(json.dumps(_density_doc(dims)))
+        code, report, _ = _run(capsys, "spectral", str(path))
+        assert code == 2, dims
+        assert report["error"]["type"] == "ParamOutOfRange", dims
+    path.write_text(json.dumps(_density_doc([1024])))
+    code, report, _ = _run(capsys, "spectral", str(path))
+    assert code == 1  # at the cap the body is read, and its shape is wrong
+    assert report["error"]["type"] == "ParseError"
+
+
 def test_wrong_kind_is_usage_error(capsys, sq_file, tmp_path):
     code, report, _ = _run(capsys, "witness-verify", sq_file)
     assert code == 1

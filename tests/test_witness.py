@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from witness_forge import witness
 from witness_forge.errors import (
     COutOfInterval,
     DimensionMismatch,
+    NoConvergence,
     NotOrthonormal,
     ParamOutOfRange,
 )
 from witness_forge.linalg import ComplexMatrix, ComplexVector, hermitian_eig
 from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
+    SEESAW_MAX_ITERS,
+    SEESAW_TOL,
     WitnessForm,
     evaluate,
     is_ces,
@@ -22,6 +28,7 @@ from witness_forge.witness import (
     min_product_expectation,
     product_expectation,
     verify_witness,
+    _random_product,
     _seesaw_run,
 )
 
@@ -98,13 +105,109 @@ def test_seesaw_trajectory_is_monotone():
     m = _random_hermitian(rng, (2, 3))
     mt = m.mat.reshape(m.dims + m.dims)
     start = [
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0, 0.0], dtype=complex),
+        np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex),
+        np.array([[0.0, 1.0, 0.0], [0.0, 0.6, -0.8]], dtype=complex),
     ]
-    _, _, _, traj = _seesaw_run(mt, m.dims, start, "max")
-    assert len(traj) >= 2
-    for a, b in zip(traj, traj[1:]):
-        assert b >= a - 1e-14
+    _, _, _, traj = _seesaw_run(mt, start, "max")
+    assert traj.shape[0] >= 2 and traj.shape[1] == 2
+    assert np.all(traj[1:] >= traj[:-1] - 1e-14)
+
+
+def _operator_on(m: np.ndarray, factors: list[np.ndarray], k: int) -> np.ndarray:
+    """P^dagger m P with P = f_0 (x) .. (x) I_k (x) .. (x) f_n-1, by Kronecker
+    products instead of the module's einsum."""
+    cols = []
+    for e in np.eye(len(factors[k])):
+        v = np.ones(1)
+        for j, f in enumerate(factors):
+            v = np.kron(v, e if j == k else f)
+        cols.append(v)
+    p = np.stack(cols, axis=1)
+    b = p.conj().T @ m @ p
+    return 0.5 * (b + b.conj().T)
+
+
+def _serial_seesaw(
+    m: np.ndarray, start: list[np.ndarray], mode: str, max_iters: int
+) -> tuple[float, bool]:
+    """One restart at a time, as the see-saw ran before it was batched."""
+    pick = -1 if mode == "max" else 0
+    factors = list(start)
+    mu = np.ones(1)
+    for f in factors:
+        mu = np.kron(mu, f)
+    value = float((mu.conj() @ m @ mu).real)
+    for _ in range(max_iters):
+        prev = value
+        for k in range(len(factors)):
+            vals, vecs = np.linalg.eigh(_operator_on(m, factors, k))
+            factors[k] = vecs[:, pick]
+            value = float(vals[pick])
+        if abs(value - prev) < SEESAW_TOL:
+            return value, True
+    return value, False
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+    matrix_seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 6),
+    mode=st.sampled_from(["max", "min"]),
+    max_iters=st.sampled_from([3, 12, 25, SEESAW_MAX_ITERS]),
+)
+def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, max_iters):
+    m = _random_hermitian(np.random.default_rng(matrix_seed), dims)
+    mt = m.mat.reshape(dims + dims)
+    starts = [
+        _random_product(np.random.default_rng(np.random.SeedSequence([0, r])), dims)
+        for r in range(restarts)
+    ]
+    batch = [np.stack(fs) for fs in zip(*starts)]
+    values, _, converged, _ = _seesaw_run(mt, batch, mode, max_iters=max_iters)
+    for r, start in enumerate(starts):
+        want, want_converged = _serial_seesaw(m.mat, start, mode, max_iters)
+        assert abs(values[r] - want) <= 1e-10
+        assert converged[r] == want_converged
+    if max_iters != SEESAW_MAX_ITERS:
+        return
+    opt = max_product_expectation if mode == "max" else min_product_expectation
+    res = opt(m, restarts=restarts, seed=0)
+    best = values.max() if mode == "max" else values.min()
+    assert abs(res.value - best) <= 1e-10
+    assert res.converged == bool(converged.all())
+
+
+def test_single_party_bounds_are_extreme_eigenvalues():
+    m = _random_hermitian(np.random.default_rng(23), (3,))
+    vals = np.linalg.eigvalsh(m.mat)
+    hi = max_product_expectation(m, restarts=4, seed=0)
+    lo = min_product_expectation(m, restarts=4, seed=0)
+    assert abs(hi.value - vals[-1]) <= 1e-12
+    assert abs(lo.value - vals[0]) <= 1e-12
+    assert hi.extremizer.dims == lo.extremizer.dims == (3,)
+
+
+def test_seesaw_eigensolver_failure_is_no_convergence(monkeypatch):
+    m = _random_hermitian(np.random.default_rng(31), (2, 2))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence):
+        max_product_expectation(m, restarts=2, seed=0)
+
+
+def test_restart_chunks_do_not_change_the_result(monkeypatch):
+    m = _random_hermitian(np.random.default_rng(29), (2, 3))
+    whole = min_product_expectation(m, restarts=8, seed=4)
+    monkeypatch.setattr(witness, "SEESAW_CHUNK", 3)
+    chunked = min_product_expectation(m, restarts=8, seed=4)
+    assert abs(chunked.value - whole.value) <= 1e-14
+    assert chunked.converged == whole.converged
+    for a, b in zip(chunked.extremizer.factors, whole.extremizer.factors):
+        assert np.abs(a.vec - b.vec).max() <= 1e-12
 
 
 def test_optimization_is_deterministic():
