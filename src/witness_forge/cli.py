@@ -35,14 +35,12 @@ from .fileio import (
     parse_matrix_file,
     write_matrix_file,
 )
-from .linalg import HERMITICITY_TOL, TIE_TOL, hermitian_eig
+from .linalg import HERMITICITY_TOL, RANK_TOL, TIE_TOL, hermitian_eig
 from .oracle import grid_product_extremum, _support_check
 from .qstate import (
     DensityMatrix,
     PureState,
     PurificationSelection,
-    RANK_TOL,
-    _cached_eig,
     projector,
     spectral,
 )
@@ -179,7 +177,6 @@ def _cmd_cbounds(args):
     restarts = _resolve_restarts(args.restarts)
     opt = max_product_expectation if args.mode == "min" else min_product_expectation
     res = opt(obj.mat, restarts=restarts, seed=seed)
-    vals, _ = _cached_eig(obj)
     oracle_value = None
     if args.oracle:
         try:
@@ -195,8 +192,8 @@ def _cmd_cbounds(args):
     results = {
         "converged": res.converged,
         "extremizer": [f.vec for f in res.extremizer.factors],
-        "lambda_max": vals[-1],
-        "lambda_min": vals[0],
+        "lambda_max": obj.lambda_max,
+        "lambda_min": obj.lambda_min,
         "mode": args.mode,
         "oracle": oracle_value,
         "restarts_used": res.restarts_used,
@@ -217,14 +214,13 @@ def _cmd_witness_make(args):
         check=args.check, restarts=restarts, seed=seed,
     )
     write_matrix_file(w, args.output)
-    vals, _ = _cached_eig(sigma)
     results = {
         "c": w.c,
         "check": args.check,
         "dims": list(w.dims),
         "form": w.form.value,
-        "lambda_max": vals[-1],
-        "lambda_min": vals[0],
+        "lambda_max": sigma.lambda_max,
+        "lambda_min": sigma.lambda_min,
         "output": args.output,
     }
     summary = f"witness-make: wrote {args.output} (form {w.form.value}, c = {w.c:.12g})"

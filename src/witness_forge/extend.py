@@ -40,7 +40,6 @@ from .qstate import (
     PureState,
     PurificationSelection,
     SpectralDecomposition,
-    _cached_eig,
     _check_selection,
     _nonzero_indices,
     _purification_columns,
@@ -79,20 +78,6 @@ def _kron_tails(
     return dims, arr
 
 
-def _weighted_projector(
-    vals: np.ndarray,
-    vecs: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-    ancilla_dim: int,
-) -> np.ndarray:
-    if len(vecs) * ancilla_dim > MAX_TOTAL_DIM:
-        raise ParamOutOfRange(f"purified dimension {len(vecs) * ancilla_dim} > {MAX_TOTAL_DIM}")
-    wmat = _purification_columns(vecs, pairs, ancilla_dim)
-    lams = [vals[idx] for idx, _ in pairs]
-    gram = np.sqrt(np.outer(lams, lams))
-    return (wmat @ gram) @ wmat.conj().T
-
-
 def purify_extend(w: Witness) -> Witness:
     """Replace sigma by the projector onto its minimal purification.
 
@@ -102,12 +87,9 @@ def purify_extend(w: Witness) -> Witness:
     _require_dual_form(w, "purify_extend")
     if not w.sigma.normalized:
         raise ParamOutOfRange("can only purify a normalized sigma")
-    vals, vecs = _cached_eig(w.sigma)
-    nz = _nonzero_indices(vals)
+    nz = _nonzero_indices(w.sigma.spectrum.eigenvalues)
     pairs = [(idx, slot) for slot, idx in enumerate(nz)]
-    proj = _weighted_projector(vals, vecs, pairs, len(nz))
-    sigma2 = _wrap_density(w.sigma.dims + (len(nz),), proj)
-    return Witness(w.form, w.c, sigma2)
+    return partial_purify_extend(w, PurificationSelection(pairs, len(nz)))
 
 
 def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
@@ -146,7 +128,7 @@ def partial_purify_extend(
     eigenvalues (the squared norm of the partial purification).
     """
     _require_dual_form(w, "partial_purify_extend")
-    vals, vecs = _cached_eig(w.sigma)
+    vals = w.sigma.spectrum.eigenvalues
     _check_selection(vals, sel.pairs)
     if not _selects_top(vals, sel.pairs):
         raise MaxEigenvalueNotSelected(
@@ -161,7 +143,12 @@ def partial_purify_extend(
             raise CPrimeOutOfInterval(
                 f"c_prime={c_out!r} outside [{w.c!r}, {total!r})"
             )
-    proj = _weighted_projector(vals, vecs, sel.pairs, sel.ancilla_dim)
+    purified = w.sigma.dim * sel.ancilla_dim
+    if purified > MAX_TOTAL_DIM:
+        raise ParamOutOfRange(f"purified dimension {purified} > {MAX_TOTAL_DIM}")
+    wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
+    lams = [vals[idx] for idx, _ in sel.pairs]
+    proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
     sigma2 = _wrap_density(w.sigma.dims + (sel.ancilla_dim,), proj)
     return Witness(w.form, c_out, sigma2)
 
@@ -223,11 +210,9 @@ def mixed_tensor_extend(w: Witness, tails: Sequence[DensityMatrix]) -> Witness:
     for t in tails:
         if not t.normalized:
             raise UnnormalizedTail("tensor tails must be normalized")
-        tvals, _ = _cached_eig(t)
-        lam_max = float(tvals[-1])
-        if lam_max <= 1e-12:
+        if t.lambda_max <= 1e-12:
             raise ZeroMaxEigenvalue("tail state has vanishing top eigenvalue")
-        factors.append(t.mat.mat / lam_max)
+        factors.append(t.mat.mat / t.lambda_max)
     if not tails:
         return w
     sigma2 = _wrap_density(*_kron_tails(w.sigma, [t.dims for t in tails], factors))
@@ -248,16 +233,15 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
     if not sizes:
         return w
     sigma2 = _wrap_density(*_kron_tails(w.sigma, [(d,) for d in sizes], map(np.eye, sizes)))
-    vals, _ = _cached_eig(sigma2)
     if w.form is WitnessForm.C_MINUS_SIGMA:
-        if not w.c < float(vals[-1]):
+        if not w.c < sigma2.lambda_max:
             raise COutOfInterval(
-                f"c={w.c!r} not below the extended top eigenvalue {vals[-1]!r}"
+                f"c={w.c!r} not below the extended top eigenvalue {sigma2.lambda_max!r}"
             )
     else:
-        if not w.c > float(vals[0]):
+        if not w.c > sigma2.lambda_min:
             raise COutOfInterval(
-                f"c={w.c!r} not above the extended bottom eigenvalue {vals[0]!r}"
+                f"c={w.c!r} not above the extended bottom eigenvalue {sigma2.lambda_min!r}"
             )
     return Witness(w.form, w.c, sigma2)
 

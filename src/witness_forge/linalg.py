@@ -24,12 +24,15 @@ depends only on the matrix, not on the basis LAPACK picks:
 
 The convention makes spectral output reproducible bit for bit across
 runs, which downstream code relies on for deterministic reports.
+`_extreme_eigvals` runs the same LAPACK call and Rayleigh step on the
+two extremal columns alone, for callers that need nothing else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +46,7 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-10
+RANK_TOL = 1e-10
 TIE_TOL = 1e-12
 PHASE_PIVOT_TOL = 1e-12
 GS_SKIP_TOL = 1e-8
@@ -132,27 +136,33 @@ class ComplexMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending, canonical ties) with matching eigenvectors."""
+    """Eigenvalues (ascending, canonical ties) with the eigenvectors as the
+    columns of `vectors`, an array the instance owns and makes read-only."""
 
     eigenvalues: tuple[float, ...]
-    eigenvectors: tuple[ComplexVector, ...]
+    vectors: np.ndarray
     dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.vectors.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def rank(self, tol: float = 1e-10) -> int:
+    @cached_property
+    def eigenvectors(self) -> tuple[ComplexVector, ...]:
+        """The columns of `vectors` as ComplexVectors, built on first read."""
+        return tuple(ComplexVector(self.dims, col) for col in self.vectors.T)
+
+    def rank(self, tol: float = RANK_TOL) -> int:
         """Number of eigenvalues strictly above `tol`."""
         return sum(1 for v in self.eigenvalues if v > tol)
 
-    def vectors_matrix(self) -> np.ndarray:
-        """Eigenvectors as the columns of a (dim, dim) array."""
-        return np.column_stack([v.vec for v in self.eigenvectors])
-
     def reconstruct(self) -> ComplexMatrix:
         """Sum of eigenvalue-weighted projectors."""
-        u = self.vectors_matrix()
+        u = self.vectors
         m = (u * np.asarray(self.eigenvalues)) @ u.conj().T
         return ComplexMatrix(self.dims, m)
 
@@ -249,18 +259,42 @@ def _cluster_basis(v: np.ndarray) -> np.ndarray:
     return v @ basis
 
 
-def _canonical_eig(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensolve a Hermitian ndarray, canonical order and phases.
-
-    Returns (eigenvalues ascending, eigenvector columns). The input is
-    symmetrized but not validated; callers own the Hermiticity check.
-    """
+def _hermitian_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(symmetrized arr, eigenvalues, eigenvectors) from LAPACK `eigh`."""
     work = np.array(arr, dtype=np.complex128)
     work = 0.5 * (work + work.conj().T)
     try:
         vals, vecs = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return work, vals, vecs
+
+
+def _rayleigh(work: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rayleigh quotients of the columns of `vecs`, summed in longdouble."""
+    wide = vecs.astype(np.clongdouble)
+    num = np.einsum("ij,ik,kj->j", wide.conj(), work.astype(np.clongdouble), wide)
+    den = np.einsum("ij,ij->j", wide.conj(), wide)
+    return (num.real / den.real).astype(np.float64)
+
+
+def _extreme_eigvals(arr: np.ndarray) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue: `_canonical_eig`'s, bit for bit where it
+    is simple and d <= 90 (above, einsum sums 2 columns in another order
+    than d), else to rounding."""
+    work, _, vecs = _hermitian_eigh(arr)
+    ends = vecs[:, [0, -1]]
+    _phase_fix(ends)
+    return tuple(_rayleigh(work, ends).tolist())
+
+
+def _canonical_eig(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensolve a Hermitian ndarray, canonical order and phases.
+
+    Returns (eigenvalues ascending, eigenvector columns). The input is
+    symmetrized but not validated; callers own the Hermiticity check.
+    """
+    work, vals, vecs = _hermitian_eigh(arr)
     _phase_fix(vecs)  # final for singletons; clusters get a new basis below
     n = vals.size
     i = 0
@@ -278,10 +312,7 @@ def _canonical_eig(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             keys[np.abs(keys) <= PHASE_PIVOT_TOL] = 0.0
             vecs[:, i:j] = block[:, np.lexsort(keys[::-1])]
         i = j
-    wide = vecs.astype(np.clongdouble)
-    num = np.einsum("ij,ik,kj->j", wide.conj(), work.astype(np.clongdouble), wide)
-    den = np.einsum("ij,ij->j", wide.conj(), wide)
-    return (num.real / den.real).astype(np.float64), vecs
+    return _rayleigh(work, vecs), vecs
 
 
 def hermitian_eig(m: ComplexMatrix) -> SpectralDecomposition:
@@ -292,12 +323,4 @@ def hermitian_eig(m: ComplexMatrix) -> SpectralDecomposition:
     module level). LAPACK failure raises NoConvergence.
     """
     m.require_hermitian()
-    return _decomposition(m.dims, *_canonical_eig(m.mat))
-
-
-def _decomposition(
-    dims: tuple[int, ...], vals: np.ndarray, vecs: np.ndarray
-) -> SpectralDecomposition:
-    """Wrap canonical (eigenvalues, eigenvector columns) from `_canonical_eig`."""
-    vectors = tuple(ComplexVector(dims, vecs[:, k]) for k in range(vecs.shape[1]))
-    return SpectralDecomposition(tuple(float(v) for v in vals), vectors, dims)
+    return SpectralDecomposition(*_canonical_eig(m.mat), m.dims)

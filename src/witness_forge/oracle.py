@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import ParamOutOfRange, UnsupportedDims
-from .linalg import ComplexMatrix, ComplexVector, _canonical_eig
+from .linalg import ComplexMatrix
 from .witness import (
     ProductState,
     Witness,
@@ -197,15 +197,10 @@ def _scan(
     dims = m.dims
     x = _support_check(dims, resolution)
     n = len(dims)
-
-    if n == 1:
-        pick = -1 if mode == "max" else 0
-        vals, vecs = _canonical_eig(m.mat)
-        state = ProductState((ComplexVector((dims[0],), vecs[:, pick].copy()),))
-        return float(vals[pick]), state
-
     mt = m.mat.reshape(dims + dims)
-    if n == 2:
+    if n == 1:
+        best = []
+    elif n == 2:
         best = [_scan_two_party(mt, dims, 1 - x, mode, resolution)]
     else:
         best = _scan_three_qubit(mt, mode, resolution)

@@ -1,11 +1,11 @@
 """Validated quantum-state types and purification constructors.
 
 Density matrices are checked for Hermiticity, positive semidefiniteness
-and (when flagged normalized) unit trace at construction time; the
-eigendecomposition computed for the PSD check is cached so `spectral`
-is free afterwards. Purifications follow the canonical spectral order
-of `linalg.hermitian_eig`, pairing the i-th nonzero eigenvector with
-ancilla basis vector |i>.
+and (when flagged normalized) unit trace at construction time, which
+keeps the extreme eigenvalues `lambda_min` and `lambda_max`; the
+canonical decomposition `spectrum` is built on first read. Purifications
+follow its order, pairing the i-th nonzero eigenvector with ancilla
+basis vector |i>.
 
 Partial purifications are deliberately kept unnormalized: their squared
 norm is the sum of the selected eigenvalues, which downstream witness
@@ -14,22 +14,22 @@ extensions rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParamOutOfRange, SelectionOutOfRange
 from .linalg import (
+    RANK_TOL,
+    TIE_TOL,
     ComplexMatrix,
     ComplexVector,
     SpectralDecomposition,
     _canonical_eig,
-    _decomposition,
+    _extreme_eigvals,
 )
-
-RANK_TOL = 1e-10
-MAX_EIG_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +38,8 @@ class DensityMatrix:
 
     mat: ComplexMatrix
     normalized: bool = True
+    lambda_min: float = field(init=False)
+    lambda_max: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.mat.require_hermitian()
@@ -49,12 +51,18 @@ class DensityMatrix:
                 )
         elif tr <= 0.0:
             raise ParamOutOfRange(f"density matrix trace {tr!r} must be positive")
-        vals, vecs = _canonical_eig(self.mat.mat)
-        if vals[0] < -1e-10:
+        lo, hi = _extreme_eigvals(self.mat.mat)
+        if lo < -1e-10:
             raise ParamOutOfRange(
-                f"density matrix has eigenvalue {vals[0]:.3e} below -1e-10"
+                f"density matrix has eigenvalue {lo:.3e} below -1e-10"
             )
-        object.__setattr__(self, "_eig", (vals, vecs))
+        object.__setattr__(self, "lambda_min", lo)
+        object.__setattr__(self, "lambda_max", hi)
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """Canonical spectral decomposition (`linalg._canonical_eig`)."""
+        return SpectralDecomposition(*_canonical_eig(self.mat.mat), self.dims)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -136,14 +144,9 @@ class PurificationSelection:
         object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
 
-def _cached_eig(d: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return d._eig  # populated in __post_init__
-
-
 def spectral(d: DensityMatrix) -> SpectralDecomposition:
-    """Spectral decomposition in the canonical order, reusing the
-    validation eigendecomposition."""
-    return _decomposition(d.dims, *_cached_eig(d))
+    """Canonical spectral decomposition: `d.spectrum`, built once."""
+    return d.spectrum
 
 
 def _nonzero_indices(vals: Sequence[float]) -> list[int]:
@@ -163,7 +166,7 @@ def _selected(
     return [(idx, vals[idx]) for idx, _ in pairs]
 
 
-def _check_selection(vals: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
+def _check_selection(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> None:
     """Every selected eigen-index must lie in the spectrum and carry a
     nonzero eigenvalue; the first offending pair (indices outside the
     spectrum first) raises SelectionOutOfRange."""
@@ -175,7 +178,7 @@ def _check_selection(vals: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None
 
 
 def _selects_top(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> bool:
-    return any(lam >= vals[-1] - MAX_EIG_TIE_TOL for _, lam in _selected(vals, pairs))
+    return any(lam >= vals[-1] - TIE_TOL for _, lam in _selected(vals, pairs))
 
 
 def _purification_columns(
@@ -200,7 +203,7 @@ def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
     """
     if not d.normalized:
         raise ParamOutOfRange("can only purify a normalized density matrix")
-    nz = _nonzero_indices(_cached_eig(d)[0])
+    nz = _nonzero_indices(d.spectrum.eigenvalues)
     rank = len(nz)
     anc = rank if ancilla_dim is None else int(ancilla_dim)
     if anc < rank:
@@ -217,9 +220,9 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
     an index outside the spectrum or one whose eigenvalue is numerically
     zero raises SelectionOutOfRange.
     """
-    vals, vecs = _cached_eig(d)
+    vals = d.spectrum.eigenvalues
     _check_selection(vals, sel.pairs)
-    cols = _purification_columns(vecs, sel.pairs, sel.ancilla_dim)
+    cols = _purification_columns(d.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     out = np.zeros(cols.shape[0], dtype=np.complex128)
     for k, (idx, _) in enumerate(sel.pairs):
         out += np.sqrt(vals[idx]) * cols[:, k]

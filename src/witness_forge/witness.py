@@ -44,7 +44,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .linalg import _LETTERS, ComplexMatrix, ComplexVector, _phase_fix
-from .qstate import DensityMatrix, _cached_eig
+from .qstate import DensityMatrix
 
 SEESAW_TOL = 1e-12
 SEESAW_MAX_ITERS = 500
@@ -333,21 +333,18 @@ def make_witness(
     w = Witness(form, c, sigma)
     if check == "none":
         return w
-    vals, _ = _cached_eig(sigma)
-    lam0 = float(vals[0])
-    lam_max = float(vals[-1])
     if form is WitnessForm.C_MINUS_SIGMA:
         bound = max_product_expectation(sigma.mat, restarts, seed).value
-        if not (bound - INTERVAL_PAD <= w.c < lam_max):
+        if not (bound - INTERVAL_PAD <= w.c < sigma.lambda_max):
             raise COutOfInterval(
-                f"c={w.c!r} outside [{bound!r} - {INTERVAL_PAD}, {lam_max!r}): "
+                f"c={w.c!r} outside [{bound!r} - {INTERVAL_PAD}, {sigma.lambda_max!r}): "
                 "no witness of this form exists at this offset"
             )
     else:
         bound = min_product_expectation(sigma.mat, restarts, seed).value
-        if not (lam0 < w.c <= bound + INTERVAL_PAD):
+        if not (sigma.lambda_min < w.c <= bound + INTERVAL_PAD):
             raise COutOfInterval(
-                f"c={w.c!r} outside ({lam0!r}, {bound!r} + {INTERVAL_PAD}]: "
+                f"c={w.c!r} outside ({sigma.lambda_min!r}, {bound!r} + {INTERVAL_PAD}]: "
                 "no witness of this form exists at this offset"
             )
     return w
@@ -363,14 +360,13 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
 
 def _witness_report(w: Witness, min_value: float, state: ProductState) -> WitnessReport:
     """The verdict on `w` given its minimal product expectation found by
-    a search. The margin -lambda_min(W) comes from sigma's cached
-    spectrum: lambda_max(sigma) - c for c*I - sigma, c - lambda_min(sigma)
+    a search. The margin -lambda_min(W) comes from sigma's extreme
+    eigenvalues: lambda_max(sigma) - c for c*I - sigma, c - lambda_min(sigma)
     for sigma - c*I."""
-    vals, _ = _cached_eig(w.sigma)
     if w.form is WitnessForm.C_MINUS_SIGMA:
-        margin = float(vals[-1]) - w.c
+        margin = w.sigma.lambda_max - w.c
     else:
-        margin = w.c - float(vals[0])
+        margin = w.c - w.sigma.lambda_min
     is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
     return WitnessReport(min_value, margin, is_w, state)
 

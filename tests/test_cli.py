@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import witness_forge
+from witness_forge import linalg, qstate
 from witness_forge.cli import main
 from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix
@@ -198,6 +199,29 @@ def test_extend_methods(capsys, sq_file, tmp_path):
     )
     assert code == 2
     assert report["error"]["type"] == "ParamOutOfRange"
+
+
+def test_purify_and_verify_run_no_canonical_pass_on_the_extension(capsys, tmp_path, monkeypatch):
+    # sigma' of a (4,4) purification is 256-dim; only its extremes are needed
+    seen = []
+    real = linalg._canonical_eig
+
+    def record(arr):
+        seen.append(len(arr))
+        return real(arr)
+
+    for mod in (linalg, qstate):
+        monkeypatch.setattr(mod, "_canonical_eig", record)
+    phi = np.eye(4).reshape(16) / 2
+    sigma = DensityMatrix(ComplexMatrix((4, 4), 0.7 * np.outer(phi, phi) + 0.3 * np.eye(16) / 16))
+    wpath = str(tmp_path / "w44.json")
+    write_matrix_file(Witness(WitnessForm.C_MINUS_SIGMA, 0.2, sigma), wpath)
+    out = str(tmp_path / "w44p.json")
+    code, report, _ = _run(capsys, "extend", wpath, "--method", "purify", "--restarts", "2", "-o", out)
+    assert code == 0 and report["results"]["dims"] == [4, 4, 16]
+    code, report, _ = _run(capsys, "witness-verify", out, "--restarts", "2")
+    assert code == 0 and report["results"]["is_witness"] is True
+    assert seen and max(seen) <= 16
 
 
 def test_extend_flag_consistency(capsys, sq_file, tmp_path):

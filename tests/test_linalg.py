@@ -56,7 +56,7 @@ def test_eigenvector_reconstruction_and_orthonormality():
         rng = np.random.default_rng(100 + seed)
         m = _random_hermitian(rng, (2, 3))
         sd = hermitian_eig(m)
-        v = sd.vectors_matrix()
+        v = sd.vectors
         fro = np.linalg.norm(m.mat)
         rebuilt = (v * np.asarray(sd.eigenvalues)) @ v.conj().T
         assert np.abs(rebuilt - m.mat).max() <= 1e-9 * max(fro, 1.0)
@@ -140,8 +140,10 @@ def test_phase_fix_makes_pivot_real_positive():
 def test_degenerate_identity_has_orthonormal_vectors():
     sd = hermitian_eig(identity((2, 2)))
     assert sd.eigenvalues == (1.0, 1.0, 1.0, 1.0)
-    v = sd.vectors_matrix()
+    v = sd.vectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-14)
+    assert not v.flags.writeable
+    assert [e.vec.tolist() for e in sd.eigenvectors] == v.T.tolist()
 
 
 def test_not_hermitian_rejected():

@@ -10,6 +10,7 @@ from witness_forge.errors import (
     ParamOutOfRange,
     SelectionOutOfRange,
 )
+from witness_forge import linalg, qstate
 from witness_forge.linalg import ComplexMatrix, ComplexVector, partial_trace
 from witness_forge.qstate import (
     DensityMatrix,
@@ -73,11 +74,49 @@ def test_isotropic_entries_are_exact():
 
 
 def test_isotropic_spectrum_via_spectral():
-    sd = spectral(isotropic(0.2))
+    sq = isotropic(0.2)
+    sd = spectral(sq)
     np.testing.assert_allclose(
         sorted(sd.eigenvalues), [0.2, 0.2, 0.2, 0.4], atol=1e-10, rtol=0
     )
     assert sd.rank() == 4
+    assert spectral(sq) is sd
+
+
+def test_extremes_match_the_canonical_spectrum():
+    # bit for bit where the extremal eigenvalue is simple; inside a
+    # degenerate cluster LAPACK's column and the canonical one differ,
+    # and so can the last bits of their Rayleigh quotients
+    arr = np.diag([5 / 16, 3 / 16, 3 / 16, 5 / 16]).astype(complex)
+    arr[1, 2] = arr[2, 1] = 1 / 8
+    four_level = DensityMatrix(ComplexMatrix((2, 2), arr))
+    assert four_level.lambda_min == 1 / 16
+    cases = [  # (state, lambda_min simple, lambda_max simple)
+        (four_level, True, False),
+        (DensityMatrix(ComplexMatrix((2, 2), np.eye(4) / 4)), False, False),
+        (isotropic(0.2), False, True),
+        (projector(purify(isotropic(0.2))), False, True),
+    ]
+    for seed in range(8):
+        for dims in ((2, 2), (2, 3), (2, 2, 2), (3, 4)):
+            cases.append((_random_density(np.random.default_rng(seed), dims), True, True))
+    for d, simple_min, simple_max in cases:
+        vals = spectral(d).eigenvalues
+        for lam, want, simple in ((d.lambda_min, vals[0], simple_min), (d.lambda_max, vals[-1], simple_max)):
+            if simple:
+                assert lam == want
+            else:
+                assert abs(lam - want) <= 1e-15
+
+
+def test_construction_runs_no_canonical_pass(monkeypatch):
+    def refuse(arr):
+        raise AssertionError("canonical eigensolve while constructing a state")
+
+    monkeypatch.setattr(qstate, "_canonical_eig", refuse)
+    monkeypatch.setattr(linalg, "_canonical_eig", refuse)
+    d = DensityMatrix(ComplexMatrix((2,) * 10, np.eye(1024) / 1024))
+    assert d.lambda_min == d.lambda_max == 1 / 1024
 
 
 def test_purify_maximally_mixed_qubit_gives_bell_state():
