@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from .errors import ParseError, WitnessForgeError, exit_code_for
+from .errors import ParseError, UnsupportedDims, WitnessForgeError, exit_code_for
 from .extend import (
     count_partial_purifications,
     enumerate_partial_purifications,
@@ -36,7 +36,7 @@ from .fileio import (
     write_matrix_file,
 )
 from .linalg import HERMITICITY_TOL, RANK_TOL, TIE_TOL, hermitian_eig
-from .oracle import grid_product_extremum, _support_check
+from .oracle import grid_product_extremum
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -57,7 +57,6 @@ from .witness import (
     min_product_expectation,
     verify_witness,
 )
-from .errors import UnsupportedDims
 
 TOLERANCES = {
     "hermiticity": HERMITICITY_TOL,
@@ -179,16 +178,14 @@ def _cmd_cbounds(args):
     res = opt(obj.mat, restarts=restarts, seed=seed)
     oracle_value = None
     if args.oracle:
+        oracle_mode = "max" if args.mode == "min" else "min"
         try:
-            _support_check(obj.dims, args.resolution)
+            oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)
         except UnsupportedDims:
             print(
                 f"cbounds: oracle skipped, dims {list(obj.dims)} unsupported",
                 file=sys.stderr,
             )
-        else:
-            oracle_mode = "max" if args.mode == "min" else "min"
-            oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)
     results = {
         "converged": res.converged,
         "extremizer": [f.vec for f in res.extremizer.factors],

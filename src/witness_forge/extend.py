@@ -36,6 +36,7 @@ from .errors import (
 )
 from .linalg import MAX_TOTAL_DIM, ComplexMatrix
 from .qstate import (
+    NORM_TOL,
     DensityMatrix,
     PureState,
     PurificationSelection,
@@ -60,7 +61,7 @@ def _require_dual_form(w: Witness, op: str) -> None:
 
 def _wrap_density(dims: tuple[int, ...], arr: np.ndarray) -> DensityMatrix:
     m = ComplexMatrix(dims, arr)
-    normalized = abs(m.trace().real - 1.0) <= 1e-10
+    normalized = abs(m.trace().real - 1.0) <= NORM_TOL
     return DensityMatrix(m, normalized=normalized)
 
 

@@ -271,17 +271,21 @@ def _hermitian_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _rayleigh(work: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rayleigh quotients of the columns of `vecs`, summed in longdouble."""
-    wide = vecs.astype(np.clongdouble)
-    num = np.einsum("ij,ik,kj->j", wide.conj(), work.astype(np.clongdouble), wide)
-    den = np.einsum("ij,ij->j", wide.conj(), wide)
-    return (num.real / den.real).astype(np.float64)
+    """Rayleigh quotients of the columns of `vecs`, summed in longdouble one
+    column at a time, so a column's quotient does not depend on how many
+    columns come with it."""
+    wide_work = work.astype(np.clongdouble)
+    wide = vecs.T.astype(np.clongdouble)
+    out = np.empty(wide.shape[0])
+    for j, (v, vc) in enumerate(zip(wide, wide.conj())):
+        num = np.einsum("i,ik,k->", vc, wide_work, v)
+        out[j] = num.real / np.einsum("i,i->", vc, v).real
+    return out
 
 
 def _extreme_eigvals(arr: np.ndarray) -> tuple[float, float]:
     """(smallest, largest) eigenvalue: `_canonical_eig`'s, bit for bit where it
-    is simple and d <= 90 (above, einsum sums 2 columns in another order
-    than d), else to rounding."""
+    is simple, else to rounding."""
     work, _, vecs = _hermitian_eigh(arr)
     ends = vecs[:, [0, -1]]
     _phase_fix(ends)

@@ -19,7 +19,9 @@ Supported: one or two parties of dimension <= 4, or three qubits, where
 the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
 `_support_check` alone decides this. (3,3) fits up to resolution 103,
 three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
-at 32). The scan runs in fixed-size chunks, so memory stays bounded.
+at 32). One scan covers every supported structure: it visits the joint
+grid in row-major blocks of at most _CHUNK points, so memory stays
+bounded, and contracts each block with one GEMM and one matmul.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .witness import (
 MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
 _CHUNK = 1 << 16
-_CHUNK_A = 256
 
 
 def _support_check(dims: tuple[int, ...], resolution: int) -> int:
@@ -125,8 +126,6 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
 def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
     """Extremal eigenvalue of each Hermitian matrix in a (..., d, d) batch."""
     d = t.shape[-1]
-    if d == 1:
-        return t[..., 0, 0].real
     if d == 2:
         alpha = t[..., 0, 0].real
         gamma = t[..., 1, 1].real
@@ -138,53 +137,54 @@ def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
     return vals[..., -1] if mode == "max" else vals[..., 0]
 
 
-def _scan_two_party(
-    mt: np.ndarray, dims: tuple[int, int], g: int, mode: str, resolution: int
-) -> int:
-    """Grid party `g`, solve the other exactly. Returns the winning grid
-    index."""
-    n_grid = _grid_size(dims[g], resolution)
-    sign = 1.0 if mode == "max" else -1.0
-    best_val = -np.inf
-    best_idx = -1
-    for start in range(0, n_grid, _CHUNK):
-        idx = np.arange(start, min(n_grid, start + _CHUNK))
-        u = _grid_factors(dims[g], resolution, idx)
-        if g == 0:
-            t = np.einsum("ai,ikjl,aj->akl", u.conj(), mt, u)
-        else:
-            t = np.einsum("ak,ikjl,al->aij", u.conj(), mt, u)
-        lam = sign * _extremal_eigvals(t, mode)
-        k = int(np.argmax(lam))
-        if lam[k] > best_val:
-            best_val = lam[k]
-            best_idx = start + k
-    return best_idx
+def _outer_products(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
+    """Rows conj(f) (x) f, flattened to d*d, of the factors at `idx`."""
+    f = _grid_factors(d, resolution, idx)
+    return (f.conj()[:, :, None] * f[:, None, :]).reshape(idx.size, d * d)
 
 
-def _scan_three_qubit(mt: np.ndarray, mode: str, resolution: int) -> tuple[int, int]:
-    """Grid parties 1 and 2, solve party 3 exactly. Returns the winning
-    grid indices of the two gridded parties."""
-    n1 = _grid_size(2, resolution)
+def _scan_grid(
+    mt: np.ndarray, dims: tuple[int, ...], x: int, mode: str, resolution: int
+) -> list[int]:
+    """Grid every party but `x`, solve `x` exactly. Returns the winning grid
+    index of each gridded party; the first point at the best value wins.
+
+    A block is up to _CHUNK steps of the last gridded party times as many
+    points of the leading ones as keep it within _CHUNK points.
+    """
+    n = len(dims)
+    gridded = [k for k in range(n) if k != x]
+    if not gridded:
+        return []
+    *lead, last = gridded
+    lead_sizes = tuple(_grid_size(dims[k], resolution) for k in lead)
+    n_lead, n_last = math.prod(lead_sizes), _grid_size(dims[last], resolution)
+    dx = dims[x]
+    # (row, col) pairs of the gridded parties first, party x's pair last
+    axes = [a for k in gridded + [x] for a in (k, n + k)]
+    op = mt.transpose(axes).reshape(-1, dims[last] ** 2 * dx * dx)
+    step = min(n_last, _CHUNK)
+    lead_step = max(1, _CHUNK // step)
     sign = 1.0 if mode == "max" else -1.0
-    u2 = _grid_factors(2, resolution, np.arange(n1))
-    p2 = (u2.conj()[:, :, None] * u2[:, None, :]).reshape(n1, 4)
     best_val = -np.inf
-    best_a = best_b = -1
-    for start in range(0, n1, _CHUNK_A):
-        idx = np.arange(start, min(n1, start + _CHUNK_A))
-        ua = _grid_factors(2, resolution, idx)
-        t1 = np.einsum("ai,ibcjde,aj->abcde", ua.conj(), mt, ua)
-        t1 = t1.transpose(0, 2, 4, 1, 3).reshape(idx.size * 4, 4)
-        s = (t1 @ p2.T).reshape(idx.size, 2, 2, n1)
-        lam = sign * _extremal_eigvals(np.moveaxis(s, 3, 1), mode)
-        k = int(np.argmax(lam))
-        a_off, b = divmod(k, n1)
-        if lam.flat[k] > best_val:
-            best_val = lam.flat[k]
-            best_a = start + a_off
-            best_b = b
-    return best_a, best_b
+    best_lead = best_last = -1
+    for lead_start in range(0, n_lead, lead_step):
+        rem = np.arange(lead_start, min(n_lead, lead_start + lead_step))
+        p = np.ones((rem.size, 1), dtype=np.complex128)
+        for k, size in zip(reversed(lead), reversed(lead_sizes)):
+            rem, i = np.divmod(rem, size)
+            u = _outer_products(dims[k], resolution, i)
+            p = (u[:, :, None] * p[:, None, :]).reshape(rem.size, -1)
+        a = (p @ op).reshape(rem.size, dims[last] ** 2, dx * dx)
+        for start in range(0, n_last, step):
+            q = _outer_products(dims[last], resolution, np.arange(start, min(n_last, start + step)))
+            lam = sign * _extremal_eigvals((q @ a).reshape(-1, dx, dx), mode)
+            j = int(np.argmax(lam))
+            if lam[j] > best_val:
+                best_val = lam[j]
+                i_lead, i_last = divmod(j, q.shape[0])
+                best_lead, best_last = lead_start + i_lead, start + i_last
+    return [int(i) for i in np.unravel_index(best_lead, lead_sizes)] + [best_last]
 
 
 def _scan(
@@ -198,12 +198,7 @@ def _scan(
     x = _support_check(dims, resolution)
     n = len(dims)
     mt = m.mat.reshape(dims + dims)
-    if n == 1:
-        best = []
-    elif n == 2:
-        best = [_scan_two_party(mt, dims, 1 - x, mode, resolution)]
-    else:
-        best = _scan_three_qubit(mt, mode, resolution)
+    best = _scan_grid(mt, dims, x, mode, resolution)
     gridded = [k for k in range(n) if k != x]
     factors = [np.zeros(0)] * n
     for k, idx in zip(gridded, best):

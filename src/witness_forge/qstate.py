@@ -31,6 +31,8 @@ from .linalg import (
     _extreme_eigvals,
 )
 
+NORM_TOL = 1e-10  # a trace (density matrix) or norm (pure state) this close to 1 is 1
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -45,7 +47,7 @@ class DensityMatrix:
         self.mat.require_hermitian()
         tr = self.mat.trace().real
         if self.normalized:
-            if abs(tr - 1.0) > 1e-10:
+            if abs(tr - 1.0) > NORM_TOL:
                 raise ParamOutOfRange(
                     f"normalized density matrix has trace {tr!r}, expected 1"
                 )
@@ -87,7 +89,7 @@ class PureState:
     def __post_init__(self) -> None:
         nrm = self.vec.norm()
         if self.normalized:
-            if abs(nrm - 1.0) > 1e-10:
+            if abs(nrm - 1.0) > NORM_TOL:
                 raise ParamOutOfRange(
                     f"normalized pure state has norm {nrm!r}, expected 1"
                 )

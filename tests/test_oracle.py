@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from witness_forge import oracle
 from witness_forge.errors import ParamOutOfRange, UnsupportedDims
 from witness_forge.linalg import ComplexMatrix
 from witness_forge.oracle import exhaustive_witness_check, grid_product_extremum
@@ -113,3 +118,58 @@ def test_exhaustive_witness_check():
     )
     rep2 = exhaustive_witness_check(flat, resolution=64)
     assert not rep2.is_witness
+
+
+def _point_by_point(m: ComplexMatrix, x: int, mode: str, resolution: int) -> dict:
+    """Extremal eigenvalue of m contracted with the gridded factors, one
+    joint grid point at a time, keyed by the gridded parties' indices."""
+    dims = m.dims
+    sizes = [oracle._grid_size(d, resolution) for k, d in enumerate(dims) if k != x]
+    values = {}
+    for point in itertools.product(*map(range, sizes)):
+        idx = iter(point)
+        blocks = [
+            np.eye(d) if k == x
+            else oracle._grid_factors(d, resolution, np.array([next(idx)])).T
+            for k, d in enumerate(dims)
+        ]
+        iso = reduce(np.kron, blocks)
+        vals = np.linalg.eigvalsh(iso.conj().T @ m.mat @ iso)
+        values[point] = vals[-1] if mode == "max" else vals[0]
+    return values
+
+
+@pytest.mark.parametrize(
+    "dims, resolution",
+    [((2, 2), 8), ((2, 3), 7), ((3, 2), 6), ((3, 3), 7), ((2, 4), 8), ((2, 2, 2), 6), ((1, 3), 8)],
+)
+def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, resolution):
+    # values, not indices: some grid points give the same ray (theta = pi
+    # on a qubit at every phase), so the first best index is not unique
+    m = _random_hermitian(np.random.default_rng(math.prod(dims) + resolution), dims)
+    x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
+    mt = m.mat.reshape(dims + dims)
+    for mode in ("max", "min"):
+        values = _point_by_point(m, x, mode, resolution)
+        best = max(values.values()) if mode == "max" else min(values.values())
+        for chunk in (1 << 16, 7, 1):  # one block, ragged blocks, one point a block
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            winner = oracle._scan_grid(mt, dims, x, mode, resolution)
+            assert abs(values[tuple(winner)] - best) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+def test_scan_batches_stay_within_one_block(monkeypatch, dims):
+    sizes = []
+    solve = oracle._extremal_eigvals
+
+    def record(t, mode):
+        sizes.append(math.prod(t.shape[:-2]))
+        return solve(t, mode)
+
+    monkeypatch.setattr(oracle, "_extremal_eigvals", record)
+    m = _random_hermitian(np.random.default_rng(31), dims)
+    grid_product_extremum(m, "max", 32)
+    assert max(sizes) <= oracle._CHUNK
+    x = oracle._support_check(dims, 32)
+    assert sum(sizes) == math.prod(oracle._grid_size(d, 32) for k, d in enumerate(dims) if k != x)
