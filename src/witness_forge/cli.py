@@ -174,8 +174,6 @@ def _cmd_cbounds(args):
     obj = _require_kind(parse_matrix_file(args.input), ("density",), "cbounds input")
     seed = _resolve_seed(args.seed)
     restarts = _resolve_restarts(args.restarts)
-    opt = max_product_expectation if args.mode == "min" else min_product_expectation
-    res = opt(obj.mat, restarts=restarts, seed=seed)
     oracle_value = None
     if args.oracle:
         oracle_mode = "max" if args.mode == "min" else "min"
@@ -186,6 +184,8 @@ def _cmd_cbounds(args):
                 f"cbounds: oracle skipped, dims {list(obj.dims)} unsupported",
                 file=sys.stderr,
             )
+    opt = max_product_expectation if args.mode == "min" else min_product_expectation
+    res = opt(obj.mat, restarts=restarts, seed=seed)
     results = {
         "converged": res.converged,
         "extremizer": [f.vec for f in res.extremizer.factors],

@@ -21,7 +21,9 @@ the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
 three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
 at 32). One scan covers every supported structure: it visits the joint
 grid in row-major blocks of at most _CHUNK points, so memory stays
-bounded, and contracts each block with one GEMM and one matmul.
+bounded, and contracts each block with one GEMM and one matmul. The
+extremal eigenvalues of the contracted blocks come in closed form when
+the exact party has dimension <= 3, and from LAPACK at dimension 4.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ def _support_check(dims: tuple[int, ...], resolution: int) -> int:
     """Reject structures, resolutions and grids the scan does not cover.
     Returns the party solved exactly: the largest one (the last of equal
     largest ones); every other party is gridded."""
+    if resolution < MIN_RESOLUTION:
+        raise ParamOutOfRange(f"resolution {resolution} below {MIN_RESOLUTION}")
     n = len(dims)
     all_qubit = all(d == 2 for d in dims)
     if not ((all_qubit and n <= 3) or (n <= 2 and all(d <= 4 for d in dims))):
         raise UnsupportedDims(
             f"oracle covers <=2 parties of dimension <=4 or 3 qubits, got {dims}"
         )
-    if resolution < MIN_RESOLUTION:
-        raise ParamOutOfRange(f"resolution {resolution} below {MIN_RESOLUTION}")
     exact = max(range(n), key=lambda k: (dims[k], k))
     points = math.prod(
         _grid_size(d, resolution) for k, d in enumerate(dims) if k != exact
@@ -124,7 +126,15 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
-    """Extremal eigenvalue of each Hermitian matrix in a (..., d, d) batch."""
+    """Extremal eigenvalue of each Hermitian matrix in a (..., d, d) batch.
+
+    Closed form for d <= 3, read from the real diagonal and the upper
+    off-diagonal entries only; LAPACK `eigvalsh` for d = 4. At d = 3 it is
+    the trigonometric root of the characteristic cubic (O. K. Smith,
+    Commun. ACM 4(4):168, 1961), accurate to a few ulps of the matrix
+    norm except where the extremal eigenvalue is doubly degenerate, where
+    the cubic's double root costs about half the digits (1e-8 relative).
+    """
     d = t.shape[-1]
     if d == 2:
         alpha = t[..., 0, 0].real
@@ -133,6 +143,32 @@ def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
         half_sum = 0.5 * (alpha + gamma)
         rad = np.sqrt((0.5 * (alpha - gamma)) ** 2 + beta.real**2 + beta.imag**2)
         return half_sum + rad if mode == "max" else half_sum - rad
+    if d == 3:
+        a0, a1, a2 = (t[..., k, k].real for k in range(3))
+        b01, b02, b12 = t[..., 0, 1], t[..., 0, 2], t[..., 1, 2]
+        q = (a0 + a1 + a2) / 3.0
+        e0, e1, e2 = a0 - q, a1 - q, a2 - q
+        n01, n02, n12 = (b.real**2 + b.imag**2 for b in (b01, b02, b12))
+        p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (n01 + n02 + n12)) / 6.0)
+        # B = (T - qI)/p has eigenvalues 2cos(angle), with cos(3 angle) =
+        # det(B)/2. Each product is divided by p as it grows, so none goes
+        # past p**2; a scalar block (p = 0) keeps B = 0 and so returns q.
+        s = 1.0 / np.where(p > 0.0, p, 1.0)
+        e0 *= s
+        e1 *= s
+        e2 *= s
+        x = b01 * s
+        x *= b12
+        x *= s
+        x *= b02.conj()
+        x *= s
+        det = e0 * e1 * e2 + 2.0 * x.real
+        s *= s
+        det -= (e0 * n12 + e1 * n02 + e2 * n01) * s
+        angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+        if mode == "min":
+            angle += 2.0 * math.pi / 3.0
+        return q + 2.0 * p * np.cos(angle)
     vals = np.linalg.eigvalsh(t)
     return vals[..., -1] if mode == "max" else vals[..., 0]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import witness_forge
-from witness_forge import linalg, qstate
+from witness_forge import cli, linalg, qstate
 from witness_forge.cli import main
 from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix
@@ -104,6 +104,23 @@ def test_cbounds_oracle_skips_grids_above_cap(capsys, tmp_path, dims):
     code, report, _ = _run(
         capsys, "cbounds", str(path), "--mode", "min", "--oracle", "--restarts", "1",
         "--resolution", "16",
+    )
+    assert code == 2
+    assert report["error"]["type"] == "ParamOutOfRange"
+
+
+def test_cbounds_oracle_parameters_are_checked_before_the_seesaw(capsys, tmp_path, monkeypatch):
+    # (2,2,2,2) is outside the oracle's structures, but a resolution below
+    # the floor is a parameter error on every structure
+    path = tmp_path / "rho.json"
+    write_matrix_file(DensityMatrix(ComplexMatrix((2, 2, 2, 2), np.eye(16) / 16)), path)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("see-saw ran before the oracle's parameter check")
+
+    monkeypatch.setattr(cli, "max_product_expectation", unreachable)
+    code, report, _ = _run(
+        capsys, "cbounds", str(path), "--mode", "min", "--oracle", "--resolution", "16"
     )
     assert code == 2
     assert report["error"]["type"] == "ParamOutOfRange"

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witness_forge import oracle
 from witness_forge.errors import ParamOutOfRange, UnsupportedDims
@@ -37,6 +40,10 @@ def test_maximally_mixed_grid_is_flat():
     m = ComplexMatrix((2, 2), np.eye(4) / 4)
     assert abs(grid_product_extremum(m, "max", 64) - 0.25) <= 1e-12
     assert abs(grid_product_extremum(m, "min", 64) - 0.25) <= 1e-12
+    # every contracted qutrit block is I/9, the closed form's p = 0 case
+    m = ComplexMatrix((3, 3), np.eye(9) / 9)
+    assert abs(grid_product_extremum(m, "max", 32) - 1 / 9) <= 1e-12
+    assert abs(grid_product_extremum(m, "min", 32) - 1 / 9) <= 1e-12
 
 
 def test_bell_projector_overlap():
@@ -96,6 +103,13 @@ def test_parameter_validation():
     m = ComplexMatrix((2,), np.eye(2) / 2)
     with pytest.raises(ParamOutOfRange):
         grid_product_extremum(m, "max", 16)  # resolution below the floor
+    with pytest.raises(ParamOutOfRange):
+        grid_product_extremum(m, "sideways", 32)
+    # parameters are checked before the structure, so an unsupported one
+    # gets the same error
+    m = ComplexMatrix((2, 2, 2, 2), np.eye(16) / 16)
+    with pytest.raises(ParamOutOfRange):
+        grid_product_extremum(m, "max", 16)
     with pytest.raises(ParamOutOfRange):
         grid_product_extremum(m, "sideways", 32)
 
@@ -173,3 +187,72 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     assert max(sizes) <= oracle._CHUNK
     x = oracle._support_check(dims, 32)
     assert sum(sizes) == math.prod(oracle._grid_size(d, 32) for k, d in enumerate(dims) if k != x)
+
+
+def _hermitian_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return (a + a.conj().transpose(0, 2, 1)) / 2
+
+
+def _assert_matches_lapack(t: np.ndarray, tol: float) -> None:
+    ref = np.linalg.eigvalsh(t)
+    norm = np.linalg.norm(t, ord=2, axis=(-2, -1))
+    for mode, col in (("max", -1), ("min", 0)):
+        got = oracle._extremal_eigvals(t, mode)
+        assert np.all(np.abs(got - ref[:, col]) <= tol * norm)
+
+
+def test_qutrit_closed_form_matches_lapack():
+    rng = np.random.default_rng(41)
+    _assert_matches_lapack(_hermitian_batch(rng, 4096, 3), 1e-12)
+    # real diagonal matrices
+    diag = np.zeros((512, 3, 3), dtype=np.complex128)
+    diag[:, range(3), range(3)] = rng.normal(size=(512, 3))
+    _assert_matches_lapack(diag, 1e-12)
+
+
+def test_qutrit_closed_form_on_scalar_blocks():
+    scales = np.array([1 / 9, 0.0, -2.5, 1e-300, 1e300])
+    t = scales[:, None, None] * np.eye(3, dtype=np.complex128)
+    _assert_matches_lapack(t, 1e-12)
+    # exact, where LAPACK's scaling is off by an ulp at 1e-300 and 1e300
+    for mode in ("max", "min"):
+        assert np.array_equal(oracle._extremal_eigvals(t, mode), scales)
+
+
+def test_qutrit_closed_form_on_doubly_degenerate_spectra():
+    # the cubic has a double root at the degenerate end, so only about half
+    # the digits survive there; the simple end stays at full accuracy
+    rng = np.random.default_rng(43)
+    u, _ = np.linalg.qr(rng.normal(size=(256, 3, 3)) + 1j * rng.normal(size=(256, 3, 3)))
+    for spectrum in ((1.0, 1.0, -2.0), (2.0, -1.0, -1.0), (0.3, 0.3, 0.0), (0.0, 0.0, 0.4)):
+        t = u @ np.diag(spectrum).astype(np.complex128) @ u.conj().transpose(0, 2, 1)
+        _assert_matches_lapack(t, 1e-7)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-9.0, 3.0))
+def test_qutrit_closed_form_is_scale_free(seed, exponent):
+    t = 10.0**exponent * _hermitian_batch(np.random.default_rng(seed), 64, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_matches_lapack(t, 1e-10)
+
+
+@pytest.mark.parametrize("dims, lapack", [((2, 3), False), ((3, 3), False), ((2, 4), True)])
+def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, lapack):
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def record(t):
+        if not lapack:
+            raise AssertionError(f"eigvalsh called on a {t.shape} batch")
+        calls.append(t.shape)
+        return solve(t)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    m = _random_hermitian(np.random.default_rng(37), dims)
+    x = oracle._support_check(dims, 32)
+    for mode in ("max", "min"):
+        oracle._scan_grid(m.mat.reshape(dims + dims), dims, x, mode, 32)
+    assert bool(calls) == lapack
