@@ -271,16 +271,12 @@ def _hermitian_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _rayleigh(work: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rayleigh quotients of the columns of `vecs`, summed in longdouble one
-    column at a time, so a column's quotient does not depend on how many
-    columns come with it."""
-    wide_work = work.astype(np.clongdouble)
-    wide = vecs.T.astype(np.clongdouble)
-    out = np.empty(wide.shape[0])
-    for j, (v, vc) in enumerate(zip(wide, wide.conj())):
-        num = np.einsum("i,ik,k->", vc, wide_work, v)
-        out[j] = num.real / np.einsum("i,i->", vc, v).real
-    return out
+    """Rayleigh quotients of the columns of `vecs`, summed in longdouble along
+    each column's own contiguous row of `wide`, so a column's quotient does
+    not depend on how many columns come with it."""
+    wide = vecs.T.astype(np.clongdouble, order="C")
+    num = ((wide.conj() @ work.astype(np.clongdouble)) * wide).sum(-1)
+    return (num.real / (wide.conj() * wide).sum(-1).real).astype(np.float64)
 
 
 def _extreme_eigvals(arr: np.ndarray) -> tuple[float, float]:

@@ -40,6 +40,8 @@ from .witness import (
     WitnessReport,
     _expectation,
     _extremal_factor,
+    _outer,
+    _party_matrix,
     _product_state,
     _seesaw_run,
     _witness_report,
@@ -175,8 +177,7 @@ def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
 
 def _outer_products(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     """Rows conj(f) (x) f, flattened to d*d, of the factors at `idx`."""
-    f = _grid_factors(d, resolution, idx)
-    return (f.conj()[:, :, None] * f[:, None, :]).reshape(idx.size, d * d)
+    return _outer(_grid_factors(d, resolution, idx))
 
 
 def _scan_grid(
@@ -196,9 +197,7 @@ def _scan_grid(
     lead_sizes = tuple(_grid_size(dims[k], resolution) for k in lead)
     n_lead, n_last = math.prod(lead_sizes), _grid_size(dims[last], resolution)
     dx = dims[x]
-    # (row, col) pairs of the gridded parties first, party x's pair last
-    axes = [a for k in gridded + [x] for a in (k, n + k)]
-    op = mt.transpose(axes).reshape(-1, dims[last] ** 2 * dx * dx)
+    op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
     step = min(n_last, _CHUNK)
     lead_step = max(1, _CHUNK // step)
     sign = 1.0 if mode == "max" else -1.0
@@ -241,11 +240,11 @@ def _scan(
         factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))[0]
 
     factors[x] = np.ones(dims[x], dtype=np.complex128) / math.sqrt(dims[x])
-    _, factors[x] = _extremal_factor(mt, factors, x, mode)
+    _, factors[x] = _extremal_factor(_party_matrix(mt, x), factors, x, mode)
 
     _, polished, _, _ = _seesaw_run(mt, [f[None, :] for f in factors], mode)
     state = _product_state([f[0] for f in polished])
-    return _expectation(mt, [f.vec for f in state.factors]), state
+    return float(_expectation(mt, [f.vec for f in state.factors])), state
 
 
 def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) -> float:

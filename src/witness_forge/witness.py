@@ -14,12 +14,13 @@ computed by see-saw coordinate ascent: with all factors but one fixed,
 the optimal remaining factor is an extremal eigenvector of the
 contracted operator on that party, so each step solves a small
 eigenproblem and the objective is monotone. All restarts run as one
-batch: per party per sweep, one einsum builds the (R, d, d) contracted
-operators and one LAPACK `eigh` call solves them, restarts that have
-stopped leave the batch, and R is split into chunks of SEESAW_CHUNK so
-memory stays bounded. The inner eigensolve only picks a direction; the
-winning factors alone get the canonical phase, and the reported value
-is their expectation recomputed from sigma. See-saw certifies only one
+batch: per party per sweep, one GEMM of the other parties' outer
+products against sigma builds the (R, d, d) contracted operators and
+one LAPACK `eigh` call solves them; stopped restarts leave the batch,
+and chunks of SEESAW_CHUNK restarts and GEMM slices of _BLOCK entries
+bound memory. The inner eigensolve only picks a direction; the winning
+factors alone get the canonical phase, and the reported value is their
+expectation recomputed from sigma. See-saw certifies only one
 side (a lower bound for the max, an upper bound for the min); interval
 checks therefore widen the closed side by INTERVAL_PAD and use the
 exact spectral bound for the open side.
@@ -30,6 +31,7 @@ and seeds reproduce results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -43,7 +45,7 @@ from .errors import (
     NotOrthonormal,
     ParamOutOfRange,
 )
-from .linalg import _LETTERS, ComplexMatrix, ComplexVector, _phase_fix
+from .linalg import ComplexMatrix, ComplexVector, _phase_fix
 from .qstate import DensityMatrix
 
 SEESAW_TOL = 1e-12
@@ -144,47 +146,64 @@ class WitnessReport:
     certificate_state: ProductState
 
 
-def _contract(
-    mt: np.ndarray, factors: Sequence[np.ndarray], keep: int | None = None
-) -> np.ndarray:
-    """Contract the (d1..dn, d1..dn) tensor `mt` with <f_j| and |f_j> on
-    every party j except `keep`; the result is a scalar, or the operator
-    left on party `keep`. Each factor is a (d_j,) vector or an (R, d_j)
-    batch; the batch axis rides on `...`, which uses no subscript letter,
-    and leads the result. Subscripts and operand order are fixed, so
-    results are reproducible bit for bit."""
-    n = len(factors)
-    rows = _LETTERS[:n]
-    cols = _LETTERS[n : 2 * n]
-    sub = [rows + cols]
-    ops: list[np.ndarray] = [mt]
-    for j, f in enumerate(factors):
-        if j == keep:
-            continue
-        sub.append("..." + rows[j])
-        ops.append(f.conj())
-        sub.append("..." + cols[j])
-        ops.append(f)
-    out = "..." if keep is None else "..." + rows[keep] + cols[keep]
-    return np.einsum(",".join(sub) + "->" + out, *ops)
+# Complex entries in one outer-product block (16 MB); (2,2,256) needs slices.
+_BLOCK = 1 << 20
 
 
-def _expectation(mt: np.ndarray, factors: Sequence[np.ndarray]) -> float:
-    return float(_contract(mt, factors).real)
+def _party_matrix(mt: np.ndarray, k: int) -> np.ndarray:
+    """The (d1..dn, d1..dn) tensor `mt` as a (prod_{j!=k} d_j**2, d_k**2)
+    matrix: the other parties' (row, col) index pairs first, in party order,
+    party k's pair last."""
+    n = mt.ndim // 2
+    axes = [a for j in [*range(k), *range(k + 1, n), k] for a in (j, n + j)]
+    return mt.transpose(axes).reshape(-1, mt.shape[k] ** 2)
 
 
-def _contract_except(mt: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
-    out = _contract(mt, factors, k)
+def _kron_rows(vs: Sequence[np.ndarray], batch: tuple[int, ...]) -> np.ndarray:
+    """Row-wise Kronecker product of (*batch, a_j) arrays, the first most
+    significant: a (*batch, prod a_j) array, ones for no arrays."""
+    out = vs[0] if vs else np.ones(batch + (1,), dtype=np.complex128)
+    for v in vs[1:]:
+        out = (out[..., :, None] * v[..., None, :]).reshape(batch + (-1,))
+    return out
+
+
+def _outer(f: np.ndarray) -> np.ndarray:
+    """conj(f) (x) f, flattened: (..., d*d) for (..., d) factors."""
+    return (f.conj()[..., :, None] * f[..., None, :]).reshape(f.shape[:-1] + (-1,))
+
+
+def _expectation(m: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """<mu|m|mu> for the product mu of the (..., d_j) factors, over the batch;
+    `m` is the matrix or its (d1..dn, d1..dn) tensor."""
+    mu = _kron_rows(factors, factors[0].shape[:-1])
+    return ((mu.conj() @ m.reshape(mu.shape[-1], -1)) * mu).sum(-1).real
+
+
+def _contract_except(op: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """The Hermitian operator left on party `k` by <f_j| . |f_j> on every other
+    party j, for (..., d_j) factors; `op` is `_party_matrix(mt, k)`. The other
+    parties' outer products, Kronecker multiplied, contract `op` in one GEMM
+    per slice of restarts whose block stays within _BLOCK entries."""
+    *batch, d = factors[k].shape
+    rows = [f.reshape(-1, f.shape[-1]) for j, f in enumerate(factors) if j != k]
+    r = math.prod(batch)
+    out = np.empty((r, d * d), dtype=np.complex128)
+    step = max(1, _BLOCK // op.shape[0])
+    for lo in range(0, r, step):
+        hi = min(r, lo + step)
+        out[lo:hi] = _kron_rows([_outer(f[lo:hi]) for f in rows], (hi - lo,)) @ op
+    out = out.reshape(*batch, d, d)
     return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
 
 
 def _extremal_factor(
-    mt: np.ndarray, factors: Sequence[np.ndarray], k: int, mode: str
+    op: np.ndarray, factors: Sequence[np.ndarray], k: int, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extremal eigenvalue and unit eigenvector of the operator left on
     party `k`, for every restart in the batch at once."""
     try:
-        vals, vecs = np.linalg.eigh(_contract_except(mt, factors, k))
+        vals, vecs = np.linalg.eigh(_contract_except(op, factors, k))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
     pick = -1 if mode == "max" else 0
@@ -205,17 +224,17 @@ def _seesaw_run(
     Returns (values (R,), factors [(R, d_k)], converged (R,), trajectory);
     trajectory row u holds every restart's objective after u party
     updates, a stopped restart keeping its last value."""
+    ops = [_party_matrix(mt, k) for k in range(mt.ndim // 2)]  # one GEMM per update
     run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
     factors = [np.empty_like(f) for f in run]
-    values = np.array(_contract(mt, run).real)
+    values = _expectation(mt, run)
     converged = np.zeros(values.shape, dtype=bool)
     traj = [values.copy()]
     active = np.arange(values.size)
     for _ in range(max_iters):
         prev = values[active]
         for k, f in enumerate(run):
-            # a single party leaves no batch axis; assignment broadcasts it
-            values[active], f[...] = _extremal_factor(mt, run, k, mode)
+            values[active], f[...] = _extremal_factor(ops[k], run, k, mode)
             traj.append(values.copy())
         done = np.abs(values[active] - prev) < tol
         if done.any():
@@ -279,7 +298,7 @@ def _optimize(
             best_factors = [f[i] for f in factors]
     assert best_factors is not None
     state = _product_state(best_factors)
-    final = _expectation(mt, [f.vec for f in state.factors])
+    final = float(_expectation(mt, [f.vec for f in state.factors]))
     return OptResult(final, state, restarts, all_converged)
 
 
@@ -306,8 +325,7 @@ def product_expectation(m: ComplexMatrix, state: ProductState) -> float:
     """<mu|m|mu> for an explicit product state."""
     if m.dims != state.dims:
         raise DimensionMismatch(f"dims {m.dims} vs {state.dims}")
-    mt = m.mat.reshape(m.dims + m.dims)
-    return _expectation(mt, [f.vec for f in state.factors])
+    return float(_expectation(m.mat, [f.vec for f in state.factors]))
 
 
 def make_witness(

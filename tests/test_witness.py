@@ -114,8 +114,8 @@ def test_seesaw_trajectory_is_monotone():
 
 
 def _operator_on(m: np.ndarray, factors: list[np.ndarray], k: int) -> np.ndarray:
-    """P^dagger m P with P = f_0 (x) .. (x) I_k (x) .. (x) f_n-1, by Kronecker
-    products instead of the module's einsum."""
+    """P^dagger m P with P = f_0 (x) .. (x) I_k (x) .. (x) f_n-1, built column
+    by column from Kronecker products instead of the module's GEMM."""
     cols = []
     for e in np.eye(len(factors[k])):
         v = np.ones(1)
@@ -125,6 +125,77 @@ def _operator_on(m: np.ndarray, factors: list[np.ndarray], k: int) -> np.ndarray
     p = np.stack(cols, axis=1)
     b = p.conj().T @ m @ p
     return 0.5 * (b + b.conj().T)
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 2), (2, 4), (2, 3, 4), (2, 2, 2, 2)])
+def test_contracted_operator_matches_kronecker_brute_force(dims):
+    rng = np.random.default_rng(sum(dims))
+    m = _random_hermitian(rng, dims).mat
+    mt = m.reshape(dims + dims)
+    batch = [np.stack(fs) for fs in zip(*(_random_product(rng, dims) for _ in range(3)))]
+    tol = 1e-13 * np.linalg.norm(m, 2)
+    for k in range(len(dims)):
+        op = witness._party_matrix(mt, k)
+        got = witness._contract_except(op, batch, k)
+        assert got.shape == (3, dims[k], dims[k])
+        for r in range(3):
+            single = [f[r] for f in batch]
+            want = _operator_on(m, single, k)
+            assert np.abs(got[r] - want).max() <= tol
+            one = witness._contract_except(op, single, k)
+            assert one.shape == (dims[k], dims[k])
+            assert np.abs(one - want).max() <= tol
+
+
+def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
+    dims = (2, 2, 64)
+    m = _random_hermitian(np.random.default_rng(37), dims)
+    mt = m.mat.reshape(dims + dims)
+    starts = [
+        _random_product(np.random.default_rng(np.random.SeedSequence([0, r])), dims)
+        for r in range(32)
+    ]
+    batch = [np.stack(fs) for fs in zip(*starts)]
+    whole = _seesaw_run(mt, batch, "max", max_iters=5)
+    budget = 3 * 4 * 64**2  # three restarts of the widest block, that of party 0 or 1
+    blocks = []
+    kron = witness._kron_rows
+
+    def record(vs, rows):
+        out = kron(vs, rows)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(witness, "_BLOCK", budget)
+    monkeypatch.setattr(witness, "_kron_rows", record)
+    for k in range(3):
+        blocks.clear()
+        witness._contract_except(witness._party_matrix(mt, k), batch, k)
+        assert sum(rows for rows, _ in blocks) == 32
+        assert max(rows * cols for rows, cols in blocks) <= budget
+        assert len(blocks) == (11 if k < 2 else 1)
+    blocks.clear()
+    sliced = _seesaw_run(mt, batch, "max", max_iters=5)
+    assert max(rows * cols for rows, cols in blocks) <= budget
+    assert np.abs(sliced[0] - whole[0]).max() <= 1e-14
+    for a, b in zip(sliced[1], whole[1]):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_seesaw_makes_no_einsum_call(monkeypatch):
+    m3 = _random_hermitian(np.random.default_rng(41), (2, 2, 2))
+    m2 = _random_hermitian(np.random.default_rng(43), (2, 3))
+    start = [np.stack(fs) for fs in zip(*(_random_product(np.random.default_rng(r), (2, 3))
+                                          for r in range(4)))]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("np.einsum called on the see-saw path")
+
+    monkeypatch.setattr(np, "einsum", fail)
+    res = max_product_expectation(m3, restarts=4, seed=0)
+    assert res.converged
+    values, _, converged, _ = _seesaw_run(m2.mat.reshape(2, 3, 2, 3), start, "min")
+    assert converged.all() and values.shape == (4,)
 
 
 def _serial_seesaw(
@@ -150,7 +221,7 @@ def _serial_seesaw(
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(
-    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 2, 2), (2, 2, 2, 2)]),
     matrix_seed=st.integers(0, 2**32 - 1),
     restarts=st.integers(1, 6),
     mode=st.sampled_from(["max", "min"]),
