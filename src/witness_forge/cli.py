@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     cb = sub.add_parser("cbounds", help="product-state c bounds of a density file")
     cb.add_argument("input")
     cb.add_argument("--mode", required=True, choices=("min", "max"))
-    cb.add_argument("--restarts", type=int, default=None)
+    cb.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     cb.add_argument("--seed", type=int, default=None)
     cb.add_argument("--oracle", action="store_true")
     cb.add_argument("--resolution", type=int, default=256)
@@ -95,12 +95,12 @@ def _build_parser() -> _Parser:
     wm.add_argument("--c", required=True, type=float)
     wm.add_argument("--check", choices=("strict", "none"), default="strict")
     wm.add_argument("-o", "--output", required=True)
-    wm.add_argument("--restarts", type=int, default=None)
+    wm.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     wm.add_argument("--seed", type=int, default=None)
 
     wv = sub.add_parser("witness-verify", help="see-saw verification of a witness file")
     wv.add_argument("input")
-    wv.add_argument("--restarts", type=int, default=None)
+    wv.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     wv.add_argument("--seed", type=int, default=None)
 
     ev = sub.add_parser("eval", help="expectation of a witness on a state")
@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("--tail-dims", nargs="+", type=int)
     ex.add_argument("--c-prime", type=float)
     ex.add_argument("-o", "--output", required=True)
-    ex.add_argument("--restarts", type=int, default=None)
+    ex.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     ex.add_argument("--seed", type=int, default=None)
 
     en = sub.add_parser("enumerate", help="partial-purification selections of a state")
@@ -141,10 +141,6 @@ def _resolve_seed(value: int | None) -> int:
                 f"WITNESS_FORGE_SEED must be an integer, got {raw!r}"
             ) from None
     return 0
-
-
-def _resolve_restarts(value: int | None) -> int:
-    return DEFAULT_RESTARTS if value is None else value
 
 
 def _require_kind(obj, kinds: tuple[str, ...], what: str):
@@ -173,7 +169,6 @@ def _cmd_spectral(args):
 def _cmd_cbounds(args):
     obj = _require_kind(parse_matrix_file(args.input), ("density",), "cbounds input")
     seed = _resolve_seed(args.seed)
-    restarts = _resolve_restarts(args.restarts)
     oracle_value = None
     if args.oracle:
         oracle_mode = "max" if args.mode == "min" else "min"
@@ -185,7 +180,7 @@ def _cmd_cbounds(args):
                 file=sys.stderr,
             )
     opt = max_product_expectation if args.mode == "min" else min_product_expectation
-    res = opt(obj.mat, restarts=restarts, seed=seed)
+    res = opt(obj.mat, restarts=args.restarts, seed=seed)
     results = {
         "converged": res.converged,
         "extremizer": [f.vec for f in res.extremizer.factors],
@@ -199,16 +194,15 @@ def _cmd_cbounds(args):
     summary = f"cbounds --mode {args.mode}: c = {res.value:.12g} (converged={res.converged})"
     if oracle_value is not None:
         summary += f", oracle {oracle_value:.12g}"
-    return results, seed, restarts, summary, 0
+    return results, seed, args.restarts, summary, 0
 
 
 def _cmd_witness_make(args):
     sigma = _require_kind(parse_matrix_file(args.sigma), ("density",), "witness-make input")
     seed = _resolve_seed(args.seed)
-    restarts = _resolve_restarts(args.restarts)
     w = make_witness(
         WitnessForm(args.form), sigma, args.c,
-        check=args.check, restarts=restarts, seed=seed,
+        check=args.check, restarts=args.restarts, seed=seed,
     )
     write_matrix_file(w, args.output)
     results = {
@@ -221,14 +215,13 @@ def _cmd_witness_make(args):
         "output": args.output,
     }
     summary = f"witness-make: wrote {args.output} (form {w.form.value}, c = {w.c:.12g})"
-    return results, seed, restarts, summary, 0
+    return results, seed, args.restarts, summary, 0
 
 
 def _cmd_witness_verify(args):
     w = _require_kind(parse_matrix_file(args.input), ("witness",), "witness-verify input")
     seed = _resolve_seed(args.seed)
-    restarts = _resolve_restarts(args.restarts)
-    rep = verify_witness(w, restarts=restarts, seed=seed)
+    rep = verify_witness(w, restarts=args.restarts, seed=seed)
     results = {
         "certificate_state": [f.vec for f in rep.certificate_state.factors],
         "is_witness": rep.is_witness,
@@ -240,7 +233,7 @@ def _cmd_witness_verify(args):
         f"min product expectation {rep.min_product_expectation:.6g}, "
         f"margin {rep.witnessing_margin:.6g}"
     )
-    return results, seed, restarts, summary, 0 if rep.is_witness else 2
+    return results, seed, args.restarts, summary, 0 if rep.is_witness else 2
 
 
 def _cmd_eval(args):
@@ -289,7 +282,6 @@ _EXTEND_METHODS = {
 def _cmd_extend(args):
     w = _require_kind(parse_matrix_file(args.input), ("witness",), "extend input")
     seed = _resolve_seed(args.seed)
-    restarts = _resolve_restarts(args.restarts)
     allowed, required, tail_kind, extension = _EXTEND_METHODS[args.method]
     given = {
         name
@@ -313,7 +305,7 @@ def _cmd_extend(args):
     ]
     w2 = extension(w, args, tails)
 
-    rep = verify_witness(w2, restarts=restarts, seed=seed)
+    rep = verify_witness(w2, restarts=args.restarts, seed=seed)
     write_matrix_file(w2, args.output)
     results = {
         "c": w2.c,
@@ -330,7 +322,7 @@ def _cmd_extend(args):
         f"extend --method {args.method}: wrote {args.output} "
         f"(dims {list(w2.dims)}, c = {w2.c:.12g}, is_witness={rep.is_witness})"
     )
-    return results, seed, restarts, summary, 0
+    return results, seed, args.restarts, summary, 0
 
 
 def _cmd_enumerate(args):

@@ -52,9 +52,9 @@ PHASE_PIVOT_TOL = 1e-12
 GS_SKIP_TOL = 1e-8
 # Largest total dimension the tool reads or builds; checked before any dense allocation.
 MAX_TOTAL_DIM = 1024
-# einsum subscripts give each party a row and a column letter.
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-MAX_PARTIES = len(_LETTERS) // 2
+# Operators are reshaped to tensors of two axes per party, and numpy 1.x
+# arrays have at most 32 axes.
+MAX_PARTIES = 16
 
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -202,18 +202,11 @@ def partial_trace(m: ComplexMatrix, keep: Sequence[int]) -> ComplexMatrix:
     """Trace out every party not in `keep` (1-based, original order kept)."""
     n = len(m.dims)
     kept = _check_parties(n, keep)
-    t = m.mat.reshape(m.dims + m.dims)
-    pool = iter(_LETTERS)
-    row, col = [], []
-    for k in range(1, n + 1):
-        row.append(next(pool))
-        # a traced party shares its row letter with its column
-        col.append(next(pool) if k in kept else row[-1])
-    out = "".join(row[k - 1] for k in kept) + "".join(col[k - 1] for k in kept)
-    sub = "".join(row) + "".join(col) + "->" + out
+    order = [k - 1 for k in kept] + [k for k in range(n) if k + 1 not in kept]
     new_dims = tuple(m.dims[k - 1] for k in kept)
     d = math.prod(new_dims)
-    reduced = np.einsum(sub, t).reshape(d, d)
+    t = m.mat.reshape(m.dims + m.dims).transpose(order + [n + k for k in order])
+    reduced = np.trace(t.reshape(d, m.dim // d, d, m.dim // d), axis1=1, axis2=3)
     return ComplexMatrix(new_dims, reduced)
 
 

@@ -1,12 +1,15 @@
 """Brute-force verification oracle for product-state extrema.
 
 Independent of the see-saw optimizer: scans a deterministic grid of
-product states and returns the extremal expectation. One party (the
-largest-dimension one) is never gridded; with all other factors fixed
-at grid points, the optimal remaining factor is known in closed form
-as an extremal eigenvector of the contracted operator, so the scan is
-exact in that coordinate and strictly dominates gridding it. The best
-grid point is then polished by the see-saw, run as a batch of one.
+product states and returns the extremal expectation. Like the see-saw,
+the scan only maximises; a minimum is -max <mu|-m|mu>, so `_scan`
+negates m once and runs the scan, the exact-party solve and the polish
+on that. One party (the largest-dimension one) is never gridded; with
+all other factors fixed at grid points, the optimal remaining factor is
+known in closed form as the top eigenvector of the contracted operator,
+so the scan is exact in that coordinate and strictly dominates gridding
+it. The best grid point is then polished by the see-saw, run as a batch
+of one.
 
 Grids are nested under resolution doubling: qubit factors use
 theta_i = i*pi/resolution (i = 0..resolution) and phi_j =
@@ -22,7 +25,7 @@ three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
 at 32). One scan covers every supported structure: it visits the joint
 grid in row-major blocks of at most _CHUNK points, so memory stays
 bounded, and contracts each block with one GEMM and one matmul. The
-extremal eigenvalues of the contracted blocks come in closed form when
+top eigenvalues of the contracted blocks come in closed form when
 the exact party has dimension <= 3, and from LAPACK at dimension 4.
 """
 
@@ -127,14 +130,14 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
-    """Extremal eigenvalue of each Hermitian matrix in a (..., d, d) batch.
+def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Hermitian matrix in a (..., d, d) batch.
 
     Closed form for d <= 3, read from the real diagonal and the upper
     off-diagonal entries only; LAPACK `eigvalsh` for d = 4. At d = 3 it is
     the trigonometric root of the characteristic cubic (O. K. Smith,
     Commun. ACM 4(4):168, 1961), accurate to a few ulps of the matrix
-    norm except where the extremal eigenvalue is doubly degenerate, where
+    norm except where the top eigenvalue is doubly degenerate, where
     the cubic's double root costs about half the digits (1e-8 relative).
     """
     d = t.shape[-1]
@@ -144,7 +147,7 @@ def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
         beta = t[..., 0, 1]
         half_sum = 0.5 * (alpha + gamma)
         rad = np.sqrt((0.5 * (alpha - gamma)) ** 2 + beta.real**2 + beta.imag**2)
-        return half_sum + rad if mode == "max" else half_sum - rad
+        return half_sum + rad
     if d == 3:
         a0, a1, a2 = (t[..., k, k].real for k in range(3))
         b01, b02, b12 = t[..., 0, 1], t[..., 0, 2], t[..., 1, 2]
@@ -168,11 +171,8 @@ def _extremal_eigvals(t: np.ndarray, mode: str) -> np.ndarray:
         s *= s
         det -= (e0 * n12 + e1 * n02 + e2 * n01) * s
         angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
-        if mode == "min":
-            angle += 2.0 * math.pi / 3.0
         return q + 2.0 * p * np.cos(angle)
-    vals = np.linalg.eigvalsh(t)
-    return vals[..., -1] if mode == "max" else vals[..., 0]
+    return np.linalg.eigvalsh(t)[..., -1]
 
 
 def _outer_products(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
@@ -181,10 +181,10 @@ def _outer_products(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _scan_grid(
-    mt: np.ndarray, dims: tuple[int, ...], x: int, mode: str, resolution: int
+    mt: np.ndarray, dims: tuple[int, ...], x: int, resolution: int
 ) -> list[int]:
     """Grid every party but `x`, solve `x` exactly. Returns the winning grid
-    index of each gridded party; the first point at the best value wins.
+    index of each gridded party; the first point at the largest value wins.
 
     A block is up to _CHUNK steps of the last gridded party times as many
     points of the leading ones as keep it within _CHUNK points.
@@ -200,7 +200,6 @@ def _scan_grid(
     op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
     step = min(n_last, _CHUNK)
     lead_step = max(1, _CHUNK // step)
-    sign = 1.0 if mode == "max" else -1.0
     best_val = -np.inf
     best_lead = best_last = -1
     for lead_start in range(0, n_lead, lead_step):
@@ -213,7 +212,7 @@ def _scan_grid(
         a = (p @ op).reshape(rem.size, dims[last] ** 2, dx * dx)
         for start in range(0, n_last, step):
             q = _outer_products(dims[last], resolution, np.arange(start, min(n_last, start + step)))
-            lam = sign * _extremal_eigvals((q @ a).reshape(-1, dx, dx), mode)
+            lam = _extremal_eigvals((q @ a).reshape(-1, dx, dx))
             j = int(np.argmax(lam))
             if lam[j] > best_val:
                 best_val = lam[j]
@@ -233,16 +232,17 @@ def _scan(
     x = _support_check(dims, resolution)
     n = len(dims)
     mt = m.mat.reshape(dims + dims)
-    best = _scan_grid(mt, dims, x, mode, resolution)
+    signed = mt if mode == "max" else -mt
+    best = _scan_grid(signed, dims, x, resolution)
     gridded = [k for k in range(n) if k != x]
     factors = [np.zeros(0)] * n
     for k, idx in zip(gridded, best):
         factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))[0]
 
     factors[x] = np.ones(dims[x], dtype=np.complex128) / math.sqrt(dims[x])
-    _, factors[x] = _extremal_factor(_party_matrix(mt, x), factors, x, mode)
+    _, factors[x] = _extremal_factor(_party_matrix(signed, x), factors, x)
 
-    _, polished, _, _ = _seesaw_run(mt, [f[None, :] for f in factors], mode)
+    _, polished, _, _ = _seesaw_run(signed, [f[None, :] for f in factors])
     state = _product_state([f[0] for f in polished])
     return float(_expectation(mt, [f.vec for f in state.factors])), state
 

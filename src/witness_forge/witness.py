@@ -9,9 +9,11 @@ bound:
     dual:   max_mu <mu|sigma|mu>  <=  c  <  lambda_max(sigma)
     primal: lambda_min(sigma)  <  c  <=  min_mu <mu|sigma|mu>
 
-with mu ranging over unit product states. The extremal expectations are
-computed by see-saw coordinate ascent: with all factors but one fixed,
-the optimal remaining factor is an extremal eigenvector of the
+with mu ranging over unit product states. The kernels only maximise:
+min_mu <mu|sigma|mu> = -max_mu <mu|-sigma|mu>, so the min variant
+negates sigma once and reads the value back from sigma itself. The
+maximum is computed by see-saw coordinate ascent: with all factors but
+one fixed, the optimal remaining factor is the top eigenvector of the
 contracted operator on that party, so each step solves a small
 eigenproblem and the objective is monotone. All restarts run as one
 batch: per party per sweep, one GEMM of the other parties' outer
@@ -198,29 +200,28 @@ def _contract_except(op: np.ndarray, factors: Sequence[np.ndarray], k: int) -> n
 
 
 def _extremal_factor(
-    op: np.ndarray, factors: Sequence[np.ndarray], k: int, mode: str
+    op: np.ndarray, factors: Sequence[np.ndarray], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extremal eigenvalue and unit eigenvector of the operator left on
+    """Top eigenvalue and unit eigenvector of the operator left on
     party `k`, for every restart in the batch at once."""
     try:
         vals, vecs = np.linalg.eigh(_contract_except(op, factors, k))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
-    pick = -1 if mode == "max" else 0
-    return vals[..., pick], vecs[..., :, pick]
+    return vals[..., -1], vecs[..., :, -1]
 
 
 def _seesaw_run(
     mt: np.ndarray,
     start: Sequence[np.ndarray],
-    mode: str,
     max_iters: int = SEESAW_MAX_ITERS,
     tol: float = SEESAW_TOL,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
-    """Coordinate ascent from R starts at once, `start` holding one (R, d_k)
-    array per party. A sweep updates parties 0, 1, ... in turn. A restart
-    stops after its first sweep that changes its objective by less than
-    `tol`, or after `max_iters` sweeps; stopped restarts leave the batch.
+    """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
+    holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
+    in turn. A restart stops after its first sweep that changes its
+    objective by less than `tol`, or after `max_iters` sweeps; stopped
+    restarts leave the batch.
     Returns (values (R,), factors [(R, d_k)], converged (R,), trajectory);
     trajectory row u holds every restart's objective after u party
     updates, a stopped restart keeping its last value."""
@@ -234,7 +235,7 @@ def _seesaw_run(
     for _ in range(max_iters):
         prev = values[active]
         for k, f in enumerate(run):
-            values[active], f[...] = _extremal_factor(ops[k], run, k, mode)
+            values[active], f[...] = _extremal_factor(ops[k], run, k)
             traj.append(values.copy())
         done = np.abs(values[active] - prev) < tol
         if done.any():
@@ -279,7 +280,7 @@ def _optimize(
         raise ParamOutOfRange("seed must be nonnegative")
     dims = m.dims
     mt = m.mat.reshape(dims + dims)
-    sign = 1.0 if mode == "max" else -1.0
+    signed = mt if mode == "max" else -mt
     best_score = -np.inf
     best_factors: list[np.ndarray] | None = None
     all_converged = True
@@ -289,12 +290,12 @@ def _optimize(
             for r in range(lo, min(restarts, lo + SEESAW_CHUNK))
         ]
         values, factors, converged, _ = _seesaw_run(
-            mt, [np.stack(fs) for fs in zip(*starts)], mode
+            signed, [np.stack(fs) for fs in zip(*starts)]
         )
         all_converged = all_converged and bool(converged.all())
-        i = int(np.argmax(sign * values))  # the first restart at the best value
-        if best_factors is None or sign * values[i] > best_score:
-            best_score = sign * values[i]
+        i = int(np.argmax(values))  # the first restart at the best value
+        if best_factors is None or values[i] > best_score:
+            best_score = values[i]
             best_factors = [f[i] for f in factors]
     assert best_factors is not None
     state = _product_state(best_factors)
@@ -372,8 +373,7 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     """tr(W rho); real up to a <=1e-10 imaginary residue by Hermiticity."""
     if w.dims != rho.dims:
         raise DimensionMismatch(f"witness dims {w.dims} vs state dims {rho.dims}")
-    val = np.einsum("ij,ji->", w.matrix().mat, rho.mat.mat)
-    return float(val.real)
+    return float((w.matrix().mat * rho.mat.mat.T).sum().real)
 
 
 def _witness_report(w: Witness, min_value: float, state: ProductState) -> WitnessReport:

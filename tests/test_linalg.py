@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +230,31 @@ def test_partial_trace_keeps_multiple_parties():
     abc = kron(kron(a, b), c)
     red = partial_trace(abc, [1, 3])
     np.testing.assert_allclose(red.mat, kron(a, c).mat, atol=1e-13)
+
+
+def _einsum_partial_trace(m: ComplexMatrix, kept: tuple[int, ...]) -> np.ndarray:
+    """Reference: one einsum, a traced party's column sharing its row letter."""
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    row = [next(letters) for _ in m.dims]
+    col = [next(letters) if k + 1 in kept else row[k] for k in range(len(m.dims))]
+    out = "".join(row[k - 1] for k in kept) + "".join(col[k - 1] for k in kept)
+    d = math.prod(m.dims[k - 1] for k in kept)
+    t = m.mat.reshape(m.dims + m.dims)
+    return np.einsum("".join(row) + "".join(col) + "->" + out, t).reshape(d, d)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_partial_trace_matches_einsum_on_every_kept_subset(n):
+    dims = (2, 3, 1, 2, 2, 2, 2, 2)[:n]
+    rng = np.random.default_rng(n)
+    d = math.prod(dims)
+    m = ComplexMatrix(dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for size in range(1, n + 1):
+        for kept in itertools.combinations(range(1, n + 1), size):
+            red = partial_trace(m, kept)
+            assert red.dims == tuple(dims[k - 1] for k in kept)
+            want = _einsum_partial_trace(m, kept)
+            assert np.abs(red.mat - want).max() <= 1e-15 * d
 
 
 def test_partial_trace_bad_party_indices():

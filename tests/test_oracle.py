@@ -21,6 +21,7 @@ from witness_forge.witness import (
     WitnessForm,
     make_witness,
     max_product_expectation,
+    min_product_expectation,
 )
 
 
@@ -163,12 +164,12 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
     m = _random_hermitian(np.random.default_rng(math.prod(dims) + resolution), dims)
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
     mt = m.mat.reshape(dims + dims)
-    for mode in ("max", "min"):
+    for mode, signed in (("max", mt), ("min", -mt)):  # a min is the max of -m
         values = _point_by_point(m, x, mode, resolution)
         best = max(values.values()) if mode == "max" else min(values.values())
         for chunk in (1 << 16, 7, 1):  # one block, ragged blocks, one point a block
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            winner = oracle._scan_grid(mt, dims, x, mode, resolution)
+            winner = oracle._scan_grid(signed, dims, x, resolution)
             assert abs(values[tuple(winner)] - best) <= 1e-12
 
 
@@ -177,9 +178,9 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     sizes = []
     solve = oracle._extremal_eigvals
 
-    def record(t, mode):
+    def record(t):
         sizes.append(math.prod(t.shape[:-2]))
-        return solve(t, mode)
+        return solve(t)
 
     monkeypatch.setattr(oracle, "_extremal_eigvals", record)
     m = _random_hermitian(np.random.default_rng(31), dims)
@@ -195,10 +196,10 @@ def _hermitian_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _assert_matches_lapack(t: np.ndarray, tol: float) -> None:
+    """Both ends: the top eigenvalue of t, and the bottom one as that of -t."""
     ref = np.linalg.eigvalsh(t)
     norm = np.linalg.norm(t, ord=2, axis=(-2, -1))
-    for mode, col in (("max", -1), ("min", 0)):
-        got = oracle._extremal_eigvals(t, mode)
+    for got, col in ((oracle._extremal_eigvals(t), -1), (-oracle._extremal_eigvals(-t), 0)):
         assert np.all(np.abs(got - ref[:, col]) <= tol * norm)
 
 
@@ -216,8 +217,8 @@ def test_qutrit_closed_form_on_scalar_blocks():
     t = scales[:, None, None] * np.eye(3, dtype=np.complex128)
     _assert_matches_lapack(t, 1e-12)
     # exact, where LAPACK's scaling is off by an ulp at 1e-300 and 1e300
-    for mode in ("max", "min"):
-        assert np.array_equal(oracle._extremal_eigvals(t, mode), scales)
+    assert np.array_equal(oracle._extremal_eigvals(t), scales)
+    assert np.array_equal(-oracle._extremal_eigvals(-t), scales)
 
 
 def test_qutrit_closed_form_on_doubly_degenerate_spectra():
@@ -239,6 +240,40 @@ def test_qutrit_closed_form_is_scale_free(seed, exponent):
         _assert_matches_lapack(t, 1e-10)
 
 
+def _hermitian_of_rank(rng: np.random.Generator, dims: tuple[int, ...], rank: int | None):
+    """A random Hermitian matrix on `dims` of the given rank, full for None."""
+    if rank is None:
+        return _random_hermitian(rng, dims)
+    d = math.prod(dims)
+    v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return ComplexMatrix(dims, (v * rng.normal(size=rank)) @ v.conj().T)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    # no scan of (2,2,2,2), which is beyond the oracle; (3,3) and (2,2,2)
+    # only at 32, as one scan at 64 takes seconds
+    case=st.sampled_from([
+        ((2, 2), 32), ((2, 2), 64), ((2, 3), 32), ((2, 3), 64), ((3, 3), 32),
+        ((2, 4), 32), ((2, 4), 64), ((2, 2, 2), 32), ((2, 2, 2, 2), None),
+    ]),
+    rank=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_is_minus_max_of_the_negated_matrix(case, rank, seed):
+    dims, resolution = case
+    m = _hermitian_of_rank(np.random.default_rng(seed), dims, rank)
+    neg = ComplexMatrix(dims, -m.mat)
+    lo = min_product_expectation(m, restarts=8, seed=seed)
+    hi = max_product_expectation(neg, restarts=8, seed=seed)
+    assert lo.value == -hi.value
+    for a, b in zip(lo.extremizer.factors, hi.extremizer.factors, strict=True):
+        assert np.array_equal(a.vec, b.vec)
+    if resolution is not None:
+        lo = grid_product_extremum(m, "min", resolution)
+        assert lo == -grid_product_extremum(neg, "max", resolution)
+
+
 @pytest.mark.parametrize("dims, lapack", [((2, 3), False), ((3, 3), False), ((2, 4), True)])
 def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, lapack):
     calls = []
@@ -253,6 +288,7 @@ def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     m = _random_hermitian(np.random.default_rng(37), dims)
     x = oracle._support_check(dims, 32)
-    for mode in ("max", "min"):
-        oracle._scan_grid(m.mat.reshape(dims + dims), dims, x, mode, 32)
+    mt = m.mat.reshape(dims + dims)
+    for signed in (mt, -mt):
+        oracle._scan_grid(signed, dims, x, 32)
     assert bool(calls) == lapack

@@ -108,7 +108,7 @@ def test_seesaw_trajectory_is_monotone():
         np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex),
         np.array([[0.0, 1.0, 0.0], [0.0, 0.6, -0.8]], dtype=complex),
     ]
-    _, _, _, traj = _seesaw_run(mt, start, "max")
+    _, _, _, traj = _seesaw_run(mt, start)
     assert traj.shape[0] >= 2 and traj.shape[1] == 2
     assert np.all(traj[1:] >= traj[:-1] - 1e-14)
 
@@ -156,7 +156,7 @@ def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
         for r in range(32)
     ]
     batch = [np.stack(fs) for fs in zip(*starts)]
-    whole = _seesaw_run(mt, batch, "max", max_iters=5)
+    whole = _seesaw_run(mt, batch, max_iters=5)
     budget = 3 * 4 * 64**2  # three restarts of the widest block, that of party 0 or 1
     blocks = []
     kron = witness._kron_rows
@@ -175,7 +175,7 @@ def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
         assert max(rows * cols for rows, cols in blocks) <= budget
         assert len(blocks) == (11 if k < 2 else 1)
     blocks.clear()
-    sliced = _seesaw_run(mt, batch, "max", max_iters=5)
+    sliced = _seesaw_run(mt, batch, max_iters=5)
     assert max(rows * cols for rows, cols in blocks) <= budget
     assert np.abs(sliced[0] - whole[0]).max() <= 1e-14
     for a, b in zip(sliced[1], whole[1]):
@@ -194,7 +194,7 @@ def test_seesaw_makes_no_einsum_call(monkeypatch):
     monkeypatch.setattr(np, "einsum", fail)
     res = max_product_expectation(m3, restarts=4, seed=0)
     assert res.converged
-    values, _, converged, _ = _seesaw_run(m2.mat.reshape(2, 3, 2, 3), start, "min")
+    values, _, converged, _ = _seesaw_run(-m2.mat.reshape(2, 3, 2, 3), start)
     assert converged.all() and values.shape == (4,)
 
 
@@ -235,7 +235,9 @@ def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, m
         for r in range(restarts)
     ]
     batch = [np.stack(fs) for fs in zip(*starts)]
-    values, _, converged, _ = _seesaw_run(mt, batch, mode, max_iters=max_iters)
+    sign = 1.0 if mode == "max" else -1.0  # the batch maximises <mu|sign*m|mu>
+    values, _, converged, _ = _seesaw_run(sign * mt, batch, max_iters=max_iters)
+    values *= sign
     for r, start in enumerate(starts):
         want, want_converged = _serial_seesaw(m.mat, start, mode, max_iters)
         assert abs(values[r] - want) <= 1e-10
@@ -349,6 +351,19 @@ def test_evaluate_on_own_state():
     w = make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.3)
     purity = float(np.trace(sq.mat.mat @ sq.mat.mat).real)
     assert abs(evaluate(w, sq) - (0.3 - purity)) <= 1e-14
+
+
+def test_evaluate_is_the_trace_of_the_product():
+    # complex states: tr(W rho) differs from sum(W * rho), which is tr(W rho^T)
+    rng = np.random.default_rng(47)
+    sigma, rho = (
+        DensityMatrix(ComplexMatrix((2, 3), g @ g.conj().T / np.linalg.norm(g) ** 2))
+        for g in rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+    )
+    for form in WitnessForm:
+        w = make_witness(form, sigma, 0.1, check="none")
+        want = np.trace(w.matrix().mat @ rho.mat.mat).real
+        assert abs(evaluate(w, rho) - want) <= 1e-15
 
 
 def test_evaluate_dimension_mismatch():
