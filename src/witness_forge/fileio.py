@@ -11,6 +11,7 @@ The document dict holds matrices and vectors as complex ndarrays, which
 one codec writes and reads whole. The writer is canonical: keys sorted,
 compact separators, every float at 17 significant digits, trailing
 newline; writing a parsed canonical file reproduces it byte for byte.
+An array is one `%` on a template of [re, im] pairs nested once per axis.
 The reader is strict (exact shapes; parts are numbers, not booleans,
 finite as float64), and any malformed file raises ParseError. A file
 whose `dims` multiply to more than MAX_TOTAL_DIM, the largest size the
@@ -35,7 +36,7 @@ KINDS = {
     "density": DensityMatrix, "pure": PureState, "hermitian": ComplexMatrix, "witness": Witness,
 }
 _DATA_CONSISTENCY_TOL = 1e-12
-_FLOAT_FORMAT = ".17g"
+_FLOAT_FORMAT = "%.17g"
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
@@ -47,7 +48,7 @@ def kind_of(obj) -> str | None:
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ParseError(f"non-finite number {x!r} cannot be serialized")
-    return format(float(x), _FLOAT_FORMAT)
+    return _FLOAT_FORMAT % x
 
 
 def dumps_canonical(obj) -> str:
@@ -82,12 +83,11 @@ def _dump(obj, out: list[str]) -> None:
         parts = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64).ravel()
         nonfinite = parts[~np.isfinite(parts)]
         if nonfinite.size:
-            _fmt_float(nonfinite[0])  # raises ParseError
-        text = [format(x, _FLOAT_FORMAT) for x in parts.tolist()]
-        items = list(map("[{},{}]".format, text[0::2], text[1::2]))
+            _fmt_float(float(nonfinite[0]))  # raises ParseError
+        template = f"[{_FLOAT_FORMAT},{_FLOAT_FORMAT}]"
         for n in reversed(obj.shape):
-            items = ["[" + ",".join(items[i:i + n]) + "]" for i in range(0, len(items), n)]
-        out.append(items[0])
+            template = "[" + ",".join([template] * n) + "]"
+        out.append(template % tuple(parts.tolist()))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif obj is None:

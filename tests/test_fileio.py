@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from witness_forge.errors import ParamOutOfRange, ParseError
 from witness_forge.extend import purify_extend
@@ -123,24 +126,26 @@ def test_parse_rejects_structural_problems(tmp_path):
         parse_matrix_obj(["not", "an", "object"])
 
 
-def _reference_file_text(obj) -> str:
-    """The format written out entry by entry: every float with 17
+def _num(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _render(v) -> str:
+    """A document value written out entry by entry: every float with 17
     significant digits, complex entries as [re, im] pairs."""
+    if isinstance(v, np.ndarray) and v.ndim == 1:
+        return "[" + ",".join(f"[{_num(z.real)},{_num(z.imag)}]" for z in v) + "]"
+    if isinstance(v, (list, np.ndarray)):
+        return "[" + ",".join(map(_render, v)) + "]"
+    if isinstance(v, float):
+        return _num(v)
+    return json.dumps(v)
 
-    def num(x) -> str:
-        return format(float(x), ".17g")
 
-    def render(v) -> str:
-        if isinstance(v, np.ndarray) and v.ndim == 1:
-            return "[" + ",".join(f"[{num(z.real)},{num(z.imag)}]" for z in v) + "]"
-        if isinstance(v, (list, np.ndarray)):
-            return "[" + ",".join(map(render, v)) + "]"
-        if isinstance(v, float):
-            return num(v)
-        return json.dumps(v)
-
+def _reference_file_text(obj) -> str:
+    """The file text of `obj` with every value rendered by `_render`."""
     doc = encode_matrix_obj(obj)
-    return "{" + ",".join(f"{json.dumps(k)}:{render(doc[k])}" for k in sorted(doc)) + "}\n"
+    return "{" + ",".join(f"{json.dumps(k)}:{_render(doc[k])}" for k in sorted(doc)) + "}\n"
 
 
 def _with_specials(rng: np.random.Generator, shape) -> np.ndarray:
@@ -173,6 +178,48 @@ def test_writer_matches_per_entry_rendering():
         ]
         for obj in objects:
             assert matrix_file_text(obj) == _reference_file_text(obj)
+
+
+# -0.0, the smallest subnormal, +-max, both sides of the switch to exponent
+# notation for small numbers (1e-4, 1e-5) and for large ones (1e17).
+_SWITCH_PARTS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                 1e-4, 1e-5, 1e17, 9.999999999999998e16]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(1,), (3,), (2, 2), (4, 4), (2, 2, 2)]).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape),
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=2 * math.prod(shape),
+                max_size=2 * math.prod(shape),
+            ),
+        )
+    )
+)
+@example(((2, 2), _SWITCH_PARTS))
+def test_array_renderer_matches_per_entry_format(case):
+    shape, parts = case
+    arr = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
+    assert dumps_canonical(arr) == _render(arr)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("imag", [False, True])
+def test_writer_refuses_nonfinite_arrays(tmp_path, value, imag):
+    arr = np.diag([1.0, -2.0]).astype(complex)
+    arr[1, 0] = complex(0.0, value) if imag else complex(value, 0.0)
+    m = ComplexMatrix((2,), np.eye(2))
+    object.__setattr__(m, "mat", arr)  # past the constructor's finiteness check
+    message = f"non-finite number {value!r} cannot"
+    with pytest.raises(ParseError, match=message):
+        dumps_canonical({"data": arr})
+    target = tmp_path / "m.json"
+    with pytest.raises(ParseError, match=message):
+        write_matrix_file(m, target)
+    assert not target.exists()
 
 
 def test_parse_rejects_nonfinite_and_bad_json(tmp_path):
