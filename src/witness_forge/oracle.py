@@ -27,6 +27,21 @@ grid in row-major blocks of at most _CHUNK points, so memory stays
 bounded, and contracts each block with one GEMM and one matmul. The
 top eigenvalues of the contracted blocks come in closed form when
 the exact party has dimension <= 3, and from LAPACK at dimension 4.
+
+At dimension 4 the scan skips LAPACK wherever a grid point provably
+cannot win. lambda_max is Lipschitz in the grid point: by Weyl's
+inequality, lambda_max(T_i) <= lambda_max(T_j) + sqrt(2)*||T_i - T_j||_F,
+where T_i is the contracted 4x4 operator at row i of a block and the
+sqrt(2) covers LAPACK reading only the lower triangle. So LAPACK first
+solves every _ANCHOR_STRIDE-th row of a block, the anchors, and then
+only the rows whose bound from their nearest anchor reaches the best
+value found so far. The bound carries a rounding margin for the GEMM,
+LAPACK and its own arithmetic: 256 eps ||a||_F on the bound, and 1024
+eps on the squared distance ||T_i - T_j||_F**2 / ||a||_F**2, with a the
+block's contracted operator (`_pruned_top_eigvals` derives both).
+Every skipped row is strictly below a value already found, so it is
+neither the maximum nor a tie, and the winner is the one the full
+solve would pick.
 """
 
 from __future__ import annotations
@@ -53,6 +68,12 @@ from .witness import (
 MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
 _CHUNK = 1 << 16
+_ANCHOR_STRIDE = 8
+# Rounding margins of the pruning bound, relative to ||a||_F (derivation
+# in `_pruned_top_eigvals`): on the normalised quadratic form, and on the
+# bound itself.
+_FORM_PAD = 2.0**10 * np.finfo(float).eps
+_BOUND_PAD = 2.0**8 * np.finfo(float).eps
 
 
 def _support_check(dims: tuple[int, ...], resolution: int) -> int:
@@ -175,6 +196,62 @@ def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(t)[..., -1]
 
 
+def _pruned_top_eigvals(q: np.ndarray, a: np.ndarray, floor: float) -> np.ndarray:
+    """Top eigenvalue of each 4x4 block of q @ a, bit for bit as LAPACK
+    gives it on the whole block, or -inf where it is provably below
+    max(floor, the anchors' best).
+
+    `q` holds a block's (n, k) outer-product rows, n > _ANCHOR_STRIDE, and
+    `a` the contracted (1, k, 16) operator: a four-level exact party
+    leaves one gridded party (`_support_check`). LAPACK solves the anchor
+    rows 0, S, 2S, ... (S = _ANCHOR_STRIDE) and then only the rows i
+    whose bound from the nearest anchor j reaches that threshold:
+
+        lam_i <= lam_j + s*(sqrt(2)*sqrt(rho2 + _FORM_PAD) + _BOUND_PAD),
+
+    with s = ||a||_F, u = a/s and rho2 = (q_i - q_j) u u^H (q_i - q_j)^H,
+    so that s*sqrt(rho2) = ||(q_i - q_j) a||_F without building any
+    (n, 4, 4) difference. Normalising by s keeps the form clear of
+    overflow and underflow at any scale. With eps = 2**-52, k <= 16 and
+    ||q_i|| = ||f_i||**2 <= 1 + 4 eps, taking 2(m+2) eps for the error
+    of an m-term complex dot:
+    - GEMM: the computed T_i is q_i a up to 36 eps s in the Frobenius
+      norm, so T_i - T_j is off by at most 72 eps s;
+    - Weyl: LAPACK reads the Hermitian matrices H_i of the lower
+      triangles, and ||H_i - H_j||_2 <= ||H_i - H_j||_F
+      <= sqrt(2)||T_i - T_j||_F, so the GEMM term costs 102 eps s;
+    - LAPACK: each eigenvalue is exact for H_i + E with ||E||_2 <=
+      16 eps ||H_i||_2 <= 16 eps sqrt(2) s, 46 eps s for rows i and j;
+    - the rounding of q_i - q_j and of the bound's own arithmetic adds
+      under 15 eps s.
+    That is under 170 eps s, within _BOUND_PAD = 256 eps. The computed
+    rho2 sums 16-term, k-term and k-term dots of entries of modulus at
+    most |q_i - q_j| and |u|, so it is off by at most 110 eps
+    ||q_i - q_j||**2 <= 440 eps, within _FORM_PAD = 1024 eps.
+    """
+    n = q.shape[0]
+    (op,) = a
+    s = float(np.linalg.norm(op)) or 1.0
+    u = op / s
+    anchors = slice(0, n, _ANCHOR_STRIDE)
+    lam = np.full(n, -np.inf)
+    lam[anchors] = _extremal_eigvals((q[anchors] @ a).reshape(-1, 4, 4))
+    last = (n - 1) // _ANCHOR_STRIDE * _ANCHOR_STRIDE
+    near = np.minimum((np.arange(n) + _ANCHOR_STRIDE // 2) // _ANCHOR_STRIDE * _ANCHOR_STRIDE, last)
+    diff = q - q[near]
+    rho2 = ((diff @ (u @ u.conj().T)) * diff.conj()).sum(axis=1).real
+    bound = lam[near] + s * (math.sqrt(2) * np.sqrt(np.maximum(rho2, 0.0) + _FORM_PAD) + _BOUND_PAD)
+    keep = bound >= max(floor, lam[anchors].max())
+    keep[anchors] = False
+    rows = np.flatnonzero(keep)
+    if rows.size:
+        # a lone row would take numpy's gemv path, whose bits can differ
+        # from the block GEMM's; two copies of it take the GEMM path
+        take = rows if rows.size > 1 else np.repeat(rows, 2)
+        lam[rows] = _extremal_eigvals((q[take] @ a).reshape(-1, 4, 4))[: rows.size]
+    return lam
+
+
 def _outer_products(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     """Rows conj(f) (x) f, flattened to d*d, of the factors at `idx`."""
     return _outer(_grid_factors(d, resolution, idx))
@@ -187,7 +264,12 @@ def _scan_grid(
     index of each gridded party; the first point at the largest value wins.
 
     A block is up to _CHUNK steps of the last gridded party times as many
-    points of the leading ones as keep it within _CHUNK points.
+    points of the leading ones as keep it within _CHUNK points. For a
+    four-level `x`, LAPACK sees only a block's anchors and the points
+    whose Weyl bound from their nearest anchor j, lambda_max(T_j) +
+    sqrt(2)*||T_i - T_j||_F plus the rounding margins _FORM_PAD and
+    _BOUND_PAD (relative to ||a||_F), reaches the best value so far
+    (`_pruned_top_eigvals`); the others are provably below it.
     """
     n = len(dims)
     gridded = [k for k in range(n) if k != x]
@@ -212,7 +294,10 @@ def _scan_grid(
         a = (p @ op).reshape(rem.size, dims[last] ** 2, dx * dx)
         for start in range(0, n_last, step):
             q = _outer_products(dims[last], resolution, np.arange(start, min(n_last, start + step)))
-            lam = _extremal_eigvals((q @ a).reshape(-1, dx, dx))
+            if dx == 4 and q.shape[0] > _ANCHOR_STRIDE:  # two anchors or more
+                lam = _pruned_top_eigvals(q, a, best_val)
+            else:
+                lam = _extremal_eigvals((q @ a).reshape(-1, dx, dx))
             j = int(np.argmax(lam))
             if lam[j] > best_val:
                 best_val = lam[j]
@@ -252,7 +337,9 @@ def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) ->
 
     Grid accuracy is O(1/resolution); the final see-saw polish from the
     best grid point typically reaches 1e-6 at resolution 256 on two
-    qubits. Raises UnsupportedDims outside the supported shapes.
+    qubits. Raises ParamOutOfRange for a resolution below MIN_RESOLUTION
+    (32) or a mode other than "max" or "min", and UnsupportedDims outside
+    the supported shapes.
     """
     value, _ = _scan(m, mode, resolution)
     return value

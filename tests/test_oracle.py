@@ -19,6 +19,7 @@ from witness_forge.oracle import exhaustive_witness_check, grid_product_extremum
 from witness_forge.qstate import isotropic
 from witness_forge.witness import (
     WitnessForm,
+    _party_matrix,
     make_witness,
     max_product_expectation,
     min_product_expectation,
@@ -156,7 +157,10 @@ def _point_by_point(m: ComplexMatrix, x: int, mode: str, resolution: int) -> dic
 
 @pytest.mark.parametrize(
     "dims, resolution",
-    [((2, 2), 8), ((2, 3), 7), ((3, 2), 6), ((3, 3), 7), ((2, 4), 8), ((2, 2, 2), 6), ((1, 3), 8)],
+    [
+        ((2, 2), 8), ((2, 3), 7), ((3, 2), 6), ((3, 3), 7), ((2, 4), 8), ((4, 2), 8), ((3, 4), 7),
+        ((2, 2, 2), 6), ((1, 3), 8),
+    ],
 )
 def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, resolution):
     # values, not indices: some grid points give the same ray (theta = pi
@@ -292,3 +296,128 @@ def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, 
     for signed in (mt, -mt):
         oracle._scan_grid(signed, dims, x, 32)
     assert bool(calls) == lapack
+
+
+def _unpruned_scan(signed: np.ndarray, dims: tuple[int, ...], x: int, resolution: int) -> list[int]:
+    """`oracle._scan_grid` for a four-level exact party without the pruning:
+    LAPACK on every grid point, in the same blocks; the first best point wins."""
+    (g,) = [k for k in range(len(dims)) if k != x]
+    a = _party_matrix(signed, x).reshape(1, dims[g] ** 2, 16)
+    n = oracle._grid_size(dims[g], resolution)
+    best_val, best = -np.inf, -1
+    for start in range(0, n, oracle._CHUNK):
+        q = oracle._outer_products(dims[g], resolution, np.arange(start, min(n, start + oracle._CHUNK)))
+        lam = np.linalg.eigvalsh((q @ a).reshape(-1, 4, 4))[:, -1]
+        j = int(np.argmax(lam))
+        if lam[j] > best_val:
+            best_val, best = lam[j], start + j
+    return [best]
+
+
+_KINDS = ("full", "rank-2", "rank-1", "hermitian")
+
+
+def _random_input(rng: np.random.Generator, dims: tuple[int, ...], kind: str) -> np.ndarray:
+    """A random density matrix of the given rank, or a general Hermitian one,
+    as a (d1..dn, d1..dn) tensor."""
+    if kind == "hermitian":
+        return _random_hermitian(rng, dims).mat.reshape(dims + dims)
+    d = math.prod(dims)
+    rank = {"full": d, "rank-2": 2, "rank-1": 1}[kind]
+    v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = v @ v.conj().T
+    return (rho / np.trace(rho).real).reshape(dims + dims)
+
+
+@pytest.mark.parametrize(
+    "dims, resolution, chunks, kinds",
+    [
+        ((2, 4), 32, (1 << 16, 100, 7, 1), _KINDS),
+        ((2, 4), 33, (1 << 16, 100, 7), _KINDS),
+        ((4, 2), 33, (1 << 16, 100, 7), _KINDS),
+        ((2, 4), 64, (1 << 16, 100), _KINDS),
+        ((4, 2), 64, (1 << 16, 100), _KINDS),
+        ((1, 4), 32, (1 << 16, 7, 1), _KINDS),
+        # the qutrit grid has 295,936 points at 32 and takes about 1 s
+        # unpruned, so it runs in whole blocks on one kind
+        ((3, 4), 32, (1 << 16,), ("hermitian",)),
+        ((2, 4), 256, (1 << 16,), ("full", "hermitian")),
+    ],
+)
+def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, dims, resolution, chunks, kinds):
+    # chunk 100 carries the best value across many ragged blocks; blocks of
+    # 7 or 1 points hold a single anchor, so they are solved whole
+    rng = np.random.default_rng(math.prod(dims) * 1000 + resolution)
+    x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
+    for kind in kinds:
+        mt = _random_input(rng, dims, kind)
+        for signed in (mt, -mt):
+            for chunk in chunks:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                winner = oracle._scan_grid(signed, dims, x, resolution)
+                assert winner == _unpruned_scan(signed, dims, x, resolution), (kind, chunk)
+
+
+def test_pruned_scan_on_tied_grid_points(monkeypatch):
+    # every grid point ties, or whole families of them do, up to rounding;
+    # a point that ties with the best is never skipped, so the first best
+    # index is still the unpruned scan's. The rounding margin is what keeps
+    # these: without it, the rank-1 cases lose their index.
+    rng = np.random.default_rng(47)
+    rho_a = _random_input(rng, (2,), "full").reshape(2, 2)
+    rho_b = _random_input(rng, (4,), "full").reshape(4, 4)
+    psi = _random_input(rng, (4,), "rank-1").reshape(4, 4)
+    zero_ket, one_ket = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for m in (
+        np.eye(8) / 8, np.kron(rho_a, np.eye(4) / 4), np.kron(zero_ket, rho_b), np.zeros((8, 8)),
+        np.kron(np.eye(2) / 2, psi), np.kron(one_ket, psi),
+    ):
+        mt = m.astype(complex).reshape(2, 4, 2, 4)
+        for signed, resolution, chunk in itertools.product((mt, -mt), (32, 33), (1 << 16, 100, 7)):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            winner = oracle._scan_grid(signed, (2, 4), 1, resolution)
+            assert winner == _unpruned_scan(signed, (2, 4), 1, resolution)
+
+
+def test_pruning_bound_covers_the_lower_triangle_lapack_reads():
+    # LAPACK reads only the lower triangle: for T = c*L, L the lower
+    # triangle of ones, it solves c*J, J all ones, whose top eigenvalue is
+    # 4c, while ||T_i - T_j||_F is only sqrt(10)*|c_i - c_j|. Row 1 (c = 1)
+    # has its nearest anchor at row 0 (c = 0) and is the best point; anchor
+    # 8 (c = 0.9) sets the bar, 3.6, which sqrt(10) alone would not reach.
+    c = np.zeros((16, 1), dtype=complex)
+    c[1], c[8] = 1.0, 0.9
+    a = np.tril(np.ones((4, 4), dtype=complex)).reshape(1, 1, 16)
+    full = np.linalg.eigvalsh((c @ a).reshape(-1, 4, 4))[:, -1]
+    lam = oracle._pruned_top_eigvals(c, a, -np.inf)
+    solved = lam > -np.inf
+    assert np.array_equal(lam[solved], full[solved])
+    assert np.all(full[~solved] < full[8])
+    assert int(np.argmax(lam)) == 1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-9.0, 3.0), kind=st.sampled_from(_KINDS))
+def test_pruned_scan_winner_is_scale_free(seed, exponent, kind):
+    # the bound and its margins scale with the operator, so no input scale
+    # prunes a point that the unpruned scan would pick
+    mt = 10.0**exponent * _random_input(np.random.default_rng(seed), (2, 4), kind)
+    for signed in (mt, -mt):
+        assert oracle._scan_grid(signed, (2, 4), 1, 32) == _unpruned_scan(signed, (2, 4), 1, 32)
+
+
+def test_pruned_scan_sends_few_grid_points_to_lapack(monkeypatch):
+    rows = []
+    solve = np.linalg.eigvalsh
+
+    def record(t):
+        rows.append(t.shape[0])
+        return solve(t)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    mt = _random_input(np.random.default_rng(53), (2, 4), "full")
+    points = oracle._grid_size(2, 256)
+    for signed in (mt, -mt):
+        rows.clear()
+        oracle._scan_grid(signed, (2, 4), 1, 256)
+        assert sum(rows) <= 0.35 * points
