@@ -158,8 +158,8 @@ def _point_by_point(m: ComplexMatrix, x: int, mode: str, resolution: int) -> dic
 @pytest.mark.parametrize(
     "dims, resolution",
     [
-        ((2, 2), 8), ((2, 3), 7), ((3, 2), 6), ((3, 3), 7), ((2, 4), 8), ((4, 2), 8), ((3, 4), 7),
-        ((2, 2, 2), 6), ((1, 3), 8),
+        ((2, 2), 8), ((2, 3), 7), ((3, 2), 6), ((3, 3), 7), ((2, 4), 8), ((2, 2, 2), 6), ((1, 3), 8),
+        ((4, 2), 8), ((3, 4), 7),
     ],
 )
 def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, resolution):
