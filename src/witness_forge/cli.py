@@ -14,6 +14,7 @@ verified non-witness; 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -46,7 +47,6 @@ from .qstate import (
 )
 from .witness import (
     DEFAULT_RESTARTS,
-    INTERVAL_PAD,
     SEESAW_TOL,
     TOL_NEG,
     TOL_POS,
@@ -60,7 +60,7 @@ from .witness import (
 
 TOLERANCES = {
     "hermiticity": HERMITICITY_TOL,
-    "interval_pad": INTERVAL_PAD,
+    "interval_pad": TOL_POS,  # the closed side's pad is the verdict's TOL_POS
     "rank": RANK_TOL,
     "seesaw": SEESAW_TOL,
     "tie": TIE_TOL,
@@ -74,6 +74,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="witness-forge", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)

@@ -41,12 +41,13 @@ from .qstate import (
     PureState,
     PurificationSelection,
     SpectralDecomposition,
-    _check_selection,
+    _has_top,
     _nonzero_indices,
     _purification_columns,
-    _selects_top,
+    _purifying_selection,
+    _selected_nonzero,
 )
-from .witness import Witness, WitnessForm, evaluate
+from .witness import TOL_NEG, Witness, WitnessForm, _margin, evaluate
 
 ENUMERATION_CAP = 64
 
@@ -88,9 +89,7 @@ def purify_extend(w: Witness) -> Witness:
     _require_dual_form(w, "purify_extend")
     if not w.sigma.normalized:
         raise ParamOutOfRange("can only purify a normalized sigma")
-    nz = _nonzero_indices(w.sigma.spectrum.eigenvalues)
-    pairs = [(idx, slot) for slot, idx in enumerate(nz)]
-    return partial_purify_extend(w, PurificationSelection(pairs, len(nz)))
+    return partial_purify_extend(w, _purifying_selection(w.sigma.spectrum.eigenvalues))
 
 
 def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
@@ -112,8 +111,7 @@ def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
 def purify_extend_n(w: Witness, pure_tails: Sequence[PureState]) -> Witness:
     """Purify sigma, then tensor with pure tails; with no tails this is
     exactly purify_extend."""
-    out = purify_extend(w)
-    return pure_tails_extend(out, pure_tails)
+    return pure_tails_extend(purify_extend(w), pure_tails)
 
 
 def partial_purify_extend(
@@ -130,13 +128,13 @@ def partial_purify_extend(
     """
     _require_dual_form(w, "partial_purify_extend")
     vals = w.sigma.spectrum.eigenvalues
-    _check_selection(vals, sel.pairs)
-    if not _selects_top(vals, sel.pairs):
+    lams = _selected_nonzero(vals, sel.pairs)
+    if not _has_top(vals, lams):
         raise MaxEigenvalueNotSelected(
             "selection omits the top eigenvalue, so the extended operator "
             "would go negative on a product state"
         )
-    total = float(sum(vals[idx] for idx, _ in sel.pairs))
+    total = float(sum(lams))
     c_out = w.c
     if c_prime is not None:
         c_out = float(c_prime)
@@ -148,7 +146,6 @@ def partial_purify_extend(
     if purified > MAX_TOTAL_DIM:
         raise ParamOutOfRange(f"purified dimension {purified} > {MAX_TOTAL_DIM}")
     wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
-    lams = [vals[idx] for idx, _ in sel.pairs]
     proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
     sigma2 = _wrap_density(w.sigma.dims + (sel.ancilla_dim,), proj)
     return Witness(w.form, c_out, sigma2)
@@ -225,7 +222,8 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
 
     The spectrum of sigma (x) I is the spectrum of sigma with higher
     multiplicity, so the open interval side is revalidated against the
-    extended spectrum as a numerics guard.
+    extended spectrum as a numerics guard, by the margin test of
+    `witness._witness_report`.
     """
     sizes = [int(d) for d in tail_dims]
     for d in sizes:
@@ -234,17 +232,11 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
     if not sizes:
         return w
     sigma2 = _wrap_density(*_kron_tails(w.sigma, [(d,) for d in sizes], map(np.eye, sizes)))
-    if w.form is WitnessForm.C_MINUS_SIGMA:
-        if not w.c < sigma2.lambda_max:
-            raise COutOfInterval(
-                f"c={w.c!r} not below the extended top eigenvalue {sigma2.lambda_max!r}"
-            )
-    else:
-        if not w.c > sigma2.lambda_min:
-            raise COutOfInterval(
-                f"c={w.c!r} not above the extended bottom eigenvalue {sigma2.lambda_min!r}"
-            )
-    return Witness(w.form, w.c, sigma2)
+    w2 = Witness(w.form, w.c, sigma2)
+    margin = _margin(w2)
+    if not margin > TOL_NEG:
+        raise COutOfInterval(f"c={w.c!r} leaves margin {margin!r} on the extended spectrum")
+    return w2
 
 
 def detect_product_extension(

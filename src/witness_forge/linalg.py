@@ -126,11 +126,11 @@ class ComplexMatrix:
         """Largest entrywise deviation from Hermitian symmetry."""
         return float(np.abs(self.mat - self.mat.conj().T).max())
 
-    def require_hermitian(self, tol: float = HERMITICITY_TOL) -> None:
+    def require_hermitian(self) -> None:
         defect = self.hermiticity_defect()
-        if defect > tol:
+        if defect > HERMITICITY_TOL:
             raise NotHermitian(
-                f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}"
+                f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
             )
 
 
@@ -156,9 +156,9 @@ class SpectralDecomposition:
         """The columns of `vectors` as ComplexVectors, built on first read."""
         return tuple(ComplexVector(self.dims, col) for col in self.vectors.T)
 
-    def rank(self, tol: float = RANK_TOL) -> int:
-        """Number of eigenvalues strictly above `tol`."""
-        return sum(1 for v in self.eigenvalues if v > tol)
+    def rank(self) -> int:
+        """Number of eigenvalues strictly above RANK_TOL."""
+        return sum(1 for v in self.eigenvalues if v > RANK_TOL)
 
     def reconstruct(self) -> ComplexMatrix:
         """Sum of eigenvalue-weighted projectors."""

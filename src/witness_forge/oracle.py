@@ -2,14 +2,14 @@
 
 Independent of the see-saw optimizer: scans a deterministic grid of
 product states and returns the extremal expectation. Like the see-saw,
-the scan only maximises; a minimum is -max <mu|-m|mu>, so `_scan`
-negates m once and runs the scan, the exact-party solve and the polish
-on that. One party (the largest-dimension one) is never gridded; with
-all other factors fixed at grid points, the optimal remaining factor is
-known in closed form as the top eigenvector of the contracted operator,
-so the scan is exact in that coordinate and strictly dominates gridding
-it. The best grid point is then polished by the see-saw, run as a batch
-of one.
+the scan only maximises: `_scan` takes a sign s and runs the scan, the
+exact-party solve and the polish on s*m, a minimum being -max <mu|-m|mu>.
+One party (the largest-dimension one) is never gridded; with all other
+factors fixed at grid points, the optimal remaining factor is known in
+closed form as the top eigenvector of the contracted operator, so the
+scan is exact in that coordinate and strictly dominates gridding it.
+The best grid point is then polished by the see-saw, run as a batch of
+one.
 
 Grids are nested under resolution doubling: qubit factors use
 theta_i = i*pi/resolution (i = 0..resolution) and phi_j =
@@ -56,12 +56,11 @@ from .witness import (
     ProductState,
     Witness,
     WitnessReport,
-    _expectation,
     _extremal_factor,
     _outer,
     _party_matrix,
-    _product_state,
     _seesaw_run,
+    _winner,
     _witness_report,
 )
 
@@ -306,18 +305,16 @@ def _scan_grid(
     return [int(i) for i in np.unravel_index(best_lead, lead_sizes)] + [best_last]
 
 
-def _scan(
-    m: ComplexMatrix, mode: str, resolution: int
-) -> tuple[float, ProductState]:
+def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductState]:
+    """Grid maximum of <mu|s*m|mu> for s = +1 or -1, polished; the value
+    is reported as <mu|m|mu> of the winner."""
     m.require_hermitian()
-    if mode not in ("max", "min"):
-        raise ParamOutOfRange(f"mode must be 'max' or 'min', got {mode!r}")
     resolution = int(resolution)
     dims = m.dims
     x = _support_check(dims, resolution)
     n = len(dims)
     mt = m.mat.reshape(dims + dims)
-    signed = mt if mode == "max" else -mt
+    signed = s * mt  # exact: -mt bit for bit at s = -1
     best = _scan_grid(signed, dims, x, resolution)
     gridded = [k for k in range(n) if k != x]
     factors = [np.zeros(0)] * n
@@ -328,8 +325,7 @@ def _scan(
     _, factors[x] = _extremal_factor(_party_matrix(signed, x), factors, x)
 
     _, polished, _, _ = _seesaw_run(signed, [f[None, :] for f in factors])
-    state = _product_state([f[0] for f in polished])
-    return float(_expectation(mt, [f.vec for f in state.factors])), state
+    return _winner(mt, [f[0] for f in polished])
 
 
 def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) -> float:
@@ -341,11 +337,13 @@ def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) ->
     (32) or a mode other than "max" or "min", and UnsupportedDims outside
     the supported shapes.
     """
-    value, _ = _scan(m, mode, resolution)
+    if mode not in ("max", "min"):
+        raise ParamOutOfRange(f"mode must be 'max' or 'min', got {mode!r}")
+    value, _ = _scan(m, 1 if mode == "max" else -1, resolution)
     return value
 
 
 def exhaustive_witness_check(w: Witness, resolution: int = 64) -> WitnessReport:
     """WitnessReport computed from the grid scan instead of see-saw."""
-    value, state = _scan(w.matrix(), "min", resolution)
+    value, state = _scan(w.matrix(), -1, resolution)
     return _witness_report(w, value, state)

@@ -155,32 +155,39 @@ def _nonzero_indices(vals: Sequence[float]) -> list[int]:
     return [i for i, v in enumerate(vals) if v > RANK_TOL]
 
 
-def _selected(
-    vals: Sequence[float], pairs: Sequence[tuple[int, int]]
-) -> list[tuple[int, float]]:
-    """(eigen-index, eigenvalue) of each selected pair, in pair order; any
-    index outside the spectrum raises SelectionOutOfRange."""
+def _purifying_selection(
+    vals: Sequence[float], ancilla_dim: int | None = None
+) -> PurificationSelection:
+    """The i-th nonzero eigenpair to ancilla slot i, over `ancilla_dim`
+    slots (default: the rank)."""
+    nz = _nonzero_indices(vals)
+    anc = len(nz) if ancilla_dim is None else int(ancilla_dim)
+    if anc < len(nz):
+        raise ParamOutOfRange(f"ancilla dimension {anc} below rank {len(nz)}")
+    return PurificationSelection([(idx, slot) for slot, idx in enumerate(nz)], anc)
+
+
+def _selected(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """The eigenvalue of each selected pair, in pair order; an index
+    outside the spectrum raises SelectionOutOfRange."""
     for idx, _ in pairs:
         if idx >= len(vals):
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} outside spectrum of size {len(vals)}"
-            )
-    return [(idx, vals[idx]) for idx, _ in pairs]
+            raise SelectionOutOfRange(f"eigen-index {idx} outside spectrum of size {len(vals)}")
+    return [vals[idx] for idx, _ in pairs]
 
 
-def _check_selection(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> None:
-    """Every selected eigen-index must lie in the spectrum and carry a
-    nonzero eigenvalue; the first offending pair (indices outside the
-    spectrum first) raises SelectionOutOfRange."""
-    for idx, lam in _selected(vals, pairs):
+def _selected_nonzero(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """`_selected`, then the first pair that selects a zero eigenvalue
+    raises SelectionOutOfRange."""
+    lams = _selected(vals, pairs)
+    for (idx, _), lam in zip(pairs, lams):
         if lam <= RANK_TOL:
-            raise SelectionOutOfRange(
-                f"eigen-index {idx} selects a zero eigenvalue ({lam:.3e})"
-            )
+            raise SelectionOutOfRange(f"eigen-index {idx} selects a zero eigenvalue ({lam:.3e})")
+    return lams
 
 
-def _selects_top(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> bool:
-    return any(lam >= vals[-1] - TIE_TOL for _, lam in _selected(vals, pairs))
+def _has_top(vals: Sequence[float], lams: Sequence[float]) -> bool:
+    return any(lam >= vals[-1] - TIE_TOL for lam in lams)
 
 
 def _purification_columns(
@@ -205,13 +212,7 @@ def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
     """
     if not d.normalized:
         raise ParamOutOfRange("can only purify a normalized density matrix")
-    nz = _nonzero_indices(d.spectrum.eigenvalues)
-    rank = len(nz)
-    anc = rank if ancilla_dim is None else int(ancilla_dim)
-    if anc < rank:
-        raise ParamOutOfRange(f"ancilla dimension {anc} below rank {rank}")
-    pairs = [(idx, slot) for slot, idx in enumerate(nz)]
-    phi = partial_purify(d, PurificationSelection(pairs, anc))
+    phi = partial_purify(d, _purifying_selection(d.spectrum.eigenvalues, ancilla_dim))
     return PureState(phi.vec, normalized=True)
 
 
@@ -222,12 +223,11 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
     an index outside the spectrum or one whose eigenvalue is numerically
     zero raises SelectionOutOfRange.
     """
-    vals = d.spectrum.eigenvalues
-    _check_selection(vals, sel.pairs)
+    lams = _selected_nonzero(d.spectrum.eigenvalues, sel.pairs)
     cols = _purification_columns(d.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     out = np.zeros(cols.shape[0], dtype=np.complex128)
-    for k, (idx, _) in enumerate(sel.pairs):
-        out += np.sqrt(vals[idx]) * cols[:, k]
+    for k, lam in enumerate(lams):
+        out += np.sqrt(lam) * cols[:, k]
     return PureState(
         ComplexVector(d.dims + (sel.ancilla_dim,), out), normalized=False
     )
@@ -236,7 +236,7 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
 def has_max_eigenvalue(sel: PurificationSelection, sd: SpectralDecomposition) -> bool:
     """True iff some selected eigen-index attains the top eigenvalue
     (within 1e-12, so every member of a degenerate top eigenspace counts)."""
-    return _selects_top(sd.eigenvalues, sel.pairs)
+    return _has_top(sd.eigenvalues, _selected(sd.eigenvalues, sel.pairs))
 
 
 def isotropic(q: float) -> DensityMatrix:

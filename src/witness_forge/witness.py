@@ -1,31 +1,30 @@
 """Witness construction, product-state optimization, and verification.
 
 A witness here is one of two affine forms in a fixed Hermitian state
-sigma: `c*I - sigma` (dual form) or `sigma - c*I` (primal form). The
-admissible offsets c form an interval whose closed side is an extremal
-product-state expectation of sigma and whose open side is a spectral
-bound:
+sigma: `c*I - sigma` (dual form) or `sigma - c*I` (primal form). Both
+are W = s*(c*I - sigma), s = +1 for the dual form and -1 for the primal
+one (`WitnessForm.sign`), so the primal form is the dual form of -sigma
+at -c and every rule is the dual-form rule on (s*sigma, s*c):
 
-    dual:   max_mu <mu|sigma|mu>  <=  c  <  lambda_max(sigma)
-    primal: lambda_min(sigma)  <  c  <=  min_mu <mu|sigma|mu>
+    max_mu <mu|s*sigma|mu>  <=  s*c  <  lambda_max(s*sigma)
 
-with mu ranging over unit product states. The kernels only maximise:
-min_mu <mu|sigma|mu> = -max_mu <mu|-sigma|mu>, so the min variant
-negates sigma once and reads the value back from sigma itself. The
-maximum is computed by see-saw coordinate ascent: with all factors but
-one fixed, the optimal remaining factor is the top eigenvector of the
-contracted operator on that party, so each step solves a small
-eigenproblem and the objective is monotone. All restarts run as one
-batch: per party per sweep, one GEMM of the other parties' outer
-products against sigma builds the (R, d, d) contracted operators and
-one LAPACK `eigh` call solves them; stopped restarts leave the batch,
-and chunks of SEESAW_CHUNK restarts and GEMM slices of _BLOCK entries
-bound memory. The inner eigensolve only picks a direction; the winning
-factors alone get the canonical phase, and the reported value is their
-expectation recomputed from sigma. See-saw certifies only one
-side (a lower bound for the max, an upper bound for the min); interval
-checks therefore widen the closed side by INTERVAL_PAD and use the
-exact spectral bound for the open side.
+with mu ranging over unit product states. The kernels only maximise;
+the min variant negates sigma once and reads the value back from sigma
+itself. The maximum is computed by see-saw coordinate ascent: with all
+factors but one fixed, the optimal remaining factor is the top
+eigenvector of the contracted operator on that party, so each step
+solves a small eigenproblem and the objective is monotone. All restarts
+run as one batch: per party per sweep, one GEMM of the other parties'
+outer products against sigma builds the (R, d, d) contracted operators
+and one LAPACK `eigh` call solves them; stopped restarts leave the
+batch, and chunks of SEESAW_CHUNK restarts and GEMM slices of _BLOCK
+entries bound memory. Only the winning factors get the canonical phase,
+and the reported value is their expectation recomputed from sigma
+(`_winner`). See-saw certifies only one side (a lower bound for the
+max), so one rule, `_witness_report`, decides for strict
+`make_witness` and `verify_witness` alike: the minimal product
+expectation of W found at least -TOL_POS, and the margin
+-lambda_min(W) = lambda_max(s*sigma) - s*c above TOL_NEG.
 
 All randomness is driven by explicit integer seeds; identical inputs
 and seeds reproduce results bit for bit.
@@ -55,7 +54,6 @@ SEESAW_MAX_ITERS = 500
 # Restarts run together per see-saw batch; bounds the batch arrays for any --restarts.
 SEESAW_CHUNK = 64
 DEFAULT_RESTARTS = 32
-INTERVAL_PAD = 1e-8
 TOL_POS = 1e-8
 TOL_NEG = 1e-10
 CES_GAP = 1e-6
@@ -64,6 +62,11 @@ CES_GAP = 1e-6
 class WitnessForm(str, Enum):
     C_MINUS_SIGMA = "c_minus_sigma"
     SIGMA_MINUS_C = "sigma_minus_c"
+
+    @property
+    def sign(self) -> int:
+        """s in W = s*(c*I - sigma): +1 for c*I - sigma, -1 for sigma - c*I."""
+        return 1 if self is WitnessForm.C_MINUS_SIGMA else -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +128,9 @@ class Witness:
         return self.sigma.dims
 
     def matrix(self) -> ComplexMatrix:
+        # Two spellings, not s*(c*I - sigma): multiplying by s = -1 would
+        # flip the signed zeros of sigma - c*I (a 0 entry would become
+        # -0), and written witness files carry them.
         eye = np.eye(self.sigma.dim)
         if self.form is WitnessForm.C_MINUS_SIGMA:
             return ComplexMatrix(self.dims, self.c * eye - self.sigma.mat.mat)
@@ -133,12 +139,14 @@ class Witness:
 
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
-    """Verification summary.
+    """Verification summary, the one verdict of strict `make_witness`,
+    `verify_witness` and the grid oracle.
 
     `min_product_expectation` is an upper bound on the true product
-    minimum when produced by see-saw (exhaustive grid reports are
+    minimum of W when produced by see-saw (exhaustive grid reports are
     grid-accurate instead); `witnessing_margin` is the negated smallest
-    eigenvalue of the witness matrix. `certificate_state` is the
+    eigenvalue of W. `is_witness` holds when the first is at least
+    -TOL_POS and the second above TOL_NEG. `certificate_state` is the
     product state achieving the reported minimum.
     """
 
@@ -215,12 +223,11 @@ def _seesaw_run(
     mt: np.ndarray,
     start: Sequence[np.ndarray],
     max_iters: int = SEESAW_MAX_ITERS,
-    tol: float = SEESAW_TOL,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
     """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
     holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
     in turn. A restart stops after its first sweep that changes its
-    objective by less than `tol`, or after `max_iters` sweeps; stopped
+    objective by less than SEESAW_TOL, or after `max_iters` sweeps; stopped
     restarts leave the batch.
     Returns (values (R,), factors [(R, d_k)], converged (R,), trajectory);
     trajectory row u holds every restart's objective after u party
@@ -237,7 +244,7 @@ def _seesaw_run(
         for k, f in enumerate(run):
             values[active], f[...] = _extremal_factor(ops[k], run, k)
             traj.append(values.copy())
-        done = np.abs(values[active] - prev) < tol
+        done = np.abs(values[active] - prev) < SEESAW_TOL
         if done.any():
             for f, g in zip(factors, run):
                 f[active[done]] = g[done]
@@ -259,18 +266,20 @@ def _random_product(rng: np.random.Generator, dims: tuple[int, ...]) -> list[np.
     return out
 
 
-def _product_state(factors: Sequence[np.ndarray]) -> ProductState:
-    """The product state of unit `factors`, each given the canonical
-    phase: first component above 1e-12 in modulus real and positive."""
+def _winner(mt: np.ndarray, factors: Sequence[np.ndarray]) -> tuple[float, ProductState]:
+    """The product state of the unit winning `factors`, each given the
+    canonical phase (first component above 1e-12 in modulus real and
+    positive), and its expectation <mu|mt|mu> read back from `mt`."""
     cols = [np.array(f, dtype=np.complex128)[:, None] for f in factors]
     for col in cols:
         _phase_fix(col)
-    return ProductState(tuple(ComplexVector((col.shape[0],), col[:, 0]) for col in cols))
+    state = ProductState(tuple(ComplexVector((col.shape[0],), col[:, 0]) for col in cols))
+    return float(_expectation(mt, [f.vec for f in state.factors])), state
 
 
-def _optimize(
-    m: ComplexMatrix, mode: str, restarts: int, seed: int
-) -> OptResult:
+def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
+    """See-saw maximum of <mu|s*m|mu> for s = +1 or -1; the value is
+    reported as <mu|m|mu> of the winner."""
     m.require_hermitian()
     restarts = int(restarts)
     if restarts < 1:
@@ -280,7 +289,7 @@ def _optimize(
         raise ParamOutOfRange("seed must be nonnegative")
     dims = m.dims
     mt = m.mat.reshape(dims + dims)
-    signed = mt if mode == "max" else -mt
+    signed = s * mt  # exact: -mt bit for bit at s = -1
     best_score = -np.inf
     best_factors: list[np.ndarray] | None = None
     all_converged = True
@@ -298,9 +307,7 @@ def _optimize(
             best_score = values[i]
             best_factors = [f[i] for f in factors]
     assert best_factors is not None
-    state = _product_state(best_factors)
-    final = float(_expectation(mt, [f.vec for f in state.factors]))
-    return OptResult(final, state, restarts, all_converged)
+    return OptResult(*_winner(mt, best_factors), restarts, all_converged)
 
 
 def max_product_expectation(
@@ -311,7 +318,7 @@ def max_product_expectation(
     See-saw from `restarts` seeded random starts; the result is a
     certified lower bound on the true supremum.
     """
-    return _optimize(m, "max", restarts, seed)
+    return _optimize(m, 1, restarts, seed)
 
 
 def min_product_expectation(
@@ -319,7 +326,7 @@ def min_product_expectation(
 ) -> OptResult:
     """Best found inf over unit product states; an upper bound on the
     true infimum."""
-    return _optimize(m, "min", restarts, seed)
+    return _optimize(m, -1, restarts, seed)
 
 
 def product_expectation(m: ComplexMatrix, state: ProductState) -> float:
@@ -337,14 +344,14 @@ def make_witness(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> Witness:
-    """Build a witness, optionally enforcing the admissible c-interval.
+    """Build a witness, optionally checking that it is one.
 
-    With check="strict" the closed interval side is the optimized
-    extremal product expectation widened by INTERVAL_PAD (see-saw is
-    one-sided) and the open side is the exact spectral eigenvalue;
-    violations raise COutOfInterval, which signals that the requested
-    operator is not a witness. check="none" skips validation, for
-    callers with an external guarantee.
+    With check="strict" the see-saw maximum of s*sigma gives W's minimal
+    product expectation s*(c - value), and `_witness_report` decides as
+    it does for `verify_witness`; a rejected offset raises
+    COutOfInterval, which signals that the requested operator is not a
+    witness. check="none" skips validation, for callers with an
+    external guarantee.
     """
     form = WitnessForm(form)
     if check not in ("strict", "none"):
@@ -352,20 +359,16 @@ def make_witness(
     w = Witness(form, c, sigma)
     if check == "none":
         return w
-    if form is WitnessForm.C_MINUS_SIGMA:
-        bound = max_product_expectation(sigma.mat, restarts, seed).value
-        if not (bound - INTERVAL_PAD <= w.c < sigma.lambda_max):
-            raise COutOfInterval(
-                f"c={w.c!r} outside [{bound!r} - {INTERVAL_PAD}, {sigma.lambda_max!r}): "
-                "no witness of this form exists at this offset"
-            )
-    else:
-        bound = min_product_expectation(sigma.mat, restarts, seed).value
-        if not (sigma.lambda_min < w.c <= bound + INTERVAL_PAD):
-            raise COutOfInterval(
-                f"c={w.c!r} outside ({sigma.lambda_min!r}, {bound!r} + {INTERVAL_PAD}]: "
-                "no witness of this form exists at this offset"
-            )
+    s = form.sign
+    # by their public names, so that wrappers of the see-saw see the call
+    search = max_product_expectation if s > 0 else min_product_expectation
+    opt = search(sigma.mat, restarts, seed)
+    rep = _witness_report(w, s * (w.c - opt.value), opt.extremizer)
+    if not rep.is_witness:
+        raise COutOfInterval(
+            f"c={w.c!r}: min product expectation {rep.min_product_expectation!r}, "
+            f"margin {rep.witnessing_margin!r}; no witness of this form exists at this offset"
+        )
     return w
 
 
@@ -376,15 +379,18 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     return float((w.matrix().mat * rho.mat.mat.T).sum().real)
 
 
+def _margin(w: Witness) -> float:
+    """The witnessing margin -lambda_min(W) = lambda_max(s*sigma) - s*c,
+    from the extreme eigenvalues sigma keeps."""
+    s = w.form.sign
+    top = w.sigma.lambda_max if s > 0 else -w.sigma.lambda_min  # lambda_max(s*sigma)
+    return top - s * w.c
+
+
 def _witness_report(w: Witness, min_value: float, state: ProductState) -> WitnessReport:
     """The verdict on `w` given its minimal product expectation found by
-    a search. The margin -lambda_min(W) comes from sigma's extreme
-    eigenvalues: lambda_max(sigma) - c for c*I - sigma, c - lambda_min(sigma)
-    for sigma - c*I."""
-    if w.form is WitnessForm.C_MINUS_SIGMA:
-        margin = w.sigma.lambda_max - w.c
-    else:
-        margin = w.c - w.sigma.lambda_min
+    a search."""
+    margin = _margin(w)
     is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
     return WitnessReport(min_value, margin, is_w, state)
 

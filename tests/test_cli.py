@@ -157,6 +157,13 @@ def test_witness_make_rejects_bad_offset(capsys, sq_file, tmp_path):
     )
     assert code == 2
     assert report["error"]["type"] == "COutOfInterval"
+    # margin 5e-11 <= TOL_NEG: refused by witness-verify's rule on both sides
+    for form, c in (("c_minus_sigma", "0.39999999995"), ("sigma_minus_c", "0.20000000005")):
+        out = tmp_path / f"{form}.json"
+        code, report, _ = _run(capsys, "witness-make", sq_file, "--form", form, "--c", c, "-o", str(out))
+        assert code == 2
+        assert report["error"]["type"] == "COutOfInterval"
+        assert not out.exists()
 
 
 def test_witness_verify_non_witness_exits_two(capsys, tmp_path):

@@ -317,6 +317,12 @@ def test_identity_extend_revalidates_interval():
     )  # at or below lambda_min = 0.2
     with pytest.raises(COutOfInterval):
         identity_extend(w2, [2])
+    # margin 5e-11 <= TOL_NEG on both sides: not a witness by the report rule
+    for form, c in (("c_minus_sigma", 0.39999999995), ("sigma_minus_c", 0.20000000005)):
+        w3 = make_witness(form, isotropic(0.2), c, check="none")
+        assert not verify_witness(w3, restarts=2, seed=0).is_witness
+        with pytest.raises(COutOfInterval):
+            identity_extend(w3, [2])
 
 
 def test_extensions_refuse_a_total_dimension_above_the_cap():

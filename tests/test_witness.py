@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
     SEESAW_MAX_ITERS,
     SEESAW_TOL,
+    TOL_POS,
     WitnessForm,
     evaluate,
     is_ces,
@@ -30,6 +33,7 @@ from witness_forge.witness import (
     verify_witness,
     _random_product,
     _seesaw_run,
+    _witness_report,
 )
 
 
@@ -326,6 +330,44 @@ def test_make_witness_primal_form_interval():
         make_witness(WitnessForm.SIGMA_MINUS_C, s, 1 / 16)  # not above lambda_min
     with pytest.raises(COutOfInterval):
         make_witness(WitnessForm.SIGMA_MINUS_C, s, 0.25)  # above the min bound
+
+
+# One state per form with a nonempty offset interval: [0.3, 0.4) for the
+# dual form on isotropic(0.2), (1/16, 3/16] for the primal form on the
+# four-level example.
+_FORM_STATES = [
+    (WitnessForm.C_MINUS_SIGMA, lambda: isotropic(0.2)),
+    (WitnessForm.SIGMA_MINUS_C, _example_four_level),
+]
+
+
+@pytest.mark.parametrize("form, state", _FORM_STATES, ids=[f.value for f, _ in _FORM_STATES])
+def test_strict_make_witness_decides_by_the_report_rule(form, state):
+    sigma = state()
+    s = form.sign
+    search = max_product_expectation if s > 0 else min_product_expectation
+    opt = search(sigma.mat, 8, 3)
+    top = sigma.lambda_max if s > 0 else -sigma.lambda_min  # lambda_max(s*sigma)
+    closed = opt.value - s * TOL_POS  # min product expectation of W at -TOL_POS
+    probes = {
+        "open end": (s * top, False),
+        "5e-11 inside": (s * (top - 5e-11), False),
+        "2e-10 inside": (s * (top - 2e-10), True),
+        "closed end": (closed, None),
+        "closed end, inside": (opt.value + s * TOL_POS, True),
+        "one ulp past the closed end": (math.nextafter(closed, -s * math.inf), None),
+    }
+    for name, (c, expected) in probes.items():
+        w = make_witness(form, sigma, c, check="none")
+        verdict = _witness_report(w, s * (c - opt.value), opt.extremizer).is_witness
+        try:
+            make_witness(form, sigma, c, restarts=8, seed=3)
+            made = True
+        except COutOfInterval:
+            made = False
+        assert made == verdict, name
+        if expected is not None:
+            assert verdict is expected, name
 
 
 def test_witness_matrix_forms():
