@@ -175,11 +175,8 @@ def _cmd_cbounds(args):
         oracle_mode = "max" if args.mode == "min" else "min"
         try:
             oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)
-        except UnsupportedDims:
-            print(
-                f"cbounds: oracle skipped, dims {list(obj.dims)} unsupported",
-                file=sys.stderr,
-            )
+        except UnsupportedDims as exc:
+            print(f"cbounds: oracle skipped: {exc}", file=sys.stderr)
     opt = max_product_expectation if args.mode == "min" else min_product_expectation
     res = opt(obj.mat, restarts=args.restarts, seed=seed)
     results = {

@@ -16,15 +16,20 @@ theta_i = i*pi/resolution (i = 0..resolution) and phi_j =
 2*pi*j/resolution in (cos(theta/2), e^{i phi} sin(theta/2)); dimensions
 3 and 4 use hyperspherical angles with polar steps on [0, pi/2] and the
 same phase grid, first amplitude real nonnegative (a global factor
-phase never changes the expectation).
+phase never changes the expectation). `_grid_factors` gathers each
+factor from per-axis tables of those angles' cos and sin and of the
+phases, built once per call, with the arithmetic of the per-point
+formula in the same order, so they match it bit for bit.
 
 Supported: one or two parties of dimension <= 4, or three qubits, where
 the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
 `_support_check` alone decides this. (3,3) fits up to resolution 103,
 three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
 at 32). One scan covers every supported structure: it visits the joint
-grid in row-major blocks of at most _CHUNK points, so memory stays
-bounded, and contracts each block with one GEMM and one matmul. The
+grid in row-major blocks of at most _CHUNK = 16,384 points, so a block's
+working set stays a few MB, and contracts each block with one GEMM and
+one matmul. With leading parties (three qubits) the last party's outer
+products are built once per scan, not once per lead block. The
 top eigenvalues of the contracted blocks come in closed form when
 the exact party has dimension <= 3, and from LAPACK at dimension 4.
 
@@ -66,7 +71,7 @@ from .witness import (
 
 MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 _ANCHOR_STRIDE = 8
 # Rounding margins of the pruning bound, relative to ||a||_F (derivation
 # in `_pruned_top_eigvals`): on the normalised quadratic form, and on the
@@ -119,12 +124,13 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     h = r // 2
     if d == 1:
         return np.ones((idx.size, 1), dtype=np.complex128)
+    phase = np.exp(2j * math.pi * np.arange(r) / r)
     if d == 2:
         i_th, i_ph = np.divmod(idx, r)
-        half = i_th * (math.pi / r) / 2.0
+        half = np.arange(r + 1) * (math.pi / r) / 2.0
         out = np.empty((idx.size, 2), dtype=np.complex128)
-        out[:, 0] = np.cos(half)
-        out[:, 1] = np.sin(half) * np.exp(2j * math.pi * i_ph / r)
+        out[:, 0] = np.cos(half)[i_th]
+        out[:, 1] = np.sin(half)[i_th] * phase[i_ph]
         return out
     n_polar = d - 1
     rem = idx.copy()
@@ -138,15 +144,16 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
         rem, t = np.divmod(rem, h + 1)
         polars.append(t)
     polars.reverse()
-    theta = [t * (math.pi / 2) / h for t in polars]
+    theta = np.arange(h + 1) * (math.pi / 2) / h
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     out = np.empty((idx.size, d), dtype=np.complex128)
     running = np.ones(idx.size)
     for k in range(d - 1):
-        out[:, k] = running * np.cos(theta[k])
-        running = running * np.sin(theta[k])
+        out[:, k] = running * cos_t[polars[k]]
+        running = running * sin_t[polars[k]]
     out[:, d - 1] = running
     for k in range(1, d):
-        out[:, k] = out[:, k] * np.exp(2j * math.pi * phases[k - 1] / r)
+        out[:, k] = out[:, k] * phase[phases[k - 1]]
     return out
 
 
@@ -263,7 +270,10 @@ def _scan_grid(
     index of each gridded party; the first point at the largest value wins.
 
     A block is up to _CHUNK steps of the last gridded party times as many
-    points of the leading ones as keep it within _CHUNK points. For a
+    points of the leading ones as keep it within _CHUNK points. With
+    leading parties, the last party's outer products are built once, for
+    its whole grid, and sliced by every lead block; a lone gridded party
+    is built one block at a time, so its grid is never held whole. For a
     four-level `x`, LAPACK sees only a block's anchors and the points
     whose Weyl bound from their nearest anchor j, lambda_max(T_j) +
     sqrt(2)*||T_i - T_j||_F plus the rounding margins _FORM_PAD and
@@ -281,6 +291,8 @@ def _scan_grid(
     op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
     step = min(n_last, _CHUNK)
     lead_step = max(1, _CHUNK // step)
+    # at most 5,402 points: the last of three qubits at resolution 73
+    q_last = _outer_products(dims[last], resolution, np.arange(n_last)) if n_lead > 1 else None
     best_val = -np.inf
     best_lead = best_last = -1
     for lead_start in range(0, n_lead, lead_step):
@@ -292,7 +304,11 @@ def _scan_grid(
             p = (u[:, :, None] * p[:, None, :]).reshape(rem.size, -1)
         a = (p @ op).reshape(rem.size, dims[last] ** 2, dx * dx)
         for start in range(0, n_last, step):
-            q = _outer_products(dims[last], resolution, np.arange(start, min(n_last, start + step)))
+            stop = min(n_last, start + step)
+            if q_last is None:
+                q = _outer_products(dims[last], resolution, np.arange(start, stop))
+            else:
+                q = q_last[start:stop]
             if dx == 4 and q.shape[0] > _ANCHOR_STRIDE:  # two anchors or more
                 lam = _pruned_top_eigvals(q, a, best_val)
             else:

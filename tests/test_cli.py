@@ -100,6 +100,8 @@ def test_cbounds_oracle_skips_grids_above_cap(capsys, tmp_path, dims):
     assert code == 0
     assert report["results"]["oracle"] is None
     assert "oracle skipped" in err
+    # the reason is the grid's size at this resolution, not the structure
+    assert "resolution 256" in err
     # a resolution below the floor is still a parameter error, not a skip
     code, report, _ = _run(
         capsys, "cbounds", str(path), "--mode", "min", "--oracle", "--restarts", "1",

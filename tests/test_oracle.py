@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -171,7 +172,9 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
     for mode, signed in (("max", mt), ("min", -mt)):  # a min is the max of -m
         values = _point_by_point(m, x, mode, resolution)
         best = max(values.values()) if mode == "max" else min(values.values())
-        for chunk in (1 << 16, 7, 1):  # one block, ragged blocks, one point a block
+        # one block, lead blocks sharing one last-party block (100 at
+        # (2,2,2)@6), ragged blocks, one point a block
+        for chunk in (1 << 16, 100, 7, 1):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             winner = oracle._scan_grid(signed, dims, x, resolution)
             assert abs(values[tuple(winner)] - best) <= 1e-12
@@ -192,6 +195,89 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     assert max(sizes) <= oracle._CHUNK
     x = oracle._support_check(dims, 32)
     assert sum(sizes) == math.prod(oracle._grid_size(d, 32) for k, d in enumerate(dims) if k != x)
+
+
+def test_last_party_block_is_built_once_per_scan(monkeypatch):
+    # three qubits: one lead block of outer products per lead block, and
+    # the last party's whole grid once, shared by every lead block
+    calls = []
+    build = oracle._outer_products
+
+    def record(d, resolution, idx):
+        calls.append(idx.size)
+        return build(d, resolution, idx)
+
+    monkeypatch.setattr(oracle, "_outer_products", record)
+    dims = (2, 2, 2)
+    mt = _random_hermitian(np.random.default_rng(61), dims).mat.reshape(dims + dims)
+    oracle._scan_grid(mt, dims, 2, 32)
+    n = oracle._grid_size(2, 32)
+    lead_blocks = -(-n // (oracle._CHUNK // n))
+    assert len(calls) == lead_blocks + 1
+    assert calls[0] == n and sum(calls[1:]) == n
+
+
+@pytest.mark.parametrize("dims, resolution", [((3, 3), 32), ((2, 3), 256)])
+def test_scan_peak_memory_stays_small(dims, resolution):
+    # the blocks' working set, not the grid, sets the peak
+    mt = _random_hermitian(np.random.default_rng(67), dims).mat.reshape(dims + dims)
+    x = oracle._support_check(dims, resolution)
+    tracemalloc.start()
+    try:
+        oracle._scan_grid(mt, dims, x, resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+def _grid_factors_per_point(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
+    """Reference for `oracle._grid_factors`: cos, sin and exp taken at every
+    grid point instead of gathered from per-axis tables, in the same order
+    of arithmetic."""
+    r = resolution
+    h = r // 2
+    if d == 2:
+        i_th, i_ph = np.divmod(idx, r)
+        half = i_th * (math.pi / r) / 2.0
+        out = np.empty((idx.size, 2), dtype=np.complex128)
+        out[:, 0] = np.cos(half)
+        out[:, 1] = np.sin(half) * np.exp(2j * math.pi * i_ph / r)
+        return out
+    rem = idx.copy()
+    phases = []
+    for _ in range(d - 1):
+        rem, p = np.divmod(rem, r)
+        phases.append(p)
+    phases.reverse()
+    polars = []
+    for _ in range(d - 1):
+        rem, t = np.divmod(rem, h + 1)
+        polars.append(t)
+    polars.reverse()
+    theta = [t * (math.pi / 2) / h for t in polars]
+    out = np.empty((idx.size, d), dtype=np.complex128)
+    running = np.ones(idx.size)
+    for k in range(d - 1):
+        out[:, k] = running * np.cos(theta[k])
+        running = running * np.sin(theta[k])
+    out[:, d - 1] = running
+    for k in range(1, d):
+        out[:, k] = out[:, k] * np.exp(2j * math.pi * phases[k - 1] / r)
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, resolution, sample",
+    [(2, 32, 0), (2, 33, 0), (2, 256, 0), (3, 32, 0), (3, 33, 0), (3, 103, 10**5), (4, 32, 10**5)],
+)
+def test_grid_factors_keep_the_per_point_bits(d, resolution, sample):
+    # every index of the grid, or a seeded sample of the larger ones
+    n = oracle._grid_size(d, resolution)
+    idx = np.random.default_rng(59).integers(0, n, sample) if sample else np.arange(n)
+    got = oracle._grid_factors(d, resolution, idx)
+    ref = _grid_factors_per_point(d, resolution, idx)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def _hermitian_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -341,7 +427,7 @@ def _random_input(rng: np.random.Generator, dims: tuple[int, ...], kind: str) ->
         # the qutrit grid has 295,936 points at 32 and takes about 1 s
         # unpruned, so it runs in whole blocks on one kind
         ((3, 4), 32, (1 << 16,), ("hermitian",)),
-        ((2, 4), 256, (1 << 16,), ("full", "hermitian")),
+        ((2, 4), 256, (1 << 16, 1 << 14), ("full", "hermitian")),
     ],
 )
 def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, dims, resolution, chunks, kinds):
