@@ -26,7 +26,6 @@ from .extend import (
     identity_extend,
     mixed_tensor_extend,
     partial_purify_extend,
-    purify_extend,
     purify_extend_n,
     pure_tails_extend,
 )
@@ -263,8 +262,7 @@ def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
 # --tails files, and the extension. The lambdas look the extension
 # functions up in this module when they are called.
 _EXTEND_METHODS = {
-    "purify": ({"tails"}, (), "pure", lambda w, args, tails: (
-        purify_extend_n(w, tails) if tails else purify_extend(w))),
+    "purify": ({"tails"}, (), "pure", lambda w, args, tails: purify_extend_n(w, tails)),
     "partial": ({"selection", "ancilla_dim", "c_prime"}, ("selection", "ancilla_dim"), None,
                 lambda w, args, tails: partial_purify_extend(
                     w, _parse_selection(args.selection, args.ancilla_dim), c_prime=args.c_prime)),

@@ -142,9 +142,6 @@ def partial_purify_extend(
             raise CPrimeOutOfInterval(
                 f"c_prime={c_out!r} outside [{w.c!r}, {total!r})"
             )
-    purified = w.sigma.dim * sel.ancilla_dim
-    if purified > MAX_TOTAL_DIM:
-        raise ParamOutOfRange(f"purified dimension {purified} > {MAX_TOTAL_DIM}")
     wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
     sigma2 = _wrap_density(w.sigma.dims + (sel.ancilla_dim,), proj)

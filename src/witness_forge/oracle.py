@@ -11,42 +11,33 @@ scan is exact in that coordinate and strictly dominates gridding it.
 The best grid point is then polished by the see-saw, run as a batch of
 one.
 
-Grids are nested under resolution doubling: qubit factors use
-theta_i = i*pi/resolution (i = 0..resolution) and phi_j =
-2*pi*j/resolution in (cos(theta/2), e^{i phi} sin(theta/2)); dimensions
-3 and 4 use hyperspherical angles with polar steps on [0, pi/2] and the
-same phase grid, first amplitude real nonnegative (a global factor
-phase never changes the expectation). `_grid_factors` gathers each
-factor from per-axis tables of those angles' cos and sin and of the
-phases, built once per call, with the arithmetic of the per-point
+Grids are nested under resolution doubling, and every party has one
+layout: d-1 polar indices, most significant first, then d-1 phase
+indices j with phi_j = 2*pi*j/resolution, giving the factor
+(cos t_1, e^{i phi_1} sin t_1 cos t_2, ..., e^{i phi_{d-1}} sin t_1 ...
+sin t_{d-1}), first amplitude real nonnegative (a global factor phase
+never changes the expectation). Only the polar steps t depend on d
+(`_polar_angles`): a qubit's are the half-angles of theta_i =
+i*pi/resolution (i = 0..resolution), those of dimensions 3 and 4 step
+on [0, pi/2] in resolution//2 steps, and d = 1 has the one factor (1).
+`_grid_factors` gathers each factor from per-call tables of the polar
+cos and sin and of the phases, with the arithmetic of the per-point
 formula in the same order, so they match it bit for bit.
 
 Supported: one or two parties of dimension <= 4, or three qubits, where
 the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
 `_support_check` alone decides this. (3,3) fits up to resolution 103,
 three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
-at 32). One scan covers every supported structure: it visits the joint
-grid in row-major blocks of at most _CHUNK = 16,384 points, so a block's
-working set stays a few MB, and contracts each block with one GEMM and
-one matmul. With leading parties (three qubits) the last party's outer
-products are built once per scan, not once per lead block. The
-top eigenvalues of the contracted blocks come in closed form when
-the exact party has dimension <= 3, and from LAPACK at dimension 4.
-
-At dimension 4 the scan skips LAPACK wherever a grid point provably
-cannot win. lambda_max is Lipschitz in the grid point: by Weyl's
-inequality, lambda_max(T_i) <= lambda_max(T_j) + sqrt(2)*||T_i - T_j||_F,
-where T_i is the contracted 4x4 operator at row i of a block and the
-sqrt(2) covers LAPACK reading only the lower triangle. So LAPACK first
-solves every _ANCHOR_STRIDE-th row of a block, the anchors, and then
-only the rows whose bound from their nearest anchor reaches the best
-value found so far. The bound carries a rounding margin for the GEMM,
-LAPACK and its own arithmetic: 256 eps ||a||_F on the bound, and 1024
-eps on the squared distance ||T_i - T_j||_F**2 / ||a||_F**2, with a the
-block's contracted operator (`_pruned_top_eigvals` derives both).
-Every skipped row is strictly below a value already found, so it is
-neither the maximum nor a tie, and the winner is the one the full
-solve would pick.
+at 32). So the scan has at most one lead party (three qubits) before the
+last gridded one. It visits the joint grid in row-major blocks of at
+most _CHUNK = 16,384 points, so a block's working set stays a few MB,
+and contracts each block with one GEMM and one matmul. With a lead party
+the last party's outer products are built once per scan, not once per
+lead block. The top eigenvalues of the contracted blocks come in closed
+form when the exact party has dimension <= 3, and from LAPACK at
+dimension 4, where the scan skips LAPACK wherever a Weyl bound shows a
+grid point cannot win, so the winner is the one the full solve would
+pick (`_pruned_top_eigvals` derives the bound and its rounding margins).
 """
 
 from __future__ import annotations
@@ -104,35 +95,25 @@ def _support_check(dims: tuple[int, ...], resolution: int) -> int:
     return exact
 
 
-def _grid_size(d: int, resolution: int) -> int:
+def _polar_angles(d: int, resolution: int) -> np.ndarray:
+    """The polar steps of a d-level factor: the r+1 half-angles theta/2 of a
+    qubit, or h+1 = r//2 + 1 steps on [0, pi/2] at d >= 3."""
     r = resolution
-    h = r // 2
-    if d == 1:
-        return 1
     if d == 2:
-        return (r + 1) * r
-    if d == 3:
-        return (h + 1) ** 2 * r**2
-    if d == 4:
-        return (h + 1) ** 3 * r**3
-    raise UnsupportedDims(f"no grid for local dimension {d}")
+        return np.arange(r + 1) * (math.pi / r) / 2.0
+    h = r // 2
+    return np.arange(h + 1) * (math.pi / 2) / h
+
+
+def _grid_size(d: int, resolution: int) -> int:
+    return (len(_polar_angles(d, resolution)) * resolution) ** (d - 1)
 
 
 def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
-    """Factor vectors (len(idx), d) at the given linear grid indices."""
+    """Factor vectors (len(idx), d) at the given linear grid indices: d-1
+    polar indices, most significant first, then d-1 phase indices."""
     r = resolution
-    h = r // 2
-    if d == 1:
-        return np.ones((idx.size, 1), dtype=np.complex128)
-    phase = np.exp(2j * math.pi * np.arange(r) / r)
-    if d == 2:
-        i_th, i_ph = np.divmod(idx, r)
-        half = np.arange(r + 1) * (math.pi / r) / 2.0
-        out = np.empty((idx.size, 2), dtype=np.complex128)
-        out[:, 0] = np.cos(half)[i_th]
-        out[:, 1] = np.sin(half)[i_th] * phase[i_ph]
-        return out
-    n_polar = d - 1
+    theta = _polar_angles(d, r)
     rem = idx.copy()
     phases = []
     for _ in range(d - 1):
@@ -140,12 +121,12 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
         phases.append(p)
     phases.reverse()
     polars = []
-    for _ in range(n_polar):
-        rem, t = np.divmod(rem, h + 1)
+    for _ in range(d - 1):
+        rem, t = np.divmod(rem, theta.size)
         polars.append(t)
     polars.reverse()
-    theta = np.arange(h + 1) * (math.pi / 2) / h
     cos_t, sin_t = np.cos(theta), np.sin(theta)
+    phase = np.exp(2j * math.pi * np.arange(r) / r)
     out = np.empty((idx.size, d), dtype=np.complex128)
     running = np.ones(idx.size)
     for k in range(d - 1):
@@ -269,40 +250,38 @@ def _scan_grid(
     """Grid every party but `x`, solve `x` exactly. Returns the winning grid
     index of each gridded party; the first point at the largest value wins.
 
-    A block is up to _CHUNK steps of the last gridded party times as many
-    points of the leading ones as keep it within _CHUNK points. With
-    leading parties, the last party's outer products are built once, for
+    `_support_check` leaves at most one lead party before the last gridded
+    one: the first of three qubits. A block is up to _CHUNK steps of the
+    last party times as many lead points as keep it within _CHUNK points.
+    With a lead party, the last party's outer products are built once, for
     its whole grid, and sliced by every lead block; a lone gridded party
     is built one block at a time, so its grid is never held whole. For a
     four-level `x`, LAPACK sees only a block's anchors and the points
-    whose Weyl bound from their nearest anchor j, lambda_max(T_j) +
-    sqrt(2)*||T_i - T_j||_F plus the rounding margins _FORM_PAD and
-    _BOUND_PAD (relative to ||a||_F), reaches the best value so far
-    (`_pruned_top_eigvals`); the others are provably below it.
+    whose Weyl bound can still reach the best value so far
+    (`_pruned_top_eigvals`).
     """
     n = len(dims)
     gridded = [k for k in range(n) if k != x]
     if not gridded:
         return []
     *lead, last = gridded
-    lead_sizes = tuple(_grid_size(dims[k], resolution) for k in lead)
-    n_lead, n_last = math.prod(lead_sizes), _grid_size(dims[last], resolution)
+    n_lead = _grid_size(dims[lead[0]], resolution) if lead else 1
+    n_last = _grid_size(dims[last], resolution)
     dx = dims[x]
     op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
     step = min(n_last, _CHUNK)
     lead_step = max(1, _CHUNK // step)
     # at most 5,402 points: the last of three qubits at resolution 73
-    q_last = _outer_products(dims[last], resolution, np.arange(n_last)) if n_lead > 1 else None
+    q_last = _outer_products(dims[last], resolution, np.arange(n_last)) if lead else None
     best_val = -np.inf
     best_lead = best_last = -1
     for lead_start in range(0, n_lead, lead_step):
-        rem = np.arange(lead_start, min(n_lead, lead_start + lead_step))
-        p = np.ones((rem.size, 1), dtype=np.complex128)
-        for k, size in zip(reversed(lead), reversed(lead_sizes)):
-            rem, i = np.divmod(rem, size)
-            u = _outer_products(dims[k], resolution, i)
-            p = (u[:, :, None] * p[:, None, :]).reshape(rem.size, -1)
-        a = (p @ op).reshape(rem.size, dims[last] ** 2, dx * dx)
+        lead_stop = min(n_lead, lead_start + lead_step)
+        if lead:
+            p = _outer_products(dims[lead[0]], resolution, np.arange(lead_start, lead_stop))
+        else:
+            p = np.ones((1, 1), dtype=np.complex128)
+        a = (p @ op).reshape(p.shape[0], dims[last] ** 2, dx * dx)
         for start in range(0, n_last, step):
             stop = min(n_last, start + step)
             if q_last is None:
@@ -318,7 +297,7 @@ def _scan_grid(
                 best_val = lam[j]
                 i_lead, i_last = divmod(j, q.shape[0])
                 best_lead, best_last = lead_start + i_lead, start + i_last
-    return [int(i) for i in np.unravel_index(best_lead, lead_sizes)] + [best_last]
+    return ([best_lead] if lead else []) + [best_last]
 
 
 def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductState]:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange, SelectionOutOfRange
 from .linalg import (
+    MAX_TOTAL_DIM,
     RANK_TOL,
     TIE_TOL,
     ComplexMatrix,
@@ -194,7 +195,12 @@ def _purification_columns(
     vecs: np.ndarray, pairs: Sequence[tuple[int, int]], ancilla_dim: int
 ) -> np.ndarray:
     """The columns |e_i>|slot> (eigenvector i, ancilla basis vector) of
-    the selected (eigen-index, slot) pairs, in pair order."""
+    the selected (eigen-index, slot) pairs, in pair order. A purified
+    dimension above MAX_TOTAL_DIM raises ParamOutOfRange before any
+    column is built."""
+    purified = vecs.shape[0] * ancilla_dim
+    if purified > MAX_TOTAL_DIM:
+        raise ParamOutOfRange(f"purified dimension {purified} > {MAX_TOTAL_DIM}")
     cols = []
     for idx, slot in pairs:
         unit = np.zeros(ancilla_dim, dtype=np.complex128)

@@ -95,11 +95,19 @@ def test_oracle_matches_seesaw_on_two_qubits():
 
 
 def test_unsupported_dims():
-    for dims in ((5,), (2, 5), (2, 2, 3), (2, 2, 2, 2), (3, 3, 3)):
+    for dims, resolution in (
+        ((5,), 32), ((2, 5), 32), ((2, 2, 3), 32), ((2, 2, 2, 2), 32), ((3, 3, 3), 32),
+        # joint grids above MAX_JOINT_GRID, one step past the limits the
+        # module docstring states
+        ((3, 3), 104), ((2, 2, 2), 74), ((4, 4), 32),
+    ):
         d = int(np.prod(dims))
         m = ComplexMatrix(dims, np.eye(d) / d)
         with pytest.raises(UnsupportedDims):
-            grid_product_extremum(m, "max", 32)
+            grid_product_extremum(m, "max", resolution)
+    # and the largest grids that fit, checked without a scan
+    for dims, resolution in (((3, 3), 103), ((2, 2, 2), 73), ((2, 4), 256)):
+        assert oracle._support_check(dims, resolution) == len(dims) - 1
 
 
 def test_parameter_validation():
@@ -269,7 +277,8 @@ def _grid_factors_per_point(d: int, resolution: int, idx: np.ndarray) -> np.ndar
 
 @pytest.mark.parametrize(
     "d, resolution, sample",
-    [(2, 32, 0), (2, 33, 0), (2, 256, 0), (3, 32, 0), (3, 33, 0), (3, 103, 10**5), (4, 32, 10**5)],
+    [(2, 32, 0), (2, 33, 0), (2, 256, 0), (3, 32, 0), (3, 33, 0), (3, 103, 10**5), (4, 32, 10**5),
+     (1, 32, 0), (4, 33, 10**5)],
 )
 def test_grid_factors_keep_the_per_point_bits(d, resolution, sample):
     # every index of the grid, or a seeded sample of the larger ones

@@ -153,6 +153,16 @@ def test_purify_with_padded_ancilla():
         purify(unnorm)
 
 
+def test_purifications_above_the_dimension_cap_are_refused():
+    # 4 * 300 = 1200 > MAX_TOTAL_DIM: a file of it would not read back
+    sq = isotropic(0.2)
+    with pytest.raises(ParamOutOfRange, match="purified dimension 1200 > 1024"):
+        purify(sq, ancilla_dim=300)
+    with pytest.raises(ParamOutOfRange, match="purified dimension 1200 > 1024"):
+        partial_purify(sq, PurificationSelection(((3, 0),), 300))
+    assert purify(sq, ancilla_dim=256).dims == (2, 2, 256)
+
+
 def test_partial_purify_known_amplitudes():
     sq = isotropic(0.2)
     sd = spectral(sq)
