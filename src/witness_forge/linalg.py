@@ -16,11 +16,14 @@ depends only on the matrix, not on the basis LAPACK picks:
 * within a cluster, eigenvectors are ordered lexicographically by their
   (real, imag) entry pairs, parts of modulus <= 1e-12 counting as 0;
 * each eigenvalue is the Rayleigh quotient v^dagger A v / v^dagger v of
-  its final eigenvector, summed in `np.clongdouble` and rounded to
+  a final eigenvector, summed in `np.clongdouble` and rounded to
   float64 once. The quotient's error is quadratic in the vector's, so
   dyadic eigenvalues such as 1/16 come out exact; that relies on
   `longdouble` being the 80-bit x87 format (x86-64 Linux). Where it is
-  plain float64 the values are correct only to rounding.
+  plain float64 the values are correct only to rounding;
+* the quotients of a cluster, which can differ in their last bits, are
+  sorted ascending among themselves, so the whole list ascends; they
+  then need not pair with the eigenvectors in their lexicographic order.
 
 The convention makes spectral output reproducible bit for bit across
 runs, which downstream code relies on for deterministic reports.
@@ -290,6 +293,7 @@ def _canonical_eig(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work, vals, vecs = _hermitian_eigh(arr)
     _phase_fix(vecs)  # final for singletons; clusters get a new basis below
     n = vals.size
+    clusters = []
     i = 0
     while i < n:
         j = i + 1
@@ -304,8 +308,12 @@ def _canonical_eig(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             keys = np.stack([block.real, block.imag], axis=1).reshape(-1, j - i)
             keys[np.abs(keys) <= PHASE_PIVOT_TOL] = 0.0
             vecs[:, i:j] = block[:, np.lexsort(keys[::-1])]
+            clusters.append((i, j))
         i = j
-    return _rayleigh(work, vecs), vecs
+    out = _rayleigh(work, vecs)
+    for i, j in clusters:
+        out[i:j].sort()
+    return out, vecs
 
 
 def hermitian_eig(m: ComplexMatrix) -> SpectralDecomposition:

@@ -52,6 +52,7 @@ from .witness import (
     ProductState,
     Witness,
     WitnessReport,
+    _contract_except,
     _extremal_factor,
     _outer,
     _party_matrix,
@@ -317,7 +318,7 @@ def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductStat
         factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))[0]
 
     factors[x] = np.ones(dims[x], dtype=np.complex128) / math.sqrt(dims[x])
-    _, factors[x] = _extremal_factor(_party_matrix(signed, x), factors, x)
+    _, factors[x] = _extremal_factor(_contract_except(_party_matrix(signed, x), factors, x))
 
     _, polished, _, _ = _seesaw_run(signed, [f[None, :] for f in factors])
     return _winner(mt, [f[0] for f in polished])

@@ -15,10 +15,14 @@ factors but one fixed, the optimal remaining factor is the top
 eigenvector of the contracted operator on that party, so each step
 solves a small eigenproblem and the objective is monotone. All restarts
 run as one batch: per party per sweep, one GEMM of the other parties'
-outer products against sigma builds the (R, d, d) contracted operators
-and one LAPACK `eigh` call solves them; stopped restarts leave the
-batch, and chunks of SEESAW_CHUNK restarts and GEMM slices of _BLOCK
-entries bound memory. Only the winning factors get the canonical phase,
+outer products against sigma builds the (R, d, d) contracted operators,
+and each party's outer products are rebuilt only when it is updated.
+The top eigenpairs come from the lower triangle, in closed form for a
+qubit party (`_qubit_top`) and from one LAPACK `eigh` call otherwise;
+stopped restarts leave the batch, and chunks of SEESAW_CHUNK restarts
+and GEMM slices of _BLOCK entries bound memory. Restart r starts from
+one draw of its own SeedSequence([seed, r]) stream (`_random_starts`).
+Only the winning factors get the canonical phase,
 and the reported value is their expectation recomputed from sigma
 (`_winner`). See-saw certifies only one side (a lower bound for the
 max), so one rule, `_witness_report`, decides for strict
@@ -46,7 +50,7 @@ from .errors import (
     NotOrthonormal,
     ParamOutOfRange,
 )
-from .linalg import ComplexMatrix, ComplexVector, _phase_fix
+from .linalg import PHASE_PIVOT_TOL, ComplexMatrix, ComplexVector, _phase_fix
 from .qstate import DensityMatrix
 
 SEESAW_TOL = 1e-12
@@ -159,6 +163,17 @@ class WitnessReport:
 # Complex entries in one outer-product block (16 MB); (2,2,256) needs slices.
 _BLOCK = 1 << 20
 
+# `_qubit_top` reads a 2x2 block [[a, .], [c, d]] as its 8 floats
+# (a, ., ., ., c.re, c.im, d, .), the dots unread, and maps them by one
+# product to the columns (c.re, -c.im, t, 0, c.re, c.im, (a - d)/2,
+# (a + d)/2), t filled in later: columns 0-3 are the real and imaginary
+# parts of the eigenvector (conj c, t), columns 2-5 those of (t, c).
+_QUBIT_COLUMNS = np.zeros((8, 8))
+_QUBIT_COLUMNS[[4, 5, 4, 5, 0, 6, 0, 6], [0, 1, 4, 5, 6, 6, 7, 7]] = [
+    1.0, -1.0, 1.0, 1.0, 0.5, -0.5, 0.5, 0.5,
+]
+_LEAST_POSITIVE = np.finfo(np.float64).smallest_subnormal
+
 
 def _party_matrix(mt: np.ndarray, k: int) -> np.ndarray:
     """The (d1..dn, d1..dn) tensor `mt` as a (prod_{j!=k} d_j**2, d_k**2)
@@ -190,30 +205,66 @@ def _expectation(m: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return ((mu.conj() @ m.reshape(mu.shape[-1], -1)) * mu).sum(-1).real
 
 
-def _contract_except(op: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """The Hermitian operator left on party `k` by <f_j| . |f_j> on every other
-    party j, for (..., d_j) factors; `op` is `_party_matrix(mt, k)`. The other
-    parties' outer products, Kronecker multiplied, contract `op` in one GEMM
-    per slice of restarts whose block stays within _BLOCK entries."""
-    *batch, d = factors[k].shape
-    rows = [f.reshape(-1, f.shape[-1]) for j, f in enumerate(factors) if j != k]
-    r = math.prod(batch)
-    out = np.empty((r, d * d), dtype=np.complex128)
+def _contract(op: np.ndarray, outs: Sequence[np.ndarray], rows: int) -> np.ndarray:
+    """The (rows, d_k**2) operators left on party k by the other parties'
+    (rows, d_j**2) outer products `outs`, in party order; `op` is
+    `_party_matrix(mt, k)`. The outer products, Kronecker multiplied,
+    contract `op` in one GEMM per slice of rows whose block stays within
+    _BLOCK entries. The result is Hermitian only to rounding; its readers
+    take the lower triangle."""
     step = max(1, _BLOCK // op.shape[0])
-    for lo in range(0, r, step):
-        hi = min(r, lo + step)
-        out[lo:hi] = _kron_rows([_outer(f[lo:hi]) for f in rows], (hi - lo,)) @ op
-    out = out.reshape(*batch, d, d)
-    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    blocks = [
+        _kron_rows([o[lo : lo + step] for o in outs], (min(step, rows - lo),)) @ op
+        for lo in range(0, rows, step)
+    ]
+    # more than one block only for a tall op, whose (rows, d_k**2) result is small
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _extremal_factor(
-    op: np.ndarray, factors: Sequence[np.ndarray], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of the operator left on
-    party `k`, for every restart in the batch at once."""
+def _contract_except(op: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """The operator left on party `k` by <f_j| . |f_j> on every other party
+    j, for (..., d_j) factors; `op` is `_party_matrix(mt, k)`."""
+    *batch, d = factors[k].shape
+    outs = [_outer(f.reshape(-1, f.shape[-1])) for j, f in enumerate(factors) if j != k]
+    return _contract(op, outs, math.prod(batch)).reshape(*batch, d, d)
+
+
+def _qubit_top(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of (..., 2, 2) Hermitian
+    matrices, in closed form from the lower triangle.
+
+    With h = (a - d)/2, c the lower off-diagonal entry, r = hypot(h, |c|)
+    and t = r + |h|, the eigenvalue is (a + d)/2 + r, and (t, c) and
+    (conj c, t) are eigenvectors of norm hypot(t, |c|); the first is the
+    stable one for h > 0, the second otherwise. A scalar block (r = 0)
+    gets e_1 = (0, 1), as LAPACK returns. hypot keeps the norm from
+    overflowing or underflowing where the entries do not. A non-finite
+    entry raises NoConvergence.
+    """
+    if not np.isfinite(h).all():
+        raise NoConvergence("non-finite operator in the qubit eigensolve")
+    batch = h.shape[:-2]
+    g = np.ascontiguousarray(h, np.complex128).reshape(-1, 4).view(np.float64) @ _QUBIT_COLUMNS
+    half, c_abs = g[:, 6], np.hypot(g[:, 4], g[:, 5])
+    r = np.hypot(half, c_abs)
+    t = g[:, 2]
+    np.add(np.abs(half), r, out=t)
+    # t = 0 only where r = 0: the least positive float there turns the
+    # second vector into e_1 and leaves every other t as it is
+    np.fmax(t, _LEAST_POSITIVE, out=t)
+    v = np.where((half > 0.0)[:, None], g[:, 2:6], g[:, 0:4])
+    v /= np.hypot(t, c_abs)[:, None]
+    return (g[:, 7] + r).reshape(batch), v.view(np.complex128).reshape(batch + (2,))
+
+
+def _extremal_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of each (..., d, d) operator,
+    read from its lower triangle: in closed form for qubits
+    (`_qubit_top`), else by one batched LAPACK `eigh` call."""
+    if h.shape[-1] == 2:
+        return _qubit_top(h)
     try:
-        vals, vecs = np.linalg.eigh(_contract_except(op, factors, k))
+        vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
     return vals[..., -1], vecs[..., :, -1]
@@ -234,6 +285,7 @@ def _seesaw_run(
     updates, a stopped restart keeping its last value."""
     ops = [_party_matrix(mt, k) for k in range(mt.ndim // 2)]  # one GEMM per update
     run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
+    outs = [_outer(f) for f in run]  # rebuilt for a party only when it is updated
     factors = [np.empty_like(f) for f in run]
     values = _expectation(mt, run)
     converged = np.zeros(values.shape, dtype=bool)
@@ -242,7 +294,9 @@ def _seesaw_run(
     for _ in range(max_iters):
         prev = values[active]
         for k, f in enumerate(run):
-            values[active], f[...] = _extremal_factor(ops[k], run, k)
+            h = _contract(ops[k], outs[:k] + outs[k + 1 :], active.size)
+            values[active], f[...] = _extremal_factor(h.reshape(f.shape + f.shape[-1:]))
+            outs[k] = _outer(f)
             traj.append(values.copy())
         done = np.abs(values[active] - prev) < SEESAW_TOL
         if done.any():
@@ -251,6 +305,7 @@ def _seesaw_run(
             converged[active[done]] = True
             active = active[~done]
             run = [g[~done] for g in run]
+            outs = [o[~done] for o in outs]
             if not active.size:
                 break
     for f, g in zip(factors, run):
@@ -258,12 +313,31 @@ def _seesaw_run(
     return values, factors, converged, np.array(traj)
 
 
-def _random_product(rng: np.random.Generator, dims: tuple[int, ...]) -> list[np.ndarray]:
+def _unit_factors(draws: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """Unit (R, d) factors from (R, 2*sum(dims)) standard normal draws,
+    taken party by party as d real parts, then d imaginary parts."""
     out = []
+    lo = 0
     for d in dims:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        out.append(v / np.linalg.norm(v))
+        re, im = draws[:, lo : lo + d], draws[:, lo + d : lo + 2 * d]
+        lo += 2 * d
+        out.append((re + 1j * im) / np.sqrt((re * re + im * im).sum(-1, keepdims=True)))
     return out
+
+
+def _random_product(rng: np.random.Generator, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """One random unit product state: one draw of 2*sum(dims) normals."""
+    return [f[0] for f in _unit_factors(rng.standard_normal((1, 2 * sum(dims))), dims)]
+
+
+def _random_starts(seed: int, restarts: range, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The (R, d) start factors of the given restarts, restart r drawn from
+    its own SeedSequence([seed, r]) stream as `_random_product` draws."""
+    draws = np.stack([
+        np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(2 * sum(dims))
+        for r in restarts
+    ])
+    return _unit_factors(draws, dims)
 
 
 def _winner(mt: np.ndarray, factors: Sequence[np.ndarray]) -> tuple[float, ProductState]:
@@ -273,6 +347,10 @@ def _winner(mt: np.ndarray, factors: Sequence[np.ndarray]) -> tuple[float, Produ
     cols = [np.array(f, dtype=np.complex128)[:, None] for f in factors]
     for col in cols:
         _phase_fix(col)
+        # the rotation leaves a complex pivot real only to rounding
+        # (`_qubit_top`'s first components can be complex, LAPACK's are
+        # real); make it real to the bit
+        col.imag[np.argmax(np.abs(col[:, 0]) > PHASE_PIVOT_TOL)] = 0.0
     state = ProductState(tuple(ComplexVector((col.shape[0],), col[:, 0]) for col in cols))
     return float(_expectation(mt, [f.vec for f in state.factors])), state
 
@@ -294,13 +372,8 @@ def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
     best_factors: list[np.ndarray] | None = None
     all_converged = True
     for lo in range(0, restarts, SEESAW_CHUNK):
-        starts = [
-            _random_product(np.random.default_rng(np.random.SeedSequence([seed, r])), dims)
-            for r in range(lo, min(restarts, lo + SEESAW_CHUNK))
-        ]
-        values, factors, converged, _ = _seesaw_run(
-            signed, [np.stack(fs) for fs in zip(*starts)]
-        )
+        starts = _random_starts(seed, range(lo, min(restarts, lo + SEESAW_CHUNK)), dims)
+        values, factors, converged, _ = _seesaw_run(signed, starts)
         all_converged = all_converged and bool(converged.all())
         i = int(np.argmax(values))  # the first restart at the best value
         if best_factors is None or values[i] > best_score:

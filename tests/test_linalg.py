@@ -194,6 +194,20 @@ def test_canonical_output_ignores_the_cluster_basis_lapack_returns(monkeypatch):
         np.testing.assert_allclose(vecs, want_vecs, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_eigenvalues_ascend_exactly_on_degenerate_spectra(seed):
+    # a cluster's Rayleigh quotients can differ in the last bit; sorted
+    # within the cluster, the whole list ascends without any tolerance
+    vals, _ = _canonical_eig(_isotropic_arr(0.2))
+    assert np.all(np.diff(vals) >= 0)
+    rng = np.random.default_rng(300 + seed)
+    for spectrum in ([0.1, 0.1, 0.1, 0.5, 0.5, 0.9], [0.25] * 4, [0.0, 0.0, 0.3, 0.3, 0.4]):
+        u = _random_unitary(rng, len(spectrum))
+        vals, vecs = _canonical_eig((u * spectrum) @ u.conj().T)
+        assert np.all(np.diff(vals) >= 0)
+        np.testing.assert_allclose(vals, spectrum, atol=1e-14, rtol=0)
+
+
 def test_spectral_decomposition_reconstruct():
     rng = np.random.default_rng(7)
     m = _random_hermitian(rng, (2, 2))

@@ -266,7 +266,8 @@ def test_single_party_bounds_are_extreme_eigenvalues():
 
 
 def test_seesaw_eigensolver_failure_is_no_convergence(monkeypatch):
-    m = _random_hermitian(np.random.default_rng(31), (2, 2))
+    # (3,3): qubit parties never reach LAPACK, qutrits do
+    m = _random_hermitian(np.random.default_rng(31), (3, 3))
 
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -274,6 +275,146 @@ def test_seesaw_eigensolver_failure_is_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergence):
         max_product_expectation(m, restarts=2, seed=0)
+
+
+def test_non_finite_qubit_operator_is_no_convergence(monkeypatch):
+    m = _random_hermitian(np.random.default_rng(31), (2, 2))
+    contract = witness._contract
+
+    def poisoned(op, outs, rows):
+        out = contract(op, outs, rows)
+        out[-1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(witness, "_contract", poisoned)
+    with pytest.raises(NoConvergence):
+        max_product_expectation(m, restarts=2, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((0, 0), (1, 0), (1, 1)):
+            h = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+            h[1][entry] = bad
+            with pytest.raises(NoConvergence):
+                witness._qubit_top(h)
+
+
+def _qubit_cases() -> list[np.ndarray]:
+    rng = np.random.default_rng(61)
+    g = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    special = np.array(
+        [
+            [[1.0, 0.0], [0.0, 3.0]],  # diagonal, either order
+            [[3.0, 0.0], [0.0, 1.0]],
+            [[-2.0, 0.0], [0.0, -2.0]],  # scalar: r = 0
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 1e-9 - 1e-9j], [1e-9 + 1e-9j, 1.0]],  # near-degenerate
+            [[1.0 + 1e-9, 1e-9j], [-1e-9j, 1.0]],
+            [[0.0, 2.0 - 1.0j], [2.0 + 1.0j, 0.0]],  # purely off-diagonal
+            [[0.0, -1.0], [-1.0, 0.0]],
+        ],
+        dtype=complex,
+    )
+    return [g + np.swapaxes(g, -1, -2).conj(), special]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("case", [0, 1], ids=["random", "special"])
+def test_qubit_top_matches_lapack(case, scale):
+    h = _qubit_cases()[case] * scale
+    eps = np.finfo(float).eps
+    vals, _ = np.linalg.eigh(h)
+    lam, v = witness._qubit_top(h)  # pytest turns any RuntimeWarning into an error
+    norm = np.abs(vals).max(-1)  # ||H||_2; 0 only for the zero matrix
+    assert np.all(np.abs(lam - vals[:, -1]) <= 8 * eps * norm)
+    # residual max-norm scaled by 1/||H|| first, so it cannot underflow
+    unit = np.where(norm > 0, norm, 1.0)[:, None]
+    hv = (h / unit[..., None]) @ v[..., None]
+    res = np.linalg.norm(hv[..., 0] - (lam[:, None] / unit) * v, axis=-1)
+    assert np.all(res <= 8 * eps)
+    assert np.all(np.abs(np.linalg.norm(v, axis=-1) - 1) <= 4 * eps)
+    if case == 1:  # the scalar blocks get e_1, as LAPACK returns
+        np.testing.assert_array_equal(v[2:4], [[0, 1], [0, 1]])
+    # one matrix alone gives the same pair as in the batch
+    lam1, v1 = witness._qubit_top(h[5])
+    assert lam1.shape == () and v1.shape == (2,)
+    assert lam1 == lam[5] and np.array_equal(v1, v[5])
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_seesaw_update_cost_structure(monkeypatch):
+    # qubits never reach LAPACK
+    lapack = _count_calls(monkeypatch, np.linalg, "eigh")
+    m = _random_hermitian(np.random.default_rng(67), (2, 2, 2))
+    assert max_product_expectation(m, restarts=32, seed=0).converged
+    assert lapack == []
+    # on (2,3), one LAPACK call per qutrit update: every other update
+    mt = _random_hermitian(np.random.default_rng(71), (2, 3)).mat.reshape(2, 3, 2, 3)
+    _, _, _, traj = _seesaw_run(mt, witness._random_starts(0, range(32), (2, 3)))
+    updates = traj.shape[0] - 1
+    assert updates % 2 == 0 and len(lapack) == updates // 2
+    assert all(a.shape[1:] == (3, 3) for (a,) in lapack)
+    # one outer product per party update, plus one per party to start
+    for dims in [(2, 2, 2), (2, 3, 2, 2)]:
+        mt = _random_hermitian(np.random.default_rng(73), dims).mat.reshape(dims + dims)
+        outer = _count_calls(monkeypatch, witness, "_outer")
+        _, _, _, traj = _seesaw_run(mt, witness._random_starts(0, range(16), dims))
+        assert len(outer) == len(dims) + traj.shape[0] - 1
+
+
+def _draws_one_at_a_time(seed: int, r: int, dims: tuple[int, ...]):
+    """Restart r's start as it was drawn party by party: d real parts, then
+    d imaginary parts, normalised by np.linalg.norm."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+    raw = []
+    for d in dims:
+        raw.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return raw, [v / np.linalg.norm(v) for v in raw]
+
+
+def test_batched_starts_match_the_one_restart_draws(monkeypatch):
+    dims = (2, 3, 4)
+    m = _random_hermitian(np.random.default_rng(79), dims)
+    draws, starts = [], []
+    unit = witness._unit_factors
+    run = witness._seesaw_run
+
+    def record_draws(d, dims_):
+        draws.append(d.copy())
+        return unit(d, dims_)
+
+    def record_starts(mt, start, *args):
+        starts.append([f.copy() for f in start])
+        return run(mt, start, *args)
+
+    monkeypatch.setattr(witness, "_unit_factors", record_draws)
+    monkeypatch.setattr(witness, "_seesaw_run", record_starts)
+    monkeypatch.setattr(witness, "SEESAW_CHUNK", 64)
+    max_product_expectation(m, restarts=70, seed=5)
+    assert [len(d) for d in draws] == [64, 6]  # the second chunk starts at r = 64
+    rows = np.concatenate(draws)
+    factors = [np.concatenate(fs) for fs in zip(*starts)]
+    for r in range(70):
+        raw, want = _draws_one_at_a_time(5, r, dims)
+        got_raw, lo = [], 0
+        for d in dims:
+            got_raw.append(rows[r, lo : lo + d] + 1j * rows[r, lo + d : lo + 2 * d])
+            lo += 2 * d
+        for a, b in zip(got_raw, raw):
+            np.testing.assert_array_equal(a, b)
+        one = _random_product(np.random.default_rng(np.random.SeedSequence([5, r])), dims)
+        for f, w, o in zip(factors, want, one):
+            assert np.abs(f[r] - w).max() <= 4.5e-16
+            assert np.abs(o - w).max() <= 4.5e-16
 
 
 def test_restart_chunks_do_not_change_the_result(monkeypatch):
