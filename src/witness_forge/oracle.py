@@ -9,7 +9,8 @@ factors fixed at grid points, the optimal remaining factor is known in
 closed form as the top eigenvector of the contracted operator, so the
 scan is exact in that coordinate and strictly dominates gridding it.
 The best grid point is then polished by the see-saw, run as a batch of
-one.
+one. `exhaustive_witness_check` scans sigma itself on the form's side,
+as `verify_witness` searches it, and never builds the witness matrix.
 
 Grids are nested under resolution doubling, and every party has one
 layout: d-1 polar indices, most significant first, then d-1 phase
@@ -31,13 +32,14 @@ three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
 at 32). So the scan has at most one lead party (three qubits) before the
 last gridded one. It visits the joint grid in row-major blocks of at
 most _CHUNK = 16,384 points, so a block's working set stays a few MB,
-and contracts each block with one GEMM and one matmul. With a lead party
-the last party's outer products are built once per scan, not once per
-lead block. The top eigenvalues of the contracted blocks come in closed
-form when the exact party has dimension <= 3, and from LAPACK at
-dimension 4, where the scan skips LAPACK wherever a Weyl bound shows a
-grid point cannot win, so the winner is the one the full solve would
-pick (`_pruned_top_eigvals` derives the bound and its rounding margins).
+and contracts each block with one GEMM and one matmul. The last party's
+blocks are the outer loop, so with a lead party its outer products are
+built once per scan, not once per lead block. The top eigenvalues of
+the contracted blocks come in closed form when the exact party has
+dimension <= 3, and from LAPACK at dimension 4, where the scan skips
+LAPACK wherever a Weyl bound shows a grid point cannot win, so the
+winner is the one the full solve would pick (`_pruned_top_eigvals`
+derives the bound and its rounding margins).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .witness import (
     ProductState,
     Witness,
     WitnessReport,
-    _contract_except,
+    _contract,
     _extremal_factor,
     _outer,
     _party_matrix,
@@ -254,9 +256,10 @@ def _scan_grid(
     `_support_check` leaves at most one lead party before the last gridded
     one: the first of three qubits. A block is up to _CHUNK steps of the
     last party times as many lead points as keep it within _CHUNK points.
-    With a lead party, the last party's outer products are built once, for
-    its whole grid, and sliced by every lead block; a lone gridded party
-    is built one block at a time, so its grid is never held whole. For a
+    The last party's blocks are the outer loop and the lead blocks the
+    inner one, so with a lead party the last party's outer products are
+    built once, for its whole grid, and a lone gridded party is built one
+    block at a time, its grid never held whole. For a
     four-level `x`, LAPACK sees only a block's anchors and the points
     whose Weyl bound can still reach the best value so far
     (`_pruned_top_eigvals`).
@@ -272,23 +275,23 @@ def _scan_grid(
     op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
     step = min(n_last, _CHUNK)
     lead_step = max(1, _CHUNK // step)
-    # at most 5,402 points: the last of three qubits at resolution 73
-    q_last = _outer_products(dims[last], resolution, np.arange(n_last)) if lead else None
     best_val = -np.inf
     best_lead = best_last = -1
-    for lead_start in range(0, n_lead, lead_step):
-        lead_stop = min(n_lead, lead_start + lead_step)
-        if lead:
-            p = _outer_products(dims[lead[0]], resolution, np.arange(lead_start, lead_stop))
-        else:
-            p = np.ones((1, 1), dtype=np.complex128)
-        a = (p @ op).reshape(p.shape[0], dims[last] ** 2, dx * dx)
-        for start in range(0, n_last, step):
-            stop = min(n_last, start + step)
-            if q_last is None:
-                q = _outer_products(dims[last], resolution, np.arange(start, stop))
+    # Every supported structure has one lead block (no lead party) or one
+    # last block (the last of three qubits has at most 5,402 points, at
+    # resolution 73), so either loop runs once: each party's outer
+    # products are built once per point, and the blocks are visited in
+    # row-major order, which the first-maximum tie-break relies on.
+    for start in range(0, n_last, step):
+        stop = min(n_last, start + step)
+        q = _outer_products(dims[last], resolution, np.arange(start, stop))
+        for lead_start in range(0, n_lead, lead_step):
+            lead_stop = min(n_lead, lead_start + lead_step)
+            if lead:
+                p = _outer_products(dims[lead[0]], resolution, np.arange(lead_start, lead_stop))
             else:
-                q = q_last[start:stop]
+                p = np.ones((1, 1), dtype=np.complex128)
+            a = (p @ op).reshape(p.shape[0], dims[last] ** 2, dx * dx)
             if dx == 4 and q.shape[0] > _ANCHOR_STRIDE:  # two anchors or more
                 lam = _pruned_top_eigvals(q, a, best_val)
             else:
@@ -313,14 +316,14 @@ def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductStat
     signed = s * mt  # exact: -mt bit for bit at s = -1
     best = _scan_grid(signed, dims, x, resolution)
     gridded = [k for k in range(n) if k != x]
-    factors = [np.zeros(0)] * n
+    factors = [np.zeros(0)] * n  # (1, d) each: a see-saw batch of one
     for k, idx in zip(gridded, best):
-        factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))[0]
+        factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))
+    outs = [_outer(factors[k]) for k in gridded]
+    h = _contract(_party_matrix(signed, x), outs, 1)
+    _, factors[x] = _extremal_factor(h.reshape(1, dims[x], dims[x]))
 
-    factors[x] = np.ones(dims[x], dtype=np.complex128) / math.sqrt(dims[x])
-    _, factors[x] = _extremal_factor(_contract_except(_party_matrix(signed, x), factors, x))
-
-    _, polished, _, _ = _seesaw_run(signed, [f[None, :] for f in factors])
+    _, polished, _ = _seesaw_run(signed, factors)
     return _winner(mt, [f[0] for f in polished])
 
 
@@ -340,6 +343,6 @@ def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) ->
 
 
 def exhaustive_witness_check(w: Witness, resolution: int = 64) -> WitnessReport:
-    """WitnessReport computed from the grid scan instead of see-saw."""
-    value, state = _scan(w.matrix(), -1, resolution)
-    return _witness_report(w, value, state)
+    """WitnessReport computed from the grid scan of sigma, on the form's
+    side, instead of see-saw."""
+    return _witness_report(w, *_scan(w.sigma.mat, w.form.sign, resolution))

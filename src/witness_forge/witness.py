@@ -25,10 +25,13 @@ one draw of its own SeedSequence([seed, r]) stream (`_random_starts`).
 Only the winning factors get the canonical phase,
 and the reported value is their expectation recomputed from sigma
 (`_winner`). See-saw certifies only one side (a lower bound for the
-max), so one rule, `_witness_report`, decides for strict
-`make_witness` and `verify_witness` alike: the minimal product
-expectation of W found at least -TOL_POS, and the margin
--lambda_min(W) = lambda_max(s*sigma) - s*c above TOL_NEG.
+max), so every verdict reads the one search of s*sigma: strict
+`make_witness` is `verify_witness` plus a raise, and the grid oracle
+scans sigma in the same direction. One rule, `_witness_report`, turns
+the sigma value v found into W's minimal product expectation
+s*(c - v), which must be at least -TOL_POS, and requires the margin
+-lambda_min(W) = lambda_max(s*sigma) - s*c above TOL_NEG. W itself is
+built only for files and `evaluate`.
 
 All randomness is driven by explicit integer seeds; identical inputs
 and seeds reproduce results bit for bit.
@@ -36,7 +39,6 @@ and seeds reproduce results bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -121,7 +123,11 @@ class Witness:
     sigma: DensityMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "form", WitnessForm(self.form))
+        try:
+            form = WitnessForm(self.form)
+        except ValueError:
+            raise ParamOutOfRange(f"unknown witness form {self.form!r}") from None
+        object.__setattr__(self, "form", form)
         c = float(self.c)
         if not np.isfinite(c):
             raise ParamOutOfRange("witness offset c must be finite")
@@ -146,12 +152,13 @@ class WitnessReport:
     """Verification summary, the one verdict of strict `make_witness`,
     `verify_witness` and the grid oracle.
 
-    `min_product_expectation` is an upper bound on the true product
-    minimum of W when produced by see-saw (exhaustive grid reports are
-    grid-accurate instead); `witnessing_margin` is the negated smallest
-    eigenvalue of W. `is_witness` holds when the first is at least
-    -TOL_POS and the second above TOL_NEG. `certificate_state` is the
-    product state achieving the reported minimum.
+    `min_product_expectation` is s*(c - v) for the value v of sigma at
+    `certificate_state`, the extremum of s*sigma found by the search: an
+    upper bound on the true product minimum of W when produced by
+    see-saw (exhaustive grid reports are grid-accurate instead).
+    `witnessing_margin` is the negated smallest eigenvalue of W.
+    `is_witness` holds when the first is at least -TOL_POS and the
+    second above TOL_NEG.
     """
 
     min_product_expectation: float
@@ -221,14 +228,6 @@ def _contract(op: np.ndarray, outs: Sequence[np.ndarray], rows: int) -> np.ndarr
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _contract_except(op: np.ndarray, factors: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """The operator left on party `k` by <f_j| . |f_j> on every other party
-    j, for (..., d_j) factors; `op` is `_party_matrix(mt, k)`."""
-    *batch, d = factors[k].shape
-    outs = [_outer(f.reshape(-1, f.shape[-1])) for j, f in enumerate(factors) if j != k]
-    return _contract(op, outs, math.prod(batch)).reshape(*batch, d, d)
-
-
 def _qubit_top(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and unit eigenvector of (..., 2, 2) Hermitian
     matrices, in closed form from the lower triangle.
@@ -274,22 +273,19 @@ def _seesaw_run(
     mt: np.ndarray,
     start: Sequence[np.ndarray],
     max_iters: int = SEESAW_MAX_ITERS,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
     holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
     in turn. A restart stops after its first sweep that changes its
     objective by less than SEESAW_TOL, or after `max_iters` sweeps; stopped
     restarts leave the batch.
-    Returns (values (R,), factors [(R, d_k)], converged (R,), trajectory);
-    trajectory row u holds every restart's objective after u party
-    updates, a stopped restart keeping its last value."""
+    Returns (values (R,), factors [(R, d_k)], converged (R,))."""
     ops = [_party_matrix(mt, k) for k in range(mt.ndim // 2)]  # one GEMM per update
     run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
     outs = [_outer(f) for f in run]  # rebuilt for a party only when it is updated
     factors = [np.empty_like(f) for f in run]
     values = _expectation(mt, run)
     converged = np.zeros(values.shape, dtype=bool)
-    traj = [values.copy()]
     active = np.arange(values.size)
     for _ in range(max_iters):
         prev = values[active]
@@ -297,7 +293,6 @@ def _seesaw_run(
             h = _contract(ops[k], outs[:k] + outs[k + 1 :], active.size)
             values[active], f[...] = _extremal_factor(h.reshape(f.shape + f.shape[-1:]))
             outs[k] = _outer(f)
-            traj.append(values.copy())
         done = np.abs(values[active] - prev) < SEESAW_TOL
         if done.any():
             for f, g in zip(factors, run):
@@ -310,7 +305,7 @@ def _seesaw_run(
                 break
     for f, g in zip(factors, run):
         f[active] = g
-    return values, factors, converged, np.array(traj)
+    return values, factors, converged
 
 
 def _unit_factors(draws: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -325,14 +320,9 @@ def _unit_factors(draws: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
-def _random_product(rng: np.random.Generator, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """One random unit product state: one draw of 2*sum(dims) normals."""
-    return [f[0] for f in _unit_factors(rng.standard_normal((1, 2 * sum(dims))), dims)]
-
-
 def _random_starts(seed: int, restarts: range, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """The (R, d) start factors of the given restarts, restart r drawn from
-    its own SeedSequence([seed, r]) stream as `_random_product` draws."""
+    """The (R, d) start factors of the given restarts, restart r from one
+    draw of 2*sum(dims) normals of its own SeedSequence([seed, r]) stream."""
     draws = np.stack([
         np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(2 * sum(dims))
         for r in restarts
@@ -373,7 +363,7 @@ def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
     all_converged = True
     for lo in range(0, restarts, SEESAW_CHUNK):
         starts = _random_starts(seed, range(lo, min(restarts, lo + SEESAW_CHUNK)), dims)
-        values, factors, converged, _ = _seesaw_run(signed, starts)
+        values, factors, converged = _seesaw_run(signed, starts)
         all_converged = all_converged and bool(converged.all())
         i = int(np.argmax(values))  # the first restart at the best value
         if best_factors is None or values[i] > best_score:
@@ -419,24 +409,18 @@ def make_witness(
 ) -> Witness:
     """Build a witness, optionally checking that it is one.
 
-    With check="strict" the see-saw maximum of s*sigma gives W's minimal
-    product expectation s*(c - value), and `_witness_report` decides as
-    it does for `verify_witness`; a rejected offset raises
-    COutOfInterval, which signals that the requested operator is not a
-    witness. check="none" skips validation, for callers with an
-    external guarantee.
+    With check="strict" the witness must pass `verify_witness` at the
+    same restarts and seed; a rejected offset raises COutOfInterval,
+    which signals that the requested operator is not a witness.
+    check="none" skips validation, for callers with an external
+    guarantee. An unknown form or check mode raises ParamOutOfRange.
     """
-    form = WitnessForm(form)
     if check not in ("strict", "none"):
         raise ParamOutOfRange(f"unknown check mode {check!r}")
     w = Witness(form, c, sigma)
     if check == "none":
         return w
-    s = form.sign
-    # by their public names, so that wrappers of the see-saw see the call
-    search = max_product_expectation if s > 0 else min_product_expectation
-    opt = search(sigma.mat, restarts, seed)
-    rep = _witness_report(w, s * (w.c - opt.value), opt.extremizer)
+    rep = verify_witness(w, restarts, seed)
     if not rep.is_witness:
         raise COutOfInterval(
             f"c={w.c!r}: min product expectation {rep.min_product_expectation!r}, "
@@ -460,9 +444,11 @@ def _margin(w: Witness) -> float:
     return top - s * w.c
 
 
-def _witness_report(w: Witness, min_value: float, state: ProductState) -> WitnessReport:
-    """The verdict on `w` given its minimal product expectation found by
-    a search."""
+def _witness_report(w: Witness, value: float, state: ProductState) -> WitnessReport:
+    """The verdict on `w` from a search of sigma on the form's side:
+    `value` is <mu|sigma|mu> at the product state `state` that maximises
+    s*sigma, so W's minimal product expectation is s*(c - value)."""
+    min_value = w.form.sign * (w.c - value)
     margin = _margin(w)
     is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
     return WitnessReport(min_value, margin, is_w, state)
@@ -472,8 +458,13 @@ def verify_witness(
     w: Witness, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> WitnessReport:
     """See-saw verification: nonnegative on product states (within
-    TOL_POS) and at least one negative eigenvalue (margin above TOL_NEG)."""
-    opt = min_product_expectation(w.matrix(), restarts, seed)
+    TOL_POS) and at least one negative eigenvalue (margin above TOL_NEG).
+
+    The see-saw searches sigma itself, for its maximum in the dual form
+    and its minimum in the primal one; W is never built."""
+    # by their public names, so that wrappers of the see-saw see the call
+    search = max_product_expectation if w.form.sign > 0 else min_product_expectation
+    opt = search(w.sigma.mat, restarts, seed)
     return _witness_report(w, opt.value, opt.extremizer)
 
 

@@ -16,7 +16,13 @@ from witness_forge.cli import main
 from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix
 from witness_forge.qstate import DensityMatrix, isotropic
-from witness_forge.witness import Witness, WitnessForm, make_witness
+from witness_forge.witness import (
+    TOL_POS,
+    Witness,
+    WitnessForm,
+    make_witness,
+    max_product_expectation,
+)
 
 
 @pytest.fixture
@@ -166,6 +172,20 @@ def test_witness_make_rejects_bad_offset(capsys, sq_file, tmp_path):
         assert code == 2
         assert report["error"]["type"] == "COutOfInterval"
         assert not out.exists()
+
+
+def test_witness_verify_accepts_what_strict_make_writes_at_the_closed_end(capsys, sq_file, tmp_path):
+    # the closed end itself, where the two once searched different operators
+    c = max_product_expectation(isotropic(0.2).mat, 8, 3).value - TOL_POS
+    wpath = str(tmp_path / "w.json")
+    flags = ("--restarts", "8", "--seed", "3")
+    code, _, _ = _run(
+        capsys, "witness-make", sq_file, "--form", "c_minus_sigma", "--c", repr(c), "-o", wpath, *flags
+    )
+    assert code == 0
+    code, report, _ = _run(capsys, "witness-verify", wpath, *flags)
+    assert code == 0
+    assert report["results"]["is_witness"] is True
 
 
 def test_witness_verify_non_witness_exits_two(capsys, tmp_path):

@@ -1,0 +1,78 @@
+"""Static checks of the package source: no dead private code, no unused imports.
+
+A private module-level name (one leading underscore) that only tests
+reference is dead API; the tests should exercise what the program runs.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "witness_forge"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name read in `tree`, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and constants named with one
+    leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings listed in a module-level `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return set()
+
+
+def test_the_package_has_modules():
+    assert {p.name for p in MODULES} >= {"__init__.py", "witness.py", "oracle.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_private_definitions_are_used_by_the_package(path):
+    read = set().union(*(_loaded_names(_tree(p)) for p in MODULES))
+    unused = [n for n in _private_definitions(_tree(path)) if n not in read]
+    assert unused == [], f"{path.name}: private names no package module reads"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = _loaded_names(tree) | _exported(tree)
+    unused = [n for n in imported if n not in used]
+    assert unused == [], f"{path.name}: unused imports"

@@ -18,11 +18,13 @@ from witness_forge.errors import (
     ParamOutOfRange,
 )
 from witness_forge.linalg import ComplexMatrix, ComplexVector, hermitian_eig
+from witness_forge.oracle import exhaustive_witness_check
 from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
     SEESAW_MAX_ITERS,
     SEESAW_TOL,
     TOL_POS,
+    Witness,
     WitnessForm,
     evaluate,
     is_ces,
@@ -31,7 +33,7 @@ from witness_forge.witness import (
     min_product_expectation,
     product_expectation,
     verify_witness,
-    _random_product,
+    _random_starts,
     _seesaw_run,
     _witness_report,
 )
@@ -104,7 +106,7 @@ def test_bounds_inside_spectral_bracket():
         assert vals[0] - 1e-9 <= lo <= hi <= vals[-1] + 1e-9
 
 
-def test_seesaw_trajectory_is_monotone():
+def test_seesaw_trajectory_is_monotone(monkeypatch):
     rng = np.random.default_rng(17)
     m = _random_hermitian(rng, (2, 3))
     mt = m.mat.reshape(m.dims + m.dims)
@@ -112,9 +114,34 @@ def test_seesaw_trajectory_is_monotone():
         np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex),
         np.array([[0.0, 1.0, 0.0], [0.0, 0.6, -0.8]], dtype=complex),
     ]
-    _, _, _, traj = _seesaw_run(mt, start)
-    assert traj.shape[0] >= 2 and traj.shape[1] == 2
+    calls = []  # the values of each party update
+    top = witness._extremal_factor
+
+    def record(h):
+        vals, vecs = top(h)
+        calls.append(np.array(vals))
+        return vals, vecs
+
+    monkeypatch.setattr(witness, "_extremal_factor", record)
+    values, _, converged = _seesaw_run(mt, start)
+    # every restart's objective after each party update, a stopped restart
+    # keeping its last value: a restart leaves the batch after the first
+    # sweep that moves it by less than SEESAW_TOL
+    traj = [witness._expectation(mt, start)]
+    active = np.arange(start[0].shape[0])
+    parties = len(start)
+    for sweep in range(0, len(calls), parties):
+        prev = traj[-1][active]
+        for vals in calls[sweep : sweep + parties]:
+            assert vals.shape == active.shape
+            row = traj[-1].copy()
+            row[active] = vals
+            traj.append(row)
+        active = active[np.abs(traj[-1][active] - prev) >= SEESAW_TOL]
+    traj = np.array(traj)
+    assert traj.shape[0] >= 2 and active.size == 0 and converged.all()
     assert np.all(traj[1:] >= traj[:-1] - 1e-14)
+    np.testing.assert_array_equal(traj[-1], values)
 
 
 def _operator_on(m: np.ndarray, factors: list[np.ndarray], k: int) -> np.ndarray:
@@ -136,30 +163,27 @@ def test_contracted_operator_matches_kronecker_brute_force(dims):
     rng = np.random.default_rng(sum(dims))
     m = _random_hermitian(rng, dims).mat
     mt = m.reshape(dims + dims)
-    batch = [np.stack(fs) for fs in zip(*(_random_product(rng, dims) for _ in range(3)))]
+    batch = _random_starts(sum(dims), range(3), dims)
     tol = 1e-13 * np.linalg.norm(m, 2)
     for k in range(len(dims)):
         op = witness._party_matrix(mt, k)
-        got = witness._contract_except(op, batch, k)
-        assert got.shape == (3, dims[k], dims[k])
+        others = [j for j in range(len(dims)) if j != k]
+        got = witness._contract(op, [witness._outer(batch[j]) for j in others], 3)
+        assert got.shape == (3, dims[k] ** 2)
+        got = got.reshape(3, dims[k], dims[k])
         for r in range(3):
             single = [f[r] for f in batch]
             want = _operator_on(m, single, k)
             assert np.abs(got[r] - want).max() <= tol
-            one = witness._contract_except(op, single, k)
-            assert one.shape == (dims[k], dims[k])
-            assert np.abs(one - want).max() <= tol
+            one = witness._contract(op, [witness._outer(batch[j][r : r + 1]) for j in others], 1)
+            assert np.abs(one.reshape(dims[k], dims[k]) - want).max() <= tol
 
 
 def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
     dims = (2, 2, 64)
     m = _random_hermitian(np.random.default_rng(37), dims)
     mt = m.mat.reshape(dims + dims)
-    starts = [
-        _random_product(np.random.default_rng(np.random.SeedSequence([0, r])), dims)
-        for r in range(32)
-    ]
-    batch = [np.stack(fs) for fs in zip(*starts)]
+    batch = _random_starts(0, range(32), dims)
     whole = _seesaw_run(mt, batch, max_iters=5)
     budget = 3 * 4 * 64**2  # three restarts of the widest block, that of party 0 or 1
     blocks = []
@@ -174,7 +198,8 @@ def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
     monkeypatch.setattr(witness, "_kron_rows", record)
     for k in range(3):
         blocks.clear()
-        witness._contract_except(witness._party_matrix(mt, k), batch, k)
+        outs = [witness._outer(f) for j, f in enumerate(batch) if j != k]
+        witness._contract(witness._party_matrix(mt, k), outs, 32)
         assert sum(rows for rows, _ in blocks) == 32
         assert max(rows * cols for rows, cols in blocks) <= budget
         assert len(blocks) == (11 if k < 2 else 1)
@@ -189,8 +214,7 @@ def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
 def test_seesaw_makes_no_einsum_call(monkeypatch):
     m3 = _random_hermitian(np.random.default_rng(41), (2, 2, 2))
     m2 = _random_hermitian(np.random.default_rng(43), (2, 3))
-    start = [np.stack(fs) for fs in zip(*(_random_product(np.random.default_rng(r), (2, 3))
-                                          for r in range(4)))]
+    start = _random_starts(0, range(4), (2, 3))
 
     def fail(*args, **kwargs):
         raise AssertionError("np.einsum called on the see-saw path")
@@ -198,7 +222,7 @@ def test_seesaw_makes_no_einsum_call(monkeypatch):
     monkeypatch.setattr(np, "einsum", fail)
     res = max_product_expectation(m3, restarts=4, seed=0)
     assert res.converged
-    values, _, converged, _ = _seesaw_run(-m2.mat.reshape(2, 3, 2, 3), start)
+    values, _, converged = _seesaw_run(-m2.mat.reshape(2, 3, 2, 3), start)
     assert converged.all() and values.shape == (4,)
 
 
@@ -234,13 +258,10 @@ def _serial_seesaw(
 def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, max_iters):
     m = _random_hermitian(np.random.default_rng(matrix_seed), dims)
     mt = m.mat.reshape(dims + dims)
-    starts = [
-        _random_product(np.random.default_rng(np.random.SeedSequence([0, r])), dims)
-        for r in range(restarts)
-    ]
-    batch = [np.stack(fs) for fs in zip(*starts)]
+    batch = _random_starts(0, range(restarts), dims)
+    starts = [[f[r] for f in batch] for r in range(restarts)]
     sign = 1.0 if mode == "max" else -1.0  # the batch maximises <mu|sign*m|mu>
-    values, _, converged, _ = _seesaw_run(sign * mt, batch, max_iters=max_iters)
+    values, _, converged = _seesaw_run(sign * mt, batch, max_iters=max_iters)
     values *= sign
     for r, start in enumerate(starts):
         want, want_converged = _serial_seesaw(m.mat, start, mode, max_iters)
@@ -359,16 +380,17 @@ def test_seesaw_update_cost_structure(monkeypatch):
     assert lapack == []
     # on (2,3), one LAPACK call per qutrit update: every other update
     mt = _random_hermitian(np.random.default_rng(71), (2, 3)).mat.reshape(2, 3, 2, 3)
-    _, _, _, traj = _seesaw_run(mt, witness._random_starts(0, range(32), (2, 3)))
-    updates = traj.shape[0] - 1
-    assert updates % 2 == 0 and len(lapack) == updates // 2
+    updates = _count_calls(monkeypatch, witness, "_extremal_factor")
+    _seesaw_run(mt, _random_starts(0, range(32), (2, 3)))
+    assert len(updates) % 2 == 0 and len(lapack) == len(updates) // 2
     assert all(a.shape[1:] == (3, 3) for (a,) in lapack)
     # one outer product per party update, plus one per party to start
     for dims in [(2, 2, 2), (2, 3, 2, 2)]:
         mt = _random_hermitian(np.random.default_rng(73), dims).mat.reshape(dims + dims)
         outer = _count_calls(monkeypatch, witness, "_outer")
-        _, _, _, traj = _seesaw_run(mt, witness._random_starts(0, range(16), dims))
-        assert len(outer) == len(dims) + traj.shape[0] - 1
+        updates = _count_calls(monkeypatch, witness, "_extremal_factor")
+        _seesaw_run(mt, _random_starts(0, range(16), dims))
+        assert len(outer) == len(dims) + len(updates)
 
 
 def _draws_one_at_a_time(seed: int, r: int, dims: tuple[int, ...]):
@@ -411,10 +433,8 @@ def test_batched_starts_match_the_one_restart_draws(monkeypatch):
             lo += 2 * d
         for a, b in zip(got_raw, raw):
             np.testing.assert_array_equal(a, b)
-        one = _random_product(np.random.default_rng(np.random.SeedSequence([5, r])), dims)
-        for f, w, o in zip(factors, want, one):
+        for f, w in zip(factors, want):
             assert np.abs(f[r] - w).max() <= 4.5e-16
-            assert np.abs(o - w).max() <= 4.5e-16
 
 
 def test_restart_chunks_do_not_change_the_result(monkeypatch):
@@ -500,15 +520,41 @@ def test_strict_make_witness_decides_by_the_report_rule(form, state):
     }
     for name, (c, expected) in probes.items():
         w = make_witness(form, sigma, c, check="none")
-        verdict = _witness_report(w, s * (c - opt.value), opt.extremizer).is_witness
+        verdict = _witness_report(w, opt.value, opt.extremizer).is_witness
         try:
             make_witness(form, sigma, c, restarts=8, seed=3)
             made = True
         except COutOfInterval:
             made = False
         assert made == verdict, name
+        # witness-verify accepts every witness strict make_witness accepts
+        assert verify_witness(w, 8, 3).is_witness == made, name
         if expected is not None:
             assert verdict is expected, name
+
+
+def test_unknown_form_is_param_out_of_range():
+    sq = isotropic(0.2)
+    with pytest.raises(ParamOutOfRange):
+        make_witness("bogus", sq, 0.3)
+    with pytest.raises(ParamOutOfRange):
+        make_witness("bogus", sq, 0.3, check="none")
+    with pytest.raises(ParamOutOfRange):
+        Witness("bogus", 0.3, sq)
+    assert Witness("sigma_minus_c", 0.1, sq).form is WitnessForm.SIGMA_MINUS_C
+
+
+def test_verdicts_never_build_the_witness_matrix(monkeypatch):
+    def fail(self):
+        raise AssertionError("a verdict built W")
+
+    monkeypatch.setattr(Witness, "matrix", fail)
+    for form, state in _FORM_STATES:
+        sigma = state()
+        c = 0.3 if form is WitnessForm.C_MINUS_SIGMA else 3 / 16
+        w = make_witness(form, sigma, c, restarts=8, seed=3)
+        assert verify_witness(w, 8, 3).is_witness
+        assert exhaustive_witness_check(w, resolution=32).is_witness
 
 
 def test_witness_matrix_forms():
