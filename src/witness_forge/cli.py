@@ -50,6 +50,7 @@ from .witness import (
     TOL_NEG,
     TOL_POS,
     WitnessForm,
+    _search_params,
     evaluate,
     make_witness,
     max_product_expectation,
@@ -171,6 +172,7 @@ def _cmd_cbounds(args):
     seed = _resolve_seed(args.seed)
     oracle_value = None
     if args.oracle:
+        _search_params(args.restarts, seed)  # fail before the scan, not after it
         oracle_mode = "max" if args.mode == "min" else "min"
         try:
             oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)

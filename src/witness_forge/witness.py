@@ -15,23 +15,28 @@ factors but one fixed, the optimal remaining factor is the top
 eigenvector of the contracted operator on that party, so each step
 solves a small eigenproblem and the objective is monotone. All restarts
 run as one batch: per party per sweep, one GEMM of the other parties'
-outer products against sigma builds the (R, d, d) contracted operators,
-and each party's outer products are rebuilt only when it is updated.
-The top eigenpairs come from the lower triangle, in closed form for a
-qubit party (`_qubit_top`) and from one LAPACK `eigh` call otherwise;
-stopped restarts leave the batch, and chunks of SEESAW_CHUNK restarts
-and GEMM slices of _BLOCK entries bound memory. Restart r starts from
-one draw of its own SeedSequence([seed, r]) stream (`_random_starts`).
-Only the winning factors get the canonical phase,
-and the reported value is their expectation recomputed from sigma
-(`_winner`). See-saw certifies only one side (a lower bound for the
-max), so every verdict reads the one search of s*sigma: strict
-`make_witness` is `verify_witness` plus a raise, and the grid oracle
-scans sigma in the same direction. One rule, `_witness_report`, turns
-the sigma value v found into W's minimal product expectation
-s*(c - v), which must be at least -TOL_POS, and requires the margin
--lambda_min(W) = lambda_max(s*sigma) - s*c above TOL_NEG. W itself is
-built only for files and `evaluate`.
+rows against sigma, transformed once per run (`_bloch_operator`),
+builds the contracted operators. A qubit party is carried in Bloch
+coordinates, as the real row (1, n) of its Bloch vector n, and its
+operator comes out as the Pauli coefficients (a0, a) of a0*I + a.sigma,
+whose top eigenpair is a0 + |a| at n = a/|a|: a qubit update is a GEMM
+and a normalisation (`_bloch_top`), and on all-qubit structures every
+GEMM is real. Any other party keeps its complex factors and their outer
+products conj(f) (x) f, and its (R, d, d) operators go to one LAPACK
+`eigh` call, read from the lower triangle. A party's rows are rebuilt
+only when it is updated; stopped restarts leave the batch, and chunks
+of SEESAW_CHUNK restarts and GEMM slices of _BLOCK entries bound
+memory. Restart r starts from one draw of its own SeedSequence([seed,
+r]) stream (`_random_starts`). Only the winning factors get the
+canonical phase, and the reported value is their expectation
+recomputed from sigma (`_winner`). See-saw certifies only one side (a
+lower bound for the max), so every verdict reads the one search of
+s*sigma: strict `make_witness` is `verify_witness` plus a raise, and
+the grid oracle scans sigma in the same direction. One rule,
+`_witness_report`, turns the sigma value v found into W's minimal
+product expectation s*(c - v), which must be at least -TOL_POS, and
+requires the margin -lambda_min(W) = lambda_max(s*sigma) - s*c above
+TOL_NEG. W itself is built only for files and `evaluate`.
 
 All randomness is driven by explicit integer seeds; identical inputs
 and seeds reproduce results bit for bit.
@@ -181,6 +186,13 @@ _QUBIT_COLUMNS[[4, 5, 4, 5, 0, 6, 0, 6], [0, 1, 4, 5, 6, 6, 7, 7]] = [
 ]
 _LEAST_POSITIVE = np.finfo(np.float64).smallest_subnormal
 
+# Rows vec(s^T)/2 for s = I, X, Y, Z. A qubit factor f with Bloch vector n
+# has the outer-product row conj(f) (x) f = vec((f f^H)^T) = (1, n) @ _BLOCH,
+# and h = a0*I + a.sigma has the Pauli coefficients (a0, a) = vec(h) @ _BLOCH.T.
+_BLOCH = 0.5 * np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]], dtype=np.complex128
+)
+
 
 def _party_matrix(mt: np.ndarray, k: int) -> np.ndarray:
     """The (d1..dn, d1..dn) tensor `mt` as a (prod_{j!=k} d_j**2, d_k**2)
@@ -194,7 +206,7 @@ def _party_matrix(mt: np.ndarray, k: int) -> np.ndarray:
 def _kron_rows(vs: Sequence[np.ndarray], batch: tuple[int, ...]) -> np.ndarray:
     """Row-wise Kronecker product of (*batch, a_j) arrays, the first most
     significant: a (*batch, prod a_j) array, ones for no arrays."""
-    out = vs[0] if vs else np.ones(batch + (1,), dtype=np.complex128)
+    out = vs[0] if vs else np.ones(batch + (1,))
     for v in vs[1:]:
         out = (out[..., :, None] * v[..., None, :]).reshape(batch + (-1,))
     return out
@@ -214,18 +226,21 @@ def _expectation(m: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 
 def _contract(op: np.ndarray, outs: Sequence[np.ndarray], rows: int) -> np.ndarray:
     """The (rows, d_k**2) operators left on party k by the other parties'
-    (rows, d_j**2) outer products `outs`, in party order; `op` is
-    `_party_matrix(mt, k)`. The outer products, Kronecker multiplied,
+    rows `outs`, in party order: (rows, d_j**2) outer products against
+    `op` = `_party_matrix(mt, k)`, or, against `_bloch_operator(mt, k)`,
+    (rows, 4) Bloch rows for qubits. The rows, Kronecker multiplied,
     contract `op` in one GEMM per slice of rows whose block stays within
-    _BLOCK entries. The result is Hermitian only to rounding; its readers
-    take the lower triangle."""
+    _BLOCK entries. The result is Hermitian, or real, only to rounding;
+    its readers take the lower triangle, or the real part."""
     step = max(1, _BLOCK // op.shape[0])
+    if rows <= step:
+        return _kron_rows(outs, (rows,)) @ op
     blocks = [
         _kron_rows([o[lo : lo + step] for o in outs], (min(step, rows - lo),)) @ op
         for lo in range(0, rows, step)
     ]
     # more than one block only for a tall op, whose (rows, d_k**2) result is small
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return np.concatenate(blocks)
 
 
 def _qubit_top(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +284,61 @@ def _extremal_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[..., -1], vecs[..., :, -1]
 
 
+def _bloch_operator(mt: np.ndarray, k: int) -> np.ndarray:
+    """`_party_matrix(mt, k)` in Bloch coordinates: each other qubit's
+    row pairs multiplied by _BLOCH, so that they contract with its (1, n)
+    rows, and, if party k is a qubit, its columns mapped to the Pauli
+    coefficients (a0, a) of its operator a0*I + a.sigma. Every other
+    party keeps its outer-product rows and vec(h) columns. Real, its
+    imaginary part being rounding, when every party is a qubit."""
+    dims = mt.shape[: mt.ndim // 2]
+    op = _party_matrix(mt, k)
+    pre = 1  # the row pairs of the parties before j
+    for j, d in enumerate(dims):
+        if j != k:
+            if d == 2:
+                op = (_BLOCH @ op.reshape(pre, 4, -1)).reshape(op.shape)
+            pre *= d * d
+    if dims[k] == 2:
+        op = op @ _BLOCH.T
+    return np.ascontiguousarray(op.real) if all(d == 2 for d in dims) else op
+
+
+def _bloch_rows(f: np.ndarray) -> np.ndarray:
+    """The real (R, 4) rows (1, n) of unit (R, 2) qubit factors, n their
+    Bloch vectors, from their outer products (_BLOCH times its conjugate
+    transpose is I/2)."""
+    rows = 2.0 * (_outer(f) @ _BLOCH.conj().T).real
+    rows[:, 0] = 1.0
+    return rows
+
+
+def _bloch_top(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Top eigenvalues a0 + |a| of the qubit operators a0*I + a.sigma,
+    given as (R, 4) real Pauli coefficients `a`; the Bloch vectors a/|a|
+    of their top eigenvectors are written to rows[:, 1:]. hypot keeps
+    |a| from overflowing. A scalar operator (a = 0) gets n = (0, 0, -1),
+    the Bloch vector of e_1 = (0, 1) that LAPACK returns. A non-finite
+    coefficient, which leaves a non-finite value, raises NoConvergence."""
+    r = np.hypot(np.hypot(a[:, 1], a[:, 2]), a[:, 3])
+    top = a[:, 0] + r
+    if not np.isfinite(top).all():
+        raise NoConvergence("non-finite operator in the qubit update")
+    if r.all():
+        np.divide(a[:, 1:], r[:, None], out=rows[:, 1:])
+    else:  # r = 0 only where a = 0
+        zero = r == 0.0
+        np.divide(a[:, 1:], (r + zero)[:, None], out=rows[:, 1:])
+        rows[zero, 1:] = (0.0, 0.0, -1.0)
+    return top
+
+
+def _bloch_factors(rows: np.ndarray) -> np.ndarray:
+    """Unit (R, 2) qubit factors of the (R, 4) Bloch rows (1, n): the top
+    eigenvectors of (I + n.sigma)/2, by `_qubit_top`."""
+    return _qubit_top(np.swapaxes((rows @ _BLOCH).reshape(-1, 2, 2), 1, 2))[1]
+
+
 def _seesaw_run(
     mt: np.ndarray,
     start: Sequence[np.ndarray],
@@ -276,36 +346,51 @@ def _seesaw_run(
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
     holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
-    in turn. A restart stops after its first sweep that changes its
-    objective by less than SEESAW_TOL, or after `max_iters` sweeps; stopped
-    restarts leave the batch.
+    in turn, each by one GEMM against `_bloch_operator(mt, k)`. A qubit
+    party is carried as its real Bloch rows (1, n), and its update is a
+    normalisation (`_bloch_top`); any other party keeps its complex
+    factors and their outer products, and its update is one LAPACK call
+    (`_extremal_factor`). A restart stops after its first sweep that
+    changes its objective by less than SEESAW_TOL, or after `max_iters`
+    sweeps; stopped restarts leave the batch, their value and rows
+    written back only then. The returned qubit factors are the top
+    eigenvectors of (I + n.sigma)/2 (`_bloch_factors`).
     Returns (values (R,), factors [(R, d_k)], converged (R,))."""
-    ops = [_party_matrix(mt, k) for k in range(mt.ndim // 2)]  # one GEMM per update
+    dims = mt.shape[: mt.ndim // 2]
+    ops = [_bloch_operator(mt, k) for k in range(len(dims))]
     run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
-    outs = [_outer(f) for f in run]  # rebuilt for a party only when it is updated
-    factors = [np.empty_like(f) for f in run]
-    values = _expectation(mt, run)
-    converged = np.zeros(values.shape, dtype=bool)
-    active = np.arange(values.size)
+    val = _expectation(mt, run)
+    run = [_bloch_rows(f) if d == 2 else f for f, d in zip(run, dims)]
+    outs = [f if d == 2 else _outer(f) for f, d in zip(run, dims)]  # rebuilt on update
+    ends = [np.empty_like(f) for f in run]  # the stopped restarts' rows or factors
+    values = np.empty_like(val)
+    converged = np.zeros(val.shape, dtype=bool)
+    active = np.arange(val.size)
     for _ in range(max_iters):
-        prev = values[active]
-        for k, f in enumerate(run):
+        prev = val
+        for k, d in enumerate(dims):
             h = _contract(ops[k], outs[:k] + outs[k + 1 :], active.size)
-            values[active], f[...] = _extremal_factor(h.reshape(f.shape + f.shape[-1:]))
-            outs[k] = _outer(f)
-        done = np.abs(values[active] - prev) < SEESAW_TOL
+            if d == 2:
+                val = _bloch_top(h.real, run[k])  # rewrites run[k], which is outs[k]
+            else:
+                val, run[k] = _extremal_factor(h.reshape(-1, d, d))
+                outs[k] = _outer(run[k])
+        done = np.abs(val - prev) < SEESAW_TOL
         if done.any():
-            for f, g in zip(factors, run):
-                f[active[done]] = g[done]
-            converged[active[done]] = True
-            active = active[~done]
-            run = [g[~done] for g in run]
-            outs = [o[~done] for o in outs]
+            stop, keep = active[done], ~done
+            values[stop] = val[done]
+            converged[stop] = True
+            for e, f in zip(ends, run):
+                e[stop] = f[done]
+            active, val = active[keep], val[keep]
+            run = [f[keep] for f in run]
+            outs = [f if d == 2 else o[keep] for f, o, d in zip(run, outs, dims)]
             if not active.size:
                 break
-    for f, g in zip(factors, run):
-        f[active] = g
-    return values, factors, converged
+    values[active] = val
+    for e, f in zip(ends, run):
+        e[active] = f
+    return values, [_bloch_factors(e) if d == 2 else e for e, d in zip(ends, dims)], converged
 
 
 def _unit_factors(draws: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -345,16 +430,23 @@ def _winner(mt: np.ndarray, factors: Sequence[np.ndarray]) -> tuple[float, Produ
     return float(_expectation(mt, [f.vec for f in state.factors])), state
 
 
-def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
-    """See-saw maximum of <mu|s*m|mu> for s = +1 or -1; the value is
-    reported as <mu|m|mu> of the winner."""
-    m.require_hermitian()
+def _search_params(restarts: int, seed: int) -> tuple[int, int]:
+    """The see-saw's restart count and seed as ints; ParamOutOfRange
+    unless restarts >= 1 and seed >= 0."""
     restarts = int(restarts)
     if restarts < 1:
         raise ParamOutOfRange("restarts must be >= 1")
     seed = int(seed)
     if seed < 0:
         raise ParamOutOfRange("seed must be nonnegative")
+    return restarts, seed
+
+
+def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
+    """See-saw maximum of <mu|s*m|mu> for s = +1 or -1; the value is
+    reported as <mu|m|mu> of the winner."""
+    m.require_hermitian()
+    restarts, seed = _search_params(restarts, seed)
     dims = m.dims
     mt = m.mat.reshape(dims + dims)
     signed = s * mt  # exact: -mt bit for bit at s = -1

@@ -134,6 +134,26 @@ def test_cbounds_oracle_parameters_are_checked_before_the_seesaw(capsys, tmp_pat
     assert report["error"]["type"] == "ParamOutOfRange"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--restarts", "0", "restarts must be >= 1"), ("--seed", "-1", "seed must be nonnegative")],
+)
+def test_cbounds_oracle_checks_restarts_and_seed_before_the_scan(
+    capsys, sq_file, monkeypatch, flag, value, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("grid scan ran before the see-saw's parameter check")
+
+    monkeypatch.setattr(cli, "grid_product_extremum", unreachable)
+    code, report, _ = _run(capsys, "cbounds", sq_file, "--mode", "min", "--oracle", flag, value)
+    assert code == 2
+    assert report["error"] == {"message": message, "type": "ParamOutOfRange"}
+    # the see-saw alone refuses the value with the same error
+    monkeypatch.undo()
+    code, alone, _ = _run(capsys, "cbounds", sq_file, "--mode", "min", flag, value)
+    assert code == 2 and alone["error"] == report["error"]
+
+
 def test_witness_make_verify_eval(capsys, sq_file, tmp_path):
     wpath = str(tmp_path / "w.json")
     code, report, _ = _run(

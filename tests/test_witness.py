@@ -114,15 +114,21 @@ def test_seesaw_trajectory_is_monotone(monkeypatch):
         np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex),
         np.array([[0.0, 1.0, 0.0], [0.0, 0.6, -0.8]], dtype=complex),
     ]
-    calls = []  # the values of each party update
-    top = witness._extremal_factor
+    calls = []  # the values of each party update, qubit and qutrit
+    top, bloch = witness._extremal_factor, witness._bloch_top
 
     def record(h):
         vals, vecs = top(h)
         calls.append(np.array(vals))
         return vals, vecs
 
+    def record_bloch(a, rows):
+        vals = bloch(a, rows)
+        calls.append(np.array(vals))
+        return vals
+
     monkeypatch.setattr(witness, "_extremal_factor", record)
+    monkeypatch.setattr(witness, "_bloch_top", record_bloch)
     values, _, converged = _seesaw_run(mt, start)
     # every restart's objective after each party update, a stopped restart
     # keeping its last value: a restart leaves the batch after the first
@@ -139,6 +145,7 @@ def test_seesaw_trajectory_is_monotone(monkeypatch):
             traj.append(row)
         active = active[np.abs(traj[-1][active] - prev) >= SEESAW_TOL]
     traj = np.array(traj)
+    assert len(calls) % parties == 0
     assert traj.shape[0] >= 2 and active.size == 0 and converged.all()
     assert np.all(traj[1:] >= traj[:-1] - 1e-14)
     np.testing.assert_array_equal(traj[-1], values)
@@ -177,6 +184,39 @@ def test_contracted_operator_matches_kronecker_brute_force(dims):
             assert np.abs(got[r] - want).max() <= tol
             one = witness._contract(op, [witness._outer(batch[j][r : r + 1]) for j in others], 1)
             assert np.abs(one.reshape(dims[k], dims[k]) - want).max() <= tol
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+def test_bloch_operators_match_the_complex_contraction(dims):
+    rng = np.random.default_rng(7 * len(dims) + sum(dims))
+    m = _random_hermitian(rng, dims).mat
+    mt = m.reshape(dims + dims)
+    batch = _random_starts(5, range(4), dims)
+    outs = [witness._outer(f) for f in batch]
+    rows = [witness._bloch_rows(f) if d == 2 else witness._outer(f) for f, d in zip(batch, dims)]
+    for d, row, out in zip(dims, rows, outs):
+        if d == 2:  # (1, n) with n a unit vector, and (1, n) @ _BLOCH the outer product
+            assert np.array_equal(row[:, 0], np.ones(4))
+            assert np.abs(np.linalg.norm(row[:, 1:], axis=1) - 1).max() <= 4e-16
+            assert np.abs(row @ witness._BLOCH - out).max() <= 4e-16
+    tol = 1e-14 * np.linalg.norm(m, 2)
+    for k, d in enumerate(dims):
+        op = witness._bloch_operator(mt, k)
+        if set(dims) == {2}:
+            assert op.dtype == np.float64
+        want = witness._contract(witness._party_matrix(mt, k), outs[:k] + outs[k + 1 :], 4)
+        got = witness._contract(op, rows[:k] + rows[k + 1 :], 4)
+        if d == 2:  # the Pauli coefficients of the Hermitian part of h
+            h = want.reshape(4, 2, 2)
+            want = np.stack([
+                (h[:, 0, 0] + h[:, 1, 1]).real / 2,
+                (h[:, 1, 0] + h[:, 0, 1]).real / 2,
+                (h[:, 1, 0] - h[:, 0, 1]).imag / 2,
+                (h[:, 0, 0] - h[:, 1, 1]).real / 2,
+            ], axis=1)
+            got = got.real
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol
 
 
 def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
@@ -249,7 +289,9 @@ def _serial_seesaw(
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(
-    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 2, 2), (2, 2, 2, 2)]),
+    dims=st.sampled_from(
+        [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]
+    ),
     matrix_seed=st.integers(0, 2**32 - 1),
     restarts=st.integers(1, 6),
     mode=st.sampled_from(["max", "min"]),
@@ -304,6 +346,7 @@ def test_non_finite_qubit_operator_is_no_convergence(monkeypatch):
 
     def poisoned(op, outs, rows):
         out = contract(op, outs, rows)
+        assert out.dtype == np.float64  # the real Pauli coefficients of a qubit operator
         out[-1, 0] = np.nan
         return out
 
@@ -316,6 +359,12 @@ def test_non_finite_qubit_operator_is_no_convergence(monkeypatch):
             h[1][entry] = bad
             with pytest.raises(NoConvergence):
                 witness._qubit_top(h)
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in range(4):
+            a = np.zeros((3, 4))
+            a[1, entry] = bad
+            with pytest.raises(NoConvergence):
+                witness._bloch_top(a, np.ones((3, 4)))
 
 
 def _qubit_cases() -> list[np.ndarray]:
@@ -360,6 +409,49 @@ def test_qubit_top_matches_lapack(case, scale):
     assert lam1 == lam[5] and np.array_equal(v1, v[5])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("case", [0, 1], ids=["random", "special"])
+def test_bloch_update_matches_lapack(case, scale):
+    h = _qubit_cases()[case] * scale
+    eps = np.finfo(float).eps
+    vals, _ = np.linalg.eigh(h)
+    a = (h.reshape(-1, 4) @ witness._BLOCH.T).real  # (a0, a) of h = a0*I + a.sigma
+    rows = np.ones_like(a)
+    lam = witness._bloch_top(a, rows)  # pytest turns any RuntimeWarning into an error
+    v = witness._bloch_factors(rows)
+    norm = np.abs(vals).max(-1)  # ||H||_2; 0 only for the zero matrix
+    assert np.all(np.abs(lam - vals[:, -1]) <= 8 * eps * norm)
+    # residual max-norm scaled by 1/||H|| first, so it cannot underflow
+    unit = np.where(norm > 0, norm, 1.0)[:, None]
+    hv = (h / unit[..., None]) @ v[..., None]
+    res = np.linalg.norm(hv[..., 0] - (lam[:, None] / unit) * v, axis=-1)
+    assert np.all(res <= 8 * eps)
+    assert np.all(np.abs(np.linalg.norm(v, axis=-1) - 1) <= 4 * eps)
+    assert np.all(rows[:, 0] == 1.0)
+    if case == 1:  # the scalar blocks get n = (0, 0, -1), the Bloch vector of e_1
+        np.testing.assert_array_equal(rows[2:4], [[1, 0, 0, -1], [1, 0, 0, -1]])
+        np.testing.assert_array_equal(v[2:4], [[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3)])
+def test_maximally_mixed_seesaw_is_exact(dims):
+    # every contracted block is scalar: the value is 1/d to the bit, and
+    # every factor the last basis vector, which LAPACK returns for a scalar
+    d = int(np.prod(dims))
+    m = ComplexMatrix(dims, np.eye(d) / d)
+    mt = m.mat.reshape(dims + dims)
+    for sign in (1, -1):
+        values, factors, converged = _seesaw_run(sign * mt, _random_starts(3, range(8), dims))
+        assert np.all(values == sign / d) and converged.all()
+        for f, dk in zip(factors, dims):
+            np.testing.assert_array_equal(f, np.tile(np.eye(dk)[-1], (8, 1)))
+    for search in (max_product_expectation, min_product_expectation):
+        res = search(m, restarts=8, seed=3)
+        assert res.value == 1 / d and res.converged
+        for f, dk in zip(res.extremizer.factors, dims):
+            np.testing.assert_array_equal(f.vec, np.eye(dk)[-1])
+
+
 def _count_calls(monkeypatch, module, name: str) -> list:
     calls = []
     real = getattr(module, name)
@@ -373,22 +465,32 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 
 def test_seesaw_update_cost_structure(monkeypatch):
-    # qubits never reach LAPACK
+    # a qubit update calls neither LAPACK nor `_outer`, and the see-saw
+    # makes no complex product on an all-qubit structure
     lapack = _count_calls(monkeypatch, np.linalg, "eigh")
+    outer = _count_calls(monkeypatch, witness, "_outer")
+    qubit = _count_calls(monkeypatch, witness, "_bloch_top")
+    kron = _count_calls(monkeypatch, witness, "_kron_rows")
     m = _random_hermitian(np.random.default_rng(67), (2, 2, 2))
     assert max_product_expectation(m, restarts=32, seed=0).converged
-    assert lapack == []
+    assert lapack == [] and qubit
+    assert len(outer) == 3  # the start rows, once per party
+    runs = [vs for vs, _ in kron]
+    assert len(runs) == len(qubit) + 2  # one per update, one for the start and one in `_winner`
+    assert all(v.dtype == np.float64 for vs in runs[1:-1] for v in vs)
     # on (2,3), one LAPACK call per qutrit update: every other update
     mt = _random_hermitian(np.random.default_rng(71), (2, 3)).mat.reshape(2, 3, 2, 3)
+    lapack.clear()
+    qubit.clear()
     updates = _count_calls(monkeypatch, witness, "_extremal_factor")
     _seesaw_run(mt, _random_starts(0, range(32), (2, 3)))
-    assert len(updates) % 2 == 0 and len(lapack) == len(updates) // 2
+    assert updates and len(lapack) == len(updates) == len(qubit)
     assert all(a.shape[1:] == (3, 3) for (a,) in lapack)
-    # one outer product per party update, plus one per party to start
-    for dims in [(2, 2, 2), (2, 3, 2, 2)]:
+    # one outer product per qudit update, plus one per party to start
+    for dims in [(2, 2, 2), (2, 3, 2, 2), (3, 2, 4)]:
         mt = _random_hermitian(np.random.default_rng(73), dims).mat.reshape(dims + dims)
-        outer = _count_calls(monkeypatch, witness, "_outer")
-        updates = _count_calls(monkeypatch, witness, "_extremal_factor")
+        outer.clear()
+        updates.clear()
         _seesaw_run(mt, _random_starts(0, range(16), dims))
         assert len(outer) == len(dims) + len(updates)
 
