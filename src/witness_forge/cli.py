@@ -301,6 +301,7 @@ def _cmd_extend(args):
         _require_kind(parse_matrix_file(t), (tail_kind,), f"tail {t}")
         for t in args.tails or ()
     ]
+    _search_params(args.restarts, seed)  # fail before the extension, not after it
     w2 = extension(w, args, tails)
 
     rep = verify_witness(w2, restarts=args.restarts, seed=seed)

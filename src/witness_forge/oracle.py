@@ -153,6 +153,8 @@ def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
     """
     d = t.shape[-1]
     if d == 2:
+        # not `witness._bloch_top`: its Pauli transform and hypot calls took
+        # six (2,2,2) scans at resolution 32 from 0.21 s to 0.80 s
         alpha = t[..., 0, 0].real
         gamma = t[..., 1, 1].real
         beta = t[..., 0, 1]

@@ -175,17 +175,6 @@ class WitnessReport:
 # Complex entries in one outer-product block (16 MB); (2,2,256) needs slices.
 _BLOCK = 1 << 20
 
-# `_qubit_top` reads a 2x2 block [[a, .], [c, d]] as its 8 floats
-# (a, ., ., ., c.re, c.im, d, .), the dots unread, and maps them by one
-# product to the columns (c.re, -c.im, t, 0, c.re, c.im, (a - d)/2,
-# (a + d)/2), t filled in later: columns 0-3 are the real and imaginary
-# parts of the eigenvector (conj c, t), columns 2-5 those of (t, c).
-_QUBIT_COLUMNS = np.zeros((8, 8))
-_QUBIT_COLUMNS[[4, 5, 4, 5, 0, 6, 0, 6], [0, 1, 4, 5, 6, 6, 7, 7]] = [
-    1.0, -1.0, 1.0, 1.0, 0.5, -0.5, 0.5, 0.5,
-]
-_LEAST_POSITIVE = np.finfo(np.float64).smallest_subnormal
-
 # Rows vec(s^T)/2 for s = I, X, Y, Z. A qubit factor f with Bloch vector n
 # has the outer-product row conj(f) (x) f = vec((f f^H)^T) = (1, n) @ _BLOCH,
 # and h = a0*I + a.sigma has the Pauli coefficients (a0, a) = vec(h) @ _BLOCH.T.
@@ -243,40 +232,10 @@ def _contract(op: np.ndarray, outs: Sequence[np.ndarray], rows: int) -> np.ndarr
     return np.concatenate(blocks)
 
 
-def _qubit_top(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of (..., 2, 2) Hermitian
-    matrices, in closed form from the lower triangle.
-
-    With h = (a - d)/2, c the lower off-diagonal entry, r = hypot(h, |c|)
-    and t = r + |h|, the eigenvalue is (a + d)/2 + r, and (t, c) and
-    (conj c, t) are eigenvectors of norm hypot(t, |c|); the first is the
-    stable one for h > 0, the second otherwise. A scalar block (r = 0)
-    gets e_1 = (0, 1), as LAPACK returns. hypot keeps the norm from
-    overflowing or underflowing where the entries do not. A non-finite
-    entry raises NoConvergence.
-    """
-    if not np.isfinite(h).all():
-        raise NoConvergence("non-finite operator in the qubit eigensolve")
-    batch = h.shape[:-2]
-    g = np.ascontiguousarray(h, np.complex128).reshape(-1, 4).view(np.float64) @ _QUBIT_COLUMNS
-    half, c_abs = g[:, 6], np.hypot(g[:, 4], g[:, 5])
-    r = np.hypot(half, c_abs)
-    t = g[:, 2]
-    np.add(np.abs(half), r, out=t)
-    # t = 0 only where r = 0: the least positive float there turns the
-    # second vector into e_1 and leaves every other t as it is
-    np.fmax(t, _LEAST_POSITIVE, out=t)
-    v = np.where((half > 0.0)[:, None], g[:, 2:6], g[:, 0:4])
-    v /= np.hypot(t, c_abs)[:, None]
-    return (g[:, 7] + r).reshape(batch), v.view(np.complex128).reshape(batch + (2,))
-
-
 def _extremal_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and unit eigenvector of each (..., d, d) operator,
-    read from its lower triangle: in closed form for qubits
-    (`_qubit_top`), else by one batched LAPACK `eigh` call."""
-    if h.shape[-1] == 2:
-        return _qubit_top(h)
+    read from its lower triangle, by one batched LAPACK `eigh` call:
+    the see-saw's qudit updates and the oracle's exact-party start."""
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -334,9 +293,17 @@ def _bloch_top(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _bloch_factors(rows: np.ndarray) -> np.ndarray:
-    """Unit (R, 2) qubit factors of the (R, 4) Bloch rows (1, n): the top
-    eigenvectors of (I + n.sigma)/2, by `_qubit_top`."""
-    return _qubit_top(np.swapaxes((rows @ _BLOCH).reshape(-1, 2, 2), 1, 2))[1]
+    """Unit (R, 2) qubit factors of the (R, 4) Bloch rows (1, n) of unit n:
+    the top eigenvectors of (I + n.sigma)/2, in closed form. For n_z > 0
+    that is (1 + n_z, n_x + i n_y), else the stable (n_x - i n_y, 1 - n_z),
+    divided by the hypot of its entries; n = (0, 0, -1), the row of a
+    scalar operator, gives e_1 = (0, 1), as LAPACK returns."""
+    nx, ny, nz = rows[:, 1], rows[:, 2], rows[:, 3]
+    up = nz > 0.0
+    lead = 1.0 + np.abs(nz)  # 1 + n_z up, 1 - n_z down
+    off = nx + 1j * np.where(up, ny, -ny)
+    v = np.where(up[:, None], np.stack([lead, off], -1), np.stack([off, lead], -1))
+    return v / np.hypot(lead, np.abs(off))[:, None]
 
 
 def _seesaw_run(
@@ -423,8 +390,8 @@ def _winner(mt: np.ndarray, factors: Sequence[np.ndarray]) -> tuple[float, Produ
     for col in cols:
         _phase_fix(col)
         # the rotation leaves a complex pivot real only to rounding
-        # (`_qubit_top`'s first components can be complex, LAPACK's are
-        # real); make it real to the bit
+        # (`_bloch_factors`' first components can be complex, LAPACK's
+        # are real); make it real to the bit
         col.imag[np.argmax(np.abs(col[:, 0]) > PHASE_PIVOT_TOL)] = 0.0
     state = ProductState(tuple(ComplexVector((col.shape[0],), col[:, 0]) for col in cols))
     return float(_expectation(mt, [f.vec for f in state.factors])), state

@@ -154,6 +154,27 @@ def test_cbounds_oracle_checks_restarts_and_seed_before_the_scan(
     assert code == 2 and alone["error"] == report["error"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--restarts", "0", "restarts must be >= 1"), ("--seed", "-1", "seed must be nonnegative")],
+)
+def test_extend_checks_restarts_and_seed_before_the_extension(
+    capsys, sq_file, tmp_path, monkeypatch, flag, value, message
+):
+    wpath = str(tmp_path / "w.json")
+    _run(capsys, "witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3", "-o", wpath)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("extension built before the see-saw's parameter check")
+
+    monkeypatch.setattr(cli, "purify_extend_n", unreachable)
+    out = tmp_path / "w3.json"
+    code, report, _ = _run(capsys, "extend", wpath, "--method", "purify", flag, value, "-o", str(out))
+    assert code == 2
+    assert report["error"] == {"message": message, "type": "ParamOutOfRange"}
+    assert not out.exists()
+
+
 def test_witness_make_verify_eval(capsys, sq_file, tmp_path):
     wpath = str(tmp_path / "w.json")
     code, report, _ = _run(

@@ -1,18 +1,28 @@
-"""Static checks of the package source: no dead private code, no unused imports.
+"""Static checks of the package source: no dead private code, no unused
+imports, no stale private names in the docs.
 
 A private module-level name (one leading underscore) that only tests
 reference is dead API; the tests should exercise what the program runs.
+A backticked private name in a docstring, a comment or README.md must
+name something the package still defines.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "witness_forge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "witness_forge"
 MODULES = sorted(SRC.glob("*.py"))
+README = ROOT / "README.md"
+# `_name` or `module._name`, one leading underscore
+_BACKTICKED_PRIVATE = re.compile(r"`(?:([A-Za-z]\w*)\.)?(_[A-Za-z0-9]\w*)`")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -76,3 +86,46 @@ def test_no_unused_imports(path):
     used = _loaded_names(tree) | _exported(tree)
     unused = [n for n in imported if n not in used]
     assert unused == [], f"{path.name}: unused imports"
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every function, class, and module- or class-level assigned name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _doc_text(path: Path) -> str:
+    """The docstrings and comments of one module."""
+    source = path.read_text(encoding="utf-8")
+    docs = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    comments = [
+        tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    ]
+    return "\n".join(docs + comments)
+
+
+@pytest.mark.parametrize("path", [*MODULES, README], ids=[p.name for p in [*MODULES, README]])
+def test_backticked_private_names_exist(path):
+    defined = {p.stem: _defined_names(_tree(p)) for p in MODULES}
+    anywhere = set().union(*defined.values())
+    text = path.read_text(encoding="utf-8") if path.suffix == ".md" else _doc_text(path)
+    stale = sorted(
+        m.group(0)
+        for m in _BACKTICKED_PRIVATE.finditer(text)
+        if m.group(2) not in (defined.get(m.group(1), set()) if m.group(1) else anywhere)
+    )
+    assert stale == [], f"{path.name}: backticked private names the package does not define"
