@@ -367,23 +367,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         results, seed, restarts, summary, code = _DISPATCH[args.cmd](args)
-    except WitnessForgeError as exc:
-        report = {
+        report = dumps_canonical({
             "command": list(argv),
-            "error": {"message": str(exc), "type": type(exc).__name__},
-        }
-        print(dumps_canonical(report))
-        dt = (time.perf_counter() - t0) * 1000.0
-        print(f"error [{type(exc).__name__}]: {exc} ({dt:.1f} ms)", file=sys.stderr)
-        return exit_code_for(exc)
-    report = {
-        "command": list(argv),
-        "restarts": restarts,
-        "results": results,
-        "seed": seed,
-        "tolerances": TOLERANCES,
-    }
-    print(dumps_canonical(report))
+            "restarts": restarts,
+            "results": results,
+            "seed": seed,
+            "tolerances": TOLERANCES,
+        })
+    except WitnessForgeError as exc:
+        error = {"message": str(exc), "type": type(exc).__name__}
+        report = dumps_canonical({"command": list(argv), "error": error})
+        summary, code = f"error [{type(exc).__name__}]: {exc}", exit_code_for(exc)
+    print(report)
     dt = (time.perf_counter() - t0) * 1000.0
     print(f"{summary} ({dt:.1f} ms)", file=sys.stderr)
     return code

@@ -34,8 +34,8 @@ class NotHermitian(DomainError):
 
 
 class NoConvergence(ConvergenceError):
-    """LAPACK's Hermitian eigensolver (`numpy.linalg.eigh`) raised
-    LinAlgError: its iteration did not converge."""
+    """LAPACK's Hermitian eigensolver, called through `linalg._lapack`,
+    raised LinAlgError: its iteration did not converge."""
 
 
 class BadPartyIndex(DomainError):
@@ -96,6 +96,4 @@ def exit_code_for(exc: BaseException) -> int:
         return 3
     if isinstance(exc, DomainError):
         return 2
-    if isinstance(exc, InputError):
-        return 1
     return 1

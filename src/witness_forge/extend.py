@@ -87,9 +87,7 @@ def purify_extend(w: Witness) -> Witness:
     smallest eigenvalue of the extended witness is c - 1.
     """
     _require_dual_form(w, "purify_extend")
-    if not w.sigma.normalized:
-        raise ParamOutOfRange("can only purify a normalized sigma")
-    return partial_purify_extend(w, _purifying_selection(w.sigma.spectrum.eigenvalues))
+    return partial_purify_extend(w, _purifying_selection(w.sigma))
 
 
 def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
@@ -158,10 +156,7 @@ def count_partial_purifications(rank: int, d3: int) -> int:
     d3 = int(d3)
     if rank < 1 or d3 < 1:
         raise ParamOutOfRange("rank and ancilla dimension must be >= 1")
-    total = 0
-    for i in range(1, min(d3, rank) + 1):
-        total += math.comb(rank - 1, i - 1) * math.perm(d3, i)
-    return total
+    return sum(math.comb(rank - 1, i - 1) * math.perm(d3, i) for i in range(1, min(d3, rank) + 1))
 
 
 def enumerate_partial_purifications(

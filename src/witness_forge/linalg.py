@@ -28,7 +28,9 @@ depends only on the matrix, not on the basis LAPACK picks:
 The convention makes spectral output reproducible bit for bit across
 runs, which downstream code relies on for deterministic reports.
 `_extreme_eigvals` runs the same LAPACK call and Rayleigh step on the
-two extremal columns alone, for callers that need nothing else.
+two extremal columns alone, for callers that need nothing else. Every
+LAPACK eigensolve in the package goes through `_lapack`, which turns
+LAPACK's failure into NoConvergence.
 """
 
 from __future__ import annotations
@@ -69,6 +71,21 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _freeze(obj, field: str, what: str, ndim: int) -> None:
+    """Validate a vector (ndim 1) or square matrix (ndim 2) dataclass in
+    place: its dims, and its `field` as a read-only complex128 copy of
+    side prod(dims) with finite entries."""
+    dims = _as_dims(obj.dims)
+    arr = np.array(getattr(obj, field), dtype=np.complex128)
+    if arr.shape != (math.prod(dims),) * ndim:
+        raise DimensionMismatch(f"{what} of shape {arr.shape} does not match dims {dims}")
+    if not np.all(np.isfinite(arr)):
+        raise ParamOutOfRange(f"{what} entries must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(obj, "dims", dims)
+    object.__setattr__(obj, field, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexVector:
     """A vector on parties with local dimensions `dims`, length prod(dims)."""
@@ -77,17 +94,7 @@ class ComplexVector:
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = _as_dims(self.dims)
-        arr = np.array(self.vec, dtype=np.complex128)
-        if arr.shape != (math.prod(dims),):
-            raise DimensionMismatch(
-                f"vector of shape {arr.shape} does not match dims {dims}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ParamOutOfRange("vector entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "vec", arr)
+        _freeze(self, "vec", "vector", 1)
 
     @property
     def dim(self) -> int:
@@ -105,18 +112,7 @@ class ComplexMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = _as_dims(self.dims)
-        arr = np.array(self.mat, dtype=np.complex128)
-        d = math.prod(dims)
-        if arr.shape != (d, d):
-            raise DimensionMismatch(
-                f"matrix of shape {arr.shape} does not match dims {dims}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ParamOutOfRange("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "mat", arr)
+        _freeze(self, "mat", "matrix", 2)
 
     @property
     def dim(self) -> int:
@@ -255,15 +251,28 @@ def _cluster_basis(v: np.ndarray) -> np.ndarray:
     return v @ basis
 
 
-def _hermitian_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(symmetrized arr, eigenvalues, eigenvectors) from LAPACK `eigh`."""
-    work = np.array(arr, dtype=np.complex128)
-    work = 0.5 * (work + work.conj().T)
+def _lapack(solve, h: np.ndarray):
+    """`solve(h)` for `solve` = `np.linalg.eigh` or `eigvalsh`, the one place
+    a LAPACK LinAlgError becomes NoConvergence. Callers pass the numpy
+    function when they call, so a patched `np.linalg` attribute runs."""
     try:
-        vals, vecs = np.linalg.eigh(work)
+        return solve(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
-    return work, vals, vecs
+
+
+def _hermitian_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(symmetrized arr, eigenvalues, eigenvectors) from LAPACK `eigh`.
+    Entries so large that the symmetrization or the spectrum overflows
+    (above about 9e307) raise ParamOutOfRange."""
+    work = np.array(arr, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        work = 0.5 * (work + work.conj().T)
+    if np.isfinite(work).all():
+        vals, vecs = _lapack(np.linalg.eigh, work)
+        if np.isfinite(vals).all():
+            return work, vals, vecs
+    raise ParamOutOfRange("matrix entries too large for a finite spectrum")
 
 
 def _rayleigh(work: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -321,7 +330,8 @@ def hermitian_eig(m: ComplexMatrix) -> SpectralDecomposition:
 
     Validates Hermiticity to the 1e-10 entrywise tolerance, then runs
     `_canonical_eig` (LAPACK plus the canonical conventions documented at
-    module level). LAPACK failure raises NoConvergence.
+    module level). LAPACK failure raises NoConvergence, and entries too
+    large for a finite spectrum raise ParamOutOfRange.
     """
     m.require_hermitian()
     return SpectralDecomposition(*_canonical_eig(m.mat), m.dims)

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import ParamOutOfRange, UnsupportedDims
-from .linalg import ComplexMatrix
+from .linalg import ComplexMatrix, _lapack
 from .witness import (
     ProductState,
     Witness,
@@ -113,21 +113,13 @@ def _grid_size(d: int, resolution: int) -> int:
 
 
 def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
-    """Factor vectors (len(idx), d) at the given linear grid indices: d-1
-    polar indices, most significant first, then d-1 phase indices."""
+    """Factor vectors (len(idx), d) at the given linear grid indices, read
+    by `np.unravel_index` as d-1 polar digits, most significant first,
+    then d-1 phase digits; d = 1 has no digits and the one factor (1)."""
     r = resolution
     theta = _polar_angles(d, r)
-    rem = idx.copy()
-    phases = []
-    for _ in range(d - 1):
-        rem, p = np.divmod(rem, r)
-        phases.append(p)
-    phases.reverse()
-    polars = []
-    for _ in range(d - 1):
-        rem, t = np.divmod(rem, theta.size)
-        polars.append(t)
-    polars.reverse()
+    digits = np.unravel_index(idx, (theta.size,) * (d - 1) + (r,) * (d - 1)) if d > 1 else ()
+    polars, phases = digits[: d - 1], digits[d - 1 :]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     phase = np.exp(2j * math.pi * np.arange(r) / r)
     out = np.empty((idx.size, d), dtype=np.complex128)
@@ -185,7 +177,7 @@ def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
         det -= (e0 * n12 + e1 * n02 + e2 * n01) * s
         angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
         return q + 2.0 * p * np.cos(angle)
-    return np.linalg.eigvalsh(t)[..., -1]
+    return _lapack(np.linalg.eigvalsh, t)[..., -1]
 
 
 def _pruned_top_eigvals(q: np.ndarray, a: np.ndarray, floor: float) -> np.ndarray:
@@ -244,11 +236,6 @@ def _pruned_top_eigvals(q: np.ndarray, a: np.ndarray, floor: float) -> np.ndarra
     return lam
 
 
-def _outer_products(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
-    """Rows conj(f) (x) f, flattened to d*d, of the factors at `idx`."""
-    return _outer(_grid_factors(d, resolution, idx))
-
-
 def _scan_grid(
     mt: np.ndarray, dims: tuple[int, ...], x: int, resolution: int
 ) -> list[int]:
@@ -286,11 +273,12 @@ def _scan_grid(
     # row-major order, which the first-maximum tie-break relies on.
     for start in range(0, n_last, step):
         stop = min(n_last, start + step)
-        q = _outer_products(dims[last], resolution, np.arange(start, stop))
+        q = _outer(_grid_factors(dims[last], resolution, np.arange(start, stop)))
         for lead_start in range(0, n_lead, lead_step):
             lead_stop = min(n_lead, lead_start + lead_step)
             if lead:
-                p = _outer_products(dims[lead[0]], resolution, np.arange(lead_start, lead_stop))
+                lead_idx = np.arange(lead_start, lead_stop)
+                p = _outer(_grid_factors(dims[lead[0]], resolution, lead_idx))
             else:
                 p = np.ones((1, 1), dtype=np.complex128)
             a = (p @ op).reshape(p.shape[0], dims[last] ** 2, dx * dx)

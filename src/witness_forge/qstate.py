@@ -156,12 +156,13 @@ def _nonzero_indices(vals: Sequence[float]) -> list[int]:
     return [i for i, v in enumerate(vals) if v > RANK_TOL]
 
 
-def _purifying_selection(
-    vals: Sequence[float], ancilla_dim: int | None = None
-) -> PurificationSelection:
-    """The i-th nonzero eigenpair to ancilla slot i, over `ancilla_dim`
-    slots (default: the rank)."""
-    nz = _nonzero_indices(vals)
+def _purifying_selection(d: DensityMatrix, ancilla_dim: int | None = None) -> PurificationSelection:
+    """The i-th nonzero eigenpair of the normalized `d` to ancilla slot i,
+    over `ancilla_dim` slots (default: the rank); an unnormalized `d`
+    raises ParamOutOfRange."""
+    if not d.normalized:
+        raise ParamOutOfRange("can only purify a normalized density matrix")
+    nz = _nonzero_indices(d.spectrum.eigenvalues)
     anc = len(nz) if ancilla_dim is None else int(ancilla_dim)
     if anc < len(nz):
         raise ParamOutOfRange(f"ancilla dimension {anc} below rank {len(nz)}")
@@ -201,12 +202,10 @@ def _purification_columns(
     purified = vecs.shape[0] * ancilla_dim
     if purified > MAX_TOTAL_DIM:
         raise ParamOutOfRange(f"purified dimension {purified} > {MAX_TOTAL_DIM}")
-    cols = []
-    for idx, slot in pairs:
-        unit = np.zeros(ancilla_dim, dtype=np.complex128)
-        unit[slot] = 1.0
-        cols.append(np.kron(vecs[:, idx], unit))
-    return np.column_stack(cols)
+    idx, slots = np.array(pairs).T
+    cols = np.zeros((vecs.shape[0], ancilla_dim, len(pairs)), dtype=np.complex128)
+    cols[:, slots, np.arange(len(pairs))] = vecs[:, idx]
+    return cols.reshape(purified, len(pairs))
 
 
 def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
@@ -216,9 +215,7 @@ def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
     pads with zero amplitudes. Eigenpairs enter in canonical ascending
     order, the i-th nonzero one paired with ancilla slot i.
     """
-    if not d.normalized:
-        raise ParamOutOfRange("can only purify a normalized density matrix")
-    phi = partial_purify(d, _purifying_selection(d.spectrum.eigenvalues, ancilla_dim))
+    phi = partial_purify(d, _purifying_selection(d, ancilla_dim))
     return PureState(phi.vec, normalized=True)
 
 
@@ -231,12 +228,8 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
     """
     lams = _selected_nonzero(d.spectrum.eigenvalues, sel.pairs)
     cols = _purification_columns(d.spectrum.vectors, sel.pairs, sel.ancilla_dim)
-    out = np.zeros(cols.shape[0], dtype=np.complex128)
-    for k, lam in enumerate(lams):
-        out += np.sqrt(lam) * cols[:, k]
-    return PureState(
-        ComplexVector(d.dims + (sel.ancilla_dim,), out), normalized=False
-    )
+    vec = ComplexVector(d.dims + (sel.ancilla_dim,), cols @ np.sqrt(lams))
+    return PureState(vec, normalized=False)
 
 
 def has_max_eigenvalue(sel: PurificationSelection, sd: SpectralDecomposition) -> bool:

@@ -57,7 +57,7 @@ from .errors import (
     NotOrthonormal,
     ParamOutOfRange,
 )
-from .linalg import PHASE_PIVOT_TOL, ComplexMatrix, ComplexVector, _phase_fix
+from .linalg import PHASE_PIVOT_TOL, ComplexMatrix, ComplexVector, _lapack, _phase_fix
 from .qstate import DensityMatrix
 
 SEESAW_TOL = 1e-12
@@ -236,10 +236,7 @@ def _extremal_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and unit eigenvector of each (..., d, d) operator,
     read from its lower triangle, by one batched LAPACK `eigh` call:
     the see-saw's qudit updates and the oracle's exact-party start."""
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigensolver did not converge: {exc}") from exc
+    vals, vecs = _lapack(np.linalg.eigh, h)
     return vals[..., -1], vecs[..., :, -1]
 
 
@@ -307,9 +304,7 @@ def _bloch_factors(rows: np.ndarray) -> np.ndarray:
 
 
 def _seesaw_run(
-    mt: np.ndarray,
-    start: Sequence[np.ndarray],
-    max_iters: int = SEESAW_MAX_ITERS,
+    mt: np.ndarray, start: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
     holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
@@ -318,10 +313,11 @@ def _seesaw_run(
     normalisation (`_bloch_top`); any other party keeps its complex
     factors and their outer products, and its update is one LAPACK call
     (`_extremal_factor`). A restart stops after its first sweep that
-    changes its objective by less than SEESAW_TOL, or after `max_iters`
-    sweeps; stopped restarts leave the batch, their value and rows
-    written back only then. The returned qubit factors are the top
-    eigenvectors of (I + n.sigma)/2 (`_bloch_factors`).
+    changes its objective by less than SEESAW_TOL, or after
+    SEESAW_MAX_ITERS sweeps (the module's value when the call starts);
+    stopped restarts leave the batch, their value and rows written back
+    only then. The returned qubit factors are the top eigenvectors of
+    (I + n.sigma)/2 (`_bloch_factors`).
     Returns (values (R,), factors [(R, d_k)], converged (R,))."""
     dims = mt.shape[: mt.ndim // 2]
     ops = [_bloch_operator(mt, k) for k in range(len(dims))]
@@ -333,7 +329,7 @@ def _seesaw_run(
     values = np.empty_like(val)
     converged = np.zeros(val.shape, dtype=bool)
     active = np.arange(val.size)
-    for _ in range(max_iters):
+    for _ in range(SEESAW_MAX_ITERS):
         prev = val
         for k, d in enumerate(dims):
             h = _contract(ops[k], outs[:k] + outs[k + 1 :], active.size)

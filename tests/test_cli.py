@@ -13,6 +13,7 @@ import pytest
 import witness_forge
 from witness_forge import cli, linalg, qstate
 from witness_forge.cli import main
+from witness_forge.errors import ParamOutOfRange
 from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix
 from witness_forge.qstate import DensityMatrix, isotropic
@@ -405,6 +406,33 @@ def test_over_cap_header_is_refused_before_decoding(capsys, tmp_path):
     code, report, _ = _run(capsys, "spectral", str(path))
     assert code == 1  # at the cap the body is read, and its shape is wrong
     assert report["error"]["type"] == "ParseError"
+
+
+def test_overflowing_spectra_exit_two_before_any_file_is_written(capsys, tmp_path):
+    # 0.5*(A + A^H) overflows above about 9e307, so these entries, finite
+    # in the file and in the trace, have no finite spectrum
+    body = {"dims": [2], "data": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5e307, 0.0]]]}
+    density = {"version": "1", "kind": "density", "normalized": False, **body}
+    hermitian = {"version": "1", "kind": "hermitian", **body}
+    out = tmp_path / "w.json"
+    runs = {
+        "spectral-density": (density, ["spectral"]),
+        "spectral-hermitian": (hermitian, ["spectral"]),
+        "cbounds": (density, ["cbounds", "--mode", "min", "--restarts", "2"]),
+        "witness-make": (density, [
+            "witness-make", "--form", "c_minus_sigma", "--c", "1.0", "--check", "none",
+            "-o", str(out),
+        ]),
+    }
+    for name, (doc, argv) in runs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = _run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2, name
+        assert report["error"]["type"] == "ParamOutOfRange", name
+    assert not out.exists()
+    with pytest.raises(ParamOutOfRange):
+        DensityMatrix(ComplexMatrix((2,), np.diag([1e308, 5e307])), normalized=False)
 
 
 def test_wrong_kind_is_usage_error(capsys, sq_file, tmp_path):

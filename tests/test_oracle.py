@@ -20,6 +20,7 @@ from witness_forge.oracle import exhaustive_witness_check, grid_product_extremum
 from witness_forge.qstate import isotropic
 from witness_forge.witness import (
     WitnessForm,
+    _outer,
     _party_matrix,
     make_witness,
     max_product_expectation,
@@ -206,16 +207,16 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
 
 
 def test_last_party_block_is_built_once_per_scan(monkeypatch):
-    # three qubits: one lead block of outer products per lead block, and
-    # the last party's whole grid once, shared by every lead block
+    # three qubits: one lead block of factors per lead block, and the
+    # last party's whole grid once, shared by every lead block
     calls = []
-    build = oracle._outer_products
+    build = oracle._grid_factors
 
     def record(d, resolution, idx):
         calls.append(idx.size)
         return build(d, resolution, idx)
 
-    monkeypatch.setattr(oracle, "_outer_products", record)
+    monkeypatch.setattr(oracle, "_grid_factors", record)
     dims = (2, 2, 2)
     mt = _random_hermitian(np.random.default_rng(61), dims).mat.reshape(dims + dims)
     oracle._scan_grid(mt, dims, 2, 32)
@@ -401,7 +402,8 @@ def _unpruned_scan(signed: np.ndarray, dims: tuple[int, ...], x: int, resolution
     n = oracle._grid_size(dims[g], resolution)
     best_val, best = -np.inf, -1
     for start in range(0, n, oracle._CHUNK):
-        q = oracle._outer_products(dims[g], resolution, np.arange(start, min(n, start + oracle._CHUNK)))
+        idx = np.arange(start, min(n, start + oracle._CHUNK))
+        q = _outer(oracle._grid_factors(dims[g], resolution, idx))
         lam = np.linalg.eigvalsh((q @ a).reshape(-1, 4, 4))[:, -1]
         j = int(np.argmax(lam))
         if lam[j] > best_val:

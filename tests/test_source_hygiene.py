@@ -1,10 +1,12 @@
 """Static checks of the package source: no dead private code, no unused
-imports, no stale private names in the docs.
+imports, no stale private names in the docs, one home for LAPACK.
 
 A private module-level name (one leading underscore) that only tests
 reference is dead API; the tests should exercise what the program runs.
 A backticked private name in a docstring, a comment or README.md must
-name something the package still defines.
+name something the package still defines. Every eigensolver call goes
+through `linalg._lapack`, the one place LAPACK's failure becomes
+NoConvergence, so no other module calls numpy's eigensolvers itself.
 """
 
 from __future__ import annotations
@@ -129,3 +131,20 @@ def test_backticked_private_names_exist(path):
         if m.group(2) not in (defined.get(m.group(1), set()) if m.group(1) else anywhere)
     )
     assert stale == [], f"{path.name}: backticked private names the package does not define"
+
+
+_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+_OUTSIDE_LINALG = [p for p in MODULES if p.name != "linalg.py"]
+
+
+@pytest.mark.parametrize("path", _OUTSIDE_LINALG, ids=[p.name for p in _OUTSIDE_LINALG])
+def test_only_linalg_calls_the_eigensolvers(path):
+    # passing `np.linalg.eigh` to `_lapack` is an attribute read, not a call
+    calls = [
+        f"line {node.lineno}: {node.func.attr}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _EIGENSOLVERS
+    ]
+    assert calls == [], f"{path.name}: eigensolver calls outside linalg._lapack"

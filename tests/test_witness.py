@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,7 +225,8 @@ def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
     m = _random_hermitian(np.random.default_rng(37), dims)
     mt = m.mat.reshape(dims + dims)
     batch = _random_starts(0, range(32), dims)
-    whole = _seesaw_run(mt, batch, max_iters=5)
+    with mock.patch.object(witness, "SEESAW_MAX_ITERS", 5):
+        whole = _seesaw_run(mt, batch)
     budget = 3 * 4 * 64**2  # three restarts of the widest block, that of party 0 or 1
     blocks = []
     kron = witness._kron_rows
@@ -244,7 +246,8 @@ def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
         assert max(rows * cols for rows, cols in blocks) <= budget
         assert len(blocks) == (11 if k < 2 else 1)
     blocks.clear()
-    sliced = _seesaw_run(mt, batch, max_iters=5)
+    with mock.patch.object(witness, "SEESAW_MAX_ITERS", 5):
+        sliced = _seesaw_run(mt, batch)
     assert max(rows * cols for rows, cols in blocks) <= budget
     assert np.abs(sliced[0] - whole[0]).max() <= 1e-14
     for a, b in zip(sliced[1], whole[1]):
@@ -303,7 +306,8 @@ def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, m
     batch = _random_starts(0, range(restarts), dims)
     starts = [[f[r] for f in batch] for r in range(restarts)]
     sign = 1.0 if mode == "max" else -1.0  # the batch maximises <mu|sign*m|mu>
-    values, _, converged = _seesaw_run(sign * mt, batch, max_iters=max_iters)
+    with mock.patch.object(witness, "SEESAW_MAX_ITERS", max_iters):
+        values, _, converged = _seesaw_run(sign * mt, batch)
     values *= sign
     for r, start in enumerate(starts):
         want, want_converged = _serial_seesaw(m.mat, start, mode, max_iters)
