@@ -18,28 +18,35 @@ indices j with phi_j = 2*pi*j/resolution, giving the factor
 (cos t_1, e^{i phi_1} sin t_1 cos t_2, ..., e^{i phi_{d-1}} sin t_1 ...
 sin t_{d-1}), first amplitude real nonnegative (a global factor phase
 never changes the expectation). Only the polar steps t depend on d
-(`_polar_angles`): a qubit's are the half-angles of theta_i =
-i*pi/resolution (i = 0..resolution), those of dimensions 3 and 4 step
-on [0, pi/2] in resolution//2 steps, and d = 1 has the one factor (1).
-`_grid_factors` gathers each factor from per-call tables of the polar
-cos and sin and of the phases, with the arithmetic of the per-point
-formula in the same order, so they match it bit for bit.
+(`_polar_steps`, `_polar_angles`): a qubit's are the half-angles of
+theta_i = i*pi/resolution (i = 0..resolution), those of dimensions 3
+and 4 step on [0, pi/2] in resolution//2 steps, and d = 1 has the one
+factor (1). A factor is thus a real polar magnitude row times a phase
+vector (1, e^{i phi_1}, ...), and `_grid_axes` builds the two tables,
+one row per combination of the polar digits and of the phase digits.
+`_grid_factors` multiplies the rows of a grid index; the arithmetic is
+the per-point formula's, in the same order, so they match it bit for bit.
 
 Supported: one or two parties of dimension <= 4, or three qubits, where
 the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
-`_support_check` alone decides this. (3,3) fits up to resolution 103,
-three qubits up to 73, and (4,4) at no allowed resolution (1.6e8 points
-at 32). So the scan has at most one lead party (three qubits) before the
-last gridded one. It visits the joint grid in row-major blocks of at
-most _CHUNK = 16,384 points, so a block's working set stays a few MB,
-and contracts each block with one GEMM and one matmul. The last party's
-blocks are the outer loop, so with a lead party its outer products are
-built once per scan, not once per lead block. The top eigenvalues of
-the contracted blocks come in closed form when the exact party has
-dimension <= 3, and from LAPACK at dimension 4, where the scan skips
-LAPACK wherever a Weyl bound shows a grid point cannot win, so the
-winner is the one the full solve would pick (`_pruned_top_eigvals`
-derives the bound and its rounding margins).
+`_support_check` alone decides this, by arithmetic, before anything is
+built. (3,3) fits up to resolution 103, three qubits up to 73, and (4,4)
+at no allowed resolution (1.6e8 points at 32). So the scan has at most
+one lead party (three qubits) before the last gridded one. The outer
+product conj(f) (x) f of a grid factor splits the same way, into
+(m_i m_j) of its polar row times (conj(e_i) e_j) of its phase vector, so
+each gridded party's two outer-product tables are built once per scan
+and a block's rows are one broadcast product of them. A block is whole
+polar rows of the last party times as many lead points as fit, at most
+_CHUNK = 16,384 points in all (every supported grid has at most 10,609
+phase vectors per polar row), so its working set stays a few MB. The
+lead party's whole grid contracts the operator in one GEMM per scan,
+and a block takes one matmul. The top eigenvalues of the contracted
+blocks come in closed form when the exact party has dimension <= 3, and
+from LAPACK at dimension 4, where the scan skips LAPACK wherever a Weyl
+bound shows a grid point cannot win, so the winner is the one the full
+solve would pick (`_pruned_top_eigvals` derives the bound and its
+rounding margins).
 """
 
 from __future__ import annotations
@@ -98,39 +105,64 @@ def _support_check(dims: tuple[int, ...], resolution: int) -> int:
     return exact
 
 
+def _polar_steps(d: int, resolution: int) -> int:
+    """Steps on each polar axis of a d-level factor: the r+1 half-angles
+    theta/2 of a qubit, or h+1 = r//2 + 1 steps on [0, pi/2] at d >= 3.
+    Arithmetic only, so sizing a grid allocates nothing."""
+    return resolution + 1 if d == 2 else resolution // 2 + 1
+
+
 def _polar_angles(d: int, resolution: int) -> np.ndarray:
-    """The polar steps of a d-level factor: the r+1 half-angles theta/2 of a
-    qubit, or h+1 = r//2 + 1 steps on [0, pi/2] at d >= 3."""
     r = resolution
     if d == 2:
-        return np.arange(r + 1) * (math.pi / r) / 2.0
+        return np.arange(_polar_steps(d, r)) * (math.pi / r) / 2.0
     h = r // 2
-    return np.arange(h + 1) * (math.pi / 2) / h
+    return np.arange(_polar_steps(d, r)) * (math.pi / 2) / h
 
 
 def _grid_size(d: int, resolution: int) -> int:
-    return (len(_polar_angles(d, resolution)) * resolution) ** (d - 1)
+    return (_polar_steps(d, resolution) * resolution) ** (d - 1)
+
+
+def _grid_axes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two tables a d-level party's grid is built from: the polar
+    magnitudes, (n_pol, d) real, one row per combination of the d-1 polar
+    digits, and the phase vectors (1, e^{i phi_1}, ..., e^{i phi_{d-1}}),
+    (n_ph, d), one per combination of the d-1 phase digits, both most
+    significant digit first. Grid index i = pol*n_ph + ph is the factor
+    mag[pol] * phase[ph]; d = 1 has one row (1) in each."""
+    r = resolution
+    theta = _polar_angles(d, r)
+    n_t = theta.size
+    polars = np.unravel_index(np.arange(n_t ** (d - 1)), (n_t,) * (d - 1)) if d > 1 else ()
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    mag = np.empty((n_t ** (d - 1), d))
+    running = np.ones(mag.shape[0])
+    for k in range(d - 1):
+        mag[:, k] = running * cos_t[polars[k]]
+        running = running * sin_t[polars[k]]
+    mag[:, d - 1] = running
+    phi = np.exp(2j * math.pi * np.arange(r) / r)
+    phases = np.unravel_index(np.arange(r ** (d - 1)), (r,) * (d - 1)) if d > 1 else ()
+    phase = np.ones((r ** (d - 1), d), dtype=np.complex128)
+    for k in range(1, d):
+        phase[:, k] = phi[phases[k - 1]]
+    return mag, phase
 
 
 def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
-    """Factor vectors (len(idx), d) at the given linear grid indices, read
-    by `np.unravel_index` as d-1 polar digits, most significant first,
-    then d-1 phase digits; d = 1 has no digits and the one factor (1)."""
-    r = resolution
-    theta = _polar_angles(d, r)
-    digits = np.unravel_index(idx, (theta.size,) * (d - 1) + (r,) * (d - 1)) if d > 1 else ()
-    polars, phases = digits[: d - 1], digits[d - 1 :]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    phase = np.exp(2j * math.pi * np.arange(r) / r)
-    out = np.empty((idx.size, d), dtype=np.complex128)
-    running = np.ones(idx.size)
-    for k in range(d - 1):
-        out[:, k] = running * cos_t[polars[k]]
-        running = running * sin_t[polars[k]]
-    out[:, d - 1] = running
-    for k in range(1, d):
-        out[:, k] = out[:, k] * phase[phases[k - 1]]
-    return out
+    """Factor vectors (len(idx), d) at the given linear grid indices; the
+    same arithmetic, in the same order, as the per-point formula."""
+    mag, phase = _grid_axes(d, resolution)
+    pol, ph = np.divmod(idx, phase.shape[0])
+    return mag[pol] * phase[ph]
+
+
+def _grid_rows(mag2: np.ndarray, phase2: np.ndarray, lo: int, hi: int | None) -> np.ndarray:
+    """conj(f) (x) f, flattened, of the grid points in polar rows lo..hi-1,
+    in grid order, from the outer-product tables (m_i m_j) and
+    (conj(e_i) e_j) of `_grid_axes`."""
+    return (mag2[lo:hi, None, :] * phase2[None]).reshape(-1, phase2.shape[1])
 
 
 def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
@@ -197,8 +229,9 @@ def _pruned_top_eigvals(q: np.ndarray, a: np.ndarray, floor: float) -> np.ndarra
     so that s*sqrt(rho2) = ||(q_i - q_j) a||_F without building any
     (n, 4, 4) difference. Normalising by s keeps the form clear of
     overflow and underflow at any scale. With eps = 2**-52, k <= 16 and
-    ||q_i|| = ||f_i||**2 <= 1 + 4 eps, taking 2(m+2) eps for the error
-    of an m-term complex dot:
+    ||q_i|| <= 1 + 8 eps (a table row (m_i m_j)(conj(e_i) e_j) of a unit
+    factor, each entry rounded three times), taking 2(m+2) eps for the
+    error of an m-term complex dot:
     - GEMM: the computed T_i is q_i a up to 36 eps s in the Frobenius
       norm, so T_i - T_j is off by at most 72 eps s;
     - Weyl: LAPACK reads the Hermitian matrices H_i of the lower
@@ -242,46 +275,42 @@ def _scan_grid(
     """Grid every party but `x`, solve `x` exactly. Returns the winning grid
     index of each gridded party; the first point at the largest value wins.
 
+    Each gridded party's outer-product tables, (m_i m_j) over its polar
+    rows and (conj(e_i) e_j) over its phase vectors, are built once per
+    scan, and a block's rows are their broadcast product (`_grid_rows`).
     `_support_check` leaves at most one lead party before the last gridded
-    one: the first of three qubits. A block is up to _CHUNK steps of the
-    last party times as many lead points as keep it within _CHUNK points.
-    The last party's blocks are the outer loop and the lead blocks the
-    inner one, so with a lead party the last party's outer products are
-    built once, for its whole grid, and a lone gridded party is built one
-    block at a time, its grid never held whole. For a
+    one: the first of three qubits. Its whole grid (at most 5,402 points,
+    at resolution 73) contracts the operator in one GEMM, and the lead
+    blocks are slices of that product. A last-party block is as many whole
+    polar rows as fit in _CHUNK points (one row if none fits), times as
+    many lead points as keep the block within _CHUNK. The last party's
+    blocks are the outer loop and the lead blocks the inner one. For a
     four-level `x`, LAPACK sees only a block's anchors and the points
     whose Weyl bound can still reach the best value so far
     (`_pruned_top_eigvals`).
     """
-    n = len(dims)
-    gridded = [k for k in range(n) if k != x]
+    gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
         return []
     *lead, last = gridded
-    n_lead = _grid_size(dims[lead[0]], resolution) if lead else 1
-    n_last = _grid_size(dims[last], resolution)
     dx = dims[x]
     op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
-    step = min(n_last, _CHUNK)
-    lead_step = max(1, _CHUNK // step)
+    if lead:
+        op = _grid_rows(*map(_outer, _grid_axes(dims[lead[0]], resolution)), 0, None) @ op
+    mag2, phase2 = map(_outer, _grid_axes(dims[last], resolution))
+    n_ph = phase2.shape[0]
+    rows = max(1, _CHUNK // n_ph)
+    lead_step = max(1, _CHUNK // (min(rows, mag2.shape[0]) * n_ph))
     best_val = -np.inf
     best_lead = best_last = -1
     # Every supported structure has one lead block (no lead party) or one
-    # last block (the last of three qubits has at most 5,402 points, at
-    # resolution 73), so either loop runs once: each party's outer
-    # products are built once per point, and the blocks are visited in
-    # row-major order, which the first-maximum tie-break relies on.
-    for start in range(0, n_last, step):
-        stop = min(n_last, start + step)
-        q = _outer(_grid_factors(dims[last], resolution, np.arange(start, stop)))
-        for lead_start in range(0, n_lead, lead_step):
-            lead_stop = min(n_lead, lead_start + lead_step)
-            if lead:
-                lead_idx = np.arange(lead_start, lead_stop)
-                p = _outer(_grid_factors(dims[lead[0]], resolution, lead_idx))
-            else:
-                p = np.ones((1, 1), dtype=np.complex128)
-            a = (p @ op).reshape(p.shape[0], dims[last] ** 2, dx * dx)
+    # last block (the last of three qubits has at most 5,402 points), so
+    # either loop runs once and the blocks are visited in row-major order,
+    # which the first-maximum tie-break relies on.
+    for lo in range(0, mag2.shape[0], rows):
+        q = _grid_rows(mag2, phase2, lo, lo + rows)
+        for lead_start in range(0, op.shape[0], lead_step):
+            a = op[lead_start : lead_start + lead_step].reshape(-1, dims[last] ** 2, dx * dx)
             if dx == 4 and q.shape[0] > _ANCHOR_STRIDE:  # two anchors or more
                 lam = _pruned_top_eigvals(q, a, best_val)
             else:
@@ -290,7 +319,7 @@ def _scan_grid(
             if lam[j] > best_val:
                 best_val = lam[j]
                 i_lead, i_last = divmod(j, q.shape[0])
-                best_lead, best_last = lead_start + i_lead, start + i_last
+                best_lead, best_last = lead_start + i_lead, lo * n_ph + i_last
     return ([best_lead] if lead else []) + [best_last]
 
 

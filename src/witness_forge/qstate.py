@@ -46,7 +46,10 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         self.mat.require_hermitian()
-        tr = self.mat.trace().real
+        with np.errstate(over="ignore"):  # finite entries can sum past 1.8e308
+            tr = self.mat.trace().real
+        if not np.isfinite(tr):
+            raise ParamOutOfRange(f"density matrix trace {tr!r} is not finite")
         if self.normalized:
             if abs(tr - 1.0) > NORM_TOL:
                 raise ParamOutOfRange(

@@ -435,6 +435,27 @@ def test_overflowing_spectra_exit_two_before_any_file_is_written(capsys, tmp_pat
         DensityMatrix(ComplexMatrix((2,), np.diag([1e308, 5e307])), normalized=False)
 
 
+def test_overflowing_trace_exits_two_without_a_warning(tmp_path):
+    # every entry is finite but the trace is not; the suite turns warnings
+    # into errors, so an overflow warning would raise in place of the refusal
+    with pytest.raises(ParamOutOfRange, match="trace"):
+        DensityMatrix(ComplexMatrix((2,), np.diag([1e308, 1e308])), normalized=False)
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({
+        "version": "1", "kind": "density", "normalized": False, "dims": [2],
+        "data": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]],
+    }))
+    # a child process, which prints warnings to stderr as a user sees them
+    proc = subprocess.run(
+        [sys.executable, "-m", "witness_forge", "spectral", str(path)],
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(witness_forge.__file__).parents[1],
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "ParamOutOfRange"
+    assert "Warning" not in proc.stderr
+
+
 def test_wrong_kind_is_usage_error(capsys, sq_file, tmp_path):
     code, report, _ = _run(capsys, "witness-verify", sq_file)
     assert code == 1

@@ -146,6 +146,19 @@ def test_exhaustive_witness_check():
     assert not rep2.is_witness
 
 
+def _point_eigvals(m: np.ndarray, dims: tuple[int, ...], x: int, resolution: int, point) -> np.ndarray:
+    """Eigenvalues of the matrix m contracted with the gridded factors at
+    one joint grid point, given as the gridded parties' indices."""
+    idx = iter(point)
+    blocks = [
+        np.eye(d) if k == x
+        else oracle._grid_factors(d, resolution, np.array([next(idx)])).T
+        for k, d in enumerate(dims)
+    ]
+    iso = reduce(np.kron, blocks)
+    return np.linalg.eigvalsh(iso.conj().T @ m @ iso)
+
+
 def _point_by_point(m: ComplexMatrix, x: int, mode: str, resolution: int) -> dict:
     """Extremal eigenvalue of m contracted with the gridded factors, one
     joint grid point at a time, keyed by the gridded parties' indices."""
@@ -153,14 +166,7 @@ def _point_by_point(m: ComplexMatrix, x: int, mode: str, resolution: int) -> dic
     sizes = [oracle._grid_size(d, resolution) for k, d in enumerate(dims) if k != x]
     values = {}
     for point in itertools.product(*map(range, sizes)):
-        idx = iter(point)
-        blocks = [
-            np.eye(d) if k == x
-            else oracle._grid_factors(d, resolution, np.array([next(idx)])).T
-            for k, d in enumerate(dims)
-        ]
-        iso = reduce(np.kron, blocks)
-        vals = np.linalg.eigvalsh(iso.conj().T @ m.mat @ iso)
+        vals = _point_eigvals(m.mat, dims, x, resolution, point)
         values[point] = vals[-1] if mode == "max" else vals[0]
     return values
 
@@ -182,7 +188,8 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
         values = _point_by_point(m, x, mode, resolution)
         best = max(values.values()) if mode == "max" else min(values.values())
         # one block, lead blocks sharing one last-party block (100 at
-        # (2,2,2)@6), ragged blocks, one point a block
+        # (2,2,2)@6), blocks of a few polar rows (100), one polar row a
+        # block (7 and 1, below any row's size)
         for chunk in (1 << 16, 100, 7, 1):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             winner = oracle._scan_grid(signed, dims, x, resolution)
@@ -206,24 +213,26 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     assert sum(sizes) == math.prod(oracle._grid_size(d, 32) for k, d in enumerate(dims) if k != x)
 
 
-def test_last_party_block_is_built_once_per_scan(monkeypatch):
-    # three qubits: one lead block of factors per lead block, and the
-    # last party's whole grid once, shared by every lead block
+@pytest.mark.parametrize("dims, x", [((2, 2, 2), 2), ((2, 4), 1), ((3, 3), 1), ((1, 4), 1)])
+def test_each_gridded_party_is_tabled_once_per_scan(monkeypatch, dims, x):
+    # chunk 100 makes many blocks, yet each gridded party's two tables are
+    # built once, and no block gathers per-point factors
     calls = []
-    build = oracle._grid_factors
+    build = oracle._grid_axes
 
-    def record(d, resolution, idx):
-        calls.append(idx.size)
-        return build(d, resolution, idx)
+    def record(d, resolution):
+        calls.append(d)
+        return build(d, resolution)
 
-    monkeypatch.setattr(oracle, "_grid_factors", record)
-    dims = (2, 2, 2)
+    def refuse(*args):
+        raise AssertionError("per-point factors gathered in a scan")
+
+    monkeypatch.setattr(oracle, "_grid_axes", record)
+    monkeypatch.setattr(oracle, "_grid_factors", refuse)
+    monkeypatch.setattr(oracle, "_CHUNK", 100)
     mt = _random_hermitian(np.random.default_rng(61), dims).mat.reshape(dims + dims)
-    oracle._scan_grid(mt, dims, 2, 32)
-    n = oracle._grid_size(2, 32)
-    lead_blocks = -(-n // (oracle._CHUNK // n))
-    assert len(calls) == lead_blocks + 1
-    assert calls[0] == n and sum(calls[1:]) == n
+    oracle._scan_grid(mt, dims, x, 32)
+    assert calls == [d for k, d in enumerate(dims) if k != x]
 
 
 @pytest.mark.parametrize("dims, resolution", [((3, 3), 32), ((2, 3), 256)])
@@ -290,6 +299,51 @@ def test_grid_factors_keep_the_per_point_bits(d, resolution, sample):
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "d, resolution, sample",
+    [(1, 32, 0), (1, 33, 0), (2, 32, 0), (2, 33, 0), (3, 32, 0), (3, 33, 0), (3, 103, 24), (4, 32, 6),
+     (4, 33, 6)],
+)
+def test_table_rows_match_the_outer_products_of_the_factors(d, resolution, sample):
+    # every entry has modulus <= 1, and the tables round differently from
+    # conj(f) (x) f, so they agree to within 4 ulps of 1; over every polar
+    # row, or the first, the last and a seeded sample of them
+    mag2, phase2 = map(_outer, oracle._grid_axes(d, resolution))
+    n_pol, n_ph = mag2.shape[0], phase2.shape[0]
+    assert n_pol * n_ph == oracle._grid_size(d, resolution)
+    if sample:
+        picked = np.random.default_rng(71).choice(n_pol, sample, replace=False)
+        spans = [(lo, lo + 1) for lo in sorted({0, n_pol - 1, *picked.tolist()})]
+    else:
+        step = max(1, oracle._CHUNK // n_ph)
+        spans = [(lo, min(n_pol, lo + step)) for lo in range(0, n_pol, step)]
+    for lo, hi in spans:
+        got = oracle._grid_rows(mag2, phase2, lo, hi)
+        ref = _outer(oracle._grid_factors(d, resolution, np.arange(lo * n_ph, hi * n_ph)))
+        assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps), (lo, hi)
+
+
+def test_grid_size_matches_the_closed_forms():
+    # bench/workloads.grid_points keeps this table as a second copy
+    for r in range(32, 111):
+        h = r // 2
+        closed = {1: 1, 2: (r + 1) * r, 3: (h + 1) ** 2 * r**2, 4: (h + 1) ** 3 * r**3}
+        assert {d: oracle._grid_size(d, r) for d in closed} == closed, r
+
+
+def test_a_huge_resolution_is_refused_before_any_grid_is_built():
+    # sizing the grid is arithmetic: at r = 10**7 an array of the polar
+    # steps alone would take 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedDims):
+            oracle._support_check((2, 2), 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def _hermitian_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     return (a + a.conj().transpose(0, 2, 1)) / 2
@@ -352,7 +406,7 @@ def _hermitian_of_rank(rng: np.random.Generator, dims: tuple[int, ...], rank: in
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(
     # no scan of (2,2,2,2), which is beyond the oracle; (3,3) and (2,2,2)
-    # only at 32, as one scan at 64 takes seconds
+    # only at 32, as a (3,3) scan at 64 takes most of a second
     case=st.sampled_from([
         ((2, 2), 32), ((2, 2), 64), ((2, 3), 32), ((2, 3), 64), ((3, 3), 32),
         ((2, 4), 32), ((2, 4), 64), ((2, 2, 2), 32), ((2, 2, 2, 2), None),
@@ -396,18 +450,19 @@ def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, 
 
 def _unpruned_scan(signed: np.ndarray, dims: tuple[int, ...], x: int, resolution: int) -> list[int]:
     """`oracle._scan_grid` for a four-level exact party without the pruning:
-    LAPACK on every grid point, in the same blocks; the first best point wins."""
+    LAPACK on every grid point, in the same blocks of polar rows, whose
+    outer-product rows come from the same tables; the first best point wins."""
     (g,) = [k for k in range(len(dims)) if k != x]
     a = _party_matrix(signed, x).reshape(1, dims[g] ** 2, 16)
-    n = oracle._grid_size(dims[g], resolution)
+    mag2, phase2 = map(_outer, oracle._grid_axes(dims[g], resolution))
+    rows = max(1, oracle._CHUNK // phase2.shape[0])
     best_val, best = -np.inf, -1
-    for start in range(0, n, oracle._CHUNK):
-        idx = np.arange(start, min(n, start + oracle._CHUNK))
-        q = _outer(oracle._grid_factors(dims[g], resolution, idx))
+    for lo in range(0, mag2.shape[0], rows):
+        q = oracle._grid_rows(mag2, phase2, lo, lo + rows)
         lam = np.linalg.eigvalsh((q @ a).reshape(-1, 4, 4))[:, -1]
         j = int(np.argmax(lam))
         if lam[j] > best_val:
-            best_val, best = lam[j], start + j
+            best_val, best = lam[j], lo * phase2.shape[0] + j
     return [best]
 
 
@@ -442,8 +497,9 @@ def _random_input(rng: np.random.Generator, dims: tuple[int, ...], kind: str) ->
     ],
 )
 def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, dims, resolution, chunks, kinds):
-    # chunk 100 carries the best value across many ragged blocks; blocks of
-    # 7 or 1 points hold a single anchor, so they are solved whole
+    # chunk 100 carries the best value across many blocks of a few polar
+    # rows, ragged at the end at resolution 33; chunks 7 and 1 give one
+    # polar row a block, and a block of the one-point d = 1 grid is solved whole
     rng = np.random.default_rng(math.prod(dims) * 1000 + resolution)
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
     for kind in kinds:
@@ -518,3 +574,65 @@ def test_pruned_scan_sends_few_grid_points_to_lapack(monkeypatch):
         rows.clear()
         oracle._scan_grid(signed, (2, 4), 1, 256)
         assert sum(rows) <= 0.35 * points
+
+
+def _grid_max(signed: np.ndarray, dims: tuple[int, ...], resolution: int) -> float:
+    """The scan's grid maximum: the top eigenvalue of `signed` contracted
+    with the winning grid factors, before any polish."""
+    x = oracle._support_check(dims, resolution)
+    winner = oracle._scan_grid(signed, dims, x, resolution)
+    d = math.prod(dims)
+    return _point_eigvals(signed.reshape(d, d), dims, x, resolution, winner)[-1]
+
+
+def _local(dims: tuple[int, ...], k: int, u: np.ndarray) -> np.ndarray:
+    """u on party k, the identity on the others."""
+    return reduce(np.kron, [u if j == k else np.eye(d) for j, d in enumerate(dims)])
+
+
+_METAMORPHIC_CASES = [((2, 2), 33), ((2, 2), 64), ((2, 3), 64), ((3, 3), 32), ((2, 2, 2), 32)]
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(_METAMORPHIC_CASES),
+    kind=st.sampled_from(_KINDS),
+    sign=st.sampled_from([1, -1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_maximum_ignores_a_unitary_on_the_exact_party(case, kind, sign, seed):
+    # the exact party's solve is a top eigenvalue, which no unitary moves
+    dims, resolution = case
+    rng = np.random.default_rng(seed)
+    mt = sign * _random_input(rng, dims, kind)
+    x = oracle._support_check(dims, resolution)
+    g = rng.normal(size=(dims[x], dims[x])) + 1j * rng.normal(size=(dims[x], dims[x]))
+    u = _local(dims, x, np.linalg.qr(g)[0])
+    d = math.prod(dims)
+    rotated = (u @ mt.reshape(d, d) @ u.conj().T).reshape(mt.shape)
+    norm = np.linalg.norm(mt.reshape(d, d), 2)
+    assert abs(_grid_max(rotated, dims, resolution) - _grid_max(mt, dims, resolution)) <= 1e-12 * norm
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(_METAMORPHIC_CASES),
+    kind=st.sampled_from(_KINDS),
+    sign=st.sampled_from([1, -1]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_grid_maximum_ignores_a_phase_step_on_a_gridded_party(case, kind, sign, seed, data):
+    # diag(1, e^{2 pi i k_1/r}, ...) maps every grid factor to another one,
+    # so it only permutes the grid
+    dims, resolution = case
+    mt = sign * _random_input(np.random.default_rng(seed), dims, kind)
+    x = oracle._support_check(dims, resolution)
+    g = data.draw(st.sampled_from([k for k in range(len(dims)) if k != x]))
+    steps = data.draw(st.lists(st.integers(0, resolution - 1), min_size=dims[g] - 1, max_size=dims[g] - 1))
+    phases = np.exp(2j * math.pi * np.array([0, *steps]) / resolution)
+    u = _local(dims, g, np.diag(phases))
+    d = math.prod(dims)
+    rotated = (u.conj().T @ mt.reshape(d, d) @ u).reshape(mt.shape)
+    norm = np.linalg.norm(mt.reshape(d, d), 2)
+    assert abs(_grid_max(rotated, dims, resolution) - _grid_max(mt, dims, resolution)) <= 1e-12 * norm
