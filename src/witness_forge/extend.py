@@ -8,11 +8,14 @@ and tensoring with scaled mixed or pure states; the primal form
 `sigma - c*I` survives only identity tails, so the other operations
 reject it with FormNotSupported.
 
-Extension projectors are materialized from the spectral data as
-sum_ij sqrt(l_i l_j) |e_i a_i><e_j a_j| rather than as an outer product
-of the amplitude vector: the two agree to one ulp, but the gram route
-keeps entries exact when eigenvalues are exactly representable (for
-example I/2, whose purified projector then has entries exactly 1/2).
+`_tensor` builds the sigma' of every tail extension. (Partial)
+purification builds its projector by the gram route, sum_ij sqrt(l_i l_j)
+|e_i a_i><e_j a_j|, not as an outer product of the amplitude vector:
+the two agree to one ulp, but the gram route keeps entries exact when
+eigenvalues are exactly representable (for example I/2, whose purified
+projector then has entries exactly 1/2). A normalized tail needs no
+zero-lambda_max check: its trace is at least 1 - NORM_TOL, so its top
+eigenvalue is at least (1 - NORM_TOL)/dim >= 9.7e-4 for dim <= MAX_TOTAL_DIM.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import (
     MaxEigenvalueNotSelected,
     ParamOutOfRange,
     UnnormalizedTail,
-    ZeroMaxEigenvalue,
 )
 from .linalg import MAX_TOTAL_DIM, ComplexMatrix
 from .qstate import (
@@ -55,29 +57,38 @@ ENUMERATION_CAP = 64
 def _require_dual_form(w: Witness, op: str) -> None:
     if w.form is not WitnessForm.C_MINUS_SIGMA:
         raise FormNotSupported(
-            f"{op} applies only to the c*I - sigma form; "
-            "the dual form does not survive this extension"
+            f"{op} applies only to the dual form c*I - sigma; "
+            "the primal form sigma - c*I does not survive this extension"
         )
 
 
-def _wrap_density(dims: tuple[int, ...], arr: np.ndarray) -> DensityMatrix:
+def _density(dims: tuple[int, ...], arr: np.ndarray) -> DensityMatrix:
     m = ComplexMatrix(dims, arr)
     normalized = abs(m.trace().real - 1.0) <= NORM_TOL
     return DensityMatrix(m, normalized=normalized)
 
 
-def _kron_tails(
-    base: DensityMatrix, tail_dims: Sequence[tuple[int, ...]], arrays: Iterable[np.ndarray]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """(dims, array) of base (x) f_1 (x) f_2 ... with f_k of dims tail_dims[k]. The
-    size is checked before `arrays` is read, so the factors may be built lazily."""
+def _tensor(
+    base: DensityMatrix, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[np.ndarray]
+) -> DensityMatrix:
+    """base (x) f_1 (x) f_2 ... with f_k of dims tail_dims[k]. The size is
+    checked before `factors` is read, so the factors may be built lazily."""
     dims = base.dims + sum(tail_dims, ())
     if math.prod(dims) > MAX_TOTAL_DIM:
         raise ParamOutOfRange(f"product dimension {math.prod(dims)} > {MAX_TOTAL_DIM}")
     arr = base.mat.mat
-    for f in arrays:
+    for f in factors:
         arr = np.kron(arr, f)
-    return dims, arr
+    return _density(dims, arr)
+
+
+def _tensor_extend(
+    w: Witness, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[np.ndarray]
+) -> Witness:
+    """w with sigma replaced by `_tensor(sigma, ...)`; w itself with no tails."""
+    if not tail_dims:
+        return w
+    return Witness(w.form, w.c, _tensor(w.sigma, tail_dims, factors))
 
 
 def purify_extend(w: Witness) -> Witness:
@@ -99,11 +110,8 @@ def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
     _require_dual_form(w, "pure_tails_extend")
     if any(not t.normalized for t in tails):
         raise UnnormalizedTail("pure tails must be normalized")
-    if not tails:
-        return w
     projectors = (np.outer(t.vec.vec, t.vec.vec.conj()) for t in tails)
-    sigma2 = _wrap_density(*_kron_tails(w.sigma, [t.dims for t in tails], projectors))
-    return Witness(w.form, w.c, sigma2)
+    return _tensor_extend(w, [t.dims for t in tails], projectors)
 
 
 def purify_extend_n(w: Witness, pure_tails: Sequence[PureState]) -> Witness:
@@ -142,8 +150,7 @@ def partial_purify_extend(
             )
     wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
-    sigma2 = _wrap_density(w.sigma.dims + (sel.ancilla_dim,), proj)
-    return Witness(w.form, c_out, sigma2)
+    return Witness(w.form, c_out, _density(w.sigma.dims + (sel.ancilla_dim,), proj))
 
 
 def count_partial_purifications(rank: int, d3: int) -> int:
@@ -174,10 +181,11 @@ def enumerate_partial_purifications(
     if rank == 0:
         return []
     if rank * d3 > ENUMERATION_CAP:
+        count = count_partial_purifications(rank, d3)  # str() refuses ints over 4300 digits
+        size = count if count < 10**100 else f"a {count.bit_length()}-bit integer"
         raise CountTooLarge(
             f"rank*d3 = {rank * d3} exceeds the enumeration cap "
-            f"{ENUMERATION_CAP}; the closed-form count is "
-            f"{count_partial_purifications(rank, d3)}"
+            f"{ENUMERATION_CAP}; the closed-form count is {size}"
         )
     top = nz[-1]
     rest = nz[:-1]
@@ -196,17 +204,10 @@ def mixed_tensor_extend(w: Witness, tails: Sequence[DensityMatrix]) -> Witness:
     """Tensor sigma with each tail scaled by its top eigenvalue,
     sigma (x) tail_i / lambda_max(tail_i), keeping c valid unchanged."""
     _require_dual_form(w, "mixed_tensor_extend")
-    factors = []
-    for t in tails:
-        if not t.normalized:
-            raise UnnormalizedTail("tensor tails must be normalized")
-        if t.lambda_max <= 1e-12:
-            raise ZeroMaxEigenvalue("tail state has vanishing top eigenvalue")
-        factors.append(t.mat.mat / t.lambda_max)
-    if not tails:
-        return w
-    sigma2 = _wrap_density(*_kron_tails(w.sigma, [t.dims for t in tails], factors))
-    return Witness(w.form, w.c, sigma2)
+    if any(not t.normalized for t in tails):
+        raise UnnormalizedTail("tensor tails must be normalized")
+    scaled = (t.mat.mat / t.lambda_max for t in tails)
+    return _tensor_extend(w, [t.dims for t in tails], scaled)
 
 
 def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
@@ -221,12 +222,9 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
     for d in sizes:
         if d < 1:
             raise ParamOutOfRange(f"tail dimension {d} must be >= 1")
-    if not sizes:
-        return w
-    sigma2 = _wrap_density(*_kron_tails(w.sigma, [(d,) for d in sizes], map(np.eye, sizes)))
-    w2 = Witness(w.form, w.c, sigma2)
+    w2 = _tensor_extend(w, [(d,) for d in sizes], map(np.eye, sizes))
     margin = _margin(w2)
-    if not margin > TOL_NEG:
+    if sizes and not margin > TOL_NEG:
         raise COutOfInterval(f"c={w.c!r} leaves margin {margin!r} on the extended spectrum")
     return w2
 
@@ -240,9 +238,9 @@ def detect_product_extension(
     base witness expectation on rho12, so a state detected before
     extension stays detected after it.
     """
-    dims, arr = _kron_tails(rho12, [t.dims for t in tails], [t.mat.mat for t in tails])
-    if dims != w_ext.dims:
+    rho = _tensor(rho12, [t.dims for t in tails], (t.mat.mat for t in tails))
+    if rho.dims != w_ext.dims:
         raise DimensionMismatch(
-            f"extended witness dims {w_ext.dims} vs product state dims {dims}"
+            f"extended witness dims {w_ext.dims} vs product state dims {rho.dims}"
         )
-    return evaluate(w_ext, _wrap_density(dims, arr))
+    return evaluate(w_ext, rho)

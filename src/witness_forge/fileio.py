@@ -234,4 +234,8 @@ def matrix_file_text(obj) -> str:
 
 
 def write_matrix_file(obj, path: str | Path) -> None:
-    Path(path).write_text(matrix_file_text(obj))
+    p = Path(path)
+    try:
+        p.write_text(matrix_file_text(obj))
+    except OSError as exc:
+        raise ParseError(f"cannot write {p}: {exc}") from exc

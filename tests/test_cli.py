@@ -216,6 +216,23 @@ def test_witness_make_rejects_bad_offset(capsys, sq_file, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["witness-make", "extend"])
+def test_an_unwritable_output_is_a_parse_error_report(capsys, sq_file, tmp_path, cmd):
+    wpath = str(tmp_path / "w.json")
+    _run(capsys, "witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3", "-o", wpath)
+    out = tmp_path / "missing" / "w.json"
+    argv = {
+        "witness-make": ("witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3"),
+        "extend": ("extend", wpath, "--method", "identity", "--tail-dims", "2"),
+    }[cmd]
+    code, report, err = _run(capsys, *argv, "-o", str(out))
+    assert code == 1
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"].startswith(f"cannot write {out}: ")
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_witness_verify_accepts_what_strict_make_writes_at_the_closed_end(capsys, sq_file, tmp_path):
     # the closed end itself, where the two once searched different operators
     c = max_product_expectation(isotropic(0.2).mat, 8, 3).value - TOL_POS

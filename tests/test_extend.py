@@ -3,8 +3,14 @@ tensor and identity tails, plus the selection counting combinatorics."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from witness_forge.cli import main
 
 from witness_forge.errors import (
     CountTooLarge,
@@ -28,6 +34,7 @@ from witness_forge.extend import (
     purify_extend,
     purify_extend_n,
 )
+from witness_forge.fileio import write_matrix_file
 from witness_forge.linalg import (
     ComplexMatrix,
     ComplexVector,
@@ -94,8 +101,13 @@ def test_purify_extend_preserves_product_bound():
 
 
 def test_purify_extend_rejects_primal_form():
-    with pytest.raises(FormNotSupported):
+    message = (
+        "purify_extend applies only to the dual form c*I - sigma; "
+        "the primal form sigma - c*I does not survive this extension"
+    )
+    with pytest.raises(FormNotSupported) as info:
         purify_extend(_example_four_level_witness())
+    assert str(info.value) == message
 
 
 def test_purify_extend_requires_normalized_sigma():
@@ -243,9 +255,23 @@ def test_enumeration_isotropic_example():
     assert len(sels) == 8
 
 
-def test_enumeration_cap():
-    with pytest.raises(CountTooLarge):
-        enumerate_partial_purifications(spectral(isotropic(0.2)), 17)
+def test_enumeration_cap(capsys, tmp_path):
+    cases = [
+        # rank 4: 4 * 17 pairs exceed the cap
+        (isotropic(0.2), 17, str(count_partial_purifications(4, 17))),
+        # rank 256: a count of about 4,600 digits, past what str() converts
+        (DensityMatrix(ComplexMatrix((16, 16), np.eye(256) / 256)), 10**18, "a 15308-bit integer"),
+    ]
+    for sigma, d3, count_text in cases:
+        with pytest.raises(CountTooLarge):
+            enumerate_partial_purifications(spectral(sigma), d3)
+        path = tmp_path / "sigma.json"
+        write_matrix_file(sigma, path)
+        code = main(["enumerate", str(path), "--ancilla-dim", str(d3)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["error"]["type"] == "CountTooLarge"
+        assert report["error"]["message"].endswith(f"the closed-form count is {count_text}")
 
 
 def test_mixed_tensor_extend_preserves_bound_and_top_eigenvalue():
@@ -334,6 +360,54 @@ def test_extensions_refuse_a_total_dimension_above_the_cap():
         pure_tails_extend(w, [PureState(ComplexVector((257,), np.eye(257)[0]))])
     with pytest.raises(ParamOutOfRange):
         partial_purify_extend(w, PurificationSelection(((3, 0),), 257))
+    big_mixed = DensityMatrix(ComplexMatrix((257,), np.eye(257) / 257))
+    with pytest.raises(ParamOutOfRange):
+        mixed_tensor_extend(w, [big_mixed])
+    with pytest.raises(ParamOutOfRange):
+        detect_product_extension(identity_extend(w, [2]), isotropic(0.2), [big_mixed])
+
+
+@pytest.mark.parametrize("extend", [pure_tails_extend, mixed_tensor_extend, identity_extend])
+def test_no_tails_returns_the_witness_itself(extend):
+    w = _isotropic_witness()
+    assert extend(w, []) is w
+
+
+def _random_pure(rng: np.random.Generator, d: int) -> PureState:
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return PureState(ComplexVector((d,), v / np.linalg.norm(v)))
+
+
+_TENSOR_EXTENSIONS = {
+    "pure": lambda w, rng, dims: pure_tails_extend(w, [_random_pure(rng, d) for d in dims]),
+    "mixed": lambda w, rng, dims: mixed_tensor_extend(
+        w, [_random_density(rng, (d,)) for d in dims]
+    ),
+    "identity": lambda w, rng, dims: identity_extend(w, dims),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base_dims=st.sampled_from([(2, 2), (2, 3)]),
+    tail_dims=st.lists(st.integers(2, 3), min_size=1, max_size=2),
+    kind=st.sampled_from(sorted(_TENSOR_EXTENSIONS)),
+)
+def test_tensor_extensions_never_raise_the_base_bound(seed, base_dims, tail_dims, kind):
+    # sigma (x) f with lambda_max(f) = 1 keeps lambda_max and the product bound of sigma
+    rng = np.random.default_rng(seed)
+    sigma = _random_density(rng, base_dims)
+    bound = max_product_expectation(sigma.mat, restarts=8, seed=0).value
+    gap = sigma.lambda_max - bound
+    assume(gap > 1e-3)
+    w = make_witness(WitnessForm.C_MINUS_SIGMA, sigma, bound + 0.5 * gap, check="none")
+    w2 = _TENSOR_EXTENSIONS[kind](w, rng, tail_dims)
+    assert w2.dims == base_dims + tuple(tail_dims)
+    assert abs(w2.sigma.lambda_max - sigma.lambda_max) <= 1e-12 * sigma.lambda_max
+    before = verify_witness(w, restarts=8, seed=0).is_witness
+    after = verify_witness(w2, restarts=8, seed=0).is_witness
+    assert (before, after) == (True, True)
 
 
 def test_detect_product_extension_values():
