@@ -33,6 +33,7 @@ from .fileio import (
     dumps_canonical,
     kind_of,
     parse_matrix_file,
+    require_writable,
     write_matrix_file,
 )
 from .linalg import HERMITICITY_TOL, RANK_TOL, TIE_TOL, hermitian_eig
@@ -197,6 +198,7 @@ def _cmd_cbounds(args):
 
 
 def _cmd_witness_make(args):
+    require_writable(args.output)  # fail before the work, not after it
     sigma = _require_kind(parse_matrix_file(args.sigma), ("density",), "witness-make input")
     seed = _resolve_seed(args.seed)
     w = make_witness(
@@ -278,6 +280,7 @@ _EXTEND_METHODS = {
 
 
 def _cmd_extend(args):
+    require_writable(args.output)  # fail before the work, not after it
     w = _require_kind(parse_matrix_file(args.input), ("witness",), "extend input")
     seed = _resolve_seed(args.seed)
     allowed, required, tail_kind, extension = _EXTEND_METHODS[args.method]

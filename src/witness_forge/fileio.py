@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,22 @@ def _reject_constant(name: str):
 
 def matrix_file_text(obj) -> str:
     return dumps_canonical(encode_matrix_obj(obj)) + "\n"
+
+
+def require_writable(path: str | Path) -> None:
+    """Raise the ParseError of `write_matrix_file` before any work where the
+    file plainly cannot be written: its directory is missing or not
+    writable, or the path is a directory. Creates nothing."""
+    p = Path(path)
+    if p.is_dir():
+        reason = "it is a directory"
+    elif not p.parent.is_dir():
+        reason = f"no directory {p.parent}"
+    elif not os.access(p.parent, os.W_OK | os.X_OK) or (p.exists() and not os.access(p, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise ParseError(f"cannot write {p}: {reason}")
 
 
 def write_matrix_file(obj, path: str | Path) -> None:

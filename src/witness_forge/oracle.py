@@ -32,21 +32,26 @@ the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
 `_support_check` alone decides this, by arithmetic, before anything is
 built. (3,3) fits up to resolution 103, three qubits up to 73, and (4,4)
 at no allowed resolution (1.6e8 points at 32). So the scan has at most
-one lead party (three qubits) before the last gridded one. The outer
-product conj(f) (x) f of a grid factor splits the same way, into
-(m_i m_j) of its polar row times (conj(e_i) e_j) of its phase vector, so
-each gridded party's two outer-product tables are built once per scan
-and a block's rows are one broadcast product of them. A block is whole
+one lead party (three qubits) before the last gridded one.
+
+The scan works in real Hermitian coordinates: a d x d Hermitian h is the
+d*d real vector [h_kk; Re h_kl; Im h_kl], k < l (`_coords`). The outer
+product conj(f) (x) f of a grid factor then splits into a real polar row
+(m_k**2, m_k m_l, m_k m_l) times a real phase row (1, cos(phi_l - phi_k),
+sin(phi_l - phi_k)), so each gridded party's two tables are built once
+per scan (`_grid_tables`) and a block's rows are one broadcast product
+of them. The operator is mapped to these coordinates once per scan,
+rows and columns (`_coordinate_operator`), the lead party's whole grid
+contracts it in one real GEMM, and each block is one more real GEMM
+giving the coordinates of the exact party's operators. A block is whole
 polar rows of the last party times as many lead points as fit, at most
 _CHUNK = 16,384 points in all (every supported grid has at most 10,609
 phase vectors per polar row), so its working set stays a few MB. The
-lead party's whole grid contracts the operator in one GEMM per scan,
-and a block takes one matmul. The top eigenvalues of the contracted
-blocks come in closed form when the exact party has dimension <= 3, and
-from LAPACK at dimension 4, where the scan skips LAPACK wherever a Weyl
-bound shows a grid point cannot win, so the winner is the one the full
-solve would pick (`_pruned_top_eigvals` derives the bound and its
-rounding margins).
+top eigenvalues come in closed form from the coordinates when the exact
+party has dimension 2 or 3, and from LAPACK at dimension 4, where the
+scan skips every point that a batched LDL^H test proves below the best
+value so far, so the winner is the one the full solve would pick
+(`_pruned_top_eigvals` and `_below` give the rounding argument).
 """
 
 from __future__ import annotations
@@ -73,12 +78,7 @@ from .witness import (
 MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
 _CHUNK = 1 << 14
-_ANCHOR_STRIDE = 8
-# Rounding margins of the pruning bound, relative to ||a||_F (derivation
-# in `_pruned_top_eigvals`): on the normalised quadratic form, and on the
-# bound itself.
-_FORM_PAD = 2.0**10 * np.finfo(float).eps
-_BOUND_PAD = 2.0**8 * np.finfo(float).eps
+_ANCHOR_STRIDE = 32
 
 
 def _support_check(dims: tuple[int, ...], resolution: int) -> int:
@@ -158,39 +158,101 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     return mag[pol] * phase[ph]
 
 
+def _coords(h: np.ndarray) -> np.ndarray:
+    """Real Hermitian coordinates [h_kk; Re h_kl; Im h_kl] (k < l in
+    `np.triu_indices` order) of each matrix in a (..., d, d) batch, read
+    from the diagonal and the upper triangle, coordinate axis first:
+    (d*d, ...)."""
+    d = h.shape[-1]
+    k, l = np.triu_indices(d, 1)
+    upper = h[..., k, l]
+    diag = h[..., range(d), range(d)].real
+    return np.moveaxis(np.concatenate([diag, upper.real, upper.imag], axis=-1), -1, 0)
+
+
+def _hermitian(c: np.ndarray) -> np.ndarray:
+    """The (..., d, d) Hermitian matrices whose coordinates (`_coords`) are
+    the (d*d, ...) real array c, both triangles filled exactly from them."""
+    d = math.isqrt(c.shape[0])
+    k, l = np.triu_indices(d, 1)
+    h = np.zeros(c.shape[1:] + (d, d), dtype=np.complex128)
+    h[..., range(d), range(d)] = np.moveaxis(c[:d], 0, -1)
+    h.real[..., k, l] = h.real[..., l, k] = np.moveaxis(c[d : d + k.size], 0, -1)
+    h.imag[..., k, l] = np.moveaxis(c[d + k.size :], 0, -1)
+    h.imag[..., l, k] = -h.imag[..., k, l]
+    return h
+
+
+def _coordinate_operator(mt: np.ndarray, x: int) -> np.ndarray:
+    """`_party_matrix(mt, x)` in real coordinates, as a (d_x**2, prod_{j!=x}
+    d_j**2) array: a gridded party's coordinate rows (`_grid_tables`)
+    contract it to the coordinates of party x's operator. With s_ij the
+    blocks of a party's (i, j) row pairs and z = conj(f_k) f_l,
+
+        sum_ij conj(f_i) f_j s_ij = sum_k |f_k|**2 s_kk
+            + sum_{k<l} Re z (s_kl + s_lk) + Im z i(s_kl - s_lk),
+
+    so each gridded party's row pairs become s_kk, s_kl + s_lk and
+    i(s_kl - s_lk), all Hermitian, whose coordinates are the columns."""
+    dims = mt.shape[: mt.ndim // 2]
+    op = _party_matrix(mt, x)
+    pre = 1  # the row pairs of the parties before j
+    for j, d in enumerate(dims):
+        if j != x:
+            v = op.reshape(pre, d, d, -1)
+            k, l = np.triu_indices(d, 1)
+            kl, lk = v[:, k, l], v[:, l, k]
+            op = np.concatenate([v[:, range(d), range(d)], kl + lk, 1j * (kl - lk)], axis=1)
+            op = op.reshape(-1, dims[x] ** 2)
+            pre *= d * d
+    return np.ascontiguousarray(_coords(op.reshape(-1, dims[x], dims[x])))
+
+
+def _grid_tables(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """A d-level party's two real tables: (d*d, n_pol) polar rows
+    (m_k**2, m_k m_l, m_k m_l) and (d*d, n_ph) phase rows (1, cos(phi_l -
+    phi_k), sin(phi_l - phi_k)), k < l, of the `_grid_axes` rows. Their
+    entrywise product over grid index pol*n_ph + ph is the coordinate row
+    (`_coords`) of that factor's outer product, conj(f_k) f_l at (k, l)."""
+    mag, phase = _grid_axes(d, resolution)
+    k, l = np.triu_indices(d, 1)
+    cross = mag[:, k] * mag[:, l]
+    z = phase[:, k].conj() * phase[:, l]
+    mag2 = np.concatenate([mag * mag, cross, cross], axis=1)
+    phase2 = np.concatenate([np.ones((z.shape[0], d)), z.real, z.imag], axis=1)
+    return np.ascontiguousarray(mag2.T), np.ascontiguousarray(phase2.T)
+
+
 def _grid_rows(mag2: np.ndarray, phase2: np.ndarray, lo: int, hi: int | None) -> np.ndarray:
-    """conj(f) (x) f, flattened, of the grid points in polar rows lo..hi-1,
-    in grid order, from the outer-product tables (m_i m_j) and
-    (conj(e_i) e_j) of `_grid_axes`."""
-    return (mag2[lo:hi, None, :] * phase2[None]).reshape(-1, phase2.shape[1])
+    """Coordinate rows of conj(f) (x) f of the grid points in polar rows
+    lo..hi-1, in grid order, as the columns of a (d*d, n) array, from the
+    tables of `_grid_tables`."""
+    return (mag2[:, lo:hi, None] * phase2[:, None, :]).reshape(phase2.shape[0], -1)
 
 
-def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each Hermitian matrix in a (..., d, d) batch.
+def _extremal_eigvals(c: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Hermitian matrix of a (d*d, ...) array of
+    real coordinates (`_coords`).
 
-    Closed form for d <= 3, read from the real diagonal and the upper
-    off-diagonal entries only; LAPACK `eigvalsh` for d = 4. At d = 3 it is
-    the trigonometric root of the characteristic cubic (O. K. Smith,
-    Commun. ACM 4(4):168, 1961), accurate to a few ulps of the matrix
-    norm except where the top eigenvalue is doubly degenerate, where
-    the cubic's double root costs about half the digits (1e-8 relative).
+    Closed form for d = 2 and 3, read from the coordinate rows; LAPACK
+    `eigvalsh` on the matrices built from the coordinates (`_hermitian`)
+    otherwise. At d = 3 it is the trigonometric root of the characteristic
+    cubic (O. K. Smith, Commun. ACM 4(4):168, 1961), accurate to a few
+    ulps of the matrix norm except where the top eigenvalue is doubly
+    degenerate, where the cubic's double root costs about half the digits
+    (1e-8 relative).
     """
-    d = t.shape[-1]
+    d = math.isqrt(c.shape[0])
     if d == 2:
-        # not `witness._bloch_top`: its Pauli transform and hypot calls took
-        # six (2,2,2) scans at resolution 32 from 0.21 s to 0.80 s
-        alpha = t[..., 0, 0].real
-        gamma = t[..., 1, 1].real
-        beta = t[..., 0, 1]
-        half_sum = 0.5 * (alpha + gamma)
-        rad = np.sqrt((0.5 * (alpha - gamma)) ** 2 + beta.real**2 + beta.imag**2)
-        return half_sum + rad
+        # squares, not hypot as in `witness._bloch_top`: hypot took six
+        # (2,2,2) scans at resolution 32 from 0.10 s to 0.27 s
+        alpha, gamma, re, im = c
+        return 0.5 * (alpha + gamma) + np.sqrt((0.5 * (alpha - gamma)) ** 2 + re * re + im * im)
     if d == 3:
-        a0, a1, a2 = (t[..., k, k].real for k in range(3))
-        b01, b02, b12 = t[..., 0, 1], t[..., 0, 2], t[..., 1, 2]
+        a0, a1, a2, r01, r02, r12, i01, i02, i12 = c
         q = (a0 + a1 + a2) / 3.0
         e0, e1, e2 = a0 - q, a1 - q, a2 - q
-        n01, n02, n12 = (b.real**2 + b.imag**2 for b in (b01, b02, b12))
+        n01, n02, n12 = r01 * r01 + i01 * i01, r02 * r02 + i02 * i02, r12 * r12 + i12 * i12
         p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (n01 + n02 + n12)) / 6.0)
         # B = (T - qI)/p has eigenvalues 2cos(angle), with cos(3 angle) =
         # det(B)/2. Each product is divided by p as it grows, so none goes
@@ -199,73 +261,88 @@ def _extremal_eigvals(t: np.ndarray) -> np.ndarray:
         e0 *= s
         e1 *= s
         e2 *= s
-        x = b01 * s
-        x *= b12
-        x *= s
-        x *= b02.conj()
-        x *= s
-        det = e0 * e1 * e2 + 2.0 * x.real
+        xr, xi = r01 * s, i01 * s  # b01/p, times b12/p, times conj(b02)/p
+        xr, xi = (xr * r12 - xi * i12) * s, (xr * i12 + xi * r12) * s
+        det = e0 * e1 * e2 + 2.0 * (xr * r02 + xi * i02) * s
         s *= s
         det -= (e0 * n12 + e1 * n02 + e2 * n01) * s
         angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
         return q + 2.0 * p * np.cos(angle)
-    return _lapack(np.linalg.eigvalsh, t)[..., -1]
+    return _lapack(np.linalg.eigvalsh, _hermitian(c))[..., -1]
 
 
-def _pruned_top_eigvals(q: np.ndarray, a: np.ndarray, floor: float) -> np.ndarray:
-    """Top eigenvalue of each 4x4 block of q @ a, bit for bit as LAPACK
-    gives it on the whole block, or -inf where it is provably below
-    max(floor, the anchors' best).
+def _below(c: np.ndarray, mu: float) -> np.ndarray:
+    """True where lambda_max(H) < mu is proven, H the Hermitian matrix of
+    each column of a (d*d, n) coordinate array (`_hermitian`), d <= 4.
 
-    `q` holds a block's (n, k) outer-product rows, n > _ANCHOR_STRIDE, and
-    `a` the contracted (1, k, 16) operator: a four-level exact party
-    leaves one gridded party (`_support_check`). LAPACK solves the anchor
-    rows 0, S, 2S, ... (S = _ANCHOR_STRIDE) and then only the rows i
-    whose bound from the nearest anchor j reaches that threshold:
-
-        lam_i <= lam_j + s*(sqrt(2)*sqrt(rho2 + _FORM_PAD) + _BOUND_PAD),
-
-    with s = ||a||_F, u = a/s and rho2 = (q_i - q_j) u u^H (q_i - q_j)^H,
-    so that s*sqrt(rho2) = ||(q_i - q_j) a||_F without building any
-    (n, 4, 4) difference. Normalising by s keeps the form clear of
-    overflow and underflow at any scale. With eps = 2**-52, k <= 16 and
-    ||q_i|| <= 1 + 8 eps (a table row (m_i m_j)(conj(e_i) e_j) of a unit
-    factor, each entry rounded three times), taking 2(m+2) eps for the
-    error of an m-term complex dot:
-    - GEMM: the computed T_i is q_i a up to 36 eps s in the Frobenius
-      norm, so T_i - T_j is off by at most 72 eps s;
-    - Weyl: LAPACK reads the Hermitian matrices H_i of the lower
-      triangles, and ||H_i - H_j||_2 <= ||H_i - H_j||_F
-      <= sqrt(2)||T_i - T_j||_F, so the GEMM term costs 102 eps s;
-    - LAPACK: each eigenvalue is exact for H_i + E with ||E||_2 <=
-      16 eps ||H_i||_2 <= 16 eps sqrt(2) s, 46 eps s for rows i and j;
-    - the rounding of q_i - q_j and of the bound's own arithmetic adds
-      under 15 eps s.
-    That is under 170 eps s, within _BOUND_PAD = 256 eps. The computed
-    rho2 sums 16-term, k-term and k-term dots of entries of modulus at
-    most |q_i - q_j| and |u|, so it is off by at most 110 eps
-    ||q_i - q_j||**2 <= 440 eps, within _FORM_PAD = 1024 eps.
+    The test is a floating-point LDL^H of B = A~ - tau I, with a shift in
+    Rump's style (S. M. Rump, BIT 46:433, 2006): A~ is mu I - H with its
+    diagonal rounded, T the computed sum of the |A~_kk|, and tau =
+    2**-47 T + 2**-1060, that is 64u T with u = 2**-53. If every pivot
+    comes out positive, the computed factors give L D L^H = B + dB,
+    positive definite, where |dB| <= g |L||D||L^H| entrywise with g = 16u
+    covering, for order <= 4 in complex arithmetic, a sum of at most three
+    updates, each a division by a pivot and a complex product (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3). By
+    Cauchy-Schwarz on the rows of L D**(1/2), ||dB||_2 <= g/(1 - g) tr(B)
+    <= 17u T. Rounding A~_kk and then B_kk moves each diagonal entry by at
+    most u|A~_kk|, so mu I - H = (B + dB) + (tau I - dB + E) with ||E||_2
+    <= 2.1u T, and tau I - dB + E is positive semidefinite since 17u T +
+    2.1u T < tau. A positive definite plus a positive semidefinite matrix
+    is positive definite: lambda_max(H) < mu. The absolute 2**-1060 covers
+    underflow, whose errors of at most 2**-1075 per operation stay far
+    below it. A failed pivot, an overflow or a NaN reads as not proven.
     """
-    n = q.shape[0]
-    (op,) = a
-    s = float(np.linalg.norm(op)) or 1.0
-    u = op / s
+    d = math.isqrt(c.shape[0])
+    k, l = np.triu_indices(d, 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diag = [mu - c[j] for j in range(d)]
+        tau = 2.0**-47 * sum(np.abs(a) for a in diag) + 2.0**-1060
+        piv = [a - tau for a in diag]
+        # B's lower entries, -conj(h_kl) at (l, k)
+        low = {(lj, kj): -c[d + m] + 1j * c[d + k.size + m] for m, (kj, lj) in enumerate(zip(k, l))}
+        ok = piv[0] > 0.0
+        for j in range(d - 1):
+            for i in range(j + 1, d):
+                w = low[i, j]
+                piv[i] = piv[i] - (w.real * w.real + w.imag * w.imag) / piv[j]
+                for r in range(j + 1, i):
+                    low[i, r] = low[i, r] - w / piv[j] * low[r, j].conj()
+            ok &= piv[j + 1] > 0.0
+    return ok
+
+
+def _pruned_top_eigvals(c: np.ndarray, floor: float) -> np.ndarray:
+    """Top eigenvalue of each 4x4 Hermitian matrix of a (16, n) coordinate
+    array, n > _ANCHOR_STRIDE, bit for bit as LAPACK gives it on the whole
+    batch, or -inf where that value is provably below the bar
+    max(floor, the anchors' values).
+
+    LAPACK solves the anchor columns 0, S, 2S, ... (S = _ANCHOR_STRIDE);
+    every other column is skipped only if `_below` proves lambda_max(H_i)
+    < mu = bar - pad, pad = 2**-47 (|bar| + s) + 2**-1060, where s = 8
+    max|c| >= ||H_i||_F >= ||H_i||_2 (H_i has 4 diagonal and 12 off-diagonal
+    coordinates); the other columns go to LAPACK. LAPACK reads the very
+    matrix H_i that `_below` tests, built exactly from the coordinates, and
+    its top eigenvalue is that of H_i + E with ||E||_2 <= 16 eps ||H_i||_2
+    (eps = 2**-52, a generous constant for its backward error at n = 4),
+    so at most 16 eps s above lambda_max(H_i). Rounding mu costs at most
+    u|mu|, so a skipped column has LAPACK value below
+    mu + 16 eps s <= bar - pad + eps (|bar| + pad) / 2 + 16 eps s < bar:
+    it neither beats the best so far nor ties with an anchor, and the
+    first largest value, the scan's winner, is the unpruned scan's.
+    """
+    n = c.shape[1]
     anchors = slice(0, n, _ANCHOR_STRIDE)
     lam = np.full(n, -np.inf)
-    lam[anchors] = _extremal_eigvals((q[anchors] @ a).reshape(-1, 4, 4))
-    last = (n - 1) // _ANCHOR_STRIDE * _ANCHOR_STRIDE
-    near = np.minimum((np.arange(n) + _ANCHOR_STRIDE // 2) // _ANCHOR_STRIDE * _ANCHOR_STRIDE, last)
-    diff = q - q[near]
-    rho2 = ((diff @ (u @ u.conj().T)) * diff.conj()).sum(axis=1).real
-    bound = lam[near] + s * (math.sqrt(2) * np.sqrt(np.maximum(rho2, 0.0) + _FORM_PAD) + _BOUND_PAD)
-    keep = bound >= max(floor, lam[anchors].max())
+    lam[anchors] = _extremal_eigvals(c[:, anchors])
+    bar = max(floor, lam[anchors].max())
+    s = 8.0 * max(c.max(), -c.min())
+    keep = ~_below(c, bar - (2.0**-47 * (abs(bar) + s) + 2.0**-1060))
     keep[anchors] = False
     rows = np.flatnonzero(keep)
     if rows.size:
-        # a lone row would take numpy's gemv path, whose bits can differ
-        # from the block GEMM's; two copies of it take the GEMM path
-        take = rows if rows.size > 1 else np.repeat(rows, 2)
-        lam[rows] = _extremal_eigvals((q[take] @ a).reshape(-1, 4, 4))[: rows.size]
+        lam[rows] = _extremal_eigvals(c[:, rows])
     return lam
 
 
@@ -275,50 +352,54 @@ def _scan_grid(
     """Grid every party but `x`, solve `x` exactly. Returns the winning grid
     index of each gridded party; the first point at the largest value wins.
 
-    Each gridded party's outer-product tables, (m_i m_j) over its polar
-    rows and (conj(e_i) e_j) over its phase vectors, are built once per
-    scan, and a block's rows are their broadcast product (`_grid_rows`).
+    Every party is carried in real Hermitian coordinates: the operator is
+    mapped once per scan (`_coordinate_operator`), each gridded party's
+    two real tables are built once per scan (`_grid_tables`), and a
+    block's coordinate rows are their broadcast product (`_grid_rows`).
     `_support_check` leaves at most one lead party before the last gridded
     one: the first of three qubits. Its whole grid (at most 5,402 points,
-    at resolution 73) contracts the operator in one GEMM, and the lead
-    blocks are slices of that product. A last-party block is as many whole
-    polar rows as fit in _CHUNK points (one row if none fits), times as
-    many lead points as keep the block within _CHUNK. The last party's
-    blocks are the outer loop and the lead blocks the inner one. For a
-    four-level `x`, LAPACK sees only a block's anchors and the points
-    whose Weyl bound can still reach the best value so far
-    (`_pruned_top_eigvals`).
+    at resolution 73) contracts the operator in one real GEMM, and the
+    lead blocks are slices of that product. A last-party block is as many
+    whole polar rows as fit in _CHUNK points (one row if none fits), times
+    as many lead points as keep the block within _CHUNK. The last party's
+    blocks are the outer loop and the lead blocks the inner one. Each
+    block is one real GEMM giving the coordinates of party x's operators,
+    coordinate axis first. For a four-level `x`, LAPACK sees only a
+    block's anchors and the points that `_below` cannot place under the
+    best value so far (`_pruned_top_eigvals`).
     """
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
         return []
     *lead, last = gridded
     dx = dims[x]
-    op = _party_matrix(mt, x).reshape(-1, dims[last] ** 2 * dx * dx)
+    n_last = dims[last] ** 2
+    op = _coordinate_operator(mt, x).reshape(dx * dx, -1, n_last).transpose(1, 0, 2)
     if lead:
-        op = _grid_rows(*map(_outer, _grid_axes(dims[lead[0]], resolution)), 0, None) @ op
-    mag2, phase2 = map(_outer, _grid_axes(dims[last], resolution))
-    n_ph = phase2.shape[0]
+        lead_rows = _grid_rows(*_grid_tables(dims[lead[0]], resolution), 0, None)
+        op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
+    mag2, phase2 = _grid_tables(dims[last], resolution)
+    n_ph = phase2.shape[1]
     rows = max(1, _CHUNK // n_ph)
-    lead_step = max(1, _CHUNK // (min(rows, mag2.shape[0]) * n_ph))
+    lead_step = max(1, _CHUNK // (min(rows, mag2.shape[1]) * n_ph))
     best_val = -np.inf
     best_lead = best_last = -1
     # Every supported structure has one lead block (no lead party) or one
     # last block (the last of three qubits has at most 5,402 points), so
     # either loop runs once and the blocks are visited in row-major order,
     # which the first-maximum tie-break relies on.
-    for lo in range(0, mag2.shape[0], rows):
+    for lo in range(0, mag2.shape[1], rows):
         q = _grid_rows(mag2, phase2, lo, lo + rows)
         for lead_start in range(0, op.shape[0], lead_step):
-            a = op[lead_start : lead_start + lead_step].reshape(-1, dims[last] ** 2, dx * dx)
-            if dx == 4 and q.shape[0] > _ANCHOR_STRIDE:  # two anchors or more
-                lam = _pruned_top_eigvals(q, a, best_val)
+            t = op[lead_start : lead_start + lead_step] @ q
+            if dx == 4 and q.shape[1] > _ANCHOR_STRIDE:  # two anchors or more
+                lam = _pruned_top_eigvals(t[0], best_val)
             else:
-                lam = _extremal_eigvals((q @ a).reshape(-1, dx, dx))
+                lam = _extremal_eigvals(t.transpose(1, 0, 2)).ravel()
             j = int(np.argmax(lam))
             if lam[j] > best_val:
                 best_val = lam[j]
-                i_lead, i_last = divmod(j, q.shape[0])
+                i_lead, i_last = divmod(j, q.shape[1])
                 best_lead, best_last = lead_start + i_lead, lo * n_ph + i_last
     return ([best_lead] if lead else []) + [best_last]
 

@@ -217,20 +217,31 @@ def test_witness_make_rejects_bad_offset(capsys, sq_file, tmp_path):
 
 
 @pytest.mark.parametrize("cmd", ["witness-make", "extend"])
-def test_an_unwritable_output_is_a_parse_error_report(capsys, sq_file, tmp_path, cmd):
+def test_an_unwritable_output_is_a_parse_error_report(monkeypatch, capsys, sq_file, tmp_path, cmd):
+    # refused before any work: the witness and the extension would raise
     wpath = str(tmp_path / "w.json")
     _run(capsys, "witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3", "-o", wpath)
-    out = tmp_path / "missing" / "w.json"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the output was checked")
+
+    monkeypatch.setattr(cli, "make_witness", refuse)
+    monkeypatch.setattr(cli, "purify_extend_n", refuse)
+    files = sorted(tmp_path.rglob("*"))
     argv = {
         "witness-make": ("witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3"),
-        "extend": ("extend", wpath, "--method", "identity", "--tail-dims", "2"),
+        "extend": ("extend", wpath, "--method", "purify"),
     }[cmd]
-    code, report, err = _run(capsys, *argv, "-o", str(out))
-    assert code == 1
-    assert report["error"]["type"] == "ParseError"
-    assert report["error"]["message"].startswith(f"cannot write {out}: ")
-    assert "Traceback" not in err
-    assert not out.parent.exists()
+    for out in (tmp_path / "missing" / "w.json", tmp_path):
+        code = main([*argv, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        (line,) = captured.out.splitlines()
+        report = json.loads(line)
+        assert report["error"]["type"] == "ParseError"
+        assert report["error"]["message"].startswith(f"cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_witness_verify_accepts_what_strict_make_writes_at_the_closed_end(capsys, sq_file, tmp_path):

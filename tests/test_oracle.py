@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -201,9 +202,9 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     sizes = []
     solve = oracle._extremal_eigvals
 
-    def record(t):
-        sizes.append(math.prod(t.shape[:-2]))
-        return solve(t)
+    def record(c):  # (d*d, ...) coordinates
+        sizes.append(math.prod(c.shape[1:]))
+        return solve(c)
 
     monkeypatch.setattr(oracle, "_extremal_eigvals", record)
     m = _random_hermitian(np.random.default_rng(31), dims)
@@ -306,10 +307,10 @@ def test_grid_factors_keep_the_per_point_bits(d, resolution, sample):
 )
 def test_table_rows_match_the_outer_products_of_the_factors(d, resolution, sample):
     # every entry has modulus <= 1, and the tables round differently from
-    # conj(f) (x) f, so they agree to within 4 ulps of 1; over every polar
-    # row, or the first, the last and a seeded sample of them
-    mag2, phase2 = map(_outer, oracle._grid_axes(d, resolution))
-    n_pol, n_ph = mag2.shape[0], phase2.shape[0]
+    # the coordinates of conj(f) (x) f, so they agree to within 4 ulps of 1;
+    # over every polar row, or the first, the last and a seeded sample of them
+    mag2, phase2 = oracle._grid_tables(d, resolution)
+    n_pol, n_ph = mag2.shape[1], phase2.shape[1]
     assert n_pol * n_ph == oracle._grid_size(d, resolution)
     if sample:
         picked = np.random.default_rng(71).choice(n_pol, sample, replace=False)
@@ -319,7 +320,8 @@ def test_table_rows_match_the_outer_products_of_the_factors(d, resolution, sampl
         spans = [(lo, min(n_pol, lo + step)) for lo in range(0, n_pol, step)]
     for lo, hi in spans:
         got = oracle._grid_rows(mag2, phase2, lo, hi)
-        ref = _outer(oracle._grid_factors(d, resolution, np.arange(lo * n_ph, hi * n_ph)))
+        f = oracle._grid_factors(d, resolution, np.arange(lo * n_ph, hi * n_ph))
+        ref = oracle._coords(_outer(f).reshape(-1, d, d))
         assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps), (lo, hi)
 
 
@@ -349,11 +351,17 @@ def _hermitian_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return (a + a.conj().transpose(0, 2, 1)) / 2
 
 
+def _top(t: np.ndarray) -> np.ndarray:
+    """`oracle._extremal_eigvals` of a (n, d, d) Hermitian batch, fed through
+    its real coordinates."""
+    return oracle._extremal_eigvals(oracle._coords(t))
+
+
 def _assert_matches_lapack(t: np.ndarray, tol: float) -> None:
     """Both ends: the top eigenvalue of t, and the bottom one as that of -t."""
     ref = np.linalg.eigvalsh(t)
     norm = np.linalg.norm(t, ord=2, axis=(-2, -1))
-    for got, col in ((oracle._extremal_eigvals(t), -1), (-oracle._extremal_eigvals(-t), 0)):
+    for got, col in ((_top(t), -1), (-_top(-t), 0)):
         assert np.all(np.abs(got - ref[:, col]) <= tol * norm)
 
 
@@ -371,8 +379,8 @@ def test_qutrit_closed_form_on_scalar_blocks():
     t = scales[:, None, None] * np.eye(3, dtype=np.complex128)
     _assert_matches_lapack(t, 1e-12)
     # exact, where LAPACK's scaling is off by an ulp at 1e-300 and 1e300
-    assert np.array_equal(oracle._extremal_eigvals(t), scales)
-    assert np.array_equal(-oracle._extremal_eigvals(-t), scales)
+    assert np.array_equal(_top(t), scales)
+    assert np.array_equal(-_top(-t), scales)
 
 
 def test_qutrit_closed_form_on_doubly_degenerate_spectra():
@@ -451,18 +459,19 @@ def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, 
 def _unpruned_scan(signed: np.ndarray, dims: tuple[int, ...], x: int, resolution: int) -> list[int]:
     """`oracle._scan_grid` for a four-level exact party without the pruning:
     LAPACK on every grid point, in the same blocks of polar rows, whose
-    outer-product rows come from the same tables; the first best point wins."""
+    coordinates come from the same operator, tables and GEMM; the first
+    best point wins."""
     (g,) = [k for k in range(len(dims)) if k != x]
-    a = _party_matrix(signed, x).reshape(1, dims[g] ** 2, 16)
-    mag2, phase2 = map(_outer, oracle._grid_axes(dims[g], resolution))
-    rows = max(1, oracle._CHUNK // phase2.shape[0])
+    a = oracle._coordinate_operator(signed, x)[None]
+    mag2, phase2 = oracle._grid_tables(dims[g], resolution)
+    rows = max(1, oracle._CHUNK // phase2.shape[1])
     best_val, best = -np.inf, -1
-    for lo in range(0, mag2.shape[0], rows):
+    for lo in range(0, mag2.shape[1], rows):
         q = oracle._grid_rows(mag2, phase2, lo, lo + rows)
-        lam = np.linalg.eigvalsh((q @ a).reshape(-1, 4, 4))[:, -1]
+        lam = np.linalg.eigvalsh(oracle._hermitian((a @ q)[0]))[:, -1]
         j = int(np.argmax(lam))
         if lam[j] > best_val:
-            best_val, best = lam[j], lo * phase2.shape[0] + j
+            best_val, best = lam[j], lo * phase2.shape[1] + j
     return [best]
 
 
@@ -532,21 +541,130 @@ def test_pruned_scan_on_tied_grid_points(monkeypatch):
             assert winner == _unpruned_scan(signed, (2, 4), 1, resolution)
 
 
-def test_pruning_bound_covers_the_lower_triangle_lapack_reads():
-    # LAPACK reads only the lower triangle: for T = c*L, L the lower
-    # triangle of ones, it solves c*J, J all ones, whose top eigenvalue is
-    # 4c, while ||T_i - T_j||_F is only sqrt(10)*|c_i - c_j|. Row 1 (c = 1)
-    # has its nearest anchor at row 0 (c = 0) and is the best point; anchor
-    # 8 (c = 0.9) sets the bar, 3.6, which sqrt(10) alone would not reach.
-    c = np.zeros((16, 1), dtype=complex)
-    c[1], c[8] = 1.0, 0.9
-    a = np.tril(np.ones((4, 4), dtype=complex)).reshape(1, 1, 16)
-    full = np.linalg.eigvalsh((c @ a).reshape(-1, 4, 4))[:, -1]
-    lam = oracle._pruned_top_eigvals(c, a, -np.inf)
-    solved = lam > -np.inf
-    assert np.array_equal(lam[solved], full[solved])
-    assert np.all(full[~solved] < full[8])
-    assert int(np.argmax(lam)) == 1
+def _near_ties(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(16, n) coordinates: n random 4x4 Hermitian rows and, at row 64,
+    the best one, which rows before and after it tie with or miss by a
+    few ulps of its top eigenvalue."""
+    h = _hermitian_batch(rng, n, 4) * 0.5
+    best = h[64] + 4 * np.eye(4)
+    eye = np.eye(4) * np.spacing(np.linalg.eigvalsh(best)[-1])
+    for i, k in zip((3, 30, 33, 63, 65, 66, 96, 131), (0, -1, -2, 0, 1, -1, 0, -4)):
+        h[i] = best + k * eye
+    h[64] = best
+    h[97] = best * (1 - 2.0**-52)
+    return oracle._coords(h)
+
+
+def _near_scalar(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(16, n) coordinates: the anchors are v*I and the other rows v*I
+    moved by a few ulps of v, many of them provably below v, yet with a
+    LAPACK value of v or more: what the pad on LAPACK's rounding is for."""
+    v = 0.5606394622302311
+    ulp = np.spacing(v)
+    c = np.zeros((16, n))
+    c[:4] = v + rng.integers(-8, 1, (4, n)) * ulp
+    c[4:] = rng.integers(-3, 4, (12, n)) * ulp * rng.uniform(0, 1, (12, n))
+    c[:4, :: oracle._ANCHOR_STRIDE] = v
+    c[4:, :: oracle._ANCHOR_STRIDE] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("rows", [_near_ties, _near_scalar])
+def test_pruning_skips_only_points_below_the_bar(scale, rows):
+    # the bar is the best anchor's value, or a floor at or near it; no row
+    # at or above it is skipped, and solved rows keep LAPACK's bits
+    n = 4 * oracle._ANCHOR_STRIDE + 5
+    c = rows(np.random.default_rng(73), n) * scale
+    full = np.linalg.eigvalsh(oracle._hermitian(c))[:, -1]
+    top = full[:: oracle._ANCHOR_STRIDE].max()
+    if rows is _near_scalar:
+        at_or_above = full >= top
+        at_or_above[:: oracle._ANCHOR_STRIDE] = False
+        assert np.any(at_or_above & oracle._below(c, top))
+    near = (np.nextafter(top, -np.inf), np.nextafter(top, np.inf))
+    for floor in (-np.inf, top, *near, 2 * abs(top)):
+        lam = oracle._pruned_top_eigvals(c, floor)
+        solved = lam > -np.inf
+        assert np.array_equal(lam[solved], full[solved])
+        assert np.all(full[~solved] < max(floor, top))
+        if rows is _near_ties:
+            assert solved.sum() < n // 2  # the random rows are skipped
+            if floor <= top:
+                assert int(np.argmax(lam)) == int(np.argmax(full))
+
+
+def _exactly_positive_definite(a: list[list[tuple[Fraction, Fraction]]]) -> bool:
+    """Positive definiteness of a Hermitian matrix of (re, im) Fraction
+    entries, by LDL^T of its real symmetric embedding [[Re, -Im], [Im, Re]]."""
+    d = len(a)
+    m = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        re, im = a[i][j]
+        m[i][j] = m[d + i][d + j] = re
+        m[d + i][j], m[i][d + j] = im, -im
+    for j in range(2 * d):
+        if m[j][j] <= 0:
+            return False
+        for i in range(j + 1, 2 * d):
+            f = m[i][j] / m[j][j]
+            for k in range(j + 1, 2 * d):
+                m[i][k] -= f * m[j][k]
+    return True
+
+
+def _shifted_exactly(c: np.ndarray, mu: float) -> list[list[tuple[Fraction, Fraction]]]:
+    """mu*I - H in exact arithmetic, H the Hermitian matrix of the
+    coordinates c (`oracle._hermitian`)."""
+    h = oracle._hermitian(c[:, None])[0]
+    d = h.shape[0]
+    shift = [[Fraction(mu) if i == j else 0 for j in range(d)] for i in range(d)]
+    return [
+        [(shift[i][j] - Fraction(h[i, j].real), -Fraction(h[i, j].imag)) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def _dyadic_cases(rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
+    """(coordinates, exact top eigenvalue or nan) of small Hermitian matrices
+    with dyadic entries: random ones of size 2, 3 and 4, degenerate and
+    scalar ones, and zero."""
+    cases = []
+    for d in (2, 3, 4):
+        for _ in range(6):
+            c = rng.integers(-(2**20), 2**20, d * d) / 2.0**18
+            cases.append((c, math.nan))
+    # q diag(lam) q^H with q the Hadamard matrix over 2 times phases 1, i, -1, -i:
+    # dyadic entries and a known spectrum
+    had = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    q = np.diag([1, 1j, -1, -1j]) @ had
+    spectra = ((1.0, 1.0, 1.0, -3.0), (0.75, 0.75, 0.25, 0.0), (-0.5, 2.0, 2.0, 2.0), (3.0, -1.0, 0.5, 0.125))
+    for lam in spectra:
+        cases.append((oracle._coords((q * lam) @ q.conj().T), max(lam)))
+    for v in (0.0, 0.375, -2.5):
+        cases.append((oracle._coords(v * np.eye(4, dtype=complex)), v))
+    return cases
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_below_is_confirmed_in_exact_arithmetic(scale):
+    # whenever `_below` says lambda_max(H) < mu, an exact LDL^T of mu*I - H
+    # confirms it; mu runs over a few ulps on either side of lambda_max,
+    # where a test without its shift would say "below" wrongly
+    rng = np.random.default_rng(79)
+    for c, top in _dyadic_cases(rng):
+        c = c * scale
+        if math.isnan(top):
+            top = np.linalg.eigvalsh(oracle._hermitian(c[:, None]))[0, -1]
+        else:
+            top *= scale
+        mus = [top + k * np.spacing(top) for k in range(-4, 5)]
+        mus.append(top + 1e-6 * max(abs(top), np.abs(c).max(), scale))
+        below = [bool(oracle._below(c[:, None], mu)[0]) for mu in mus]
+        assert below[-1], (c, top)  # clear of lambda_max, it is proven
+        for mu, said in zip(mus, below):
+            if said:
+                assert _exactly_positive_definite(_shifted_exactly(c, mu)), (c, mu)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -573,7 +691,7 @@ def test_pruned_scan_sends_few_grid_points_to_lapack(monkeypatch):
     for signed in (mt, -mt):
         rows.clear()
         oracle._scan_grid(signed, (2, 4), 1, 256)
-        assert sum(rows) <= 0.35 * points
+        assert sum(rows) <= 0.08 * points
 
 
 def _grid_max(signed: np.ndarray, dims: tuple[int, ...], resolution: int) -> float:
