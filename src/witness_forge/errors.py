@@ -74,10 +74,6 @@ class FormNotSupported(DomainError):
     """The witness form is not covered by the requested extension."""
 
 
-class ZeroMaxEigenvalue(DomainError):
-    """A tail state has vanishing top eigenvalue."""
-
-
 class CountTooLarge(DomainError):
     """Enumeration was requested beyond the hard size cap."""
 

@@ -36,7 +36,7 @@ from .errors import (
     ParamOutOfRange,
     UnnormalizedTail,
 )
-from .linalg import MAX_TOTAL_DIM, ComplexMatrix
+from .linalg import ComplexMatrix, _require_within_cap
 from .qstate import (
     NORM_TOL,
     DensityMatrix,
@@ -74,8 +74,7 @@ def _tensor(
     """base (x) f_1 (x) f_2 ... with f_k of dims tail_dims[k]. The size is
     checked before `factors` is read, so the factors may be built lazily."""
     dims = base.dims + sum(tail_dims, ())
-    if math.prod(dims) > MAX_TOTAL_DIM:
-        raise ParamOutOfRange(f"product dimension {math.prod(dims)} > {MAX_TOTAL_DIM}")
+    _require_within_cap(math.prod(dims), "product dimension")
     arr = base.mat.mat
     for f in factors:
         arr = np.kron(arr, f)

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParamOutOfRange, ParseError
-from .linalg import MAX_TOTAL_DIM, ComplexMatrix, ComplexVector
+from .errors import ParseError
+from .linalg import ComplexMatrix, ComplexVector, _require_within_cap
 from .qstate import DensityMatrix, PureState
 from .witness import Witness, WitnessForm
 
@@ -176,8 +176,7 @@ def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix
         raise ParseError(f"dims must be a list of positive integers, got {dims_raw!r}")
     dims = tuple(dims_raw)
     dim = math.prod(dims)
-    if dim > MAX_TOTAL_DIM:
-        raise ParamOutOfRange(f"total dimension {dim} > {MAX_TOTAL_DIM}")
+    _require_within_cap(dim, "total dimension")
 
     if kind == "pure":
         vec = _decode_array(raw.get("data"), (dim,), "data")

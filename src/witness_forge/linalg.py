@@ -71,6 +71,13 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _require_within_cap(dim: int, what: str) -> None:
+    """ParamOutOfRange, naming the `what` of size `dim`, above
+    MAX_TOTAL_DIM: the one size check before any dense allocation."""
+    if dim > MAX_TOTAL_DIM:
+        raise ParamOutOfRange(f"{what} {dim} > {MAX_TOTAL_DIM}")
+
+
 def _freeze(obj, field: str, what: str, ndim: int) -> None:
     """Validate a vector (ndim 1) or square matrix (ndim 2) dataclass in
     place: its dims, and its `field` as a read-only complex128 copy of

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ParamOutOfRange, SelectionOutOfRange
 from .linalg import (
-    MAX_TOTAL_DIM,
     RANK_TOL,
     TIE_TOL,
     ComplexMatrix,
@@ -30,6 +29,7 @@ from .linalg import (
     SpectralDecomposition,
     _canonical_eig,
     _extreme_eigvals,
+    _require_within_cap,
 )
 
 NORM_TOL = 1e-10  # a trace (density matrix) or norm (pure state) this close to 1 is 1
@@ -203,8 +203,7 @@ def _purification_columns(
     dimension above MAX_TOTAL_DIM raises ParamOutOfRange before any
     column is built."""
     purified = vecs.shape[0] * ancilla_dim
-    if purified > MAX_TOTAL_DIM:
-        raise ParamOutOfRange(f"purified dimension {purified} > {MAX_TOTAL_DIM}")
+    _require_within_cap(purified, "purified dimension")
     idx, slots = np.array(pairs).T
     cols = np.zeros((vecs.shape[0], ancilla_dim, len(pairs)), dtype=np.complex128)
     cols[:, slots, np.arange(len(pairs))] = vecs[:, idx]

@@ -24,12 +24,12 @@ and a normalisation (`_bloch_top`), and on all-qubit structures every
 GEMM is real. Any other party keeps its complex factors and their outer
 products conj(f) (x) f, and its (R, d, d) operators go to one LAPACK
 `eigh` call, read from the lower triangle. A party's rows are rebuilt
-only when it is updated; stopped restarts leave the batch, and chunks
-of SEESAW_CHUNK restarts and GEMM slices of _BLOCK entries bound
-memory. Restart r starts from one draw of its own SeedSequence([seed,
-r]) stream (`_random_starts`). Only the winning factors get the
-canonical phase, and the reported value is their expectation
-recomputed from sigma (`_winner`). See-saw certifies only one side (a
+only when it is updated; stopped restarts leave the batch, and the
+restarts run in chunks sized so that every batch array stays within
+_BLOCK entries. Restart r starts from one draw of its own
+SeedSequence([seed, r]) stream (`_random_starts`). Only the winning
+factors get the canonical phase, and the reported value is their
+expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
 lower bound for the max), so every verdict reads the one search of
 s*sigma: strict `make_witness` is `verify_witness` plus a raise, and
 the grid oracle scans sigma in the same direction. One rule,
@@ -62,8 +62,6 @@ from .qstate import DensityMatrix
 
 SEESAW_TOL = 1e-12
 SEESAW_MAX_ITERS = 500
-# Restarts run together per see-saw batch; bounds the batch arrays for any --restarts.
-SEESAW_CHUNK = 64
 DEFAULT_RESTARTS = 32
 TOL_POS = 1e-8
 TOL_NEG = 1e-10
@@ -172,7 +170,7 @@ class WitnessReport:
     certificate_state: ProductState
 
 
-# Complex entries in one outer-product block (16 MB); (2,2,256) needs slices.
+# Complex entries in the largest array of one see-saw batch (16 MB).
 _BLOCK = 1 << 20
 
 # Rows vec(s^T)/2 for s = I, X, Y, Z. A qubit factor f with Bloch vector n
@@ -218,18 +216,10 @@ def _contract(op: np.ndarray, outs: Sequence[np.ndarray], rows: int) -> np.ndarr
     rows `outs`, in party order: (rows, d_j**2) outer products against
     `op` = `_party_matrix(mt, k)`, or, against `_bloch_operator(mt, k)`,
     (rows, 4) Bloch rows for qubits. The rows, Kronecker multiplied,
-    contract `op` in one GEMM per slice of rows whose block stays within
-    _BLOCK entries. The result is Hermitian, or real, only to rounding;
-    its readers take the lower triangle, or the real part."""
-    step = max(1, _BLOCK // op.shape[0])
-    if rows <= step:
-        return _kron_rows(outs, (rows,)) @ op
-    blocks = [
-        _kron_rows([o[lo : lo + step] for o in outs], (min(step, rows - lo),)) @ op
-        for lo in range(0, rows, step)
-    ]
-    # more than one block only for a tall op, whose (rows, d_k**2) result is small
-    return np.concatenate(blocks)
+    contract `op` in one GEMM; the caller bounds `rows`. The result is
+    Hermitian, or real, only to rounding; its readers take the lower
+    triangle, or the real part."""
+    return _kron_rows(outs, (rows,)) @ op
 
 
 def _extremal_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,11 +403,16 @@ def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
     dims = m.dims
     mt = m.mat.reshape(dims + dims)
     signed = s * mt  # exact: -mt bit for bit at s = -1
+    # Each batch array, for R restarts and D = m.dim, is at most
+    # R*max(D/d_k, d_k)**2 entries: the Kronecker rows R*(D/d_k)**2, the
+    # operators and eigh input R*d_k**2, the product vectors R*D. The
+    # chunk keeps that within _BLOCK, or runs one restart at a time.
+    chunk = max(1, _BLOCK // max(max(m.dim // d, d) ** 2 for d in dims))
     best_score = -np.inf
     best_factors: list[np.ndarray] | None = None
     all_converged = True
-    for lo in range(0, restarts, SEESAW_CHUNK):
-        starts = _random_starts(seed, range(lo, min(restarts, lo + SEESAW_CHUNK)), dims)
+    for lo in range(0, restarts, chunk):
+        starts = _random_starts(seed, range(lo, min(restarts, lo + chunk)), dims)
         values, factors, converged = _seesaw_run(signed, starts)
         all_converged = all_converged and bool(converged.all())
         i = int(np.argmax(values))  # the first restart at the best value

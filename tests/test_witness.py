@@ -223,35 +223,47 @@ def test_bloch_operators_match_the_complex_contraction(dims):
 def test_outer_product_blocks_stay_within_the_budget(monkeypatch):
     dims = (2, 2, 64)
     m = _random_hermitian(np.random.default_rng(37), dims)
-    mt = m.mat.reshape(dims + dims)
-    batch = _random_starts(0, range(32), dims)
-    with mock.patch.object(witness, "SEESAW_MAX_ITERS", 5):
-        whole = _seesaw_run(mt, batch)
-    budget = 3 * 4 * 64**2  # three restarts of the widest block, that of party 0 or 1
-    blocks = []
-    kron = witness._kron_rows
+    monkeypatch.setattr(witness, "SEESAW_MAX_ITERS", 5)
+    whole = max_product_expectation(m, restarts=32, seed=0)
+    budget = 3 * (2 * 64) ** 2  # three restarts of the widest rows, those of party 0 or 1
+    sizes = []
+    kron, top = witness._kron_rows, witness._extremal_factor
 
-    def record(vs, rows):
-        out = kron(vs, rows)
-        blocks.append(out.shape)
+    def record_kron(vs, batch):
+        out = kron(vs, batch)
+        sizes.append(out.size)
         return out
 
+    def record_top(h):
+        sizes.append(h.size)
+        return top(h)
+
     monkeypatch.setattr(witness, "_BLOCK", budget)
-    monkeypatch.setattr(witness, "_kron_rows", record)
-    for k in range(3):
-        blocks.clear()
-        outs = [witness._outer(f) for j, f in enumerate(batch) if j != k]
-        witness._contract(witness._party_matrix(mt, k), outs, 32)
-        assert sum(rows for rows, _ in blocks) == 32
-        assert max(rows * cols for rows, cols in blocks) <= budget
-        assert len(blocks) == (11 if k < 2 else 1)
-    blocks.clear()
-    with mock.patch.object(witness, "SEESAW_MAX_ITERS", 5):
-        sliced = _seesaw_run(mt, batch)
-    assert max(rows * cols for rows, cols in blocks) <= budget
-    assert np.abs(sliced[0] - whole[0]).max() <= 1e-14
-    for a, b in zip(sliced[1], whole[1]):
-        assert np.abs(a - b).max() <= 1e-12
+    monkeypatch.setattr(witness, "_kron_rows", record_kron)
+    monkeypatch.setattr(witness, "_extremal_factor", record_top)
+    chunked = max_product_expectation(m, restarts=32, seed=0)
+    assert max(sizes) == budget  # a full chunk of party 0's rows
+    assert abs(chunked.value - whole.value) <= 1e-14
+    assert chunked.converged == whole.converged
+    for a, b in zip(chunked.extremizer.factors, whole.extremizer.factors):
+        assert np.abs(a.vec - b.vec).max() <= 1e-12
+
+
+def test_one_party_eigh_batches_stay_within_the_budget(monkeypatch):
+    m = _random_hermitian(np.random.default_rng(53), (32,))
+    budget = 4 * 32**2
+    batches = []
+    top = witness._extremal_factor
+
+    def record(h):
+        batches.append(h.size)
+        return top(h)
+
+    monkeypatch.setattr(witness, "_BLOCK", budget)
+    monkeypatch.setattr(witness, "_extremal_factor", record)
+    opt = max_product_expectation(m, restarts=32, seed=0)
+    assert batches and max(batches) <= budget
+    assert abs(opt.value - np.linalg.eigvalsh(m.mat)[-1]) <= 1e-12 * np.linalg.norm(m.mat, 2)
 
 
 def test_seesaw_makes_no_einsum_call(monkeypatch):
@@ -504,7 +516,7 @@ def test_batched_starts_match_the_one_restart_draws(monkeypatch):
 
     monkeypatch.setattr(witness, "_unit_factors", record_draws)
     monkeypatch.setattr(witness, "_seesaw_run", record_starts)
-    monkeypatch.setattr(witness, "SEESAW_CHUNK", 64)
+    monkeypatch.setattr(witness, "_BLOCK", 64 * 12**2)  # party 0's rows are 12**2 wide
     max_product_expectation(m, restarts=70, seed=5)
     assert [len(d) for d in draws] == [64, 6]  # the second chunk starts at r = 64
     rows = np.concatenate(draws)
@@ -524,8 +536,17 @@ def test_batched_starts_match_the_one_restart_draws(monkeypatch):
 def test_restart_chunks_do_not_change_the_result(monkeypatch):
     m = _random_hermitian(np.random.default_rng(29), (2, 3))
     whole = min_product_expectation(m, restarts=8, seed=4)
-    monkeypatch.setattr(witness, "SEESAW_CHUNK", 3)
+    sizes = []
+    run = witness._seesaw_run
+
+    def record(mt, start):
+        sizes.append(len(start[0]))
+        return run(mt, start)
+
+    monkeypatch.setattr(witness, "_BLOCK", 3 * 3**2)  # every party's rows are 3**2 wide
+    monkeypatch.setattr(witness, "_seesaw_run", record)
     chunked = min_product_expectation(m, restarts=8, seed=4)
+    assert sizes == [3, 3, 2]
     assert abs(chunked.value - whole.value) <= 1e-14
     assert chunked.converged == whole.converged
     for a, b in zip(chunked.extremizer.factors, whole.extremizer.factors):
