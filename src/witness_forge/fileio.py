@@ -11,7 +11,12 @@ The document dict holds matrices and vectors as complex ndarrays, which
 one codec writes and reads whole. The writer is canonical: keys sorted,
 compact separators, every float at 17 significant digits, trailing
 newline; writing a parsed canonical file reproduces it byte for byte.
-An array is one `%` on a template of [re, im] pairs nested once per axis.
+The float parts of all the arrays of a document are rendered in one
+pass: each distinct magnitude is formatted once with `%.17g`, and a part
+whose sign bit is set gets a `-` in front, as printf writes it (so -0.0
+is `-0`, which the reader reads back as -0.0). The results fill a
+template of [re, im] pairs nested once per axis, one row of a matrix at
+a time, and a file is written row by row.
 The reader is strict (exact shapes; parts are numbers, not booleans,
 finite as float64), and any malformed file raises ParseError. A file
 whose `dims` multiply to more than MAX_TOTAL_DIM, the largest size the
@@ -23,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -52,45 +59,107 @@ def _fmt_float(x: float) -> str:
     return _FLOAT_FORMAT % x
 
 
+def _float_parts(arrays: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The re and im parts of every entry of `arrays`, in order, as a new array."""
+    return np.concatenate([a for _, a in arrays], axis=None, dtype=np.complex128).view(np.float64)
+
+
+def _require_finite(parts: np.ndarray) -> None:
+    """Raise the ParseError of `_fmt_float` for the first non-finite part."""
+    finite = np.isfinite(parts)
+    if not finite.all():
+        _fmt_float(float(parts[finite.argmin()]))
+
+
 def dumps_canonical(obj) -> str:
     """Serialize to canonical JSON: sorted keys, compact separators, floats
     at 17 significant digits, a complex ndarray as nested [re, im] pairs
     (other arrays raise ParseError). Ends without a newline."""
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj) -> Iterator[str]:
+    """The canonical text of `obj` in pieces, every check already run. The
+    arrays are written out as the pieces are taken, a matrix row apiece."""
     out: list[str] = []
-    _dump(obj, out)
-    return "".join(out)
+    arrays: list[tuple[int, np.ndarray]] = []
+    _dump(obj, out, arrays)
+    if not arrays:
+        return iter(out)
+    parts = _float_parts(arrays)
+    negative = np.signbit(parts)
+    mags, inverse = np.unique(np.abs(parts, out=parts), return_inverse=True, equal_nan=False)
+    if mags.size and not math.isfinite(mags[-1]):  # inf and nan sort last
+        _require_finite(_float_parts(arrays))
+    text = (",".join([_FLOAT_FORMAT] * mags.size) % tuple(mags.tolist())).split(",")
+    cells = np.empty(2 * parts.size, dtype=object)
+    cells[0::2] = ""
+    cells[0::2][negative] = "-"
+    cells[1::2] = np.array(text, dtype=object)[inverse]
+    return _filled(out, arrays, cells)
 
 
-def _dump(obj, out: list[str]) -> None:
+def _filled(out: list[str], arrays: list[tuple[int, np.ndarray]], cells: np.ndarray) -> Iterator[str]:
+    """The text of `out` in pieces: each array is written at its slot from
+    its run of sign and magnitude `cells`, one piece per row of a matrix."""
+    rows_of: dict[tuple[int, ...], tuple[int, list[str]]] = {}
+    done = start = 0
+    close = ""
+    for slot, arr in arrays:
+        if arr.shape not in rows_of:
+            rows_of[arr.shape] = _row_template(arr.shape)
+        rows, row = rows_of[arr.shape]
+        head = close + "".join(out[done:slot]) + ("[" if rows else "")
+        for _ in range(max(rows, 1)):
+            stop = start + len(row) // 2
+            row[1::2] = cells[start:stop].tolist()
+            yield head + "".join(row)
+            head, start = ",", stop
+        close = "]" if rows else ""
+        done = slot + 1
+    yield close + "".join(out[done:])
+
+
+def _row_template(shape: tuple[int, ...]) -> tuple[int, list[str]]:
+    """The rows of an array of `shape` (0 when it is written whole) and
+    one row's text, with an empty cell for each sign and each magnitude."""
+    rows = shape[0] if len(shape) > 1 and math.prod(shape) else 0
+    template = "[%s%s,%s%s]"
+    for n in reversed(shape[1:] if rows else shape):
+        template = "[" + ",".join([template] * n) + "]"
+    literals = template.split("%s")
+    row = [""] * (2 * len(literals) - 1)
+    row[0::2] = literals
+    return rows, row
+
+
+def _dump(obj, out: list[str], arrays: list[tuple[int, np.ndarray]]) -> None:
+    """Append the canonical text of `obj` to `out`, with an empty slot for
+    each complex ndarray, which goes to `arrays` as (slot, array)."""
     if isinstance(obj, dict):
         out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise ParseError(f"non-string key {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _dump(obj[key], out)
+            out.append(encode_basestring_ascii(key) + ":")
+            _dump(obj[key], out, arrays)
+            out.append(",")
+        if obj:
+            out.pop()
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _dump(item, out)
+        for item in obj:
+            _dump(item, out, arrays)
+            out.append(",")
+        if obj:
+            out.pop()
         out.append("]")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
-        parts = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64).ravel()
-        nonfinite = parts[~np.isfinite(parts)]
-        if nonfinite.size:
-            _fmt_float(float(nonfinite[0]))  # raises ParseError
-        template = f"[{_FLOAT_FORMAT},{_FLOAT_FORMAT}]"
-        for n in reversed(obj.shape):
-            template = "[" + ",".join([template] * n) + "]"
-        out.append(template % tuple(parts.tolist()))
+        arrays.append((len(out), obj))
+        out.append("")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -98,6 +167,8 @@ def _dump(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if arrays and not math.isfinite(obj):  # an array before it names its value first
+            _require_finite(_float_parts(arrays))
         out.append(_fmt_float(float(obj)))
     else:
         raise ParseError(f"cannot serialize {type(obj).__name__}")
@@ -217,12 +288,19 @@ def _get_normalized(raw) -> bool:
 def parse_matrix_file(path: str | Path) -> Witness | DensityMatrix | PureState | ComplexMatrix:
     p = Path(path)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        raw = json.loads(
+            p.read_text(encoding="utf-8"), parse_int=_read_int, parse_constant=_reject_constant
+        )
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too-deep nesting
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     return parse_matrix_obj(raw)
+
+
+def _read_int(token: str) -> int | float:
+    """An integer token; `-0` is how the writer writes -0.0, so it stays -0.0."""
+    return -0.0 if token == "-0" else int(token)
 
 
 def _reject_constant(name: str):
@@ -252,6 +330,9 @@ def require_writable(path: str | Path) -> None:
 def write_matrix_file(obj, path: str | Path) -> None:
     p = Path(path)
     try:
-        p.write_text(matrix_file_text(obj))
+        pieces = _pieces(encode_matrix_obj(obj))  # checked whole, so a ParseError leaves no file
+        with p.open("w") as f:
+            f.writelines(pieces)
+            f.write("\n")
     except OSError as exc:
         raise ParseError(f"cannot write {p}: {exc}") from exc

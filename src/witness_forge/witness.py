@@ -27,8 +27,9 @@ products conj(f) (x) f, and its (R, d, d) operators go to one LAPACK
 only when it is updated; stopped restarts leave the batch, and the
 restarts run in chunks sized so that every batch array stays within
 _BLOCK entries. Restart r starts from one draw of its own
-SeedSequence([seed, r]) stream (`_random_starts`). Only the winning
-factors get the canonical phase, and the reported value is their
+SeedSequence([seed, r]) stream (`_random_starts`); with one party every
+restart's first update solves sigma itself, so only restart 0 runs.
+Only the winning factors get the canonical phase, and the reported value is their
 expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
 lower bound for the max), so every verdict reads the one search of
 s*sigma: strict `make_witness` is `verify_witness` plus a raise, and
@@ -402,17 +403,23 @@ def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
     restarts, seed = _search_params(restarts, seed)
     dims = m.dims
     mt = m.mat.reshape(dims + dims)
-    signed = s * mt  # exact: -mt bit for bit at s = -1
+    # Not mt or -mt: the complex product by s resets signs of zero (the +0
+    # imaginary part of a diagonal entry stays +0, where -mt makes it -0),
+    # and the searches' bits follow it, so this copy stays.
+    signed = s * mt
     # Each batch array, for R restarts and D = m.dim, is at most
     # R*max(D/d_k, d_k)**2 entries: the Kronecker rows R*(D/d_k)**2, the
     # operators and eigh input R*d_k**2, the product vectors R*D. The
     # chunk keeps that within _BLOCK, or runs one restart at a time.
     chunk = max(1, _BLOCK // max(max(m.dim // d, d) ** 2 for d in dims))
+    # With one party the first update of every restart solves `signed`
+    # itself, so every restart ends where restart 0 does.
+    searched = 1 if len(dims) == 1 else restarts
     best_score = -np.inf
     best_factors: list[np.ndarray] | None = None
     all_converged = True
-    for lo in range(0, restarts, chunk):
-        starts = _random_starts(seed, range(lo, min(restarts, lo + chunk)), dims)
+    for lo in range(0, searched, chunk):
+        starts = _random_starts(seed, range(lo, min(searched, lo + chunk)), dims)
         values, factors, converged = _seesaw_run(signed, starts)
         all_converged = all_converged and bool(converged.all())
         i = int(np.argmax(values))  # the first restart at the best value

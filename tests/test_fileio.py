@@ -54,6 +54,20 @@ def test_round_trip_is_byte_identical(tmp_path):
         assert path2.read_text() == text
 
 
+def test_negative_zero_round_trips(tmp_path):
+    # the writer writes -0.0 as `-0`, which JSON alone reads as the int 0
+    mz = complex(-0.0, -0.0)
+    rho = DensityMatrix(ComplexMatrix((2,), np.array([[0.5, mz], [mz, 0.5]])))
+    path = tmp_path / "rho.json"
+    write_matrix_file(rho, path)
+    text = path.read_text()
+    assert '[[[0.5,0],[-0,-0]],[[-0,-0],[0.5,0]]]' in text
+    back = parse_matrix_file(path)
+    parts = back.mat.mat.view(np.float64).ravel()
+    assert np.signbit(parts).tolist() == [False, False, True, True, True, True, False, False]
+    assert matrix_file_text(back) == text
+
+
 def test_parsed_objects_keep_their_content(tmp_path):
     sq = isotropic(0.2)
     p = tmp_path / "sq.json"
@@ -204,6 +218,55 @@ def test_array_renderer_matches_per_entry_format(case):
     shape, parts = case
     arr = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
     assert dumps_canonical(arr) == _render(arr)
+
+
+# c for c*I - a and a - c*I: both signs, and both zeros, so that the
+# zeros off the diagonal carry either sign
+_OFFSETS = [-1 / 3, -0.0, 0.0, 1 / 3]
+
+
+@st.composite
+def _documents_with_repeats(draw):
+    """One to three arrays whose magnitudes repeat: a, -a, conj(a), a row
+    of -a, and c*I - a or a - c*I, the two witness forms."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    part = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+    parts = draw(st.lists(part, min_size=2 * d * d, max_size=2 * d * d))
+    a = np.array(parts, dtype=np.float64).view(np.complex128).reshape(d, d)
+    c = draw(st.sampled_from(_OFFSETS))
+    arrays = {
+        "a": a,
+        "minus": -a,
+        "conj": a.conj(),
+        "row": -a[0],
+        "c_minus_sigma": c * np.eye(d) - a,
+        "sigma_minus_c": a - c * np.eye(d),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(arrays)), min_size=1, max_size=3, unique=True))
+    return {name: arrays[name] for name in names}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_documents_with_repeats())
+def test_joint_renderer_matches_per_entry_format(doc):
+    expected = "{" + ",".join(f"{json.dumps(k)}:{_render(doc[k])}" for k in sorted(doc)) + "}"
+    assert dumps_canonical(doc) == expected
+
+
+def test_writer_names_the_first_nonfinite_part_in_key_order():
+    finite = np.diag([1.0, -2.0]).astype(complex)
+    second = finite.copy()
+    second[1, 0] = complex(0.0, np.nan)
+    second[1, 1] = -np.inf
+    with pytest.raises(ParseError, match=r"^non-finite number nan cannot"):
+        dumps_canonical({"a": finite, "b": second})
+    with pytest.raises(ParseError, match=r"^non-finite number nan cannot"):
+        dumps_canonical({"a": finite, "b": second, "c": np.inf})
+    with pytest.raises(ParseError, match=r"^non-finite number inf cannot"):
+        dumps_canonical({"a": finite, "b": np.inf, "c": second})
+    vector = np.array([complex(-np.inf, 0.0), complex(0.0, np.nan)])
+    with pytest.raises(ParseError, match=r"^non-finite number -inf cannot"):
+        dumps_canonical({"a": [finite, vector], "b": second})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

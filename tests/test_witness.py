@@ -266,6 +266,28 @@ def test_one_party_eigh_batches_stay_within_the_budget(monkeypatch):
     assert abs(opt.value - np.linalg.eigvalsh(m.mat)[-1]) <= 1e-12 * np.linalg.norm(m.mat, 2)
 
 
+def test_one_party_search_runs_restart_zero_alone(monkeypatch):
+    # every restart's first update solves m itself, so 32 restarts solve
+    # no more matrices than one and end where it does
+    solved = _count_calls(monkeypatch, np.linalg, "eigh")
+    for d in (3, 16):
+        m = _random_hermitian(np.random.default_rng(59 + d), (d,))
+        for search in (max_product_expectation, min_product_expectation):
+            runs, matrices = [], []
+            for restarts in (1, 32):
+                solved.clear()
+                runs.append(search(m, restarts=restarts, seed=5))
+                matrices.append(sum(len(args[0]) for args in solved))
+            one, many = runs
+            assert matrices[0] == matrices[1] > 0
+            assert (one.restarts_used, many.restarts_used) == (1, 32)
+            assert many.value == one.value and many.converged == one.converged
+            for a, b in zip(many.extremizer.factors, one.extremizer.factors):
+                np.testing.assert_array_equal(a.vec, b.vec)
+            lam = np.linalg.eigvalsh(m.mat)[-1 if search is max_product_expectation else 0]
+            assert abs(many.value - lam) <= 1e-12 * np.linalg.norm(m.mat, 2)
+
+
 def test_seesaw_makes_no_einsum_call(monkeypatch):
     m3 = _random_hermitian(np.random.default_rng(41), (2, 2, 2))
     m2 = _random_hermitian(np.random.default_rng(43), (2, 3))
