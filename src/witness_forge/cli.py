@@ -6,6 +6,10 @@ stdout (canonical formatting, no timing fields, so identical inputs and
 seeds give byte-identical output) and a one-line human summary with the
 wall time to stderr.
 
+The search flags (--restarts, --seed of cbounds, witness-make,
+witness-verify and extend) and -o are checked before any input file is
+read; the seed comes from --seed, then WITNESS_FORGE_SEED, then 0.
+
 Exit codes: 0 success (and, for witness-verify, the operator really is
 a witness); 1 parse or usage problems; 2 domain violations, including a
 verified non-witness; 3 numerical non-convergence.
@@ -79,37 +83,37 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="witness-forge", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
+    search = _Parser(add_help=False)  # the see-saw's flags, on every command that searches
+    search.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    search.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("spectral", help="eigenvalues of a density or Hermitian file")
     sp.add_argument("input")
 
-    cb = sub.add_parser("cbounds", help="product-state c bounds of a density file")
+    cb = sub.add_parser("cbounds", parents=[search],
+                        help="product-state c bounds of a density file")
     cb.add_argument("input")
     cb.add_argument("--mode", required=True, choices=("min", "max"))
-    cb.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    cb.add_argument("--seed", type=int, default=None)
     cb.add_argument("--oracle", action="store_true")
     cb.add_argument("--resolution", type=int, default=256)
 
-    wm = sub.add_parser("witness-make", help="build a witness from a density file")
+    wm = sub.add_parser("witness-make", parents=[search],
+                        help="build a witness from a density file")
     wm.add_argument("sigma")
     wm.add_argument("--form", required=True, choices=("c_minus_sigma", "sigma_minus_c"))
     wm.add_argument("--c", required=True, type=float)
     wm.add_argument("--check", choices=("strict", "none"), default="strict")
     wm.add_argument("-o", "--output", required=True)
-    wm.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    wm.add_argument("--seed", type=int, default=None)
 
-    wv = sub.add_parser("witness-verify", help="see-saw verification of a witness file")
+    wv = sub.add_parser("witness-verify", parents=[search],
+                        help="see-saw verification of a witness file")
     wv.add_argument("input")
-    wv.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    wv.add_argument("--seed", type=int, default=None)
 
     ev = sub.add_parser("eval", help="expectation of a witness on a state")
     ev.add_argument("witness")
     ev.add_argument("state")
 
-    ex = sub.add_parser("extend", help="extend a witness to more parties")
+    ex = sub.add_parser("extend", parents=[search], help="extend a witness to more parties")
     ex.add_argument("input")
     ex.add_argument(
         "--method",
@@ -122,8 +126,6 @@ def _build_parser() -> _Parser:
     ex.add_argument("--tail-dims", nargs="+", type=int)
     ex.add_argument("--c-prime", type=float)
     ex.add_argument("-o", "--output", required=True)
-    ex.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    ex.add_argument("--seed", type=int, default=None)
 
     en = sub.add_parser("enumerate", help="partial-purification selections of a state")
     en.add_argument("input")
@@ -139,9 +141,7 @@ def _resolve_seed(value: int | None) -> int:
         try:
             return int(raw)
         except ValueError:
-            raise ParseError(
-                f"WITNESS_FORGE_SEED must be an integer, got {raw!r}"
-            ) from None
+            raise ParseError(f"WITNESS_FORGE_SEED must be an integer, got {raw!r}") from None
     return 0
 
 
@@ -165,22 +165,20 @@ def _cmd_spectral(args):
         f"spectral: rank {results['rank']}, "
         f"eigenvalues in [{results['lambda_min']:.6g}, {results['lambda_max']:.6g}]"
     )
-    return results, None, None, summary, 0
+    return results, summary, 0
 
 
 def _cmd_cbounds(args):
     obj = _require_kind(parse_matrix_file(args.input), ("density",), "cbounds input")
-    seed = _resolve_seed(args.seed)
     oracle_value = None
     if args.oracle:
-        _search_params(args.restarts, seed)  # fail before the scan, not after it
         oracle_mode = "max" if args.mode == "min" else "min"
         try:
             oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)
         except UnsupportedDims as exc:
             print(f"cbounds: oracle skipped: {exc}", file=sys.stderr)
     opt = max_product_expectation if args.mode == "min" else min_product_expectation
-    res = opt(obj.mat, restarts=args.restarts, seed=seed)
+    res = opt(obj.mat, restarts=args.restarts, seed=args.seed)
     results = {
         "converged": res.converged,
         "extremizer": [f.vec for f in res.extremizer.factors],
@@ -194,16 +192,14 @@ def _cmd_cbounds(args):
     summary = f"cbounds --mode {args.mode}: c = {res.value:.12g} (converged={res.converged})"
     if oracle_value is not None:
         summary += f", oracle {oracle_value:.12g}"
-    return results, seed, args.restarts, summary, 0
+    return results, summary, 0
 
 
 def _cmd_witness_make(args):
-    require_writable(args.output)  # fail before the work, not after it
     sigma = _require_kind(parse_matrix_file(args.sigma), ("density",), "witness-make input")
-    seed = _resolve_seed(args.seed)
     w = make_witness(
         WitnessForm(args.form), sigma, args.c,
-        check=args.check, restarts=args.restarts, seed=seed,
+        check=args.check, restarts=args.restarts, seed=args.seed,
     )
     write_matrix_file(w, args.output)
     results = {
@@ -216,13 +212,12 @@ def _cmd_witness_make(args):
         "output": args.output,
     }
     summary = f"witness-make: wrote {args.output} (form {w.form.value}, c = {w.c:.12g})"
-    return results, seed, args.restarts, summary, 0
+    return results, summary, 0
 
 
 def _cmd_witness_verify(args):
     w = _require_kind(parse_matrix_file(args.input), ("witness",), "witness-verify input")
-    seed = _resolve_seed(args.seed)
-    rep = verify_witness(w, restarts=args.restarts, seed=seed)
+    rep = verify_witness(w, restarts=args.restarts, seed=args.seed)
     results = {
         "certificate_state": [f.vec for f in rep.certificate_state.factors],
         "is_witness": rep.is_witness,
@@ -234,7 +229,7 @@ def _cmd_witness_verify(args):
         f"min product expectation {rep.min_product_expectation:.6g}, "
         f"margin {rep.witnessing_margin:.6g}"
     )
-    return results, seed, args.restarts, summary, 0 if rep.is_witness else 2
+    return results, summary, 0 if rep.is_witness else 2
 
 
 def _cmd_eval(args):
@@ -244,7 +239,7 @@ def _cmd_eval(args):
         state = projector(state)
     value = evaluate(w, state)
     results = {"value": value}
-    return results, None, None, f"eval: tr(W rho) = {value:.12g}", 0
+    return results, f"eval: tr(W rho) = {value:.12g}", 0
 
 
 def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
@@ -257,8 +252,6 @@ def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"selection indices must be integers, got {chunk!r}") from None
-    if not pairs:
-        raise ParseError("empty selection")
     return PurificationSelection(tuple(pairs), ancilla_dim)
 
 
@@ -280,15 +273,9 @@ _EXTEND_METHODS = {
 
 
 def _cmd_extend(args):
-    require_writable(args.output)  # fail before the work, not after it
-    w = _require_kind(parse_matrix_file(args.input), ("witness",), "extend input")
-    seed = _resolve_seed(args.seed)
     allowed, required, tail_kind, extension = _EXTEND_METHODS[args.method]
-    given = {
-        name
-        for name in ("selection", "ancilla_dim", "tails", "tail_dims", "c_prime")
-        if getattr(args, name) is not None
-    }
+    names = ("selection", "ancilla_dim", "tails", "tail_dims", "c_prime")
+    given = {name for name in names if getattr(args, name) is not None}
     stray = given - allowed
     if stray:
         raise ParseError(
@@ -300,14 +287,13 @@ def _cmd_extend(args):
             f"--method {args.method} requires "
             + " and ".join("--" + name.replace("_", "-") for name in required)
         )
+    w = _require_kind(parse_matrix_file(args.input), ("witness",), "extend input")
     tails = [
         _require_kind(parse_matrix_file(t), (tail_kind,), f"tail {t}")
         for t in args.tails or ()
     ]
-    _search_params(args.restarts, seed)  # fail before the extension, not after it
     w2 = extension(w, args, tails)
-
-    rep = verify_witness(w2, restarts=args.restarts, seed=seed)
+    rep = verify_witness(w2, restarts=args.restarts, seed=args.seed)
     write_matrix_file(w2, args.output)
     results = {
         "c": w2.c,
@@ -324,7 +310,7 @@ def _cmd_extend(args):
         f"extend --method {args.method}: wrote {args.output} "
         f"(dims {list(w2.dims)}, c = {w2.c:.12g}, is_witness={rep.is_witness})"
     )
-    return results, seed, args.restarts, summary, 0
+    return results, summary, 0
 
 
 def _cmd_enumerate(args):
@@ -349,7 +335,7 @@ def _cmd_enumerate(args):
         "selections": [[list(p) for p in s.pairs] for s in sels],
     }
     summary = f"enumerate: {len(sels)} selections (formula {formula}, rank {rank})"
-    return results, None, None, summary, 0
+    return results, summary, 0
 
 
 _DISPATCH = {
@@ -369,12 +355,17 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
-        results, seed, restarts, summary, code = _DISPATCH[args.cmd](args)
+        # the checks that need no file, before any is read
+        if "output" in args:
+            require_writable(args.output)
+        if "restarts" in args:
+            args.restarts, args.seed = _search_params(args.restarts, _resolve_seed(args.seed))
+        results, summary, code = _DISPATCH[args.cmd](args)
         report = dumps_canonical({
             "command": list(argv),
-            "restarts": restarts,
+            "restarts": getattr(args, "restarts", None),
             "results": results,
-            "seed": seed,
+            "seed": getattr(args, "seed", None),
             "tolerances": TOLERANCES,
         })
     except WitnessForgeError as exc:

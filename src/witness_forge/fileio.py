@@ -64,11 +64,12 @@ def _float_parts(arrays: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return np.concatenate([a for _, a in arrays], axis=None, dtype=np.complex128).view(np.float64)
 
 
-def _require_finite(parts: np.ndarray) -> None:
-    """Raise the ParseError of `_fmt_float` for the first non-finite part."""
-    finite = np.isfinite(parts)
-    if not finite.all():
-        _fmt_float(float(parts[finite.argmin()]))
+def _require_finite(arr: np.ndarray) -> None:
+    """Raise the ParseError of `_fmt_float` for the first non-finite part
+    of the complex array `arr`, re before im."""
+    if not np.isfinite(arr).all():
+        parts = _float_parts([(0, arr)])
+        _fmt_float(float(parts[np.isfinite(parts).argmin()]))
 
 
 def dumps_canonical(obj) -> str:
@@ -88,9 +89,7 @@ def _pieces(obj) -> Iterator[str]:
         return iter(out)
     parts = _float_parts(arrays)
     negative = np.signbit(parts)
-    mags, inverse = np.unique(np.abs(parts, out=parts), return_inverse=True, equal_nan=False)
-    if mags.size and not math.isfinite(mags[-1]):  # inf and nan sort last
-        _require_finite(_float_parts(arrays))
+    mags, inverse = np.unique(np.abs(parts, out=parts), return_inverse=True)
     text = (",".join([_FLOAT_FORMAT] * mags.size) % tuple(mags.tolist())).split(",")
     cells = np.empty(2 * parts.size, dtype=object)
     cells[0::2] = ""
@@ -156,6 +155,7 @@ def _dump(obj, out: list[str], arrays: list[tuple[int, np.ndarray]]) -> None:
             out.pop()
         out.append("]")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
+        _require_finite(obj)
         arrays.append((len(out), obj))
         out.append("")
     elif isinstance(obj, str):
@@ -167,8 +167,6 @@ def _dump(obj, out: list[str], arrays: list[tuple[int, np.ndarray]]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        if arrays and not math.isfinite(obj):  # an array before it names its value first
-            _require_finite(_float_parts(arrays))
         out.append(_fmt_float(float(obj)))
     else:
         raise ParseError(f"cannot serialize {type(obj).__name__}")

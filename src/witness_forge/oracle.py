@@ -371,6 +371,11 @@ def _scan_grid(
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
         return []
+    # The closed forms square coordinates, so the scan runs on mt scaled by
+    # a power of two to a largest part in [0.5, 1), which cannot overflow.
+    # Every step commutes with that scaling, so the winner does not move.
+    _, e = math.frexp(float(np.abs(mt.view(np.float64)).max()))
+    mt = np.ldexp(mt.view(np.float64), -e).view(np.complex128)
     *lead, last = gridded
     dx = dims[x]
     n_last = dims[last] ** 2
@@ -413,7 +418,7 @@ def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductStat
     x = _support_check(dims, resolution)
     n = len(dims)
     mt = m.mat.reshape(dims + dims)
-    signed = s * mt  # exact: -mt bit for bit at s = -1
+    signed = s * mt  # not -mt: see `witness._optimize` on signed zeros
     best = _scan_grid(signed, dims, x, resolution)
     gridded = [k for k in range(n) if k != x]
     factors = [np.zeros(0)] * n  # (1, d) each: a see-saw batch of one

@@ -21,6 +21,7 @@ from witness_forge.witness import (
     TOL_POS,
     Witness,
     WitnessForm,
+    evaluate,
     make_witness,
     max_product_expectation,
 )
@@ -176,6 +177,73 @@ def test_extend_checks_restarts_and_seed_before_the_extension(
     assert not out.exists()
 
 
+_SEARCHING = {
+    "cbounds": ("cbounds", "in.json", "--mode", "min"),
+    "cbounds --oracle": ("cbounds", "in.json", "--mode", "min", "--oracle"),
+    "witness-make": ("witness-make", "in.json", "--form", "c_minus_sigma", "--c", "0.3"),
+    "witness-verify": ("witness-verify", "in.json"),
+    "extend": ("extend", "in.json", "--method", "purify"),
+}
+
+
+def _unreadable(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input file was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "parse_matrix_file", refuse)
+
+
+@pytest.mark.parametrize("cmd", sorted(_SEARCHING))
+@pytest.mark.parametrize(
+    "flags, env, code, error",
+    [
+        pytest.param(("--restarts", "0"), None, 2,
+                     {"message": "restarts must be >= 1", "type": "ParamOutOfRange"},
+                     id="restarts-0"),
+        pytest.param(("--seed", "-1"), None, 2,
+                     {"message": "seed must be nonnegative", "type": "ParamOutOfRange"},
+                     id="seed-negative"),
+        pytest.param((), "eleven", 1,
+                     {"message": "WITNESS_FORGE_SEED must be an integer, got 'eleven'",
+                      "type": "ParseError"},
+                     id="env-seed-not-an-integer"),
+    ],
+)
+def test_search_flags_are_checked_before_any_file_is_read(
+    capsys, tmp_path, monkeypatch, cmd, flags, env, code, error
+):
+    _unreadable(monkeypatch)
+    if env is not None:
+        monkeypatch.setenv("WITNESS_FORGE_SEED", env)
+    argv = [*_SEARCHING[cmd], *flags]
+    out = tmp_path / "out.json"
+    if cmd in ("witness-make", "extend"):
+        argv += ["-o", str(out)]
+    got, report, _ = _run(capsys, *argv)
+    assert (got, report["error"]) == (code, error)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["witness-make", "extend"])
+def test_an_unwritable_output_wins_over_the_search_flags(capsys, tmp_path, monkeypatch, cmd):
+    _unreadable(monkeypatch)
+    monkeypatch.setenv("WITNESS_FORGE_SEED", "eleven")
+    out = tmp_path / "missing" / "w.json"
+    code, report, _ = _run(capsys, *_SEARCHING[cmd], "--restarts", "0", "-o", str(out))
+    assert code == 1
+    assert report["error"]["message"].startswith(f"cannot write {out}: ")
+
+
+def test_extend_method_flags_are_checked_before_any_file_is_read(capsys, tmp_path, monkeypatch):
+    _unreadable(monkeypatch)
+    out = str(tmp_path / "out.json")
+    code, report, _ = _run(capsys, *_SEARCHING["extend"], "--tail-dims", "3", "-o", out)
+    assert code == 1 and "not valid" in report["error"]["message"]
+    code, report, _ = _run(capsys, "extend", "in.json", "--method", "partial", "-o", out)
+    assert code == 1 and "requires" in report["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_witness_make_verify_eval(capsys, sq_file, tmp_path):
     wpath = str(tmp_path / "w.json")
     code, report, _ = _run(
@@ -198,6 +266,18 @@ def test_witness_make_verify_eval(capsys, sq_file, tmp_path):
     code, report, _ = _run(capsys, "eval", wpath, pi_path)
     assert code == 0
     assert abs(report["results"]["value"] + 0.025) <= 1e-12
+
+
+def test_eval_of_a_pure_state_file_is_its_projector(capsys, sq_file, tmp_path):
+    wpath = str(tmp_path / "w.json")
+    _run(capsys, "witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3", "-o", wpath)
+    v = np.random.default_rng(5).normal(size=(4, 2)) @ [1.0, 1j]
+    state = qstate.PureState(linalg.ComplexVector((2, 2), v / np.linalg.norm(v)))
+    spath = tmp_path / "pure.json"
+    write_matrix_file(state, spath)
+    code, report, _ = _run(capsys, "eval", wpath, str(spath))
+    assert code == 0
+    assert report["results"]["value"] == evaluate(parse_matrix_file(wpath), qstate.projector(state))
 
 
 def test_witness_make_rejects_bad_offset(capsys, sq_file, tmp_path):
@@ -359,6 +439,16 @@ def test_extend_flag_consistency(capsys, sq_file, tmp_path):
         "--selection", "3-0", "--ancilla-dim", "2", "-o", str(tmp_path / "z.json"),
     )
     assert code == 1
+    # a non-integer index, and an empty selection, which is one empty chunk
+    for selection, message in (
+        ("1:a", "selection indices must be integers, got '1:a'"),
+        ("", "bad selection chunk '', want 'eigIndex:ancillaSlot'"),
+    ):
+        code, report, _ = _run(
+            capsys, "extend", wpath, "--method", "partial",
+            "--selection", selection, "--ancilla-dim", "2", "-o", str(tmp_path / "s.json"),
+        )
+        assert (code, report["error"]) == (1, {"message": message, "type": "ParseError"})
 
 
 def test_enumerate_report(capsys, sq_file):

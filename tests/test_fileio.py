@@ -269,6 +269,14 @@ def test_writer_names_the_first_nonfinite_part_in_key_order():
         dumps_canonical({"a": [finite, vector], "b": second})
 
 
+def test_writer_checks_each_array_where_it_meets_it():
+    # before any later key or value is looked at
+    nan = np.array([complex(0.0, np.nan)])
+    for doc in ({"a": nan, "b": object()}, {"a": [nan, {1: 2}]}):
+        with pytest.raises(ParseError, match=r"^non-finite number nan cannot"):
+            dumps_canonical(doc)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("imag", [False, True])
 def test_writer_refuses_nonfinite_arrays(tmp_path, value, imag):

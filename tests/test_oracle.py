@@ -250,6 +250,23 @@ def test_scan_peak_memory_stays_small(dims, resolution):
     assert peak <= 12e6
 
 
+@pytest.mark.parametrize(
+    "dims, resolution", [((2, 2, 2), 32), ((2, 3), 256), ((3, 3), 32), ((2, 4), 256)]
+)
+def test_scan_winners_do_not_move_with_the_scale(dims, resolution):
+    # the closed forms square coordinates, which overflowed past about
+    # 1e154 (a warning, so an error here); at 1e-300 the (2,4) winner moved
+    m = _random_hermitian(np.random.default_rng(73), dims)
+    x = oracle._support_check(dims, resolution)
+    mt = m.mat.reshape(dims + dims)
+    for signed in (mt, -mt):
+        winner = oracle._scan_grid(signed, dims, x, resolution)
+        for scale in (1e160, 1e-160, 1e300, 1e-300):
+            assert oracle._scan_grid(signed * scale, dims, x, resolution) == winner, scale
+    big = grid_product_extremum(ComplexMatrix(dims, m.mat * 1e160), "min", resolution)
+    assert big / 1e160 == pytest.approx(grid_product_extremum(m, "min", resolution), rel=1e-9)
+
+
 def _grid_factors_per_point(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     """Reference for `oracle._grid_factors`: cos, sin and exp taken at every
     grid point instead of gathered from per-axis tables, in the same order

@@ -7,6 +7,8 @@ A backticked private name in a docstring, a comment or README.md must
 name something the package still defines. Every eigensolver call goes
 through `linalg._lapack`, the one place LAPACK's failure becomes
 NoConvergence, so no other module calls numpy's eigensolvers itself.
+The CLI checks its search flags and `-o` in `cli.main` alone, before any
+command handler reads a file.
 """
 
 from __future__ import annotations
@@ -148,3 +150,20 @@ def test_only_linalg_calls_the_eigensolvers(path):
         and node.func.attr in _EIGENSOLVERS
     ]
     assert calls == [], f"{path.name}: eigensolver calls outside linalg._lapack"
+
+
+_FRONT_DOOR = {"_resolve_seed", "_search_params", "require_writable"}
+
+
+def test_only_cli_main_checks_the_search_flags_and_the_output():
+    handlers = [
+        fn for fn in _tree(SRC / "cli.py").body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+    ]
+    calls = [
+        f"{fn.name}: {ast.unparse(node.func)}"
+        for fn in handlers
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in _FRONT_DOOR
+    ]
+    assert handlers and calls == [], "cli._cmd_* calls that belong to cli.main's checks"
