@@ -12,7 +12,9 @@ read; the seed comes from --seed, then WITNESS_FORGE_SEED, then 0.
 
 Exit codes: 0 success (and, for witness-verify, the operator really is
 a witness); 1 parse or usage problems; 2 domain violations, including a
-verified non-witness; 3 numerical non-convergence.
+verified non-witness, which extend, like witness-make --check strict,
+never writes (witness-make --check none is the one way to write an
+unverified operator); 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .witness import (
     TOL_NEG,
     TOL_POS,
     WitnessForm,
+    _require_witness,
     _search_params,
     evaluate,
     make_witness,
@@ -215,15 +218,16 @@ def _cmd_witness_make(args):
     return results, summary, 0
 
 
+def _verdict(rep) -> dict:
+    """The verdict's report keys, as witness-verify and extend print them."""
+    names = ("is_witness", "min_product_expectation", "witnessing_margin")
+    return {k: getattr(rep, k) for k in names}
+
+
 def _cmd_witness_verify(args):
     w = _require_kind(parse_matrix_file(args.input), ("witness",), "witness-verify input")
     rep = verify_witness(w, restarts=args.restarts, seed=args.seed)
-    results = {
-        "certificate_state": [f.vec for f in rep.certificate_state.factors],
-        "is_witness": rep.is_witness,
-        "min_product_expectation": rep.min_product_expectation,
-        "witnessing_margin": rep.witnessing_margin,
-    }
+    results = {"certificate_state": [f.vec for f in rep.certificate_state.factors], **_verdict(rep)}
     summary = (
         f"witness-verify: is_witness={rep.is_witness}, "
         f"min product expectation {rep.min_product_expectation:.6g}, "
@@ -294,17 +298,14 @@ def _cmd_extend(args):
     ]
     w2 = extension(w, args, tails)
     rep = verify_witness(w2, restarts=args.restarts, seed=args.seed)
+    _require_witness(w2, rep)
     write_matrix_file(w2, args.output)
     results = {
         "c": w2.c,
         "dims": list(w2.dims),
         "method": args.method,
         "output": args.output,
-        "verify": {
-            "is_witness": rep.is_witness,
-            "min_product_expectation": rep.min_product_expectation,
-            "witnessing_margin": rep.witnessing_margin,
-        },
+        "verify": _verdict(rep),
     }
     summary = (
         f"extend --method {args.method}: wrote {args.output} "

@@ -2,9 +2,11 @@
 
 Every operation here maps a valid witness to a valid witness on an
 enlarged party list while leaving the offset c untouched (except for
-the explicit relaxed-offset variant of the partial purification). The
-dual form `c*I - sigma` extends by purification, partial purification,
-and tensoring with scaled mixed or pure states; the primal form
+the explicit relaxed-offset variant of the partial purification). Each
+checks its own preconditions (form, top eigenpair, c' interval, size
+cap), not the verdict, which the caller applies. The dual form
+`c*I - sigma` extends by purification, partial purification, and
+tensoring with scaled mixed or pure states; the primal form
 `sigma - c*I` survives only identity tails, so the other operations
 reject it with FormNotSupported.
 
@@ -27,7 +29,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    COutOfInterval,
     CountTooLarge,
     CPrimeOutOfInterval,
     DimensionMismatch,
@@ -49,7 +50,7 @@ from .qstate import (
     _purifying_selection,
     _selected_nonzero,
 )
-from .witness import TOL_NEG, Witness, WitnessForm, _margin, evaluate
+from .witness import Witness, WitnessForm, evaluate
 
 ENUMERATION_CAP = 64
 
@@ -213,19 +214,13 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
     """Tensor sigma with identity factors; valid for both forms.
 
     The spectrum of sigma (x) I is the spectrum of sigma with higher
-    multiplicity, so the open interval side is revalidated against the
-    extended spectrum as a numerics guard, by the margin test of
-    `witness._witness_report`.
+    multiplicity. Only the tail dimensions are checked, not the verdict.
     """
     sizes = [int(d) for d in tail_dims]
     for d in sizes:
         if d < 1:
             raise ParamOutOfRange(f"tail dimension {d} must be >= 1")
-    w2 = _tensor_extend(w, [(d,) for d in sizes], map(np.eye, sizes))
-    margin = _margin(w2)
-    if sizes and not margin > TOL_NEG:
-        raise COutOfInterval(f"c={w.c!r} leaves margin {margin!r} on the extended spectrum")
-    return w2
+    return _tensor_extend(w, [(d,) for d in sizes], map(np.eye, sizes))
 
 
 def detect_product_extension(

@@ -314,9 +314,9 @@ def _below(c: np.ndarray, mu: float) -> np.ndarray:
 
 def _pruned_top_eigvals(c: np.ndarray, floor: float) -> np.ndarray:
     """Top eigenvalue of each 4x4 Hermitian matrix of a (16, n) coordinate
-    array, n > _ANCHOR_STRIDE, bit for bit as LAPACK gives it on the whole
-    batch, or -inf where that value is provably below the bar
-    max(floor, the anchors' values).
+    array, any n >= 1 (column 0 is always an anchor), bit for bit as LAPACK
+    gives it on the whole batch, or -inf where that value is provably below
+    the bar max(floor, the anchors' values).
 
     LAPACK solves the anchor columns 0, S, 2S, ... (S = _ANCHOR_STRIDE);
     every other column is skipped only if `_below` proves lambda_max(H_i)
@@ -396,11 +396,11 @@ def _scan_grid(
     for lo in range(0, mag2.shape[1], rows):
         q = _grid_rows(mag2, phase2, lo, lo + rows)
         for lead_start in range(0, op.shape[0], lead_step):
-            t = op[lead_start : lead_start + lead_step] @ q
-            if dx == 4 and q.shape[1] > _ANCHOR_STRIDE:  # two anchors or more
-                lam = _pruned_top_eigvals(t[0], best_val)
+            c = (op[lead_start : lead_start + lead_step] @ q).transpose(1, 0, 2)
+            if dx == 4:
+                lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
             else:
-                lam = _extremal_eigvals(t.transpose(1, 0, 2)).ravel()
+                lam = _extremal_eigvals(c).ravel()
             j = int(np.argmax(lam))
             if lam[j] > best_val:
                 best_val = lam[j]

@@ -475,14 +475,8 @@ def make_witness(
     if check not in ("strict", "none"):
         raise ParamOutOfRange(f"unknown check mode {check!r}")
     w = Witness(form, c, sigma)
-    if check == "none":
-        return w
-    rep = verify_witness(w, restarts, seed)
-    if not rep.is_witness:
-        raise COutOfInterval(
-            f"c={w.c!r}: min product expectation {rep.min_product_expectation!r}, "
-            f"margin {rep.witnessing_margin!r}; no witness of this form exists at this offset"
-        )
+    if check == "strict":
+        _require_witness(w, verify_witness(w, restarts, seed))
     return w
 
 
@@ -509,6 +503,14 @@ def _witness_report(w: Witness, value: float, state: ProductState) -> WitnessRep
     margin = _margin(w)
     is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
     return WitnessReport(min_value, margin, is_w, state)
+
+
+def _require_witness(w: Witness, rep: WitnessReport) -> None:
+    if not rep.is_witness:
+        raise COutOfInterval(
+            f"c={w.c!r}: min product expectation {rep.min_product_expectation!r}, "
+            f"margin {rep.witnessing_margin!r}; no witness of this form exists at this offset"
+        )
 
 
 def verify_witness(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from witness_forge import cli, linalg, qstate
 from witness_forge.cli import main
 from witness_forge.errors import ParamOutOfRange
 from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
-from witness_forge.linalg import ComplexMatrix
+from witness_forge.linalg import ComplexMatrix, ComplexVector
 from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
     TOL_POS,
@@ -613,3 +615,112 @@ def test_module_entry_point(sq_file):
     report = json.loads(proc.stdout)
     assert report["results"]["rank"] == 4
     assert "ms)" in proc.stderr
+
+
+def _unchecked_witness(capsys, sq_file, path, c, form="c_minus_sigma"):
+    """witness-make --check none of isotropic(0.2) at c, written to path."""
+    code, _, _ = _run(
+        capsys, "witness-make", sq_file, "--form", form, "--c", c, "--check", "none", "-o", str(path)
+    )
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["purify", "partial", "identity", "mixed", "pure-tails"])
+def test_extend_refuses_a_non_witness_and_writes_nothing(capsys, sq_file, tmp_path, method):
+    # c = 0.15 is below every extension's product maximum 0.3: each keeps
+    # c, so none is a witness, and extend refuses as witness-make does
+    wpath = _unchecked_witness(capsys, sq_file, tmp_path / "w.json", "0.15")
+    zero = tmp_path / "zero.json"
+    write_matrix_file(qstate.PureState(ComplexVector((2,), np.array([1.0, 0.0]))), zero)
+    flags = {
+        "purify": (),
+        "partial": ("--selection", "3:0", "--ancilla-dim", "1"),
+        "identity": ("--tail-dims", "2"),
+        "mixed": ("--tails", sq_file),
+        "pure-tails": ("--tails", str(zero)),
+    }[method]
+    out = tmp_path / "ext.json"
+    code = main(["extend", wpath, "--method", method, *flags, "-o", str(out)])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert code == 2
+    error = json.loads(line)["error"]
+    assert error["type"] == "COutOfInterval"
+    assert error["message"].startswith("c=0.15: min product expectation ")
+    assert not out.exists()
+
+
+def test_extend_writes_only_what_its_check_accepts(capsys, sq_file, tmp_path):
+    # c = 0.45 is above lambda_max = 0.4 of sigma (x) I, but below the top
+    # eigenvalue 1 of the purified projector, whose product maximum is 0.3
+    wpath = _unchecked_witness(capsys, sq_file, tmp_path / "w.json", "0.45")
+    out = tmp_path / "identity.json"
+    code, report, _ = _run(capsys, "extend", wpath, "--method", "identity", "--tail-dims", "2",
+                           "-o", str(out))
+    assert (code, report["error"]["type"]) == (2, "COutOfInterval")
+    assert not out.exists()
+    out = tmp_path / "purified.json"
+    code, report, _ = _run(capsys, "extend", wpath, "--method", "purify", "-o", str(out))
+    assert code == 0 and out.exists()
+    verdict = report["results"]["verify"]
+    assert verdict["is_witness"] is True
+    assert abs(verdict["witnessing_margin"] - 0.55) <= 1e-12
+    assert abs(verdict["min_product_expectation"] - 0.15) <= 1e-8
+    # the primal form at or below lambda_min = 0.2 has no negative eigenvalue
+    ppath = _unchecked_witness(capsys, sq_file, tmp_path / "p.json", "0.1", form="sigma_minus_c")
+    out = tmp_path / "primal.json"
+    code, report, _ = _run(capsys, "extend", ppath, "--method", "identity", "--tail-dims", "2",
+                           "-o", str(out))
+    assert (code, report["error"]["type"]) == (2, "COutOfInterval")
+    assert not out.exists()
+
+
+def test_a_data_cell_read_as_infinite_is_a_parse_error(capsys, tmp_path):
+    # json reads 1e400 as a float, inf, where 10**400 stays an int
+    doc = json.loads(matrix_file_text(isotropic(0.2)))
+    text = json.dumps(doc).replace(json.dumps(doc["data"][0][0]), "[1e400, 0.0]", 1)
+    path = tmp_path / "inf.json"
+    path.write_text(text)
+    code, report, _ = _run(capsys, "spectral", str(path))
+    assert code == 1
+    assert report["error"] == {
+        "message": "data[0][0]: entry is not a finite float64", "type": "ParseError",
+    }
+
+
+def test_reports_and_files_do_not_depend_on_the_hash_seed(tmp_path):
+    # the same commands, by the same relative paths, in fresh processes at
+    # two string-hash seeds
+    rng = np.random.default_rng(23)
+    v = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho = v @ v.conj().T
+    s23 = DensityMatrix(ComplexMatrix((2, 3), rho / np.trace(rho).real))
+    commands = [
+        ["cbounds", "s23.json", "--mode", "min", "--oracle", "--resolution", "32", "--restarts", "4"],
+        ["witness-make", "sq.json", "--form", "c_minus_sigma", "--c", "0.3", "-o", "w.json"],
+        ["extend", "w.json", "--method", "purify", "-o", "wp.json"],
+        ["extend", "w.json", "--method", "partial", "--selection", "3:0,2:1", "--ancilla-dim", "2",
+         "-o", "wq.json"],
+    ]
+    package_root = str(Path(witness_forge.__file__).parents[1])
+    runs = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / f"hash{hash_seed}"
+        cwd.mkdir()
+        write_matrix_file(isotropic(0.2), cwd / "sq.json")
+        write_matrix_file(s23, cwd / "s23.json")
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": package_root}
+        env.pop("WITNESS_FORGE_SEED", None)
+        outputs = [
+            (proc.returncode, proc.stdout)
+            for proc in (
+                subprocess.run([sys.executable, "-m", "witness_forge", *argv], cwd=cwd, env=env,
+                               capture_output=True, timeout=120)
+                for argv in commands
+            )
+        ]
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(cwd.iterdir())}
+        runs.append((outputs, files))
+    assert all(code == 0 for code, _ in runs[0][0])
+    assert sorted(runs[0][1]) == ["s23.json", "sq.json", "w.json", "wp.json", "wq.json"]
+    assert runs[0] == runs[1]

@@ -14,7 +14,6 @@ from witness_forge.cli import main
 
 from witness_forge.errors import (
     CountTooLarge,
-    COutOfInterval,
     CPrimeOutOfInterval,
     DimensionMismatch,
     FormNotSupported,
@@ -51,6 +50,7 @@ from witness_forge.qstate import (
     spectral,
 )
 from witness_forge.witness import (
+    TOL_NEG,
     WitnessForm,
     evaluate,
     make_witness,
@@ -332,23 +332,21 @@ def test_identity_extend_matrix_structure():
         identity_extend(w, [0])
 
 
-def test_identity_extend_revalidates_interval():
-    # c above lambda_max survives construction with check="none" but the
-    # extension refuses to propagate it
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.5, check="none")
-    with pytest.raises(COutOfInterval):
-        identity_extend(w, [2])
-    w2 = make_witness(
-        WitnessForm.SIGMA_MINUS_C, isotropic(0.2), 0.1, check="none"
-    )  # at or below lambda_min = 0.2
-    with pytest.raises(COutOfInterval):
-        identity_extend(w2, [2])
-    # margin 5e-11 <= TOL_NEG on both sides: not a witness by the report rule
-    for form, c in (("c_minus_sigma", 0.39999999995), ("sigma_minus_c", 0.20000000005)):
-        w3 = make_witness(form, isotropic(0.2), c, check="none")
-        assert not verify_witness(w3, restarts=2, seed=0).is_witness
-        with pytest.raises(COutOfInterval):
-            identity_extend(w3, [2])
+def test_identity_extend_leaves_the_interval_to_the_verdict():
+    # c above lambda_max (dual) or at most lambda_min (primal), and margin
+    # 5e-11 <= TOL_NEG on both sides: the extension is built, and the verdict,
+    # from the same extreme eigenvalues, says it is not a witness
+    for form, c in (
+        ("c_minus_sigma", 0.5), ("sigma_minus_c", 0.1),
+        ("c_minus_sigma", 0.39999999995), ("sigma_minus_c", 0.20000000005),
+    ):
+        w = make_witness(form, isotropic(0.2), c, check="none")
+        w2 = identity_extend(w, [2])
+        assert (w2.form, w2.c, w2.dims) == (w.form, c, (2, 2, 2))
+        assert np.array_equal(w2.sigma.mat.mat, np.kron(w.sigma.mat.mat, np.eye(2)))
+        rep = verify_witness(w2, restarts=2, seed=0)
+        assert not rep.is_witness
+        assert rep.witnessing_margin <= TOL_NEG
 
 
 def test_extensions_refuse_a_total_dimension_above_the_cap():
@@ -492,3 +490,19 @@ def test_random_witness_extensions_stay_witnesses():
             rep = verify_witness(w2, restarts=16, seed=seed)
             assert rep.is_witness
             assert rep.min_product_expectation >= -1e-8
+
+
+def test_enumeration_refuses_a_zero_ancilla(capsys, tmp_path):
+    with pytest.raises(ParamOutOfRange):
+        enumerate_partial_purifications(spectral(isotropic(0.2)), 0)
+    path = tmp_path / "sq.json"
+    write_matrix_file(isotropic(0.2), path)
+    code = main(["enumerate", str(path), "--ancilla-dim", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"]["type"] == "ParamOutOfRange"
+
+
+def test_enumeration_of_a_rank_zero_spectrum_is_empty():
+    zero = hermitian_eig(ComplexMatrix((2,), np.zeros((2, 2))))
+    assert enumerate_partial_purifications(zero, 2) == []

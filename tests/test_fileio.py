@@ -335,3 +335,16 @@ def test_semantic_validation_is_not_a_parse_error(tmp_path):
     }
     with pytest.raises(ParamOutOfRange):
         parse_matrix_obj(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 0}, {"a": object()}], ids=["int-key", "object-value"])
+def test_writer_refuses_what_json_cannot_hold(doc):
+    with pytest.raises(ParseError):
+        dumps_canonical(doc)
+
+
+def test_writing_an_unknown_object_writes_no_file(tmp_path):
+    target = tmp_path / "o.json"
+    with pytest.raises(ParseError, match="cannot write object of type object"):
+        write_matrix_file(object(), target)
+    assert not target.exists()

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from witness_forge.errors import BadPartyIndex, NoConvergence, NotHermitian
+from witness_forge.errors import BadPartyIndex, DimensionMismatch, NoConvergence, NotHermitian
 from witness_forge.linalg import (
     ComplexMatrix,
     ComplexVector,
@@ -327,3 +327,8 @@ def test_matrix_validation():
     m = ComplexMatrix((2,), np.array([[1.0, 2.0], [2.0, 1.0]]))
     m.require_hermitian()  # raises NotHermitian otherwise
     assert m.hermiticity_defect() == 0.0
+
+
+def test_a_zero_local_dimension_is_refused():
+    with pytest.raises(DimensionMismatch, match="local dimensions must be positive"):
+        ComplexMatrix((0,), np.zeros((0, 0)))

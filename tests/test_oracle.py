@@ -520,12 +520,14 @@ def _random_input(rng: np.random.Generator, dims: tuple[int, ...], kind: str) ->
         # unpruned, so it runs in whole blocks on one kind
         ((3, 4), 32, (1 << 16,), ("hermitian",)),
         ((2, 4), 256, (1 << 16, 1 << 14), ("full", "hermitian")),
+        ((4, 1), 32, (1 << 16, 7, 1), _KINDS),
     ],
 )
 def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, dims, resolution, chunks, kinds):
     # chunk 100 carries the best value across many blocks of a few polar
     # rows, ragged at the end at resolution 33; chunks 7 and 1 give one
-    # polar row a block, and a block of the one-point d = 1 grid is solved whole
+    # polar row a block, of at most 32 points, and the one-point d = 1 grid,
+    # before or after the four-level party, is a block of one anchor
     rng = np.random.default_rng(math.prod(dims) * 1000 + resolution)
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
     for kind in kinds:

@@ -236,3 +236,18 @@ def test_projector_of_pure_state():
     d = projector(p)
     assert d.normalized
     np.testing.assert_allclose(d.mat.mat, [[0.36, 0.48], [0.48, 0.64]], atol=1e-15)
+
+
+def test_a_zero_unnormalized_pure_state_is_refused():
+    with pytest.raises(ParamOutOfRange, match="pure state must be nonzero"):
+        PureState(ComplexVector((2,), np.zeros(2)), normalized=False)
+
+
+@pytest.mark.parametrize(
+    "pairs, ancilla_dim",
+    [(((0, 0),), 0), (((0,),), 2), (((-1, 0),), 2)],
+    ids=["no-ancilla", "one-element-pair", "negative-index"],
+)
+def test_selection_refuses_malformed_input(pairs, ancilla_dim):
+    with pytest.raises(SelectionOutOfRange):
+        PurificationSelection(pairs, ancilla_dim)

@@ -8,7 +8,8 @@ name something the package still defines. Every eigensolver call goes
 through `linalg._lapack`, the one place LAPACK's failure becomes
 NoConvergence, so no other module calls numpy's eigensolvers itself.
 The CLI checks its search flags and `-o` in `cli.main` alone, before any
-command handler reads a file.
+command handler reads a file. A verdict that an operator is not a
+witness becomes COutOfInterval in `witness._require_witness` alone.
 """
 
 from __future__ import annotations
@@ -167,3 +168,14 @@ def test_only_cli_main_checks_the_search_flags_and_the_output():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in _FRONT_DOOR
     ]
     assert handlers and calls == [], "cli._cmd_* calls that belong to cli.main's checks"
+
+
+def test_only_witness_raises_the_non_witness_error():
+    raises = [
+        f"{path.name}: line {node.lineno}"
+        for path in MODULES
+        if path.name != "witness.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Raise) and node.exc and "COutOfInterval" in ast.unparse(node.exc)
+    ]
+    assert raises == [], "COutOfInterval raised outside witness._require_witness"

@@ -789,3 +789,31 @@ def test_is_ces_requires_orthonormal_basis():
     w = ComplexVector((2, 2), np.array([0.9, 0.1, 0, 0], dtype=complex))
     with pytest.raises(NotOrthonormal):
         is_ces([v, w], restarts=4, seed=0)
+
+
+_E0 = ComplexVector((2,), np.array([1.0, 0.0]))
+_E00 = ComplexVector((2, 2), np.eye(4)[0])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: witness.ProductState(()), ParamOutOfRange),
+        (lambda: witness.ProductState((_E00,)), ParamOutOfRange),
+        (lambda: witness.ProductState((ComplexVector((2,), np.ones(2)),)), ParamOutOfRange),
+        (lambda: Witness(WitnessForm.C_MINUS_SIGMA, np.inf, isotropic(0.2)), ParamOutOfRange),
+        (lambda: make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3, check="bogus"),
+         ParamOutOfRange),
+        (lambda: product_expectation(isotropic(0.2).mat, witness.ProductState((_E0,))),
+         DimensionMismatch),
+        (lambda: is_ces([]), ParamOutOfRange),
+        (lambda: is_ces([_E00, ComplexVector((4,), np.eye(4)[1])]), DimensionMismatch),
+    ],
+    ids=[
+        "no-factor", "two-party-factor", "non-unit-factor", "infinite-offset", "unknown-check",
+        "mismatched-product-state", "empty-basis", "mixed-basis-dims",
+    ],
+)
+def test_malformed_arguments_are_refused(build, error):
+    with pytest.raises(error):
+        build()
