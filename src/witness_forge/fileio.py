@@ -17,10 +17,18 @@ whose sign bit is set gets a `-` in front, as printf writes it (so -0.0
 is `-0`, which the reader reads back as -0.0). The results fill a
 template of [re, im] pairs nested once per axis, one row of a matrix at
 a time, and a file is written row by row.
-The reader is strict (exact shapes; parts are numbers, not booleans,
-finite as float64), and any malformed file raises ParseError. A file
-whose `dims` multiply to more than MAX_TOTAL_DIM, the largest size the
-tool builds, is refused with ParamOutOfRange before its arrays are read.
+The reader decodes each regular array of [re, im] pairs of numbers
+under `data` or `sigma` inside its one JSON pass, straight into float64:
+the array's brackets and commas must spell the template of its shape,
+and its numbers are read as one flat JSON list, so no Python list is
+made per entry. Any other array is read by json as usual, and a file
+this reading refuses, or one with such an array under another key, is
+read again by plain `json.loads`, whose values or error it reports. The reader
+is strict (exact shapes; parts are numbers, not booleans, finite as
+float64), and any malformed file raises ParseError. A file whose `dims`
+multiply to more than MAX_TOTAL_DIM, the largest size the tool builds,
+is refused with ParamOutOfRange after that pass, before any array is
+checked or any object built.
 """
 
 from __future__ import annotations
@@ -46,6 +54,11 @@ KINDS = {
 _DATA_CONSISTENCY_TOL = 1e-12
 _FLOAT_FORMAT = "%.17g"
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_JSON_SPACE = b" \t\n\r"
+_NUMBER_CHARS = b"0123456789+-.eE"
+_BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
+_MAX_AXES = 3  # of an array of numbers in a file: a matrix of [re, im] pairs
+_ARRAY_KEYS = frozenset({"data", "sigma"})  # the keys whose arrays are read flat
 
 
 def kind_of(obj) -> str | None:
@@ -178,8 +191,12 @@ def _is_number(x) -> bool:
 
 def _decode_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
     """The complex array of `shape` that `raw` holds as nested [re, im] pairs
-    of numbers (not booleans), each finite as a float64."""
-    arr = np.array(raw, dtype=object)
+    of numbers (not booleans), each finite as a float64. `raw` is the
+    nested lists json gives, or the float64 pairs `_read_json` gives."""
+    if isinstance(raw, np.ndarray) and raw.dtype == np.float64:
+        arr = raw
+    else:
+        arr = np.array(raw, dtype=object)
     if arr.shape != shape + (2,):
         raise ParseError(f"{where}: expected shape {list(shape + (2,))}, got {list(arr.shape)}")
     flat = arr.ravel()
@@ -187,15 +204,18 @@ def _decode_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
     def cell(i: int) -> str:
         return where + "".join(f"[{k}]" for k in np.unravel_index(i // 2, shape))
 
-    if not set(map(type, flat)) <= {int, float}:  # the common case skips the per-part scan
-        bad = next((i for i, x in enumerate(flat) if not _is_number(x)), None)
-        if bad is not None:
-            raise ParseError(f"{cell(bad)}: complex entry must be a [re, im] pair of numbers")
-    try:
-        parts = flat.astype(np.float64)
-    except OverflowError:
-        bad = next(i for i, x in enumerate(flat) if not abs(x) <= _FLOAT_MAX)
-        raise ParseError(f"{cell(bad)}: number too large for a float64") from None
+    if arr is raw:
+        parts = flat
+    else:
+        if not set(map(type, flat)) <= {int, float}:  # the common case skips the per-part scan
+            bad = next((i for i, x in enumerate(flat) if not _is_number(x)), None)
+            if bad is not None:
+                raise ParseError(f"{cell(bad)}: complex entry must be a [re, im] pair of numbers")
+        try:
+            parts = flat.astype(np.float64)
+        except OverflowError:
+            bad = next(i for i, x in enumerate(flat) if not abs(x) <= _FLOAT_MAX)
+            raise ParseError(f"{cell(bad)}: number too large for a float64") from None
     finite = np.isfinite(parts)
     if not finite.all():
         raise ParseError(f"{cell(int(np.argmin(finite)))}: entry is not a finite float64")
@@ -234,7 +254,7 @@ def parse_matrix_obj(raw) -> Witness | DensityMatrix | PureState | ComplexMatrix
     if raw.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported version {raw.get('version')!r}")
     kind = raw.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     dims_raw = raw.get("dims")
     if (
@@ -286,14 +306,107 @@ def _get_normalized(raw) -> bool:
 def parse_matrix_file(path: str | Path) -> Witness | DensityMatrix | PureState | ComplexMatrix:
     p = Path(path)
     try:
-        raw = json.loads(
-            p.read_text(encoding="utf-8"), parse_int=_read_int, parse_constant=_reject_constant
-        )
+        text = p.read_text(encoding="utf-8")
+        try:
+            raw = _read_json(text)
+        except Exception:  # plain json decides what a refused file says
+            raw = None
+        if raw is None:  # past the handler, whose traceback holds the failed pass
+            raw = json.loads(text, parse_int=_read_int, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too-deep nesting
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     return parse_matrix_obj(raw)
+
+
+def _read_json(text: str):
+    """`json.loads(text)` as `parse_matrix_file` calls it, except that each
+    regular array of [re, im] pairs of numbers under the key `data` or
+    `sigma` of the top object comes back as a float64 ndarray of the pairs.
+    The top object is read by json's Python object parser, every other
+    value by json's own scanner, so a document reads to the same values,
+    or fails."""
+    decoder = json.JSONDecoder(parse_int=_read_int, parse_constant=_reject_constant)
+    scan_whole = decoder.scan_once
+
+    def scan_value(s: str, idx: int) -> tuple[object, int]:
+        if s[idx:idx + 1] == "[":
+            # a number json refuses, or one too large for a float64, raises:
+            # the file is read again by plain json.loads
+            found = _flat_pairs(s, idx, scan_whole)
+            if found is not None:
+                return found
+        return scan_whole(s, idx)
+
+    def scan_top(s: str, idx: int) -> tuple[object, int]:
+        if s[idx:idx + 1] != "{":
+            return scan_whole(s, idx)
+        return decoder.parse_object(
+            (s, idx + 1), decoder.strict, scan_value, None, _top_object, decoder.memo
+        )
+
+    decoder.scan_once = scan_top
+    return decoder.decode(text)
+
+
+def _top_object(pairs: list[tuple[str, object]]) -> dict:
+    """The top object of a file from its (key, value) pairs. A float64 array
+    under any key but `data` or `sigma` raises, so plain json reads the file
+    and the header checks see and name the lists json gives."""
+    if any(isinstance(v, np.ndarray) and k not in _ARRAY_KEYS for k, v in pairs):
+        raise ValueError("an array of pairs outside data and sigma")
+    return dict(pairs)
+
+
+def _flat_pairs(s: str, start: int, scan_whole) -> tuple[np.ndarray, int] | None:
+    """The array of [re, im] pairs of numbers that opens at `s[start]`, as
+    float64 of shape (..., 2), and the index after it; None where the text
+    up to its last `]` before the next string does not spell one."""
+    quote = s.find('"', start)
+    end = s.rfind("]", start, quote if quote >= 0 else len(s)) + 1
+    text = s[start:end].encode("ascii")
+    if any(c in text for c in _JSON_SPACE):  # a written file has none
+        text = text.translate(None, _JSON_SPACE)
+    skeleton = text.translate(None, _NUMBER_CHARS)
+    shape = _skeleton_shape(skeleton)
+    if shape is None or shape[-1] != 2:
+        return None
+    rows, row = _row_template(shape[:-1])
+    template = "".join(row).encode("ascii")
+    if rows:
+        template = b"[" + b",".join([template] * rows) + b"]"
+    # with every cell holding a number, each number of the flat list below
+    # is one whole cell, so json reads the nested text to the same values
+    if skeleton != template or b"[," in text or b",]" in text:
+        return None
+    del text, skeleton, template
+    numbers, _ = scan_whole("[" + s[start + 1:end - 1].translate(_BRACKETS_TO_SPACES) + "]", 0)
+    return np.fromiter(numbers, dtype=np.float64, count=len(numbers)).reshape(shape), end
+
+
+def _skeleton_shape(skeleton: bytes) -> tuple[int, ...] | None:
+    """The shape, of 2 to _MAX_AXES axes, of the regular nested array whose
+    brackets and commas are `skeleton`, read from where its first array of
+    one axis, of two axes and so on close; None where no such shape fits
+    those. A shape is returned only if its template is as long as
+    `skeleton`, so the caller still compares the two."""
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 2 <= depth <= _MAX_AXES:  # also keeps the search below linear
+        return None
+    shape: list[int] = []
+    inner = 0  # the skeleton length of an array of the axes read so far
+    for axes in range(1, depth + 1):
+        close = skeleton.find(b"]" * axes)
+        if close < 0:
+            return None
+        length = close + 2 * axes - depth
+        n, rest = divmod(length - 1, inner + 1)
+        if rest or n < 1:
+            return None
+        shape.insert(0, n)
+        inner = length
+    return tuple(shape) if inner == len(skeleton) else None
 
 
 def _read_int(token: str) -> int | float:

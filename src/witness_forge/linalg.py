@@ -103,10 +103,6 @@ class ComplexVector:
     def __post_init__(self) -> None:
         _freeze(self, "vec", "vector", 1)
 
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
@@ -152,10 +148,6 @@ class SpectralDecomposition:
     def __post_init__(self) -> None:
         self.vectors.setflags(write=False)
         object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
 
     @cached_property
     def eigenvectors(self) -> tuple[ComplexVector, ...]:

@@ -104,10 +104,6 @@ class PureState:
     def dims(self) -> tuple[int, ...]:
         return self.vec.dims
 
-    @property
-    def dim(self) -> int:
-        return self.vec.dim
-
 
 @dataclass(frozen=True, eq=False)
 class PurificationSelection:

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from witness_forge.errors import ParamOutOfRange, ParseError
+from witness_forge.errors import ParamOutOfRange, ParseError, WitnessForgeError
 from witness_forge.extend import purify_extend
 from witness_forge.fileio import (
+    _read_int,
+    _reject_constant,
     dumps_canonical,
     encode_matrix_obj,
     matrix_file_text,
@@ -348,3 +351,179 @@ def test_writing_an_unknown_object_writes_no_file(tmp_path):
     with pytest.raises(ParseError, match="cannot write object of type object"):
         write_matrix_file(object(), target)
     assert not target.exists()
+
+
+def _plain_json_parse(path) -> object:
+    """The reference reader: the file's whole text through plain
+    `json.loads`, with `parse_matrix_file`'s number hooks and error mapping."""
+    try:
+        raw = json.loads(
+            path.read_text(encoding="utf-8"), parse_int=_read_int, parse_constant=_reject_constant
+        )
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    return parse_matrix_obj(raw)
+
+
+def _bits(obj) -> tuple:
+    """Everything a parsed object holds, its arrays as raw bytes."""
+    if isinstance(obj, Witness):
+        return ("witness", obj.form, np.float64(obj.c).tobytes(), _bits(obj.sigma))
+    if isinstance(obj, DensityMatrix):
+        return ("density", obj.normalized, _bits(obj.mat))
+    if isinstance(obj, PureState):
+        return ("pure", obj.normalized, obj.dims, obj.vec.vec.tobytes())
+    return ("hermitian", obj.dims, obj.mat.tobytes())
+
+
+def _outcome(read, *args) -> tuple:
+    try:
+        return ("ok", _bits(read(*args)))
+    except WitnessForgeError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _parity_objects() -> list:
+    rng = np.random.default_rng(30)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = DensityMatrix(ComplexMatrix((3,), g @ g.conj().T / np.trace(g @ g.conj().T).real))
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return [
+        rho,
+        PureState(ComplexVector((2, 2), v / np.linalg.norm(v))),
+        ComplexMatrix((2,), np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -0.0]])),
+        make_witness(WitnessForm.C_MINUS_SIGMA, rho, 0.9, check="none"),
+        make_witness(WitnessForm.SIGMA_MINUS_C, isotropic(0.2), 0.1, check="none"),
+    ]
+
+
+_PARITY_OBJECTS = _parity_objects()
+_TOKEN = re.compile(r'"[^"]*"|[-+.\dEe]+|[A-Za-z]+|\S')
+_NUMBER = re.compile(r"[-\d]")
+# spellings a number cell may take: valid, out of range, not numbers, not JSON
+_CELLS = ["1E5", "1e+05", "-0", "3", "1e400", "9" * 400, "true", "null", '"1"', "NaN",
+          "01", "+1", ".5", "1.", "-", "1e", "\u0661"]
+_SPACES = ["", " ", "\n", "\t", "\r\n", "  \n  "]
+
+
+def _document(obj, last: str | None) -> list[str]:
+    """The tokens of `obj`'s canonical file text, with the key `last` moved
+    to the end of the object."""
+    doc = encode_matrix_obj(obj)
+    keys = sorted(doc, key=lambda k: k == last)
+    text = "{" + ",".join(f"{json.dumps(k)}:{dumps_canonical(doc[k])}" for k in keys) + "}"
+    return _TOKEN.findall(text)
+
+
+def _pairs(tokens: list[str]) -> list[int]:
+    """The indices of the `[` that open an [re, im] pair."""
+    return [
+        i for i in range(len(tokens) - 4)
+        if tokens[i] == "[" and tokens[i + 2] == "," and tokens[i + 4] == "]"
+        and _NUMBER.match(tokens[i + 1]) and _NUMBER.match(tokens[i + 3])
+    ]
+
+
+@st.composite
+def _mutated_files(draw) -> str:
+    """A written file of some kind, its tokens changed by a few mutations,
+    then spaced out, pretty-printed or cut short."""
+    obj = draw(st.sampled_from(_PARITY_OBJECTS))
+    keys = sorted(encode_matrix_obj(obj))
+    tokens = _document(obj, draw(st.sampled_from([None, *keys])))
+    for _ in range(draw(st.integers(0, 2))):
+        numbers = [i for i, t in enumerate(tokens) if _NUMBER.match(t)]
+        pairs = _pairs(tokens)
+        kind = draw(st.sampled_from(
+            ["cell", "integer", "ragged", "missing", "extra", "stray", "outside", "split", "token"]
+        ))
+        if kind == "cell":
+            tokens[draw(st.sampled_from(numbers))] = draw(st.sampled_from(_CELLS))
+        elif kind == "integer":  # a number cut to its integer part
+            i = draw(st.sampled_from(numbers))
+            tokens[i] = re.match(r"-?\d*", tokens[i]).group()
+        elif kind == "token":  # a bracket, comma or number dropped or doubled
+            i = draw(st.integers(0, len(tokens) - 1))
+            tokens[i] = draw(st.sampled_from(["", tokens[i] * 2]))
+        elif pairs:
+            i = draw(st.sampled_from(pairs))
+            if kind == "ragged":  # a row one pair short: the pair and a comma next to it
+                start = i if tokens[i + 5:i + 6] == [","] else i - 1
+                del tokens[start:start + 6]
+            elif kind == "missing":
+                del tokens[i + 2:i + 4]
+            elif kind == "extra":
+                tokens[i + 4:i + 4] = [",", "0.5"]
+            elif kind == "stray":  # the real part moved out of its pair: re [, im]
+                tokens[i:i + 2] = [tokens[i + 1], "["]
+            elif kind == "outside":  # a number before the pair: 5 [re, im]
+                tokens.insert(i, "5")
+            else:  # a second token in the real part, run into it unless spaced
+                tokens.insert(i + 2, "1")
+    spacing = draw(st.sampled_from(["none", "random", "pretty"]))
+    if spacing == "random":
+        gaps = draw(st.lists(st.sampled_from(_SPACES), min_size=len(tokens), max_size=len(tokens)))
+        text = "".join(g + t for g, t in zip(gaps, tokens))
+    elif spacing == "pretty":
+        text = re.sub(r"([\[{,])", r"\1\n  ", "".join(tokens))
+    else:
+        text = "".join(tokens)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mutated_files())
+@example("".join(_document(_PARITY_OBJECTS[0], None)))
+@example("".join(_document(_PARITY_OBJECTS[1], "data")))
+@example(json.dumps(json.loads(matrix_file_text(_PARITY_OBJECTS[0])), indent=4))
+@example(json.dumps(json.loads(matrix_file_text(_PARITY_OBJECTS[1])), indent=4))
+def test_reader_matches_plain_json(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("parity") / "m.json"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(_plain_json_parse, path)
+    assert _outcome(parse_matrix_file, path) == expected
+
+
+@pytest.mark.parametrize("data", [
+    "[[[0.5,0],[0,0]],[[0,0],[0.5,0]]]",      # the canonical spelling
+    "[[[0.5,0],[0,0]],[[0,0],[0.5,0]] ]",
+    "[[[0.5,0],[0,0]],[[0,0],[0.5,0]],]",
+    "[[0.5[,0],[0,0]],[[0,0],[0.5,0]]]",      # a part outside its pair
+    "[[[0.5,0],[0,]0],[[0,0],[0.5,0]]]",
+    "[[[0.5,0],[0,1]]5,[[1,0],[0.5,0]]]",     # a number outside any pair
+    "[[[0.5,0],[0,1]],[5[1,0],[0.5,0]]]",
+    "[[[0.5 1,0],[0,0]],[[0,0],[0.5,0]]]",    # two numbers run together
+    "[[[0.5,0],[0,0]],[[0,0],[0.5,\u0661]]]",  # not an ASCII digit
+    "[[[0.5,0],[0,0]],[[0,0],[0.5,1e400]]]",
+    "[[[0.5,0],[0,0]],[[0,0],[0.5," + "9" * 400 + "]]]",
+])
+def test_reader_matches_plain_json_on_near_misses(tmp_path, data):
+    text = '{"version":"1","kind":"density","dims":[2],"normalized":false,"data":%s}' % data
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(parse_matrix_file, path) == _outcome(_plain_json_parse, path)
+
+
+@pytest.mark.parametrize("key", ["version", "kind", "dims", "c", "form", "normalized", "extra"])
+@pytest.mark.parametrize("value", [[[1, 2]], {"data": [[1, 2]]}])
+def test_reader_matches_plain_json_on_header_values(tmp_path, key, value):
+    # an array of pairs is read flat only under data and sigma, so a header
+    # check names the value as json gives it
+    doc = json.loads(matrix_file_text(_PARITY_OBJECTS[3]))
+    doc[key] = value
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _outcome(parse_matrix_file, path) == _outcome(_plain_json_parse, path)
+
+
+def test_reader_reads_c_with_json_number_grammar(tmp_path):
+    # float() and the \d of a str pattern take any Unicode digit, json only ASCII ones
+    canonical = matrix_file_text(_PARITY_OBJECTS[3])
+    text = canonical.replace('"c":0.90000000000000002', '"c":0.9\u0661')
+    assert text != canonical
+    path = tmp_path / "w.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(parse_matrix_file, path)[0] == "ParseError"
+    assert _outcome(parse_matrix_file, path) == _outcome(_plain_json_parse, path)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 
-from witness_forge.fileio import matrix_file_text
+from witness_forge.fileio import matrix_file_text, parse_matrix_file
 from witness_forge.linalg import ComplexMatrix, ComplexVector
 from witness_forge.qstate import DensityMatrix, PureState
 from witness_forge.witness import WitnessForm, make_witness
@@ -83,3 +84,18 @@ def test_a_256_dim_witness_has_the_pinned_bytes():
     text = matrix_file_text(_pinned_objects()["big"])
     assert len(text) == 6_383_876
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == _EXPECTED_SHA256
+
+
+def test_reading_a_256_dim_witness_peaks_below_3_5_times_its_size(tmp_path):
+    # the text alone is 1x the file size; a Python list per [re, im] entry
+    # of its two 256x256 arrays took the reader to about 4.1x
+    path = tmp_path / "big.json"
+    path.write_text(matrix_file_text(_pinned_objects()["big"]))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        parse_matrix_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * size, f"peak {peak / size:.2f}x the file size"
