@@ -18,13 +18,30 @@ eigenvalues are exactly representable (for example I/2, whose purified
 projector then has entries exactly 1/2). A normalized tail needs no
 zero-lambda_max check: its trace is at least 1 - NORM_TOL, so its top
 eigenvalue is at least (1 - NORM_TOL)/dim >= 9.7e-4 for dim <= MAX_TOTAL_DIM.
+
+Nothing here solves or searches a matrix the size of sigma'. Its
+extreme eigenvalues follow from the base: the (partial) purification
+|phi><phi| has the eigenvalues ||phi||^2, the sum of the selected
+eigenvalues, and 0, and the spectrum of A (x) B holds every product
+a_i*b_j, so the extremes of a Kronecker product are products of its
+factors' extremes. Its product-state extremum is a base-size problem
+too (`_reduce`). Product states factor and every factor is PSD, so the
+extremum of sigma' is the product of its factors' extrema. The slots of
+a selection S are distinct, so Tr_C |phi><phi| = sigma_S =
+sum_{i in S} lambda_i |e_i><e_i|, and a product state |ab>|x> reaches
+at most ||(<ab| (x) I) phi||^2 = <ab|sigma_S|ab>, with equality at x
+along (<ab| (x) I) phi. So c(sigma') = c(sigma_S) * prod_k c(F_k) for
+the tail factors F_k; a selection of every nonzero eigenpair searches
+sigma itself, which differs from sigma_S only by eigenvalues at most
+RANK_TOL.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +66,8 @@ from .qstate import (
     _purification_columns,
     _purifying_selection,
     _selected_nonzero,
+    _with_extremes,
+    partial_purify,
 )
 from .witness import Witness, WitnessForm, evaluate
 
@@ -63,32 +82,86 @@ def _require_dual_form(w: Witness, op: str) -> None:
         )
 
 
-def _density(dims: tuple[int, ...], arr: np.ndarray) -> DensityMatrix:
+def _density(dims: tuple[int, ...], arr: np.ndarray, lo: float, hi: float) -> DensityMatrix:
+    """`arr` on `dims`, of extreme eigenvalues `lo` and `hi` known from its
+    construction; normalized when its trace is 1 within NORM_TOL."""
     m = ComplexMatrix(dims, arr)
     normalized = abs(m.trace().real - 1.0) <= NORM_TOL
-    return DensityMatrix(m, normalized=normalized)
+    return _with_extremes(m, normalized, lo, hi)
+
+
+def _rank_one(dims: tuple[int, ...], arr: np.ndarray, norm2: float) -> DensityMatrix:
+    """The projector `arr` = |v><v| on `dims`, norm2 = ||v||^2: eigenvalues
+    norm2 and, in any dimension above 1, 0."""
+    return _density(dims, arr, 0.0 if len(arr) > 1 else norm2, norm2)
+
+
+def _pure_factors(tails: Sequence[PureState]) -> Iterator[DensityMatrix]:
+    """The projector onto each pure tail, built when it is read."""
+    for t in tails:
+        v = t.vec.vec
+        yield _rank_one(t.dims, np.outer(v, v.conj()), float(np.vdot(v, v).real))
+
+
+def _mixed_factors(tails: Sequence[DensityMatrix]) -> Iterator[DensityMatrix]:
+    """Each tail scaled by its top eigenvalue, built when it is read."""
+    for t in tails:
+        yield _density(t.dims, t.mat.mat / t.lambda_max, t.lambda_min / t.lambda_max, 1.0)
+
+
+def _identity_factors(sizes: Sequence[int]) -> Iterator[DensityMatrix]:
+    """One identity per size, built when it is read."""
+    for d in sizes:
+        yield _density((d,), np.eye(d), 1.0, 1.0)
 
 
 def _tensor(
-    base: DensityMatrix, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[np.ndarray]
+    base: DensityMatrix, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[DensityMatrix]
 ) -> DensityMatrix:
     """base (x) f_1 (x) f_2 ... with f_k of dims tail_dims[k]. The size is
     checked before `factors` is read, so the factors may be built lazily."""
     dims = base.dims + sum(tail_dims, ())
     _require_within_cap(math.prod(dims), "product dimension")
     arr = base.mat.mat
+    lo, hi = base.lambda_min, base.lambda_max
     for f in factors:
-        arr = np.kron(arr, f)
-    return _density(dims, arr)
+        arr = np.kron(arr, f.mat.mat)
+        ends = (lo * f.lambda_min, lo * f.lambda_max, hi * f.lambda_min, hi * f.lambda_max)
+        lo, hi = min(ends), max(ends)
+    return _density(dims, arr, lo, hi)
 
 
 def _tensor_extend(
-    w: Witness, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[np.ndarray]
+    w: Witness, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[DensityMatrix]
 ) -> Witness:
     """w with sigma replaced by `_tensor(sigma, ...)`; w itself with no tails."""
     if not tail_dims:
         return w
     return Witness(w.form, w.c, _tensor(w.sigma, tail_dims, factors))
+
+
+def _reduce(
+    w: Witness, sel: PurificationSelection | None, factors: Iterable[DensityMatrix]
+) -> tuple[list[ComplexMatrix], Callable[[list[list[np.ndarray]]], list[np.ndarray]]]:
+    """The extension of `w` by the (partial) purification `sel`, if any,
+    then by the tail `factors`, as base-size problems: the blocks whose
+    product-state extrema multiply to those of sigma', and the lift of
+    one winner per block, each a list of unit factors, to one product
+    state on the parties of sigma'. The first block is sigma, or sigma_S when
+    `sel` leaves out a nonzero eigenpair; the purification's ancilla
+    factor is (<ab| (x) I) phi, normalised, for that block's winner |ab>."""
+    blocks = [w.sigma.mat, *(f.mat for f in factors)]
+    if sel is None:
+        return blocks, lambda wins: [f for win in wins for f in win]
+    phi = partial_purify(w.sigma, sel).vec.vec.reshape(w.sigma.dim, sel.ancilla_dim)
+    if len(sel.pairs) < w.sigma.spectrum.rank():
+        blocks[0] = ComplexMatrix(w.dims, phi @ phi.conj().T)
+
+    def lift(wins: list[list[np.ndarray]]) -> list[np.ndarray]:
+        anc = reduce(np.kron, wins[0]).conj() @ phi
+        return [*wins[0], anc / np.linalg.norm(anc), *(f for win in wins[1:] for f in win)]
+
+    return blocks, lift
 
 
 def purify_extend(w: Witness) -> Witness:
@@ -110,8 +183,7 @@ def pure_tails_extend(w: Witness, tails: Sequence[PureState]) -> Witness:
     _require_dual_form(w, "pure_tails_extend")
     if any(not t.normalized for t in tails):
         raise UnnormalizedTail("pure tails must be normalized")
-    projectors = (np.outer(t.vec.vec, t.vec.vec.conj()) for t in tails)
-    return _tensor_extend(w, [t.dims for t in tails], projectors)
+    return _tensor_extend(w, [t.dims for t in tails], _pure_factors(tails))
 
 
 def purify_extend_n(w: Witness, pure_tails: Sequence[PureState]) -> Witness:
@@ -150,7 +222,7 @@ def partial_purify_extend(
             )
     wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
-    return Witness(w.form, c_out, _density(w.sigma.dims + (sel.ancilla_dim,), proj))
+    return Witness(w.form, c_out, _rank_one(w.sigma.dims + (sel.ancilla_dim,), proj, total))
 
 
 def count_partial_purifications(rank: int, d3: int) -> int:
@@ -206,8 +278,7 @@ def mixed_tensor_extend(w: Witness, tails: Sequence[DensityMatrix]) -> Witness:
     _require_dual_form(w, "mixed_tensor_extend")
     if any(not t.normalized for t in tails):
         raise UnnormalizedTail("tensor tails must be normalized")
-    scaled = (t.mat.mat / t.lambda_max for t in tails)
-    return _tensor_extend(w, [t.dims for t in tails], scaled)
+    return _tensor_extend(w, [t.dims for t in tails], _mixed_factors(tails))
 
 
 def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
@@ -220,7 +291,7 @@ def identity_extend(w: Witness, tail_dims: Sequence[int]) -> Witness:
     for d in sizes:
         if d < 1:
             raise ParamOutOfRange(f"tail dimension {d} must be >= 1")
-    return _tensor_extend(w, [(d,) for d in sizes], map(np.eye, sizes))
+    return _tensor_extend(w, [(d,) for d in sizes], _identity_factors(sizes))
 
 
 def detect_product_extension(
@@ -232,7 +303,7 @@ def detect_product_extension(
     base witness expectation on rho12, so a state detected before
     extension stays detected after it.
     """
-    rho = _tensor(rho12, [t.dims for t in tails], (t.mat.mat for t in tails))
+    rho = _tensor(rho12, [t.dims for t in tails], tails)
     if rho.dims != w_ext.dims:
         raise DimensionMismatch(
             f"extended witness dims {w_ext.dims} vs product state dims {rho.dims}"

@@ -3,9 +3,12 @@
 Density matrices are checked for Hermiticity, positive semidefiniteness
 and (when flagged normalized) unit trace at construction time, which
 keeps the extreme eigenvalues `lambda_min` and `lambda_max`; the
-canonical decomposition `spectrum` is built on first read. Purifications
-follow its order, pairing the i-th nonzero eigenvector with ancilla
-basis vector |i>.
+canonical decomposition `spectrum` is built on first read. Every public
+constructor, file parsing included, finds the extremes by one
+eigensolve. `_with_extremes` is the one route that takes them from the
+caller instead, for an extension whose spectrum follows from its base;
+it runs every other check. Purifications follow the spectrum's order,
+pairing the i-th nonzero eigenvector with ancilla basis vector |i>.
 
 Partial purifications are deliberately kept unnormalized: their squared
 norm is the sum of the selected eigenvalues, which downstream witness
@@ -44,7 +47,7 @@ class DensityMatrix:
     lambda_min: float = field(init=False)
     lambda_max: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, extremes: tuple[float, float] | None = None) -> None:
         self.mat.require_hermitian()
         with np.errstate(over="ignore"):  # finite entries can sum past 1.8e308
             tr = self.mat.trace().real
@@ -57,7 +60,7 @@ class DensityMatrix:
                 )
         elif tr <= 0.0:
             raise ParamOutOfRange(f"density matrix trace {tr!r} must be positive")
-        lo, hi = _extreme_eigvals(self.mat.mat)
+        lo, hi = _extreme_eigvals(self.mat.mat) if extremes is None else extremes
         if lo < -1e-10:
             raise ParamOutOfRange(
                 f"density matrix has eigenvalue {lo:.3e} below -1e-10"
@@ -77,6 +80,18 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.dim
+
+
+def _with_extremes(mat: ComplexMatrix, normalized: bool, lo: float, hi: float) -> DensityMatrix:
+    """A DensityMatrix whose extreme eigenvalues `lo` and `hi` the caller
+    knows exactly from how `mat` was built, so no eigensolve runs; every
+    other check of `DensityMatrix.__post_init__` does, the -1e-10 floor
+    on `lo` included."""
+    d = object.__new__(DensityMatrix)
+    object.__setattr__(d, "mat", mat)
+    object.__setattr__(d, "normalized", normalized)
+    d.__post_init__((lo, hi))
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +243,6 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
     cols = _purification_columns(d.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     vec = ComplexVector(d.dims + (sel.ancilla_dim,), cols @ np.sqrt(lams))
     return PureState(vec, normalized=False)
-
-
-def has_max_eigenvalue(sel: PurificationSelection, sd: SpectralDecomposition) -> bool:
-    """True iff some selected eigen-index attains the top eigenvalue
-    (within 1e-12, so every member of a degenerate top eigenspace counts)."""
-    return _has_top(sd.eigenvalues, _selected(sd.eigenvalues, sel.pairs))
 
 
 def isotropic(q: float) -> DensityMatrix:

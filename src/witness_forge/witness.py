@@ -31,9 +31,12 @@ SeedSequence([seed, r]) stream (`_random_starts`); with one party every
 restart's first update solves sigma itself, so only restart 0 runs.
 Only the winning factors get the canonical phase, and the reported value is their
 expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
-lower bound for the max), so every verdict reads the one search of
-s*sigma: strict `make_witness` is `verify_witness` plus a raise, and
-the grid oracle scans sigma in the same direction. One rule,
+lower bound for the max), so every verdict reads a search of s*sigma:
+strict `make_witness` is `verify_witness` plus a raise, and the grid
+oracle scans sigma in the same direction. The verdict on an extension
+(`_lifted_report`) searches base-size blocks instead, whose extrema
+multiply to that of sigma (`extend._reduce`), and reads its value from
+sigma at their winners lifted to one product state. One rule,
 `_witness_report`, turns the sigma value v found into W's minimal
 product expectation s*(c - v), which must be at least -TOL_POS, and
 requires the margin -lambda_min(W) = lambda_max(s*sigma) - s*c above
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -525,6 +528,23 @@ def verify_witness(
     search = max_product_expectation if w.form.sign > 0 else min_product_expectation
     opt = search(w.sigma.mat, restarts, seed)
     return _witness_report(w, opt.value, opt.extremizer)
+
+
+def _lifted_report(
+    w: Witness,
+    blocks: Sequence[ComplexMatrix],
+    lift: Callable[[list[list[np.ndarray]]], list[np.ndarray]],
+    restarts: int,
+    seed: int,
+) -> WitnessReport:
+    """The verdict on `w` from base-size searches, for a sigma whose
+    product extremum is the product of those of `blocks`: each block is
+    searched on the form's side, `lift` maps the winners' factors to one
+    product state on w's parties, and its value is read back from sigma
+    as `_winner` reads a see-saw's."""
+    search = max_product_expectation if w.form.sign > 0 else min_product_expectation
+    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in blocks]
+    return _witness_report(w, *_winner(w.sigma.mat.mat, lift(wins)))
 
 
 def is_ces(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import witness_forge
-from witness_forge import cli, linalg, qstate
+from witness_forge import cli, linalg, qstate, witness
 from witness_forge.cli import main
 from witness_forge.errors import ParamOutOfRange
 from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
@@ -309,6 +310,8 @@ def test_an_unwritable_output_is_a_parse_error_report(monkeypatch, capsys, sq_fi
 
     monkeypatch.setattr(cli, "make_witness", refuse)
     monkeypatch.setattr(cli, "purify_extend_n", refuse)
+    monkeypatch.setattr(witness, "max_product_expectation", refuse)
+    monkeypatch.setattr(witness, "min_product_expectation", refuse)
     files = sorted(tmp_path.rglob("*"))
     argv = {
         "witness-make": ("witness-make", sq_file, "--form", "c_minus_sigma", "--c", "0.3"),
@@ -420,6 +423,52 @@ def test_purify_and_verify_run_no_canonical_pass_on_the_extension(capsys, tmp_pa
     code, report, _ = _run(capsys, "witness-verify", out, "--restarts", "2")
     assert code == 0 and report["results"]["is_witness"] is True
     assert seen and max(seen) <= 16
+
+
+@pytest.mark.parametrize(
+    "method, flags, dims",
+    [
+        ("purify", (), (2, 2, 4)),
+        ("partial", ("--selection", "3:0,2:1", "--ancilla-dim", "2"), (2, 2, 2)),
+        ("identity", ("--tail-dims", "3"), (2, 2, 3)),
+        ("mixed", ("--tails", "sq"), (2, 2, 2, 2)),
+        ("pure-tails", ("--tails", "pure"), (2, 2, 3)),
+    ],
+    ids=["purify", "partial", "identity", "mixed", "pure-tails"],
+)
+def test_extend_solves_and_searches_nothing_the_size_of_the_extension(
+    capsys, sq_file, tmp_path, monkeypatch, method, flags, dims
+):
+    # every eigensolve and every see-saw of extend runs on the base, a tail
+    # or a party, never on sigma'
+    wpath = str(tmp_path / "w.json")
+    write_matrix_file(Witness(WitnessForm.C_MINUS_SIGMA, 0.3, isotropic(0.2)), wpath)
+    pure = tmp_path / "pure.json"
+    write_matrix_file(qstate.PureState(ComplexVector((3,), np.array([0.6, 0.0, 0.8j]))), pure)
+    files = {"sq": sq_file, "pure": str(pure)}
+    solved, searched = [], []
+    real_lapack, real_run = linalg._lapack, witness._seesaw_run
+
+    def lapack(solve, h):
+        solved.append(h.shape[-1])
+        return real_lapack(solve, h)
+
+    def run(mt, start):
+        searched.append(math.prod(mt.shape[: mt.ndim // 2]))
+        return real_run(mt, start)
+
+    for mod in (linalg, witness):
+        monkeypatch.setattr(mod, "_lapack", lapack)
+    monkeypatch.setattr(witness, "_seesaw_run", run)
+    out = str(tmp_path / "ext.json")
+    argv = ["extend", wpath, "--method", method, *(files.get(f, f) for f in flags), "-o", out]
+    code, report, _ = _run(capsys, *argv)
+    assert code == 0 and report["results"]["dims"] == list(dims)
+    assert solved and searched
+    assert max(solved + searched) < math.prod(dims)
+    # the check's full-size see-saw does reach sigma'
+    code, report, _ = _run(capsys, "witness-verify", out)
+    assert code == 0 and max(searched) == math.prod(dims)
 
 
 def test_extend_flag_consistency(capsys, sq_file, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from witness_forge import cli, linalg
 from witness_forge.cli import main
 
 from witness_forge.errors import (
@@ -53,8 +54,11 @@ from witness_forge.witness import (
     TOL_NEG,
     WitnessForm,
     evaluate,
+    Witness,
     make_witness,
     max_product_expectation,
+    min_product_expectation,
+    product_expectation,
     verify_witness,
 )
 
@@ -196,6 +200,24 @@ def test_partial_purify_extend_needs_top_eigenpair():
     w = _isotropic_witness()
     with pytest.raises(MaxEigenvalueNotSelected):
         partial_purify_extend(w, PurificationSelection(((0, 0), (1, 1)), 2))
+
+
+def test_partial_purify_extend_accepts_only_a_selection_with_a_top_eigenpair():
+    w = _isotropic_witness()
+    for pairs, ancilla_dim in ((((3, 0),), 1), (((0, 0), (3, 1)), 2)):
+        assert partial_purify_extend(w, PurificationSelection(pairs, ancilla_dim)).c == 0.3
+    with pytest.raises(MaxEigenvalueNotSelected):
+        partial_purify_extend(w, PurificationSelection(((0, 0), (1, 1)), 2))
+    # every eigen-index is checked, not only those before the first top hit
+    with pytest.raises(SelectionOutOfRange):
+        partial_purify_extend(w, PurificationSelection(((3, 0), (7, 1)), 2))
+    # degenerate top eigenvalue 5/16 (indices 1, 2, 3): any index inside the
+    # top cluster counts
+    arr = np.diag([5 / 16, 3 / 16, 3 / 16, 5 / 16]).astype(complex)
+    arr[1, 2] = arr[2, 1] = 1 / 8
+    sigma = DensityMatrix(ComplexMatrix((2, 2), arr))
+    w4 = make_witness(WitnessForm.C_MINUS_SIGMA, sigma, 0.3, check="none")
+    assert partial_purify_extend(w4, PurificationSelection(((1, 0),), 1)).dims == (2, 2, 1)
 
 
 def test_partial_purify_extend_rejects_bad_selection():
@@ -371,9 +393,10 @@ def test_no_tails_returns_the_witness_itself(extend):
     assert extend(w, []) is w
 
 
-def _random_pure(rng: np.random.Generator, d: int) -> PureState:
+def _random_pure(rng: np.random.Generator, *dims: int) -> PureState:
+    d = int(np.prod(dims))
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(ComplexVector((d,), v / np.linalg.norm(v)))
+    return PureState(ComplexVector(dims, v / np.linalg.norm(v)))
 
 
 _TENSOR_EXTENSIONS = {
@@ -506,3 +529,89 @@ def test_enumeration_refuses_a_zero_ancilla(capsys, tmp_path):
 def test_enumeration_of_a_rank_zero_spectrum_is_empty():
     zero = hermitian_eig(ComplexMatrix((2,), np.zeros((2, 2))))
     assert enumerate_partial_purifications(zero, 2) == []
+
+
+def _file(tmp_path, name: str, obj) -> str:
+    path = tmp_path / name
+    write_matrix_file(obj, path)
+    return str(path)
+
+
+def _top_selection(w: Witness) -> tuple[str, ...]:
+    """The top eigenpair and the third from the top, in two slots: sigma_S
+    leaves out nonzero eigenpairs."""
+    top = w.sigma.dim - 1
+    return ("--method", "partial", "--selection", f"{top}:0,{top - 2}:1", "--ancilla-dim", "2")
+
+
+def _relaxed(w: Witness) -> tuple[str, ...]:
+    vals = spectral(w.sigma).eigenvalues
+    total = vals[-1] + vals[-3]
+    return (*_top_selection(w), "--c-prime", repr(w.c + 0.5 * (total - w.c)))
+
+
+_DUAL, _PRIMAL = WitnessForm.C_MINUS_SIGMA, WitnessForm.SIGMA_MINUS_C
+# per case: the base's form, and the extend flags for a base witness w
+_REDUCED_CASES = {
+    "purify": (_DUAL, lambda rng, tmp, w: ("--method", "purify")),
+    "purify-one-party-pure-tail": (_DUAL, lambda rng, tmp, w: (
+        "--method", "purify", "--tails", _file(tmp, "t.json", _random_pure(rng, 3)))),
+    "purify-two-party-pure-tail": (_DUAL, lambda rng, tmp, w: (
+        "--method", "purify", "--tails", _file(tmp, "t.json", _random_pure(rng, 2, 2)))),
+    "partial": (_DUAL, lambda rng, tmp, w: _top_selection(w)),
+    "partial-c-prime": (_DUAL, lambda rng, tmp, w: _relaxed(w)),
+    "identity-dual": (_DUAL, lambda rng, tmp, w: ("--method", "identity", "--tail-dims", "2", "3")),
+    "identity-primal": (_PRIMAL, lambda rng, tmp, w: ("--method", "identity", "--tail-dims", "3")),
+    "mixed-one-party": (_DUAL, lambda rng, tmp, w: (
+        "--method", "mixed", "--tails", _file(tmp, "t.json", _random_density(rng, (3,))))),
+    "mixed-two-party": (_DUAL, lambda rng, tmp, w: (
+        "--method", "mixed", "--tails", _file(tmp, "t.json", _random_density(rng, (2, 2))))),
+    "pure-tails": (_DUAL, lambda rng, tmp, w: (
+        "--method", "pure-tails", "--tails", _file(tmp, "t1.json", _random_pure(rng, 2, 2)),
+        _file(tmp, "t2.json", _random_pure(rng, 3)))),
+}
+
+
+@pytest.mark.parametrize("base_dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+@pytest.mark.parametrize("case", sorted(_REDUCED_CASES))
+def test_extend_decides_at_base_size_what_a_full_size_search_finds(
+    capsys, tmp_path, monkeypatch, case, base_dims
+):
+    # a random sigma at the midpoint of its interval on the form's side
+    rng = np.random.default_rng(sorted(_REDUCED_CASES).index(case) + 10 * len(base_dims))
+    form, flags = _REDUCED_CASES[case]
+    sigma = _random_density(rng, base_dims)
+    if form is _DUAL:
+        c = 0.5 * (max_product_expectation(sigma.mat, 32, 0).value + sigma.lambda_max)
+    else:
+        c = 0.5 * (min_product_expectation(sigma.mat, 32, 0).value + sigma.lambda_min)
+    w = Witness(form, c, sigma)
+    wpath = _file(tmp_path, "w.json", w)
+    argv = ["extend", wpath, *flags(rng, tmp_path, w), "--seed", "3", "-o", str(tmp_path / "x.json")]
+    seen = []
+    real = cli._lifted_report
+
+    def spy(*args):
+        seen.append((args[0], real(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "_lifted_report", spy)
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    (w2, rep), = seen
+    assert code == 0 and rep.is_witness
+    assert report["results"]["verify"] == {
+        "is_witness": True,
+        "min_product_expectation": rep.min_product_expectation,
+        "witnessing_margin": rep.witnessing_margin,
+    }
+    s = form.sign
+    search = max_product_expectation if s > 0 else min_product_expectation
+    full = search(w2.sigma.mat, 64, 0).value
+    assert abs(rep.min_product_expectation - s * (w2.c - full)) <= 1e-9
+    at_certificate = product_expectation(w2.sigma.mat, rep.certificate_state)
+    assert abs(s * (w2.c - at_certificate) - rep.min_product_expectation) <= 1e-12
+    lo, hi = linalg._extreme_eigvals(w2.sigma.mat.mat)
+    tol = 1e-12 * max(1.0, hi)
+    assert abs(w2.sigma.lambda_min - lo) <= tol
+    assert abs(w2.sigma.lambda_max - hi) <= tol

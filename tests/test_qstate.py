@@ -16,7 +16,6 @@ from witness_forge.qstate import (
     DensityMatrix,
     PureState,
     PurificationSelection,
-    has_max_eigenvalue,
     isotropic,
     partial_purify,
     projector,
@@ -213,22 +212,6 @@ def test_partial_purify_rejects_bad_indices():
     pure = DensityMatrix(ComplexMatrix((2, 2), np.outer(bell, bell.conj())))
     with pytest.raises(SelectionOutOfRange):
         partial_purify(pure, PurificationSelection(((0, 0),), 1))  # zero eigenvalue
-
-
-def test_has_max_eigenvalue():
-    sq = isotropic(0.2)
-    sd = spectral(sq)
-    assert has_max_eigenvalue(PurificationSelection(((3, 0),), 1), sd)
-    assert has_max_eigenvalue(PurificationSelection(((0, 0), (3, 1)), 2), sd)
-    assert not has_max_eigenvalue(PurificationSelection(((0, 0), (1, 1)), 2), sd)
-    # every eigen-index is checked, not only those before the first top hit
-    with pytest.raises(SelectionOutOfRange):
-        has_max_eigenvalue(PurificationSelection(((3, 0), (7, 1)), 2), sd)
-    # degenerate top eigenvalue: any index inside the top cluster counts
-    arr = np.diag([5 / 16, 3 / 16, 3 / 16, 5 / 16]).astype(complex)
-    arr[1, 2] = arr[2, 1] = 1 / 8
-    sd2 = spectral(DensityMatrix(ComplexMatrix((2, 2), arr)))
-    assert has_max_eigenvalue(PurificationSelection(((1, 0),), 1), sd2)
 
 
 def test_projector_of_pure_state():
