@@ -26,9 +26,12 @@ products conj(f) (x) f, and its (R, d, d) operators go to one LAPACK
 `eigh` call, read from the lower triangle. A party's rows are rebuilt
 only when it is updated; stopped restarts leave the batch, and the
 restarts run in chunks sized so that every batch array stays within
-_BLOCK entries. Restart r starts from one draw of its own
-SeedSequence([seed, r]) stream (`_random_starts`); with one party every
-restart's first update solves sigma itself, so only restart 0 runs.
+_BLOCK entries. One generator per search, default_rng([seed, 0]),
+draws every start (`_random_starts`): restart r takes row r of its
+normals, so a start depends neither on the restart count nor on the
+chunking, and restart 0 keeps the first draw of SeedSequence([seed, 0]).
+With one party every restart's first update solves sigma itself, so
+only restart 0 runs.
 Only the winning factors get the canonical phase, and the reported value is their
 expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
 lower bound for the max), so every verdict reads a search of s*sigma:
@@ -362,14 +365,14 @@ def _unit_factors(draws: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
-def _random_starts(seed: int, restarts: range, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """The (R, d) start factors of the given restarts, restart r from one
-    draw of 2*sum(dims) normals of its own SeedSequence([seed, r]) stream."""
-    draws = np.stack([
-        np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(2 * sum(dims))
-        for r in restarts
-    ])
-    return _unit_factors(draws, dims)
+def _random_starts(rng: np.random.Generator, rows: int, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The (rows, d) start factors of the next `rows` restarts: the next
+    (rows, 2*sum(dims)) normals of `rng`, one row per restart, in order.
+    Normals come off the stream in sequence, so with `rng` the search's
+    default_rng([seed, 0]), restart r takes row r of that one stream
+    however the restarts are chunked, and restart 0 the first draw of
+    SeedSequence([seed, 0])."""
+    return _unit_factors(rng.standard_normal((rows, 2 * sum(dims))), dims)
 
 
 def _winner(mt: np.ndarray, factors: Sequence[np.ndarray]) -> tuple[float, ProductState]:
@@ -401,7 +404,9 @@ def _search_params(restarts: int, seed: int) -> tuple[int, int]:
 
 def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
     """See-saw maximum of <mu|s*m|mu> for s = +1 or -1; the value is
-    reported as <mu|m|mu> of the winner."""
+    reported as <mu|m|mu> of the winner. One generator, default_rng([seed,
+    0]), gives every restart's start (`_random_starts`): restart r starts
+    from row r of its stream, whatever the restart count or the chunk."""
     m.require_hermitian()
     restarts, seed = _search_params(restarts, seed)
     dims = m.dims
@@ -421,8 +426,9 @@ def _optimize(m: ComplexMatrix, s: int, restarts: int, seed: int) -> OptResult:
     best_score = -np.inf
     best_factors: list[np.ndarray] | None = None
     all_converged = True
+    rng = np.random.default_rng([seed, 0])
     for lo in range(0, searched, chunk):
-        starts = _random_starts(seed, range(lo, min(searched, lo + chunk)), dims)
+        starts = _random_starts(rng, min(chunk, searched - lo), dims)
         values, factors, converged = _seesaw_run(signed, starts)
         all_converged = all_converged and bool(converged.all())
         i = int(np.argmax(values))  # the first restart at the best value

@@ -171,7 +171,7 @@ def test_contracted_operator_matches_kronecker_brute_force(dims):
     rng = np.random.default_rng(sum(dims))
     m = _random_hermitian(rng, dims).mat
     mt = m.reshape(dims + dims)
-    batch = _random_starts(sum(dims), range(3), dims)
+    batch = _random_starts(np.random.default_rng([sum(dims), 0]), 3, dims)
     tol = 1e-13 * np.linalg.norm(m, 2)
     for k in range(len(dims)):
         op = witness._party_matrix(mt, k)
@@ -187,12 +187,26 @@ def test_contracted_operator_matches_kronecker_brute_force(dims):
             assert np.abs(one.reshape(dims[k], dims[k]) - want).max() <= tol
 
 
+def _draws_one_at_a_time(seed: int, r: int, dims: tuple[int, ...]):
+    """Restart r's start as it was drawn party by party: d real parts, then
+    d imaginary parts, normalised by np.linalg.norm."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+    raw = []
+    for d in dims:
+        raw.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return raw, [v / np.linalg.norm(v) for v in raw]
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
 def test_bloch_operators_match_the_complex_contraction(dims):
     rng = np.random.default_rng(7 * len(dims) + sum(dims))
     m = _random_hermitian(rng, dims).mat
     mt = m.reshape(dims + dims)
-    batch = _random_starts(5, range(4), dims)
+    # the unit factors of four SeedSequence([5, r]) draws, one per restart:
+    # the unit-norm bound below holds for these, not for every draw
+    raws = [_draws_one_at_a_time(5, r, dims)[0] for r in range(4)]
+    draws = np.array([np.concatenate([p for v in raw for p in (v.real, v.imag)]) for raw in raws])
+    batch = witness._unit_factors(draws, dims)
     outs = [witness._outer(f) for f in batch]
     rows = [witness._bloch_rows(f) if d == 2 else witness._outer(f) for f, d in zip(batch, dims)]
     for d, row, out in zip(dims, rows, outs):
@@ -291,7 +305,7 @@ def test_one_party_search_runs_restart_zero_alone(monkeypatch):
 def test_seesaw_makes_no_einsum_call(monkeypatch):
     m3 = _random_hermitian(np.random.default_rng(41), (2, 2, 2))
     m2 = _random_hermitian(np.random.default_rng(43), (2, 3))
-    start = _random_starts(0, range(4), (2, 3))
+    start = _random_starts(np.random.default_rng([0, 0]), 4, (2, 3))
 
     def fail(*args, **kwargs):
         raise AssertionError("np.einsum called on the see-saw path")
@@ -337,7 +351,7 @@ def _serial_seesaw(
 def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, max_iters):
     m = _random_hermitian(np.random.default_rng(matrix_seed), dims)
     mt = m.mat.reshape(dims + dims)
-    batch = _random_starts(0, range(restarts), dims)
+    batch = _random_starts(np.random.default_rng([0, 0]), restarts, dims)
     starts = [[f[r] for f in batch] for r in range(restarts)]
     sign = 1.0 if mode == "max" else -1.0  # the batch maximises <mu|sign*m|mu>
     with mock.patch.object(witness, "SEESAW_MAX_ITERS", max_iters):
@@ -457,7 +471,8 @@ def test_maximally_mixed_seesaw_is_exact(dims):
     m = ComplexMatrix(dims, np.eye(d) / d)
     mt = m.mat.reshape(dims + dims)
     for sign in (1, -1):
-        values, factors, converged = _seesaw_run(sign * mt, _random_starts(3, range(8), dims))
+        start = _random_starts(np.random.default_rng([3, 0]), 8, dims)
+        values, factors, converged = _seesaw_run(sign * mt, start)
         assert np.all(values == sign / d) and converged.all()
         for f, dk in zip(factors, dims):
             np.testing.assert_array_equal(f, np.tile(np.eye(dk)[-1], (8, 1)))
@@ -499,7 +514,7 @@ def test_seesaw_update_cost_structure(monkeypatch):
     lapack.clear()
     qubit.clear()
     updates = _count_calls(monkeypatch, witness, "_extremal_factor")
-    _seesaw_run(mt, _random_starts(0, range(32), (2, 3)))
+    _seesaw_run(mt, _random_starts(np.random.default_rng([0, 0]), 32, (2, 3)))
     assert updates and len(lapack) == len(updates) == len(qubit)
     assert all(a.shape[1:] == (3, 3) for (a,) in lapack)
     # one outer product per qudit update, plus one per party to start
@@ -507,21 +522,11 @@ def test_seesaw_update_cost_structure(monkeypatch):
         mt = _random_hermitian(np.random.default_rng(73), dims).mat.reshape(dims + dims)
         outer.clear()
         updates.clear()
-        _seesaw_run(mt, _random_starts(0, range(16), dims))
+        _seesaw_run(mt, _random_starts(np.random.default_rng([0, 0]), 16, dims))
         assert len(outer) == len(dims) + len(updates)
 
 
-def _draws_one_at_a_time(seed: int, r: int, dims: tuple[int, ...]):
-    """Restart r's start as it was drawn party by party: d real parts, then
-    d imaginary parts, normalised by np.linalg.norm."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-    raw = []
-    for d in dims:
-        raw.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    return raw, [v / np.linalg.norm(v) for v in raw]
-
-
-def test_batched_starts_match_the_one_restart_draws(monkeypatch):
+def test_one_generator_draws_every_restart_start(monkeypatch):
     dims = (2, 3, 4)
     m = _random_hermitian(np.random.default_rng(79), dims)
     draws, starts = [], []
@@ -539,20 +544,26 @@ def test_batched_starts_match_the_one_restart_draws(monkeypatch):
     monkeypatch.setattr(witness, "_unit_factors", record_draws)
     monkeypatch.setattr(witness, "_seesaw_run", record_starts)
     monkeypatch.setattr(witness, "_BLOCK", 64 * 12**2)  # party 0's rows are 12**2 wide
+    generators = _count_calls(monkeypatch, witness.np.random, "default_rng")
     max_product_expectation(m, restarts=70, seed=5)
+    assert len(generators) == 1
     assert [len(d) for d in draws] == [64, 6]  # the second chunk starts at r = 64
     rows = np.concatenate(draws)
-    factors = [np.concatenate(fs) for fs in zip(*starts)]
-    for r in range(70):
-        raw, want = _draws_one_at_a_time(5, r, dims)
-        got_raw, lo = [], 0
-        for d in dims:
-            got_raw.append(rows[r, lo : lo + d] + 1j * rows[r, lo + d : lo + 2 * d])
-            lo += 2 * d
-        for a, b in zip(got_raw, raw):
-            np.testing.assert_array_equal(a, b)
-        for f, w in zip(factors, want):
-            assert np.abs(f[r] - w).max() <= 4.5e-16
+    np.testing.assert_array_equal(rows, np.random.default_rng([5, 0]).standard_normal((70, 18)))
+    # restart 0 starts where it did when every restart had its own stream
+    raw, want = _draws_one_at_a_time(5, 0, dims)
+    lo = 0
+    for d, v, w, f in zip(dims, raw, want, starts[0]):
+        np.testing.assert_array_equal(rows[0, lo : lo + d] + 1j * rows[0, lo + d : lo + 2 * d], v)
+        assert np.abs(f[0] - w).max() <= 4.5e-16
+        lo += 2 * d
+    # a start does not depend on the restart count
+    many = [np.concatenate(fs) for fs in zip(*starts)]
+    starts.clear()
+    max_product_expectation(m, restarts=5, seed=5)
+    assert len(starts) == 1
+    for f, g in zip(starts[0], many):
+        np.testing.assert_array_equal(f, g[:5])
 
 
 def test_restart_chunks_do_not_change_the_result(monkeypatch):
