@@ -45,13 +45,16 @@ rows and columns (`_coordinate_operator`), the lead party's whole grid
 contracts it in one real GEMM, and each block is one more real GEMM
 giving the coordinates of the exact party's operators. A block is whole
 polar rows of the last party times as many lead points as fit, at most
-_CHUNK = 16,384 points in all (every supported grid has at most 10,609
-phase vectors per polar row), so its working set stays a few MB. The
-top eigenvalues come in closed form from the coordinates when the exact
+_CHUNK = 8,192 points in all, so its working set stays a few MB. Only a
+qutrit's polar row, r**2 phase vectors, can exceed that: from resolution
+91 (8,281) up to 103 (10,609) a block is one polar row. The top
+eigenvalues come in closed form from the coordinates when the exact
 party has dimension 2 or 3, and from LAPACK at dimension 4, where the
 scan skips every point that a batched LDL^H test proves below the best
 value so far, so the winner is the one the full solve would pick
-(`_pruned_top_eigvals` and `_below` give the rounding argument).
+(`_pruned_top_eigvals` and `_below` give the rounding argument). The
+closed forms and the LDL^H test write into a few arrays per block, not
+a new one per operation.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .witness import (
 
 MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 _ANCHOR_STRIDE = 32
 
 
@@ -241,33 +244,86 @@ def _extremal_eigvals(c: np.ndarray) -> np.ndarray:
     ulps of the matrix norm except where the top eigenvalue is doubly
     degenerate, where the cubic's double root costs about half the digits
     (1e-8 relative).
+
+    Both closed forms write each step into one of a few block arrays, not
+    a new array per step, and take the steps in the order of their plain
+    expressions, which tests/test_oracle.py keeps as a reference, so every
+    value keeps those expressions' bits.
     """
     d = math.isqrt(c.shape[0])
     if d == 2:
         # squares, not hypot as in `witness._bloch_top`: hypot took six
         # (2,2,2) scans at resolution 32 from 0.10 s to 0.27 s
         alpha, gamma, re, im = c
-        return 0.5 * (alpha + gamma) + np.sqrt((0.5 * (alpha - gamma)) ** 2 + re * re + im * im)
+        top = np.add(alpha, gamma)
+        rad, t = np.empty((2,) + top.shape)
+        top *= 0.5
+        np.subtract(alpha, gamma, out=rad)
+        rad *= 0.5
+        rad *= rad
+        rad += np.multiply(re, re, out=t)
+        rad += np.multiply(im, im, out=t)
+        top += np.sqrt(rad, out=rad)
+        return top
     if d == 3:
         a0, a1, a2, r01, r02, r12, i01, i02, i12 = c
-        q = (a0 + a1 + a2) / 3.0
-        e0, e1, e2 = a0 - q, a1 - q, a2 - q
-        n01, n02, n12 = r01 * r01 + i01 * i01, r02 * r02 + i02 * i02, r12 * r12 + i12 * i12
-        p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (n01 + n02 + n12)) / 6.0)
+        q = np.add(a0, a1)
+        e0, e1, e2, n01, n02, n12, p, s, xr, xi, t, u = np.empty((12,) + q.shape)
+        q += a2
+        q /= 3.0
+        np.subtract(a0, q, out=e0)
+        np.subtract(a1, q, out=e1)
+        np.subtract(a2, q, out=e2)
+        for n, r, i in ((n01, r01, i01), (n02, r02, i02), (n12, r12, i12)):
+            np.multiply(r, r, out=n)
+            n += np.multiply(i, i, out=t)
+        np.multiply(e0, e0, out=p)
+        p += np.multiply(e1, e1, out=t)
+        p += np.multiply(e2, e2, out=t)
+        np.add(n01, n02, out=t)
+        t += n12
+        t *= 2.0
+        p += t
+        p /= 6.0
+        np.sqrt(p, out=p)
         # B = (T - qI)/p has eigenvalues 2cos(angle), with cos(3 angle) =
         # det(B)/2. Each product is divided by p as it grows, so none goes
         # past p**2; a scalar block (p = 0) keeps B = 0 and so returns q.
-        s = 1.0 / np.where(p > 0.0, p, 1.0)
+        s.fill(1.0)
+        np.divide(1.0, p, out=s, where=p > 0.0)
         e0 *= s
         e1 *= s
         e2 *= s
-        xr, xi = r01 * s, i01 * s  # b01/p, times b12/p, times conj(b02)/p
-        xr, xi = (xr * r12 - xi * i12) * s, (xr * i12 + xi * r12) * s
-        det = e0 * e1 * e2 + 2.0 * (xr * r02 + xi * i02) * s
+        np.multiply(r01, s, out=xr)  # b01/p, times b12/p, times conj(b02)/p
+        np.multiply(i01, s, out=xi)
+        np.multiply(xr, i12, out=t)  # the next xi, kept apart until xr is done
+        t += np.multiply(xi, r12, out=u)
+        t *= s
+        xr *= r12
+        xr -= np.multiply(xi, i12, out=u)
+        xr *= s
+        xi, t = t, xi
+        xr *= r02
+        xr += np.multiply(xi, i02, out=u)
+        xr *= 2.0
+        xr *= s
+        det = np.multiply(e0, e1, out=t)
+        det *= e2
+        det += xr
         s *= s
-        det -= (e0 * n12 + e1 * n02 + e2 * n01) * s
-        angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
-        return q + 2.0 * p * np.cos(angle)
+        np.multiply(e0, n12, out=u)
+        u += np.multiply(e1, n02, out=xr)
+        u += np.multiply(e2, n01, out=xr)
+        u *= s
+        det -= u
+        det *= 0.5
+        np.clip(det, -1.0, 1.0, out=det)
+        np.arccos(det, out=det)
+        det /= 3.0
+        p *= 2.0
+        p *= np.cos(det, out=det)
+        q += p
+        return q
     return _lapack(np.linalg.eigvalsh, _hermitian(c))[..., -1]
 
 
@@ -278,16 +334,22 @@ def _below(c: np.ndarray, mu: float) -> np.ndarray:
     The test is a floating-point LDL^H of B = A~ - tau I, with a shift in
     Rump's style (S. M. Rump, BIT 46:433, 2006): A~ is mu I - H with its
     diagonal rounded, T the computed sum of the |A~_kk|, and tau =
-    2**-47 T + 2**-1060, that is 64u T with u = 2**-53. If every pivot
-    comes out positive, the computed factors give L D L^H = B + dB,
-    positive definite, where |dB| <= g |L||D||L^H| entrywise with g = 16u
-    covering, for order <= 4 in complex arithmetic, a sum of at most three
-    updates, each a division by a pivot and a complex product (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3). By
-    Cauchy-Schwarz on the rows of L D**(1/2), ||dB||_2 <= g/(1 - g) tr(B)
-    <= 17u T. Rounding A~_kk and then B_kk moves each diagonal entry by at
-    most u|A~_kk|, so mu I - H = (B + dB) + (tau I - dB + E) with ||E||_2
-    <= 2.1u T, and tau I - dB + E is positive semidefinite since 17u T +
+    2**-47 T + 2**-1060, that is 64u T with u = 2**-53. It runs on the
+    real and imaginary parts of B's entries as separate real arrays: an
+    entry of L is one true division of each part by the real pivot (one
+    rounding each, where numpy would divide a complex by a real through
+    its reciprocal, two), its product with a conjugated entry is a complex
+    product in real arithmetic, within sqrt(2) gamma_2 of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Lemma
+    3.5), and a pivot loses |B_ij|**2 / D_j. If every pivot comes out
+    positive, the computed factors give L D L^H = B + dB, positive
+    definite, where |dB| <= g |L||D||L^H| entrywise with g = 16u
+    covering, for order <= 4, a sum of at most three updates, each a
+    division and such a product (ibid., Thm 10.3). By Cauchy-Schwarz on
+    the rows of L D**(1/2), ||dB||_2 <= g/(1 - g) tr(B) <= 17u T.
+    Rounding A~_kk and then B_kk moves each diagonal entry by at most
+    u|A~_kk|, so mu I - H = (B + dB) + (tau I - dB + E) with ||E||_2 <=
+    2.1u T, and tau I - dB + E is positive semidefinite since 17u T +
     2.1u T < tau. A positive definite plus a positive semidefinite matrix
     is positive definite: lambda_max(H) < mu. The absolute 2**-1060 covers
     underflow, whose errors of at most 2**-1075 per operation stay far
@@ -296,18 +358,42 @@ def _below(c: np.ndarray, mu: float) -> np.ndarray:
     d = math.isqrt(c.shape[0])
     k, l = np.triu_indices(d, 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        diag = [mu - c[j] for j in range(d)]
-        tau = 2.0**-47 * sum(np.abs(a) for a in diag) + 2.0**-1060
-        piv = [a - tau for a in diag]
-        # B's lower entries, -conj(h_kl) at (l, k)
-        low = {(lj, kj): -c[d + m] + 1j * c[d + k.size + m] for m, (kj, lj) in enumerate(zip(k, l))}
+        piv = np.subtract(mu, c[:d])
+        tau, t, u, fr, fi = np.empty((5,) + piv.shape[1:])
+        np.abs(piv[0], out=tau)
+        for a in piv[1:]:
+            tau += np.abs(a, out=t)
+        tau *= 2.0**-47
+        tau += 2.0**-1060
+        piv -= tau
+        # B's lower entries are -conj(h_kl) at (l, k). The recurrences run
+        # on h_kl as stored, with the update's sign flipped: negation and
+        # conjugation are exact, so the pivots are B's bit for bit.
+        low = {}
+        for m, (kj, lj) in enumerate(zip(k, l)):
+            re, im = c[d + m], c[d + k.size + m]
+            # entries right of column 0 are updated in place, so copies
+            low[lj, kj] = (re, im) if kj == 0 else (re.copy(), im.copy())
         ok = piv[0] > 0.0
         for j in range(d - 1):
             for i in range(j + 1, d):
-                w = low[i, j]
-                piv[i] = piv[i] - (w.real * w.real + w.imag * w.imag) / piv[j]
-                for r in range(j + 1, i):
-                    low[i, r] = low[i, r] - w / piv[j] * low[r, j].conj()
+                wr, wi = low[i, j]
+                if i > j + 1:
+                    np.divide(wr, piv[j], out=fr)
+                    np.divide(wi, piv[j], out=fi)
+                for r in range(j + 1, i):  # low[i, r] += (w / piv[j]) conj(low[r, j])
+                    ar, ai = low[r, j]
+                    xr, xi = low[i, r]
+                    np.multiply(fr, ar, out=t)
+                    t += np.multiply(fi, ai, out=u)
+                    xr += t
+                    np.multiply(fi, ar, out=t)
+                    t -= np.multiply(fr, ai, out=u)
+                    xi += t
+                np.multiply(wr, wr, out=t)
+                t += np.multiply(wi, wi, out=u)
+                t /= piv[j]
+                piv[i] -= t
             ok &= piv[j + 1] > 0.0
     return ok
 
@@ -360,8 +446,9 @@ def _scan_grid(
     one: the first of three qubits. Its whole grid (at most 5,402 points,
     at resolution 73) contracts the operator in one real GEMM, and the
     lead blocks are slices of that product. A last-party block is as many
-    whole polar rows as fit in _CHUNK points (one row if none fits), times
-    as many lead points as keep the block within _CHUNK. The last party's
+    whole polar rows as fit in _CHUNK = 8,192 points (one row if none
+    fits: a qutrit's r**2 phase vectors from resolution 91 on), times as
+    many lead points as keep the block within _CHUNK. The last party's
     blocks are the outer loop and the lead blocks the inner one. Each
     block is one real GEMM giving the coordinates of party x's operators,
     coordinate axis first. For a four-level `x`, LAPACK sees only a

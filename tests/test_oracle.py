@@ -236,9 +236,14 @@ def test_each_gridded_party_is_tabled_once_per_scan(monkeypatch, dims, x):
     assert calls == [d for k, d in enumerate(dims) if k != x]
 
 
-@pytest.mark.parametrize("dims, resolution", [((3, 3), 32), ((2, 3), 256)])
+@pytest.mark.parametrize("dims, resolution", [((3, 3), 32), ((2, 3), 256), ((2, 4), 256)])
 def test_scan_peak_memory_stays_small(dims, resolution):
-    # the blocks' working set, not the grid, sets the peak
+    # the blocks' working set, not the grid, sets the peak. Per block
+    # point: the gridded party's coordinate rows (4 or 9 float64), the
+    # exact party's coordinates (9 or 16), the kernels' scratch (12 for
+    # the qutrit cubic, 15 for the LDL^H test) and the result, plus the
+    # block before's rows and result while the next is built. These
+    # three scans peak at 34, 27 and 38 float64 a point.
     mt = _random_hermitian(np.random.default_rng(67), dims).mat.reshape(dims + dims)
     x = oracle._support_check(dims, resolution)
     tracemalloc.start()
@@ -247,7 +252,7 @@ def test_scan_peak_memory_stays_small(dims, resolution):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 44 * 8 * oracle._CHUNK
 
 
 @pytest.mark.parametrize(
@@ -417,6 +422,58 @@ def test_qutrit_closed_form_is_scale_free(seed, exponent):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_matches_lapack(t, 1e-10)
+
+
+def _plain_top(c: np.ndarray) -> np.ndarray:
+    """The closed forms of `oracle._extremal_eigvals` for d = 2 and 3 as
+    plain expressions, a new array for every operation, in the order the
+    scan's kernels keep."""
+    if c.shape[0] == 4:
+        alpha, gamma, re, im = c
+        return 0.5 * (alpha + gamma) + np.sqrt((0.5 * (alpha - gamma)) ** 2 + re * re + im * im)
+    a0, a1, a2, r01, r02, r12, i01, i02, i12 = c
+    q = (a0 + a1 + a2) / 3.0
+    e0, e1, e2 = a0 - q, a1 - q, a2 - q
+    n01, n02, n12 = r01 * r01 + i01 * i01, r02 * r02 + i02 * i02, r12 * r12 + i12 * i12
+    p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (n01 + n02 + n12)) / 6.0)
+    s = 1.0 / np.where(p > 0.0, p, 1.0)
+    e0, e1, e2 = e0 * s, e1 * s, e2 * s
+    xr, xi = r01 * s, i01 * s
+    xr, xi = (xr * r12 - xi * i12) * s, (xr * i12 + xi * r12) * s
+    det = e0 * e1 * e2 + 2.0 * (xr * r02 + xi * i02) * s
+    s = s * s
+    det = det - (e0 * n12 + e1 * n02 + e2 * n01) * s
+    angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    return q + 2.0 * p * np.cos(angle)
+
+
+def _pinned_batches(rng: np.random.Generator, d: int) -> list[np.ndarray]:
+    """(d*d, n) coordinates of random, scalar and doubly degenerate d x d
+    Hermitian batches, and of random ones scaled by powers of two."""
+    random = _hermitian_batch(rng, 4096, d)
+    scales = np.array([1 / 9, 0.0, -2.5, 1e-300, 1e300, 3.0, -0.0, 2.0**-1074])
+    scalar = scales[:, None, None] * np.eye(d, dtype=np.complex128)
+    u, _ = np.linalg.qr(rng.normal(size=(256, d, d)) + 1j * rng.normal(size=(256, d, d)))
+    spectra = {
+        2: ((1.0, 1.0), (0.3, 0.3), (-2.5, -2.5)),
+        3: ((1.0, 1.0, -2.0), (2.0, -1.0, -1.0), (0.3, 0.3, 0.0), (0.0, 0.0, 0.4)),
+    }[d]
+    degenerate = [u @ np.diag(lam).astype(np.complex128) @ u.conj().transpose(0, 2, 1) for lam in spectra]
+    scaled = [2.0**k * random[:512] for k in (-1000, -500, -40, 40, 500)]
+    return [oracle._coords(t) for t in (random, scalar, *degenerate, *scaled)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_forms_keep_the_bits_of_the_plain_expressions(d):
+    # the kernels write into a few block arrays, yet every value matches
+    # the plain expressions bit for bit, on a (d*d, n) batch and on a
+    # (d*d, lead, n) one laid out as the scan's GEMM leaves it
+    for c in _pinned_batches(np.random.default_rng(47 + d), d):
+        top = oracle._extremal_eigvals(c)
+        assert np.array_equal(top, _plain_top(c))
+        lead = np.stack(np.split(c, 4, axis=1)).transpose(1, 0, 2)
+        assert np.array_equal(oracle._extremal_eigvals(lead), _plain_top(lead))
+        assert np.array_equal(oracle._extremal_eigvals(lead).ravel(), top)
 
 
 def _hermitian_of_rank(rng: np.random.Generator, dims: tuple[int, ...], rank: int | None):

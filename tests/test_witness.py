@@ -197,23 +197,48 @@ def _draws_one_at_a_time(seed: int, r: int, dims: tuple[int, ...]):
     return raw, [v / np.linalg.norm(v) for v in raw]
 
 
+# How far a qubit factor's Bloch row (1, n) may sit from a unit n, and
+# (1, n) @ _BLOCH from the factor's outer product, to first order in u =
+# 2**-53 with every entry of magnitude at most 1. `_unit_factors` divides
+# each part by a computed norm: the sum of four squares (3u), its square
+# root (1.5u + u) and numpy's complex division by a real, a reciprocal
+# and a product (2u), so | ||f|| - 1 | <= 4.5u and | ||f||**2 - 1 | <= 9u.
+# `_bloch_rows` reads n = (2 Re conj(f_0) f_1, 2 Im conj(f_0) f_1,
+# |f_0|**2 - |f_1|**2) off the outer product: two roundings in each
+# complex product and one in the sum, so at most 2u, 2u and 3u off, an
+# error of norm below 4.2u, while ||n|| = ||f||**2 exactly. np.linalg.norm
+# adds 2.5u, so | ||n|| - 1 | <= 9u + 4.2u + 2.5u < 16u. Row 0 is 1, not
+# ||f||**2, which moves (1, n) @ _BLOCH by at most 4.5u, and n's error
+# and the product's own roundings add at most 1.5u + u + 2u: 9u < 16u.
+_BLOCH_ROUNDING = 16 * 2.0**-53
+
+
+def _assert_unit_bloch_rows(f: np.ndarray) -> None:
+    """(R, 2) unit qubit factors have rows (1, n) with n a unit vector and
+    (1, n) @ _BLOCH their outer products, within _BLOCH_ROUNDING."""
+    row = witness._bloch_rows(f)
+    assert np.array_equal(row[:, 0], np.ones(f.shape[0]))
+    assert np.abs(np.linalg.norm(row[:, 1:], axis=1) - 1).max() <= _BLOCH_ROUNDING
+    assert np.abs(row @ witness._BLOCH - witness._outer(f)).max() <= _BLOCH_ROUNDING
+
+
+def test_bloch_rows_stay_within_their_rounding_bound():
+    # 200,000 draws: 2.3 % of them were more than 4e-16 from a unit n
+    draws = np.random.default_rng([0, 0]).standard_normal((200_000, 4))
+    _assert_unit_bloch_rows(witness._unit_factors(draws, (2,))[0])
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
 def test_bloch_operators_match_the_complex_contraction(dims):
     rng = np.random.default_rng(7 * len(dims) + sum(dims))
     m = _random_hermitian(rng, dims).mat
     mt = m.reshape(dims + dims)
-    # the unit factors of four SeedSequence([5, r]) draws, one per restart:
-    # the unit-norm bound below holds for these, not for every draw
-    raws = [_draws_one_at_a_time(5, r, dims)[0] for r in range(4)]
-    draws = np.array([np.concatenate([p for v in raw for p in (v.real, v.imag)]) for raw in raws])
-    batch = witness._unit_factors(draws, dims)
+    batch = witness._random_starts(np.random.default_rng([5, 0]), 4, dims)
     outs = [witness._outer(f) for f in batch]
     rows = [witness._bloch_rows(f) if d == 2 else witness._outer(f) for f, d in zip(batch, dims)]
-    for d, row, out in zip(dims, rows, outs):
-        if d == 2:  # (1, n) with n a unit vector, and (1, n) @ _BLOCH the outer product
-            assert np.array_equal(row[:, 0], np.ones(4))
-            assert np.abs(np.linalg.norm(row[:, 1:], axis=1) - 1).max() <= 4e-16
-            assert np.abs(row @ witness._BLOCH - out).max() <= 4e-16
+    for f, d in zip(batch, dims):
+        if d == 2:
+            _assert_unit_bloch_rows(f)
     tol = 1e-14 * np.linalg.norm(m, 2)
     for k, d in enumerate(dims):
         op = witness._bloch_operator(mt, k)
