@@ -12,7 +12,7 @@ read; the seed comes from --seed, then WITNESS_FORGE_SEED, then 0.
 
 extend decides at the base's size: it searches sigma, sigma_S or a tail
 block, never the extension sigma', and reads the value of their lifted
-winner back from sigma' (`extend._reduce`, `witness._lifted_report`).
+winner back from sigma' (`extend.Extension`, `witness._lifted_report`).
 
 Exit codes: 0 success (and, for witness-verify, the operator really is
 a witness); 1 parse or usage problems; 2 domain violations, including a
@@ -31,10 +31,6 @@ import time
 
 from .errors import ParseError, UnsupportedDims, WitnessForgeError, exit_code_for
 from .extend import (
-    _identity_factors,
-    _mixed_factors,
-    _pure_factors,
-    _reduce,
     count_partial_purifications,
     enumerate_partial_purifications,
     identity_extend,
@@ -56,7 +52,6 @@ from .qstate import (
     DensityMatrix,
     PureState,
     PurificationSelection,
-    _purifying_selection,
     projector,
     spectral,
 )
@@ -269,27 +264,21 @@ def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
     return PurificationSelection(tuple(pairs), ancilla_dim)
 
 
-def _partial(w, args, tails):
-    sel = _parse_selection(args.selection, args.ancilla_dim)
-    return partial_purify_extend(w, sel, c_prime=args.c_prime), _reduce(w, sel, ())
-
-
 # Per method: the flags it accepts, the flags it requires, the kind of its
-# --tails files, and the extension with its base-size problems
-# (`extend._reduce`). The functions look the extensions up in this module
-# when they are called.
+# --tails files, and the extension, which returns sigma' with its base-size
+# problems (`extend.Extension`). The functions look the extensions up in
+# this module when they are called.
 _EXTEND_METHODS = {
-    "purify": ({"tails"}, (), "pure", lambda w, args, tails: (
-        purify_extend_n(w, tails),
-        _reduce(w, _purifying_selection(w.sigma), _pure_factors(tails)))),
+    "purify": ({"tails"}, (), "pure", lambda w, args, tails: purify_extend_n(w, tails)),
     "partial": ({"selection", "ancilla_dim", "c_prime"}, ("selection", "ancilla_dim"), None,
-                _partial),
-    "mixed": ({"tails"}, ("tails",), "density", lambda w, args, tails: (
-        mixed_tensor_extend(w, tails), _reduce(w, None, _mixed_factors(tails)))),
-    "identity": ({"tail_dims"}, ("tail_dims",), None, lambda w, args, tails: (
-        identity_extend(w, args.tail_dims), _reduce(w, None, _identity_factors(args.tail_dims)))),
-    "pure-tails": ({"tails"}, ("tails",), "pure", lambda w, args, tails: (
-        pure_tails_extend(w, tails), _reduce(w, None, _pure_factors(tails)))),
+                lambda w, args, tails: partial_purify_extend(
+                    w, _parse_selection(args.selection, args.ancilla_dim), c_prime=args.c_prime)),
+    "mixed": ({"tails"}, ("tails",), "density",
+              lambda w, args, tails: mixed_tensor_extend(w, tails)),
+    "identity": ({"tail_dims"}, ("tail_dims",), None,
+                 lambda w, args, tails: identity_extend(w, args.tail_dims)),
+    "pure-tails": ({"tails"}, ("tails",), "pure",
+                   lambda w, args, tails: pure_tails_extend(w, tails)),
 }
 
 
@@ -313,8 +302,8 @@ def _cmd_extend(args):
         _require_kind(parse_matrix_file(t), (tail_kind,), f"tail {t}")
         for t in args.tails or ()
     ]
-    w2, (blocks, lift) = extension(w, args, tails)
-    rep = _lifted_report(w2, blocks, lift, args.restarts, args.seed)
+    w2 = extension(w, args, tails)
+    rep = _lifted_report(w2, args.restarts, args.seed)
     _require_witness(w2, rep)
     write_matrix_file(w2, args.output)
     results = {

@@ -25,23 +25,24 @@ extreme eigenvalues follow from the base: the (partial) purification
 eigenvalues, and 0, and the spectrum of A (x) B holds every product
 a_i*b_j, so the extremes of a Kronecker product are products of its
 factors' extremes. Its product-state extremum is a base-size problem
-too (`_reduce`). Product states factor and every factor is PSD, so the
-extremum of sigma' is the product of its factors' extrema. The slots of
-a selection S are distinct, so Tr_C |phi><phi| = sigma_S =
-sum_{i in S} lambda_i |e_i><e_i|, and a product state |ab>|x> reaches
-at most ||(<ab| (x) I) phi||^2 = <ab|sigma_S|ab>, with equality at x
-along (<ab| (x) I) phi. So c(sigma') = c(sigma_S) * prod_k c(F_k) for
-the tail factors F_k; a selection of every nonzero eigenpair searches
-sigma itself, which differs from sigma_S only by eigenvalues at most
-RANK_TOL.
+too, which each extension returns with sigma' (`Extension`). Product
+states factor and every factor is PSD, so the extremum of sigma' is the
+product of its factors' extrema. The slots of a selection S are
+distinct, so Tr_C |phi><phi| = sigma_S = sum_{i in S} lambda_i
+|e_i><e_i|, and a product state |ab>|x> reaches at most
+||(<ab| (x) I) phi||^2 = <ab|sigma_S|ab>, with equality at x along
+(<ab| (x) I) phi. So c(sigma') = c(sigma_S) * prod_k c(F_k) for the
+tail factors F_k; a selection of every nonzero eigenpair searches sigma
+itself, which differs from sigma_S only by eigenvalues at most RANK_TOL.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,7 +68,6 @@ from .qstate import (
     _purifying_selection,
     _selected_nonzero,
     _with_extremes,
-    partial_purify,
 )
 from .witness import Witness, WitnessForm, evaluate
 
@@ -115,56 +115,59 @@ def _identity_factors(sizes: Sequence[int]) -> Iterator[DensityMatrix]:
         yield _density((d,), np.eye(d), 1.0, 1.0)
 
 
-def _tensor(
-    base: DensityMatrix, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[DensityMatrix]
-) -> DensityMatrix:
-    """base (x) f_1 (x) f_2 ... with f_k of dims tail_dims[k]. The size is
-    checked before `factors` is read, so the factors may be built lazily."""
-    dims = base.dims + sum(tail_dims, ())
-    _require_within_cap(math.prod(dims), "product dimension")
-    arr = base.mat.mat
+def _tensor(base: DensityMatrix, factors: Sequence[DensityMatrix]) -> DensityMatrix:
+    """base (x) f_1 (x) f_2 ...; the caller checks its size before it
+    builds the factors."""
+    dims, arr = base.dims, base.mat.mat
     lo, hi = base.lambda_min, base.lambda_max
     for f in factors:
-        arr = np.kron(arr, f.mat.mat)
+        dims, arr = dims + f.dims, np.kron(arr, f.mat.mat)
         ends = (lo * f.lambda_min, lo * f.lambda_max, hi * f.lambda_min, hi * f.lambda_max)
         lo, hi = min(ends), max(ends)
     return _density(dims, arr, lo, hi)
 
 
+@dataclass(frozen=True, eq=False)
+class Extension(Witness):
+    """A witness on an extension sigma' of a base sigma, carrying the
+    product-state extremum of sigma' as base-size problems: the `blocks`
+    whose extrema multiply to that of sigma', and `phi`, the (dim,
+    ancilla) amplitudes of the first block's (partial) purification, or
+    None. The first block is sigma, or sigma_S when a partial
+    purification leaves out a nonzero eigenpair; each tail factor is one
+    more block."""
+
+    blocks: tuple[ComplexMatrix, ...]
+    phi: np.ndarray | None
+
+    def lift(self, wins: list[list[np.ndarray]]) -> list[np.ndarray]:
+        """One product state on the parties of sigma' from one winner
+        per block, each a list of unit factors: the purification's
+        ancilla factor is (<ab| (x) I) phi, normalised, for the first
+        block's winner |ab>."""
+        if self.phi is None:
+            return [f for win in wins for f in win]
+        anc = reduce(np.kron, wins[0]).conj() @ self.phi
+        return [*wins[0], anc / np.linalg.norm(anc), *(f for win in wins[1:] for f in win)]
+
+
 def _tensor_extend(
     w: Witness, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[DensityMatrix]
 ) -> Witness:
-    """w with sigma replaced by `_tensor(sigma, ...)`; w itself with no tails."""
+    """w with sigma replaced by `_tensor(sigma, factors)` and the factors
+    appended to its blocks (sigma's own for a plain Witness); w itself
+    with no tails. The size is checked before `factors` is read, so the
+    factors may be built lazily."""
     if not tail_dims:
         return w
-    return Witness(w.form, w.c, _tensor(w.sigma, tail_dims, factors))
+    _require_within_cap(math.prod(w.dims + sum(tail_dims, ())), "product dimension")
+    factors = list(factors)
+    base, phi = (w.blocks, w.phi) if isinstance(w, Extension) else ((w.sigma.mat,), None)
+    blocks = (*base, *(f.mat for f in factors))
+    return Extension(w.form, w.c, _tensor(w.sigma, factors), blocks, phi)
 
 
-def _reduce(
-    w: Witness, sel: PurificationSelection | None, factors: Iterable[DensityMatrix]
-) -> tuple[list[ComplexMatrix], Callable[[list[list[np.ndarray]]], list[np.ndarray]]]:
-    """The extension of `w` by the (partial) purification `sel`, if any,
-    then by the tail `factors`, as base-size problems: the blocks whose
-    product-state extrema multiply to those of sigma', and the lift of
-    one winner per block, each a list of unit factors, to one product
-    state on the parties of sigma'. The first block is sigma, or sigma_S when
-    `sel` leaves out a nonzero eigenpair; the purification's ancilla
-    factor is (<ab| (x) I) phi, normalised, for that block's winner |ab>."""
-    blocks = [w.sigma.mat, *(f.mat for f in factors)]
-    if sel is None:
-        return blocks, lambda wins: [f for win in wins for f in win]
-    phi = partial_purify(w.sigma, sel).vec.vec.reshape(w.sigma.dim, sel.ancilla_dim)
-    if len(sel.pairs) < w.sigma.spectrum.rank():
-        blocks[0] = ComplexMatrix(w.dims, phi @ phi.conj().T)
-
-    def lift(wins: list[list[np.ndarray]]) -> list[np.ndarray]:
-        anc = reduce(np.kron, wins[0]).conj() @ phi
-        return [*wins[0], anc / np.linalg.norm(anc), *(f for win in wins[1:] for f in win)]
-
-    return blocks, lift
-
-
-def purify_extend(w: Witness) -> Witness:
+def purify_extend(w: Witness) -> Extension:
     """Replace sigma by the projector onto its minimal purification.
 
     The new party has dimension rank(sigma) and c is unchanged; the
@@ -196,7 +199,7 @@ def partial_purify_extend(
     w: Witness,
     sel: PurificationSelection,
     c_prime: float | None = None,
-) -> Witness:
+) -> Extension:
     """Replace sigma by an unnormalized partial-purification projector.
 
     The selection must include a top eigenpair, otherwise the extended
@@ -222,7 +225,12 @@ def partial_purify_extend(
             )
     wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
-    return Witness(w.form, c_out, _rank_one(w.sigma.dims + (sel.ancilla_dim,), proj, total))
+    phi = (wmat @ np.sqrt(lams)).reshape(w.sigma.dim, sel.ancilla_dim)
+    block = w.sigma.mat
+    if len(sel.pairs) < w.sigma.spectrum.rank():
+        block = ComplexMatrix(w.dims, phi @ phi.conj().T)
+    sigma = _rank_one(w.sigma.dims + (sel.ancilla_dim,), proj, total)
+    return Extension(w.form, c_out, sigma, (block,), phi)
 
 
 def count_partial_purifications(rank: int, d3: int) -> int:
@@ -303,7 +311,9 @@ def detect_product_extension(
     base witness expectation on rho12, so a state detected before
     extension stays detected after it.
     """
-    rho = _tensor(rho12, [t.dims for t in tails], tails)
+    dims = rho12.dims + sum((t.dims for t in tails), ())
+    _require_within_cap(math.prod(dims), "product dimension")
+    rho = _tensor(rho12, tails)
     if rho.dims != w_ext.dims:
         raise DimensionMismatch(
             f"extended witness dims {w_ext.dims} vs product state dims {rho.dims}"

@@ -175,10 +175,6 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix(a.dims + b.dims, np.kron(a.mat, b.mat))
 
 
-def kron_vec(a: ComplexVector, b: ComplexVector) -> ComplexVector:
-    return ComplexVector(a.dims + b.dims, np.kron(a.vec, b.vec))
-
-
 def _check_parties(n: int, parties: Sequence[int]) -> tuple[int, ...]:
     if len(parties) == 0:
         raise BadPartyIndex("party subset must be non-empty")

@@ -38,7 +38,7 @@ lower bound for the max), so every verdict reads a search of s*sigma:
 strict `make_witness` is `verify_witness` plus a raise, and the grid
 oracle scans sigma in the same direction. The verdict on an extension
 (`_lifted_report`) searches base-size blocks instead, whose extrema
-multiply to that of sigma (`extend._reduce`), and reads its value from
+multiply to that of sigma (`extend.Extension`), and reads its value from
 sigma at their winners lifted to one product state. One rule,
 `_witness_report`, turns the sigma value v found into W's minimal
 product expectation s*(c - v), which must be at least -TOL_POS, and
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -536,21 +536,14 @@ def verify_witness(
     return _witness_report(w, opt.value, opt.extremizer)
 
 
-def _lifted_report(
-    w: Witness,
-    blocks: Sequence[ComplexMatrix],
-    lift: Callable[[list[list[np.ndarray]]], list[np.ndarray]],
-    restarts: int,
-    seed: int,
-) -> WitnessReport:
-    """The verdict on `w` from base-size searches, for a sigma whose
-    product extremum is the product of those of `blocks`: each block is
-    searched on the form's side, `lift` maps the winners' factors to one
-    product state on w's parties, and its value is read back from sigma
-    as `_winner` reads a see-saw's."""
+def _lifted_report(w: Witness, restarts: int, seed: int) -> WitnessReport:
+    """The verdict on the `extend.Extension` `w` from base-size searches:
+    each of its blocks is searched on the form's side, `w.lift` maps the
+    winners' factors to one product state on w's parties, and its value
+    is read back from sigma as `_winner` reads a see-saw's."""
     search = max_product_expectation if w.form.sign > 0 else min_product_expectation
-    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in blocks]
-    return _witness_report(w, *_winner(w.sigma.mat.mat, lift(wins)))
+    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in w.blocks]
+    return _witness_report(w, *_winner(w.sigma.mat.mat, w.lift(wins)))
 
 
 def is_ces(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from witness_forge import cli, linalg
+from witness_forge import cli, linalg, qstate
 from witness_forge.cli import main
 
 from witness_forge.errors import (
@@ -52,6 +52,7 @@ from witness_forge.qstate import (
 )
 from witness_forge.witness import (
     TOL_NEG,
+    _lifted_report,
     WitnessForm,
     evaluate,
     Witness,
@@ -489,7 +490,8 @@ def test_margin_is_negated_bottom_eigenvalue_of_witness(build):
 
 
 def test_extension_chain_stays_witness():
-    # purify, add a pure tail, then an identity tail
+    # purify, add a pure tail, then an identity tail: the purification's
+    # block, then one block per tail, whatever the order of the calls
     w = _isotropic_witness()
     zero = PureState(ComplexVector((2,), np.array([1, 0], dtype=complex)))
     chained = identity_extend(pure_tails_extend(purify_extend(w), [zero]), [2])
@@ -497,6 +499,10 @@ def test_extension_chain_stays_witness():
     assert chained.c == 0.3
     rep = verify_witness(chained, restarts=8, seed=5)
     assert rep.is_witness
+    assert [b.dims for b in chained.blocks] == [(2, 2), (2,), (2,)]
+    lifted = _lifted_report(chained, 8, 5)
+    full = max_product_expectation(chained.sigma.mat, 64, 0).value
+    assert abs(lifted.min_product_expectation - (chained.c - full)) <= 1e-9
 
 
 def test_random_witness_extensions_stay_witnesses():
@@ -615,3 +621,26 @@ def test_extend_decides_at_base_size_what_a_full_size_search_finds(
     tol = 1e-12 * max(1.0, hi)
     assert abs(w2.sigma.lambda_min - lo) <= tol
     assert abs(w2.sigma.lambda_max - hi) <= tol
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--method", "purify"),
+        ("--method", "partial", "--selection", "3:0,2:1", "--ancilla-dim", "2"),
+    ],
+    ids=["purify", "partial"],
+)
+def test_extend_builds_the_purification_columns_once(tmp_path, monkeypatch, flags):
+    real = qstate._purification_columns
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("witness_forge.extend._purification_columns", counted)
+    monkeypatch.setattr(qstate, "_purification_columns", counted)
+    wpath = _file(tmp_path, "w.json", _isotropic_witness())
+    assert main(["extend", wpath, *flags, "-o", str(tmp_path / "x.json")]) == 0
+    assert len(calls) == 1

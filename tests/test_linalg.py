@@ -17,7 +17,6 @@ from witness_forge.linalg import (
     hermitian_eig,
     identity,
     kron,
-    kron_vec,
     partial_trace,
     partial_transpose,
 )
@@ -304,13 +303,12 @@ def test_kron_associativity():
     np.testing.assert_allclose(left.mat, right.mat, atol=1e-14)
 
 
-def test_kron_vec_matches_matrix_kron():
+def test_kron_of_projectors_is_the_projector_of_the_vector_kron():
     u = ComplexVector((2,), np.array([1.0, 1j]) / np.sqrt(2))
     v = ComplexVector((3,), np.array([1.0, 0, -1.0]) / np.sqrt(2))
-    uv = kron_vec(u, v)
-    assert uv.dims == (2, 3)
+    uv = np.kron(u.vec, v.vec)
     np.testing.assert_allclose(
-        np.outer(uv.vec, uv.vec.conj()),
+        np.outer(uv, uv.conj()),
         kron(
             ComplexMatrix((2,), np.outer(u.vec, u.vec.conj())),
             ComplexMatrix((3,), np.outer(v.vec, v.vec.conj())),

@@ -10,6 +10,8 @@ NoConvergence, so no other module calls numpy's eigensolvers itself.
 The CLI checks its search flags and `-o` in `cli.main` alone, before any
 command handler reads a file. A verdict that an operator is not a
 witness becomes COutOfInterval in `witness._require_witness` alone.
+The CLI imports no private name from extend or qstate: an extension's
+base-size problems come with the extension itself.
 """
 
 from __future__ import annotations
@@ -179,3 +181,14 @@ def test_only_witness_raises_the_non_witness_error():
         if isinstance(node, ast.Raise) and node.exc and "COutOfInterval" in ast.unparse(node.exc)
     ]
     assert raises == [], "COutOfInterval raised outside witness._require_witness"
+
+
+def test_cli_imports_no_private_name_from_extend_or_qstate():
+    private = [
+        f"{node.module}.{a.name}"
+        for node in _tree(SRC / "cli.py").body
+        if isinstance(node, ast.ImportFrom) and node.module in ("extend", "qstate")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == [], "cli.py imports private names from extend or qstate"
