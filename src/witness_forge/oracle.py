@@ -55,10 +55,23 @@ value so far, so the winner is the one the full solve would pick
 (`_pruned_top_eigvals` and `_below` give the rounding argument). The
 closed forms and the LDL^H test write into a few arrays per block, not
 a new one per operation.
+
+With three qubits the scan skips whole lead cells. Lead point g's cell
+is the last qubit's whole grid at g, and every point of it is bounded by
+lambda_max(K_g), K_g the two-qubit operator that g leaves on the last
+and exact qubits. Cells are visited best bound first, by a LAPACK-free
+proxy read from tr K_g and ||K_g||_F, in windows that `_below` tests
+once each: a cell proven below the best value so far, less a pad that
+covers the rounding of K_g, of the block's GEMM and of the closed form,
+is skipped, GEMM and closed form both. The best value is kept with its
+place in the row-major order, and a later block wins a tie only from an
+earlier place, so the winner is the point, and the value, that a scan
+without cells picks (`_scan_grid` derives the pad and the tie rule).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -82,6 +95,7 @@ MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
 _CHUNK = 1 << 13
 _ANCHOR_STRIDE = 32
+_WINDOW = 512  # most lead cells `_below` tests at once
 
 
 def _support_check(dims: tuple[int, ...], resolution: int) -> int:
@@ -161,13 +175,21 @@ def _grid_factors(d: int, resolution: int, idx: np.ndarray) -> np.ndarray:
     return mag[pol] * phase[ph]
 
 
-def _coords(h: np.ndarray) -> np.ndarray:
-    """Real Hermitian coordinates [h_kk; Re h_kl; Im h_kl] (k < l in
-    `np.triu_indices` order) of each matrix in a (..., d, d) batch, read
-    from the diagonal and the upper triangle, coordinate axis first:
-    (d*d, ...)."""
-    d = h.shape[-1]
+@functools.cache
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, l) pairs, k < l, of `np.triu_indices(d, 1)`, built once per d
+    and read-only, since every block's `_hermitian` and `_below` read them."""
     k, l = np.triu_indices(d, 1)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
+
+
+def _coords(h: np.ndarray) -> np.ndarray:
+    """Real Hermitian coordinates [h_kk; Re h_kl; Im h_kl] (k < l in `_triu`
+    order) of each matrix in a (..., d, d) batch, read from the diagonal and
+    the upper triangle, coordinate axis first: (d*d, ...)."""
+    d = h.shape[-1]
+    k, l = _triu(d)
     upper = h[..., k, l]
     diag = h[..., range(d), range(d)].real
     return np.moveaxis(np.concatenate([diag, upper.real, upper.imag], axis=-1), -1, 0)
@@ -177,7 +199,7 @@ def _hermitian(c: np.ndarray) -> np.ndarray:
     """The (..., d, d) Hermitian matrices whose coordinates (`_coords`) are
     the (d*d, ...) real array c, both triangles filled exactly from them."""
     d = math.isqrt(c.shape[0])
-    k, l = np.triu_indices(d, 1)
+    k, l = _triu(d)
     h = np.zeros(c.shape[1:] + (d, d), dtype=np.complex128)
     h[..., range(d), range(d)] = np.moveaxis(c[:d], 0, -1)
     h.real[..., k, l] = h.real[..., l, k] = np.moveaxis(c[d : d + k.size], 0, -1)
@@ -203,7 +225,7 @@ def _coordinate_operator(mt: np.ndarray, x: int) -> np.ndarray:
     for j, d in enumerate(dims):
         if j != x:
             v = op.reshape(pre, d, d, -1)
-            k, l = np.triu_indices(d, 1)
+            k, l = _triu(d)
             kl, lk = v[:, k, l], v[:, l, k]
             op = np.concatenate([v[:, range(d), range(d)], kl + lk, 1j * (kl - lk)], axis=1)
             op = op.reshape(-1, dims[x] ** 2)
@@ -218,7 +240,7 @@ def _grid_tables(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     entrywise product over grid index pol*n_ph + ph is the coordinate row
     (`_coords`) of that factor's outer product, conj(f_k) f_l at (k, l)."""
     mag, phase = _grid_axes(d, resolution)
-    k, l = np.triu_indices(d, 1)
+    k, l = _triu(d)
     cross = mag[:, k] * mag[:, l]
     z = phase[:, k].conj() * phase[:, l]
     mag2 = np.concatenate([mag * mag, cross, cross], axis=1)
@@ -356,7 +378,7 @@ def _below(c: np.ndarray, mu: float) -> np.ndarray:
     below it. A failed pivot, an overflow or a NaN reads as not proven.
     """
     d = math.isqrt(c.shape[0])
-    k, l = np.triu_indices(d, 1)
+    k, l = _triu(d)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         piv = np.subtract(mu, c[:d])
         tau, t, u, fr, fi = np.empty((5,) + piv.shape[1:])
@@ -432,6 +454,72 @@ def _pruned_top_eigvals(c: np.ndarray, floor: float) -> np.ndarray:
     return lam
 
 
+@functools.cache
+def _lead_map() -> np.ndarray:
+    """The (16, 16) real matrix P that takes the 16 entries of op[g], the
+    row of a three-qubit scan's `op` for lead point g, to the coordinates
+    (`_coords`) of K_g, the two-qubit operator on (last (x) exact) that
+    op[g] contracts. Read-only.
+
+    op[g] maps the last qubit's coordinate row to the exact qubit's
+    coordinates, so its columns are the coordinates of s_00, s_11, S =
+    s_01 + s_10 and T = i(s_01 - s_10) (`_coordinate_operator`), s_ab the
+    blocks of K_g on the last qubit's (a, b) row pair, and s_01 = (S -
+    iT)/2. K_g is linear in op[g], and P's columns are K_g of the 16 unit
+    entries. A row of P holds one entry +-1, or one or two entries +-1/2,
+    so each coordinate of P op[g] is exact or one rounding of a sum of two."""
+    unit = np.eye(16).reshape(16, 4, 4).transpose(1, 0, 2)  # (x, unit, last)
+    s = _hermitian(unit)  # (unit, last column, 2, 2): s_00, s_11, S, T
+    k = np.zeros((16, 4, 4), dtype=np.complex128)
+    k[:, :2, :2], k[:, 2:, 2:] = s[:, 0], s[:, 1]
+    k[:, :2, 2:] = (s[:, 2] - 1j * s[:, 3]) / 2
+    k[:, 2:, :2] = k[:, :2, 2:].conj().transpose(0, 2, 1)
+    p = np.ascontiguousarray(_coords(k))
+    p.flags.writeable = False
+    return p
+
+
+def _cell_order(cells: np.ndarray) -> np.ndarray:
+    """Cell indices, largest first, of a LAPACK-free proxy for the top
+    eigenvalue of each 4x4 Hermitian matrix of a (16, n) coordinate array:
+    mean + sqrt(3) sd of its eigenvalues, read from tr K and ||K||_F (an
+    upper bound in exact arithmetic; Wolkowicz and Styan, Linear Algebra
+    Appl. 29:471, 1980). Ties keep index order."""
+    mean = cells[:4].sum(axis=0) / 4.0
+    frob = np.einsum("ij,ij->j", cells, cells) + np.einsum("ij,ij->j", cells[4:], cells[4:])
+    spread = np.sqrt(np.maximum(0.0, frob / 4.0 - mean * mean))
+    return np.argsort(-(mean + math.sqrt(3.0) * spread), kind="stable")
+
+
+def _cell_floors(cells: np.ndarray) -> np.ndarray:
+    """The largest top eigenvalue of the six 2x2 principal submatrices of
+    each 4x4 Hermitian matrix of a (16, n) coordinate array: a lower bound
+    on its top eigenvalue, up to rounding."""
+    floors = np.full(cells.shape[1], -np.inf)
+    for m, (k, l) in enumerate(zip(*_triu(4))):
+        p, r, re, im = cells[k], cells[l], cells[4 + m], cells[10 + m]
+        np.maximum(floors, (p + r) / 2 + np.sqrt(((p - r) / 2) ** 2 + re * re + im * im), out=floors)
+    return floors
+
+
+def _cells_below(
+    cells: np.ndarray, floors: np.ndarray, window: np.ndarray, best: float, a: float
+) -> np.ndarray:
+    """True where a lead cell of `window` is proven to hold no grid value of
+    `best` or more. Cell g is the 4x4 Hermitian K_g of column g of the
+    (16, n) coordinate array `cells`, with floor floors[g] (`_cell_floors`),
+    and a = max|op|, as in `_scan_grid`'s docstring, which derives the pad.
+
+    `_below` tests lambda_max(K_g) < best - pad only where the floor is
+    below that bar: the other cells have no such proof, and on I/8 or
+    GHZ_3, either sign, that is every cell."""
+    mu = best - (2.0**-44 * (abs(best) + a) + 2.0**-530)
+    proven = floors[window] < mu
+    if proven.any():
+        proven[proven] = _below(cells[:, window[proven]], mu)
+    return proven
+
+
 def _scan_grid(
     mt: np.ndarray, dims: tuple[int, ...], x: int, resolution: int
 ) -> list[int]:
@@ -444,16 +532,69 @@ def _scan_grid(
     block's coordinate rows are their broadcast product (`_grid_rows`).
     `_support_check` leaves at most one lead party before the last gridded
     one: the first of three qubits. Its whole grid (at most 5,402 points,
-    at resolution 73) contracts the operator in one real GEMM, and the
-    lead blocks are slices of that product. A last-party block is as many
-    whole polar rows as fit in _CHUNK = 8,192 points (one row if none
-    fits: a qutrit's r**2 phase vectors from resolution 91 on), times as
-    many lead points as keep the block within _CHUNK. The last party's
-    blocks are the outer loop and the lead blocks the inner one. Each
+    at resolution 73) contracts the operator in one real GEMM, `op`, whose
+    row g maps the last qubit's coordinate rows to the exact qubit's
+    coordinates. A last-party block is as many whole polar rows as fit in
+    _CHUNK = 8,192 points (one row if none fits: a qutrit's r**2 phase
+    vectors from resolution 91 on), times at most `lead_step` lead points,
+    so the block stays within _CHUNK. The last party's blocks are the
+    outer loop; with three qubits there is one at the default _CHUNK. Each
     block is one real GEMM giving the coordinates of party x's operators,
     coordinate axis first. For a four-level `x`, LAPACK sees only a
     block's anchors and the points that `_below` cannot place under the
     best value so far (`_pruned_top_eigvals`).
+
+    Lead cells (three qubits). Lead point g's cell is the whole last grid
+    at g. K_g, the two-qubit operator on (last (x) exact) that op[g]
+    contracts (`_lead_map`), gives op[g] @ rows(f) when contracted with a
+    last factor f, so lambda_max(K_g) bounds every point of cell g. The
+    cells are visited best proxy first (`_cell_order`), in windows: the
+    first is one block of `lead_step` cells, and each later one three
+    times as many cells as were visited before it, up to _WINDOW = 512,
+    so a scan makes a few tests, not one per block. In the first
+    last-party block, `_cells_below` tests each window once, against the
+    best value so far, less a pad; a proven cell is skipped, GEMM and
+    closed form both, in every last-party block, and the survivors run
+    in blocks of at most `lead_step` cells, each in ascending index
+    order. Testing every unvisited cell after each block instead would
+    be quadratic in the cells.
+
+    The pad. Let u = 2**-53, a = max|op| after the power-of-two scaling,
+    and H_j the 2x2 Hermitian matrix of column j of op[g], ||H_j||_2 <=
+    sqrt(6) a. A table row q^ lies within 8u, entrywise, of the coordinate
+    row q of a unit vector f at the grid's float angles: each entry is a
+    product of cos, sin and the phase's cos and sin, each within an ulp,
+    and two roundings (tests pin the rows at 8u of the float factors'
+    outer products). Then, on the exact products,
+    - lambda_max(sum_j q^_j H_j) <= lambda_max(sum_j q_j H_j) + 4 (8u)
+      sqrt(6) a <= lambda_max(K_g) + 79u a, since sum_j q_j H_j is K_g
+      contracted with f;
+    - the block's K = 4 GEMM moves each of the four coordinates by at most
+      gamma_4 a sum|q^_j| <= 7u a (sum|q^_j| <= 1 + 1/sqrt(2) + 32u), so
+      the matrix by at most sqrt(6) 7u a <= 18u a in norm;
+    - the d = 2 closed form on coordinates of size at most C = 1.72a
+      loses at most 10u C <= 18u a: one rounding in (alpha + gamma)/2,
+      five in the radicand, whose root is at most sqrt(3) C, one in the
+      root and one in the sum; its squares can underflow by 2**-1075 each,
+      at most 2**-536 under the root;
+    - K_g as built (`_lead_map`) is within 2 sqrt(2) u a <= 3u a of the
+      exact one in norm, and the other underflows stay below 2**-1070.
+    So a computed grid value in cell g is at most lambda_max(K_g) + 118u a
+    + 2**-536. `_below` proves lambda_max(K_g) < mu, where mu = best - pad
+    rounded is within u(|best| + pad) of best - pad; with pad = 2**-44
+    (|best| + a) + 2**-530, 512u (|best| + a) covers 118u a + u|best| + u
+    pad, so every skipped grid value is strictly below the best value so
+    far. The pad is needed: on I/8, one grid value is 0.5000000000000001
+    while lambda_max(K_g) = 0.5.
+
+    The winner. The best value so far is kept with its key (last block,
+    lead index, last index), the order in which a scan without cells
+    visits the points, and a block wins on a larger value, or on an equal
+    one with a smaller key. A block's rows ascend, so its first largest
+    value has its smallest key; a skipped cell lies strictly below the
+    best value, which only grows, so it never holds a tie. So the winner
+    is the first largest point of the scan without cells, as a point's
+    value does not depend on the block it runs in.
     """
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
@@ -470,30 +611,42 @@ def _scan_grid(
     if lead:
         lead_rows = _grid_rows(*_grid_tables(dims[lead[0]], resolution), 0, None)
         op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
+        cells = _lead_map() @ op.reshape(-1, 16).T  # K_g's coordinates, (16, n)
+        order, floors = _cell_order(cells), _cell_floors(cells)
+        a = float(np.abs(op).max())
+    else:
+        order = np.zeros(1, dtype=np.intp)
     mag2, phase2 = _grid_tables(dims[last], resolution)
     n_ph = phase2.shape[1]
     rows = max(1, _CHUNK // n_ph)
     lead_step = max(1, _CHUNK // (min(rows, mag2.shape[1]) * n_ph))
-    best_val = -np.inf
-    best_lead = best_last = -1
-    # Every supported structure has one lead block (no lead party) or one
-    # last block (the last of three qubits has at most 5,402 points), so
-    # either loop runs once and the blocks are visited in row-major order,
-    # which the first-maximum tie-break relies on.
+    best_val, best_key = -np.inf, (mag2.shape[1],)  # a key past every point
     for lo in range(0, mag2.shape[1], rows):
         q = _grid_rows(mag2, phase2, lo, lo + rows)
-        for lead_start in range(0, op.shape[0], lead_step):
-            c = (op[lead_start : lead_start + lead_step] @ q).transpose(1, 0, 2)
-            if dx == 4:
-                lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
-            else:
-                lam = _extremal_eigvals(c).ravel()
-            j = int(np.argmax(lam))
-            if lam[j] > best_val:
-                best_val = lam[j]
-                i_lead, i_last = divmod(j, q.shape[1])
-                best_lead, best_last = lead_start + i_lead, lo * n_ph + i_last
-    return ([best_lead] if lead else []) + [best_last]
+        kept, done = [], 0
+        while done < order.size:
+            window = order[done : done + max(lead_step, min(3 * done, _WINDOW))]
+            done += window.size
+            if lead and lo == 0 and best_val > -np.inf:
+                window = window[~_cells_below(cells, floors, window, best_val, a)]
+            kept.append(window)
+            window = np.sort(window)
+            block_op, cell = op[window], window.tolist()
+            for start in range(0, len(cell), lead_step):
+                c = (block_op[start : start + lead_step] @ q).transpose(1, 0, 2)
+                if dx == 4:
+                    lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
+                else:
+                    lam = _extremal_eigvals(c).ravel()
+                j = int(lam.argmax())
+                if lam[j] >= best_val:
+                    i_lead, i_last = divmod(j, q.shape[1])
+                    key = (lo, cell[start + i_lead], i_last)
+                    if lam[j] > best_val or key < best_key:
+                        best_val, best_key = lam[j], key
+        order = np.concatenate(kept)
+    lo, best_lead, i_last = best_key
+    return ([best_lead] if lead else []) + [lo * n_ph + i_last]
 
 
 def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductState]:

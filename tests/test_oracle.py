@@ -199,19 +199,36 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
 def test_scan_batches_stay_within_one_block(monkeypatch, dims):
-    sizes = []
-    solve = oracle._extremal_eigvals
+    # every grid point is either evaluated, in a block of at most _CHUNK
+    # points, or lies in a lead cell proven below the best value (three
+    # qubits only), whose points are skipped; three qubits also run at
+    # _CHUNK = 100, where a cell proven in the first last-party block is
+    # skipped in all of them
+    sizes, pruned = [], []
+    solve, prove = oracle._extremal_eigvals, oracle._cells_below
 
     def record(c):  # (d*d, ...) coordinates
         sizes.append(math.prod(c.shape[1:]))
         return solve(c)
 
+    def record_pruned(cells, floors, window, best, a):
+        proven = prove(cells, floors, window, best, a)
+        pruned.append(int(proven.sum()))
+        return proven
+
     monkeypatch.setattr(oracle, "_extremal_eigvals", record)
+    monkeypatch.setattr(oracle, "_cells_below", record_pruned)
     m = _random_hermitian(np.random.default_rng(31), dims)
-    grid_product_extremum(m, "max", 32)
-    assert max(sizes) <= oracle._CHUNK
     x = oracle._support_check(dims, 32)
-    assert sum(sizes) == math.prod(oracle._grid_size(d, 32) for k, d in enumerate(dims) if k != x)
+    sizes_of = [oracle._grid_size(d, 32) for k, d in enumerate(dims) if k != x]
+    for chunk in (oracle._CHUNK, 100) if len(dims) == 3 else (oracle._CHUNK,):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        sizes.clear()
+        pruned.clear()
+        grid_product_extremum(m, "max", 32)
+        assert max(sizes) <= oracle._CHUNK
+        assert sum(sizes) + sum(pruned) * sizes_of[-1] == math.prod(sizes_of)
+        assert (sum(pruned) > 0) == (len(sizes_of) == 2)
 
 
 @pytest.mark.parametrize("dims, x", [((2, 2, 2), 2), ((2, 4), 1), ((3, 3), 1), ((1, 4), 1)])
@@ -236,14 +253,19 @@ def test_each_gridded_party_is_tabled_once_per_scan(monkeypatch, dims, x):
     assert calls == [d for k, d in enumerate(dims) if k != x]
 
 
-@pytest.mark.parametrize("dims, resolution", [((3, 3), 32), ((2, 3), 256), ((2, 4), 256)])
+@pytest.mark.parametrize(
+    "dims, resolution", [((3, 3), 32), ((2, 3), 256), ((2, 4), 256), ((2, 2, 2), 73)]
+)
 def test_scan_peak_memory_stays_small(dims, resolution):
     # the blocks' working set, not the grid, sets the peak. Per block
     # point: the gridded party's coordinate rows (4 or 9 float64), the
     # exact party's coordinates (9 or 16), the kernels' scratch (12 for
     # the qutrit cubic, 15 for the LDL^H test) and the result, plus the
     # block before's rows and result while the next is built. These
-    # three scans peak at 34, 27 and 38 float64 a point.
+    # three scans peak at 34, 27 and 38 float64 a point. Three qubits at
+    # their largest grid also hold the lead party's contracted operator
+    # and its cells' coordinates, 32 float64 for each of 5,402 lead points;
+    # that scan peaks at about 2.3 MB.
     mt = _random_hermitian(np.random.default_rng(67), dims).mat.reshape(dims + dims)
     x = oracle._support_check(dims, resolution)
     tracemalloc.start()
@@ -345,6 +367,23 @@ def test_table_rows_match_the_outer_products_of_the_factors(d, resolution, sampl
         f = oracle._grid_factors(d, resolution, np.arange(lo * n_ph, hi * n_ph))
         ref = oracle._coords(_outer(f).reshape(-1, d, d))
         assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps), (lo, hi)
+
+
+def test_triangle_pairs_are_built_once_per_size(monkeypatch):
+    # one read-only (k, l) pair per d, so no block of a scan rebuilds one
+    for d in (1, 2, 3, 4):
+        k, l = oracle._triu(d)
+        assert oracle._triu(d)[0] is k
+        assert all(map(np.array_equal, (k, l), np.triu_indices(d, 1)))
+        assert not (k.flags.writeable or l.flags.writeable)
+
+    def refuse(*args):
+        raise AssertionError("np.triu_indices called in a scan")
+
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    for dims, x in (((2, 2, 2), 2), ((2, 4), 1), ((3, 3), 1)):
+        mt = _random_hermitian(np.random.default_rng(107), dims).mat.reshape(dims + dims)
+        oracle._scan_grid(mt, dims, x, 32)
 
 
 def test_grid_size_matches_the_closed_forms():
@@ -510,7 +549,9 @@ def test_min_is_minus_max_of_the_negated_matrix(case, rank, seed):
         assert lo == -grid_product_extremum(neg, "max", resolution)
 
 
-@pytest.mark.parametrize("dims, lapack", [((2, 3), False), ((3, 3), False), ((2, 4), True)])
+@pytest.mark.parametrize(
+    "dims, lapack", [((2, 3), False), ((3, 3), False), ((2, 4), True), ((2, 2, 2), False)]
+)
 def test_scan_calls_lapack_only_for_a_four_level_exact_party(monkeypatch, dims, lapack):
     calls = []
     solve = np.linalg.eigvalsh
@@ -768,6 +809,138 @@ def test_pruned_scan_sends_few_grid_points_to_lapack(monkeypatch):
         rows.clear()
         oracle._scan_grid(signed, (2, 4), 1, 256)
         assert sum(rows) <= 0.08 * points
+
+
+def _fixed_order_scan(mt: np.ndarray, dims: tuple[int, ...], x: int, resolution: int) -> list[int]:
+    """`oracle._scan_grid` without lead cells: every point of every lead
+    point, the last party's blocks in fixed row-major order, each visited
+    lead block by lead block in index order; the first best point wins.
+    The lead blocks hold up to 1 << 16 points whatever `_CHUNK` is, so a
+    one-polar-row block runs every lead point at once: a point's value
+    does not depend on its block, nor the first best point on where lead
+    blocks split."""
+    gridded = [k for k in range(len(dims)) if k != x]
+    _, e = math.frexp(float(np.abs(mt.view(np.float64)).max()))
+    mt = np.ldexp(mt.view(np.float64), -e).view(np.complex128)
+    *lead, last = gridded
+    dx = dims[x]
+    n_last = dims[last] ** 2
+    op = oracle._coordinate_operator(mt, x).reshape(dx * dx, -1, n_last).transpose(1, 0, 2)
+    if lead:
+        lead_rows = oracle._grid_rows(*oracle._grid_tables(dims[lead[0]], resolution), 0, None)
+        op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
+    mag2, phase2 = oracle._grid_tables(dims[last], resolution)
+    n_ph = phase2.shape[1]
+    rows = max(1, oracle._CHUNK // n_ph)
+    lead_step = max(1, (1 << 16) // (min(rows, mag2.shape[1]) * n_ph))
+    best_val = -np.inf
+    best_lead = best_last = -1
+    for lo in range(0, mag2.shape[1], rows):
+        q = oracle._grid_rows(mag2, phase2, lo, lo + rows)
+        for lead_start in range(0, op.shape[0], lead_step):
+            c = (op[lead_start : lead_start + lead_step] @ q).transpose(1, 0, 2)
+            lam = oracle._extremal_eigvals(c).ravel()
+            j = int(np.argmax(lam))
+            if lam[j] > best_val:
+                best_val = lam[j]
+                i_lead, i_last = divmod(j, q.shape[1])
+                best_lead, best_last = lead_start + i_lead, lo * n_ph + i_last
+    return ([best_lead] if lead else []) + [best_last]
+
+
+def _three_qubit_ties() -> list[np.ndarray]:
+    """Three-qubit inputs whose grid values tie, or whole families of them
+    do, up to rounding: I/8, the GHZ projector, |0><0| (x) rho and I/2 (x)
+    rho for a random two-qubit rho, and zero."""
+    rho = _random_input(np.random.default_rng(89), (2, 2), "full").reshape(4, 4)
+    ghz = np.zeros(8)
+    ghz[[0, 7]] = math.sqrt(0.5)
+    inputs = (
+        np.eye(8) / 8, np.outer(ghz, ghz), np.kron(np.diag([1.0, 0.0]), rho),
+        np.kron(np.eye(2) / 2, rho), np.zeros((8, 8)),
+    )
+    return [m.astype(complex).reshape((2,) * 6) for m in inputs]
+
+
+_THREE_QUBITS = (2, 2, 2)
+
+
+@pytest.mark.parametrize("resolution", [32, 33])
+@pytest.mark.parametrize("kind", [*_KINDS, "ties"])
+def test_lead_cells_keep_the_fixed_order_winner(monkeypatch, kind, resolution):
+    # the cells are visited best bound first and some are skipped, yet the
+    # winner is the fixed-order scan's, ties included: one block of the
+    # last party (1 << 16), blocks of a few polar rows (100), and one polar
+    # row a block (7 and 1, the same blocks at these resolutions). Nothing
+    # is skipped on most tie inputs, and a one-row-block scan of those
+    # takes most of a second, so they run at the first two only
+    if kind == "ties":
+        inputs, chunks = _three_qubit_ties(), (1 << 16, 100)
+    else:
+        mt = _random_input(np.random.default_rng(97 + resolution), _THREE_QUBITS, kind)
+        inputs, chunks = [mt], (1 << 16, 100, 7, 1)
+    for mt in inputs:
+        for signed in (mt, -mt):
+            for chunk in chunks:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                winner = oracle._scan_grid(signed, _THREE_QUBITS, 2, resolution)
+                assert winner == _fixed_order_scan(signed, _THREE_QUBITS, 2, resolution), chunk
+
+
+def test_lead_cell_operator_contracts_to_the_lead_row():
+    # K_g contracted with any last-qubit factor f gives op[g] @ rows(f)
+    rng = np.random.default_rng(101)
+    op = rng.normal(size=(64, 4, 4))
+    k = oracle._hermitian(oracle._lead_map() @ op.reshape(-1, 16).T).reshape(64, 2, 2, 2, 2)
+    f = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    contracted = np.einsum("ga,gaibj,gb->gij", f.conj(), k, f)
+    rows = oracle._coords(_outer(f).reshape(-1, 2, 2))  # (4, 64)
+    assert np.allclose(oracle._coords(contracted), np.einsum("gxl,lg->xg", op, rows), rtol=0, atol=1e-14)
+
+
+def _near_scalar_cells(rng: np.random.Generator, v: float, n: int) -> np.ndarray:
+    """(n, 4, 4) lead rows `op` whose two-qubit operators K_g are v*I moved
+    by a few ulps of v, so that their grid values tie with v*I's or miss
+    them by a few ulps; every eighth is moved down by 3,000 ulps, and every
+    eighth after the second is scaled by 3/4. K_0 is v*I."""
+    ulp = np.spacing(v)
+    diag = v + rng.integers(-8, 1, (n, 4)) * ulp
+    diag[::8] -= 3000 * ulp
+    diag[1::8] *= 0.75
+    upper = rng.integers(-3, 4, (2, n, 4, 4)) * ulp * rng.uniform(0, 1, (2, n, 4, 4))
+    k = np.triu(upper[0] + 1j * upper[1], 1)
+    k += k.conj().transpose(0, 2, 1)
+    k[:, range(4), range(4)] = diag
+    k[0] = v * np.eye(4)
+    s01, s10 = k[:, :2, 2:], k[:, 2:, :2]
+    columns = (k[:, :2, :2], k[:, 2:, 2:], s01 + s10, 1j * (s01 - s10))  # `_coordinate_operator`
+    return np.stack([oracle._coords(b) for b in columns], axis=-1).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_pruned_cells_lie_below_the_incumbent(scale):
+    # every grid value of a skipped cell, as the scan computes it, is
+    # below the incumbent, and an exact LDL^T confirms lambda_max(K_g) below
+    # it; some cells tie with the incumbent whose lambda_max(K_g) is below
+    # it in exact arithmetic, which only the pad keeps
+    op = _near_scalar_cells(np.random.default_rng(103), 0.5606394622302311, 48) * scale
+    cells = oracle._lead_map() @ op.reshape(-1, 16).T
+    q = oracle._grid_rows(*oracle._grid_tables(2, 32), 0, None)
+    values = oracle._extremal_eigvals((op @ q).transpose(1, 0, 2))  # (cells, points)
+    best = values.max()
+    every = np.arange(op.shape[0])
+    proven = oracle._cells_below(cells, oracle._cell_floors(cells), every, best, float(np.abs(op).max()))
+    assert proven.any()
+    tied_but_below = 0
+    for g in range(op.shape[0]):
+        exactly_below = _exactly_positive_definite(_shifted_exactly(cells[:, g], best))
+        if proven[g]:
+            assert values[g].max() < best, g
+            assert exactly_below, g
+        elif values[g].max() == best and exactly_below:
+            tied_but_below += 1
+    assert tied_but_below > 0 or scale != 1.0
 
 
 def _grid_max(signed: np.ndarray, dims: tuple[int, ...], resolution: int) -> float:
