@@ -21,9 +21,12 @@ The reader decodes each regular array of [re, im] pairs of numbers
 under `data` or `sigma` inside its one JSON pass, straight into float64:
 the array's brackets and commas must spell the template of its shape,
 and its numbers are read as one flat JSON list, so no Python list is
-made per entry. Any other array is read by json as usual, and a file
-this reading refuses, or one with such an array under another key, is
-read again by plain `json.loads`, whose values or error it reports. The reader
+made per entry. Any other array is read by json as usual, and so is one
+of these whose text does not spell its template, or whose numbers json
+refuses or float64 cannot hold: json's own scanner reads it nested where
+it stands and raises its own error at the file's true position. An array
+of pairs under another key is read again nested from where it opens, so
+the header checks see json's lists. The whole text is read once. The reader
 is strict (exact shapes; parts are numbers, not booleans, finite as
 float64), and any malformed file raises ParseError. A file whose `dims`
 multiply to more than MAX_TOTAL_DIM, the largest size the tool builds,
@@ -306,13 +309,7 @@ def _get_normalized(raw) -> bool:
 def parse_matrix_file(path: str | Path) -> Witness | DensityMatrix | PureState | ComplexMatrix:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-        try:
-            raw = _read_json(text)
-        except Exception:  # plain json decides what a refused file says
-            raw = None
-        if raw is None:  # past the handler, whose traceback holds the failed pass
-            raw = json.loads(text, parse_int=_read_int, parse_constant=_reject_constant)
+        raw = _read_json(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too-deep nesting
@@ -326,43 +323,48 @@ def _read_json(text: str):
     `sigma` of the top object comes back as a float64 ndarray of the pairs.
     The top object is read by json's Python object parser, every other
     value by json's own scanner, so a document reads to the same values,
-    or fails."""
+    or fails with the same error."""
     decoder = json.JSONDecoder(parse_int=_read_int, parse_constant=_reject_constant)
-    scan_whole = decoder.scan_once
+    scan_whole, memo = decoder.scan_once, decoder.memo
+    flat: dict[int, int] = {}  # where each array read flat opens, by the array's id
 
     def scan_value(s: str, idx: int) -> tuple[object, int]:
         if s[idx:idx + 1] == "[":
-            # a number json refuses, or one too large for a float64, raises:
-            # the file is read again by plain json.loads
-            found = _flat_pairs(s, idx, scan_whole)
+            try:
+                found = _flat_pairs(s, idx, scan_whole)
+            except (StopIteration, ValueError, OverflowError):  # raised in the flat list
+                found = None  # json reads the array nested below, and raises in the file
             if found is not None:
+                flat[id(found[0])] = idx
                 return found
         return scan_whole(s, idx)
 
+    def top_object(pairs: list[tuple[str, object]]) -> dict:
+        # an array under any key but data or sigma is read again nested,
+        # so the header checks see and name the lists json gives
+        for i, (k, v) in enumerate(pairs):
+            if isinstance(v, np.ndarray) and k not in _ARRAY_KEYS:
+                pairs[i] = k, scan_whole(text, flat[id(v)])[0]
+        return dict(pairs)
+
     def scan_top(s: str, idx: int) -> tuple[object, int]:
+        # refers to no decoder, whose scan_once it becomes: that cycle
+        # would keep the text alive after the read, until gc collects it
         if s[idx:idx + 1] != "{":
             return scan_whole(s, idx)
-        return decoder.parse_object(
-            (s, idx + 1), decoder.strict, scan_value, None, _top_object, decoder.memo
-        )
+        return json.decoder.JSONObject((s, idx + 1), True, scan_value, None, top_object, memo)
 
     decoder.scan_once = scan_top
     return decoder.decode(text)
 
 
-def _top_object(pairs: list[tuple[str, object]]) -> dict:
-    """The top object of a file from its (key, value) pairs. A float64 array
-    under any key but `data` or `sigma` raises, so plain json reads the file
-    and the header checks see and name the lists json gives."""
-    if any(isinstance(v, np.ndarray) and k not in _ARRAY_KEYS for k, v in pairs):
-        raise ValueError("an array of pairs outside data and sigma")
-    return dict(pairs)
-
-
 def _flat_pairs(s: str, start: int, scan_whole) -> tuple[np.ndarray, int] | None:
     """The array of [re, im] pairs of numbers that opens at `s[start]`, as
     float64 of shape (..., 2), and the index after it; None where the text
-    up to its last `]` before the next string does not spell one."""
+    up to its last `]` before the next string does not spell one. A number
+    json refuses raises StopIteration or ValueError, and one too large for
+    a float64 OverflowError, at a position in the flat list, not the file:
+    the caller reads such an array nested, where it stands in the file."""
     quote = s.find('"', start)
     end = s.rfind("]", start, quote if quote >= 0 else len(s)) + 1
     text = s[start:end].encode("ascii")

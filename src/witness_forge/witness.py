@@ -275,9 +275,9 @@ def _bloch_top(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     coefficient, which leaves a non-finite value, raises NoConvergence."""
     r = np.hypot(np.hypot(a[:, 1], a[:, 2]), a[:, 3])
     top = a[:, 0] + r
-    if not np.isfinite(top).all():
+    if np.count_nonzero(np.isfinite(top)) < top.size:
         raise NoConvergence("non-finite operator in the qubit update")
-    if r.all():
+    if np.count_nonzero(r) == r.size:
         np.divide(a[:, 1:], r[:, None], out=rows[:, 1:])
     else:  # r = 0 only where a = 0
         zero = r == 0.0
@@ -336,7 +336,7 @@ def _seesaw_run(
                 val, run[k] = _extremal_factor(h.reshape(-1, d, d))
                 outs[k] = _outer(run[k])
         done = np.abs(val - prev) < SEESAW_TOL
-        if done.any():
+        if np.count_nonzero(done):
             stop, keep = active[done], ~done
             values[stop] = val[done]
             converged[stop] = True
@@ -456,13 +456,6 @@ def min_product_expectation(
     """Best found inf over unit product states; an upper bound on the
     true infimum."""
     return _optimize(m, -1, restarts, seed)
-
-
-def product_expectation(m: ComplexMatrix, state: ProductState) -> float:
-    """<mu|m|mu> for an explicit product state."""
-    if m.dims != state.dims:
-        raise DimensionMismatch(f"dims {m.dims} vs {state.dims}")
-    return float(_expectation(m.mat, [f.vec for f in state.factors]))
 
 
 def make_witness(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from witness_forge import cli, linalg, qstate
+from witness_forge import cli, linalg, qstate, witness
 from witness_forge.cli import main
 
 from witness_forge.errors import (
@@ -59,7 +59,6 @@ from witness_forge.witness import (
     make_witness,
     max_product_expectation,
     min_product_expectation,
-    product_expectation,
     verify_witness,
 )
 
@@ -615,7 +614,9 @@ def test_extend_decides_at_base_size_what_a_full_size_search_finds(
     search = max_product_expectation if s > 0 else min_product_expectation
     full = search(w2.sigma.mat, 64, 0).value
     assert abs(rep.min_product_expectation - s * (w2.c - full)) <= 1e-9
-    at_certificate = product_expectation(w2.sigma.mat, rep.certificate_state)
+    at_certificate = witness._expectation(
+        w2.sigma.mat.mat, [f.vec for f in rep.certificate_state.factors]
+    )
     assert abs(s * (w2.c - at_certificate) - rep.min_product_expectation) <= 1e-12
     lo, hi = linalg._extreme_eigvals(w2.sigma.mat.mat)
     tol = 1e-12 * max(1.0, hi)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from witness_forge import fileio
 from witness_forge.errors import ParamOutOfRange, ParseError, WitnessForgeError
 from witness_forge.extend import purify_extend
 from witness_forge.fileio import (
@@ -486,7 +487,7 @@ def test_reader_matches_plain_json(tmp_path_factory, text):
     assert _outcome(parse_matrix_file, path) == expected
 
 
-@pytest.mark.parametrize("data", [
+_NEAR_MISSES = [
     "[[[0.5,0],[0,0]],[[0,0],[0.5,0]]]",      # the canonical spelling
     "[[[0.5,0],[0,0]],[[0,0],[0.5,0]] ]",
     "[[[0.5,0],[0,0]],[[0,0],[0.5,0]],]",
@@ -498,7 +499,10 @@ def test_reader_matches_plain_json(tmp_path_factory, text):
     "[[[0.5,0],[0,0]],[[0,0],[0.5,\u0661]]]",  # not an ASCII digit
     "[[[0.5,0],[0,0]],[[0,0],[0.5,1e400]]]",
     "[[[0.5,0],[0,0]],[[0,0],[0.5," + "9" * 400 + "]]]",
-])
+]
+
+
+@pytest.mark.parametrize("data", _NEAR_MISSES)
 def test_reader_matches_plain_json_on_near_misses(tmp_path, data):
     text = '{"version":"1","kind":"density","dims":[2],"normalized":false,"data":%s}' % data
     path = tmp_path / "m.json"
@@ -527,3 +531,26 @@ def test_reader_reads_c_with_json_number_grammar(tmp_path):
     path.write_text(text, encoding="utf-8")
     assert _outcome(parse_matrix_file, path)[0] == "ParseError"
     assert _outcome(parse_matrix_file, path) == _outcome(_plain_json_parse, path)
+
+
+def test_a_refused_file_is_read_once(tmp_path, monkeypatch):
+    # the one pass reports what plain json.loads would, without calling it:
+    # a refused array is read nested where it stands, never the whole text again
+    paths = []
+    for i, data in enumerate(_NEAR_MISSES):
+        paths.append(tmp_path / f"m{i}.json")
+        paths[-1].write_text(
+            '{"version":"1","kind":"density","dims":[2],"normalized":false,"data":%s}' % data,
+            encoding="utf-8",
+        )
+    doc = json.loads(matrix_file_text(_PARITY_OBJECTS[3]))
+    doc["extra"] = [[1, 2]]  # an array of pairs under a header key
+    paths.append(tmp_path / "w.json")
+    paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    expected = [_outcome(_plain_json_parse, path) for path in paths]
+
+    def read_again(*args, **kwargs):
+        raise AssertionError("the whole text was read again by json.loads")
+
+    monkeypatch.setattr(fileio.json, "loads", read_again)
+    assert [_outcome(parse_matrix_file, path) for path in paths] == expected

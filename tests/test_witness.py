@@ -32,7 +32,6 @@ from witness_forge.witness import (
     make_witness,
     max_product_expectation,
     min_product_expectation,
-    product_expectation,
     verify_witness,
     _random_starts,
     _seesaw_run,
@@ -93,7 +92,7 @@ def test_extremizer_reproduces_value():
         rng = np.random.default_rng(300 + seed)
         m = _random_hermitian(rng, (2, 3))
         res = max_product_expectation(m, restarts=8, seed=seed)
-        again = product_expectation(m, res.extremizer)
+        again = witness._expectation(m.mat, [f.vec for f in res.extremizer.factors])
         assert abs(again - res.value) <= 1e-10
 
 
@@ -771,8 +770,10 @@ def test_verify_weakly_optimal_witness():
     assert rep.is_witness
     assert abs(rep.min_product_expectation) <= 1e-8
     assert abs(rep.witnessing_margin - 0.1) <= 1e-10
-    assert abs(product_expectation(w.matrix(), rep.certificate_state)
-               - rep.min_product_expectation) <= 1e-10
+    at_certificate = witness._expectation(
+        w.matrix().mat, [f.vec for f in rep.certificate_state.factors]
+    )
+    assert abs(at_certificate - rep.min_product_expectation) <= 1e-10
 
 
 def test_verify_rejects_operator_without_negative_eigenvalue():
@@ -827,7 +828,6 @@ def test_is_ces_requires_orthonormal_basis():
         is_ces([v, w], restarts=4, seed=0)
 
 
-_E0 = ComplexVector((2,), np.array([1.0, 0.0]))
 _E00 = ComplexVector((2, 2), np.eye(4)[0])
 
 
@@ -840,14 +840,12 @@ _E00 = ComplexVector((2, 2), np.eye(4)[0])
         (lambda: Witness(WitnessForm.C_MINUS_SIGMA, np.inf, isotropic(0.2)), ParamOutOfRange),
         (lambda: make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3, check="bogus"),
          ParamOutOfRange),
-        (lambda: product_expectation(isotropic(0.2).mat, witness.ProductState((_E0,))),
-         DimensionMismatch),
         (lambda: is_ces([]), ParamOutOfRange),
         (lambda: is_ces([_E00, ComplexVector((4,), np.eye(4)[1])]), DimensionMismatch),
     ],
     ids=[
         "no-factor", "two-party-factor", "non-unit-factor", "infinite-offset", "unknown-check",
-        "mismatched-product-state", "empty-basis", "mixed-basis-dims",
+        "empty-basis", "mixed-basis-dims",
     ],
 )
 def test_malformed_arguments_are_refused(build, error):
