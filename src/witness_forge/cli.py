@@ -10,9 +10,9 @@ The search flags (--restarts, --seed of cbounds, witness-make,
 witness-verify and extend) and -o are checked before any input file is
 read; the seed comes from --seed, then WITNESS_FORGE_SEED, then 0.
 
-extend decides at the base's size: it searches sigma, sigma_S or a tail
-block, never the extension sigma', and reads the value of their lifted
-winner back from sigma' (`extend.Extension`, `witness._lifted_report`).
+extend decides at the base's size through `verify_witness`: it searches
+sigma, sigma_S or a tail block, never the extension sigma', and reads the
+value of their lifted winner back from sigma' (`extend.Extension`).
 
 Exit codes: 0 success (and, for witness-verify, the operator really is
 a witness); 1 parse or usage problems; 2 domain violations, including a
@@ -61,7 +61,6 @@ from .witness import (
     TOL_NEG,
     TOL_POS,
     WitnessForm,
-    _lifted_report,
     _require_witness,
     _search_params,
     evaluate,
@@ -303,7 +302,7 @@ def _cmd_extend(args):
         for t in args.tails or ()
     ]
     w2 = extension(w, args, tails)
-    rep = _lifted_report(w2, args.restarts, args.seed)
+    rep = verify_witness(w2, restarts=args.restarts, seed=args.seed)
     _require_witness(w2, rep)
     write_matrix_file(w2, args.output)
     results = {

@@ -202,18 +202,21 @@ def partial_purify_extend(
 ) -> Extension:
     """Replace sigma by an unnormalized partial-purification projector.
 
-    The selection must include a top eigenpair, otherwise the extended
-    operator stops being a witness (MaxEigenvalueNotSelected). The
-    optional relaxed offset must satisfy c <= c_prime < sum of selected
-    eigenvalues (the squared norm of the partial purification).
+    The selection must include a top eigenpair (MaxEigenvalueNotSelected),
+    which keeps the margin, the sum of the selected eigenvalues minus c,
+    at least lambda_max(sigma) - c. The rule is sufficient, not necessary:
+    Tr_C sigma' = sigma_S <= sigma, so no selection goes negative on a
+    product state. The optional relaxed offset must satisfy c <= c_prime <
+    sum of selected eigenvalues (the squared norm of the partial purification).
     """
     _require_dual_form(w, "partial_purify_extend")
     vals = w.sigma.spectrum.eigenvalues
     lams = _selected_nonzero(vals, sel.pairs)
     if not _has_top(vals, lams):
         raise MaxEigenvalueNotSelected(
-            "selection omits the top eigenvalue, so the extended operator "
-            "would go negative on a product state"
+            "selection omits the top eigenvalue; a selection must keep a top "
+            "eigenpair, so that the margin, the sum of the selected eigenvalues "
+            "minus c, is at least lambda_max(sigma) - c"
         )
     total = float(sum(lams))
     c_out = w.c

@@ -158,12 +158,6 @@ class SpectralDecomposition:
         """Number of eigenvalues strictly above RANK_TOL."""
         return sum(1 for v in self.eigenvalues if v > RANK_TOL)
 
-    def reconstruct(self) -> ComplexMatrix:
-        """Sum of eigenvalue-weighted projectors."""
-        u = self.vectors
-        m = (u * np.asarray(self.eigenvalues)) @ u.conj().T
-        return ComplexMatrix(self.dims, m)
-
 
 def identity(dims: Iterable[int]) -> ComplexMatrix:
     dims = _as_dims(dims)

@@ -36,9 +36,9 @@ Only the winning factors get the canonical phase, and the reported value is thei
 expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
 lower bound for the max), so every verdict reads a search of s*sigma:
 strict `make_witness` is `verify_witness` plus a raise, and the grid
-oracle scans sigma in the same direction. The verdict on an extension
-(`_lifted_report`) searches base-size blocks instead, whose extrema
-multiply to that of sigma (`extend.Extension`), and reads its value from
+oracle scans sigma in the same direction. `verify_witness` decides an
+extension (`extend.Extension`) from base-size searches: it searches the
+blocks whose extrema multiply to that of sigma, and reads its value from
 sigma at their winners lifted to one product state. One rule,
 `_witness_report`, turns the sigma value v found into W's minimal
 product expectation s*(c - v), which must be at least -TOL_POS, and
@@ -165,7 +165,9 @@ class WitnessReport:
     `min_product_expectation` is s*(c - v) for the value v of sigma at
     `certificate_state`, the extremum of s*sigma found by the search: an
     upper bound on the true product minimum of W when produced by
-    see-saw (exhaustive grid reports are grid-accurate instead).
+    see-saw (exhaustive grid reports are grid-accurate instead). The
+    certificate of an extension is its blocks' winners lifted to one
+    product state on its parties.
     `witnessing_margin` is the negated smallest eigenvalue of W.
     `is_witness` holds when the first is at least -TOL_POS and the
     second above TOL_NEG.
@@ -521,21 +523,19 @@ def verify_witness(
     """See-saw verification: nonnegative on product states (within
     TOL_POS) and at least one negative eigenvalue (margin above TOL_NEG).
 
-    The see-saw searches sigma itself, for its maximum in the dual form
-    and its minimum in the primal one; W is never built."""
+    The see-saw searches sigma on the form's side, for its maximum in the
+    dual form and its minimum in the primal one; W is never built. An
+    `extend.Extension` is decided at base size: each of its blocks is
+    searched instead of sigma, `w.lift` maps the winners' factors to the
+    certificate, one product state on w's parties, and its value is read
+    back from sigma as `_winner` reads a see-saw's."""
     # by their public names, so that wrappers of the see-saw see the call
     search = max_product_expectation if w.form.sign > 0 else min_product_expectation
-    opt = search(w.sigma.mat, restarts, seed)
-    return _witness_report(w, opt.value, opt.extremizer)
-
-
-def _lifted_report(w: Witness, restarts: int, seed: int) -> WitnessReport:
-    """The verdict on the `extend.Extension` `w` from base-size searches:
-    each of its blocks is searched on the form's side, `w.lift` maps the
-    winners' factors to one product state on w's parties, and its value
-    is read back from sigma as `_winner` reads a see-saw's."""
-    search = max_product_expectation if w.form.sign > 0 else min_product_expectation
-    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in w.blocks]
+    blocks = getattr(w, "blocks", None)  # an extend.Extension's; extend imports this module
+    if blocks is None:
+        opt = search(w.sigma.mat, restarts, seed)
+        return _witness_report(w, opt.value, opt.extremizer)
+    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in blocks]
     return _witness_report(w, *_winner(w.sigma.mat.mat, w.lift(wins)))
 
 

@@ -514,6 +514,16 @@ def test_enumerate_report(capsys, sq_file):
     assert len(res["selections"]) == 8
 
 
+def test_enumerate_refuses_a_count_that_misses_the_closed_form(capsys, sq_file, monkeypatch):
+    monkeypatch.setattr(cli, "count_partial_purifications", lambda rank, d3: 7)
+    code, report, _ = _run(capsys, "enumerate", sq_file, "--ancilla-dim", "2")
+    assert code == 1
+    assert report["error"] == {
+        "message": "enumeration produced 8 selections but the closed form counts 7",
+        "type": "WitnessForgeError",
+    }
+
+
 def test_parse_and_usage_failures_exit_one(capsys, tmp_path):
     code, report, _ = _run(capsys, "spectral", str(tmp_path / "nope.json"))
     assert code == 1

@@ -34,7 +34,7 @@ from witness_forge.extend import (
     purify_extend,
     purify_extend_n,
 )
-from witness_forge.fileio import write_matrix_file
+from witness_forge.fileio import parse_matrix_file, write_matrix_file
 from witness_forge.linalg import (
     ComplexMatrix,
     ComplexVector,
@@ -52,7 +52,6 @@ from witness_forge.qstate import (
 )
 from witness_forge.witness import (
     TOL_NEG,
-    _lifted_report,
     WitnessForm,
     evaluate,
     Witness,
@@ -197,9 +196,13 @@ def test_partial_purify_extend_reduces_to_truncated_sigma():
 
 
 def test_partial_purify_extend_needs_top_eigenpair():
+    # sigma_S <= sigma, so no selection goes negative on a product state;
+    # the refusal states the margin rule it applies
     w = _isotropic_witness()
-    with pytest.raises(MaxEigenvalueNotSelected):
+    with pytest.raises(MaxEigenvalueNotSelected, match="must keep a top eigenpair") as exc:
         partial_purify_extend(w, PurificationSelection(((0, 0), (1, 1)), 2))
+    assert "lambda_max(sigma) - c" in str(exc.value)
+    assert "negative" not in str(exc.value)
 
 
 def test_partial_purify_extend_accepts_only_a_selection_with_a_top_eigenpair():
@@ -499,9 +502,8 @@ def test_extension_chain_stays_witness():
     rep = verify_witness(chained, restarts=8, seed=5)
     assert rep.is_witness
     assert [b.dims for b in chained.blocks] == [(2, 2), (2,), (2,)]
-    lifted = _lifted_report(chained, 8, 5)
     full = max_product_expectation(chained.sigma.mat, 64, 0).value
-    assert abs(lifted.min_product_expectation - (chained.c - full)) <= 1e-9
+    assert abs(rep.min_product_expectation - (chained.c - full)) <= 1e-9
 
 
 def test_random_witness_extensions_stay_witnesses():
@@ -542,49 +544,63 @@ def _file(tmp_path, name: str, obj) -> str:
     return str(path)
 
 
-def _top_selection(w: Witness) -> tuple[str, ...]:
+def _top_selection(w: Witness, c_prime=None) -> tuple[tuple[str, ...], object]:
     """The top eigenpair and the third from the top, in two slots: sigma_S
     leaves out nonzero eigenpairs."""
     top = w.sigma.dim - 1
-    return ("--method", "partial", "--selection", f"{top}:0,{top - 2}:1", "--ancilla-dim", "2")
+    flags = ("--method", "partial", "--selection", f"{top}:0,{top - 2}:1", "--ancilla-dim", "2")
+    sel = PurificationSelection(((top, 0), (top - 2, 1)), 2)
+    if c_prime is not None:
+        flags += ("--c-prime", repr(c_prime))
+    return flags, lambda v: partial_purify_extend(v, sel, c_prime)
 
 
-def _relaxed(w: Witness) -> tuple[str, ...]:
+def _relaxed(w: Witness) -> tuple[tuple[str, ...], object]:
     vals = spectral(w.sigma).eigenvalues
     total = vals[-1] + vals[-3]
-    return (*_top_selection(w), "--c-prime", repr(w.c + 0.5 * (total - w.c)))
+    return _top_selection(w, w.c + 0.5 * (total - w.c))
+
+
+def _with_tails(tmp, method: str, extension, *tails) -> tuple[tuple[str, ...], object]:
+    """extend's flags for `method` with `tails` written to files, and the
+    library's `extension` of a witness by the tails read back."""
+    paths = [_file(tmp, f"t{i}.json", t) for i, t in enumerate(tails, 1)]
+    return ("--method", method, "--tails", *paths), lambda v: extension(
+        v, [parse_matrix_file(p) for p in paths]
+    )
 
 
 _DUAL, _PRIMAL = WitnessForm.C_MINUS_SIGMA, WitnessForm.SIGMA_MINUS_C
-# per case: the base's form, and the extend flags for a base witness w
+# per case: the base's form, and for a base witness w the extend flags and
+# the library function that builds the same extension of a witness; purify
+# with tails is a chain, purify_extend_n
 _REDUCED_CASES = {
-    "purify": (_DUAL, lambda rng, tmp, w: ("--method", "purify")),
-    "purify-one-party-pure-tail": (_DUAL, lambda rng, tmp, w: (
-        "--method", "purify", "--tails", _file(tmp, "t.json", _random_pure(rng, 3)))),
-    "purify-two-party-pure-tail": (_DUAL, lambda rng, tmp, w: (
-        "--method", "purify", "--tails", _file(tmp, "t.json", _random_pure(rng, 2, 2)))),
+    "purify": (_DUAL, lambda rng, tmp, w: (("--method", "purify"), purify_extend)),
+    "purify-one-party-pure-tail": (_DUAL, lambda rng, tmp, w: _with_tails(
+        tmp, "purify", purify_extend_n, _random_pure(rng, 3))),
+    "purify-two-party-pure-tail": (_DUAL, lambda rng, tmp, w: _with_tails(
+        tmp, "purify", purify_extend_n, _random_pure(rng, 2, 2))),
     "partial": (_DUAL, lambda rng, tmp, w: _top_selection(w)),
     "partial-c-prime": (_DUAL, lambda rng, tmp, w: _relaxed(w)),
-    "identity-dual": (_DUAL, lambda rng, tmp, w: ("--method", "identity", "--tail-dims", "2", "3")),
-    "identity-primal": (_PRIMAL, lambda rng, tmp, w: ("--method", "identity", "--tail-dims", "3")),
-    "mixed-one-party": (_DUAL, lambda rng, tmp, w: (
-        "--method", "mixed", "--tails", _file(tmp, "t.json", _random_density(rng, (3,))))),
-    "mixed-two-party": (_DUAL, lambda rng, tmp, w: (
-        "--method", "mixed", "--tails", _file(tmp, "t.json", _random_density(rng, (2, 2))))),
-    "pure-tails": (_DUAL, lambda rng, tmp, w: (
-        "--method", "pure-tails", "--tails", _file(tmp, "t1.json", _random_pure(rng, 2, 2)),
-        _file(tmp, "t2.json", _random_pure(rng, 3)))),
+    "identity-dual": (_DUAL, lambda rng, tmp, w: (
+        ("--method", "identity", "--tail-dims", "2", "3"), lambda v: identity_extend(v, [2, 3]))),
+    "identity-primal": (_PRIMAL, lambda rng, tmp, w: (
+        ("--method", "identity", "--tail-dims", "3"), lambda v: identity_extend(v, [3]))),
+    "mixed-one-party": (_DUAL, lambda rng, tmp, w: _with_tails(
+        tmp, "mixed", mixed_tensor_extend, _random_density(rng, (3,)))),
+    "mixed-two-party": (_DUAL, lambda rng, tmp, w: _with_tails(
+        tmp, "mixed", mixed_tensor_extend, _random_density(rng, (2, 2)))),
+    "pure-tails": (_DUAL, lambda rng, tmp, w: _with_tails(
+        tmp, "pure-tails", pure_tails_extend, _random_pure(rng, 2, 2), _random_pure(rng, 3))),
 }
 
 
-@pytest.mark.parametrize("base_dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
-@pytest.mark.parametrize("case", sorted(_REDUCED_CASES))
-def test_extend_decides_at_base_size_what_a_full_size_search_finds(
-    capsys, tmp_path, monkeypatch, case, base_dims
-):
-    # a random sigma at the midpoint of its interval on the form's side
+def _reduced_case(tmp_path, case: str, base_dims: tuple[int, ...]):
+    """A random sigma at the midpoint of its interval on the form's side,
+    written to w.json: the witness, its path, and the case's extend flags
+    and library extension."""
     rng = np.random.default_rng(sorted(_REDUCED_CASES).index(case) + 10 * len(base_dims))
-    form, flags = _REDUCED_CASES[case]
+    form, build = _REDUCED_CASES[case]
     sigma = _random_density(rng, base_dims)
     if form is _DUAL:
         c = 0.5 * (max_product_expectation(sigma.mat, 32, 0).value + sigma.lambda_max)
@@ -592,15 +608,29 @@ def test_extend_decides_at_base_size_what_a_full_size_search_finds(
         c = 0.5 * (min_product_expectation(sigma.mat, 32, 0).value + sigma.lambda_min)
     w = Witness(form, c, sigma)
     wpath = _file(tmp_path, "w.json", w)
-    argv = ["extend", wpath, *flags(rng, tmp_path, w), "--seed", "3", "-o", str(tmp_path / "x.json")]
-    seen = []
-    real = cli._lifted_report
+    return (w, wpath, *build(rng, tmp_path, w))
 
-    def spy(*args):
-        seen.append((args[0], real(*args)))
+
+_BASE_DIMS = pytest.mark.parametrize("base_dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+_CASES = pytest.mark.parametrize("case", sorted(_REDUCED_CASES))
+
+
+@_BASE_DIMS
+@_CASES
+def test_extend_decides_at_base_size_what_a_full_size_search_finds(
+    capsys, tmp_path, monkeypatch, case, base_dims
+):
+    w, wpath, flags, _ = _reduced_case(tmp_path, case, base_dims)
+    form = w.form
+    argv = ["extend", wpath, *flags, "--seed", "3", "-o", str(tmp_path / "x.json")]
+    seen = []
+    real = cli.verify_witness
+
+    def spy(*args, **kwargs):
+        seen.append((args[0], real(*args, **kwargs)))
         return seen[-1][1]
 
-    monkeypatch.setattr(cli, "_lifted_report", spy)
+    monkeypatch.setattr(cli, "verify_witness", spy)
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
     (w2, rep), = seen
@@ -645,3 +675,41 @@ def test_extend_builds_the_purification_columns_once(tmp_path, monkeypatch, flag
     wpath = _file(tmp_path, "w.json", _isotropic_witness())
     assert main(["extend", wpath, *flags, "-o", str(tmp_path / "x.json")]) == 0
     assert len(calls) == 1
+
+
+@_BASE_DIMS
+@_CASES
+def test_verify_witness_on_an_extension_is_the_extend_verdict(capsys, tmp_path, case, base_dims):
+    _, wpath, flags, extension = _reduced_case(tmp_path, case, base_dims)
+    code = main(["extend", wpath, *flags, "-o", str(tmp_path / "x.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    rep = verify_witness(extension(parse_matrix_file(wpath)), 32, 0)
+    assert report["results"]["verify"] == {
+        "is_witness": rep.is_witness,
+        "min_product_expectation": rep.min_product_expectation,
+        "witnessing_margin": rep.witnessing_margin,
+    }
+
+
+@_BASE_DIMS
+@_CASES
+def test_verify_witness_searches_an_extension_at_base_size(
+    tmp_path, monkeypatch, case, base_dims
+):
+    # the case's extension, and that extension chained with an identity tail
+    w, _, _, extension = _reduced_case(tmp_path, case, base_dims)
+    searched = []
+    real = witness._optimize
+
+    def spy(m, *args):
+        searched.append(m)
+        return real(m, *args)
+
+    monkeypatch.setattr(witness, "_optimize", spy)
+    ext = extension(w)
+    for ext in (ext, identity_extend(ext, [2])):
+        searched.clear()
+        assert verify_witness(ext, 4, 0).is_witness
+        assert [m.dims for m in searched] == [b.dims for b in ext.blocks]
+        assert all(m is b for m, b in zip(searched, ext.blocks))

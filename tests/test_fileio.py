@@ -354,6 +354,14 @@ def test_writing_an_unknown_object_writes_no_file(tmp_path):
     assert not target.exists()
 
 
+def test_a_failed_write_is_a_parse_error(tmp_path):
+    # the directory named by the path is a regular file, so open() fails
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    with pytest.raises(ParseError, match=f"^cannot write {re.escape(str(blocker / 'x.json'))}: "):
+        write_matrix_file(isotropic(0.2), blocker / "x.json")
+
+
 def _plain_json_parse(path) -> object:
     """The reference reader: the file's whole text through plain
     `json.loads`, with `parse_matrix_file`'s number hooks and error mapping."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -851,3 +852,26 @@ _E00 = ComplexVector((2, 2), np.eye(4)[0])
 def test_malformed_arguments_are_refused(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3), (2, 2, 3), (2, 3, 4)], ids=str)
+def test_seesaw_values_do_not_move_with_the_party_order(dims):
+    # rank 1, 2 and full states with their parties in every order: each
+    # extremum matches the unpermuted one, and the permuted extremizer,
+    # its factors put back in party order, gives its value on the state
+    n, d = len(dims), math.prod(dims)
+    rng = np.random.default_rng(d)
+    for rank in (1, 2, d):
+        g = rng.standard_normal((d, 2 * rank)).view(np.complex128)
+        rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+        for search in (max_product_expectation, min_product_expectation):
+            base = search(ComplexMatrix(dims, rho), 32, 0).value
+            for perm in permutations(range(n)):
+                axes = [*perm, *(n + p for p in perm)]
+                moved = rho.reshape(dims + dims).transpose(axes).reshape(d, d)
+                opt = search(ComplexMatrix(tuple(dims[p] for p in perm), moved), 32, 0)
+                assert abs(opt.value - base) <= 1e-9, (rank, search.__name__, perm)
+                back = [None] * n
+                for f, p in zip(opt.extremizer.factors, perm):
+                    back[p] = f.vec
+                assert abs(float(witness._expectation(rho, back)) - opt.value) <= 1e-12
