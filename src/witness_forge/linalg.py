@@ -1,8 +1,8 @@
 """Multipartite complex linear algebra on explicitly dimensioned operators.
 
 Matrices and vectors carry the tuple of local dimensions (d1, ..., dn) of
-the parties they act on, so tensor bookkeeping (kron, partial trace,
-partial transpose) never guesses shapes. The Hermitian eigensolver is
+the parties they act on, so tensor bookkeeping (partial trace, partial
+transpose) never guesses shapes. The Hermitian eigensolver is
 LAPACK's `eigh` followed by one canonicalization pass, so its output
 depends only on the matrix, not on the basis LAPACK picks:
 
@@ -157,16 +157,6 @@ class SpectralDecomposition:
     def rank(self) -> int:
         """Number of eigenvalues strictly above RANK_TOL."""
         return sum(1 for v in self.eigenvalues if v > RANK_TOL)
-
-
-def identity(dims: Iterable[int]) -> ComplexMatrix:
-    dims = _as_dims(dims)
-    return ComplexMatrix(dims, np.eye(math.prod(dims), dtype=np.complex128))
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Tensor product; party list of the result is a's parties then b's."""
-    return ComplexMatrix(a.dims + b.dims, np.kron(a.mat, b.mat))
 
 
 def _check_parties(n: int, parties: Sequence[int]) -> tuple[int, ...]:

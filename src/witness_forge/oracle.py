@@ -43,11 +43,13 @@ per scan (`_grid_tables`) and a block's rows are one broadcast product
 of them. The operator is mapped to these coordinates once per scan,
 rows and columns (`_coordinate_operator`), the lead party's whole grid
 contracts it in one real GEMM, and each block is one more real GEMM
-giving the coordinates of the exact party's operators. A block is whole
-polar rows of the last party times as many lead points as fit, at most
-_CHUNK = 8,192 points in all, so its working set stays a few MB. Only a
+giving the coordinates of the exact party's operators. Without a lead
+party, a block is as many whole polar rows of the last party as fit in
+_CHUNK = 8,192 points, so its working set stays a few MB; only a
 qutrit's polar row, r**2 phase vectors, can exceed that: from resolution
-91 (8,281) up to 103 (10,609) a block is one polar row. The top
+91 (8,281) up to 103 (10,609) a block is one polar row. With three
+qubits, a block is the last qubit's whole grid, at most 5,402 points at
+resolution 73, times as many lead points as fit in _CHUNK. The top
 eigenvalues come in closed form from the coordinates when the exact
 party has dimension 2 or 3, and from LAPACK at dimension 4, where the
 scan skips every point that a batched LDL^H test proves below the best
@@ -64,8 +66,8 @@ proxy read from tr K_g and ||K_g||_F, in windows that `_below` tests
 once each: a cell proven below the best value so far, less a pad that
 covers the rounding of K_g, of the block's GEMM and of the closed form,
 is skipped, GEMM and closed form both. The best value is kept with its
-place in the row-major order, and a later block wins a tie only from an
-earlier place, so the winner is the point, and the value, that a scan
+key (lead index, last index), and a later block wins a tie only with a
+smaller key, so the winner is the point, and the value, that a scan
 without cells picks (`_scan_grid` derives the pad and the tie rule).
 """
 
@@ -491,33 +493,12 @@ def _cell_order(cells: np.ndarray) -> np.ndarray:
     return np.argsort(-(mean + math.sqrt(3.0) * spread), kind="stable")
 
 
-def _cell_floors(cells: np.ndarray) -> np.ndarray:
-    """The largest top eigenvalue of the six 2x2 principal submatrices of
-    each 4x4 Hermitian matrix of a (16, n) coordinate array: a lower bound
-    on its top eigenvalue, up to rounding."""
-    floors = np.full(cells.shape[1], -np.inf)
-    for m, (k, l) in enumerate(zip(*_triu(4))):
-        p, r, re, im = cells[k], cells[l], cells[4 + m], cells[10 + m]
-        np.maximum(floors, (p + r) / 2 + np.sqrt(((p - r) / 2) ** 2 + re * re + im * im), out=floors)
-    return floors
-
-
-def _cells_below(
-    cells: np.ndarray, floors: np.ndarray, window: np.ndarray, best: float, a: float
-) -> np.ndarray:
+def _cells_below(cells: np.ndarray, window: np.ndarray, best: float, a: float) -> np.ndarray:
     """True where a lead cell of `window` is proven to hold no grid value of
-    `best` or more. Cell g is the 4x4 Hermitian K_g of column g of the
-    (16, n) coordinate array `cells`, with floor floors[g] (`_cell_floors`),
-    and a = max|op|, as in `_scan_grid`'s docstring, which derives the pad.
-
-    `_below` tests lambda_max(K_g) < best - pad only where the floor is
-    below that bar: the other cells have no such proof, and on I/8 or
-    GHZ_3, either sign, that is every cell."""
-    mu = best - (2.0**-44 * (abs(best) + a) + 2.0**-530)
-    proven = floors[window] < mu
-    if proven.any():
-        proven[proven] = _below(cells[:, window[proven]], mu)
-    return proven
+    `best` or more: `_below` proves lambda_max(K_g) < best - pad, K_g the
+    4x4 Hermitian of column g of the (16, n) coordinate array `cells`, and
+    a = max|op|, as in `_scan_grid`'s docstring, which derives the pad."""
+    return _below(cells[:, window], best - (2.0**-44 * (abs(best) + a) + 2.0**-530))
 
 
 def _scan_grid(
@@ -534,13 +515,14 @@ def _scan_grid(
     one: the first of three qubits. Its whole grid (at most 5,402 points,
     at resolution 73) contracts the operator in one real GEMM, `op`, whose
     row g maps the last qubit's coordinate rows to the exact qubit's
-    coordinates. A last-party block is as many whole polar rows as fit in
-    _CHUNK = 8,192 points (one row if none fits: a qutrit's r**2 phase
-    vectors from resolution 91 on), times at most `lead_step` lead points,
-    so the block stays within _CHUNK. The last party's blocks are the
-    outer loop; with three qubits there is one at the default _CHUNK. Each
-    block is one real GEMM giving the coordinates of party x's operators,
-    coordinate axis first. For a four-level `x`, LAPACK sees only a
+    coordinates. Without a lead party, a block is as many whole polar
+    rows of the last party as fit in _CHUNK = 8,192 points (one row if
+    none fits: a qutrit's r**2 phase vectors from resolution 91 on). With
+    one, a block is the last qubit's whole grid, below _CHUNK at every
+    supported resolution, times at most `lead_step` lead points, so the
+    block stays within _CHUNK. Each block is one real GEMM giving the
+    coordinates of party x's operators, coordinate axis first. For a
+    four-level `x`, LAPACK sees only a
     block's anchors and the points that `_below` cannot place under the
     best value so far (`_pruned_top_eigvals`).
 
@@ -551,11 +533,10 @@ def _scan_grid(
     cells are visited best proxy first (`_cell_order`), in windows: the
     first is one block of `lead_step` cells, and each later one three
     times as many cells as were visited before it, up to _WINDOW = 512,
-    so a scan makes a few tests, not one per block. In the first
-    last-party block, `_cells_below` tests each window once, against the
-    best value so far, less a pad; a proven cell is skipped, GEMM and
-    closed form both, in every last-party block, and the survivors run
-    in blocks of at most `lead_step` cells, each in ascending index
+    so a scan makes a few tests, not one per block. `_cells_below` tests
+    each window once, against the best value so far, less a pad; a
+    proven cell is skipped, GEMM and closed form both, and the survivors
+    run in blocks of at most `lead_step` cells, each in ascending index
     order. Testing every unvisited cell after each block instead would
     be quadratic in the cells.
 
@@ -587,14 +568,14 @@ def _scan_grid(
     far. The pad is needed: on I/8, one grid value is 0.5000000000000001
     while lambda_max(K_g) = 0.5.
 
-    The winner. The best value so far is kept with its key (last block,
-    lead index, last index), the order in which a scan without cells
-    visits the points, and a block wins on a larger value, or on an equal
-    one with a smaller key. A block's rows ascend, so its first largest
-    value has its smallest key; a skipped cell lies strictly below the
-    best value, which only grows, so it never holds a tie. So the winner
-    is the first largest point of the scan without cells, as a point's
-    value does not depend on the block it runs in.
+    The winner. The best value so far is kept with its key (lead index,
+    last index), the order in which a scan without cells visits the
+    points, and a block wins on a larger value, or on an equal one with a
+    smaller key. A block's rows ascend, so its first largest value has
+    its smallest key; a skipped cell lies strictly below the best value,
+    which only grows, so it never holds a tie. So the winner is the first
+    largest point of the scan without cells, as a point's value does not
+    depend on the block it runs in.
     """
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
@@ -612,24 +593,23 @@ def _scan_grid(
         lead_rows = _grid_rows(*_grid_tables(dims[lead[0]], resolution), 0, None)
         op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
         cells = _lead_map() @ op.reshape(-1, 16).T  # K_g's coordinates, (16, n)
-        order, floors = _cell_order(cells), _cell_floors(cells)
+        order = _cell_order(cells)
         a = float(np.abs(op).max())
     else:
         order = np.zeros(1, dtype=np.intp)
     mag2, phase2 = _grid_tables(dims[last], resolution)
-    n_ph = phase2.shape[1]
-    rows = max(1, _CHUNK // n_ph)
-    lead_step = max(1, _CHUNK // (min(rows, mag2.shape[1]) * n_ph))
-    best_val, best_key = -np.inf, (mag2.shape[1],)  # a key past every point
-    for lo in range(0, mag2.shape[1], rows):
+    n_pol, n_ph = mag2.shape[1], phase2.shape[1]
+    rows = n_pol if lead else max(1, _CHUNK // n_ph)
+    lead_step = max(1, _CHUNK // (min(rows, n_pol) * n_ph))
+    best_val, best_key = -np.inf, (order.size,)  # a key past every point
+    for lo in range(0, n_pol, rows):
         q = _grid_rows(mag2, phase2, lo, lo + rows)
-        kept, done = [], 0
+        done = 0
         while done < order.size:
             window = order[done : done + max(lead_step, min(3 * done, _WINDOW))]
             done += window.size
-            if lead and lo == 0 and best_val > -np.inf:
-                window = window[~_cells_below(cells, floors, window, best_val, a)]
-            kept.append(window)
+            if lead and best_val > -np.inf:
+                window = window[~_cells_below(cells, window, best_val, a)]
             window = np.sort(window)
             block_op, cell = op[window], window.tolist()
             for start in range(0, len(cell), lead_step):
@@ -641,12 +621,11 @@ def _scan_grid(
                 j = int(lam.argmax())
                 if lam[j] >= best_val:
                     i_lead, i_last = divmod(j, q.shape[1])
-                    key = (lo, cell[start + i_lead], i_last)
+                    key = (cell[start + i_lead], lo * n_ph + i_last)
                     if lam[j] > best_val or key < best_key:
                         best_val, best_key = lam[j], key
-        order = np.concatenate(kept)
-    lo, best_lead, i_last = best_key
-    return ([best_lead] if lead else []) + [lo * n_ph + i_last]
+    best_lead, best_last = best_key
+    return ([best_lead] if lead else []) + [best_last]
 
 
 def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductState]:

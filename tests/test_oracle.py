@@ -201,9 +201,9 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
 def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     # every grid point is either evaluated, in a block of at most _CHUNK
     # points, or lies in a lead cell proven below the best value (three
-    # qubits only), whose points are skipped; three qubits also run at
-    # _CHUNK = 100, where a cell proven in the first last-party block is
-    # skipped in all of them
+    # qubits only), whose points are skipped. Three qubits also run at
+    # _CHUNK = 100, below the last qubit's grid, which stays one block:
+    # a block is then `lead_step` = 1 cell of the whole last grid
     sizes, pruned = [], []
     solve, prove = oracle._extremal_eigvals, oracle._cells_below
 
@@ -211,8 +211,8 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
         sizes.append(math.prod(c.shape[1:]))
         return solve(c)
 
-    def record_pruned(cells, floors, window, best, a):
-        proven = prove(cells, floors, window, best, a)
+    def record_pruned(cells, window, best, a):
+        proven = prove(cells, window, best, a)
         pruned.append(int(proven.sum()))
         return proven
 
@@ -226,7 +226,10 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
         sizes.clear()
         pruned.clear()
         grid_product_extremum(m, "max", 32)
-        assert max(sizes) <= oracle._CHUNK
+        if chunk == 100:  # a block is `lead_step` cells of the whole last grid
+            assert max(sizes) <= max(1, chunk // sizes_of[-1]) * sizes_of[-1]
+        else:
+            assert max(sizes) <= oracle._CHUNK
         assert sum(sizes) + sum(pruned) * sizes_of[-1] == math.prod(sizes_of)
         assert (sum(pruned) > 0) == (len(sizes_of) == 2)
 
@@ -815,10 +818,10 @@ def _fixed_order_scan(mt: np.ndarray, dims: tuple[int, ...], x: int, resolution:
     """`oracle._scan_grid` without lead cells: every point of every lead
     point, the last party's blocks in fixed row-major order, each visited
     lead block by lead block in index order; the first best point wins.
-    The lead blocks hold up to 1 << 16 points whatever `_CHUNK` is, so a
-    one-polar-row block runs every lead point at once: a point's value
-    does not depend on its block, nor the first best point on where lead
-    blocks split."""
+    As in the scan, a lead party's last grid is one block, so the order is
+    lead-major. The lead blocks hold up to 1 << 16 points whatever
+    `_CHUNK` is: a point's value does not depend on its block, nor the
+    first best point on where lead blocks split."""
     gridded = [k for k in range(len(dims)) if k != x]
     _, e = math.frexp(float(np.abs(mt.view(np.float64)).max()))
     mt = np.ldexp(mt.view(np.float64), -e).view(np.complex128)
@@ -831,7 +834,7 @@ def _fixed_order_scan(mt: np.ndarray, dims: tuple[int, ...], x: int, resolution:
         op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
     mag2, phase2 = oracle._grid_tables(dims[last], resolution)
     n_ph = phase2.shape[1]
-    rows = max(1, oracle._CHUNK // n_ph)
+    rows = mag2.shape[1] if lead else max(1, oracle._CHUNK // n_ph)
     lead_step = max(1, (1 << 16) // (min(rows, mag2.shape[1]) * n_ph))
     best_val = -np.inf
     best_lead = best_last = -1
@@ -869,11 +872,10 @@ _THREE_QUBITS = (2, 2, 2)
 @pytest.mark.parametrize("kind", [*_KINDS, "ties"])
 def test_lead_cells_keep_the_fixed_order_winner(monkeypatch, kind, resolution):
     # the cells are visited best bound first and some are skipped, yet the
-    # winner is the fixed-order scan's, ties included: one block of the
-    # last party (1 << 16), blocks of a few polar rows (100), and one polar
-    # row a block (7 and 1, the same blocks at these resolutions). Nothing
-    # is skipped on most tie inputs, and a one-row-block scan of those
-    # takes most of a second, so they run at the first two only
+    # winner is the fixed-order scan's, ties included. The last qubit's
+    # grid is one block at every _CHUNK, which sets the lead blocks: 62
+    # cells of it at 1 << 16 and resolution 32, one at 100, 7 and 1. Nothing
+    # is skipped on most tie inputs, so they run at the first two only
     if kind == "ties":
         inputs, chunks = _three_qubit_ties(), (1 << 16, 100)
     else:
@@ -930,7 +932,7 @@ def test_pruned_cells_lie_below_the_incumbent(scale):
     values = oracle._extremal_eigvals((op @ q).transpose(1, 0, 2))  # (cells, points)
     best = values.max()
     every = np.arange(op.shape[0])
-    proven = oracle._cells_below(cells, oracle._cell_floors(cells), every, best, float(np.abs(op).max()))
+    proven = oracle._cells_below(cells, every, best, float(np.abs(op).max()))
     assert proven.any()
     tied_but_below = 0
     for g in range(op.shape[0]):

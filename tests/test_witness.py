@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import permutations
 from unittest import mock
@@ -875,3 +876,33 @@ def test_seesaw_values_do_not_move_with_the_party_order(dims):
                 for f, p in zip(opt.extremizer.factors, perm):
                     back[p] = f.vec
                 assert abs(float(witness._expectation(rho, back)) - opt.value) <= 1e-12
+
+
+def _haar(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-random d x d unitary: Q of a complex Gaussian's QR, each
+    column's phase fixed by R's diagonal (Mezzadri, Notices AMS 54:592, 2007)."""
+    q, r = np.linalg.qr(rng.standard_normal((d, 2 * d)).view(np.complex128))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (2, 2, 3), (2, 3, 4)], ids=str)
+def test_seesaw_values_ignore_local_unitaries(dims):
+    # rank 1, 2 and full states seen in a Haar frame U_1 (x) ... (x) U_n,
+    # which maps product states onto product states: each extremum matches
+    # the unrotated one, and the rotated extremizer, mapped back by the
+    # U_k^dagger, gives its value on the state
+    d = math.prod(dims)
+    rng = np.random.default_rng(d)
+    for rank in (1, 2, d):
+        g = rng.standard_normal((d, 2 * rank)).view(np.complex128)
+        rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+        us = [_haar(rng, k) for k in dims]
+        u = functools.reduce(np.kron, us)
+        rotated = u @ rho @ u.conj().T
+        rotated = (rotated + rotated.conj().T) / 2
+        for search in (max_product_expectation, min_product_expectation):
+            base = search(ComplexMatrix(dims, rho), 32, 0).value
+            opt = search(ComplexMatrix(dims, rotated), 32, 0)
+            assert abs(opt.value - base) <= 1e-9, (rank, search.__name__)
+            back = [uk.conj().T @ f.vec for uk, f in zip(us, opt.extremizer.factors)]
+            assert abs(float(witness._expectation(rho, back)) - opt.value) <= 1e-12
