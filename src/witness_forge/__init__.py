@@ -77,7 +77,6 @@ from .extend import (
 from .fileio import (
     dumps_canonical,
     encode_matrix_obj,
-    matrix_file_text,
     parse_matrix_file,
     parse_matrix_obj,
     write_matrix_file,
@@ -130,7 +129,6 @@ __all__ = [
     "is_ces",
     "isotropic",
     "make_witness",
-    "matrix_file_text",
     "max_product_expectation",
     "min_product_expectation",
     "mixed_tensor_extend",

@@ -3,12 +3,12 @@
 Every operation here maps a valid witness to a valid witness on an
 enlarged party list while leaving the offset c untouched (except for
 the explicit relaxed-offset variant of the partial purification). Each
-checks its own preconditions (form, top eigenpair, c' interval, size
-cap), not the verdict, which the caller applies. The dual form
-`c*I - sigma` extends by purification, partial purification, and
-tensoring with scaled mixed or pure states; the primal form
-`sigma - c*I` survives only identity tails, so the other operations
-reject it with FormNotSupported.
+checks its own preconditions, in the order form, selection, size cap,
+top eigenpair, c' interval, but not the verdict, which the caller
+applies. The dual form `c*I - sigma` extends by purification, partial
+purification, and tensoring with scaled mixed or pure states; the
+primal form `sigma - c*I` survives only identity tails, so the other
+operations reject it with FormNotSupported.
 
 `_tensor` builds the sigma' of every tail extension. (Partial)
 purification builds its projector by the gram route, sum_ij sqrt(l_i l_j)
@@ -55,18 +55,15 @@ from .errors import (
     ParamOutOfRange,
     UnnormalizedTail,
 )
-from .linalg import ComplexMatrix, _require_within_cap
+from .linalg import TIE_TOL, ComplexMatrix, _require_within_cap
 from .qstate import (
-    NORM_TOL,
     DensityMatrix,
     PureState,
     PurificationSelection,
     SpectralDecomposition,
-    _has_top,
     _nonzero_indices,
-    _purification_columns,
+    _purification,
     _purifying_selection,
-    _selected_nonzero,
     _with_extremes,
 )
 from .witness import Witness, WitnessForm, evaluate
@@ -82,18 +79,10 @@ def _require_dual_form(w: Witness, op: str) -> None:
         )
 
 
-def _density(dims: tuple[int, ...], arr: np.ndarray, lo: float, hi: float) -> DensityMatrix:
-    """`arr` on `dims`, of extreme eigenvalues `lo` and `hi` known from its
-    construction; normalized when its trace is 1 within NORM_TOL."""
-    m = ComplexMatrix(dims, arr)
-    normalized = abs(m.trace().real - 1.0) <= NORM_TOL
-    return _with_extremes(m, normalized, lo, hi)
-
-
 def _rank_one(dims: tuple[int, ...], arr: np.ndarray, norm2: float) -> DensityMatrix:
     """The projector `arr` = |v><v| on `dims`, norm2 = ||v||^2: eigenvalues
     norm2 and, in any dimension above 1, 0."""
-    return _density(dims, arr, 0.0 if len(arr) > 1 else norm2, norm2)
+    return _with_extremes(dims, arr, 0.0 if len(arr) > 1 else norm2, norm2)
 
 
 def _pure_factors(tails: Sequence[PureState]) -> Iterator[DensityMatrix]:
@@ -106,13 +95,13 @@ def _pure_factors(tails: Sequence[PureState]) -> Iterator[DensityMatrix]:
 def _mixed_factors(tails: Sequence[DensityMatrix]) -> Iterator[DensityMatrix]:
     """Each tail scaled by its top eigenvalue, built when it is read."""
     for t in tails:
-        yield _density(t.dims, t.mat.mat / t.lambda_max, t.lambda_min / t.lambda_max, 1.0)
+        yield _with_extremes(t.dims, t.mat.mat / t.lambda_max, t.lambda_min / t.lambda_max, 1.0)
 
 
 def _identity_factors(sizes: Sequence[int]) -> Iterator[DensityMatrix]:
     """One identity per size, built when it is read."""
     for d in sizes:
-        yield _density((d,), np.eye(d), 1.0, 1.0)
+        yield _with_extremes((d,), np.eye(d), 1.0, 1.0)
 
 
 def _tensor(base: DensityMatrix, factors: Sequence[DensityMatrix]) -> DensityMatrix:
@@ -124,7 +113,7 @@ def _tensor(base: DensityMatrix, factors: Sequence[DensityMatrix]) -> DensityMat
         dims, arr = dims + f.dims, np.kron(arr, f.mat.mat)
         ends = (lo * f.lambda_min, lo * f.lambda_max, hi * f.lambda_min, hi * f.lambda_max)
         lo, hi = min(ends), max(ends)
-    return _density(dims, arr, lo, hi)
+    return _with_extremes(dims, arr, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +199,8 @@ def partial_purify_extend(
     sum of selected eigenvalues (the squared norm of the partial purification).
     """
     _require_dual_form(w, "partial_purify_extend")
-    vals = w.sigma.spectrum.eigenvalues
-    lams = _selected_nonzero(vals, sel.pairs)
-    if not _has_top(vals, lams):
+    lams, wmat = _purification(w.sigma, sel)
+    if max(lams) < w.sigma.spectrum.eigenvalues[-1] - TIE_TOL:
         raise MaxEigenvalueNotSelected(
             "selection omits the top eigenvalue; a selection must keep a top "
             "eigenpair, so that the margin, the sum of the selected eigenvalues "
@@ -226,7 +214,6 @@ def partial_purify_extend(
             raise CPrimeOutOfInterval(
                 f"c_prime={c_out!r} outside [{w.c!r}, {total!r})"
             )
-    wmat = _purification_columns(w.sigma.spectrum.vectors, sel.pairs, sel.ancilla_dim)
     proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
     phi = (wmat @ np.sqrt(lams)).reshape(w.sigma.dim, sel.ancilla_dim)
     block = w.sigma.mat

@@ -21,12 +21,14 @@ The reader decodes each regular array of [re, im] pairs of numbers
 under `data` or `sigma` inside its one JSON pass, straight into float64:
 the array's brackets and commas must spell the template of its shape,
 and its numbers are read as one flat JSON list, so no Python list is
-made per entry. Any other array is read by json as usual, and so is one
-of these whose text does not spell its template, or whose numbers json
-refuses or float64 cannot hold: json's own scanner reads it nested where
-it stands and raises its own error at the file's true position. An array
-of pairs under another key is read again nested from where it opens, so
-the header checks see json's lists. The whole text is read once. The reader
+made per entry. It tries this only on a value of the top object whose
+key text, read back from the colon before it, is `"data"` or `"sigma"`
+(`_ARRAY_KEY`). Every other value is read by json's own scanner, to the
+same values: the header arrays, a key spelled another way (an escape,
+wide spacing), and an array whose text does not spell its template or
+whose numbers json refuses or float64 cannot hold, which json reads
+nested where it stands, raising its own error at the file's true
+position. The whole text is read once. The reader
 is strict (exact shapes; parts are numbers, not booleans, finite as
 float64), and any malformed file raises ParseError. A file whose `dims`
 multiply to more than MAX_TOTAL_DIM, the largest size the tool builds,
@@ -39,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -61,7 +64,9 @@ _JSON_SPACE = b" \t\n\r"
 _NUMBER_CHARS = b"0123456789+-.eE"
 _BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
 _MAX_AXES = 3  # of an array of numbers in a file: a matrix of [re, im] pairs
-_ARRAY_KEYS = frozenset({"data", "sigma"})  # the keys whose arrays are read flat
+# "data" or "sigma" as a key, its opening quote not escaped, then the colon and
+# json spaces: how the 32 characters before a value that is read flat end
+_ARRAY_KEY = re.compile(r'[^\\]"(?:data|sigma)"[ \t\n\r]*:[ \t\n\r]*\Z')
 
 
 def kind_of(obj) -> str | None:
@@ -320,39 +325,30 @@ def parse_matrix_file(path: str | Path) -> Witness | DensityMatrix | PureState |
 def _read_json(text: str):
     """`json.loads(text)` as `parse_matrix_file` calls it, except that each
     regular array of [re, im] pairs of numbers under the key `data` or
-    `sigma` of the top object comes back as a float64 ndarray of the pairs.
-    The top object is read by json's Python object parser, every other
-    value by json's own scanner, so a document reads to the same values,
-    or fails with the same error."""
+    `sigma` of the top object, where `_ARRAY_KEY` finds the key before it,
+    comes back as a float64 ndarray of the pairs. The top object is read by
+    json's Python object parser, every other value by json's own scanner,
+    so a document reads to the same values, or fails with the same error."""
     decoder = json.JSONDecoder(parse_int=_read_int, parse_constant=_reject_constant)
     scan_whole, memo = decoder.scan_once, decoder.memo
-    flat: dict[int, int] = {}  # where each array read flat opens, by the array's id
 
     def scan_value(s: str, idx: int) -> tuple[object, int]:
-        if s[idx:idx + 1] == "[":
+        # json has read the key and the colon, so the text before idx ends with them
+        if s[idx:idx + 1] == "[" and _ARRAY_KEY.search(s, max(0, idx - 32), idx):
             try:
                 found = _flat_pairs(s, idx, scan_whole)
             except (StopIteration, ValueError, OverflowError):  # raised in the flat list
                 found = None  # json reads the array nested below, and raises in the file
             if found is not None:
-                flat[id(found[0])] = idx
                 return found
         return scan_whole(s, idx)
-
-    def top_object(pairs: list[tuple[str, object]]) -> dict:
-        # an array under any key but data or sigma is read again nested,
-        # so the header checks see and name the lists json gives
-        for i, (k, v) in enumerate(pairs):
-            if isinstance(v, np.ndarray) and k not in _ARRAY_KEYS:
-                pairs[i] = k, scan_whole(text, flat[id(v)])[0]
-        return dict(pairs)
 
     def scan_top(s: str, idx: int) -> tuple[object, int]:
         # refers to no decoder, whose scan_once it becomes: that cycle
         # would keep the text alive after the read, until gc collects it
         if s[idx:idx + 1] != "{":
             return scan_whole(s, idx)
-        return json.decoder.JSONObject((s, idx + 1), True, scan_value, None, top_object, memo)
+        return json.decoder.JSONObject((s, idx + 1), True, scan_value, None, None, memo)
 
     decoder.scan_once = scan_top
     return decoder.decode(text)
@@ -418,10 +414,6 @@ def _read_int(token: str) -> int | float:
 
 def _reject_constant(name: str):
     raise ParseError(f"non-finite JSON constant {name!r} not allowed")
-
-
-def matrix_file_text(obj) -> str:
-    return dumps_canonical(encode_matrix_obj(obj)) + "\n"
 
 
 def require_writable(path: str | Path) -> None:

@@ -7,8 +7,10 @@ canonical decomposition `spectrum` is built on first read. Every public
 constructor, file parsing included, finds the extremes by one
 eigensolve. `_with_extremes` is the one route that takes them from the
 caller instead, for an extension whose spectrum follows from its base;
-it runs every other check. Purifications follow the spectrum's order,
-pairing the i-th nonzero eigenvector with ancilla basis vector |i>.
+it reads the normalized flag from the trace and runs every other check.
+Purifications follow the spectrum's order, pairing the i-th nonzero
+eigenvector with ancilla basis vector |i>; `_purification` checks a
+selection and gives its eigenvalues and columns |e_i>|slot_i>.
 
 Partial purifications are deliberately kept unnormalized: their squared
 norm is the sum of the selected eigenvalues, which downstream witness
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import ParamOutOfRange, SelectionOutOfRange
 from .linalg import (
     RANK_TOL,
-    TIE_TOL,
     ComplexMatrix,
     ComplexVector,
     SpectralDecomposition,
@@ -82,14 +83,15 @@ class DensityMatrix:
         return self.mat.dim
 
 
-def _with_extremes(mat: ComplexMatrix, normalized: bool, lo: float, hi: float) -> DensityMatrix:
-    """A DensityMatrix whose extreme eigenvalues `lo` and `hi` the caller
-    knows exactly from how `mat` was built, so no eigensolve runs; every
-    other check of `DensityMatrix.__post_init__` does, the -1e-10 floor
-    on `lo` included."""
+def _with_extremes(dims: tuple[int, ...], arr: np.ndarray, lo: float, hi: float) -> DensityMatrix:
+    """The DensityMatrix `arr` on `dims`, whose extreme eigenvalues `lo` and
+    `hi` the caller knows exactly from how `arr` was built, so no eigensolve
+    runs; normalized when its trace is 1 within NORM_TOL. Every other check
+    of `DensityMatrix.__post_init__` runs, the -1e-10 floor on `lo` included."""
+    mat = ComplexMatrix(dims, arr)
     d = object.__new__(DensityMatrix)
     object.__setattr__(d, "mat", mat)
-    object.__setattr__(d, "normalized", normalized)
+    object.__setattr__(d, "normalized", abs(mat.trace().real - 1.0) <= NORM_TOL)
     d.__post_init__((lo, hi))
     return d
 
@@ -183,42 +185,26 @@ def _purifying_selection(d: DensityMatrix, ancilla_dim: int | None = None) -> Pu
     return PurificationSelection([(idx, slot) for slot, idx in enumerate(nz)], anc)
 
 
-def _selected(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """The eigenvalue of each selected pair, in pair order; an index
-    outside the spectrum raises SelectionOutOfRange."""
-    for idx, _ in pairs:
+def _purification(d: DensityMatrix, sel: PurificationSelection) -> tuple[list[float], np.ndarray]:
+    """The eigenvalue of each selected pair of `d`, in pair order, and the
+    columns |e_i>|slot> (eigenvector i, ancilla basis vector) of the pairs.
+    An eigen-index outside the spectrum, then the first pair that selects a
+    zero eigenvalue, raises SelectionOutOfRange; then a purified dimension
+    above MAX_TOTAL_DIM raises ParamOutOfRange, before any column is built."""
+    vals = d.spectrum.eigenvalues
+    for idx, _ in sel.pairs:
         if idx >= len(vals):
             raise SelectionOutOfRange(f"eigen-index {idx} outside spectrum of size {len(vals)}")
-    return [vals[idx] for idx, _ in pairs]
-
-
-def _selected_nonzero(vals: Sequence[float], pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """`_selected`, then the first pair that selects a zero eigenvalue
-    raises SelectionOutOfRange."""
-    lams = _selected(vals, pairs)
-    for (idx, _), lam in zip(pairs, lams):
+    lams = [vals[idx] for idx, _ in sel.pairs]
+    for (idx, _), lam in zip(sel.pairs, lams):
         if lam <= RANK_TOL:
             raise SelectionOutOfRange(f"eigen-index {idx} selects a zero eigenvalue ({lam:.3e})")
-    return lams
-
-
-def _has_top(vals: Sequence[float], lams: Sequence[float]) -> bool:
-    return any(lam >= vals[-1] - TIE_TOL for lam in lams)
-
-
-def _purification_columns(
-    vecs: np.ndarray, pairs: Sequence[tuple[int, int]], ancilla_dim: int
-) -> np.ndarray:
-    """The columns |e_i>|slot> (eigenvector i, ancilla basis vector) of
-    the selected (eigen-index, slot) pairs, in pair order. A purified
-    dimension above MAX_TOTAL_DIM raises ParamOutOfRange before any
-    column is built."""
-    purified = vecs.shape[0] * ancilla_dim
+    purified = d.dim * sel.ancilla_dim
     _require_within_cap(purified, "purified dimension")
-    idx, slots = np.array(pairs).T
-    cols = np.zeros((vecs.shape[0], ancilla_dim, len(pairs)), dtype=np.complex128)
-    cols[:, slots, np.arange(len(pairs))] = vecs[:, idx]
-    return cols.reshape(purified, len(pairs))
+    idx, slots = np.array(sel.pairs).T
+    cols = np.zeros((d.dim, sel.ancilla_dim, len(sel.pairs)), dtype=np.complex128)
+    cols[:, slots, np.arange(len(sel.pairs))] = d.spectrum.vectors[:, idx]
+    return lams, cols.reshape(purified, len(sel.pairs))
 
 
 def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
@@ -239,8 +225,7 @@ def partial_purify(d: DensityMatrix, sel: PurificationSelection) -> PureState:
     an index outside the spectrum or one whose eigenvalue is numerically
     zero raises SelectionOutOfRange.
     """
-    lams = _selected_nonzero(d.spectrum.eigenvalues, sel.pairs)
-    cols = _purification_columns(d.spectrum.vectors, sel.pairs, sel.ancilla_dim)
+    lams, cols = _purification(d, sel)
     vec = ComplexVector(d.dims + (sel.ancilla_dim,), cols @ np.sqrt(lams))
     return PureState(vec, normalized=False)
 

@@ -17,7 +17,12 @@ import witness_forge
 from witness_forge import cli, linalg, qstate, witness
 from witness_forge.cli import main
 from witness_forge.errors import ParamOutOfRange
-from witness_forge.fileio import matrix_file_text, parse_matrix_file, write_matrix_file
+from witness_forge.fileio import (
+    dumps_canonical,
+    encode_matrix_obj,
+    parse_matrix_file,
+    write_matrix_file,
+)
 from witness_forge.linalg import ComplexMatrix, ComplexVector
 from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
@@ -537,9 +542,9 @@ def test_parse_and_usage_failures_exit_one(capsys, tmp_path):
 
 def test_malformed_files_are_parse_errors(capsys, tmp_path):
     w = make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3)
-    big_data = json.loads(matrix_file_text(w))
+    big_data = json.loads(dumps_canonical(encode_matrix_obj(w)))
     big_data["data"][0][0][0] = 10**400  # too large for a float
-    big_c = json.loads(matrix_file_text(w))
+    big_c = json.loads(dumps_canonical(encode_matrix_obj(w)))
     big_c["c"] = 10**400
     payloads = {
         "big_data.json": json.dumps(big_data).encode(),
@@ -736,7 +741,7 @@ def test_extend_writes_only_what_its_check_accepts(capsys, sq_file, tmp_path):
 
 def test_a_data_cell_read_as_infinite_is_a_parse_error(capsys, tmp_path):
     # json reads 1e400 as a float, inf, where 10**400 stays an int
-    doc = json.loads(matrix_file_text(isotropic(0.2)))
+    doc = json.loads(dumps_canonical(encode_matrix_obj(isotropic(0.2))))
     text = json.dumps(doc).replace(json.dumps(doc["data"][0][0]), "[1e400, 0.0]", 1)
     path = tmp_path / "inf.json"
     path.write_text(text)

@@ -390,6 +390,20 @@ def test_extensions_refuse_a_total_dimension_above_the_cap():
         detect_product_extension(identity_extend(w, [2]), isotropic(0.2), [big_mixed])
 
 
+def test_an_oversized_partial_purification_is_refused_for_its_size_first(capsys, tmp_path):
+    # 4 * 257 > MAX_TOTAL_DIM, and the selection also leaves out the top
+    # eigenpair, or has c' out of range: the size is what is refused
+    w = _isotropic_witness()
+    with pytest.raises(ParamOutOfRange, match="purified dimension 1028 > 1024"):
+        partial_purify_extend(w, PurificationSelection(((1, 0),), 257))
+    with pytest.raises(ParamOutOfRange, match="purified dimension 1028 > 1024"):
+        partial_purify_extend(w, PurificationSelection(((3, 0),), 257), c_prime=5.0)
+    wpath = _file(tmp_path, "w.json", w)
+    code = main(["extend", wpath, "--method", "partial", "--selection", "1:0",
+                 "--ancilla-dim", "257", "-o", str(tmp_path / "x.json")])
+    assert (code, json.loads(capsys.readouterr().out)["error"]["type"]) == (2, "ParamOutOfRange")
+
+
 @pytest.mark.parametrize("extend", [pure_tails_extend, mixed_tensor_extend, identity_extend])
 def test_no_tails_returns_the_witness_itself(extend):
     w = _isotropic_witness()
@@ -663,15 +677,15 @@ def test_extend_decides_at_base_size_what_a_full_size_search_finds(
     ids=["purify", "partial"],
 )
 def test_extend_builds_the_purification_columns_once(tmp_path, monkeypatch, flags):
-    real = qstate._purification_columns
+    real = qstate._purification
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr("witness_forge.extend._purification_columns", counted)
-    monkeypatch.setattr(qstate, "_purification_columns", counted)
+    monkeypatch.setattr("witness_forge.extend._purification", counted)
+    monkeypatch.setattr(qstate, "_purification", counted)
     wpath = _file(tmp_path, "w.json", _isotropic_witness())
     assert main(["extend", wpath, *flags, "-o", str(tmp_path / "x.json")]) == 0
     assert len(calls) == 1

@@ -19,7 +19,6 @@ from witness_forge.fileio import (
     _reject_constant,
     dumps_canonical,
     encode_matrix_obj,
-    matrix_file_text,
     parse_matrix_file,
     parse_matrix_obj,
     write_matrix_file,
@@ -50,9 +49,7 @@ def test_round_trip_is_byte_identical(tmp_path):
         path = tmp_path / f"obj{i}.json"
         write_matrix_file(obj, path)
         text = path.read_text()
-        again = matrix_file_text(parse_matrix_file(path))
-        assert again == text
-        # and stable under a second cycle through a fresh file
+        # the parsed object writes the same bytes to a fresh file
         path2 = tmp_path / f"obj{i}b.json"
         write_matrix_file(parse_matrix_file(path), path2)
         assert path2.read_text() == text
@@ -69,7 +66,8 @@ def test_negative_zero_round_trips(tmp_path):
     back = parse_matrix_file(path)
     parts = back.mat.mat.view(np.float64).ravel()
     assert np.signbit(parts).tolist() == [False, False, True, True, True, True, False, False]
-    assert matrix_file_text(back) == text
+    write_matrix_file(back, tmp_path / "back.json")
+    assert (tmp_path / "back.json").read_text() == text
 
 
 def test_parsed_objects_keep_their_content(tmp_path):
@@ -117,7 +115,7 @@ def test_canonical_float_formatting():
 
 
 def test_parse_rejects_structural_problems(tmp_path):
-    good = json.loads(matrix_file_text(isotropic(0.2)))
+    good = json.loads(dumps_canonical(encode_matrix_obj(isotropic(0.2))))
 
     def reject(mutate, match=None):
         doc = json.loads(json.dumps(good))
@@ -176,7 +174,7 @@ def _with_specials(rng: np.random.Generator, shape) -> np.ndarray:
     return arr
 
 
-def test_writer_matches_per_entry_rendering():
+def test_writer_matches_per_entry_rendering(tmp_path):
     rng = np.random.default_rng(5)
     for dims in ((2,), (2, 2), (2, 2, 2), (2, 2, 2, 2)):
         d = int(np.prod(dims))
@@ -195,7 +193,8 @@ def test_writer_matches_per_entry_rendering():
             purify_extend(make_witness(WitnessForm.C_MINUS_SIGMA, rho, 0.1, check="none")),
         ]
         for obj in objects:
-            assert matrix_file_text(obj) == _reference_file_text(obj)
+            write_matrix_file(obj, tmp_path / "obj.json")
+            assert (tmp_path / "obj.json").read_text() == _reference_file_text(obj)
 
 
 # -0.0, the smallest subnormal, +-max, both sides of the switch to exponent
@@ -314,15 +313,15 @@ def test_parse_rejects_nonfinite_and_bad_json(tmp_path):
 
 def test_parse_witness_consistency_check(tmp_path):
     w = make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3)
-    doc = json.loads(matrix_file_text(w))
+    doc = json.loads(dumps_canonical(encode_matrix_obj(w)))
     doc["data"][0][0] = [9.0, 0.0]  # tamper with the materialized matrix
     with pytest.raises(ParseError):
         parse_matrix_obj(doc)
-    doc2 = json.loads(matrix_file_text(w))
+    doc2 = json.loads(dumps_canonical(encode_matrix_obj(w)))
     doc2["form"] = "diagonal"
     with pytest.raises(ParseError):
         parse_matrix_obj(doc2)
-    doc3 = json.loads(matrix_file_text(w))
+    doc3 = json.loads(dumps_canonical(encode_matrix_obj(w)))
     doc3["c"] = True
     with pytest.raises(ParseError):
         parse_matrix_obj(doc3)
@@ -486,8 +485,8 @@ def _mutated_files(draw) -> str:
 @given(_mutated_files())
 @example("".join(_document(_PARITY_OBJECTS[0], None)))
 @example("".join(_document(_PARITY_OBJECTS[1], "data")))
-@example(json.dumps(json.loads(matrix_file_text(_PARITY_OBJECTS[0])), indent=4))
-@example(json.dumps(json.loads(matrix_file_text(_PARITY_OBJECTS[1])), indent=4))
+@example(json.dumps(json.loads(dumps_canonical(encode_matrix_obj(_PARITY_OBJECTS[0]))), indent=4))
+@example(json.dumps(json.loads(dumps_canonical(encode_matrix_obj(_PARITY_OBJECTS[1]))), indent=4))
 def test_reader_matches_plain_json(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("parity") / "m.json"
     path.write_text(text, encoding="utf-8")
@@ -523,7 +522,7 @@ def test_reader_matches_plain_json_on_near_misses(tmp_path, data):
 def test_reader_matches_plain_json_on_header_values(tmp_path, key, value):
     # an array of pairs is read flat only under data and sigma, so a header
     # check names the value as json gives it
-    doc = json.loads(matrix_file_text(_PARITY_OBJECTS[3]))
+    doc = json.loads(dumps_canonical(encode_matrix_obj(_PARITY_OBJECTS[3])))
     doc[key] = value
     path = tmp_path / "w.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -532,7 +531,7 @@ def test_reader_matches_plain_json_on_header_values(tmp_path, key, value):
 
 def test_reader_reads_c_with_json_number_grammar(tmp_path):
     # float() and the \d of a str pattern take any Unicode digit, json only ASCII ones
-    canonical = matrix_file_text(_PARITY_OBJECTS[3])
+    canonical = dumps_canonical(encode_matrix_obj(_PARITY_OBJECTS[3])) + "\n"
     text = canonical.replace('"c":0.90000000000000002', '"c":0.9\u0661')
     assert text != canonical
     path = tmp_path / "w.json"
@@ -551,7 +550,7 @@ def test_a_refused_file_is_read_once(tmp_path, monkeypatch):
             '{"version":"1","kind":"density","dims":[2],"normalized":false,"data":%s}' % data,
             encoding="utf-8",
         )
-    doc = json.loads(matrix_file_text(_PARITY_OBJECTS[3]))
+    doc = json.loads(dumps_canonical(encode_matrix_obj(_PARITY_OBJECTS[3])))
     doc["extra"] = [[1, 2]]  # an array of pairs under a header key
     paths.append(tmp_path / "w.json")
     paths[-1].write_text(json.dumps(doc), encoding="utf-8")
@@ -562,3 +561,30 @@ def test_a_refused_file_is_read_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio.json, "loads", read_again)
     assert [_outcome(parse_matrix_file, path) for path in paths] == expected
+
+
+def test_only_arrays_under_a_data_or_sigma_key_are_tried_flat(tmp_path, monkeypatch):
+    # the header arrays never reach the flat read; a data key spelled with an
+    # escape, or wide spacing before sigma's colon, is read by json instead
+    canonical = dumps_canonical(encode_matrix_obj(_PARITY_OBJECTS[4])) + "\n"
+    escaped = canonical.replace('"data":', '"d\\u0061ta":')
+    spaced = canonical.replace('"sigma":', '"sigma"' + " " * 100 + ":")
+    assert len({canonical, escaped, spaced}) == 3
+    real = fileio._flat_pairs
+    seen: list[str] = []
+
+    def spy(s, start, scan_whole):
+        seen.append(s[:start].rstrip(" :").rsplit('"', 2)[1])
+        return real(s, start, scan_whole)
+
+    monkeypatch.setattr(fileio, "_flat_pairs", spy)
+    outcomes, keys = {}, {}
+    for name, text in (("canonical", canonical), ("escaped", escaped), ("spaced", spaced)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        seen.clear()
+        outcomes[name] = _outcome(parse_matrix_file, path)
+        keys[name] = sorted(seen)
+    assert outcomes["canonical"][0] == "ok"
+    assert outcomes["escaped"] == outcomes["spaced"] == outcomes["canonical"]
+    assert keys == {"canonical": ["data", "sigma"], "escaped": ["sigma"], "spaced": ["data"]}

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 
-from witness_forge.fileio import matrix_file_text, parse_matrix_file
+from witness_forge.fileio import parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix, ComplexVector
 from witness_forge.qstate import DensityMatrix, PureState
 from witness_forge.witness import WitnessForm, make_witness
@@ -74,23 +74,25 @@ _EXPECTED_TEXT = {
 _EXPECTED_SHA256 = "38750b20488bf5b911a620c68a5c80e30987f1ae6bc1d09cba499c3608e22937"
 
 
-def test_small_files_have_the_pinned_text():
+def test_small_files_have_the_pinned_text(tmp_path):
     objects = _pinned_objects()
     for name, text in _EXPECTED_TEXT.items():
-        assert matrix_file_text(objects[name]) == text, name
+        write_matrix_file(objects[name], tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() == text.encode("ascii"), name
 
 
-def test_a_256_dim_witness_has_the_pinned_bytes():
-    text = matrix_file_text(_pinned_objects()["big"])
-    assert len(text) == 6_383_876
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == _EXPECTED_SHA256
+def test_a_256_dim_witness_has_the_pinned_bytes(tmp_path):
+    write_matrix_file(_pinned_objects()["big"], tmp_path / "big.json")
+    data = (tmp_path / "big.json").read_bytes()
+    assert len(data) == 6_383_876
+    assert hashlib.sha256(data).hexdigest() == _EXPECTED_SHA256
 
 
 def test_reading_a_256_dim_witness_peaks_below_3_5_times_its_size(tmp_path):
     # the text alone is 1x the file size; a Python list per [re, im] entry
     # of its two 256x256 arrays took the reader to about 4.1x
     path = tmp_path / "big.json"
-    path.write_text(matrix_file_text(_pinned_objects()["big"]))
+    write_matrix_file(_pinned_objects()["big"], path)
     size = path.stat().st_size
     tracemalloc.start()
     try:

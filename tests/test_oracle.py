@@ -172,29 +172,46 @@ def _point_by_point(m: ComplexMatrix, x: int, mode: str, resolution: int) -> dic
     return values
 
 
+def _split(dims: tuple[int, ...], x: int, resolution: int) -> tuple[int, int]:
+    """The blocks `oracle._scan_grid` runs at the current `_CHUNK`: the
+    last party's polar rows and the lead cells per block, each capped at
+    the number there are (one lead cell when there is no lead party)."""
+    *lead, last = [k for k in range(len(dims)) if k != x]
+    mag2, phase2 = oracle._grid_tables(dims[last], resolution)
+    n_pol, n_ph = mag2.shape[1], phase2.shape[1]
+    n_lead = oracle._grid_size(dims[lead[0]], resolution) if lead else 1
+    rows = n_pol if lead else max(1, oracle._CHUNK // n_ph)
+    lead_step = max(1, oracle._CHUNK // (min(rows, n_pol) * n_ph))
+    return min(rows, n_pol), min(lead_step, n_lead)
+
+
+# one block; blocks of a few polar rows, ragged at the end, or of two lead
+# cells at (2,2,2)@6; one polar row or lead cell a block. The one-point
+# grid of a d = 1 party has one split
 @pytest.mark.parametrize(
-    "dims, resolution",
+    "dims, resolution, chunks",
     [
-        ((2, 2), 8), ((2, 3), 7), ((3, 2), 6), ((3, 3), 7), ((2, 4), 8), ((2, 2, 2), 6), ((1, 3), 8),
-        ((4, 2), 8), ((3, 4), 7),
+        ((2, 2), 8, (1 << 16, 24, 7)), ((2, 3), 7, (1 << 16, 21, 7)), ((3, 2), 6, (1 << 16, 18, 7)),
+        ((3, 3), 7, (1 << 16, 100, 7)), ((2, 4), 8, (1 << 16, 24, 7)), ((2, 2, 2), 6, (1 << 16, 100, 7)),
+        ((1, 3), 8, (1 << 16,)), ((4, 2), 8, (1 << 16, 24, 7)), ((3, 4), 7, (1 << 16, 100, 7)),
     ],
 )
-def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, resolution):
+def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, resolution, chunks):
     # values, not indices: some grid points give the same ray (theta = pi
     # on a qubit at every phase), so the first best index is not unique
     m = _random_hermitian(np.random.default_rng(math.prod(dims) + resolution), dims)
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
     mt = m.mat.reshape(dims + dims)
+    splits = set()
     for mode, signed in (("max", mt), ("min", -mt)):  # a min is the max of -m
         values = _point_by_point(m, x, mode, resolution)
         best = max(values.values()) if mode == "max" else min(values.values())
-        # one block, lead blocks sharing one last-party block (100 at
-        # (2,2,2)@6), blocks of a few polar rows (100), one polar row a
-        # block (7 and 1, below any row's size)
-        for chunk in (1 << 16, 100, 7, 1):
+        for chunk in chunks:
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            splits.add(_split(dims, x, resolution))
             winner = oracle._scan_grid(signed, dims, x, resolution)
             assert abs(values[tuple(winner)] - best) <= 1e-12
+    assert len(splits) == len(chunks)  # no two chunks run the same blocks
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
@@ -874,19 +891,23 @@ def test_lead_cells_keep_the_fixed_order_winner(monkeypatch, kind, resolution):
     # the cells are visited best bound first and some are skipped, yet the
     # winner is the fixed-order scan's, ties included. The last qubit's
     # grid is one block at every _CHUNK, which sets the lead blocks: 62
-    # cells of it at 1 << 16 and resolution 32, one at 100, 7 and 1. Nothing
-    # is skipped on most tie inputs, so they run at the first two only
+    # cells of it at 1 << 16 and resolution 32 (58 at 33), three at
+    # 3 * 1,122 at both, one at 100. Nothing is skipped on most tie
+    # inputs, so they run at the first and last only
     if kind == "ties":
         inputs, chunks = _three_qubit_ties(), (1 << 16, 100)
     else:
         mt = _random_input(np.random.default_rng(97 + resolution), _THREE_QUBITS, kind)
-        inputs, chunks = [mt], (1 << 16, 100, 7, 1)
+        inputs, chunks = [mt], (1 << 16, 3 * 1_122, 100)
+    splits = set()
     for mt in inputs:
         for signed in (mt, -mt):
             for chunk in chunks:
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                splits.add(_split(_THREE_QUBITS, 2, resolution))
                 winner = oracle._scan_grid(signed, _THREE_QUBITS, 2, resolution)
                 assert winner == _fixed_order_scan(signed, _THREE_QUBITS, 2, resolution), chunk
+    assert len(splits) == len(chunks)  # no two chunks run the same blocks
 
 
 def test_lead_cell_operator_contracts_to_the_lead_row():

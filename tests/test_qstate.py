@@ -212,6 +212,10 @@ def test_partial_purify_rejects_bad_indices():
     pure = DensityMatrix(ComplexMatrix((2, 2), np.outer(bell, bell.conj())))
     with pytest.raises(SelectionOutOfRange):
         partial_purify(pure, PurificationSelection(((0, 0),), 1))  # zero eigenvalue
+    # every index is checked against the spectrum before any eigenvalue is:
+    # the first pair selects a zero eigenvalue, the second lies outside
+    with pytest.raises(SelectionOutOfRange, match="eigen-index 4 outside spectrum of size 4"):
+        partial_purify(pure, PurificationSelection(((0, 0), (4, 1)), 2))
 
 
 def test_projector_of_pure_state():
