@@ -26,10 +26,14 @@ products conj(f) (x) f, and its (R, d, d) operators go to one LAPACK
 `eigh` call, read from the lower triangle. A party's rows are rebuilt
 only when it is updated; stopped restarts leave the batch, and the
 restarts run in chunks sized so that every batch array stays within
-_BLOCK entries. One generator per search, default_rng([seed, 0]),
-draws every start (`_random_starts`): restart r takes row r of its
-normals, so a start depends neither on the restart count nor on the
-chunking, and restart 0 keeps the first draw of SeedSequence([seed, 0]).
+_BLOCK entries. Each restart of a chunk stops at a looser screen,
+SEESAW_SCREEN_TOL, and only the chunk's leader sweeps on to SEESAW_TOL:
+the see-saw converges linearly, and most of a restart's last sweeps
+would polish a copy of the chunk's winner. One generator per search,
+default_rng([seed, 0]), draws every start (`_random_starts`): restart r
+takes row r of its normals, so a start depends neither on the restart
+count nor on the chunking, and restart 0 keeps the first draw of
+SeedSequence([seed, 0]).
 With one party every restart's first update solves sigma itself, so
 only restart 0 runs.
 Only the winning factors get the canonical phase, and the reported value is their
@@ -68,6 +72,7 @@ from .linalg import PHASE_PIVOT_TOL, ComplexMatrix, ComplexVector, _lapack, _pha
 from .qstate import DensityMatrix
 
 SEESAW_TOL = 1e-12
+SEESAW_SCREEN_TOL = 1e-6
 SEESAW_MAX_ITERS = 500
 DEFAULT_RESTARTS = 32
 TOL_POS = 1e-8
@@ -113,8 +118,10 @@ class OptResult:
 
     `value` is the best expectation found and `extremizer` the product
     state achieving it (the argmax for the max variant, the argmin for
-    the min variant). `converged` reports whether every restart
-    stabilized within the iteration cap.
+    the min variant). `converged` reports whether, within the
+    SEESAW_MAX_ITERS cap, every restart met its stopping rule: each
+    chunk's leader SEESAW_TOL, and every other restart only the looser
+    SEESAW_SCREEN_TOL screen.
     """
 
     value: float
@@ -302,33 +309,28 @@ def _bloch_factors(rows: np.ndarray) -> np.ndarray:
     return v / np.hypot(lead, np.abs(off))[:, None]
 
 
-def _seesaw_run(
-    mt: np.ndarray, start: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
-    holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
-    in turn, each by one GEMM against `_bloch_operator(mt, k)`. A qubit
-    party is carried as its real Bloch rows (1, n), and its update is a
-    normalisation (`_bloch_top`); any other party keeps its complex
-    factors and their outer products, and its update is one LAPACK call
-    (`_extremal_factor`). A restart stops after its first sweep that
-    changes its objective by less than SEESAW_TOL, or after
-    SEESAW_MAX_ITERS sweeps (the module's value when the call starts);
-    stopped restarts leave the batch, their value and rows written back
-    only then. The returned qubit factors are the top eigenvectors of
-    (I + n.sigma)/2 (`_bloch_factors`).
-    Returns (values (R,), factors [(R, d_k)], converged (R,))."""
-    dims = mt.shape[: mt.ndim // 2]
-    ops = [_bloch_operator(mt, k) for k in range(len(dims))]
-    run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
-    val = _expectation(mt, run)
-    run = [_bloch_rows(f) if d == 2 else f for f, d in zip(run, dims)]
+def _sweeps(
+    ops: Sequence[np.ndarray],
+    dims: tuple[int, ...],
+    run: list[np.ndarray],
+    val: np.ndarray,
+    tol: float,
+    cap: int,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """See-saw sweeps of a batch at values `val`, `run` holding each
+    party's Bloch rows (qubits) or factors, against the parties'
+    `_bloch_operator`s `ops`. A restart stops after its first sweep that
+    changes its value by less than `tol`, or after `cap` sweeps; stopped
+    restarts leave the batch, their value and rows written back only
+    then. Returns (values, rows or factors per party, sweeps run, the
+    last sweep's |change|, inf where none ran)."""
     outs = [f if d == 2 else _outer(f) for f, d in zip(run, dims)]  # rebuilt on update
     ends = [np.empty_like(f) for f in run]  # the stopped restarts' rows or factors
     values = np.empty_like(val)
-    converged = np.zeros(val.shape, dtype=bool)
+    sweeps = np.full(val.shape, cap)
+    deltas = np.full(val.shape, np.inf)
     active = np.arange(val.size)
-    for _ in range(SEESAW_MAX_ITERS):
+    for sweep in range(1, cap + 1):
         prev = val
         for k, d in enumerate(dims):
             h = _contract(ops[k], outs[:k] + outs[k + 1 :], active.size)
@@ -337,11 +339,13 @@ def _seesaw_run(
             else:
                 val, run[k] = _extremal_factor(h.reshape(-1, d, d))
                 outs[k] = _outer(run[k])
-        done = np.abs(val - prev) < SEESAW_TOL
+        delta = np.abs(val - prev)
+        deltas[active] = delta
+        done = delta < tol
         if np.count_nonzero(done):
             stop, keep = active[done], ~done
             values[stop] = val[done]
-            converged[stop] = True
+            sweeps[stop] = sweep
             for e, f in zip(ends, run):
                 e[stop] = f[done]
             active, val = active[keep], val[keep]
@@ -352,6 +356,48 @@ def _seesaw_run(
     values[active] = val
     for e, f in zip(ends, run):
         e[active] = f
+    return values, ends, sweeps, deltas
+
+
+def _seesaw_run(
+    mt: np.ndarray, start: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Coordinate ascent on <mu|mt|mu> from R starts at once, `start`
+    holding one (R, d_k) array per party. A sweep updates parties 0, 1, ...
+    in turn, each by one GEMM against `_bloch_operator(mt, k)`. A qubit
+    party is carried as its real Bloch rows (1, n), and its update is a
+    normalisation (`_bloch_top`); any other party keeps its complex
+    factors and their outer products, and its update is one LAPACK call
+    (`_extremal_factor`). A restart leaves the batch after its first
+    sweep that changes its objective by less than SEESAW_SCREEN_TOL.
+    Then the leader, the first restart at the largest value, sweeps on
+    alone from its rows while its last sweep changed its value by
+    SEESAW_TOL or more, and stops at the first sweep that changes it by
+    less; the other restarts keep their screened values and rows. Every
+    restart stops after SEESAW_MAX_ITERS sweeps in all (the module's
+    values when the call starts). Every sweep before the screen stops a
+    restart moved it by SEESAW_SCREEN_TOL or more, so a batch of one
+    runs the sweeps of a plain SEESAW_TOL stop, bit for bit. The
+    returned qubit factors are the top eigenvectors of (I + n.sigma)/2
+    (`_bloch_factors`).
+    Returns (values (R,), factors [(R, d_k)], converged (R,)): a restart
+    converged when its last sweep within the cap met its stopping rule,
+    the screen for the others and SEESAW_TOL for the leader."""
+    dims = mt.shape[: mt.ndim // 2]
+    cap = SEESAW_MAX_ITERS
+    ops = [_bloch_operator(mt, k) for k in range(len(dims))]
+    run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
+    val = _expectation(mt, run)
+    run = [_bloch_rows(f) if d == 2 else f for f, d in zip(run, dims)]
+    values, ends, sweeps, deltas = _sweeps(ops, dims, run, val, SEESAW_SCREEN_TOL, cap)
+    converged = deltas < SEESAW_SCREEN_TOL
+    i = int(np.argmax(values))
+    if deltas[i] >= SEESAW_TOL:
+        lead = [e[[i]] for e in ends]
+        v, lead, _, last = _sweeps(ops, dims, lead, values[[i]], SEESAW_TOL, cap - sweeps[i])
+        values[i], converged[i] = v[0], last[0] < SEESAW_TOL
+        for e, f in zip(ends, lead):
+            e[i] = f[0]
     return values, [_bloch_factors(e) if d == 2 else e for e, d in zip(ends, dims)], converged
 
 

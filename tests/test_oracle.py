@@ -628,33 +628,37 @@ def _random_input(rng: np.random.Generator, dims: tuple[int, ...], kind: str) ->
 @pytest.mark.parametrize(
     "dims, resolution, chunks, kinds",
     [
-        ((2, 4), 32, (1 << 16, 100, 7, 1), _KINDS),
+        ((2, 4), 32, (1 << 16, 100, 7), _KINDS),
         ((2, 4), 33, (1 << 16, 100, 7), _KINDS),
         ((4, 2), 33, (1 << 16, 100, 7), _KINDS),
         ((2, 4), 64, (1 << 16, 100), _KINDS),
         ((4, 2), 64, (1 << 16, 100), _KINDS),
-        ((1, 4), 32, (1 << 16, 7, 1), _KINDS),
+        ((1, 4), 32, (1 << 16,), _KINDS),
         # the qutrit grid has 295,936 points at 32 and takes about 1 s
         # unpruned, so it runs in whole blocks on one kind
         ((3, 4), 32, (1 << 16,), ("hermitian",)),
         ((2, 4), 256, (1 << 16, 1 << 14), ("full", "hermitian")),
-        ((4, 1), 32, (1 << 16, 7, 1), _KINDS),
+        ((4, 1), 32, (1 << 16,), _KINDS),
     ],
 )
 def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, dims, resolution, chunks, kinds):
     # chunk 100 carries the best value across many blocks of a few polar
-    # rows, ragged at the end at resolution 33; chunks 7 and 1 give one
-    # polar row a block, of at most 32 points, and the one-point d = 1 grid,
-    # before or after the four-level party, is a block of one anchor
+    # rows, ragged at the end at resolution 33; chunk 7 (100 at 64) gives
+    # one polar row a block, of at most 32 points, and the one-point d = 1
+    # grid, before or after the four-level party, is a block of one anchor
+    # at every chunk
     rng = np.random.default_rng(math.prod(dims) * 1000 + resolution)
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
+    splits = set()
     for kind in kinds:
         mt = _random_input(rng, dims, kind)
         for signed in (mt, -mt):
             for chunk in chunks:
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                splits.add(_split(dims, x, resolution))
                 winner = oracle._scan_grid(signed, dims, x, resolution)
                 assert winner == _unpruned_scan(signed, dims, x, resolution), (kind, chunk)
+    assert len(splits) == len(chunks)  # no two chunks run the same blocks
 
 
 def test_pruned_scan_on_tied_grid_points(monkeypatch):

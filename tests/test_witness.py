@@ -25,6 +25,7 @@ from witness_forge.oracle import exhaustive_witness_check
 from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
     SEESAW_MAX_ITERS,
+    SEESAW_SCREEN_TOL,
     SEESAW_TOL,
     TOL_POS,
     Witness,
@@ -134,21 +135,32 @@ def test_seesaw_trajectory_is_monotone(monkeypatch):
     values, _, converged = _seesaw_run(mt, start)
     # every restart's objective after each party update, a stopped restart
     # keeping its last value: a restart leaves the batch after the first
-    # sweep that moves it by less than SEESAW_TOL
+    # sweep that moves it by less than SEESAW_SCREEN_TOL, and then the
+    # leader, if its last sweep moved it by SEESAW_TOL or more, sweeps on
+    # alone until one moves it by less than SEESAW_TOL
     traj = [witness._expectation(mt, start)]
     active = np.arange(start[0].shape[0])
+    last = np.full(active.shape, np.inf)  # each restart's last |change|
+    tol = SEESAW_SCREEN_TOL
     parties = len(start)
     for sweep in range(0, len(calls), parties):
+        if not active.size:
+            lead = int(np.argmax(traj[-1]))
+            assert tol == SEESAW_SCREEN_TOL and last[lead] >= SEESAW_TOL  # re-enters once
+            active, tol = np.array([lead]), SEESAW_TOL
         prev = traj[-1][active]
         for vals in calls[sweep : sweep + parties]:
             assert vals.shape == active.shape
             row = traj[-1].copy()
             row[active] = vals
             traj.append(row)
-        active = active[np.abs(traj[-1][active] - prev) >= SEESAW_TOL]
+        last[active] = np.abs(traj[-1][active] - prev)
+        active = active[last[active] >= tol]
     traj = np.array(traj)
     assert len(calls) % parties == 0
-    assert traj.shape[0] >= 2 and active.size == 0 and converged.all()
+    # this start's leader leaves the screen between SEESAW_TOL and the screen
+    assert tol == SEESAW_TOL and active.size == 0 and converged.all()
+    assert last[np.argmax(values)] < SEESAW_TOL
     assert np.all(traj[1:] >= traj[:-1] - 1e-14)
     np.testing.assert_array_equal(traj[-1], values)
 
@@ -344,24 +356,46 @@ def test_seesaw_makes_no_einsum_call(monkeypatch):
 
 
 def _serial_seesaw(
-    m: np.ndarray, start: list[np.ndarray], mode: str, max_iters: int
-) -> tuple[float, bool]:
-    """One restart at a time, as the see-saw ran before it was batched."""
+    m: np.ndarray, start: list[np.ndarray], mode: str, tol: float, max_iters: int
+) -> tuple[float, list[np.ndarray], int, float]:
+    """One restart at a time, as the see-saw ran before it was batched,
+    stopping at the first sweep that moves its value by less than `tol`:
+    (value, factors, sweeps run, the last sweep's |change|, inf if none)."""
     pick = -1 if mode == "max" else 0
     factors = list(start)
     mu = np.ones(1)
     for f in factors:
         mu = np.kron(mu, f)
     value = float((mu.conj() @ m @ mu).real)
-    for _ in range(max_iters):
+    delta = np.inf
+    for sweep in range(1, max_iters + 1):
         prev = value
         for k in range(len(factors)):
             vals, vecs = np.linalg.eigh(_operator_on(m, factors, k))
             factors[k] = vecs[:, pick]
             value = float(vals[pick])
-        if abs(value - prev) < SEESAW_TOL:
-            return value, True
-    return value, False
+        delta = abs(value - prev)
+        if delta < tol:
+            return value, factors, sweep, delta
+    return value, factors, max_iters, delta
+
+
+def _serial_screened(
+    m: np.ndarray, starts: list[list[np.ndarray]], mode: str, max_iters: int
+) -> tuple[list[float], list[bool]]:
+    """The batch's schedule one restart at a time: each stops at
+    SEESAW_SCREEN_TOL, then the leader, the first at the best value,
+    sweeps on to SEESAW_TOL within what is left of the cap if its last
+    sweep moved it by SEESAW_TOL or more."""
+    runs = [_serial_seesaw(m, s, mode, SEESAW_SCREEN_TOL, max_iters) for s in starts]
+    values = [r[0] for r in runs]
+    converged = [r[3] < SEESAW_SCREEN_TOL for r in runs]
+    i = int(np.argmax(values) if mode == "max" else np.argmin(values))
+    _, factors, sweeps, delta = runs[i]
+    if delta >= SEESAW_TOL:
+        value, _, _, delta = _serial_seesaw(m, factors, mode, SEESAW_TOL, max_iters - sweeps)
+        values[i], converged[i] = value, delta < SEESAW_TOL
+    return values, converged
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -383,10 +417,9 @@ def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, m
     with mock.patch.object(witness, "SEESAW_MAX_ITERS", max_iters):
         values, _, converged = _seesaw_run(sign * mt, batch)
     values *= sign
-    for r, start in enumerate(starts):
-        want, want_converged = _serial_seesaw(m.mat, start, mode, max_iters)
-        assert abs(values[r] - want) <= 1e-10
-        assert converged[r] == want_converged
+    want, want_converged = _serial_screened(m.mat, starts, mode, max_iters)
+    np.testing.assert_allclose(values, want, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(converged, want_converged)
     if max_iters != SEESAW_MAX_ITERS:
         return
     opt = max_product_expectation if mode == "max" else min_product_expectation
@@ -394,6 +427,71 @@ def test_batched_seesaw_matches_serial_loop(dims, matrix_seed, restarts, mode, m
     best = values.max() if mode == "max" else values.min()
     assert abs(res.value - best) <= 1e-10
     assert res.converged == bool(converged.all())
+
+
+def _ginibre(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    g = rng.standard_normal((d, 2 * rank)).view(np.complex128)
+    return g @ g.conj().T / np.linalg.norm(g) ** 2
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)],
+    ids=str,
+)
+def test_screened_search_matches_the_unscreened_one(dims):
+    # rank 2 and full Ginibre states, and 0.7 of a GHZ-like state mixed
+    # with a full one: stopping the losing restarts at the screen leaves
+    # the search no worse than by rounding, not by the screen's 1e-6,
+    # whether or not either search converged
+    d = math.prod(dims)
+    rng = np.random.default_rng(97 + d)
+    ghz = sum(np.eye(d)[np.ravel_multi_index((i,) * len(dims), dims)] for i in range(min(dims)))
+    ghz = np.outer(ghz, ghz) / min(dims)
+    for rho in (_ginibre(rng, d, d), _ginibre(rng, d, 2), 0.7 * ghz + 0.3 * _ginibre(rng, d, d)):
+        m = ComplexMatrix(dims, rho)
+        for sign, search in ((1, max_product_expectation), (-1, min_product_expectation)):
+            screened = search(m, 32, 0)
+            with mock.patch.object(witness, "SEESAW_SCREEN_TOL", SEESAW_TOL):
+                full = search(m, 32, 0)
+            assert sign * (screened.value - full.value) >= -1e-10, search.__name__
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (2, 2, 2)], ids=str)
+def test_one_restart_ignores_the_screen(dims):
+    # a batch of one ends where a plain SEESAW_TOL stop ends, bit for bit,
+    # whatever the screen; a batch of several does read it
+    m = _random_hermitian(np.random.default_rng(101 + sum(dims)), dims)
+    mt = m.mat.reshape(dims + dims)
+    start = _random_starts(np.random.default_rng([0, 0]), 4, dims)
+    one = [f[:1] for f in start]
+    runs = []
+    for screen in (SEESAW_SCREEN_TOL, 1.0):
+        with mock.patch.object(witness, "SEESAW_SCREEN_TOL", screen):
+            runs.append((_seesaw_run(mt, one), _seesaw_run(mt, start), max_product_expectation(m, 1, 0)))
+    (a, many_a, opt_a), (b, many_b, opt_b) = runs
+    for x, y in zip([a[0], *a[1], a[2]], [b[0], *b[1], b[2]]):
+        np.testing.assert_array_equal(x, y)
+    assert opt_a.value == opt_b.value and opt_a.converged == opt_b.converged
+    for f, g in zip(opt_a.extremizer.factors, opt_b.extremizer.factors):
+        np.testing.assert_array_equal(f.vec, g.vec)
+    assert not np.array_equal(many_a[0], many_b[0])
+
+
+def test_crawl_state_search_converges():
+    # 0.7|Phi_4><Phi_4| + 0.3 Ginibre on (4,4): under a per-restart stop at
+    # SEESAW_TOL, 17 of 32 restarts crawled to the cap. They now stop at
+    # the screen, the leader reaches SEESAW_TOL within the cap, and the
+    # value is no worse than the unscreened search's
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    phi = np.eye(4).reshape(16) / 2
+    rho = 0.7 * np.outer(phi, phi) + 0.3 * g @ g.conj().T / np.linalg.norm(g) ** 2
+    m = ComplexMatrix((4, 4), (rho + rho.conj().T) / 2)
+    res = max_product_expectation(m, 32, 0)
+    with mock.patch.object(witness, "SEESAW_SCREEN_TOL", SEESAW_TOL):
+        full = max_product_expectation(m, 32, 0)
+    assert res.converged and not full.converged
+    assert res.value >= full.value - 1e-10
 
 
 def test_single_party_bounds_are_extreme_eigenvalues():
@@ -543,13 +641,17 @@ def test_seesaw_update_cost_structure(monkeypatch):
     _seesaw_run(mt, _random_starts(np.random.default_rng([0, 0]), 32, (2, 3)))
     assert updates and len(lapack) == len(updates) == len(qubit)
     assert all(a.shape[1:] == (3, 3) for (a,) in lapack)
-    # one outer product per qudit update, plus one per party to start
+    # one outer product per qudit update, plus one per party to start and
+    # one per qudit party if the leader re-enters
+    runs = _count_calls(monkeypatch, witness, "_sweeps")
     for dims in [(2, 2, 2), (2, 3, 2, 2), (3, 2, 4)]:
         mt = _random_hermitian(np.random.default_rng(73), dims).mat.reshape(dims + dims)
         outer.clear()
         updates.clear()
+        runs.clear()
         _seesaw_run(mt, _random_starts(np.random.default_rng([0, 0]), 16, dims))
-        assert len(outer) == len(dims) + len(updates)
+        reentries = len(runs) - 1
+        assert len(outer) == len(dims) + len(updates) + reentries * sum(d != 2 for d in dims)
 
 
 def test_one_generator_draws_every_restart_start(monkeypatch):
