@@ -15,9 +15,12 @@ purification builds its projector by the gram route, sum_ij sqrt(l_i l_j)
 |e_i a_i><e_j a_j|, not as an outer product of the amplitude vector:
 the two agree to one ulp, but the gram route keeps entries exact when
 eigenvalues are exactly representable (for example I/2, whose purified
-projector then has entries exactly 1/2). A normalized tail needs no
-zero-lambda_max check: its trace is at least 1 - NORM_TOL, so its top
-eigenvalue is at least (1 - NORM_TOL)/dim >= 9.7e-4 for dim <= MAX_TOTAL_DIM.
+projector then has entries exactly 1/2). `_rank_one` then symmetrises
+that projector once, as it does a pure tail's, so every rank-one sigma'
+is Hermitian to the bit: a written file repeats the magnitudes of its
+mirrored entries, and the trace and extremes do not move. A normalized
+tail needs no zero-lambda_max check: its trace is at least 1 - NORM_TOL,
+so its top eigenvalue is at least (1 - NORM_TOL)/dim >= 9.7e-4 for dim <= MAX_TOTAL_DIM.
 
 Nothing here solves or searches a matrix the size of sigma'. Its
 extreme eigenvalues follow from the base: the (partial) purification
@@ -81,7 +84,15 @@ def _require_dual_form(w: Witness, op: str) -> None:
 
 def _rank_one(dims: tuple[int, ...], arr: np.ndarray, norm2: float) -> DensityMatrix:
     """The projector `arr` = |v><v| on `dims`, norm2 = ||v||^2: eigenvalues
-    norm2 and, in any dimension above 1, 0."""
+    norm2 and, in any dimension above 1, 0.
+
+    `arr` is symmetrised once, (arr + arr^+)/2, so the result is Hermitian
+    to the bit with an exactly real diagonal: a product leaves mirrored
+    entries up to a rounding apart, and a written file then repeats each
+    off-diagonal magnitude instead of carrying two. The real diagonal is
+    kept exactly, so the trace and the extremes do not move, and an
+    exact entry (1/2 in the purified projector of I/2) stays exact."""
+    arr = 0.5 * (arr + arr.conj().T)
     return _with_extremes(dims, arr, 0.0 if len(arr) > 1 else norm2, norm2)
 
 

@@ -12,7 +12,9 @@ one codec writes and reads whole. The writer is canonical: keys sorted,
 compact separators, every float at 17 significant digits, trailing
 newline; writing a parsed canonical file reproduces it byte for byte.
 The float parts of all the arrays of a document are rendered in one
-pass: each distinct magnitude is formatted once with `%.17g`, and a part
+pass: each distinct magnitude is formatted once with `%.17g` (the
+mirrored entries of a Hermitian matrix share their magnitudes, and a
+witness's `data` and `sigma` share their off-diagonal ones), and a part
 whose sign bit is set gets a `-` in front, as printf writes it (so -0.0
 is `-0`, which the reader reads back as -0.0). The results fill a
 template of [re, im] pairs nested once per axis, one row of a matrix at

@@ -242,6 +242,36 @@ def test_an_unwritable_output_wins_over_the_search_flags(capsys, tmp_path, monke
     assert report["error"]["message"].startswith(f"cannot write {out}: ")
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["directory", "file"])
+def test_an_output_without_write_permission_is_refused_before_any_file_is_read(
+    capsys, tmp_path, monkeypatch, existing
+):
+    # root passes the real check, so os.access refuses the directory, or the
+    # file when it exists
+    out = tmp_path / "w.json"
+    if existing:
+        out.write_text("")
+    denied = out if existing else tmp_path
+    real = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw: Path(p) != denied and real(p, mode, **kw))
+    _unreadable(monkeypatch)
+    code, report, _ = _run(capsys, *_SEARCHING["witness-make"], "-o", str(out))
+    assert code == 1
+    assert report["error"] == {
+        "message": f"cannot write {out}: permission denied", "type": "ParseError"
+    }
+    assert out.exists() == existing
+
+
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch, sq_file):
+    monkeypatch.setattr(sys, "argv", ["witness-forge", "spectral", sq_file])
+    code = main()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["command"] == ["spectral", sq_file]
+    assert report["results"]["rank"] == 4
+
+
 def test_extend_method_flags_are_checked_before_any_file_is_read(capsys, tmp_path, monkeypatch):
     _unreadable(monkeypatch)
     out = str(tmp_path / "out.json")

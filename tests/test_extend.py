@@ -24,6 +24,7 @@ from witness_forge.errors import (
     UnnormalizedTail,
 )
 from witness_forge.extend import (
+    _tensor,
     count_partial_purifications,
     detect_product_extension,
     enumerate_partial_purifications,
@@ -727,3 +728,78 @@ def test_verify_witness_searches_an_extension_at_base_size(
         assert verify_witness(ext, 4, 0).is_witness
         assert [m.dims for m in searched] == [b.dims for b in ext.blocks]
         assert all(m is b for m, b in zip(searched, ext.blocks))
+
+
+def _hermitian_density(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
+    """A random full-rank state whose matrix equals its conjugate transpose bit for bit."""
+    rho = _random_density(rng, dims).mat.mat
+    return DensityMatrix(ComplexMatrix(dims, 0.5 * (rho + rho.conj().T)))
+
+
+def _with_product_sigma(method: str, w: Witness, rng) -> tuple[Witness, DensityMatrix]:
+    """`method`'s extension of w, and its sigma' as the products build it,
+    before `_rank_one` symmetrises them."""
+    if method == "pure-tails":
+        tails = [_random_pure(rng, 3), _random_pure(rng, 2, 2)]
+        factors = []
+        for t in tails:
+            v = t.vec.vec
+            norm2 = float(np.vdot(v, v).real)
+            factors.append(qstate._with_extremes(t.dims, np.outer(v, v.conj()), 0.0, norm2))
+        return pure_tails_extend(w, tails), _tensor(w.sigma, factors)
+    if method == "purify":
+        sel = qstate._purifying_selection(w.sigma)
+        ext = purify_extend(w)
+    else:
+        sel = PurificationSelection(((8, 1), (6, 0), (1, 2)), 3)
+        ext = partial_purify_extend(w, sel)
+    lams, wmat = qstate._purification(w.sigma, sel)
+    proj = (wmat @ np.sqrt(np.outer(lams, lams))) @ wmat.conj().T
+    return ext, qstate._with_extremes(ext.dims, proj, 0.0, float(sum(lams)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("method", ["purify", "partial", "pure-tails"])
+def test_rank_one_extensions_are_hermitian_to_the_bit(method, seed):
+    # the purifications of a base built by a product, not symmetrised; pure
+    # tails of an exactly Hermitian base
+    rng = np.random.default_rng(seed)
+    base = (_hermitian_density if method == "pure-tails" else _random_density)(rng, (3, 3))
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.5, base)
+    ext, before = _with_product_sigma(method, w, rng)
+    s = ext.sigma.mat.mat
+    assert np.array_equal(s, s.conj().T)
+    assert not np.diagonal(s).imag.any()
+    # the trace and extremes of the product it replaces, and its entries to 1e-15
+    assert ext.sigma.mat.trace().real == before.mat.trace().real
+    assert (ext.sigma.normalized, ext.sigma.lambda_min, ext.sigma.lambda_max) == (
+        before.normalized, before.lambda_min, before.lambda_max
+    )
+    assert np.abs(s - before.mat.mat).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tensor_tails_of_a_hermitian_base_stay_hermitian_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.5, _hermitian_density(rng, (2, 3)))
+    for ext in (
+        mixed_tensor_extend(w, [_hermitian_density(rng, (2,)), _hermitian_density(rng, (3,))]),
+        identity_extend(w, [2, 3]),
+    ):
+        s = ext.sigma.mat.mat
+        assert np.array_equal(s, s.conj().T)
+
+
+def test_a_purified_witness_file_repeats_the_magnitudes_of_mirrored_entries(tmp_path):
+    # sigma' on (4,4,16), D = 256, is Hermitian to the bit: D(D-1) off-diagonal
+    # magnitudes shared by sigma and data = c*I - sigma, D diagonal entries
+    # in each, and 0; the unsymmetrised product carried about 89,500
+    rng = np.random.default_rng(0)
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.3, _random_density(rng, (4, 4)))
+    path = tmp_path / "wp.json"
+    write_matrix_file(purify_extend(w), path)
+    doc = json.loads(path.read_text())
+    parts = np.abs(np.array([doc["data"], doc["sigma"]], dtype=float))
+    n = 4 * 4 * 16
+    assert parts.shape == (2, n, n, 2)
+    assert np.unique(parts).size <= n * n + n + 1
