@@ -45,7 +45,8 @@ rows and columns (`_coordinate_operator`), the lead party's whole grid
 contracts it in one real GEMM, and each block is one more real GEMM
 giving the coordinates of the exact party's operators. Without a lead
 party, a block is as many whole polar rows of the last party as fit in
-_CHUNK = 8,192 points, so its working set stays a few MB; only a
+_CHUNK = 8,192 points (the rows that no cell test below skips, in
+ascending order), so its working set stays a few MB; only a
 qutrit's polar row, r**2 phase vectors, can exceed that: from resolution
 91 (8,281) up to 103 (10,609) a block is one polar row. With three
 qubits, a block is the last qubit's whole grid, at most 5,402 points at
@@ -58,17 +59,24 @@ value so far, so the winner is the one the full solve would pick
 closed forms and the LDL^H test write into a few arrays per block, not
 a new one per operation.
 
-With three qubits the scan skips whole lead cells. Lead point g's cell
-is the last qubit's whole grid at g, and every point of it is bounded by
-lambda_max(K_g), K_g the two-qubit operator that g leaves on the last
-and exact qubits. Cells are visited best bound first, by a LAPACK-free
-proxy read from tr K_g and ||K_g||_F, in windows that `_below` tests
-once each: a cell proven below the best value so far, less a pad that
-covers the rounding of K_g, of the block's GEMM and of the closed form,
-is skipped, GEMM and closed form both. The best value is kept with its
-key (lead index, last index), and a later block wins a tie only with a
-smaller key, so the winner is the point, and the value, that a scan
-without cells picks (`_scan_grid` derives the pad and the tie rule).
+Every scan skips whole cells. With three qubits, lead point g's cell is
+the last qubit's whole grid at g, and every point of it is bounded by
+lambda_max(K_g), K_g the two-qubit operator that g leaves on the last and
+exact qubits. With two parties, a cell is a polar row m of the gridded
+party, and every point of it is bounded by lambda_max(D_m) + sum_{k<l}
+m_k m_l w_kl, where D_m = sum_k m_k**2 S_kk comes from the operator's
+diagonal row pairs and w_kl from the Frobenius norms of its (k, l) pairs
+(`_row_cells`). Cells are visited best bound first, by a LAPACK-free
+proxy read from the trace and Frobenius norm of K_g or D_m plus the
+row's term, in windows that `_below` tests once each: a cell proven
+below the best value so far, less its term and a pad, is skipped, GEMM
+and closed form both. The pad covers the rounding of the bound, of the
+block's GEMM and of the exact party's value, the qutrit cubic's loss of
+about sqrt(u) near a doubly degenerate top included. The best value is
+kept with its key (cell, index in the cell), and a later block wins a tie
+only with a smaller key, so the winner is the point, and the value, that
+a scan without cells picks (`_scan_grid` derives the pad and the tie
+rule).
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ MIN_RESOLUTION = 32
 MAX_JOINT_GRID = 30_000_000
 _CHUNK = 1 << 13
 _ANCHOR_STRIDE = 32
-_WINDOW = 512  # most lead cells `_below` tests at once
+_WINDOW = 512  # most cells `_below` tests at once
 
 
 def _support_check(dims: tuple[int, ...], resolution: int) -> int:
@@ -250,11 +258,12 @@ def _grid_tables(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(mag2.T), np.ascontiguousarray(phase2.T)
 
 
-def _grid_rows(mag2: np.ndarray, phase2: np.ndarray, lo: int, hi: int | None) -> np.ndarray:
-    """Coordinate rows of conj(f) (x) f of the grid points in polar rows
-    lo..hi-1, in grid order, as the columns of a (d*d, n) array, from the
-    tables of `_grid_tables`."""
-    return (mag2[:, lo:hi, None] * phase2[:, None, :]).reshape(phase2.shape[0], -1)
+def _grid_rows(mag2: np.ndarray, phase2: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """Coordinate rows of conj(f) (x) f of the grid points in the polar
+    rows `rows` (a slice or an index array), row by row and each row in
+    phase order, as the columns of a (d*d, n) array, from the tables of
+    `_grid_tables`."""
+    return (mag2[:, rows, None] * phase2[:, None, :]).reshape(phase2.shape[0], -1)
 
 
 def _extremal_eigvals(c: np.ndarray) -> np.ndarray:
@@ -351,11 +360,13 @@ def _extremal_eigvals(c: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, _hermitian(c))[..., -1]
 
 
-def _below(c: np.ndarray, mu: float) -> np.ndarray:
+def _below(c: np.ndarray, mu: float | np.ndarray) -> np.ndarray:
     """True where lambda_max(H) < mu is proven, H the Hermitian matrix of
-    each column of a (d*d, n) coordinate array (`_hermitian`), d <= 4.
+    each column of a (d*d, n) coordinate array (`_hermitian`), d <= 4, and
+    mu one float or an (n,) array, a threshold per column.
 
-    The test is a floating-point LDL^H of B = A~ - tau I, with a shift in
+    Each column is tested on its own, against its own mu: the test is a
+    floating-point LDL^H of B = A~ - tau I, with a shift in
     Rump's style (S. M. Rump, BIT 46:433, 2006): A~ is mu I - H with its
     diagonal rounded, T the computed sum of the |A~_kk|, and tau =
     2**-47 T + 2**-1060, that is 64u T with u = 2**-53. It runs on the
@@ -481,24 +492,57 @@ def _lead_map() -> np.ndarray:
     return p
 
 
-def _cell_order(cells: np.ndarray) -> np.ndarray:
-    """Cell indices, largest first, of a LAPACK-free proxy for the top
-    eigenvalue of each 4x4 Hermitian matrix of a (16, n) coordinate array:
-    mean + sqrt(3) sd of its eigenvalues, read from tr K and ||K||_F (an
-    upper bound in exact arithmetic; Wolkowicz and Styan, Linear Algebra
-    Appl. 29:471, 1980). Ties keep index order."""
-    mean = cells[:4].sum(axis=0) / 4.0
-    frob = np.einsum("ij,ij->j", cells, cells) + np.einsum("ij,ij->j", cells[4:], cells[4:])
-    spread = np.sqrt(np.maximum(0.0, frob / 4.0 - mean * mean))
-    return np.argsort(-(mean + math.sqrt(3.0) * spread), kind="stable")
+def _frobenius2(c: np.ndarray) -> np.ndarray:
+    """||H||_F**2 of the Hermitian matrix H of each column of a (d*d, n)
+    coordinate array: the squares of its d diagonal coordinates plus twice
+    those of its off-diagonal ones."""
+    d = math.isqrt(c.shape[0])
+    return np.einsum("ij,ij->j", c, c) + np.einsum("ij,ij->j", c[d:], c[d:])
 
 
-def _cells_below(cells: np.ndarray, window: np.ndarray, best: float, a: float) -> np.ndarray:
-    """True where a lead cell of `window` is proven to hold no grid value of
-    `best` or more: `_below` proves lambda_max(K_g) < best - pad, K_g the
-    4x4 Hermitian of column g of the (16, n) coordinate array `cells`, and
-    a = max|op|, as in `_scan_grid`'s docstring, which derives the pad."""
-    return _below(cells[:, window], best - (2.0**-44 * (abs(best) + a) + 2.0**-530))
+def _row_cells(op: np.ndarray, mag2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of a two-party scan, one per polar row m of the gridded
+    party (dimension d, pairs k < l), from its (dx*dx, d*d) coordinate
+    operator `op` (`_coordinate_operator`) and its polar table `mag2`
+    (`_grid_tables`): the (dx*dx, n_pol) coordinates of D_m = sum_k m_k**2
+    S_kk and the (n_pol,) terms sum_{k<l} m_k m_l w_kl, where w_kl =
+    (||A_kl||_F**2 + ||B_kl||_F**2)**(1/2) and S_kk, A_kl = S_kl + S_lk and
+    B_kl = i(S_kl - S_lk) are the Hermitian matrices of op's columns.
+
+    A point of row m with phase differences Delta_kl has the operator D_m +
+    sum_{k<l} m_k m_l (cos Delta_kl A_kl + sin Delta_kl B_kl). By Weyl's
+    inequality and ||cos A + sin B||_2 <= (||A||_F**2 + ||B||_F**2)**(1/2),
+    its top eigenvalue is at most lambda_max(D_m) plus the row's term."""
+    d = math.isqrt(mag2.shape[0])
+    k = d * (d - 1) // 2
+    frob = _frobenius2(op)
+    w = np.sqrt(frob[d : d + k] + frob[d + k :])
+    return op[:, :d] @ mag2[:d], w @ mag2[d : d + k]
+
+
+def _cell_order(cells: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Cell indices, largest first, of a LAPACK-free proxy for each cell's
+    bound: the top eigenvalue of the d x d Hermitian matrix C of each
+    column of a (d*d, n) coordinate array, read as mean + sqrt(d - 1) sd
+    of its eigenvalues from tr C and ||C||_F (an upper bound in exact
+    arithmetic; Wolkowicz and Styan, Linear Algebra Appl. 29:471, 1980),
+    plus the cell's term. Ties keep index order."""
+    d = math.isqrt(cells.shape[0])
+    mean = cells[:d].sum(axis=0) / d
+    spread = np.sqrt(np.maximum(0.0, _frobenius2(cells) / d - mean * mean))
+    return np.argsort(-(mean + math.sqrt(d - 1) * spread + term), kind="stable")
+
+
+def _cells_below(
+    cells: np.ndarray, term: np.ndarray, window: np.ndarray, best: float, a: float, dx: int
+) -> np.ndarray:
+    """True where a cell of `window` is proven to hold no grid value of
+    `best` or more: `_below` proves lambda_max(C) < best - pad - term[i],
+    C the Hermitian matrix of column i of the coordinate array `cells`, a =
+    max|op| and dx the exact party's dimension, as in `_scan_grid`'s
+    docstring, which derives the pad."""
+    pad = (2.0**-16 if dx == 3 else 2.0**-40) * (abs(best) + a) + 2.0**-530
+    return _below(cells[:, window], best - pad - term[window])
 
 
 def _scan_grid(
@@ -515,38 +559,40 @@ def _scan_grid(
     one: the first of three qubits. Its whole grid (at most 5,402 points,
     at resolution 73) contracts the operator in one real GEMM, `op`, whose
     row g maps the last qubit's coordinate rows to the exact qubit's
-    coordinates. Without a lead party, a block is as many whole polar
-    rows of the last party as fit in _CHUNK = 8,192 points (one row if
-    none fits: a qutrit's r**2 phase vectors from resolution 91 on). With
-    one, a block is the last qubit's whole grid, below _CHUNK at every
-    supported resolution, times at most `lead_step` lead points, so the
-    block stays within _CHUNK. Each block is one real GEMM giving the
-    coordinates of party x's operators, coordinate axis first. For a
-    four-level `x`, LAPACK sees only a
-    block's anchors and the points that `_below` cannot place under the
-    best value so far (`_pruned_top_eigvals`).
+    coordinates. Each block is one real GEMM giving the coordinates of
+    party x's operators, coordinate axis first. For a four-level `x`,
+    LAPACK sees only a block's anchors and the points that `_below` cannot
+    place under the best value so far (`_pruned_top_eigvals`).
 
-    Lead cells (three qubits). Lead point g's cell is the whole last grid
-    at g. K_g, the two-qubit operator on (last (x) exact) that op[g]
-    contracts (`_lead_map`), gives op[g] @ rows(f) when contracted with a
-    last factor f, so lambda_max(K_g) bounds every point of cell g. The
-    cells are visited best proxy first (`_cell_order`), in windows: the
-    first is one block of `lead_step` cells, and each later one three
-    times as many cells as were visited before it, up to _WINDOW = 512,
-    so a scan makes a few tests, not one per block. `_cells_below` tests
-    each window once, against the best value so far, less a pad; a
-    proven cell is skipped, GEMM and closed form both, and the survivors
-    run in blocks of at most `lead_step` cells, each in ascending index
-    order. Testing every unvisited cell after each block instead would
-    be quadratic in the cells.
+    Cells. Every scan splits its grid into cells, each with a bound
+    lambda_max(C) + t on every grid value in it, C Hermitian and t >= 0:
+    - with three qubits, lead point g's cell is the whole last grid at g.
+      K_g, the two-qubit operator on (last (x) exact) that op[g]
+      contracts (`_lead_map`), gives op[g] @ rows(f) when contracted with
+      a last factor f, so C = K_g and t = 0;
+    - with two parties, a cell is a polar row m of the gridded party, its
+      r**(d-1) phase vectors, and C = D_m and t come from `_row_cells`.
+    The cells are visited best proxy first (`_cell_order`), in windows:
+    the first is one block, and each later one three times as many cells
+    as were visited before it, up to _WINDOW = 512, so a scan makes a few
+    tests, not one per block. `_cells_below` tests each window once,
+    against the best value so far less a pad and each cell's t; a proven
+    cell is skipped, GEMM and closed form both, and the survivors run in
+    blocks of max(1, _CHUNK // points) cells, `points` a cell's size, each
+    in ascending index order. A block thus holds at most _CHUNK = 8,192
+    points, or one cell that is larger alone: a qutrit's polar row of r**2
+    phase vectors from resolution 91 on. Testing every unvisited cell after
+    each block instead would be quadratic in the cells.
 
     The pad. Let u = 2**-53, a = max|op| after the power-of-two scaling,
-    and H_j the 2x2 Hermitian matrix of column j of op[g], ||H_j||_2 <=
-    sqrt(6) a. A table row q^ lies within 8u, entrywise, of the coordinate
-    row q of a unit vector f at the grid's float angles: each entry is a
-    product of cos, sin and the phase's cos and sin, each within an ulp,
-    and two roundings (tests pin the rows at 8u of the float factors'
-    outer products). Then, on the exact products,
+    and H_j the Hermitian matrix of column j of op[g] (three qubits) or of
+    op (two parties). A table entry is a product of cos, sin and the
+    phase's cos and sin, each within an ulp, and two roundings, so a
+    table row q^ lies within 8u, entrywise, of the coordinate row q of a
+    unit vector f at the grid's float angles (tests pin the rows at 8u of
+    the float factors' outer products).
+
+    Lead cells, where ||H_j||_2 <= sqrt(6) a. On the exact products,
     - lambda_max(sum_j q^_j H_j) <= lambda_max(sum_j q_j H_j) + 4 (8u)
       sqrt(6) a <= lambda_max(K_g) + 79u a, since sum_j q_j H_j is K_g
       contracted with f;
@@ -561,21 +607,69 @@ def _scan_grid(
     - K_g as built (`_lead_map`) is within 2 sqrt(2) u a <= 3u a of the
       exact one in norm, and the other underflows stay below 2**-1070.
     So a computed grid value in cell g is at most lambda_max(K_g) + 118u a
-    + 2**-536. `_below` proves lambda_max(K_g) < mu, where mu = best - pad
-    rounded is within u(|best| + pad) of best - pad; with pad = 2**-44
-    (|best| + a) + 2**-530, 512u (|best| + a) covers 118u a + u|best| + u
-    pad, so every skipped grid value is strictly below the best value so
+    + 2**-536.
+
+    Polar rows, with the gridded party's dimension d and the exact
+    party's dx, both at most 4, and m_k**2 and m_k m_l the entries of the
+    row's polar table. Then ||H_j||_F <= sqrt(dx (2dx - 1)) a <= sqrt(28)
+    a, q^ holds m_k**2 exactly (the phase entry is 1), sum_k m_k**2 <= 1 +
+    16u, each pair (m_k m_l c^, m_k m_l s^) of q^ has c^**2 + s^**2 <= (1 +
+    9u)**2, and sum_j |q^_j| <= 1 + sqrt(2) (d - 1)/2 + 48u <= 3.2. So
+    - sum_j q^_j H_j is D_m plus the pairs' m_k m_l (c^ A_kl + s^ B_kl),
+      and its top eigenvalue is at most lambda_max(D_m) + (1 + 9u) sum
+      m_k m_l w_kl (`_row_cells`);
+    - the computed term t^ (sums of at most 32 nonnegative squares, a
+      root, a sum of at most 6 nonnegative products) is at least (1 - 26u)
+      times the exact one, and t^ <= 1.5 sqrt(56) a (1 + 26u) <= 11.3a, so
+      that sum is at most t^ + 410u a;
+    - D_m as computed (a GEMM of d terms, their weights summing to at most
+      1 + 16u) is within sqrt(28) 4.1u a <= 22u a of the exact one in norm;
+    - the block's GEMM of d**2 <= 16 terms moves each coordinate by at
+      most gamma_16 3.2a <= 52u a, the matrix by at most sqrt(28) 52u a <=
+      276u a in norm, and the computed matrix H^ has ||H^||_F <= N =
+      3.2 sqrt(28) a (1 + 52u) <= 17a, or N <= 2.42 sqrt(15) a <= 9.4a at
+      dx = 3, where d <= 3;
+    - a computed top eigenvalue exceeds lambda_max(H^) by at most 10u C
+      <= 33u a + 2**-536 for the d = 2 squares, with C <= 3.2a (1 + 52u)
+      as above; by at most 16 eps N <= 544u a from LAPACK (eps = 2**-52,
+      a generous constant for its backward error at order 4 or 1, as in
+      `_pruned_top_eigvals`); and by at most 20 sqrt(u) N <= 2**-18 a for
+      the qutrit cubic. Its angle is arccos r, r = det(B)/2, B = (H^ -
+      qI)/p. To first order, q and p carry errors of a few u N, which the
+      division by p makes 24u N/p + 5u on each entry of B; the cofactors
+      of B are at most ||B||_F**2/2 = 3 and perm|B| <= 6**(3/2), so the
+      computed r moves by delta <= 324u N/p + 141u. arccos moves by at
+      most pi (delta/2)**(1/2), and 2p cos(angle/3) by at most 2p/3 times
+      that, (2 pi/3) (u (162 N p + 71 p**2))**(1/2) <= 19 sqrt(u) N as p
+      <= N/sqrt(6); the other roundings add a few u N. This is the loss
+      of about sqrt(u) at a doubly degenerate top, where r = -1: on I/3
+      (x) P, P a rank-two projector in a random basis of the exact qutrit,
+      the computed values of a (3,3) grid at resolution 32 exceed their
+      rows' bound, which is their exact value, by up to 8e-9 of it (four
+      random bases), and a pad of 2**-40 moves the winner. Elsewhere the
+      cubic is within a few ulps.
+    So a computed grid value in row m is at most lambda_max(D_m^) + t^ +
+    708u a plus the last bullet's excess, D_m^ as computed.
+
+    `_below` proves lambda_max(C) < mu, where mu is best - pad - t rounded
+    twice, within 2u (|best| + pad + t) <= 2u (|best| + pad) + 23u a of
+    its exact value (t = 0 in a lead cell). With pad = 2**-40 (|best| + a)
+    + 2**-530, 8192u (|best| + a) covers both 118u a + 2u (|best| + pad)
+    and 708u a + 544u a + 2u (|best| + pad) + 23u a; at a qutrit exact
+    party, pad = 2**-16 (|best| + a) + 2**-530 covers 2**-18 a and the
+    rest. So every skipped grid value is strictly below the best value so
     far. The pad is needed: on I/8, one grid value is 0.5000000000000001
     while lambda_max(K_g) = 0.5.
 
-    The winner. The best value so far is kept with its key (lead index,
-    last index), the order in which a scan without cells visits the
-    points, and a block wins on a larger value, or on an equal one with a
-    smaller key. A block's rows ascend, so its first largest value has
-    its smallest key; a skipped cell lies strictly below the best value,
-    which only grows, so it never holds a tie. So the winner is the first
-    largest point of the scan without cells, as a point's value does not
-    depend on the block it runs in.
+    The winner. The best value so far is kept with its key (cell, index
+    in the cell): (lead index, last index) with three qubits, (polar row,
+    phase index) with two parties, the order in which a scan without
+    cells visits the points. A block wins on a larger value, or on an
+    equal one with a smaller key. A block's cells ascend, so its first
+    largest value has its smallest key; a skipped cell lies strictly
+    below the best value, which only grows, so it never holds a tie. So
+    the winner is the first largest point of the scan without cells, as
+    a point's value does not depend on the block it runs in.
     """
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
@@ -589,43 +683,48 @@ def _scan_grid(
     dx = dims[x]
     n_last = dims[last] ** 2
     op = _coordinate_operator(mt, x).reshape(dx * dx, -1, n_last).transpose(1, 0, 2)
-    if lead:
-        lead_rows = _grid_rows(*_grid_tables(dims[lead[0]], resolution), 0, None)
-        op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
-        cells = _lead_map() @ op.reshape(-1, 16).T  # K_g's coordinates, (16, n)
-        order = _cell_order(cells)
-        a = float(np.abs(op).max())
-    else:
-        order = np.zeros(1, dtype=np.intp)
     mag2, phase2 = _grid_tables(dims[last], resolution)
-    n_pol, n_ph = mag2.shape[1], phase2.shape[1]
-    rows = n_pol if lead else max(1, _CHUNK // n_ph)
-    lead_step = max(1, _CHUNK // (min(rows, n_pol) * n_ph))
-    best_val, best_key = -np.inf, (order.size,)  # a key past every point
-    for lo in range(0, n_pol, rows):
-        q = _grid_rows(mag2, phase2, lo, lo + rows)
-        done = 0
-        while done < order.size:
-            window = order[done : done + max(lead_step, min(3 * done, _WINDOW))]
-            done += window.size
-            if lead and best_val > -np.inf:
-                window = window[~_cells_below(cells, window, best_val, a)]
-            window = np.sort(window)
-            block_op, cell = op[window], window.tolist()
-            for start in range(0, len(cell), lead_step):
-                c = (block_op[start : start + lead_step] @ q).transpose(1, 0, 2)
-                if dx == 4:
-                    lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
-                else:
-                    lam = _extremal_eigvals(c).ravel()
-                j = int(lam.argmax())
-                if lam[j] >= best_val:
-                    i_lead, i_last = divmod(j, q.shape[1])
-                    key = (cell[start + i_lead], lo * n_ph + i_last)
-                    if lam[j] > best_val or key < best_key:
-                        best_val, best_key = lam[j], key
-    best_lead, best_last = best_key
-    return ([best_lead] if lead else []) + [best_last]
+    if lead:
+        lead_rows = _grid_rows(*_grid_tables(dims[lead[0]], resolution), slice(None))
+        op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
+        cells, term = _lead_map() @ op.reshape(-1, 16).T, np.zeros(op.shape[0])
+        q = _grid_rows(mag2, phase2, slice(None))
+        points = q.shape[1]
+
+        def coordinates(block: np.ndarray) -> np.ndarray:  # lead cells x the last grid
+            return (op[block] @ q).transpose(1, 0, 2)
+    else:
+        cells, term = _row_cells(op[0], mag2)
+        points = phase2.shape[1]
+
+        def coordinates(block: np.ndarray) -> np.ndarray:  # polar rows x their phases
+            return (op[0] @ _grid_rows(mag2, phase2, block)).reshape(dx * dx, block.size, points)
+    order = _cell_order(cells, term)
+    a = float(np.abs(op).max())
+    step = max(1, _CHUNK // points)
+    best_val, best_key = -np.inf, (order.size, 0)  # a key past every point
+    done = 0
+    while done < order.size:
+        window = order[done : done + max(step, min(3 * done, _WINDOW))]
+        done += window.size
+        if best_val > -np.inf:
+            window = window[~_cells_below(cells, term, window, best_val, a, dx)]
+        window = np.sort(window)
+        for start in range(0, window.size, step):
+            block = window[start : start + step]
+            c = coordinates(block)
+            if dx == 4:
+                lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
+            else:
+                lam = _extremal_eigvals(c).ravel()
+            j = int(lam.argmax())
+            if lam[j] >= best_val:
+                i_cell, i_point = divmod(j, points)
+                key = (int(block[i_cell]), i_point)
+                if lam[j] > best_val or key < best_key:
+                    best_val, best_key = lam[j], key
+    cell, point = best_key
+    return [cell, point] if lead else [cell * points + point]
 
 
 def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductState]:
