@@ -39,15 +39,17 @@ d*d real vector [h_kk; Re h_kl; Im h_kl], k < l (`_coords`). The outer
 product conj(f) (x) f of a grid factor then splits into a real polar row
 (m_k**2, m_k m_l, m_k m_l) times a real phase row (1, cos(phi_l - phi_k),
 sin(phi_l - phi_k)), so each gridded party's two tables are built once
-per scan (`_grid_tables`) and a block's rows are one broadcast product
-of them. The operator is mapped to these coordinates once per scan,
+per scan (`_grid_tables`) and a block's rows are one entrywise product
+of them: a broadcast one, or with two parties one of the two tables'
+columns gathered at the points a box test leaves. The operator is mapped to these coordinates once per scan,
 rows and columns (`_coordinate_operator`), the lead party's whole grid
 contracts it in one real GEMM, and each block is one more real GEMM
 giving the coordinates of the exact party's operators. Without a lead
 party, a block is as many whole polar rows of the last party as fit in
 _CHUNK = 8,192 points (the rows that no cell test below skips, in
-ascending order), so its working set stays a few MB; only a
-qutrit's polar row, r**2 phase vectors, can exceed that: from resolution
+ascending order, less their phase boxes that a box test skips), so its
+working set stays a few MB; only a qutrit's polar row, r**2 phase
+vectors, can exceed that: from resolution
 91 (8,281) up to 103 (10,609) a block is one polar row. With three
 qubits, a block is the last qubit's whole grid, at most 5,402 points at
 resolution 73, times as many lead points as fit in _CHUNK. The top
@@ -70,13 +72,19 @@ diagonal row pairs and w_kl from the Frobenius norms of its (k, l) pairs
 proxy read from the trace and Frobenius norm of K_g or D_m plus the
 row's term, in windows that `_below` tests once each: a cell proven
 below the best value so far, less its term and a pad, is skipped, GEMM
-and closed form both. The pad covers the rounding of the bound, of the
-block's GEMM and of the exact party's value, the qutrit cubic's loss of
-about sqrt(u) near a doubly degenerate top included. The best value is
-kept with its key (cell, index in the cell), and a later block wins a tie
-only with a smaller key, so the winner is the point, and the value, that
-a scan without cells picks (`_scan_grid` derives the pad and the tie
-rule).
+and closed form both. With two parties, the rows left are split once
+more, into phase boxes of about four grid phases (`_phase_boxes`): box
+b's points are bounded by lambda_max(C_b) + sum_{k<l} m_k m_l 2
+sin(delta_kl/2) w_kl, C_b the operator at the box's centre phases and
+delta_kl the pair's largest phase deviation from them (`_box_cells`),
+and one `_below` test per block skips every box proven below the best
+value less its term and the pad. The pad covers the rounding of the
+bounds, of the block's GEMM and of the exact party's value, the qutrit
+cubic's loss of about sqrt(u) near a doubly degenerate top included. The
+best value is kept with its key, the grid index, and a later block wins
+a tie only with a smaller key, so the winner is the point, and the
+value, that a scan without cells picks (`_scan_grid` derives the pad
+and the tie rule).
 """
 
 from __future__ import annotations
@@ -106,6 +114,7 @@ MAX_JOINT_GRID = 30_000_000
 _CHUNK = 1 << 13
 _ANCHOR_STRIDE = 32
 _WINDOW = 512  # most cells `_below` tests at once
+_BOX = 4  # grid phases in a two-party scan's phase box
 
 
 def _support_check(dims: tuple[int, ...], resolution: int) -> int:
@@ -500,24 +509,84 @@ def _frobenius2(c: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", c, c) + np.einsum("ij,ij->j", c[d:], c[d:])
 
 
+def _pair_norms(op: np.ndarray, d: int) -> np.ndarray:
+    """w_kl = (||A_kl||_F**2 + ||B_kl||_F**2)**(1/2) for each pair k < l of
+    a d-level gridded party, A_kl = S_kl + S_lk and B_kl = i(S_kl - S_lk)
+    the Hermitian matrices of the (dx*dx, d*d) coordinate operator op's
+    pair columns (`_coordinate_operator`)."""
+    k = d * (d - 1) // 2
+    frob = _frobenius2(op)
+    return np.sqrt(frob[d : d + k] + frob[d + k :])
+
+
 def _row_cells(op: np.ndarray, mag2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells of a two-party scan, one per polar row m of the gridded
     party (dimension d, pairs k < l), from its (dx*dx, d*d) coordinate
     operator `op` (`_coordinate_operator`) and its polar table `mag2`
     (`_grid_tables`): the (dx*dx, n_pol) coordinates of D_m = sum_k m_k**2
-    S_kk and the (n_pol,) terms sum_{k<l} m_k m_l w_kl, where w_kl =
-    (||A_kl||_F**2 + ||B_kl||_F**2)**(1/2) and S_kk, A_kl = S_kl + S_lk and
-    B_kl = i(S_kl - S_lk) are the Hermitian matrices of op's columns.
+    S_kk and the (n_pol,) terms sum_{k<l} m_k m_l w_kl (`_pair_norms`),
+    S_kk the Hermitian matrices of op's diagonal columns.
 
     A point of row m with phase differences Delta_kl has the operator D_m +
     sum_{k<l} m_k m_l (cos Delta_kl A_kl + sin Delta_kl B_kl). By Weyl's
-    inequality and ||cos A + sin B||_2 <= (||A||_F**2 + ||B||_F**2)**(1/2),
-    its top eigenvalue is at most lambda_max(D_m) plus the row's term."""
+    inequality and ||x A + y B||_2 <= (x**2 + y**2)**(1/2) w_kl (Cauchy-
+    Schwarz on the Frobenius norm), its top eigenvalue is at most
+    lambda_max(D_m) plus the row's term."""
     d = math.isqrt(mag2.shape[0])
-    k = d * (d - 1) // 2
-    frob = _frobenius2(op)
-    w = np.sqrt(frob[d : d + k] + frob[d + k :])
-    return op[:, :d] @ mag2[:d], w @ mag2[d : d + k]
+    w = _pair_norms(op, d)
+    return op[:, :d] @ mag2[:d], w @ mag2[d : d + w.size]
+
+
+def _phase_boxes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boxes a d-level party's phase grid splits into: runs of _BOX
+    phases on a qubit's axis, squares of isqrt(_BOX) by isqrt(_BOX) on a
+    qutrit's two, the last on an axis shorter where the side does not
+    divide the resolution; d = 1 has one box of its one phase vector.
+
+    Returns the (d*d, n_box) phase rows (`_grid_tables`) at each box's
+    centre phases c, the (pairs, n_box) deviations 2 sin(delta_kl/2), with
+    delta_kl the largest distance of the pair's phase difference phi_l -
+    phi_k from c_l - c_k over the box's grid phases (the half-spans of
+    axes k and l, 0 for the real amplitude), and the (n_ph,) box of each
+    phase index. At _BOX = 4, delta_kl <= 3 pi/resolution, below pi as
+    `_box_cells` needs."""
+    r = resolution
+    side = _BOX if d == 2 else math.isqrt(_BOX)
+    lo = np.arange(0, r, side)
+    hi = np.minimum(lo + side, r)
+    shape = (lo.size,) * (d - 1)
+    n_box = lo.size ** (d - 1)
+    boxes = np.unravel_index(np.arange(n_box), shape) if d > 1 else ()
+    centre, reach = np.zeros((2, d, n_box))
+    for k in range(1, d):
+        centre[k] = (lo + hi - 1)[boxes[k - 1]] * (math.pi / r)
+        reach[k] = (hi - 1 - lo)[boxes[k - 1]] * (math.pi / r)
+    k, l = _triu(d)
+    diff = centre[l] - centre[k]
+    centre2 = np.concatenate([np.ones((d, n_box)), np.cos(diff), np.sin(diff)])
+    dev = 2.0 * np.sin((reach[k] + reach[l]) / 2.0)
+    if d == 1:
+        return centre2, dev, np.zeros(1, dtype=np.intp)
+    digits = np.unravel_index(np.arange(r ** (d - 1)), (r,) * (d - 1))
+    return centre2, dev, np.ravel_multi_index(tuple(j // side for j in digits), shape)
+
+
+def _box_cells(
+    op: np.ndarray, w: np.ndarray, mag2: np.ndarray, centre2: np.ndarray, dev: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the second level of a two-party scan, the phase boxes
+    (`_phase_boxes`) of the polar rows `rows`: the (dx*dx, rows, n_box)
+    coordinates of C_b = D_m + sum_{k<l} m_k m_l (cos c_kl A_kl + sin c_kl
+    B_kl), the operator at the box's centre phase differences c_kl, and the
+    (rows, n_box) terms t_b = sum_{k<l} m_k m_l 2 sin(delta_kl/2) w_kl.
+
+    A grid point of the box moves each pair's (cos, sin) by at most
+    |e^{i Delta} - e^{i c}| <= 2 sin(delta_kl/2) from the centre's, so by
+    Weyl's inequality and the bound of `_row_cells` its top eigenvalue is
+    at most lambda_max(C_b) + t_b."""
+    d = math.isqrt(mag2.shape[0])
+    cells = (op @ _grid_rows(mag2, centre2, rows)).reshape(op.shape[0], rows.size, -1)
+    return cells, (mag2[d : d + w.size, rows].T * w) @ dev
 
 
 def _cell_order(cells: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -534,13 +603,14 @@ def _cell_order(cells: np.ndarray, term: np.ndarray) -> np.ndarray:
 
 
 def _cells_below(
-    cells: np.ndarray, term: np.ndarray, window: np.ndarray, best: float, a: float, dx: int
+    cells: np.ndarray, term: np.ndarray, window: np.ndarray | slice, best: float, a: float, dx: int
 ) -> np.ndarray:
     """True where a cell of `window` is proven to hold no grid value of
     `best` or more: `_below` proves lambda_max(C) < best - pad - term[i],
-    C the Hermitian matrix of column i of the coordinate array `cells`, a =
-    max|op| and dx the exact party's dimension, as in `_scan_grid`'s
-    docstring, which derives the pad."""
+    C the Hermitian matrix of column i of the coordinate array `cells`
+    (a polar row's or lead point's; or, of a (dx*dx, rows, n_box) array,
+    box i = (row, box)), a = max|op| and dx the exact party's dimension,
+    as in `_scan_grid`'s docstring, which derives the pad."""
     pad = (2.0**-16 if dx == 3 else 2.0**-40) * (abs(best) + a) + 2.0**-530
     return _below(cells[:, window], best - pad - term[window])
 
@@ -554,7 +624,9 @@ def _scan_grid(
     Every party is carried in real Hermitian coordinates: the operator is
     mapped once per scan (`_coordinate_operator`), each gridded party's
     two real tables are built once per scan (`_grid_tables`), and a
-    block's coordinate rows are their broadcast product (`_grid_rows`).
+    block's coordinate rows are their entrywise product: broadcast
+    (`_grid_rows`) with three qubits, and with two parties gathered at the
+    points that the phase boxes below leave.
     `_support_check` leaves at most one lead party before the last gridded
     one: the first of three qubits. Its whole grid (at most 5,402 points,
     at resolution 73) contracts the operator in one real GEMM, `op`, whose
@@ -573,16 +645,32 @@ def _scan_grid(
     - with two parties, a cell is a polar row m of the gridded party, its
       r**(d-1) phase vectors, and C = D_m and t come from `_row_cells`.
     The cells are visited best proxy first (`_cell_order`), in windows:
-    the first is one block, and each later one three times as many cells
-    as were visited before it, up to _WINDOW = 512, so a scan makes a few
-    tests, not one per block. `_cells_below` tests each window once,
-    against the best value so far less a pad and each cell's t; a proven
-    cell is skipped, GEMM and closed form both, and the survivors run in
-    blocks of max(1, _CHUNK // points) cells, `points` a cell's size, each
-    in ascending index order. A block thus holds at most _CHUNK = 8,192
-    points, or one cell that is larger alone: a qutrit's polar row of r**2
-    phase vectors from resolution 91 on. Testing every unvisited cell after
-    each block instead would be quadratic in the cells.
+    the first is one cell, which sets a best value, and each later one
+    three times as many cells as were visited before it, at least one
+    block and at most _WINDOW = 512, so a scan makes a few tests, not one
+    per block. `_cells_below` tests each window once, against the best
+    value so far less a pad and each cell's t; a proven cell is skipped,
+    GEMM and closed form both, and the survivors run in blocks of max(1,
+    _CHUNK // points) cells, `points` a cell's size, each in ascending
+    index order. A block thus holds at most _CHUNK = 8,192 points, or one
+    cell that is larger alone: a qutrit's polar row of r**2 phase vectors
+    from resolution 91 on. Testing every unvisited cell after each block
+    instead would be quadratic in the cells.
+
+    Phase boxes. With two parties, a block's rows are split once more,
+    each into the phase boxes of `_phase_boxes`: runs of _BOX = 4 phases
+    of a qubit, 2 x 2 of a qutrit's two phases, shorter at the end of an
+    axis that the side does not divide. Box b of row m has the bound
+    lambda_max(C_b) + t_b of `_box_cells`, C_b the operator at the box's
+    centre phases and t_b = sum_{k<l} m_k m_l 2 sin(delta_kl/2) w_kl,
+    delta_kl the largest deviation of the pair's phase difference from
+    the centre's over the box. One `_cells_below` call tests all of a
+    block's boxes against the best value so far less the pad and each
+    box's t_b, and only the points of the boxes it cannot prove below
+    that value reach the GEMM and the exact party's solve, gathered in
+    index order. A block's first point at its largest value is thus its
+    smallest grid index there. A block with no best value before it, the
+    scan's first, runs whole.
 
     The pad. Let u = 2**-53, a = max|op| after the power-of-two scaling,
     and H_j the Hermitian matrix of column j of op[g] (three qubits) or of
@@ -651,25 +739,57 @@ def _scan_grid(
     So a computed grid value in row m is at most lambda_max(D_m^) + t^ +
     708u a plus the last bullet's excess, D_m^ as computed.
 
+    Phase boxes, in a polar row m as above. Let (c^, s^) be a grid
+    point's pair of q^ over m_k m_l, and (c~, s~) the same of the box's
+    centre row, from `_phase_boxes`' table times the polar table. Then
+    - (c^, s^) is within 8u of e^{i D^}, D^ the difference of the point's
+      float phases: cos and sin within an ulp each, an exact product at
+      k = 0 or a complex product of two such at k >= 1, and one rounding
+      by m_k m_l. D^ is within 51u of the exact 2 pi (j_l - j_k)/r, each
+      float phase below 2 pi carrying at most four roundings; that exact
+      difference is within delta_kl of the exact centre difference c; the
+      centre's float difference c^ is within 45u of c (three roundings of
+      each centre phase, one of their difference); and (c~, s~) is within
+      3u of e^{i c^}. So |(c^, s^) - (c~, s~)| <= 2 sin(delta_kl/2) + 107u,
+      and by the bound of `_box_cells`, sum_j q^_j H_j, which is C_b (from
+      the centre row as computed, exactly) plus the pairs' m_k m_l ((c^ -
+      c~) A_kl + (s^ - s~) B_kl), has top eigenvalue at most
+      lambda_max(C_b) + t_b + 107u sum m_k m_l w_kl <= lambda_max(C_b) +
+      t_b + 1210u a;
+    - at resolution 32 or more delta_kl <= 3 pi/32, so 2 sin(delta_kl/2)
+      <= 0.3 and t_b <= 3.4a; the computed t_b^ (w_kl as in the row's
+      term, then a product by m_k m_l, one by the computed 2 sin(delta/2),
+      at least (1 - 7u) times the exact one, and a sum of at most 3
+      nonnegative terms) is at least (1 - 37u) t_b, so t_b <= t_b^ + 126u
+      a;
+    - C_b's GEMM moves it by at most 276u a in norm, as the block's does,
+      its row's entries summing to at most 3.2 as well.
+    So a computed grid value in box b is at most lambda_max(C_b^) + t_b^
+    + 1888u a, with the block's GEMM, plus the last bullet's excess above,
+    C_b^ as computed.
+
     `_below` proves lambda_max(C) < mu, where mu is best - pad - t rounded
     twice, within 2u (|best| + pad + t) <= 2u (|best| + pad) + 23u a of
-    its exact value (t = 0 in a lead cell). With pad = 2**-40 (|best| + a)
-    + 2**-530, 8192u (|best| + a) covers both 118u a + 2u (|best| + pad)
-    and 708u a + 544u a + 2u (|best| + pad) + 23u a; at a qutrit exact
-    party, pad = 2**-16 (|best| + a) + 2**-530 covers 2**-18 a and the
-    rest. So every skipped grid value is strictly below the best value so
-    far. The pad is needed: on I/8, one grid value is 0.5000000000000001
-    while lambda_max(K_g) = 0.5.
+    its exact value (t = 0 in a lead cell, t <= 11.3a in a row and 3.4a
+    in a box). With pad = 2**-40 (|best| + a) + 2**-530, 8192u (|best| +
+    a) covers 118u a + 2u (|best| + pad), 708u a + 544u a + 2u (|best| +
+    pad) + 23u a and 1888u a + 544u a + 2u (|best| + pad) + 7u a; at a
+    qutrit exact party, pad = 2**-16 (|best| + a) + 2**-530 covers 2**-18
+    a and the rest. So every skipped grid value, of a cell or of a box, is
+    strictly below the best value so far, and the pad keeps its value.
+    The pad is needed: on I/8, one grid value is 0.5000000000000001 while
+    lambda_max(K_g) = 0.5.
 
-    The winner. The best value so far is kept with its key (cell, index
-    in the cell): (lead index, last index) with three qubits, (polar row,
-    phase index) with two parties, the order in which a scan without
-    cells visits the points. A block wins on a larger value, or on an
-    equal one with a smaller key. A block's cells ascend, so its first
-    largest value has its smallest key; a skipped cell lies strictly
-    below the best value, which only grows, so it never holds a tie. So
-    the winner is the first largest point of the scan without cells, as
-    a point's value does not depend on the block it runs in.
+    The winner. The best value so far is kept with its key, the grid
+    index: lead index * points + last index with three qubits, polar row
+    * points + phase index with two parties, the order in which a scan
+    without cells visits the points. A block wins on a larger value, or
+    on an equal one with a smaller key. A block's cells ascend, and its
+    points within a cell too, boxes or not, so its first largest value
+    has its smallest key; a skipped cell or box lies strictly below the
+    best value, which only grows, so it never holds a tie. So the winner
+    is the first largest point of the scan without cells, as a point's
+    value does not depend on the block it runs in.
     """
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
@@ -691,40 +811,55 @@ def _scan_grid(
         q = _grid_rows(mag2, phase2, slice(None))
         points = q.shape[1]
 
-        def coordinates(block: np.ndarray) -> np.ndarray:  # lead cells x the last grid
-            return (op[block] @ q).transpose(1, 0, 2)
+        def coordinates(block: np.ndarray, best: float) -> tuple[np.ndarray, None]:
+            return (op[block] @ q).transpose(1, 0, 2), None  # lead cells x the last grid
     else:
         cells, term = _row_cells(op[0], mag2)
         points = phase2.shape[1]
+        centre2, dev, box_of = _phase_boxes(dims[last], resolution)
+        w = _pair_norms(op[0], dims[last])
 
-        def coordinates(block: np.ndarray) -> np.ndarray:  # polar rows x their phases
-            return (op[0] @ _grid_rows(mag2, phase2, block)).reshape(dx * dx, block.size, points)
+        def coordinates(block: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
+            # the points of polar rows `block`, in index order, less those
+            # of boxes proven below best, and their positions in the block
+            keep = np.ones((block.size, centre2.shape[1]), dtype=bool)
+            if best > -np.inf:
+                box_cells, box_term = _box_cells(op[0], w, mag2, centre2, dev, block)
+                keep = ~_cells_below(box_cells, box_term, slice(None), best, a, dx)
+            at = np.flatnonzero(keep[:, box_of])
+            row, ph = np.divmod(at, points)
+            # gathered into C order: a GEMM on the gathers' own layout ran
+            # about twice as slow
+            q = np.take(mag2, block[row], axis=1, out=np.empty((mag2.shape[0], at.size)))
+            q *= np.take(phase2, ph, axis=1)
+            return op[0] @ q, at
     order = _cell_order(cells, term)
     a = float(np.abs(op).max())
     step = max(1, _CHUNK // points)
-    best_val, best_key = -np.inf, (order.size, 0)  # a key past every point
+    best_val, best_key = -np.inf, order.size * points  # a key past every point
     done = 0
     while done < order.size:
-        window = order[done : done + max(step, min(3 * done, _WINDOW))]
+        window = order[done : done + (max(step, min(3 * done, _WINDOW)) if done else 1)]
         done += window.size
         if best_val > -np.inf:
             window = window[~_cells_below(cells, term, window, best_val, a, dx)]
         window = np.sort(window)
         for start in range(0, window.size, step):
             block = window[start : start + step]
-            c = coordinates(block)
+            c, at = coordinates(block, best_val)
+            if not c.size:
+                continue
             if dx == 4:
                 lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
             else:
                 lam = _extremal_eigvals(c).ravel()
             j = int(lam.argmax())
             if lam[j] >= best_val:
-                i_cell, i_point = divmod(j, points)
-                key = (int(block[i_cell]), i_point)
+                i_cell, i_point = divmod(j if at is None else int(at[j]), points)
+                key = int(block[i_cell]) * points + i_point
                 if lam[j] > best_val or key < best_key:
                     best_val, best_key = lam[j], key
-    cell, point = best_key
-    return [cell, point] if lead else [cell * points + point]
+    return list(divmod(best_key, points)) if lead else [best_key]
 
 
 def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductState]:

@@ -219,20 +219,23 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
 def test_scan_batches_stay_within_one_block(monkeypatch, dims):
     # every grid point is either evaluated, in a block of at most _CHUNK
     # points, or lies in a cell proven below the best value (a lead
-    # point's last grid with three qubits, a polar row with two parties),
-    # whose points are skipped. Three qubits also run at _CHUNK = 100,
-    # below the last qubit's grid, which stays one block: a block is then
-    # one cell
+    # point's last grid with three qubits, a polar row with two parties)
+    # or in a phase box of a polar row so proven, whose points are
+    # skipped. Three qubits also run at _CHUNK = 100, below the last
+    # qubit's grid, which stays one block: a block is then one cell
     sizes, pruned = [], []
     solve, prove = oracle._extremal_eigvals, oracle._cells_below
+    *_, last = [k for k in range(len(dims)) if k != oracle._support_check(dims, 32)]
+    box_points = np.bincount(oracle._phase_boxes(dims[last], 32)[2])
 
     def record(c):  # (d*d, ...) coordinates
         sizes.append(math.prod(c.shape[1:]))
         return solve(c)
 
-    def record_pruned(*args):
-        proven = prove(*args)
-        pruned.append(int(proven.sum()))
+    def record_pruned(cells, term, window, best, a, dx):
+        proven = prove(cells, term, window, best, a, dx)
+        # a (rows, boxes) result is a block's boxes, a flat one cells
+        pruned.append(int((proven * box_points).sum()) if proven.ndim == 2 else int(proven.sum()) * points)
         return proven
 
     monkeypatch.setattr(oracle, "_extremal_eigvals", record)
@@ -244,10 +247,10 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         sizes.clear()
         pruned.clear()
-        grid_product_extremum(m, "max", 32)
         step, points = _split(dims, x, 32)
+        grid_product_extremum(m, "max", 32)
         assert max(sizes) <= step * points <= max(chunk, points)
-        assert sum(sizes) + sum(pruned) * points == grid
+        assert sum(sizes) + sum(pruned) == grid
         assert sum(pruned) > 0
 
 
@@ -1015,10 +1018,10 @@ def _two_party_inputs(rng: np.random.Generator, dims: tuple[int, int], x: int) -
 
 def _unproven_scan(monkeypatch, signed: np.ndarray, dims: tuple[int, ...], x: int, resolution: int) -> list[int]:
     """`oracle._scan_grid` with `_below` patched to prove nothing, so no
-    cell and no point is skipped, and the cells in index order: the
-    fixed-order unpruned scan."""
+    cell, no box and no point is skipped, and the cells in index order:
+    the fixed-order unpruned scan."""
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_below", lambda c, mu: np.zeros(c.shape[1], dtype=bool))
+        patched.setattr(oracle, "_below", lambda c, mu: np.zeros(c.shape[1:], dtype=bool))
         patched.setattr(oracle, "_cell_order", lambda cells, term: np.arange(cells.shape[1]))
         return oracle._scan_grid(signed, dims, x, resolution)
 
@@ -1029,30 +1032,32 @@ _QUBIT_ROWS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 4), (4, 1)]
 # a qubit's whole grid is one block, and so one window, that no cell test
 # sees, up to resolution 90, so its rows run at _CHUNK = 100: three rows a
 # block at 32. A qutrit's grid has 295,936 points at 32 and 4.5 M at 64,
-# and the unpruned scan solves (3,4)'s with LAPACK (about 1 s), so those
-# run on fewer kinds; `test_pruned_scan_matches_the_unpruned_scan` runs
-# (3,4) on a random Hermitian
+# and the unpruned scan solves (3,4)'s with LAPACK (about 0.6 s at 33, 9 s
+# at 64), so (3,4) runs at 33 on every kind and at 32 on I (x) P;
+# `test_pruned_scan_matches_the_unpruned_scan` runs (3,4) at 32 on a
+# random Hermitian
 @pytest.mark.parametrize(
     "dims, resolution, kinds, chunk",
     [(dims, r, None, 100) for dims in _QUBIT_ROWS for r in (32, 33, 64)]
-    + [((3, 3), 32, None, oracle._CHUNK), ((3, 3), 33, None, oracle._CHUNK),
-       ((3, 3), 64, ("hermitian", "I (x) P"), oracle._CHUNK), ((3, 4), 32, ("I (x) P",), oracle._CHUNK)],
+    + [((3, 3), r, None, oracle._CHUNK) for r in (32, 33, 64)]
+    + [((3, 4), 33, None, oracle._CHUNK), ((3, 4), 32, ("I (x) P",), oracle._CHUNK)],
 )
 def test_row_cells_keep_the_fixed_order_unpruned_winner(monkeypatch, dims, resolution, kinds, chunk):
-    # rows are visited best bound first and some are skipped, yet the
-    # winner is the fixed-order unpruned scan's, ties included. On I (x) P
-    # at a qutrit exact party the cubic's values exceed their rows' bound
-    # by up to 1e-8 of it, which a pad of 2**-40 does not cover: (3,3)
-    # then loses its winner at 32, 33 and 64
+    # rows are visited best bound first, some are skipped, and so are
+    # phase boxes of the rows that are not, yet the winner is the
+    # fixed-order unpruned scan's, ties included. On I (x) P at a qutrit
+    # exact party the cubic's values exceed their rows' bound by up to
+    # 1e-8 of it, which a pad of 2**-40 does not cover: (3,3) then loses
+    # its winner at 32, 33 and 64
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     x = oracle._support_check(dims, resolution)
     inputs = _two_party_inputs(np.random.default_rng(math.prod(dims) * 100 + resolution), dims, x)
-    proven = []
+    rows, boxes = [], []
     prove = oracle._cells_below
 
     def record(*args):
         below = prove(*args)
-        proven.append(int(below.sum()))
+        (boxes if below.ndim == 2 else rows).append(int(below.sum()))
         return below
 
     monkeypatch.setattr(oracle, "_cells_below", record)
@@ -1060,8 +1065,29 @@ def test_row_cells_keep_the_fixed_order_unpruned_winner(monkeypatch, dims, resol
         for signed in (inputs[kind], -inputs[kind]):
             winner = oracle._scan_grid(signed, dims, x, resolution)
             assert winner == _unproven_scan(monkeypatch, signed, dims, x, resolution), kind
-    # a d = 1 party's grid is one row, and I (x) P ties every row
-    assert sum(proven) > 0 or 1 in dims or kinds == ("I (x) P",)
+    # a d = 1 party's grid is one row of one box, and I (x) P ties every
+    # row; a box is tested only in a row that no cell test skipped
+    assert (sum(rows) > 0 and sum(boxes) > 0) or 1 in dims or kinds == ("I (x) P",)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3)])
+def test_unproven_scan_evaluates_every_grid_point(monkeypatch, dims):
+    # the winner-parity tests' reference skips no row, no phase box and,
+    # at a four-level exact party, no point: every grid point reaches the
+    # exact party's solve, once
+    x = oracle._support_check(dims, 32)
+    solve, sizes = oracle._extremal_eigvals, []
+
+    def record(c):
+        sizes.append(math.prod(c.shape[1:]))
+        return solve(c)
+
+    monkeypatch.setattr(oracle, "_extremal_eigvals", record)
+    mt = _random_input(np.random.default_rng(139), dims, "full")
+    for signed in (mt, -mt):
+        sizes.clear()
+        _unproven_scan(monkeypatch, signed, dims, x, 32)
+        assert sum(sizes) == oracle._grid_size(dims[1 - x], 32)
 
 
 def _row_values(mt: np.ndarray, dims: tuple[int, int], x: int, resolution: int, row: int) -> np.ndarray:
@@ -1116,7 +1142,8 @@ def test_pruned_rows_lie_below_the_incumbent(monkeypatch, scale):
 
     def record(cells, term, window, best, a, dx):
         below = prove(cells, term, window, best, a, dx)
-        skipped.extend((cells[:, i], term[i], i, best) for i in window[below])
+        if below.ndim == 1:  # rows; `test_pruned_boxes_lie_below_the_incumbent` takes boxes
+            skipped.extend((cells[:, i], term[i], i, best) for i in window[below])
         return below
 
     monkeypatch.setattr(oracle, "_cells_below", record)
@@ -1142,6 +1169,157 @@ def test_pruned_rows_lie_below_the_incumbent(monkeypatch, scale):
                     assert _exactly_positive_definite(_shifted_exactly(c, Fraction(best) - Fraction(t))), (dims, row)
                     closest = min(closest, (best - values.max()) / abs(best))
     assert closest < 1e-9
+
+
+def _box_bounds(signed: np.ndarray, dims: tuple[int, int], x: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_max(C_b) + t_b, by eigvalsh, of every phase box of every polar
+    row of the gridded party, (rows, boxes), and the box of each phase
+    index (`oracle._phase_boxes`)."""
+    d = dims[1 - x]
+    op = oracle._coordinate_operator(signed, x)
+    mag2, _ = oracle._grid_tables(d, resolution)
+    centre2, dev, box_of = oracle._phase_boxes(d, resolution)
+    cells, term = oracle._box_cells(op, oracle._pair_norms(op, d), mag2, centre2, dev, np.arange(mag2.shape[1]))
+    top = np.linalg.eigvalsh(oracle._hermitian(cells.reshape(cells.shape[0], -1)))[:, -1]
+    return top.reshape(term.shape) + term, box_of
+
+
+def test_phase_boxes_tile_every_phase_grid():
+    # boxes of _BOX phases on a qubit's axis and of 2 x 2 on a qutrit's,
+    # the last on an axis shorter where the side does not divide the
+    # resolution; d = 1 has one box of its one phase vector
+    for d, resolution, sizes in (
+        (2, 32, [4] * 8), (2, 33, [4] * 8 + [1]), (2, 103, [4] * 25 + [3]),
+        (3, 32, [4] * 256), (3, 33, ([4] * 16 + [2]) * 16 + [2] * 16 + [1]),
+        (1, 33, [1]),
+    ):
+        centre2, dev, box_of = oracle._phase_boxes(d, resolution)
+        assert box_of.shape == (resolution ** (d - 1),)
+        assert np.bincount(box_of).tolist() == sizes, (d, resolution)
+        assert centre2.shape == (d * d, len(sizes)) and dev.shape == (d * (d - 1) // 2, len(sizes))
+        assert np.all(dev >= 0) and np.all(dev < 2)
+
+
+@pytest.mark.parametrize("dims", [*_QUBIT_ROWS, (3, 3), (3, 4)])
+def test_box_bound_holds_every_grid_value_of_its_box(dims):
+    # lambda_max(C_b) + t_b is at least every grid value of box b, by
+    # eigvalsh point by point, up to their rounding, at a resolution that
+    # no box side divides: a qubit's last box holds one phase, a qutrit's
+    # last boxes one or two
+    resolution = 9
+    x = oracle._support_check(dims, 32)
+    for kind, mt in _two_party_inputs(np.random.default_rng(113 + math.prod(dims)), dims, x).items():
+        for signed in (mt, -mt):
+            bound, box_of = _box_bounds(signed, dims, x, resolution)
+            tol = 1e-14 * np.abs(signed).max()
+            for row in range(bound.shape[0]):
+                values = _row_values(signed, dims, x, resolution, row)
+                assert np.all(values <= bound[row, box_of] + tol), (kind, row)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
+def test_box_bound_holds_off_grid_phases_in_its_arc(dims, sign):
+    # the bound holds on the box's whole arc, every phase of each axis
+    # between the box's least and greatest grid phase on it, not only on
+    # its grid phases: random phases in each box's arc, at every polar
+    # row, give values below lambda_max(C_b) + t_b
+    resolution = 9
+    rng = np.random.default_rng(127 + math.prod(dims))
+    x = oracle._support_check(dims, 32)
+    g = 1 - x
+    d = dims[g]
+    spec = "pi,iajb,pj->pab" if g == 0 else "pi,aibj,pj->pab"
+    digits = np.unravel_index(np.arange(resolution ** (d - 1)), (resolution,) * (d - 1))
+    mag, _ = oracle._grid_axes(d, resolution)
+    for kind in ("hermitian", "full"):
+        mt = sign * _random_input(rng, dims, kind)
+        bound, box_of = _box_bounds(mt, dims, x, resolution)
+        tol = 1e-14 * np.abs(mt).max()
+        for b in range(bound.shape[1]):
+            ends = [(j[box_of == b].min(), j[box_of == b].max()) for j in digits]
+            phi = np.stack([rng.uniform(lo, hi, 16) for lo, hi in ends], axis=1) * (2 * math.pi / resolution)
+            phase = np.exp(1j * np.concatenate([np.zeros((16, 1)), phi], axis=1))
+            f = (mag[:, None, :] * phase[None]).reshape(-1, d)
+            values = np.linalg.eigvalsh(np.einsum(spec, f.conj(), mt, f))[:, -1].reshape(mag.shape[0], 16)
+            assert np.all(values <= bound[:, b, None] + tol), (kind, b)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_pruned_boxes_lie_below_the_incumbent(monkeypatch, scale):
+    # every grid value of a skipped phase box, point by point by eigvalsh
+    # and as the scan computes it, is below the incumbent it was skipped
+    # against, and an exact LDL^T confirms lambda_max(C_b) + t_b, the box's
+    # bound, below it. Near-scalar inputs have boxes skipped within 1e-9
+    # of the incumbent; at a qutrit exact party, whose pad covers the
+    # cubic's sqrt(u) loss, only the full-rank states have skipped boxes,
+    # and (3,3) runs at resolution 8, where they number 113 and 24, not
+    # the 40,000 and 57,000 of resolution 32
+    monkeypatch.setattr(oracle, "_CHUNK", 64)  # blocks of two qubit rows, or one qutrit row at 8
+    blocks, skipped = [], []
+    make, prove = oracle._box_cells, oracle._cells_below
+
+    def record_rows(op, w, mag2, centre2, dev, rows):
+        blocks.append(rows)
+        return make(op, w, mag2, centre2, dev, rows)
+
+    def record(cells, term, window, best, a, dx):
+        below = prove(cells, term, window, best, a, dx)
+        if below.ndim == 2:  # a block's boxes, of the rows last given to `_box_cells`
+            skipped.extend((cells[:, i, b], term[i, b], blocks[-1][i], b, best) for i, b in zip(*np.nonzero(below)))
+        return below
+
+    monkeypatch.setattr(oracle, "_box_cells", record_rows)
+    monkeypatch.setattr(oracle, "_cells_below", record)
+    rng = np.random.default_rng(131)
+    closest = 1.0
+    for dims, resolution in (((2, 2), 32), ((2, 3), 32), ((2, 4), 32), ((4, 2), 32), ((3, 3), 8)):
+        x = oracle._support_check(dims, 32)
+        mag2, phase2 = oracle._grid_tables(dims[1 - x], resolution)
+        box_of = oracle._phase_boxes(dims[1 - x], resolution)[2]
+        for mt in (_near_scalar_pair(rng, dims), _random_input(rng, dims, "full")):
+            for signed in (mt * scale, -mt * scale):
+                skipped.clear()
+                oracle._scan_grid(signed, dims, x, resolution)
+                assert skipped or (dims[x] == 3 and mt[0, 0, 0, 0] > 0.5), dims
+                _, e = math.frexp(float(np.abs(signed.view(np.float64)).max()))
+                scaled = np.ldexp(signed.view(np.float64), -e).view(np.complex128)  # as the scan runs
+                op = oracle._coordinate_operator(scaled, x)
+                values = {}
+                for c, t, row, b, best in skipped:
+                    phases = np.flatnonzero(box_of == b)
+                    computed = oracle._extremal_eigvals(op @ (mag2[:, [row]] * phase2[:, phases]))
+                    assert computed.max() < best, (dims, row, b)
+                    if row not in values:
+                        values[row] = _row_values(scaled, dims, x, resolution, row)
+                    top = values[row][phases].max()
+                    assert top < best, (dims, row, b)
+                    assert _exactly_positive_definite(_shifted_exactly(c, Fraction(best) - Fraction(t))), (dims, row, b)
+                    closest = min(closest, (best - top) / abs(best))
+    assert closest < 1e-9
+
+
+def test_boxes_send_few_points_to_the_exact_party_solve(monkeypatch):
+    # at min on full-rank states, polar rows alone left 90-95 % of a
+    # (2,4)@256 grid and 84-93 % of a (3,3)@32 Ginibre state's to the exact
+    # party's solve (twelve states each); with phase boxes 5-26 % and
+    # 6-32 % reach it, and these three states read 10, 7, 15 % and 32, 13,
+    # 22 %
+    for dims, resolution, share in (((2, 4), 256, 0.3), ((3, 3), 32, 0.4)):
+        x = oracle._support_check(dims, resolution)
+        name = "_pruned_top_eigvals" if dims[x] == 4 else "_extremal_eigvals"
+        solve, points = getattr(oracle, name), []
+
+        def record(c, *rest):
+            points.append(math.prod(c.shape[1:]))
+            return solve(c, *rest)
+
+        monkeypatch.setattr(oracle, name, record)
+        for seed in range(3):
+            mt = _random_input(np.random.default_rng(137 + seed), dims, "full")
+            points.clear()
+            oracle._scan_grid(-mt, dims, x, resolution)
+            assert sum(points) <= share * oracle._grid_size(dims[1 - x], resolution), (dims, seed)
 
 
 def _grid_max(signed: np.ndarray, dims: tuple[int, ...], resolution: int) -> float:
