@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
     cb.add_argument("input")
     cb.add_argument("--mode", required=True, choices=("min", "max"))
     cb.add_argument("--oracle", action="store_true")
-    cb.add_argument("--resolution", type=int, default=256)
+    cb.add_argument("--resolution", type=int, default=None)  # 256 with --oracle
 
     wm = sub.add_parser("witness-make", parents=[search],
                         help="build a witness from a density file")
@@ -176,12 +176,15 @@ def _cmd_spectral(args):
 
 
 def _cmd_cbounds(args):
+    if args.resolution is not None and not args.oracle:
+        raise ParseError("flag --resolution not valid without --oracle")
     obj = _require_kind(parse_matrix_file(args.input), ("density",), "cbounds input")
     oracle_value = None
     if args.oracle:
         oracle_mode = "max" if args.mode == "min" else "min"
+        resolution = 256 if args.resolution is None else args.resolution
         try:
-            oracle_value = grid_product_extremum(obj.mat, oracle_mode, args.resolution)
+            oracle_value = grid_product_extremum(obj.mat, oracle_mode, resolution)
         except UnsupportedDims as exc:
             print(f"cbounds: oracle skipped: {exc}", file=sys.stderr)
     opt = max_product_expectation if args.mode == "min" else min_product_expectation

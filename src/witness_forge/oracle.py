@@ -19,20 +19,23 @@ indices j with phi_j = 2*pi*j/resolution, giving the factor
 sin t_{d-1}), first amplitude real nonnegative (a global factor phase
 never changes the expectation). Only the polar steps t depend on d
 (`_polar_steps`, `_polar_angles`): a qubit's are the half-angles of
-theta_i = i*pi/resolution (i = 0..resolution), those of dimensions 3
-and 4 step on [0, pi/2] in resolution//2 steps, and d = 1 has the one
-factor (1). A factor is thus a real polar magnitude row times a phase
-vector (1, e^{i phi_1}, ...), and `_grid_axes` builds the two tables,
-one row per combination of the polar digits and of the phase digits.
-`_grid_factors` multiplies the rows of a grid index; the arithmetic is
-the per-point formula's, in the same order, so they match it bit for bit.
+theta_i = i*pi/resolution (i = 0..resolution), and those of dimensions 3
+and 4 step on [0, pi/2] in resolution//2 steps. A factor is thus a real
+polar magnitude row times a phase vector (1, e^{i phi_1}, ...), and
+`_grid_axes` builds the two tables, one row per combination of the polar
+digits and of the phase digits. `_grid_factors` multiplies the rows of a
+grid index; the arithmetic is the per-point formula's, in the same order,
+so they match it bit for bit.
 
-Supported: one or two parties of dimension <= 4, or three qubits, where
-the joint grid of the gridded parties fits MAX_JOINT_GRID (3e7 points);
-`_support_check` alone decides this, by arithmetic, before anything is
-built. (3,3) fits up to resolution 103, three qubits up to 73, and (4,4)
-at no allowed resolution (1.6e8 points at 32). So the scan has at most
-one lead party (three qubits) before the last gridded one.
+Parties of dimension 1 are dropped before anything else, their factor
+(1) put back in the winner, so a (2,1,2) input is scanned as (2,2); if
+every party is trivial, one is kept. Supported, then: one or two parties
+of dimension <= 4, or three qubits, where the joint grid of the gridded
+parties fits MAX_JOINT_GRID (3e7 points); `_support_check` alone decides
+this, by arithmetic, before anything is built. (3,3) fits up to
+resolution 103, three qubits up to 73, and (4,4) at no allowed
+resolution (1.6e8 points at 32). So the scan has at most one lead party
+(three qubits) before the last gridded one.
 
 The scan works in real Hermitian coordinates: a d x d Hermitian h is the
 d*d real vector [h_kk; Re h_kl; Im h_kl], k < l (`_coords`). The outer
@@ -41,50 +44,49 @@ product conj(f) (x) f of a grid factor then splits into a real polar row
 sin(phi_l - phi_k)), so each gridded party's two tables are built once
 per scan (`_grid_tables`) and a block's rows are one entrywise product
 of them: a broadcast one, or with two parties one of the two tables'
-columns gathered at the points a box test leaves. The operator is mapped to these coordinates once per scan,
-rows and columns (`_coordinate_operator`), the lead party's whole grid
-contracts it in one real GEMM, and each block is one more real GEMM
-giving the coordinates of the exact party's operators. Without a lead
-party, a block is as many whole polar rows of the last party as fit in
-_CHUNK = 8,192 points (the rows that no cell test below skips, in
-ascending order, less their phase boxes that a box test skips), so its
-working set stays a few MB; only a qutrit's polar row, r**2 phase
-vectors, can exceed that: from resolution
+columns gathered at the points a box test leaves. The operator is mapped
+to these coordinates once per scan, rows and columns
+(`_coordinate_operator`), the lead party's whole grid contracts it in one
+real GEMM, and each block is one more real GEMM giving the coordinates of
+the exact party's operators. Without a lead party, a block is as many
+whole polar rows of the last party as fit in _CHUNK = 8,192 points (the
+rows that no cell test below skips, in ascending order, less their phase
+boxes that a box test skips), so its working set stays a few MB; only a
+qutrit's polar row, r**2 phase vectors, can exceed that: from resolution
 91 (8,281) up to 103 (10,609) a block is one polar row. With three
 qubits, a block is the last qubit's whole grid, at most 5,402 points at
 resolution 73, times as many lead points as fit in _CHUNK. The top
 eigenvalues come in closed form from the coordinates when the exact
 party has dimension 2 or 3, and from LAPACK at dimension 4, where the
-scan skips every point that a batched LDL^H test proves below the best
-value so far, so the winner is the one the full solve would pick
-(`_pruned_top_eigvals` and `_below` give the rounding argument). The
-closed forms and the LDL^H test write into a few arrays per block, not
-a new one per operation.
+scan skips every point that the cells' test proves below the best value
+so far (`_pruned_top_eigvals`). The closed forms and the LDL^H test
+(`_below`) write into a few arrays per block, not a new one per
+operation.
 
-Every scan skips whole cells. With three qubits, lead point g's cell is
-the last qubit's whole grid at g, and every point of it is bounded by
-lambda_max(K_g), K_g the two-qubit operator that g leaves on the last and
-exact qubits. With two parties, a cell is a polar row m of the gridded
-party, and every point of it is bounded by lambda_max(D_m) + sum_{k<l}
-m_k m_l w_kl, where D_m = sum_k m_k**2 S_kk comes from the operator's
-diagonal row pairs and w_kl from the Frobenius norms of its (k, l) pairs
-(`_row_cells`). Cells are visited best bound first, by a LAPACK-free
-proxy read from the trace and Frobenius norm of K_g or D_m plus the
-row's term, in windows that `_below` tests once each: a cell proven
-below the best value so far, less its term and a pad, is skipped, GEMM
-and closed form both. With two parties, the rows left are split once
-more, into phase boxes of about four grid phases (`_phase_boxes`): box
-b's points are bounded by lambda_max(C_b) + sum_{k<l} m_k m_l 2
-sin(delta_kl/2) w_kl, C_b the operator at the box's centre phases and
-delta_kl the pair's largest phase deviation from them (`_box_cells`),
-and one `_below` test per block skips every box proven below the best
-value less its term and the pad. The pad covers the rounding of the
-bounds, of the block's GEMM and of the exact party's value, the qutrit
-cubic's loss of about sqrt(u) near a doubly degenerate top included. The
-best value is kept with its key, the grid index, and a later block wins
-a tie only with a smaller key, so the winner is the point, and the
-value, that a scan without cells picks (`_scan_grid` derives the pad
-and the tie rule).
+Every scan skips whole cells, of one kind: a set of grid points with a
+bound lambda_max(C) + t on each of their values, C Hermitian and t >= 0.
+With three qubits, lead point g's cell is the last qubit's whole grid at
+g, C = K_g, the two-qubit operator that g leaves on the last and exact
+qubits, and t = 0. With two parties, a cell is a box of a polar row m of
+the gridded party (`_box_cells`): C is the operator at the box's centre
+and t = sum_{k<l} m_k m_l dev_kl w_kl, w_kl from the Frobenius norms of
+the operator's (k, l) pairs and dev_kl the box's largest deviation of
+the pair's phase from the centre's. The polar row itself is the root
+box, centred at (0, 0) with deviation 1, where C = D_m = sum_k m_k**2
+S_kk comes from the operator's diagonal row pairs; the rows left are
+split into phase boxes of about four grid phases (`_phase_boxes`).
+Lead cells and rows are visited best bound first, by a LAPACK-free proxy
+read from the trace and Frobenius norm of C plus t, in windows that are
+tested once each, and a block's phase boxes are tested once per block.
+Every skip is one test, `_cells_below`: a cell whose bound `_below`
+proves below the best value so far less one pad is skipped, GEMM and
+closed form both, and at a four-level exact party so is a point, a cell
+with t = 0. The pad covers the rounding of the bounds, of the block's
+GEMM and of the exact party's value, the qutrit cubic's loss of about
+sqrt(u) near a doubly degenerate top included. The best value is kept
+with its key, the grid index, and a later block wins a tie only with a
+smaller key, so the winner is the point, and the value, that a scan
+without cells picks (`_scan_grid` derives the pad and the tie rule).
 """
 
 from __future__ import annotations
@@ -166,11 +168,11 @@ def _grid_axes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     digits, and the phase vectors (1, e^{i phi_1}, ..., e^{i phi_{d-1}}),
     (n_ph, d), one per combination of the d-1 phase digits, both most
     significant digit first. Grid index i = pol*n_ph + ph is the factor
-    mag[pol] * phase[ph]; d = 1 has one row (1) in each."""
+    mag[pol] * phase[ph]."""
     r = resolution
     theta = _polar_angles(d, r)
     n_t = theta.size
-    polars = np.unravel_index(np.arange(n_t ** (d - 1)), (n_t,) * (d - 1)) if d > 1 else ()
+    polars = np.unravel_index(np.arange(n_t ** (d - 1)), (n_t,) * (d - 1))
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     mag = np.empty((n_t ** (d - 1), d))
     running = np.ones(mag.shape[0])
@@ -179,7 +181,7 @@ def _grid_axes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         running = running * sin_t[polars[k]]
     mag[:, d - 1] = running
     phi = np.exp(2j * math.pi * np.arange(r) / r)
-    phases = np.unravel_index(np.arange(r ** (d - 1)), (r,) * (d - 1)) if d > 1 else ()
+    phases = np.unravel_index(np.arange(r ** (d - 1)), (r,) * (d - 1))
     phase = np.ones((r ** (d - 1), d), dtype=np.complex128)
     for k in range(1, d):
         phase[:, k] = phi[phases[k - 1]]
@@ -397,7 +399,8 @@ def _below(c: np.ndarray, mu: float | np.ndarray) -> np.ndarray:
     2.1u T < tau. A positive definite plus a positive semidefinite matrix
     is positive definite: lambda_max(H) < mu. The absolute 2**-1060 covers
     underflow, whose errors of at most 2**-1075 per operation stay far
-    below it. A failed pivot, an overflow or a NaN reads as not proven.
+    below it. A failed pivot, an overflow or a NaN reads as not proven,
+    and the factorization stops once every column has failed one.
     """
     d = math.isqrt(c.shape[0])
     k, l = _triu(d)
@@ -420,6 +423,8 @@ def _below(c: np.ndarray, mu: float | np.ndarray) -> np.ndarray:
             low[lj, kj] = (re, im) if kj == 0 else (re.copy(), im.copy())
         ok = piv[0] > 0.0
         for j in range(d - 1):
+            if not ok.any():  # every column has failed a pivot
+                break
             for i in range(j + 1, d):
                 wr, wi = low[i, j]
                 if i > j + 1:
@@ -442,63 +447,31 @@ def _below(c: np.ndarray, mu: float | np.ndarray) -> np.ndarray:
     return ok
 
 
-def _pruned_top_eigvals(c: np.ndarray, floor: float) -> np.ndarray:
+def _pruned_top_eigvals(c: np.ndarray, floor: float, a: float) -> np.ndarray:
     """Top eigenvalue of each 4x4 Hermitian matrix of a (16, n) coordinate
     array, any n >= 1 (column 0 is always an anchor), bit for bit as LAPACK
     gives it on the whole batch, or -inf where that value is provably below
     the bar max(floor, the anchors' values).
 
     LAPACK solves the anchor columns 0, S, 2S, ... (S = _ANCHOR_STRIDE);
-    every other column is skipped only if `_below` proves lambda_max(H_i)
-    < mu = bar - pad, pad = 2**-47 (|bar| + s) + 2**-1060, where s = 8
-    max|c| >= ||H_i||_F >= ||H_i||_2 (H_i has 4 diagonal and 12 off-diagonal
-    coordinates); the other columns go to LAPACK. LAPACK reads the very
-    matrix H_i that `_below` tests, built exactly from the coordinates, and
-    its top eigenvalue is that of H_i + E with ||E||_2 <= 16 eps ||H_i||_2
-    (eps = 2**-52, a generous constant for its backward error at n = 4),
-    so at most 16 eps s above lambda_max(H_i). Rounding mu costs at most
-    u|mu|, so a skipped column has LAPACK value below
-    mu + 16 eps s <= bar - pad + eps (|bar| + pad) / 2 + 16 eps s < bar:
-    it neither beats the best so far nor ties with an anchor, and the
-    first largest value, the scan's winner, is the unpruned scan's.
+    every other column is a point, a cell with t = 0, that `_cells_below`
+    tests against the bar with the scan's pad, and only the points it
+    cannot prove below the bar go to LAPACK. a is the scan's, or any a with
+    ||H_i||_F <= 17a for every column's matrix H_i, as the scan's has;
+    `_scan_grid` derives why a skipped point's LAPACK value is below the
+    bar, so that it neither beats the best so far nor ties with an anchor,
+    and the first largest value, the scan's winner, is the unpruned scan's.
     """
     n = c.shape[1]
     anchors = slice(0, n, _ANCHOR_STRIDE)
     lam = np.full(n, -np.inf)
     lam[anchors] = _extremal_eigvals(c[:, anchors])
-    bar = max(floor, lam[anchors].max())
-    s = 8.0 * max(c.max(), -c.min())
-    keep = ~_below(c, bar - (2.0**-47 * (abs(bar) + s) + 2.0**-1060))
+    keep = ~_cells_below(c, 0.0, max(floor, lam[anchors].max()), a, 4)
     keep[anchors] = False
     rows = np.flatnonzero(keep)
     if rows.size:
         lam[rows] = _extremal_eigvals(c[:, rows])
     return lam
-
-
-@functools.cache
-def _lead_map() -> np.ndarray:
-    """The (16, 16) real matrix P that takes the 16 entries of op[g], the
-    row of a three-qubit scan's `op` for lead point g, to the coordinates
-    (`_coords`) of K_g, the two-qubit operator on (last (x) exact) that
-    op[g] contracts. Read-only.
-
-    op[g] maps the last qubit's coordinate row to the exact qubit's
-    coordinates, so its columns are the coordinates of s_00, s_11, S =
-    s_01 + s_10 and T = i(s_01 - s_10) (`_coordinate_operator`), s_ab the
-    blocks of K_g on the last qubit's (a, b) row pair, and s_01 = (S -
-    iT)/2. K_g is linear in op[g], and P's columns are K_g of the 16 unit
-    entries. A row of P holds one entry +-1, or one or two entries +-1/2,
-    so each coordinate of P op[g] is exact or one rounding of a sum of two."""
-    unit = np.eye(16).reshape(16, 4, 4).transpose(1, 0, 2)  # (x, unit, last)
-    s = _hermitian(unit)  # (unit, last column, 2, 2): s_00, s_11, S, T
-    k = np.zeros((16, 4, 4), dtype=np.complex128)
-    k[:, :2, :2], k[:, 2:, 2:] = s[:, 0], s[:, 1]
-    k[:, :2, 2:] = (s[:, 2] - 1j * s[:, 3]) / 2
-    k[:, 2:, :2] = k[:, :2, 2:].conj().transpose(0, 2, 1)
-    p = np.ascontiguousarray(_coords(k))
-    p.flags.writeable = False
-    return p
 
 
 def _frobenius2(c: np.ndarray) -> np.ndarray:
@@ -519,29 +492,11 @@ def _pair_norms(op: np.ndarray, d: int) -> np.ndarray:
     return np.sqrt(frob[d : d + k] + frob[d + k :])
 
 
-def _row_cells(op: np.ndarray, mag2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of a two-party scan, one per polar row m of the gridded
-    party (dimension d, pairs k < l), from its (dx*dx, d*d) coordinate
-    operator `op` (`_coordinate_operator`) and its polar table `mag2`
-    (`_grid_tables`): the (dx*dx, n_pol) coordinates of D_m = sum_k m_k**2
-    S_kk and the (n_pol,) terms sum_{k<l} m_k m_l w_kl (`_pair_norms`),
-    S_kk the Hermitian matrices of op's diagonal columns.
-
-    A point of row m with phase differences Delta_kl has the operator D_m +
-    sum_{k<l} m_k m_l (cos Delta_kl A_kl + sin Delta_kl B_kl). By Weyl's
-    inequality and ||x A + y B||_2 <= (x**2 + y**2)**(1/2) w_kl (Cauchy-
-    Schwarz on the Frobenius norm), its top eigenvalue is at most
-    lambda_max(D_m) plus the row's term."""
-    d = math.isqrt(mag2.shape[0])
-    w = _pair_norms(op, d)
-    return op[:, :d] @ mag2[:d], w @ mag2[d : d + w.size]
-
-
 def _phase_boxes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The boxes a d-level party's phase grid splits into: runs of _BOX
     phases on a qubit's axis, squares of isqrt(_BOX) by isqrt(_BOX) on a
     qutrit's two, the last on an axis shorter where the side does not
-    divide the resolution; d = 1 has one box of its one phase vector.
+    divide the resolution.
 
     Returns the (d*d, n_box) phase rows (`_grid_tables`) at each box's
     centre phases c, the (pairs, n_box) deviations 2 sin(delta_kl/2), with
@@ -556,7 +511,7 @@ def _phase_boxes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.nd
     hi = np.minimum(lo + side, r)
     shape = (lo.size,) * (d - 1)
     n_box = lo.size ** (d - 1)
-    boxes = np.unravel_index(np.arange(n_box), shape) if d > 1 else ()
+    boxes = np.unravel_index(np.arange(n_box), shape)
     centre, reach = np.zeros((2, d, n_box))
     for k in range(1, d):
         centre[k] = (lo + hi - 1)[boxes[k - 1]] * (math.pi / r)
@@ -565,8 +520,6 @@ def _phase_boxes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.nd
     diff = centre[l] - centre[k]
     centre2 = np.concatenate([np.ones((d, n_box)), np.cos(diff), np.sin(diff)])
     dev = 2.0 * np.sin((reach[k] + reach[l]) / 2.0)
-    if d == 1:
-        return centre2, dev, np.zeros(1, dtype=np.intp)
     digits = np.unravel_index(np.arange(r ** (d - 1)), (r,) * (d - 1))
     return centre2, dev, np.ravel_multi_index(tuple(j // side for j in digits), shape)
 
@@ -574,16 +527,26 @@ def _phase_boxes(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def _box_cells(
     op: np.ndarray, w: np.ndarray, mag2: np.ndarray, centre2: np.ndarray, dev: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the second level of a two-party scan, the phase boxes
-    (`_phase_boxes`) of the polar rows `rows`: the (dx*dx, rows, n_box)
-    coordinates of C_b = D_m + sum_{k<l} m_k m_l (cos c_kl A_kl + sin c_kl
-    B_kl), the operator at the box's centre phase differences c_kl, and the
-    (rows, n_box) terms t_b = sum_{k<l} m_k m_l 2 sin(delta_kl/2) w_kl.
+    """The cells of a two-party scan (gridded party of dimension d, pairs
+    k < l), boxes of the polar rows `rows`, from the (dx*dx, d*d)
+    coordinate operator `op` (`_coordinate_operator`), its pair norms `w`
+    (`_pair_norms`), the polar table `mag2` (`_grid_tables`), and each
+    box's (d*d, n_box) centre row and (pairs, n_box) deviations dev_kl: a
+    phase box's of `_phase_boxes`, or the root box, the whole row, with
+    centre row (1, ..., 1, 0, ..., 0) and deviation 1. Returns the (dx*dx,
+    rows, n_box) coordinates of C_b = D_m + sum_{k<l} m_k m_l (x_kl A_kl +
+    y_kl B_kl) and the (rows, n_box) terms t_b = sum_{k<l} m_k m_l dev_kl
+    w_kl, where D_m = sum_k m_k**2 S_kk, S_kk, A_kl and B_kl are the
+    Hermitian matrices of op's columns, and (x_kl, y_kl) is the centre's
+    (cos c_kl, sin c_kl), c_kl its phase difference, or (0, 0) at a root.
 
-    A grid point of the box moves each pair's (cos, sin) by at most
-    |e^{i Delta} - e^{i c}| <= 2 sin(delta_kl/2) from the centre's, so by
-    Weyl's inequality and the bound of `_row_cells` its top eigenvalue is
-    at most lambda_max(C_b) + t_b."""
+    A point of row m with phase differences Delta_kl has the operator D_m +
+    sum_{k<l} m_k m_l (cos Delta_kl A_kl + sin Delta_kl B_kl), whose pairs
+    (cos, sin) lie within dev_kl of the centre's: within |e^{i Delta} -
+    e^{i c}| <= 2 sin(delta_kl/2) in a phase box, at exactly 1 from (0, 0)
+    at the root. By Weyl's inequality and ||x A + y B||_2 <= (x**2 +
+    y**2)**(1/2) w_kl (Cauchy-Schwarz on the Frobenius norm), its top
+    eigenvalue is at most lambda_max(C_b) + t_b."""
     d = math.isqrt(mag2.shape[0])
     cells = (op @ _grid_rows(mag2, centre2, rows)).reshape(op.shape[0], rows.size, -1)
     return cells, (mag2[d : d + w.size, rows].T * w) @ dev
@@ -603,16 +566,17 @@ def _cell_order(cells: np.ndarray, term: np.ndarray) -> np.ndarray:
 
 
 def _cells_below(
-    cells: np.ndarray, term: np.ndarray, window: np.ndarray | slice, best: float, a: float, dx: int
+    cells: np.ndarray, term: np.ndarray | float, best: float, a: float, dx: int
 ) -> np.ndarray:
-    """True where a cell of `window` is proven to hold no grid value of
-    `best` or more: `_below` proves lambda_max(C) < best - pad - term[i],
-    C the Hermitian matrix of column i of the coordinate array `cells`
-    (a polar row's or lead point's; or, of a (dx*dx, rows, n_box) array,
-    box i = (row, box)), a = max|op| and dx the exact party's dimension,
-    as in `_scan_grid`'s docstring, which derives the pad."""
+    """True where a cell is proven to hold no grid value of `best` or more:
+    `_below` proves lambda_max(C) < best - pad - t, C the Hermitian matrix
+    of a column of the (dx*dx, ...) coordinate array `cells` (a lead
+    point's, a box's or a point's) and t its entry of `term`, an array of
+    the columns' shape, or one float. a and dx, the exact party's
+    dimension, are as in `_scan_grid`, which derives the pad. Against
+    best = -inf, mu is -inf and nothing is proven."""
     pad = (2.0**-16 if dx == 3 else 2.0**-40) * (abs(best) + a) + 2.0**-530
-    return _below(cells[:, window], best - pad - term[window])
+    return _below(cells, best - pad - term)
 
 
 def _scan_grid(
@@ -633,29 +597,31 @@ def _scan_grid(
     row g maps the last qubit's coordinate rows to the exact qubit's
     coordinates. Each block is one real GEMM giving the coordinates of
     party x's operators, coordinate axis first. For a four-level `x`,
-    LAPACK sees only a block's anchors and the points that `_below` cannot
-    place under the best value so far (`_pruned_top_eigvals`).
+    LAPACK sees only a block's anchors and the points that the cells'
+    test cannot place under the best value so far (`_pruned_top_eigvals`).
 
     Cells. Every scan splits its grid into cells, each with a bound
     lambda_max(C) + t on every grid value in it, C Hermitian and t >= 0:
-    - with three qubits, lead point g's cell is the whole last grid at g.
-      K_g, the two-qubit operator on (last (x) exact) that op[g]
-      contracts (`_lead_map`), gives op[g] @ rows(f) when contracted with
-      a last factor f, so C = K_g and t = 0;
+    - with three qubits, lead point g's cell is the whole last grid at g,
+      C = K_g and t = 0. K_g, the two-qubit operator on (last (x) exact)
+      that op[g] contracts, is the lead party's row g contracting the
+      operator on (lead, last (x) exact), `_coordinate_operator` of mt as
+      two parties of 2 and 4 levels;
     - with two parties, a cell is a polar row m of the gridded party, its
-      r**(d-1) phase vectors, and C = D_m and t come from `_row_cells`.
+      r**(d-1) phase vectors: the root box of `_box_cells`, whose C = D_m
+      and t = sum_{k<l} m_k m_l w_kl.
     The cells are visited best proxy first (`_cell_order`), in windows:
-    the first is one cell, which sets a best value, and each later one
-    three times as many cells as were visited before it, at least one
-    block and at most _WINDOW = 512, so a scan makes a few tests, not one
-    per block. `_cells_below` tests each window once, against the best
-    value so far less a pad and each cell's t; a proven cell is skipped,
-    GEMM and closed form both, and the survivors run in blocks of max(1,
-    _CHUNK // points) cells, `points` a cell's size, each in ascending
-    index order. A block thus holds at most _CHUNK = 8,192 points, or one
-    cell that is larger alone: a qutrit's polar row of r**2 phase vectors
-    from resolution 91 on. Testing every unvisited cell after each block
-    instead would be quadratic in the cells.
+    the first is one cell, and each later one three times as many cells as
+    were visited before it, at least one block and at most _WINDOW = 512,
+    so a scan makes a few tests, not one per block. `_cells_below` tests
+    each window once, against the best value so far less the pad and each
+    cell's t; a proven cell is skipped, GEMM and closed form both, and the
+    survivors run in blocks of max(1, _CHUNK // points) cells, `points` a
+    cell's size, each in ascending index order. A block thus holds at most
+    _CHUNK = 8,192 points, or one cell that is larger alone: a qutrit's
+    polar row of r**2 phase vectors from resolution 91 on. Testing every
+    unvisited cell after each block instead would be quadratic in the
+    cells.
 
     Phase boxes. With two parties, a block's rows are split once more,
     each into the phase boxes of `_phase_boxes`: runs of _BOX = 4 phases
@@ -669,116 +635,122 @@ def _scan_grid(
     box's t_b, and only the points of the boxes it cannot prove below
     that value reach the GEMM and the exact party's solve, gathered in
     index order. A block's first point at its largest value is thus its
-    smallest grid index there. A block with no best value before it, the
-    scan's first, runs whole.
+    smallest grid index there.
 
-    The pad. Let u = 2**-53, a = max|op| after the power-of-two scaling,
-    and H_j the Hermitian matrix of column j of op[g] (three qubits) or of
-    op (two parties). A table entry is a product of cos, sin and the
-    phase's cos and sin, each within an ulp, and two roundings, so a
-    table row q^ lies within 8u, entrywise, of the coordinate row q of a
-    unit vector f at the grid's float angles (tests pin the rows at 8u of
-    the float factors' outer products).
-
-    Lead cells, where ||H_j||_2 <= sqrt(6) a. On the exact products,
-    - lambda_max(sum_j q^_j H_j) <= lambda_max(sum_j q_j H_j) + 4 (8u)
-      sqrt(6) a <= lambda_max(K_g) + 79u a, since sum_j q_j H_j is K_g
-      contracted with f;
-    - the block's K = 4 GEMM moves each of the four coordinates by at most
-      gamma_4 a sum|q^_j| <= 7u a (sum|q^_j| <= 1 + 1/sqrt(2) + 32u), so
-      the matrix by at most sqrt(6) 7u a <= 18u a in norm;
-    - the d = 2 closed form on coordinates of size at most C = 1.72a
-      loses at most 10u C <= 18u a: one rounding in (alpha + gamma)/2,
-      five in the radicand, whose root is at most sqrt(3) C, one in the
-      root and one in the sum; its squares can underflow by 2**-1075 each,
-      at most 2**-536 under the root;
-    - K_g as built (`_lead_map`) is within 2 sqrt(2) u a <= 3u a of the
-      exact one in norm, and the other underflows stay below 2**-1070.
-    So a computed grid value in cell g is at most lambda_max(K_g) + 118u a
-    + 2**-536.
-
-    Polar rows, with the gridded party's dimension d and the exact
-    party's dx, both at most 4, and m_k**2 and m_k m_l the entries of the
-    row's polar table. Then ||H_j||_F <= sqrt(dx (2dx - 1)) a <= sqrt(28)
-    a, q^ holds m_k**2 exactly (the phase entry is 1), sum_k m_k**2 <= 1 +
-    16u, each pair (m_k m_l c^, m_k m_l s^) of q^ has c^**2 + s^**2 <= (1 +
-    9u)**2, and sum_j |q^_j| <= 1 + sqrt(2) (d - 1)/2 + 48u <= 3.2. So
-    - sum_j q^_j H_j is D_m plus the pairs' m_k m_l (c^ A_kl + s^ B_kl),
-      and its top eigenvalue is at most lambda_max(D_m) + (1 + 9u) sum
-      m_k m_l w_kl (`_row_cells`);
-    - the computed term t^ (sums of at most 32 nonnegative squares, a
-      root, a sum of at most 6 nonnegative products) is at least (1 - 26u)
-      times the exact one, and t^ <= 1.5 sqrt(56) a (1 + 26u) <= 11.3a, so
-      that sum is at most t^ + 410u a;
-    - D_m as computed (a GEMM of d terms, their weights summing to at most
-      1 + 16u) is within sqrt(28) 4.1u a <= 22u a of the exact one in norm;
-    - the block's GEMM of d**2 <= 16 terms moves each coordinate by at
-      most gamma_16 3.2a <= 52u a, the matrix by at most sqrt(28) 52u a <=
-      276u a in norm, and the computed matrix H^ has ||H^||_F <= N =
-      3.2 sqrt(28) a (1 + 52u) <= 17a, or N <= 2.42 sqrt(15) a <= 9.4a at
-      dx = 3, where d <= 3;
-    - a computed top eigenvalue exceeds lambda_max(H^) by at most 10u C
-      <= 33u a + 2**-536 for the d = 2 squares, with C <= 3.2a (1 + 52u)
-      as above; by at most 16 eps N <= 544u a from LAPACK (eps = 2**-52,
-      a generous constant for its backward error at order 4 or 1, as in
-      `_pruned_top_eigvals`); and by at most 20 sqrt(u) N <= 2**-18 a for
-      the qutrit cubic. Its angle is arccos r, r = det(B)/2, B = (H^ -
-      qI)/p. To first order, q and p carry errors of a few u N, which the
-      division by p makes 24u N/p + 5u on each entry of B; the cofactors
-      of B are at most ||B||_F**2/2 = 3 and perm|B| <= 6**(3/2), so the
-      computed r moves by delta <= 324u N/p + 141u. arccos moves by at
-      most pi (delta/2)**(1/2), and 2p cos(angle/3) by at most 2p/3 times
-      that, (2 pi/3) (u (162 N p + 71 p**2))**(1/2) <= 19 sqrt(u) N as p
-      <= N/sqrt(6); the other roundings add a few u N. This is the loss
-      of about sqrt(u) at a doubly degenerate top, where r = -1: on I/3
-      (x) P, P a rank-two projector in a random basis of the exact qutrit,
-      the computed values of a (3,3) grid at resolution 32 exceed their
-      rows' bound, which is their exact value, by up to 8e-9 of it (four
-      random bases), and a pad of 2**-40 moves the winner. Elsewhere the
-      cubic is within a few ulps.
-    So a computed grid value in row m is at most lambda_max(D_m^) + t^ +
-    708u a plus the last bullet's excess, D_m^ as computed.
-
-    Phase boxes, in a polar row m as above. Let (c^, s^) be a grid
-    point's pair of q^ over m_k m_l, and (c~, s~) the same of the box's
-    centre row, from `_phase_boxes`' table times the polar table. Then
-    - (c^, s^) is within 8u of e^{i D^}, D^ the difference of the point's
-      float phases: cos and sin within an ulp each, an exact product at
-      k = 0 or a complex product of two such at k >= 1, and one rounding
-      by m_k m_l. D^ is within 51u of the exact 2 pi (j_l - j_k)/r, each
-      float phase below 2 pi carrying at most four roundings; that exact
-      difference is within delta_kl of the exact centre difference c; the
+    The pad. Let u = 2**-53, and a the larger of max|op| and, with three
+    qubits, the largest entry of K_g's operator, after the power-of-two
+    scaling; H_j is the Hermitian matrix of column j of op[g] (three
+    qubits) or of op (two parties). A table entry is a product of cos,
+    sin and the phase's cos and sin, each within an ulp, and two
+    roundings, so a table row q^ lies within 8u, entrywise, of the
+    coordinate row q of a unit vector f at the grid's float angles (tests
+    pin the rows at 8u of the float factors' outer products). Each level
+    bounds a computed grid value by its bound, as computed, plus a
+    rounding allowance:
+    - Lead cell g (three qubits). mt is made exactly Hermitian first, so
+      the lead party's pair sums R_j (`_coordinate_operator`, j its four
+      coordinates), which op and K_g's operator form alike, are exactly
+      Hermitian on (last (x) exact). K_g's operator holds R_j's
+      coordinates; before the lead grid contracts it, op's row j holds,
+      for the last qubit's coordinates i, those of T_i(R_j): the blocks
+      r_00 and r_11, and r_01 + r_10 and i(r_01 - r_10), one rounding
+      each, so entries at most 2a (1 + u). Let K_g = sum_j q^_j R_j
+      exactly, q^ the lead point's row, sum_j |q^_j| <= 1 + 1/sqrt(2) +
+      32u <= 1.71. Then K_g as computed, a GEMM of 4 terms, is within
+      gamma_4 1.71a <= 7u a of K_g in each coordinate, so within sqrt(28)
+      7u a <= 38u a in norm; op[g] is within 1.71 (u + gamma_4) 2a (1 +
+      u) <= 18u a of T_i(K_g) = sum_j q^_j T_i(R_j) in each coordinate;
+      and the block's GEMM moves each of the exact qubit's four
+      coordinates by at most gamma_4 1.71a <= 7u a. So the computed
+      coordinates lie within 1.71 18u a + 7u a <= 38u a of sum_i q^'_i
+      T_i(K_g), q^' the last point's row, and the matrix within sqrt(6)
+      38u a <= 94u a in norm (||H||_2 <= sqrt(6) times its largest
+      coordinate at d = 2). sum_i q^'_i T_i(K_g) is within sum_i 8u
+      ||T_i(K_g)||_2 <= 4 (8u) sqrt(6) a (1 + 18u) <= 79u a of sum_i q_i
+      T_i(K_g), which is K_g compressed by f (x) I, with top eigenvalue at
+      most lambda_max(K_g). The d = 2 closed form on coordinates of size
+      at most C = 1.72a loses at most 10u C <= 18u a: one rounding in
+      (alpha + gamma)/2, five in the radicand, whose root is at most
+      sqrt(3) C, one in the root and one in the sum; its squares can
+      underflow by 2**-1075 each, at most 2**-536 under the root, and the
+      GEMMs' underflows stay below 2**-1060. So a computed grid value in
+      cell g is at most lambda_max(K_g^) + 229u a + 2**-536, K_g^ as
+      computed.
+    - Box b (two parties), root or phase box of a polar row m, with the
+      gridded party's dimension d and the exact party's dx, both at most
+      4, and m_k**2 and m_k m_l the entries of the row's polar table. Then
+      ||H_j||_F <= sqrt(dx (2dx - 1)) a <= sqrt(28) a, q^ holds m_k**2
+      exactly (the phase entry is 1), sum_k m_k**2 <= 1 + 16u, each pair
+      (m_k m_l c^, m_k m_l s^) of q^ has c^**2 + s^**2 <= (1 + 9u)**2, and
+      sum_j |q^_j| <= 1 + sqrt(2) (d - 1)/2 + 48u <= 3.2, as has the box's
+      centre row times the polar table. Let (c~, s~) be that product's
+      pair over m_k m_l. Then |(c^, s^) - (c~, s~)| <= dev_kl + 107u: at
+      the root (c~, s~) = (0, 0) and dev_kl = 1; in a phase box (c^, s^)
+      is within 8u of e^{i D^}, D^ the difference of the point's float
+      phases (cos and sin within an ulp each, an exact product at k = 0 or
+      a complex product of two such at k >= 1, and one rounding by m_k
+      m_l), D^ is within 51u of the exact 2 pi (j_l - j_k)/r, each float
+      phase below 2 pi carrying at most four roundings, that exact
+      difference is within delta_kl of the exact centre difference c, the
       centre's float difference c^ is within 45u of c (three roundings of
-      each centre phase, one of their difference); and (c~, s~) is within
-      3u of e^{i c^}. So |(c^, s^) - (c~, s~)| <= 2 sin(delta_kl/2) + 107u,
-      and by the bound of `_box_cells`, sum_j q^_j H_j, which is C_b (from
-      the centre row as computed, exactly) plus the pairs' m_k m_l ((c^ -
-      c~) A_kl + (s^ - s~) B_kl), has top eigenvalue at most
-      lambda_max(C_b) + t_b + 107u sum m_k m_l w_kl <= lambda_max(C_b) +
-      t_b + 1210u a;
-    - at resolution 32 or more delta_kl <= 3 pi/32, so 2 sin(delta_kl/2)
-      <= 0.3 and t_b <= 3.4a; the computed t_b^ (w_kl as in the row's
-      term, then a product by m_k m_l, one by the computed 2 sin(delta/2),
-      at least (1 - 7u) times the exact one, and a sum of at most 3
-      nonnegative terms) is at least (1 - 37u) t_b, so t_b <= t_b^ + 126u
-      a;
-    - C_b's GEMM moves it by at most 276u a in norm, as the block's does,
-      its row's entries summing to at most 3.2 as well.
-    So a computed grid value in box b is at most lambda_max(C_b^) + t_b^
-    + 1888u a, with the block's GEMM, plus the last bullet's excess above,
-    C_b^ as computed.
-
+      each centre phase, one of their difference), and (c~, s~) is within
+      3u of e^{i c^}. So, by the bound of `_box_cells`, sum_j q^_j H_j,
+      which is C_b (from the centre row as computed, exactly) plus the
+      pairs' m_k m_l ((c^ - c~) A_kl + (s^ - s~) B_kl), has top eigenvalue
+      at most lambda_max(C_b) + t_b + 107u sum m_k m_l w_kl <=
+      lambda_max(C_b) + t_b + 1210u a, as sum_{k<l} m_k m_l <= 1.5 and
+      w_kl <= sqrt(56) a. Further,
+      - t_b <= 1.5 sqrt(56) a <= 11.3a at the root and, at resolution 32
+        or more, where delta_kl <= 3 pi/32 and 2 sin(delta_kl/2) <= 0.3,
+        t_b <= 3.4a in a phase box. The computed t_b^ (sums of at most 32
+        nonnegative squares and a root for w_kl, a product by m_k m_l, one
+        by dev_kl, exact at the root and at least (1 - 7u) times 2
+        sin(delta_kl/2) in a phase box, and a sum of at most 3 nonnegative
+        terms) is at least (1 - 37u) t_b, so t_b <= t_b^ + 430u a;
+      - C_b's GEMM of d**2 <= 16 terms moves each coordinate by at most
+        gamma_16 3.2a <= 52u a, C_b by at most sqrt(28) 52u a <= 276u a in
+        norm, and the block's GEMM the point's matrix by as much. The
+        computed matrix H^ has ||H^||_F <= N = 3.2 sqrt(28) a (1 + 52u) <=
+        17a, or N <= 2.42 sqrt(15) a <= 9.4a at dx = 3, where d <= 3;
+      - a computed top eigenvalue exceeds lambda_max(H^) by at most 10u C
+        <= 33u a + 2**-536 for the d = 2 squares, with C <= 3.2a (1 +
+        52u) as above; by at most 16 eps N <= 544u a from LAPACK (eps =
+        2**-52, a generous constant for its backward error at order 4);
+        and by at most 20 sqrt(u) N <= 2**-18 a for the qutrit cubic. Its
+        angle is arccos r, r = det(B)/2, B = (H^ - qI)/p. To first order,
+        q and p carry errors of a few u N, which the division by p makes
+        24u N/p + 5u on each entry of B; the cofactors of B are at most
+        ||B||_F**2/2 = 3 and perm|B| <= 6**(3/2), so the computed r moves
+        by delta <= 324u N/p + 141u. arccos moves by at most pi
+        (delta/2)**(1/2), and 2p cos(angle/3) by at most 2p/3 times that,
+        (2 pi/3) (u (162 N p + 71 p**2))**(1/2) <= 19 sqrt(u) N as p <=
+        N/sqrt(6); the other roundings add a few u N. This is the loss of
+        about sqrt(u) at a doubly degenerate top, where r = -1: on I/3 (x)
+        P, P a rank-two projector in a random basis of the exact qutrit,
+        the computed values of a (3,3) grid at resolution 32 exceed their
+        rows' bound, which is their exact value, by up to 8e-9 of it (four
+        random bases), and a pad of 2**-40 moves the winner. Elsewhere the
+        cubic is within a few ulps.
+      So a computed grid value in box b is at most lambda_max(C_b^) + t_b^
+      + 2192u a plus the last bullet's excess, C_b^ as computed.
+    - Point, at a four-level exact party. `_pruned_top_eigvals` skips a
+      point, a cell with t = 0, only where lambda_max(H^) is proven below
+      the bar less the pad, H^ the matrix that LAPACK would read, and
+      LAPACK's value is at most lambda_max(H^) + 544u a, as in a box.
     `_below` proves lambda_max(C) < mu, where mu is best - pad - t rounded
     twice, within 2u (|best| + pad + t) <= 2u (|best| + pad) + 23u a of
-    its exact value (t = 0 in a lead cell, t <= 11.3a in a row and 3.4a
-    in a box). With pad = 2**-40 (|best| + a) + 2**-530, 8192u (|best| +
-    a) covers 118u a + 2u (|best| + pad), 708u a + 544u a + 2u (|best| +
-    pad) + 23u a and 1888u a + 544u a + 2u (|best| + pad) + 7u a; at a
-    qutrit exact party, pad = 2**-16 (|best| + a) + 2**-530 covers 2**-18
-    a and the rest. So every skipped grid value, of a cell or of a box, is
-    strictly below the best value so far, and the pad keeps its value.
-    The pad is needed: on I/8, one grid value is 0.5000000000000001 while
-    lambda_max(K_g) = 0.5.
+    its exact value (t = 0 at a lead cell or a point, t <= 11.3a at a
+    box), best the bar at a point. With pad = 2**-40 (|best| + a) +
+    2**-530, 8192u (|best| + a) covers 229u a + 2u (|best| + pad) at a
+    lead cell, 2192u a + 544u a + 23u a + 2u (|best| + pad) at a box and
+    544u a + 2u (|best| + pad) at a point; at a qutrit exact party, pad =
+    2**-16 (|best| + a) + 2**-530 covers 2**-18 a and the rest. So every
+    skipped grid value, of a cell, a box or a point, is strictly below the
+    best value so far, or the point's bar, which is at least that, and the
+    pad keeps its value. The pad is needed: on I/8, one grid value is
+    0.5000000000000001 while lambda_max(K_g) = 0.5. Against best = -inf,
+    the pad is inf, mu is -inf and `_below` proves nothing, so the scan's
+    first window and first block run whole on the path every other takes.
 
     The winner. The best value so far is kept with its key, the grid
     index: lead index * points + last index with three qubits, polar row
@@ -786,10 +758,11 @@ def _scan_grid(
     without cells visits the points. A block wins on a larger value, or
     on an equal one with a smaller key. A block's cells ascend, and its
     points within a cell too, boxes or not, so its first largest value
-    has its smallest key; a skipped cell or box lies strictly below the
-    best value, which only grows, so it never holds a tie. So the winner
-    is the first largest point of the scan without cells, as a point's
-    value does not depend on the block it runs in.
+    has its smallest key; a skipped cell, box or point lies strictly below
+    the best value, which only grows, or below its block's bar, so it
+    never holds a tie. So the winner is the first largest point of the
+    scan without cells, as a point's value does not depend on the block it
+    runs in.
     """
     gridded = [k for k in range(len(dims)) if k != x]
     if not gridded:
@@ -800,6 +773,8 @@ def _scan_grid(
     _, e = math.frexp(float(np.abs(mt.view(np.float64)).max()))
     mt = np.ldexp(mt.view(np.float64), -e).view(np.complex128)
     *lead, last = gridded
+    if lead:  # K_g reads one triangle of each block and op both: make them agree
+        mt = (mt + mt.conj().transpose(3, 4, 5, 0, 1, 2)) / 2
     dx = dims[x]
     n_last = dims[last] ** 2
     op = _coordinate_operator(mt, x).reshape(dx * dx, -1, n_last).transpose(1, 0, 2)
@@ -807,26 +782,29 @@ def _scan_grid(
     if lead:
         lead_rows = _grid_rows(*_grid_tables(dims[lead[0]], resolution), slice(None))
         op = (lead_rows.T @ op.reshape(lead_rows.shape[0], -1)).reshape(-1, dx * dx, n_last)
-        cells, term = _lead_map() @ op.reshape(-1, 16).T, np.zeros(op.shape[0])
+        k = _coordinate_operator(mt.reshape(2, 4, 2, 4), 1)
+        cells, term = k @ lead_rows, np.zeros(op.shape[0])
+        a = max(float(np.abs(op).max()), float(np.abs(k).max()))
         q = _grid_rows(mag2, phase2, slice(None))
         points = q.shape[1]
 
         def coordinates(block: np.ndarray, best: float) -> tuple[np.ndarray, None]:
             return (op[block] @ q).transpose(1, 0, 2), None  # lead cells x the last grid
     else:
-        cells, term = _row_cells(op[0], mag2)
+        d = dims[last]
+        w = _pair_norms(op[0], d)
+        root = np.repeat([1.0, 0.0], [d, d * d - d])[:, None]  # centred at (0, 0)
+        cells, term = _box_cells(op[0], w, mag2, root, np.ones((w.size, 1)), np.arange(mag2.shape[1]))
+        cells, term = cells[..., 0], term[:, 0]
+        a = float(np.abs(op).max())
         points = phase2.shape[1]
-        centre2, dev, box_of = _phase_boxes(dims[last], resolution)
-        w = _pair_norms(op[0], dims[last])
+        centre2, dev, box_of = _phase_boxes(d, resolution)
 
         def coordinates(block: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
             # the points of polar rows `block`, in index order, less those
             # of boxes proven below best, and their positions in the block
-            keep = np.ones((block.size, centre2.shape[1]), dtype=bool)
-            if best > -np.inf:
-                box_cells, box_term = _box_cells(op[0], w, mag2, centre2, dev, block)
-                keep = ~_cells_below(box_cells, box_term, slice(None), best, a, dx)
-            at = np.flatnonzero(keep[:, box_of])
+            box_cells, box_term = _box_cells(op[0], w, mag2, centre2, dev, block)
+            at = np.flatnonzero(~_cells_below(box_cells, box_term, best, a, dx)[:, box_of])
             row, ph = np.divmod(at, points)
             # gathered into C order: a GEMM on the gathers' own layout ran
             # about twice as slow
@@ -834,23 +812,20 @@ def _scan_grid(
             q *= np.take(phase2, ph, axis=1)
             return op[0] @ q, at
     order = _cell_order(cells, term)
-    a = float(np.abs(op).max())
     step = max(1, _CHUNK // points)
     best_val, best_key = -np.inf, order.size * points  # a key past every point
     done = 0
     while done < order.size:
         window = order[done : done + (max(step, min(3 * done, _WINDOW)) if done else 1)]
         done += window.size
-        if best_val > -np.inf:
-            window = window[~_cells_below(cells, term, window, best_val, a, dx)]
-        window = np.sort(window)
+        window = np.sort(window[~_cells_below(cells[:, window], term[window], best_val, a, dx)])
         for start in range(0, window.size, step):
             block = window[start : start + step]
             c, at = coordinates(block, best_val)
             if not c.size:
                 continue
             if dx == 4:
-                lam = _pruned_top_eigvals(c.reshape(16, -1), best_val)
+                lam = _pruned_top_eigvals(c.reshape(16, -1), best_val, a)
             else:
                 lam = _extremal_eigvals(c).ravel()
             j = int(lam.argmax())
@@ -868,16 +843,19 @@ def _scan(m: ComplexMatrix, s: int, resolution: int) -> tuple[float, ProductStat
     m.require_hermitian()
     resolution = int(resolution)
     dims = m.dims
-    x = _support_check(dims, resolution)
     n = len(dims)
+    # the scan drops parties of dimension 1, whose one factor is (1)
+    kept = [k for k in range(n) if dims[k] > 1] or [0]
+    sub = tuple(dims[k] for k in kept)
+    x_sub = _support_check(sub, resolution)
+    x = kept[x_sub]
     mt = m.mat.reshape(dims + dims)
     signed = s * mt  # not -mt: see `witness._optimize` on signed zeros
-    best = _scan_grid(signed, dims, x, resolution)
-    gridded = [k for k in range(n) if k != x]
-    factors = [np.zeros(0)] * n  # (1, d) each: a see-saw batch of one
-    for k, idx in zip(gridded, best):
+    best = _scan_grid(signed.reshape(sub + sub), sub, x_sub, resolution)
+    factors = [np.ones((1, 1), dtype=np.complex128)] * n  # (1, d) each: a see-saw batch of one
+    for k, idx in zip([k for k in kept if k != x], best):
         factors[k] = _grid_factors(dims[k], resolution, np.array([idx]))
-    outs = [_outer(factors[k]) for k in gridded]
+    outs = [_outer(factors[k]) for k in range(n) if k != x]
     h = _contract(_party_matrix(signed, x), outs, 1)
     _, factors[x] = _extremal_factor(h.reshape(1, dims[x], dims[x]))
 

@@ -282,6 +282,17 @@ def test_extend_method_flags_are_checked_before_any_file_is_read(capsys, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cbounds_resolution_without_oracle_is_refused_before_any_file_is_read(capsys, monkeypatch):
+    # the grid's resolution means nothing to the see-saw, so it is refused,
+    # not ignored, whatever its value
+    _unreadable(monkeypatch)
+    for value in ("16", "256"):
+        code, report, _ = _run(capsys, "cbounds", "sq.json", "--mode", "min", "--resolution", value)
+        assert (code, report["error"]) == (
+            1, {"message": "flag --resolution not valid without --oracle", "type": "ParseError"}
+        )
+
+
 def test_witness_make_verify_eval(capsys, sq_file, tmp_path):
     wpath = str(tmp_path / "w.json")
     code, report, _ = _run(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from witness_forge import oracle
 from witness_forge.errors import ParamOutOfRange, UnsupportedDims
+from witness_forge.extend import identity_extend
 from witness_forge.linalg import ComplexMatrix
 from witness_forge.oracle import exhaustive_witness_check, grid_product_extremum
 from witness_forge.qstate import isotropic
@@ -187,8 +188,8 @@ def _split(dims: tuple[int, ...], x: int, resolution: int) -> tuple[int, int]:
 
 
 # one block; blocks of a few polar rows, ragged at the end, or of two lead
-# cells at (2,2,2)@6; one polar row or lead cell a block. The one-point
-# grid of a d = 1 party has one split
+# cells at (2,2,2)@6; one polar row or lead cell a block. The scan drops a
+# d = 1 party, so (1, 3) runs through `grid_product_extremum`, at its floor
 @pytest.mark.parametrize(
     "dims, resolution, chunks",
     [
@@ -201,6 +202,11 @@ def test_scan_winner_reaches_the_point_by_point_extremum(monkeypatch, dims, reso
     # values, not indices: some grid points give the same ray (theta = pi
     # on a qubit at every phase), so the first best index is not unique
     m = _random_hermitian(np.random.default_rng(math.prod(dims) + resolution), dims)
+    if 1 in dims:  # no grid is left: the extremum is the exact party's eigenvalue
+        top = np.linalg.eigvalsh(m.mat)
+        for mode, best in (("max", top[-1]), ("min", top[0])):
+            assert abs(grid_product_extremum(m, mode, oracle.MIN_RESOLUTION) - best) <= 1e-12
+        return
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
     mt = m.mat.reshape(dims + dims)
     splits = set()
@@ -232,8 +238,8 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
         sizes.append(math.prod(c.shape[1:]))
         return solve(c)
 
-    def record_pruned(cells, term, window, best, a, dx):
-        proven = prove(cells, term, window, best, a, dx)
+    def record_pruned(cells, term, best, a, dx):
+        proven = prove(cells, term, best, a, dx)
         # a (rows, boxes) result is a block's boxes, a flat one cells
         pruned.append(int((proven * box_points).sum()) if proven.ndim == 2 else int(proven.sum()) * points)
         return proven
@@ -257,7 +263,9 @@ def test_scan_batches_stay_within_one_block(monkeypatch, dims):
 @pytest.mark.parametrize("dims, x", [((2, 2, 2), 2), ((2, 4), 1), ((3, 3), 1), ((1, 4), 1)])
 def test_each_gridded_party_is_tabled_once_per_scan(monkeypatch, dims, x):
     # chunk 100 makes many blocks, yet each gridded party's two tables are
-    # built once, and no block gathers per-point factors
+    # built once, and no block gathers per-point factors. The scan drops a
+    # d = 1 party, so (1, 4) runs through `grid_product_extremum` and
+    # tables nothing
     calls = []
     build = oracle._grid_axes
 
@@ -271,9 +279,12 @@ def test_each_gridded_party_is_tabled_once_per_scan(monkeypatch, dims, x):
     monkeypatch.setattr(oracle, "_grid_axes", record)
     monkeypatch.setattr(oracle, "_grid_factors", refuse)
     monkeypatch.setattr(oracle, "_CHUNK", 100)
-    mt = _random_hermitian(np.random.default_rng(61), dims).mat.reshape(dims + dims)
-    oracle._scan_grid(mt, dims, x, 32)
-    assert calls == [d for k, d in enumerate(dims) if k != x]
+    m = _random_hermitian(np.random.default_rng(61), dims)
+    if 1 in dims:
+        grid_product_extremum(m, "max", 32)
+    else:
+        oracle._scan_grid(m.mat.reshape(dims + dims), dims, x, 32)
+    assert calls == [d for k, d in enumerate(dims) if k != x and d > 1]
 
 
 @pytest.mark.parametrize(
@@ -356,7 +367,7 @@ def _grid_factors_per_point(d: int, resolution: int, idx: np.ndarray) -> np.ndar
 @pytest.mark.parametrize(
     "d, resolution, sample",
     [(2, 32, 0), (2, 33, 0), (2, 256, 0), (3, 32, 0), (3, 33, 0), (3, 103, 10**5), (4, 32, 10**5),
-     (1, 32, 0), (4, 33, 10**5)],
+     (4, 33, 10**5)],
 )
 def test_grid_factors_keep_the_per_point_bits(d, resolution, sample):
     # every index of the grid, or a seeded sample of the larger ones
@@ -369,8 +380,7 @@ def test_grid_factors_keep_the_per_point_bits(d, resolution, sample):
 
 @pytest.mark.parametrize(
     "d, resolution, sample",
-    [(1, 32, 0), (1, 33, 0), (2, 32, 0), (2, 33, 0), (3, 32, 0), (3, 33, 0), (3, 103, 24), (4, 32, 6),
-     (4, 33, 6)],
+    [(2, 32, 0), (2, 33, 0), (3, 32, 0), (3, 33, 0), (3, 103, 24), (4, 32, 6), (4, 33, 6)],
 )
 def test_table_rows_match_the_outer_products_of_the_factors(d, resolution, sample):
     # every entry has modulus <= 1, and the tables round differently from
@@ -649,10 +659,18 @@ def _random_input(rng: np.random.Generator, dims: tuple[int, ...], kind: str) ->
 def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, dims, resolution, chunks, kinds):
     # chunk 100 carries the best value across many blocks of a few polar
     # rows, ragged at the end at resolution 33; chunk 7 (100 at 64) gives
-    # one polar row a block, of at most 32 points, and the one-point d = 1
-    # grid, before or after the four-level party, is a block of one anchor
-    # at every chunk
+    # one polar row a block, of at most 32 points. The scan drops a d = 1
+    # party, before or after the four-level one, so those run through
+    # `grid_product_extremum`, which reaches the exact party's eigenvalue
     rng = np.random.default_rng(math.prod(dims) * 1000 + resolution)
+    if 1 in dims:
+        for kind in kinds:
+            m = _random_input(rng, dims, kind).reshape(4, 4)
+            top = np.linalg.eigvalsh(m)
+            for mode, best in (("max", top[-1]), ("min", top[0])):
+                value = grid_product_extremum(ComplexMatrix(dims, m), mode, resolution)
+                assert abs(value - best) <= 1e-14 * np.abs(top).max(), kind
+        return
     x = oracle._support_check(dims, oracle.MIN_RESOLUTION)
     splits = set()
     for kind in kinds:
@@ -719,9 +737,11 @@ def _near_scalar(rng: np.random.Generator, n: int) -> np.ndarray:
 @pytest.mark.parametrize("rows", [_near_ties, _near_scalar])
 def test_pruning_skips_only_points_below_the_bar(scale, rows):
     # the bar is the best anchor's value, or a floor at or near it; no row
-    # at or above it is skipped, and solved rows keep LAPACK's bits
+    # at or above it is skipped, and solved rows keep LAPACK's bits. The
+    # pad is the scan's, with a = max|c|
     n = 4 * oracle._ANCHOR_STRIDE + 5
     c = rows(np.random.default_rng(73), n) * scale
+    a = float(np.abs(c).max())
     full = np.linalg.eigvalsh(oracle._hermitian(c))[:, -1]
     top = full[:: oracle._ANCHOR_STRIDE].max()
     if rows is _near_scalar:
@@ -730,7 +750,7 @@ def test_pruning_skips_only_points_below_the_bar(scale, rows):
         assert np.any(at_or_above & oracle._below(c, top))
     near = (np.nextafter(top, -np.inf), np.nextafter(top, np.inf))
     for floor in (-np.inf, top, *near, 2 * abs(top)):
-        lam = oracle._pruned_top_eigvals(c, floor)
+        lam = oracle._pruned_top_eigvals(c, floor, a)
         solved = lam > -np.inf
         assert np.array_equal(lam[solved], full[solved])
         assert np.all(full[~solved] < max(floor, top))
@@ -822,6 +842,50 @@ def test_below_is_confirmed_in_exact_arithmetic(scale):
         assert per_column.tolist() == list(said)
         for c, mu, proven in zip(cs, mus, per_column):
             assert not proven or _exactly_positive_definite(_shifted_exactly(c, mu)), (c, mu)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_nothing_is_proven_below_minus_infinity(scale):
+    # before a scan has a best value, the pad is inf and mu is -inf, so a
+    # window's cells, a block's boxes and its points all go on to the solve,
+    # and no floating-point warning is raised on the way
+    rng = np.random.default_rng(151)
+    for dx in (2, 3, 4):
+        cells = oracle._coords(_hermitian_batch(rng, 64, dx)) * scale
+        term = np.abs(rng.normal(size=64)) * scale
+        a = float(np.abs(cells).max())
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for c, t in ((cells, term), (cells.reshape(-1, 8, 8), term.reshape(8, 8)), (cells, 0.0)):
+                assert not oracle._cells_below(c, t, -np.inf, a, dx).any(), (dx, np.ndim(t))
+
+
+def test_trivial_parties_are_dropped_before_the_scan(monkeypatch):
+    # a party of dimension 1 has the one factor (1), so the scan drops it:
+    # (2,1,2) and the like scan as (2,2), and the winner gets (1) back. A
+    # witness extended by a trivial party is checked, not refused
+    scanned = []
+    scan = oracle._scan_grid
+
+    def record(mt, dims, x, resolution):
+        scanned.append(dims)
+        return scan(mt, dims, x, resolution)
+
+    monkeypatch.setattr(oracle, "_scan_grid", record)
+    rho = _random_input(np.random.default_rng(157), (2, 2), "full").reshape(4, 4)
+    for mode in ("max", "min"):
+        value = grid_product_extremum(ComplexMatrix((2, 2), rho), mode, 64)
+        for dims in ((2, 1, 2), (1, 2, 2), (2, 2, 1), (1, 2, 1, 2, 1)):
+            scanned.clear()
+            assert abs(grid_product_extremum(ComplexMatrix(dims, rho), mode, 64) - value) <= 1e-14, dims
+            assert scanned == [(2, 2)], dims
+    assert grid_product_extremum(ComplexMatrix((1, 1), np.array([[0.5 + 0j]])), "max", 32) == 0.5
+    w = make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3)
+    rep = exhaustive_witness_check(w, 64)
+    for tail in ([1], [1, 1]):
+        ext = exhaustive_witness_check(identity_extend(w, tail), 64)
+        assert ext.is_witness and abs(ext.min_product_expectation - rep.min_product_expectation) <= 1e-14
+        assert [f.vec.tolist() for f in ext.certificate_state.factors[2:]] == [[1.0]] * len(tail)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -930,24 +994,69 @@ def test_lead_cells_keep_the_fixed_order_winner(monkeypatch, kind, resolution):
     assert len(splits) == len(chunks)  # no two chunks run the same blocks
 
 
+def test_lead_cells_read_the_hermitian_part_of_their_input():
+    # K_g reads one triangle of each block and the lead rows read both, so
+    # the scan first averages the operator with its conjugate transpose.
+    # Tie inputs moved off Hermitian by 1e-11 in their lower triangle,
+    # within the reader's tolerance, keep the fixed-order winner of that
+    # average. Without it, skipped cells held values above the incumbent:
+    # four of these sixteen winners were not the fixed-order scan's
+    for seed in range(2):
+        rng = np.random.default_rng(163 + seed)
+        for tie in _three_qubit_ties()[:4]:
+            low = np.tril(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)), -1) * 1e-11
+            mt = tie + low.reshape((2,) * 6)
+            for signed in (mt, -mt):
+                average = (signed + signed.conj().transpose(3, 4, 5, 0, 1, 2)) / 2
+                winner = oracle._scan_grid(signed, _THREE_QUBITS, 2, 32)
+                assert winner == _fixed_order_scan(average, _THREE_QUBITS, 2, 32), seed
+
+
+def _lead_cells(mt: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """A three-qubit scan's lead rows `op`, (lead points, 4, 4), and the
+    (16, lead points) coordinates of their two-qubit operators K_g, built
+    as `oracle._scan_grid` builds them from an exactly Hermitian `mt`."""
+    lead_rows = oracle._grid_rows(*oracle._grid_tables(2, resolution), slice(None))
+    op = oracle._coordinate_operator(mt, 2).reshape(4, -1, 4).transpose(1, 0, 2)
+    op = (lead_rows.T @ op.reshape(4, -1)).reshape(-1, 4, 4)
+    return op, oracle._coordinate_operator(mt.reshape(2, 4, 2, 4), 1) @ lead_rows
+
+
 def test_lead_cell_operator_contracts_to_the_lead_row():
     # K_g contracted with any last-qubit factor f gives op[g] @ rows(f)
     rng = np.random.default_rng(101)
-    op = rng.normal(size=(64, 4, 4))
-    k = oracle._hermitian(oracle._lead_map() @ op.reshape(-1, 16).T).reshape(64, 2, 2, 2, 2)
-    f = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+    op, cells = _lead_cells(_random_input(rng, _THREE_QUBITS, "hermitian"), 32)
+    k = oracle._hermitian(cells).reshape(-1, 2, 2, 2, 2)
+    f = rng.normal(size=(k.shape[0], 2)) + 1j * rng.normal(size=(k.shape[0], 2))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     contracted = np.einsum("ga,gaibj,gb->gij", f.conj(), k, f)
-    rows = oracle._coords(_outer(f).reshape(-1, 2, 2))  # (4, 64)
+    rows = oracle._coords(_outer(f).reshape(-1, 2, 2))  # (4, lead points)
     assert np.allclose(oracle._coords(contracted), np.einsum("gxl,lg->xg", op, rows), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("resolution", [32, 73])
+def test_lead_cell_operator_is_the_dense_contraction_with_the_lead_factor(resolution):
+    # K_g as the scan builds it is (f_g^H (x) I) sigma (f_g (x) I), f_g lead
+    # point g's factor, within 64u a per coordinate, a the larger of
+    # max|op| and K_g's operator's largest entry: 7u a for K_g's GEMM, 32u a
+    # for the table rows' distance from the factors' outer products, and a
+    # few u a for the dense contraction's own rounding
+    ginibre = _random_input(np.random.default_rng(149), _THREE_QUBITS, "full")
+    identity, ghz = _three_qubit_ties()[:2]
+    for mt in (ginibre, identity, ghz):
+        op, cells = _lead_cells(mt, resolution)
+        f = oracle._grid_factors(2, resolution, np.arange(cells.shape[1]))
+        dense = np.einsum("ga,aibj,gb->gij", f.conj(), mt.reshape(2, 4, 2, 4), f)
+        a = max(np.abs(op).max(), np.abs(oracle._coordinate_operator(mt.reshape(2, 4, 2, 4), 1)).max())
+        assert np.all(np.abs(cells - oracle._coords(dense)) <= 2.0**-47 * a)
+
+
 def _near_scalar_cells(rng: np.random.Generator, v: float, n: int) -> np.ndarray:
-    """(n, 4, 4) lead rows `op` whose two-qubit operators K_g are v*I moved
-    by a few ulps of v, so that their grid values tie with v*I's or miss
-    them by a few ulps; every eighth is moved down by 30,000 ulps, a few
-    times the pad, and every eighth after the second is scaled by 3/4.
-    K_0 is v*I."""
+    """The (16, n) coordinates of two-qubit operators K_g and the (n, 4, 4)
+    lead rows `op` that contract to them: K_g is v*I moved by a few ulps
+    of v, so that their grid values tie with v*I's or miss them by a few
+    ulps; every eighth is moved down by 30,000 ulps, a few times the pad,
+    and every eighth after the second is scaled by 3/4. K_0 is v*I."""
     ulp = np.spacing(v)
     diag = v + rng.integers(-8, 1, (n, 4)) * ulp
     diag[::8] -= 30_000 * ulp
@@ -959,7 +1068,7 @@ def _near_scalar_cells(rng: np.random.Generator, v: float, n: int) -> np.ndarray
     k[0] = v * np.eye(4)
     s01, s10 = k[:, :2, 2:], k[:, 2:, :2]
     columns = (k[:, :2, :2], k[:, 2:, 2:], s01 + s10, 1j * (s01 - s10))  # `_coordinate_operator`
-    return np.stack([oracle._coords(b) for b in columns], axis=-1).transpose(1, 0, 2)
+    return oracle._coords(k), np.stack([oracle._coords(b) for b in columns], axis=-1).transpose(1, 0, 2)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
@@ -968,13 +1077,12 @@ def test_pruned_cells_lie_below_the_incumbent(scale):
     # below the incumbent, and an exact LDL^T confirms lambda_max(K_g) below
     # it; some cells tie with the incumbent whose lambda_max(K_g) is below
     # it in exact arithmetic, which only the pad keeps
-    op = _near_scalar_cells(np.random.default_rng(103), 0.5606394622302311, 48) * scale
-    cells = oracle._lead_map() @ op.reshape(-1, 16).T
+    cells, op = (t * scale for t in _near_scalar_cells(np.random.default_rng(103), 0.5606394622302311, 48))
     q = oracle._grid_rows(*oracle._grid_tables(2, 32), slice(None))
     values = oracle._extremal_eigvals((op @ q).transpose(1, 0, 2))  # (cells, points)
     best = values.max()
-    every = np.arange(op.shape[0])
-    proven = oracle._cells_below(cells, np.zeros(every.size), every, best, float(np.abs(op).max()), 2)
+    a = max(float(np.abs(op).max()), float(np.abs(cells).max()))
+    proven = oracle._cells_below(cells, np.zeros(op.shape[0]), best, a, 2)
     assert proven.any()
     tied_but_below = 0
     for g in range(op.shape[0]):
@@ -1027,6 +1135,8 @@ def _unproven_scan(monkeypatch, signed: np.ndarray, dims: tuple[int, ...], x: in
 
 
 _QUBIT_ROWS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 4), (4, 1)]
+# the structures with a gridded party: the scan drops a d = 1 party
+_GRIDDED = [dims for dims in _QUBIT_ROWS if 1 not in dims] + [(3, 3), (3, 4)]
 
 
 # a qubit's whole grid is one block, and so one window, that no cell test
@@ -1048,25 +1158,37 @@ def test_row_cells_keep_the_fixed_order_unpruned_winner(monkeypatch, dims, resol
     # fixed-order unpruned scan's, ties included. On I (x) P at a qutrit
     # exact party the cubic's values exceed their rows' bound by up to
     # 1e-8 of it, which a pad of 2**-40 does not cover: (3,3) then loses
-    # its winner at 32, 33 and 64
+    # its winner at 32, 33 and 64. The scan drops a d = 1 party, so (1,4)
+    # and (4,1) run through `grid_product_extremum`, with and without
+    # proofs, to the exact party's top eigenvalue
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     x = oracle._support_check(dims, resolution)
     inputs = _two_party_inputs(np.random.default_rng(math.prod(dims) * 100 + resolution), dims, x)
     rows, boxes = [], []
     prove = oracle._cells_below
 
-    def record(*args):
-        below = prove(*args)
-        (boxes if below.ndim == 2 else rows).append(int(below.sum()))
+    def record(cells, term, *rest):
+        below = prove(cells, term, *rest)
+        if np.ndim(term):  # a window's rows or a block's boxes, not a block's points
+            (boxes if below.ndim == 2 else rows).append(int(below.sum()))
         return below
 
     monkeypatch.setattr(oracle, "_cells_below", record)
     for kind in kinds or inputs:
         for signed in (inputs[kind], -inputs[kind]):
+            if 1 in dims:
+                m = ComplexMatrix(dims, signed.reshape(4, 4))
+                value = grid_product_extremum(m, "max", resolution)
+                with monkeypatch.context() as patched:
+                    patched.setattr(oracle, "_below", lambda c, mu: np.zeros(c.shape[1:], dtype=bool))
+                    assert value == grid_product_extremum(m, "max", resolution), kind
+                top = np.linalg.eigvalsh(m.mat)[-1]
+                assert abs(value - top) <= 1e-14 * np.abs(signed).max(), kind
+                continue
             winner = oracle._scan_grid(signed, dims, x, resolution)
             assert winner == _unproven_scan(monkeypatch, signed, dims, x, resolution), kind
-    # a d = 1 party's grid is one row of one box, and I (x) P ties every
-    # row; a box is tested only in a row that no cell test skipped
+    # I (x) P ties every row; a box is tested only in a row that no cell
+    # test skipped
     assert (sum(rows) > 0 and sum(boxes) > 0) or 1 in dims or kinds == ("I (x) P",)
 
 
@@ -1100,20 +1222,25 @@ def _row_values(mt: np.ndarray, dims: tuple[int, int], x: int, resolution: int, 
     return np.linalg.eigvalsh(np.einsum(spec, f.conj(), mt, f))[:, -1]
 
 
-@pytest.mark.parametrize("dims", [*_QUBIT_ROWS, (3, 3), (3, 4)])
+@pytest.mark.parametrize("dims", _GRIDDED)
 def test_row_bound_holds_every_grid_value_of_its_row(dims):
-    # lambda_max(D_m) + t is at least every grid value of row m, by eigvalsh
-    # point by point, up to their rounding. The rows with t_1 = 0 hold one
-    # ray, (1, 0, ...), at every phase, and their bound is that value
+    # the root box of row m, centre row (1, ..., 1, 0, ..., 0) and deviation
+    # 1, has C = D_m, and lambda_max(D_m) + t is at least every grid value of
+    # row m, by eigvalsh point by point, up to their rounding. The rows with
+    # t_1 = 0 hold one ray, (1, 0, ...), at every phase, and their bound is
+    # that value
     resolution = 8
     x = oracle._support_check(dims, 32)
     d = dims[1 - x]
     mag2, _ = oracle._grid_tables(d, resolution)
+    root, dev = np.repeat([1.0, 0.0], [d, d * d - d])[:, None], np.ones((d * (d - 1) // 2, 1))
     one_ray = oracle._polar_steps(d, resolution) ** max(0, d - 2)  # rows with t_1 = 0
     for kind, mt in _two_party_inputs(np.random.default_rng(109 + math.prod(dims)), dims, x).items():
         for signed in (mt, -mt):
-            d_m, term = oracle._row_cells(oracle._coordinate_operator(signed, x), mag2)
-            bound = np.linalg.eigvalsh(oracle._hermitian(d_m))[:, -1] + term
+            op = oracle._coordinate_operator(signed, x)
+            cells, term = oracle._box_cells(op, oracle._pair_norms(op, d), mag2, root, dev, np.arange(mag2.shape[1]))
+            term = term[:, 0]
+            bound = np.linalg.eigvalsh(oracle._hermitian(cells[..., 0]))[:, -1] + term
             tol = 1e-14 * np.abs(signed).max()
             for row in range(mag2.shape[1]):
                 values = _row_values(signed, dims, x, resolution, row)
@@ -1137,15 +1264,26 @@ def test_pruned_rows_lie_below_the_incumbent(monkeypatch, scale):
     # incumbent; at a qutrit exact party, whose pad covers the cubic's
     # sqrt(u) loss, only the full-rank states have skipped rows
     monkeypatch.setattr(oracle, "_CHUNK", 64)  # blocks of two qubit rows
-    skipped = []
-    prove = oracle._cells_below
+    skipped, scans = [], []
+    prove, order = oracle._cells_below, oracle._cell_order
 
-    def record(cells, term, window, best, a, dx):
-        below = prove(cells, term, window, best, a, dx)
-        if below.ndim == 1:  # rows; `test_pruned_boxes_lie_below_the_incumbent` takes boxes
-            skipped.extend((cells[:, i], term[i], i, best) for i in window[below])
+    def record_order(cells, term):  # every row's cell and term, as the scan has them
+        scans.append((cells, term))
+        return order(cells, term)
+
+    def record(cells, term, best, a, dx):
+        below = prove(cells, term, best, a, dx)
+        # a window's rows, sliced from the scan's; boxes, two-dimensional,
+        # are `test_pruned_boxes_lie_below_the_incumbent`'s, and points,
+        # with one float t, are no row's
+        if np.ndim(term) == 1:
+            every, terms = scans[-1]
+            for c, t in zip(cells.T[below], term[below]):
+                rows = np.flatnonzero(np.all(every == c[:, None], axis=0) & (terms == t))
+                skipped.extend((c, t, i, best) for i in rows)
         return below
 
+    monkeypatch.setattr(oracle, "_cell_order", record_order)
     monkeypatch.setattr(oracle, "_cells_below", record)
     rng = np.random.default_rng(107)
     closest = 1.0
@@ -1187,11 +1325,10 @@ def _box_bounds(signed: np.ndarray, dims: tuple[int, int], x: int, resolution: i
 def test_phase_boxes_tile_every_phase_grid():
     # boxes of _BOX phases on a qubit's axis and of 2 x 2 on a qutrit's,
     # the last on an axis shorter where the side does not divide the
-    # resolution; d = 1 has one box of its one phase vector
+    # resolution
     for d, resolution, sizes in (
         (2, 32, [4] * 8), (2, 33, [4] * 8 + [1]), (2, 103, [4] * 25 + [3]),
         (3, 32, [4] * 256), (3, 33, ([4] * 16 + [2]) * 16 + [2] * 16 + [1]),
-        (1, 33, [1]),
     ):
         centre2, dev, box_of = oracle._phase_boxes(d, resolution)
         assert box_of.shape == (resolution ** (d - 1),)
@@ -1200,7 +1337,7 @@ def test_phase_boxes_tile_every_phase_grid():
         assert np.all(dev >= 0) and np.all(dev < 2)
 
 
-@pytest.mark.parametrize("dims", [*_QUBIT_ROWS, (3, 3), (3, 4)])
+@pytest.mark.parametrize("dims", _GRIDDED)
 def test_box_bound_holds_every_grid_value_of_its_box(dims):
     # lambda_max(C_b) + t_b is at least every grid value of box b, by
     # eigvalsh point by point, up to their rounding, at a resolution that
@@ -1263,8 +1400,8 @@ def test_pruned_boxes_lie_below_the_incumbent(monkeypatch, scale):
         blocks.append(rows)
         return make(op, w, mag2, centre2, dev, rows)
 
-    def record(cells, term, window, best, a, dx):
-        below = prove(cells, term, window, best, a, dx)
+    def record(cells, term, best, a, dx):
+        below = prove(cells, term, best, a, dx)
         if below.ndim == 2:  # a block's boxes, of the rows last given to `_box_cells`
             skipped.extend((cells[:, i, b], term[i, b], blocks[-1][i], b, best) for i, b in zip(*np.nonzero(below)))
         return below
