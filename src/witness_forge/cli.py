@@ -11,8 +11,8 @@ witness-verify and extend) and -o are checked before any input file is
 read; the seed comes from --seed, then WITNESS_FORGE_SEED, then 0.
 
 extend decides at the base's size through `verify_witness`: it searches
-sigma, sigma_S or a tail block, never the extension sigma', and reads the
-value of their lifted winner back from sigma' (`extend.Extension`).
+the extension's blocks, sigma, sigma_S or a tail factor, never sigma'
+itself, and reads the value of their lifted winner back from sigma'.
 
 Exit codes: 0 success (and, for witness-verify, the operator really is
 a witness); 1 parse or usage problems; 2 domain violations, including a
@@ -267,9 +267,9 @@ def _parse_selection(text: str, ancilla_dim: int) -> PurificationSelection:
 
 
 # Per method: the flags it accepts, the flags it requires, the kind of its
-# --tails files, and the extension, which returns sigma' with its base-size
-# problems (`extend.Extension`). The functions look the extensions up in
-# this module when they are called.
+# --tails files, and the extension, a witness on sigma' carrying its
+# base-size blocks (`Witness.blocks`). The functions look the extensions up
+# in this module when they are called.
 _EXTEND_METHODS = {
     "purify": ({"tails"}, (), "pure", lambda w, args, tails: purify_extend_n(w, tails)),
     "partial": ({"selection", "ancilla_dim", "c_prime"}, ("selection", "ancilla_dim"), None,

@@ -28,7 +28,8 @@ extreme eigenvalues follow from the base: the (partial) purification
 eigenvalues, and 0, and the spectrum of A (x) B holds every product
 a_i*b_j, so the extremes of a Kronecker product are products of its
 factors' extremes. Its product-state extremum is a base-size problem
-too, which each extension returns with sigma' (`Extension`). Product
+too, which each extension carries as its `Witness.blocks` and `phi`
+(`_extension`), where `verify_witness` searches it. Product
 states factor and every factor is PSD, so the extremum of sigma' is the
 product of its factors' extrema. The slots of a selection S are
 distinct, so Tr_C |phi><phi| = sigma_S = sum_{i in S} lambda_i
@@ -42,8 +43,6 @@ itself, which differs from sigma_S only by eigenvalues at most RANK_TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -127,47 +126,30 @@ def _tensor(base: DensityMatrix, factors: Sequence[DensityMatrix]) -> DensityMat
     return _with_extremes(dims, arr, lo, hi)
 
 
-@dataclass(frozen=True, eq=False)
-class Extension(Witness):
-    """A witness on an extension sigma' of a base sigma, carrying the
-    product-state extremum of sigma' as base-size problems: the `blocks`
-    whose extrema multiply to that of sigma', and `phi`, the (dim,
-    ancilla) amplitudes of the first block's (partial) purification, or
-    None. The first block is sigma, or sigma_S when a partial
-    purification leaves out a nonzero eigenpair; each tail factor is one
-    more block."""
-
-    blocks: tuple[ComplexMatrix, ...]
-    phi: np.ndarray | None
-
-    def lift(self, wins: list[list[np.ndarray]]) -> list[np.ndarray]:
-        """One product state on the parties of sigma' from one winner
-        per block, each a list of unit factors: the purification's
-        ancilla factor is (<ab| (x) I) phi, normalised, for the first
-        block's winner |ab>."""
-        if self.phi is None:
-            return [f for win in wins for f in win]
-        anc = reduce(np.kron, wins[0]).conj() @ self.phi
-        return [*wins[0], anc / np.linalg.norm(anc), *(f for win in wins[1:] for f in win)]
+def _extension(w: Witness, c: float, sigma: DensityMatrix, blocks: tuple, phi) -> Witness:
+    """The witness of w's form at offset c on sigma, carrying the `blocks`
+    and `phi` (`Witness`) that the caller knows from how sigma was built."""
+    ext = Witness(w.form, c, sigma)
+    object.__setattr__(ext, "blocks", blocks)
+    object.__setattr__(ext, "phi", phi)
+    return ext
 
 
 def _tensor_extend(
     w: Witness, tail_dims: Sequence[tuple[int, ...]], factors: Iterable[DensityMatrix]
 ) -> Witness:
     """w with sigma replaced by `_tensor(sigma, factors)` and the factors
-    appended to its blocks (sigma's own for a plain Witness); w itself
-    with no tails. The size is checked before `factors` is read, so the
-    factors may be built lazily."""
+    appended to its blocks; w itself with no tails. The size is checked
+    before `factors` is read, so the factors may be built lazily."""
     if not tail_dims:
         return w
     _require_within_cap(math.prod(w.dims + sum(tail_dims, ())), "product dimension")
     factors = list(factors)
-    base, phi = (w.blocks, w.phi) if isinstance(w, Extension) else ((w.sigma.mat,), None)
-    blocks = (*base, *(f.mat for f in factors))
-    return Extension(w.form, w.c, _tensor(w.sigma, factors), blocks, phi)
+    blocks = (*w.blocks, *(f.mat for f in factors))
+    return _extension(w, w.c, _tensor(w.sigma, factors), blocks, w.phi)
 
 
-def purify_extend(w: Witness) -> Extension:
+def purify_extend(w: Witness) -> Witness:
     """Replace sigma by the projector onto its minimal purification.
 
     The new party has dimension rank(sigma) and c is unchanged; the
@@ -199,7 +181,7 @@ def partial_purify_extend(
     w: Witness,
     sel: PurificationSelection,
     c_prime: float | None = None,
-) -> Extension:
+) -> Witness:
     """Replace sigma by an unnormalized partial-purification projector.
 
     The selection must include a top eigenpair (MaxEigenvalueNotSelected),
@@ -231,7 +213,7 @@ def partial_purify_extend(
     if len(sel.pairs) < w.sigma.spectrum.rank():
         block = ComplexMatrix(w.dims, phi @ phi.conj().T)
     sigma = _rank_one(w.sigma.dims + (sel.ancilla_dim,), proj, total)
-    return Extension(w.form, c_out, sigma, (block,), phi)
+    return _extension(w, c_out, sigma, (block,), phi)
 
 
 def count_partial_purifications(rank: int, d3: int) -> int:

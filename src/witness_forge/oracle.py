@@ -10,7 +10,9 @@ closed form as the top eigenvector of the contracted operator, so the
 scan is exact in that coordinate and strictly dominates gridding it.
 The best grid point is then polished by the see-saw, run as a batch of
 one. `exhaustive_witness_check` scans sigma itself on the form's side,
-as `verify_witness` searches it, and never builds the witness matrix.
+at full size, and never builds the witness matrix: it does not use the
+base-size `Witness.blocks` that `verify_witness` searches, so it checks
+that reduction independently.
 
 Grids are nested under resolution doubling, and every party has one
 layout: d-1 polar indices, most significant first, then d-1 phase
@@ -880,5 +882,6 @@ def grid_product_extremum(m: ComplexMatrix, mode: str, resolution: int = 256) ->
 
 def exhaustive_witness_check(w: Witness, resolution: int = 64) -> WitnessReport:
     """WitnessReport computed from the grid scan of sigma, on the form's
-    side, instead of see-saw."""
+    side, instead of see-saw. sigma is scanned at full size on purpose,
+    never `w.blocks`, so that the scan checks the reduction."""
     return _witness_report(w, *_scan(w.sigma.mat, w.form.sign, resolution))

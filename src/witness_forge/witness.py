@@ -40,10 +40,10 @@ Only the winning factors get the canonical phase, and the reported value is thei
 expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
 lower bound for the max), so every verdict reads a search of s*sigma:
 strict `make_witness` is `verify_witness` plus a raise, and the grid
-oracle scans sigma in the same direction. `verify_witness` decides an
-extension (`extend.Extension`) from base-size searches: it searches the
-blocks whose extrema multiply to that of sigma, and reads its value from
-sigma at their winners lifted to one product state. One rule,
+oracle scans sigma in the same direction. Every witness carries the
+base-size `blocks` whose extrema multiply to that of sigma (sigma itself
+unless `extend` built it); `verify_witness` searches them, and reads its
+value from sigma at their winners lifted to one product state. One rule,
 `_witness_report`, turns the sigma value v found into W's minimal
 product expectation s*(c - v), which must be at least -TOL_POS, and
 requires the margin -lambda_min(W) = lambda_max(s*sigma) - s*c above
@@ -55,8 +55,9 @@ and seeds reproduce results bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -133,11 +134,16 @@ class OptResult:
 @dataclass(frozen=True, eq=False)
 class Witness:
     """An affine witness candidate; interval checking happens in
-    make_witness, so bare construction never optimizes."""
+    make_witness, so bare construction never optimizes. `blocks` are the
+    base-size matrices whose product extrema multiply to that of sigma,
+    and `phi` the (dim, ancilla) amplitudes of the first block's (partial)
+    purification, or None: (sigma.mat,) and None unless `extend` sets them."""
 
     form: WitnessForm
     c: float
     sigma: DensityMatrix
+    blocks: tuple[ComplexMatrix, ...] = field(init=False)
+    phi: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         try:
@@ -149,6 +155,8 @@ class Witness:
         if not np.isfinite(c):
             raise ParamOutOfRange("witness offset c must be finite")
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "blocks", (self.sigma.mat,))
+        object.__setattr__(self, "phi", None)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -163,6 +171,16 @@ class Witness:
             return ComplexMatrix(self.dims, self.c * eye - self.sigma.mat.mat)
         return ComplexMatrix(self.dims, self.sigma.mat.mat - self.c * eye)
 
+    def lift(self, wins: list[list[np.ndarray]]) -> list[np.ndarray]:
+        """One product state on the parties of sigma from one winner
+        per block, each a list of unit factors: the purification's
+        ancilla factor is (<ab| (x) I) phi, normalised, for the first
+        block's winner |ab>."""
+        if self.phi is None:
+            return [f for win in wins for f in win]
+        anc = reduce(np.kron, wins[0]).conj() @ self.phi
+        return [*wins[0], anc / np.linalg.norm(anc), *(f for win in wins[1:] for f in win)]
+
 
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
@@ -172,9 +190,9 @@ class WitnessReport:
     `min_product_expectation` is s*(c - v) for the value v of sigma at
     `certificate_state`, the extremum of s*sigma found by the search: an
     upper bound on the true product minimum of W when produced by
-    see-saw (exhaustive grid reports are grid-accurate instead). The
-    certificate of an extension is its blocks' winners lifted to one
-    product state on its parties.
+    see-saw (exhaustive grid reports are grid-accurate instead). A
+    see-saw certificate is the witness's blocks' winners lifted to one
+    product state on its parties (`Witness.lift`).
     `witnessing_margin` is the negated smallest eigenvalue of W.
     `is_witness` holds when the first is at least -TOL_POS and the
     second above TOL_NEG.
@@ -537,20 +555,15 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     return float((w.matrix().mat * rho.mat.mat.T).sum().real)
 
 
-def _margin(w: Witness) -> float:
-    """The witnessing margin -lambda_min(W) = lambda_max(s*sigma) - s*c,
-    from the extreme eigenvalues sigma keeps."""
-    s = w.form.sign
-    top = w.sigma.lambda_max if s > 0 else -w.sigma.lambda_min  # lambda_max(s*sigma)
-    return top - s * w.c
-
-
 def _witness_report(w: Witness, value: float, state: ProductState) -> WitnessReport:
     """The verdict on `w` from a search of sigma on the form's side:
     `value` is <mu|sigma|mu> at the product state `state` that maximises
-    s*sigma, so W's minimal product expectation is s*(c - value)."""
-    min_value = w.form.sign * (w.c - value)
-    margin = _margin(w)
+    s*sigma, so W's minimal product expectation is s*(c - value). The
+    margin -lambda_min(W) = lambda_max(s*sigma) - s*c is read from the
+    extreme eigenvalues sigma keeps."""
+    s = w.form.sign
+    min_value = s * (w.c - value)
+    margin = (w.sigma.lambda_max if s > 0 else -w.sigma.lambda_min) - s * w.c
     is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
     return WitnessReport(min_value, margin, is_w, state)
 
@@ -569,19 +582,13 @@ def verify_witness(
     """See-saw verification: nonnegative on product states (within
     TOL_POS) and at least one negative eigenvalue (margin above TOL_NEG).
 
-    The see-saw searches sigma on the form's side, for its maximum in the
-    dual form and its minimum in the primal one; W is never built. An
-    `extend.Extension` is decided at base size: each of its blocks is
-    searched instead of sigma, `w.lift` maps the winners' factors to the
-    certificate, one product state on w's parties, and its value is read
-    back from sigma as `_winner` reads a see-saw's."""
+    The see-saw searches each of w's blocks on the form's side, for its
+    maximum in the dual form and its minimum in the primal one; W is
+    never built. `w.lift` maps the winners' factors to the certificate,
+    one product state on w's parties, whose value is read back from sigma."""
     # by their public names, so that wrappers of the see-saw see the call
     search = max_product_expectation if w.form.sign > 0 else min_product_expectation
-    blocks = getattr(w, "blocks", None)  # an extend.Extension's; extend imports this module
-    if blocks is None:
-        opt = search(w.sigma.mat, restarts, seed)
-        return _witness_report(w, opt.value, opt.extremizer)
-    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in blocks]
+    wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in w.blocks]
     return _witness_report(w, *_winner(w.sigma.mat.mat, w.lift(wins)))
 
 

@@ -60,6 +60,7 @@ from witness_forge.witness import (
     max_product_expectation,
     min_product_expectation,
     verify_witness,
+    _witness_report,
 )
 
 
@@ -507,16 +508,24 @@ def test_margin_is_negated_bottom_eigenvalue_of_witness(build):
 
 
 def test_extension_chain_stays_witness():
-    # purify, add a pure tail, then an identity tail: the purification's
-    # block, then one block per tail, whatever the order of the calls
+    # purify, add a pure tail, then an identity tail: sigma's block, then
+    # one block per tail, whatever the order of the calls, and the
+    # purification's amplitudes throughout
     w = _isotropic_witness()
     zero = PureState(ComplexVector((2,), np.array([1, 0], dtype=complex)))
-    chained = identity_extend(pure_tails_extend(purify_extend(w), [zero]), [2])
+    purified = purify_extend(w)
+    chained = identity_extend(pure_tails_extend(purified, [zero]), [2])
     assert chained.dims == (2, 2, 4, 2, 2)
     assert chained.c == 0.3
     rep = verify_witness(chained, restarts=8, seed=5)
     assert rep.is_witness
     assert [b.dims for b in chained.blocks] == [(2, 2), (2,), (2,)]
+    assert chained.blocks[0] is w.sigma.mat  # isotropic(0.2) has full rank
+    assert np.array_equal(chained.blocks[1].mat, np.diag([1.0, 0.0]))
+    assert np.array_equal(chained.blocks[2].mat, np.eye(2))
+    assert chained.phi is purified.phi and chained.phi.shape == (4, 4)
+    phi = chained.phi
+    assert np.abs(phi @ phi.conj().T - w.sigma.mat.mat).max() <= 1e-14
     full = max_product_expectation(chained.sigma.mat, 64, 0).value
     assert abs(rep.min_product_expectation - (chained.c - full)) <= 1e-9
 
@@ -728,6 +737,23 @@ def test_verify_witness_searches_an_extension_at_base_size(
         assert verify_witness(ext, 4, 0).is_witness
         assert [m.dims for m in searched] == [b.dims for b in ext.blocks]
         assert all(m is b for m, b in zip(searched, ext.blocks))
+
+
+@_BASE_DIMS
+@_CASES
+def test_verify_witness_is_the_report_of_the_lifted_block_winners(tmp_path, case, base_dims):
+    # the case's base witness, a plain one of either form, and its extension
+    w, _, _, extension = _reduced_case(tmp_path, case, base_dims)
+    for v in (w, extension(w)):
+        search = max_product_expectation if v.form.sign > 0 else min_product_expectation
+        wins = [[f.vec for f in search(b, 4, 1).extremizer.factors] for b in v.blocks]
+        want = _witness_report(v, *witness._winner(v.sigma.mat.mat, v.lift(wins)))
+        got = verify_witness(v, 4, 1)
+        assert (got.min_product_expectation, got.witnessing_margin, got.is_witness) == (
+            want.min_product_expectation, want.witnessing_margin, want.is_witness
+        )
+        pairs = zip(got.certificate_state.factors, want.certificate_state.factors, strict=True)
+        assert all(np.array_equal(f.vec, g.vec) for f, g in pairs)
 
 
 def _hermitian_density(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:

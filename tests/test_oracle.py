@@ -760,6 +760,32 @@ def test_pruning_skips_only_points_below_the_bar(scale, rows):
                 assert int(np.argmax(lam)) == int(np.argmax(full))
 
 
+def test_every_skip_of_a_two_four_scan_reads_the_scans_a(monkeypatch):
+    # The point level's share of the pad (LAPACK's 544u*a) cannot be told
+    # apart by values: `_below`'s own 64u*T shift is larger than LAPACK's
+    # error on every input tried, |bar| << a included. So every
+    # `_cells_below` call of a (2,4) scan, the point level's among them,
+    # must receive the scan's a, the largest entry of the scaled operator
+    # in coordinates.
+    m = _random_hermitian(np.random.default_rng(11), (2, 4))
+    mt = m.mat.reshape(2, 4, 2, 4)
+    _, e = math.frexp(float(np.abs(mt.view(np.float64)).max()))
+    scaled = np.ldexp(mt.view(np.float64), -e).view(np.complex128)
+    want = float(np.abs(oracle._coordinate_operator(scaled, 1)).max())
+    seen = []
+    real = oracle._cells_below
+
+    def spy(cells, term, best, a, dx):
+        seen.append((np.isscalar(term), a))  # the point level's term is 0.0
+        return real(cells, term, best, a, dx)
+
+    monkeypatch.setattr(oracle, "_cells_below", spy)
+    for s in (1, -1):
+        oracle._scan_grid(s * mt, (2, 4), 1, 64)
+    assert any(point for point, _ in seen)
+    assert {a for _, a in seen} == {want}
+
+
 def _exactly_positive_definite(a: list[list[tuple[Fraction, Fraction]]]) -> bool:
     """Positive definiteness of a Hermitian matrix of (re, im) Fraction
     entries, by LDL^T of its real symmetric embedding [[Re, -Im], [Im, Re]]."""

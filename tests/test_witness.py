@@ -810,6 +810,21 @@ def test_unknown_form_is_param_out_of_range():
     assert Witness("sigma_minus_c", 0.1, sq).form is WitnessForm.SIGMA_MINUS_C
 
 
+def test_a_plain_witness_is_its_own_one_block():
+    sq = isotropic(0.2)
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.3, sq)
+    assert w.blocks == (sq.mat,) and w.blocks[0] is sq.mat
+    assert w.phi is None
+    wins = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])], [np.array([0.6, 0.8j])]]
+    lifted = w.lift(wins)
+    assert len(lifted) == 3 and all(f is g for f, g in zip(lifted, [*wins[0], *wins[1]]))
+    # the blocks are set by construction, never passed in
+    with pytest.raises(TypeError):
+        Witness(WitnessForm.C_MINUS_SIGMA, 0.3, sq, blocks=(sq.mat,))
+    with pytest.raises(TypeError):
+        Witness(WitnessForm.C_MINUS_SIGMA, 0.3, sq, phi=None)
+
+
 def test_verdicts_never_build_the_witness_matrix(monkeypatch):
     def fail(self):
         raise AssertionError("a verdict built W")
