@@ -59,7 +59,7 @@ from .witness import (
     DEFAULT_RESTARTS,
     SEESAW_TOL,
     TOL_NEG,
-    TOL_POS,
+    Witness,
     WitnessForm,
     _require_witness,
     _search_params,
@@ -72,12 +72,12 @@ from .witness import (
 
 TOLERANCES = {
     "hermiticity": HERMITICITY_TOL,
-    "interval_pad": TOL_POS,  # the closed side's pad is the verdict's TOL_POS
     "rank": RANK_TOL,
     "seesaw": SEESAW_TOL,
     "tie": TIE_TOL,
     "witness_neg": TOL_NEG,
-    "witness_pos": TOL_POS,
+    # the closed end: the least min product expectation accepted, `witness._closed_pad`
+    "witness_pos": "-(rounding bound of s*(c - <mu|sigma|mu>)), about -2*dim*2**-53*tr(sigma)",
 }
 
 
@@ -207,10 +207,10 @@ def _cmd_cbounds(args):
 
 def _cmd_witness_make(args):
     sigma = _require_kind(parse_matrix_file(args.sigma), ("density",), "witness-make input")
-    w = make_witness(
-        WitnessForm(args.form), sigma, args.c,
-        check=args.check, restarts=args.restarts, seed=args.seed,
-    )
+    if args.check == "none":
+        w = Witness(WitnessForm(args.form), args.c, sigma)
+    else:
+        w = make_witness(WitnessForm(args.form), sigma, args.c, args.restarts, args.seed)
     write_matrix_file(w, args.output)
     results = {
         "c": w.c,

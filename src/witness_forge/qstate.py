@@ -172,17 +172,13 @@ def _nonzero_indices(vals: Sequence[float]) -> list[int]:
     return [i for i, v in enumerate(vals) if v > RANK_TOL]
 
 
-def _purifying_selection(d: DensityMatrix, ancilla_dim: int | None = None) -> PurificationSelection:
+def _purifying_selection(d: DensityMatrix) -> PurificationSelection:
     """The i-th nonzero eigenpair of the normalized `d` to ancilla slot i,
-    over `ancilla_dim` slots (default: the rank); an unnormalized `d`
-    raises ParamOutOfRange."""
+    over rank(d) slots; an unnormalized `d` raises ParamOutOfRange."""
     if not d.normalized:
         raise ParamOutOfRange("can only purify a normalized density matrix")
     nz = _nonzero_indices(d.spectrum.eigenvalues)
-    anc = len(nz) if ancilla_dim is None else int(ancilla_dim)
-    if anc < len(nz):
-        raise ParamOutOfRange(f"ancilla dimension {anc} below rank {len(nz)}")
-    return PurificationSelection([(idx, slot) for slot, idx in enumerate(nz)], anc)
+    return PurificationSelection([(idx, slot) for slot, idx in enumerate(nz)], len(nz))
 
 
 def _purification(d: DensityMatrix, sel: PurificationSelection) -> tuple[list[float], np.ndarray]:
@@ -207,14 +203,15 @@ def _purification(d: DensityMatrix, sel: PurificationSelection) -> tuple[list[fl
     return lams, cols.reshape(purified, len(sel.pairs))
 
 
-def purify(d: DensityMatrix, ancilla_dim: int | None = None) -> PureState:
+def purify(d: DensityMatrix) -> PureState:
     """Minimal purification: |psi> = sum_i sqrt(p_i) |e_i>|i>.
 
-    The ancilla dimension defaults to rank(d); a larger explicit value
-    pads with zero amplitudes. Eigenpairs enter in canonical ascending
-    order, the i-th nonzero one paired with ancilla slot i.
+    The ancilla dimension is rank(d). Eigenpairs enter in canonical
+    ascending order, the i-th nonzero one paired with ancilla slot i; a
+    larger ancilla, padded with zero amplitudes, is `partial_purify` with
+    those pairs over more slots.
     """
-    phi = partial_purify(d, _purifying_selection(d, ancilla_dim))
+    phi = partial_purify(d, _purifying_selection(d))
     return PureState(phi.vec, normalized=True)
 
 

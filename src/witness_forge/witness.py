@@ -39,15 +39,17 @@ only restart 0 runs.
 Only the winning factors get the canonical phase, and the reported value is their
 expectation recomputed from sigma (`_winner`). See-saw certifies only one side (a
 lower bound for the max), so every verdict reads a search of s*sigma:
-strict `make_witness` is `verify_witness` plus a raise, and the grid
+`make_witness` is `verify_witness` plus a raise, and the grid
 oracle scans sigma in the same direction. Every witness carries the
 base-size `blocks` whose extrema multiply to that of sigma (sigma itself
 unless `extend` built it); `verify_witness` searches them, and reads its
 value from sigma at their winners lifted to one product state. One rule,
 `_witness_report`, turns the sigma value v found into W's minimal
-product expectation s*(c - v), which must be at least -TOL_POS, and
-requires the margin -lambda_min(W) = lambda_max(s*sigma) - s*c above
-TOL_NEG. W itself is built only for files and `evaluate`.
+product expectation s*(c - v), which must be at least minus the bound on
+its own rounding (`_closed_pad`): a product state at which it is lower
+proves W is no witness. The rule also requires the margin -lambda_min(W)
+= lambda_max(s*sigma) - s*c above TOL_NEG. W itself is built only for
+files and `evaluate`.
 
 All randomness is driven by explicit integer seeds; identical inputs
 and seeds reproduce results bit for bit.
@@ -55,6 +57,7 @@ and seeds reproduce results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -76,7 +79,6 @@ SEESAW_TOL = 1e-12
 SEESAW_SCREEN_TOL = 1e-6
 SEESAW_MAX_ITERS = 500
 DEFAULT_RESTARTS = 32
-TOL_POS = 1e-8
 TOL_NEG = 1e-10
 CES_GAP = 1e-6
 
@@ -184,7 +186,7 @@ class Witness:
 
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
-    """Verification summary, the one verdict of strict `make_witness`,
+    """Verification summary, the one verdict of `make_witness`,
     `verify_witness` and the grid oracle.
 
     `min_product_expectation` is s*(c - v) for the value v of sigma at
@@ -194,8 +196,8 @@ class WitnessReport:
     see-saw certificate is the witness's blocks' winners lifted to one
     product state on its parties (`Witness.lift`).
     `witnessing_margin` is the negated smallest eigenvalue of W.
-    `is_witness` holds when the first is at least -TOL_POS and the
-    second above TOL_NEG.
+    `is_witness` holds when the first is at least minus its rounding
+    bound (`_closed_pad`) and the second above TOL_NEG.
     """
 
     min_product_expectation: float
@@ -528,23 +530,19 @@ def make_witness(
     form: WitnessForm | str,
     sigma: DensityMatrix,
     c: float,
-    check: str = "strict",
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> Witness:
-    """Build a witness, optionally checking that it is one.
+    """Build a witness and check that it is one.
 
-    With check="strict" the witness must pass `verify_witness` at the
-    same restarts and seed; a rejected offset raises COutOfInterval,
-    which signals that the requested operator is not a witness.
-    check="none" skips validation, for callers with an external
-    guarantee. An unknown form or check mode raises ParamOutOfRange.
+    The witness must pass `verify_witness` at the same restarts and
+    seed; a rejected offset raises COutOfInterval, which signals that the
+    requested operator is not a witness. An unknown form raises
+    ParamOutOfRange. `Witness(form, c, sigma)` builds one unchecked, for
+    callers with an external guarantee.
     """
-    if check not in ("strict", "none"):
-        raise ParamOutOfRange(f"unknown check mode {check!r}")
     w = Witness(form, c, sigma)
-    if check == "strict":
-        _require_witness(w, verify_witness(w, restarts, seed))
+    _require_witness(w, verify_witness(w, restarts, seed))
     return w
 
 
@@ -555,16 +553,72 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     return float((w.matrix().mat * rho.mat.mat.T).sum().real)
 
 
+# The unit roundoff of binary64.
+_U = 2.0**-53
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _closed_pad(w: Witness, value: float, state: ProductState) -> float:
+    """A bound on the rounding of s*(c - value), `value` the computed
+    <mu|sigma|mu> of `_winner` at `state`, against the exact s*(c -
+    <nu|sigma|nu>) of the unit product state nu = mu/||mu||, mu the exact
+    product of the stored factors: below -pad, `state` proves that W is no
+    witness. Here D = sigma.dim, n the number of factors, N = ||mu||**2,
+    u = 2**-53 and gamma_k = k u/(1 - k u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, Lemma 3.1).
+    - Size. sigma + eps I is positive semidefinite for eps = 2e-10, twice
+      the -1e-10 floor `DensityMatrix` puts on its computed lambda_min,
+      the other half for that eigenvalue's own error and for terms of
+      order u eps below. A semidefinite A has |A_ij| <= sqrt(A_ii A_jj),
+      so by Cauchy-Schwarz S = sum_ij |mu_i| |sigma_ij| |mu_j| <= N (tr
+      sigma + D eps) + 2 eps N = N T, T = tr sigma + (D + 2) eps, the 2 eps
+      for the diagonal's own shift. Likewise |<nu|sigma|nu>| <= T.
+    - Product. An entry of the computed Kronecker row mu^ is a product of
+      n entries, n - 1 complex products each within sqrt(2) gamma_2 <
+      gamma_3 (ibid., Lemma 3.5), so |mu^_i - mu_i| <= gamma_(3n) |mu_i|,
+      and the form in mu^ is within gamma_(6n) S of <mu|sigma|mu>.
+    - Form. `_expectation` makes two complex inner products of length D,
+      mu^H sigma and then with mu, each within gamma_(D+2) of its exact
+      value relative to the sum of its terms' moduli (ibid., section 3.6),
+      in any summation order; with the first one's error carried through
+      the second, the computed form is within gamma_(2D+4) (1 +
+      gamma_(6n)) S of the exact form in mu^. So |value - <mu|sigma|mu>|
+      <= gamma_(2D+6n+4) N T.
+    - Norm. <nu|sigma|nu> - <mu|sigma|mu> = <nu|sigma|nu> (1 - N), at most
+      T |1 - N|. N^, the product of the factors' computed squared norms,
+      is within gamma_m N of N, m = sum_k (d_k + 2) + n - 1 <= sum_k d_k +
+      3n (ibid., section 3.6 again), so |1 - N| <= e = |1 - N^| + 2
+      gamma_m N^ and N <= 1 + e.
+    - Offset. The subtraction c - value rounds once: u |c - value|.
+    Summed, the error is at most u |c - value| + (gamma_(2D+6n+4) (1 + e)
+    + e) T, about 2.3e-13 at D = 1024 with tr sigma = 1. Each term of the
+    pad's own evaluation is nonnegative and passes through the trace's
+    D - 1 sums and at most 12 other roundings, so the computed sum is
+    within a relative gamma_(D+12) of the exact one, and the factor 1 +
+    gamma_(D+16) puts it above."""
+    dim, n = w.sigma.dim, len(state.factors)
+    norm2 = math.prod(float(np.vdot(f.vec, f.vec).real) for f in state.factors)
+    e = abs(1.0 - norm2) + 2.0 * _gamma(sum(state.dims) + 3 * n) * norm2
+    t = float(w.sigma.mat.mat.trace().real) + (dim + 2) * 2e-10
+    pad = _U * abs(w.c - value) + (_gamma(2 * dim + 6 * n + 4) * (1.0 + e) + e) * t
+    return pad * (1.0 + _gamma(dim + 16))
+
+
 def _witness_report(w: Witness, value: float, state: ProductState) -> WitnessReport:
     """The verdict on `w` from a search of sigma on the form's side:
     `value` is <mu|sigma|mu> at the product state `state` that maximises
-    s*sigma, so W's minimal product expectation is s*(c - value). The
+    s*sigma, so W's minimal product expectation is s*(c - value), which
+    must be at least -`_closed_pad`: any lower, `state` refutes W. The
     margin -lambda_min(W) = lambda_max(s*sigma) - s*c is read from the
     extreme eigenvalues sigma keeps."""
     s = w.form.sign
     min_value = s * (w.c - value)
     margin = (w.sigma.lambda_max if s > 0 else -w.sigma.lambda_min) - s * w.c
-    is_w = (min_value >= -TOL_POS) and (margin > TOL_NEG)
+    is_w = (min_value >= -_closed_pad(w, value, state)) and (margin > TOL_NEG)
     return WitnessReport(min_value, margin, is_w, state)
 
 
@@ -579,8 +633,9 @@ def _require_witness(w: Witness, rep: WitnessReport) -> None:
 def verify_witness(
     w: Witness, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> WitnessReport:
-    """See-saw verification: nonnegative on product states (within
-    TOL_POS) and at least one negative eigenvalue (margin above TOL_NEG).
+    """See-saw verification: nonnegative on product states (within the
+    rounding bound `_closed_pad`) and at least one negative eigenvalue
+    (margin above TOL_NEG).
 
     The see-saw searches each of w's blocks on the form's side, for its
     maximum in the dual form and its minimum in the primal one; W is

@@ -35,6 +35,7 @@ from witness_forge.qstate import (
     spectral,
 )
 from witness_forge.witness import (
+    Witness,
     WitnessForm,
     evaluate,
     make_witness,
@@ -228,7 +229,7 @@ def test_criterion_08_four_level_example():
 
 def test_criterion_09_maximally_mixed_purification_is_exact():
     i2 = DensityMatrix(ComplexMatrix((2,), np.eye(2) / 2))
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, i2, 0.5, check="none")
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.5, i2)
     wp = purify_extend(w)
     # W = (1/2) I - |psi+><psi+| with exact 1/2 entries
     expected = 0.5 * np.eye(4, dtype=complex)

@@ -26,8 +26,8 @@ from witness_forge.fileio import (
 from witness_forge.linalg import ComplexMatrix, ComplexVector
 from witness_forge.qstate import DensityMatrix, isotropic
 from witness_forge.witness import (
-    TOL_POS,
     Witness,
+    _closed_pad,
     WitnessForm,
     evaluate,
     make_witness,
@@ -377,7 +377,9 @@ def test_an_unwritable_output_is_a_parse_error_report(monkeypatch, capsys, sq_fi
 
 def test_witness_verify_accepts_what_strict_make_writes_at_the_closed_end(capsys, sq_file, tmp_path):
     # the closed end itself, where the two once searched different operators
-    c = max_product_expectation(isotropic(0.2).mat, 8, 3).value - TOL_POS
+    opt = max_product_expectation(isotropic(0.2).mat, 8, 3)
+    w = Witness(WitnessForm.C_MINUS_SIGMA, opt.value, isotropic(0.2))
+    c = opt.value - _closed_pad(w, opt.value, opt.extremizer)
     wpath = str(tmp_path / "w.json")
     flags = ("--restarts", "8", "--seed", "3")
     code, _, _ = _run(
@@ -387,6 +389,16 @@ def test_witness_verify_accepts_what_strict_make_writes_at_the_closed_end(capsys
     code, report, _ = _run(capsys, "witness-verify", wpath, *flags)
     assert code == 0
     assert report["results"]["is_witness"] is True
+
+
+@pytest.mark.parametrize("form, c", [("c_minus_sigma", 0.15), ("c_minus_sigma", 0.3),
+                                     ("sigma_minus_c", 0.1), ("sigma_minus_c", 0.5)])
+def test_witness_make_check_none_writes_the_unchecked_witness(capsys, sq_file, tmp_path, form, c):
+    # --check none writes Witness(form, c, sigma) as the library writes it
+    made = _unchecked_witness(capsys, sq_file, tmp_path / "made.json", repr(c), form)
+    lib = tmp_path / "lib.json"
+    write_matrix_file(Witness(WitnessForm(form), c, parse_matrix_file(sq_file)), lib)
+    assert Path(made).read_bytes() == lib.read_bytes()
 
 
 def test_witness_verify_non_witness_exits_two(capsys, tmp_path):

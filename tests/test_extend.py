@@ -117,7 +117,7 @@ def test_purify_extend_rejects_primal_form():
 
 def test_purify_extend_requires_normalized_sigma():
     s = DensityMatrix(ComplexMatrix((2,), np.diag([0.4, 0.2])), normalized=False)
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, s, 0.3, check="none")
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.3, s)
     with pytest.raises(ParamOutOfRange):
         purify_extend(w)
 
@@ -221,7 +221,7 @@ def test_partial_purify_extend_accepts_only_a_selection_with_a_top_eigenpair():
     arr = np.diag([5 / 16, 3 / 16, 3 / 16, 5 / 16]).astype(complex)
     arr[1, 2] = arr[2, 1] = 1 / 8
     sigma = DensityMatrix(ComplexMatrix((2, 2), arr))
-    w4 = make_witness(WitnessForm.C_MINUS_SIGMA, sigma, 0.3, check="none")
+    w4 = Witness(WitnessForm.C_MINUS_SIGMA, 0.3, sigma)
     assert partial_purify_extend(w4, PurificationSelection(((1, 0),), 1)).dims == (2, 2, 1)
 
 
@@ -367,7 +367,7 @@ def test_identity_extend_leaves_the_interval_to_the_verdict():
         ("c_minus_sigma", 0.5), ("sigma_minus_c", 0.1),
         ("c_minus_sigma", 0.39999999995), ("sigma_minus_c", 0.20000000005),
     ):
-        w = make_witness(form, isotropic(0.2), c, check="none")
+        w = Witness(form, c, isotropic(0.2))
         w2 = identity_extend(w, [2])
         assert (w2.form, w2.c, w2.dims) == (w.form, c, (2, 2, 2))
         assert np.array_equal(w2.sigma.mat.mat, np.kron(w.sigma.mat.mat, np.eye(2)))
@@ -441,7 +441,7 @@ def test_tensor_extensions_never_raise_the_base_bound(seed, base_dims, tail_dims
     bound = max_product_expectation(sigma.mat, restarts=8, seed=0).value
     gap = sigma.lambda_max - bound
     assume(gap > 1e-3)
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, sigma, bound + 0.5 * gap, check="none")
+    w = Witness(WitnessForm.C_MINUS_SIGMA, bound + 0.5 * gap, sigma)
     w2 = _TENSOR_EXTENSIONS[kind](w, rng, tail_dims)
     assert w2.dims == base_dims + tuple(tail_dims)
     assert abs(w2.sigma.lambda_max - sigma.lambda_max) <= 1e-12 * sigma.lambda_max
@@ -482,11 +482,8 @@ _SELECTION = PurificationSelection(((2, 1), (3, 0)), 2)
     "build",
     [
         lambda: purify_extend(_isotropic_witness()),
-        lambda: purify_extend(make_witness(
-            WitnessForm.C_MINUS_SIGMA,
-            _random_density(np.random.default_rng(31), (2, 3)),
-            0.3,
-            check="none",
+        lambda: purify_extend(Witness(
+            WitnessForm.C_MINUS_SIGMA, 0.3, _random_density(np.random.default_rng(31), (2, 3))
         )),
         lambda: partial_purify_extend(_isotropic_witness(), _SELECTION),
         lambda: partial_purify_extend(_isotropic_witness(), _SELECTION, c_prime=0.35),

@@ -91,10 +91,10 @@ def test_parsed_objects_keep_their_content(tmp_path):
 
 
 def test_boundary_witness_round_trips(tmp_path):
-    # a witness built with check="none" at c = lambda_max must survive
+    # an unchecked witness at c = lambda_max must survive
     # file round trips without interval re-checking
     i2 = DensityMatrix(ComplexMatrix((2,), np.eye(2) / 2))
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, i2, 0.5, check="none")
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.5, i2)
     p = tmp_path / "boundary.json"
     write_matrix_file(w, p)
     back = parse_matrix_file(p)
@@ -189,8 +189,8 @@ def test_writer_matches_per_entry_rendering(tmp_path):
             ComplexMatrix(dims, _with_specials(rng, (d, d))),
             sigma,
             PureState(ComplexVector(dims, _with_specials(rng, d)), normalized=False),
-            make_witness(WitnessForm.C_MINUS_SIGMA, sigma, 1 / 3, check="none"),
-            purify_extend(make_witness(WitnessForm.C_MINUS_SIGMA, rho, 0.1, check="none")),
+            Witness(WitnessForm.C_MINUS_SIGMA, 1 / 3, sigma),
+            purify_extend(Witness(WitnessForm.C_MINUS_SIGMA, 0.1, rho)),
         ]
         for obj in objects:
             write_matrix_file(obj, tmp_path / "obj.json")
@@ -400,8 +400,8 @@ def _parity_objects() -> list:
         rho,
         PureState(ComplexVector((2, 2), v / np.linalg.norm(v))),
         ComplexMatrix((2,), np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -0.0]])),
-        make_witness(WitnessForm.C_MINUS_SIGMA, rho, 0.9, check="none"),
-        make_witness(WitnessForm.SIGMA_MINUS_C, isotropic(0.2), 0.1, check="none"),
+        Witness(WitnessForm.C_MINUS_SIGMA, 0.9, rho),
+        Witness(WitnessForm.SIGMA_MINUS_C, 0.1, isotropic(0.2)),
     ]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from witness_forge.fileio import parse_matrix_file, write_matrix_file
 from witness_forge.linalg import ComplexMatrix, ComplexVector
 from witness_forge.qstate import DensityMatrix, PureState
-from witness_forge.witness import WitnessForm, make_witness
+from witness_forge.witness import Witness, WitnessForm
 
 
 def _draws(rng: np.random.Generator, shape) -> np.ndarray:
@@ -44,8 +44,8 @@ def _pinned_objects() -> dict:
     return {
         "hermitian": ComplexMatrix((2,), herm),
         "pure": pure,
-        "witness": make_witness(WitnessForm.SIGMA_MINUS_C, small, 1 / 3, check="none"),
-        "big": make_witness(WitnessForm.C_MINUS_SIGMA, big, 0.75 / 256, check="none"),
+        "witness": Witness(WitnessForm.SIGMA_MINUS_C, 1 / 3, small),
+        "big": Witness(WitnessForm.C_MINUS_SIGMA, 0.75 / 256, big),
     }
 
 

@@ -5,6 +5,7 @@ Each value must lie within 1e-12 of its closed form and never beyond it
 (above a maximum, below a minimum) by more than 1e-15, since the see-saw
 only ever reaches a value a product state attains. The Tiles UPB state
 has no closed form, so it pins a bracket, and its grid scan's winner.
+Strict `make_witness` holds the Choi witness to its exact closed end.
 """
 
 from __future__ import annotations
@@ -16,8 +17,15 @@ import numpy as np
 import pytest
 
 from witness_forge import oracle
+from witness_forge.errors import COutOfInterval
 from witness_forge.linalg import ComplexMatrix
-from witness_forge.witness import max_product_expectation, min_product_expectation
+from witness_forge.qstate import DensityMatrix
+from witness_forge.witness import (
+    WitnessForm,
+    make_witness,
+    max_product_expectation,
+    min_product_expectation,
+)
 
 RESTARTS, SEED = 32, 0
 CLOSE, BEYOND = 1e-12, 1e-15
@@ -113,10 +121,19 @@ def test_a_pure_state_on_two_or_more_parties_has_product_minimum_zero(name):
     assert got >= -BEYOND
 
 
+def test_strict_make_witness_holds_the_choi_witness_to_its_closed_end():
+    # at c = 1/6, c*I - sigma is W/12, the Choi witness itself; 1e-9 lower,
+    # the search's own product state refutes it
+    sigma = DensityMatrix(ComplexMatrix((3, 3), _choi_sigma()))
+    assert make_witness(WitnessForm.C_MINUS_SIGMA, sigma, 1 / 6).c == 1 / 6
+    with pytest.raises(COutOfInterval):
+        make_witness(WitnessForm.C_MINUS_SIGMA, sigma, 1 / 6 - 1e-9)
+
+
 def test_tiles_upb_max_lies_in_its_bracket():
     # the 32-restart see-saw reads 0.2428959...; no product state reaches 1/4
     got = max_product_expectation(ComplexMatrix((3, 3), _tiles_upb()), RESTARTS, SEED).value
-    assert 0.2428 <= got < 0.25
+    assert 0.2428 < got < 0.25
 
 
 def test_tiles_upb_grid_winner_is_the_fixed_order_unpruned_scans(monkeypatch):

@@ -21,6 +21,7 @@ from witness_forge.linalg import ComplexMatrix
 from witness_forge.oracle import exhaustive_witness_check, grid_product_extremum
 from witness_forge.qstate import isotropic
 from witness_forge.witness import (
+    Witness,
     WitnessForm,
     _outer,
     _party_matrix,
@@ -138,12 +139,7 @@ def test_exhaustive_witness_check():
     lam_min = np.linalg.eigvalsh(w.matrix().mat)[0]
     assert abs(rep.witnessing_margin + lam_min) <= 1e-12
 
-    flat = make_witness(
-        WitnessForm.C_MINUS_SIGMA,
-        isotropic(0.0),
-        0.2,
-        check="none",
-    )
+    flat = Witness(WitnessForm.C_MINUS_SIGMA, 0.2, isotropic(0.0))
     rep2 = exhaustive_witness_check(flat, resolution=64)
     assert not rep2.is_witness
 

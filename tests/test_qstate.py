@@ -140,26 +140,48 @@ def test_purification_reduces_back_to_the_state():
         assert np.linalg.norm(red.mat - d.mat.mat) <= 1e-10
 
 
-def test_purify_with_padded_ancilla():
-    sq = isotropic(0.2)
-    psi = purify(sq, ancilla_dim=6)
-    assert psi.dims == (2, 2, 6)
-    assert abs(np.linalg.norm(psi.vec.vec) - 1.0) <= 1e-12
-    with pytest.raises(ParamOutOfRange):
-        purify(sq, ancilla_dim=3)  # below rank 4
+def _rank_pairs(d: DensityMatrix) -> tuple[tuple[int, int], ...]:
+    """The i-th nonzero eigenpair of d to ancilla slot i."""
+    nz = [i for i, v in enumerate(d.spectrum.eigenvalues) if v > 1e-10]
+    return tuple((idx, slot) for slot, idx in enumerate(nz))
+
+
+def test_purify_is_at_the_rank():
+    rank2 = DensityMatrix(ComplexMatrix((2, 2), np.diag([0.5, 0.0, 0.5, 0.0])))
+    for d, rank in ((isotropic(0.2), 4), (rank2, 2), (_maximally_mixed_qubit(), 2)):
+        psi = purify(d)
+        assert psi.dims == d.dims + (rank,)
+        assert psi.normalized
+        assert abs(np.linalg.norm(psi.vec.vec) - 1.0) <= 1e-12
     unnorm = DensityMatrix(ComplexMatrix((2,), np.diag([0.4, 0.2])), normalized=False)
     with pytest.raises(ParamOutOfRange):
         purify(unnorm)
+
+
+def test_a_padded_purification_is_the_minimal_one_with_zeros():
+    # partial_purify over the rank's pairs, pair i to slot i, for ancillas
+    # from the rank up to the cap: purify's vector, then zero amplitudes
+    rng = np.random.default_rng(23)
+    rank2 = DensityMatrix(ComplexMatrix((2, 2), np.diag([0.5, 0.0, 0.5, 0.0])))
+    for d in (isotropic(0.2), rank2, _random_density(rng, (2, 3))):
+        pairs = _rank_pairs(d)
+        psi = purify(d).vec.vec.reshape(d.dim, len(pairs))
+        for anc in sorted({len(pairs), len(pairs) + 1, 6, 1024 // d.dim}):
+            phi = partial_purify(d, PurificationSelection(pairs, anc))
+            assert phi.dims == d.dims + (anc,)
+            amps = phi.vec.vec.reshape(d.dim, anc)
+            assert np.array_equal(amps[:, : len(pairs)], psi)
+            assert not amps[:, len(pairs):].any()
 
 
 def test_purifications_above_the_dimension_cap_are_refused():
     # 4 * 300 = 1200 > MAX_TOTAL_DIM: a file of it would not read back
     sq = isotropic(0.2)
     with pytest.raises(ParamOutOfRange, match="purified dimension 1200 > 1024"):
-        purify(sq, ancilla_dim=300)
+        partial_purify(sq, PurificationSelection(_rank_pairs(sq), 300))
     with pytest.raises(ParamOutOfRange, match="purified dimension 1200 > 1024"):
         partial_purify(sq, PurificationSelection(((3, 0),), 300))
-    assert purify(sq, ancilla_dim=256).dims == (2, 2, 256)
+    assert partial_purify(sq, PurificationSelection(_rank_pairs(sq), 256)).dims == (2, 2, 256)
 
 
 def test_partial_purify_known_amplitudes():

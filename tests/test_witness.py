@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from itertools import permutations
 from unittest import mock
 
@@ -27,7 +28,6 @@ from witness_forge.witness import (
     SEESAW_MAX_ITERS,
     SEESAW_SCREEN_TOL,
     SEESAW_TOL,
-    TOL_POS,
     Witness,
     WitnessForm,
     evaluate,
@@ -735,16 +735,17 @@ def test_make_witness_strict_interval():
     sq = isotropic(0.2)
     w = make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.3)
     assert w.c == 0.3 and w.dims == (2, 2)
-    # within the 1e-8 pad below the boundary
-    make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.3 - 5e-9)
+    # 5e-9 below the boundary the search's own product state refutes it
+    with pytest.raises(COutOfInterval):
+        make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.3 - 5e-9)
     with pytest.raises(COutOfInterval):
         make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.25)
     with pytest.raises(COutOfInterval):
         make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.4)  # c must stay below lambda_max
     with pytest.raises(COutOfInterval):
         make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.5)
-    # check="none" skips the interval test
-    w2 = make_witness(WitnessForm.C_MINUS_SIGMA, sq, 0.5, check="none")
+    # Witness itself skips the interval test
+    w2 = Witness(WitnessForm.C_MINUS_SIGMA, 0.5, sq)
     assert w2.c == 0.5
 
 
@@ -775,17 +776,19 @@ def test_strict_make_witness_decides_by_the_report_rule(form, state):
     search = max_product_expectation if s > 0 else min_product_expectation
     opt = search(sigma.mat, 8, 3)
     top = sigma.lambda_max if s > 0 else -sigma.lambda_min  # lambda_max(s*sigma)
-    closed = opt.value - s * TOL_POS  # min product expectation of W at -TOL_POS
+    # the rounding pad of the closed end, at c = v
+    pad = witness._closed_pad(Witness(form, opt.value, sigma), opt.value, opt.extremizer)
+    closed = opt.value - s * pad  # min product expectation of W at -pad
     probes = {
         "open end": (s * top, False),
         "5e-11 inside": (s * (top - 5e-11), False),
         "2e-10 inside": (s * (top - 2e-10), True),
         "closed end": (closed, None),
-        "closed end, inside": (opt.value + s * TOL_POS, True),
+        "closed end, inside": (opt.value + s * pad, True),
         "one ulp past the closed end": (math.nextafter(closed, -s * math.inf), None),
     }
     for name, (c, expected) in probes.items():
-        w = make_witness(form, sigma, c, check="none")
+        w = Witness(form, c, sigma)
         verdict = _witness_report(w, opt.value, opt.extremizer).is_witness
         try:
             make_witness(form, sigma, c, restarts=8, seed=3)
@@ -799,12 +802,103 @@ def test_strict_make_witness_decides_by_the_report_rule(form, state):
             assert verdict is expected, name
 
 
+# Offsets with a closed end known exactly: c_sigma = (1 + q)/4 for the
+# dual form on isotropic(q), 3/16 for the primal form on the four-level
+# example.
+_CLOSED_ENDS = [
+    *((WitnessForm.C_MINUS_SIGMA, functools.partial(isotropic, q), (1 + q) / 4)
+      for q in (0.2, 0.5, 0.9, 1.0)),
+    (WitnessForm.SIGMA_MINUS_C, _example_four_level, 3 / 16),
+]
+
+
+@pytest.mark.parametrize(
+    "form, state, closed", _CLOSED_ENDS,
+    ids=[*(f"isotropic{q}" for q in (0.2, 0.5, 0.9, 1.0)), "four-level"],
+)
+def test_strict_make_witness_refuses_every_offset_its_search_refutes(form, state, closed):
+    # An offset delta past the closed end is refuted by the search's own
+    # product state, however small delta is next to the old 1e-8 pad.
+    sigma = state()
+    assert make_witness(form, sigma, closed).c == closed
+    for delta in (1e-11, 1e-9, 5e-9, 9.9e-9):
+        with pytest.raises(COutOfInterval):
+            make_witness(form, sigma, closed - form.sign * delta)
+
+
+def _structures(limit: int) -> list[tuple[int, ...]]:
+    """Every party structure of parties of 2 or more levels with at most
+    `limit` dimensions, in lexicographic order."""
+    found = []
+
+    def grow(dims: tuple[int, ...], size: int) -> None:
+        for d in range(2, limit // size + 1):
+            found.append(dims + (d,))
+            grow(dims + (d,), size * d)
+
+    grow((), 1)
+    return found
+
+
+def _scaled(xs) -> tuple[list[int], int]:
+    """The real and imaginary parts of the complex `xs` as integers over
+    one power-of-two scale, exactly: (ints, scale)."""
+    ratios = [float(part).as_integer_ratio() for x in xs for part in (x.real, x.imag)]
+    scale = max(q for _, q in ratios)
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def _exact_unit_expectation(sigma: np.ndarray, factors) -> Fraction:
+    """<nu|sigma|nu> for nu = mu/||mu||, mu the product of the float
+    `factors` taken exactly, in integers over power-of-two scales (mu's
+    scale cancels in the quotient)."""
+    mu = [(1, 0)]
+    for f in factors:
+        ints, _ = _scaled(f)
+        mu = [(a * c - b * d, a * d + b * c) for a, b in mu for c, d in zip(ints[0::2], ints[1::2])]
+    ints, scale = _scaled(sigma.ravel())
+    dim = len(mu)
+    total = 0
+    for j in range(dim):
+        yr = yi = 0  # y_j = sum_i conj(mu_i) sigma_ij
+        for i, (a, b) in enumerate(mu):
+            re, im = ints[2 * (i * dim + j)], ints[2 * (i * dim + j) + 1]
+            yr += a * re + b * im
+            yi += a * im - b * re
+        total += yr * mu[j][0] - yi * mu[j][1]
+    norm2 = sum(a * a + b * b for a, b in mu)
+    return Fraction(total, norm2 * scale)
+
+
+def test_closed_pad_bounds_the_expectations_rounding():
+    # Every structure of 2-level-or-more parties up to D = 64, and two with
+    # a trivial party; a random state of random rank and trace and a random
+    # product state each. The pad must cover the computed <mu|sigma|mu>
+    # against its exact value at the normalised product state.
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for dims in [*_structures(64), (2, 1, 2), (1, 3)]:
+        d = math.prod(dims)
+        rank = int(rng.integers(1, d + 1))
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = g @ g.conj().T
+        rho = (rho + rho.conj().T) / 2 * (rng.uniform(0.5, 4.0) / np.trace(rho).real)
+        sigma = DensityMatrix(ComplexMatrix(dims, rho), normalized=False)
+        factors = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in dims]
+        value, state = witness._winner(sigma.mat.mat, [f / np.linalg.norm(f) for f in factors])
+        pad = witness._closed_pad(Witness(WitnessForm.C_MINUS_SIGMA, value, sigma), value, state)
+        exact = _exact_unit_expectation(sigma.mat.mat, [f.vec for f in state.factors])
+        err = abs(Fraction(value) - exact)
+        assert err <= Fraction(pad), dims
+        assert pad <= 1e-13 * np.trace(rho).real, dims
+        worst = max(worst, float(err / Fraction(pad)))
+    assert worst > 0.0  # some evaluation rounds
+
+
 def test_unknown_form_is_param_out_of_range():
     sq = isotropic(0.2)
     with pytest.raises(ParamOutOfRange):
         make_witness("bogus", sq, 0.3)
-    with pytest.raises(ParamOutOfRange):
-        make_witness("bogus", sq, 0.3, check="none")
     with pytest.raises(ParamOutOfRange):
         Witness("bogus", 0.3, sq)
     assert Witness("sigma_minus_c", 0.1, sq).form is WitnessForm.SIGMA_MINUS_C
@@ -871,7 +965,7 @@ def test_evaluate_is_the_trace_of_the_product():
         for g in rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
     )
     for form in WitnessForm:
-        w = make_witness(form, sigma, 0.1, check="none")
+        w = Witness(form, 0.1, sigma)
         want = np.trace(w.matrix().mat @ rho.mat.mat).real
         assert abs(evaluate(w, rho) - want) <= 1e-15
 
@@ -899,7 +993,7 @@ def test_verify_rejects_operator_without_negative_eigenvalue():
     # 0.3*I - I/4 is positive semidefinite: fine on products, but no
     # negative eigenvalue means it detects nothing.
     flat = DensityMatrix(ComplexMatrix((2, 2), np.eye(4) / 4))
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, flat, 0.3, check="none")
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.3, flat)
     rep = verify_witness(w, restarts=8, seed=1)
     assert not rep.is_witness
     assert rep.witnessing_margin < 0
@@ -907,7 +1001,7 @@ def test_verify_rejects_operator_without_negative_eigenvalue():
 
 def test_verify_rejects_operator_negative_on_products():
     # c below the product maximum goes negative on some product state
-    w = make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.25, check="none")
+    w = Witness(WitnessForm.C_MINUS_SIGMA, 0.25, isotropic(0.2))
     rep = verify_witness(w, restarts=8, seed=1)
     assert not rep.is_witness
     assert rep.min_product_expectation < -1e-3
@@ -957,14 +1051,11 @@ _E00 = ComplexVector((2, 2), np.eye(4)[0])
         (lambda: witness.ProductState((_E00,)), ParamOutOfRange),
         (lambda: witness.ProductState((ComplexVector((2,), np.ones(2)),)), ParamOutOfRange),
         (lambda: Witness(WitnessForm.C_MINUS_SIGMA, np.inf, isotropic(0.2)), ParamOutOfRange),
-        (lambda: make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.3, check="bogus"),
-         ParamOutOfRange),
         (lambda: is_ces([]), ParamOutOfRange),
         (lambda: is_ces([_E00, ComplexVector((4,), np.eye(4)[1])]), DimensionMismatch),
     ],
     ids=[
-        "no-factor", "two-party-factor", "non-unit-factor", "infinite-offset", "unknown-check",
-        "empty-basis", "mixed-basis-dims",
+        "no-factor", "two-party-factor", "non-unit-factor", "infinite-offset", "empty-basis", "mixed-basis-dims",
     ],
 )
 def test_malformed_arguments_are_refused(build, error):
