@@ -75,7 +75,8 @@ TOLERANCES = {
     "rank": RANK_TOL,
     "seesaw": SEESAW_TOL,
     "tie": TIE_TOL,
-    "witness_neg": TOL_NEG,
+    # the open end: the least margin -lambda_min(W) accepted, `witness._witness_report`
+    "witness_neg": f"{TOL_NEG!r} * tr(sigma)",
     # the closed end: the least min product expectation accepted, `witness._closed_pad`
     "witness_pos": "-(rounding bound of s*(c - <mu|sigma|mu>)), about -2*dim*2**-53*tr(sigma)",
 }

@@ -19,18 +19,18 @@ whose sign bit is set gets a `-` in front, as printf writes it (so -0.0
 is `-0`, which the reader reads back as -0.0). The results fill a
 template of [re, im] pairs nested once per axis, one row of a matrix at
 a time, and a file is written row by row.
-The reader decodes each regular array of [re, im] pairs of numbers
-under `data` or `sigma` inside its one JSON pass, straight into float64:
-the array's brackets and commas must spell the template of its shape,
-and its numbers are read as one flat JSON list, so no Python list is
-made per entry. It tries this only on a value of the top object whose
-key text, read back from the colon before it, is `"data"` or `"sigma"`
-(`_ARRAY_KEY`). Every other value is read by json's own scanner, to the
-same values: the header arrays, a key spelled another way (an escape,
-wide spacing), and an array whose text does not spell its template or
-whose numbers json refuses or float64 cannot hold, which json reads
-nested where it stands, raising its own error at the file's true
-position. The whole text is read once. The reader
+The reader decodes each vector or square matrix of [re, im] pairs of
+numbers under `data` or `sigma` inside its one JSON pass, straight into
+float64: the array's brackets and commas must spell the template of the
+shape their count gives, and its numbers are read as one flat JSON list,
+so no Python list is made per entry. It tries this only on a value of
+the top object whose key text, read back from the colon before it, is
+`"data"` or `"sigma"` (`_ARRAY_KEY`). Every other value is read by
+json's own scanner, to the same values: the header arrays, a key spelled
+another way (an escape, wide spacing), and an array whose text does not
+spell its template or whose numbers json refuses or float64 cannot hold,
+which json reads nested where it stands, raising its own error at the
+file's true position. The whole text is read once. The reader
 is strict (exact shapes; parts are numbers, not booleans, finite as
 float64), and any malformed file raises ParseError. A file whose `dims`
 multiply to more than MAX_TOTAL_DIM, the largest size the tool builds,
@@ -65,7 +65,6 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 _JSON_SPACE = b" \t\n\r"
 _NUMBER_CHARS = b"0123456789+-.eE"
 _BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
-_MAX_AXES = 3  # of an array of numbers in a file: a matrix of [re, im] pairs
 # "data" or "sigma" as a key, its opening quote not escaped, then the colon and
 # json spaces: how the 32 characters before a value that is read flat end
 _ARRAY_KEY = re.compile(r'[^\\]"(?:data|sigma)"[ \t\n\r]*:[ \t\n\r]*\Z')
@@ -326,11 +325,12 @@ def parse_matrix_file(path: str | Path) -> Witness | DensityMatrix | PureState |
 
 def _read_json(text: str):
     """`json.loads(text)` as `parse_matrix_file` calls it, except that each
-    regular array of [re, im] pairs of numbers under the key `data` or
-    `sigma` of the top object, where `_ARRAY_KEY` finds the key before it,
-    comes back as a float64 ndarray of the pairs. The top object is read by
-    json's Python object parser, every other value by json's own scanner,
-    so a document reads to the same values, or fails with the same error."""
+    vector or square matrix of [re, im] pairs of numbers under the key
+    `data` or `sigma` of the top object, where `_ARRAY_KEY` finds the key
+    before it, comes back as a float64 ndarray of the pairs. The top object
+    is read by json's Python object parser, every other value by json's own
+    scanner, so a document reads to the same values, or fails with the same
+    error."""
     decoder = json.JSONDecoder(parse_int=_read_int, parse_constant=_reject_constant)
     scan_whole, memo = decoder.scan_once, decoder.memo
 
@@ -357,22 +357,28 @@ def _read_json(text: str):
 
 
 def _flat_pairs(s: str, start: int, scan_whole) -> tuple[np.ndarray, int] | None:
-    """The array of [re, im] pairs of numbers that opens at `s[start]`, as
-    float64 of shape (..., 2), and the index after it; None where the text
-    up to its last `]` before the next string does not spell one. A number
-    json refuses raises StopIteration or ValueError, and one too large for
-    a float64 OverflowError, at a position in the flat list, not the file:
-    the caller reads such an array nested, where it stands in the file."""
+    """The vector or square matrix of [re, im] pairs of numbers that opens
+    at `s[start]`, as float64 of shape (n, 2) or (n, n, 2), and the index
+    after it; None where the text up to its last `]` before the next string
+    does not spell one. A number json refuses raises StopIteration or
+    ValueError, and one too large for a float64 OverflowError, at a
+    position in the flat list, not the file: the caller reads such an
+    array nested, where it stands in the file."""
     quote = s.find('"', start)
     end = s.rfind("]", start, quote if quote >= 0 else len(s)) + 1
     text = s[start:end].encode("ascii")
     if any(c in text for c in _JSON_SPACE):  # a written file has none
         text = text.translate(None, _JSON_SPACE)
     skeleton = text.translate(None, _NUMBER_CHARS)
-    shape = _skeleton_shape(skeleton)
-    if shape is None or shape[-1] != 2:
+    # n pairs spell 2n - 1 commas, as a vector or, n = m*m, as an m x m matrix
+    pairs = (skeleton.count(b",") + 1) // 2
+    if skeleton.startswith(b"[[["):
+        shape: tuple[int, ...] = (math.isqrt(pairs),) * 2
+    elif skeleton.startswith(b"[["):
+        shape = (pairs,)
+    else:
         return None
-    rows, row = _row_template(shape[:-1])
+    rows, row = _row_template(shape)
     template = "".join(row).encode("ascii")
     if rows:
         template = b"[" + b",".join([template] * rows) + b"]"
@@ -382,31 +388,7 @@ def _flat_pairs(s: str, start: int, scan_whole) -> tuple[np.ndarray, int] | None
         return None
     del text, skeleton, template
     numbers, _ = scan_whole("[" + s[start + 1:end - 1].translate(_BRACKETS_TO_SPACES) + "]", 0)
-    return np.fromiter(numbers, dtype=np.float64, count=len(numbers)).reshape(shape), end
-
-
-def _skeleton_shape(skeleton: bytes) -> tuple[int, ...] | None:
-    """The shape, of 2 to _MAX_AXES axes, of the regular nested array whose
-    brackets and commas are `skeleton`, read from where its first array of
-    one axis, of two axes and so on close; None where no such shape fits
-    those. A shape is returned only if its template is as long as
-    `skeleton`, so the caller still compares the two."""
-    depth = len(skeleton) - len(skeleton.lstrip(b"["))
-    if not 2 <= depth <= _MAX_AXES:  # also keeps the search below linear
-        return None
-    shape: list[int] = []
-    inner = 0  # the skeleton length of an array of the axes read so far
-    for axes in range(1, depth + 1):
-        close = skeleton.find(b"]" * axes)
-        if close < 0:
-            return None
-        length = close + 2 * axes - depth
-        n, rest = divmod(length - 1, inner + 1)
-        if rest or n < 1:
-            return None
-        shape.insert(0, n)
-        inner = length
-    return tuple(shape) if inner == len(skeleton) else None
+    return np.fromiter(numbers, dtype=np.float64, count=len(numbers)).reshape(shape + (2,)), end
 
 
 def _read_int(token: str) -> int | float:

@@ -48,8 +48,8 @@ value from sigma at their winners lifted to one product state. One rule,
 product expectation s*(c - v), which must be at least minus the bound on
 its own rounding (`_closed_pad`): a product state at which it is lower
 proves W is no witness. The rule also requires the margin -lambda_min(W)
-= lambda_max(s*sigma) - s*c above TOL_NEG. W itself is built only for
-files and `evaluate`.
+= lambda_max(s*sigma) - s*c above TOL_NEG * tr(sigma), so that both ends
+scale with sigma. W itself is built only for files and `evaluate`.
 
 All randomness is driven by explicit integer seeds; identical inputs
 and seeds reproduce results bit for bit.
@@ -197,7 +197,7 @@ class WitnessReport:
     product state on its parties (`Witness.lift`).
     `witnessing_margin` is the negated smallest eigenvalue of W.
     `is_witness` holds when the first is at least minus its rounding
-    bound (`_closed_pad`) and the second above TOL_NEG.
+    bound (`_closed_pad`) and the second above TOL_NEG * tr(sigma).
     """
 
     min_product_expectation: float
@@ -614,11 +614,13 @@ def _witness_report(w: Witness, value: float, state: ProductState) -> WitnessRep
     s*sigma, so W's minimal product expectation is s*(c - value), which
     must be at least -`_closed_pad`: any lower, `state` refutes W. The
     margin -lambda_min(W) = lambda_max(s*sigma) - s*c is read from the
-    extreme eigenvalues sigma keeps."""
+    extreme eigenvalues sigma keeps, and must exceed TOL_NEG * tr(sigma),
+    tr(sigma) taken as 1 for a normalized sigma."""
     s = w.form.sign
     min_value = s * (w.c - value)
     margin = (w.sigma.lambda_max if s > 0 else -w.sigma.lambda_min) - s * w.c
-    is_w = (min_value >= -_closed_pad(w, value, state)) and (margin > TOL_NEG)
+    trace = 1.0 if w.sigma.normalized else float(w.sigma.mat.mat.trace().real)
+    is_w = (min_value >= -_closed_pad(w, value, state)) and (margin > TOL_NEG * trace)
     return WitnessReport(min_value, margin, is_w, state)
 
 
@@ -635,7 +637,7 @@ def verify_witness(
 ) -> WitnessReport:
     """See-saw verification: nonnegative on product states (within the
     rounding bound `_closed_pad`) and at least one negative eigenvalue
-    (margin above TOL_NEG).
+    (margin above TOL_NEG * tr(sigma)).
 
     The see-saw searches each of w's blocks on the form's side, for its
     maximum in the dual form and its minimum in the primal one; W is

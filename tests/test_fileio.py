@@ -517,6 +517,29 @@ def test_reader_matches_plain_json_on_near_misses(tmp_path, data):
     assert _outcome(parse_matrix_file, path) == _outcome(_plain_json_parse, path)
 
 
+# runs that are neither a vector nor a square matrix of pairs, or not the
+# one their kind holds: json reads them nested, to the same message
+_NESTED_RUNS = [
+    ("pure", "[]"),
+    ("density", "[]"),
+    ("pure", "[[]]"),
+    ("density", "[[]]"),
+    ("pure", "[[1,2],[3]]"),                       # ragged
+    ("density", "[[[1,0],[0,0],[0,0]]]"),          # 1 x 3
+    ("density", "[[[1,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]"),  # 3 x 2
+    ("density", "[[[[0.5,0]]]]"),                  # four axes
+    ("pure", "[[[0.5,0],[0,0]],[[0,0],[0.5,0]]]"),  # a square matrix
+]
+
+
+@pytest.mark.parametrize("kind, data", _NESTED_RUNS)
+def test_reader_matches_plain_json_on_runs_read_nested(tmp_path, kind, data):
+    text = '{"version":"1","kind":"%s","dims":[2],"normalized":false,"data":%s}' % (kind, data)
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(parse_matrix_file, path) == _outcome(_plain_json_parse, path)
+
+
 @pytest.mark.parametrize("key", ["version", "kind", "dims", "c", "form", "normalized", "extra"])
 @pytest.mark.parametrize("value", [[[1, 2]], {"data": [[1, 2]]}])
 def test_reader_matches_plain_json_on_header_values(tmp_path, key, value):

@@ -97,8 +97,28 @@ _PURE = {
        for n, k in ((3, 1), (4, 1), (4, 2), (5, 2), (6, 3))},
     **{f"phi{d}": ((d, d), _max_entangled(d), 1 / d) for d in (2, 3, 4)},
 }
+
+
+def _cut(v: np.ndarray, n: int, part: tuple[int, ...]) -> tuple[tuple[int, int], np.ndarray]:
+    """|v><v| of n qubits as two parties, the qubits in `part` and the rest,
+    each kept in its order."""
+    rest = tuple(q for q in range(n) if q not in part)
+    w = v.reshape((2,) * n).transpose(part + rest).reshape(-1)
+    return (2 ** len(part), 2 ** len(rest)), np.outer(w, w.conj())
+
+
+# Every cut M|M-bar of GHZ_n and W_3, M the side with qubit 0: the maximum is
+# the largest squared Schmidt coefficient, 1/2 for GHZ_n and 2/3 for W_3.
+_CUTS = {
+    f"{name}-cut{''.join(map(str, part))}": (*_cut(v, n, part), value)
+    for name, n, v, value in (
+        *((f"ghz{n}", n, _ghz(n), 0.5) for n in (3, 4, 5)), ("w3", 3, _dicke(3, 1), 2 / 3),
+    )
+    for k in range(1, n) for part in combinations(range(n), k) if 0 in part
+}
 _MAXIMA = {
     **{name: (dims, np.outer(v, v.conj()), value) for name, (dims, v, value) in _PURE.items()},
+    **_CUTS,
     **{f"antisymmetric{d}": ((d, d), _antisymmetric(d), 0.5) for d in (2, 3, 4)},
     "choi": ((3, 3), _choi_sigma(), 1 / 6),
 }

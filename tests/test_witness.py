@@ -826,6 +826,35 @@ def test_strict_make_witness_refuses_every_offset_its_search_refutes(form, state
             make_witness(form, sigma, closed - form.sign * delta)
 
 
+# Offsets about each end of the intervals above: [0.3, 0.4) for the dual
+# form on isotropic(0.2), (1/16, 3/16] for the primal form on the
+# four-level example.
+_SCALED_OFFSETS = [
+    (WitnessForm.C_MINUS_SIGMA, lambda: isotropic(0.2), (0.3, 0.35, 0.3 - 1e-6, 0.4, 0.4 - 5e-11)),
+    (WitnessForm.SIGMA_MINUS_C, _example_four_level,
+     (1 / 16, 1 / 16 + 1e-6, 0.1, 3 / 16, 3 / 16 + 1e-6)),
+]
+
+
+@pytest.mark.parametrize(
+    "form, state, offsets", _SCALED_OFFSETS, ids=[f.value for f, _, _ in _SCALED_OFFSETS]
+)
+def test_verdicts_do_not_change_with_the_scale_of_sigma(form, state, offsets):
+    # both ends scale with tr(sigma): W at (s*c, s*sigma) is s*W, a witness
+    # exactly when W is, the open end's 5e-11 margin refused at every scale
+    sigma = state()
+
+    def verdicts(scale: float) -> list[bool]:
+        scaled = DensityMatrix(ComplexMatrix(sigma.dims, sigma.mat.mat * scale), normalized=False)
+        return [verify_witness(Witness(form, c * scale, scaled), 8, 3).is_witness for c in offsets]
+
+    expected = verdicts(1.0)
+    assert expected == ([True, True, False, False, False] if form.sign > 0 else
+                        [False, True, True, True, False])
+    for scale in (1e-3, 1e-6, 1e-9, 5e-10, 1e-12):
+        assert verdicts(scale) == expected, scale
+
+
 def _structures(limit: int) -> list[tuple[int, ...]]:
     """Every party structure of parties of 2 or more levels with at most
     `limit` dimensions, in lexicographic order."""
