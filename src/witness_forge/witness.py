@@ -29,7 +29,9 @@ restarts run in chunks sized so that every batch array stays within
 _BLOCK entries. Each restart of a chunk stops at a looser screen,
 SEESAW_SCREEN_TOL, and only the chunk's leader sweeps on to SEESAW_TOL:
 the see-saw converges linearly, and most of a restart's last sweeps
-would polish a copy of the chunk's winner. One generator per search,
+would polish a copy of the chunk's winner. Both stops scale with the
+searched matrix below size 1 (`_stop_scale`), so a search of s*sigma,
+s <= 1, sweeps as that of sigma. One generator per search,
 default_rng([seed, 0]), draws every start (`_random_starts`): restart r
 takes row r of its normals, so a start depends neither on the restart
 count nor on the chunking, and restart 0 keeps the first draw of
@@ -124,7 +126,7 @@ class OptResult:
     the min variant). `converged` reports whether, within the
     SEESAW_MAX_ITERS cap, every restart met its stopping rule: each
     chunk's leader SEESAW_TOL, and every other restart only the looser
-    SEESAW_SCREEN_TOL screen.
+    SEESAW_SCREEN_TOL screen, both times `_stop_scale`.
     """
 
     value: float
@@ -379,6 +381,15 @@ def _sweeps(
     return values, ends, sweeps, deltas
 
 
+def _stop_scale(mt: np.ndarray) -> float:
+    """The factor on the see-saw's stops for the matrix m of `mt`: |tr m|
+    or max |m_ij|, whichever is larger, capped at 1, and 1 for m = 0. A
+    state has |m_ij| <= tr m, so its factor is min(1, tr m), 1 when it is
+    normalized; an indefinite m gets at least its largest modulus."""
+    m = mt.reshape(math.prod(mt.shape[: mt.ndim // 2]), -1)
+    return min(1.0, max(abs(float(np.trace(m).real)), float(np.abs(m).max()))) or 1.0
+
+
 def _seesaw_run(
     mt: np.ndarray, start: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -388,34 +399,36 @@ def _seesaw_run(
     party is carried as its real Bloch rows (1, n), and its update is a
     normalisation (`_bloch_top`); any other party keeps its complex
     factors and their outer products, and its update is one LAPACK call
-    (`_extremal_factor`). A restart leaves the batch after its first
-    sweep that changes its objective by less than SEESAW_SCREEN_TOL.
-    Then the leader, the first restart at the largest value, sweeps on
-    alone from its rows while its last sweep changed its value by
-    SEESAW_TOL or more, and stops at the first sweep that changes it by
+    (`_extremal_factor`). The screen and the stop are SEESAW_SCREEN_TOL
+    and SEESAW_TOL times `_stop_scale(mt)`. A restart leaves the batch
+    after its first sweep that changes its objective by less than the
+    screen. Then the leader, the first restart at the largest value,
+    sweeps on alone from its rows while its last sweep changed its value
+    by the stop or more, and stops at the first sweep that changes it by
     less; the other restarts keep their screened values and rows. Every
     restart stops after SEESAW_MAX_ITERS sweeps in all (the module's
     values when the call starts). Every sweep before the screen stops a
-    restart moved it by SEESAW_SCREEN_TOL or more, so a batch of one
-    runs the sweeps of a plain SEESAW_TOL stop, bit for bit. The
-    returned qubit factors are the top eigenvectors of (I + n.sigma)/2
-    (`_bloch_factors`).
+    restart moved it by the screen or more, so a batch of one runs the
+    sweeps of a plain stop, bit for bit. The returned qubit factors are
+    the top eigenvectors of (I + n.sigma)/2 (`_bloch_factors`).
     Returns (values (R,), factors [(R, d_k)], converged (R,)): a restart
     converged when its last sweep within the cap met its stopping rule,
-    the screen for the others and SEESAW_TOL for the leader."""
+    the screen for the others and the stop for the leader."""
     dims = mt.shape[: mt.ndim // 2]
     cap = SEESAW_MAX_ITERS
+    scale = _stop_scale(mt)
+    screen, stop = SEESAW_SCREEN_TOL * scale, SEESAW_TOL * scale
     ops = [_bloch_operator(mt, k) for k in range(len(dims))]
     run = [np.array(f, dtype=np.complex128) for f in start]  # the active restarts
     val = _expectation(mt, run)
     run = [_bloch_rows(f) if d == 2 else f for f, d in zip(run, dims)]
-    values, ends, sweeps, deltas = _sweeps(ops, dims, run, val, SEESAW_SCREEN_TOL, cap)
-    converged = deltas < SEESAW_SCREEN_TOL
+    values, ends, sweeps, deltas = _sweeps(ops, dims, run, val, screen, cap)
+    converged = deltas < screen
     i = int(np.argmax(values))
-    if deltas[i] >= SEESAW_TOL:
+    if deltas[i] >= stop:
         lead = [e[[i]] for e in ends]
-        v, lead, _, last = _sweeps(ops, dims, lead, values[[i]], SEESAW_TOL, cap - sweeps[i])
-        values[i], converged[i] = v[0], last[0] < SEESAW_TOL
+        v, lead, _, last = _sweeps(ops, dims, lead, values[[i]], stop, cap - sweeps[i])
+        values[i], converged[i] = v[0], last[0] < stop
         for e, f in zip(ends, lead):
             e[i] = f[0]
     return values, [_bloch_factors(e) if d == 2 else e for e, d in zip(ends, dims)], converged
@@ -562,14 +575,14 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _closed_pad(w: Witness, value: float, state: ProductState) -> float:
+def _closed_pad(w: Witness, value: float, state: ProductState, trace: float) -> float:
     """A bound on the rounding of s*(c - value), `value` the computed
     <mu|sigma|mu> of `_winner` at `state`, against the exact s*(c -
     <nu|sigma|nu>) of the unit product state nu = mu/||mu||, mu the exact
     product of the stored factors: below -pad, `state` proves that W is no
-    witness. Here D = sigma.dim, n the number of factors, N = ||mu||**2,
-    u = 2**-53 and gamma_k = k u/(1 - k u) (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, Lemma 3.1).
+    witness. Here `trace` is tr sigma, D = sigma.dim, n the number of
+    factors, N = ||mu||**2, u = 2**-53 and gamma_k = k u/(1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.1).
     - Size. sigma + eps I is positive semidefinite for eps = 2e-10, twice
       the -1e-10 floor `DensityMatrix` puts on its computed lambda_min,
       the other half for that eigenvalue's own error and for terms of
@@ -603,7 +616,7 @@ def _closed_pad(w: Witness, value: float, state: ProductState) -> float:
     dim, n = w.sigma.dim, len(state.factors)
     norm2 = math.prod(float(np.vdot(f.vec, f.vec).real) for f in state.factors)
     e = abs(1.0 - norm2) + 2.0 * _gamma(sum(state.dims) + 3 * n) * norm2
-    t = float(w.sigma.mat.mat.trace().real) + (dim + 2) * 2e-10
+    t = trace + (dim + 2) * 2e-10
     pad = _U * abs(w.c - value) + (_gamma(2 * dim + 6 * n + 4) * (1.0 + e) + e) * t
     return pad * (1.0 + _gamma(dim + 16))
 
@@ -614,13 +627,12 @@ def _witness_report(w: Witness, value: float, state: ProductState) -> WitnessRep
     s*sigma, so W's minimal product expectation is s*(c - value), which
     must be at least -`_closed_pad`: any lower, `state` refutes W. The
     margin -lambda_min(W) = lambda_max(s*sigma) - s*c is read from the
-    extreme eigenvalues sigma keeps, and must exceed TOL_NEG * tr(sigma),
-    tr(sigma) taken as 1 for a normalized sigma."""
+    extreme eigenvalues sigma keeps, and must exceed TOL_NEG * tr(sigma)."""
     s = w.form.sign
     min_value = s * (w.c - value)
     margin = (w.sigma.lambda_max if s > 0 else -w.sigma.lambda_min) - s * w.c
-    trace = 1.0 if w.sigma.normalized else float(w.sigma.mat.mat.trace().real)
-    is_w = (min_value >= -_closed_pad(w, value, state)) and (margin > TOL_NEG * trace)
+    trace = float(w.sigma.mat.mat.trace().real)
+    is_w = (min_value >= -_closed_pad(w, value, state, trace)) and (margin > TOL_NEG * trace)
     return WitnessReport(min_value, margin, is_w, state)
 
 

@@ -379,7 +379,7 @@ def test_witness_verify_accepts_what_strict_make_writes_at_the_closed_end(capsys
     # the closed end itself, where the two once searched different operators
     opt = max_product_expectation(isotropic(0.2).mat, 8, 3)
     w = Witness(WitnessForm.C_MINUS_SIGMA, opt.value, isotropic(0.2))
-    c = opt.value - _closed_pad(w, opt.value, opt.extremizer)
+    c = opt.value - _closed_pad(w, opt.value, opt.extremizer, float(np.trace(w.sigma.mat.mat).real))
     wpath = str(tmp_path / "w.json")
     flags = ("--restarts", "8", "--seed", "3")
     code, _, _ = _run(

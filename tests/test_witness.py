@@ -777,7 +777,8 @@ def test_strict_make_witness_decides_by_the_report_rule(form, state):
     opt = search(sigma.mat, 8, 3)
     top = sigma.lambda_max if s > 0 else -sigma.lambda_min  # lambda_max(s*sigma)
     # the rounding pad of the closed end, at c = v
-    pad = witness._closed_pad(Witness(form, opt.value, sigma), opt.value, opt.extremizer)
+    trace = float(np.trace(sigma.mat.mat).real)
+    pad = witness._closed_pad(Witness(form, opt.value, sigma), opt.value, opt.extremizer, trace)
     closed = opt.value - s * pad  # min product expectation of W at -pad
     probes = {
         "open end": (s * top, False),
@@ -826,33 +827,62 @@ def test_strict_make_witness_refuses_every_offset_its_search_refutes(form, state
             make_witness(form, sigma, closed - form.sign * delta)
 
 
+def _ginibre_four_by_four() -> DensityMatrix:
+    return DensityMatrix(ComplexMatrix((4, 4), _ginibre(np.random.default_rng(3), 16, 32)))
+
+
+# The maximum over product states that verify_witness(., 8, 3) finds on
+# _ginibre_four_by_four(), about 0.1138, below its lambda_max of 0.1507.
+_GINIBRE_MAX = 0.11381980145845427
+
 # Offsets about each end of the intervals above: [0.3, 0.4) for the dual
 # form on isotropic(0.2), (1/16, 3/16] for the primal form on the
-# four-level example.
+# four-level example; and about the closed end of a (4,4) Ginibre state,
+# where a search stopped early at a small scale would certify offsets
+# that its full search refutes. Then the verdicts at scale 1.
 _SCALED_OFFSETS = [
-    (WitnessForm.C_MINUS_SIGMA, lambda: isotropic(0.2), (0.3, 0.35, 0.3 - 1e-6, 0.4, 0.4 - 5e-11)),
+    (WitnessForm.C_MINUS_SIGMA, lambda: isotropic(0.2), (0.3, 0.35, 0.3 - 1e-6, 0.4, 0.4 - 5e-11),
+     [True, True, False, False, False]),
     (WitnessForm.SIGMA_MINUS_C, _example_four_level,
-     (1 / 16, 1 / 16 + 1e-6, 0.1, 3 / 16, 3 / 16 + 1e-6)),
+     (1 / 16, 1 / 16 + 1e-6, 0.1, 3 / 16, 3 / 16 + 1e-6), [False, True, True, True, False]),
+    (WitnessForm.C_MINUS_SIGMA, _ginibre_four_by_four,
+     (_GINIBRE_MAX - 1e-6, _GINIBRE_MAX - 1e-8, _GINIBRE_MAX + 1e-6), [False, False, True]),
 ]
 
 
 @pytest.mark.parametrize(
-    "form, state, offsets", _SCALED_OFFSETS, ids=[f.value for f, _, _ in _SCALED_OFFSETS]
+    "form, state, offsets, expected", _SCALED_OFFSETS,
+    ids=["isotropic", "four-level", "ginibre-4x4"],
 )
-def test_verdicts_do_not_change_with_the_scale_of_sigma(form, state, offsets):
-    # both ends scale with tr(sigma): W at (s*c, s*sigma) is s*W, a witness
-    # exactly when W is, the open end's 5e-11 margin refused at every scale
+def test_verdicts_do_not_change_with_the_scale_of_sigma(form, state, offsets, expected):
+    # both ends and the search's stops scale with tr(sigma): W at (s*c,
+    # s*sigma) is s*W, a witness exactly when W is, the open end's 5e-11
+    # margin refused at every scale, and the Ginibre offsets below the
+    # search's maximum refuted at every scale
     sigma = state()
 
     def verdicts(scale: float) -> list[bool]:
         scaled = DensityMatrix(ComplexMatrix(sigma.dims, sigma.mat.mat * scale), normalized=False)
         return [verify_witness(Witness(form, c * scale, scaled), 8, 3).is_witness for c in offsets]
 
-    expected = verdicts(1.0)
-    assert expected == ([True, True, False, False, False] if form.sign > 0 else
-                        [False, True, True, True, False])
+    assert verdicts(1.0) == expected
     for scale in (1e-3, 1e-6, 1e-9, 5e-10, 1e-12):
         assert verdicts(scale) == expected, scale
+
+
+def test_the_stops_scale_with_a_state_and_never_loosen():
+    # a state's stops scale with its trace up to 1; an indefinite matrix
+    # is sized by its largest modulus; no stop is looser than the module's
+    sigma = _ginibre_four_by_four().mat.mat
+    mt = sigma.reshape(4, 4, 4, 4)
+    assert abs(witness._stop_scale(mt) - 1.0) <= 1e-15
+    for s in (1e-3, 1e-12):
+        assert witness._stop_scale(s * mt) == pytest.approx(s, rel=1e-14)
+        assert witness._stop_scale(-s * mt) == pytest.approx(s, rel=1e-14)  # a primal search
+    assert witness._stop_scale(1e3 * mt) == 1.0
+    pauli = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex) * 1e-6
+    assert witness._stop_scale(pauli.reshape(2, 2, 2, 2)) == 1e-6
+    assert witness._stop_scale(np.zeros((2, 2, 2, 2), dtype=complex)) == 1.0
 
 
 def _structures(limit: int) -> list[tuple[int, ...]]:
@@ -915,7 +945,8 @@ def test_closed_pad_bounds_the_expectations_rounding():
         sigma = DensityMatrix(ComplexMatrix(dims, rho), normalized=False)
         factors = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in dims]
         value, state = witness._winner(sigma.mat.mat, [f / np.linalg.norm(f) for f in factors])
-        pad = witness._closed_pad(Witness(WitnessForm.C_MINUS_SIGMA, value, sigma), value, state)
+        w = Witness(WitnessForm.C_MINUS_SIGMA, value, sigma)
+        pad = witness._closed_pad(w, value, state, float(np.trace(rho).real))
         exact = _exact_unit_expectation(sigma.mat.mat, [f.vec for f in state.factors])
         err = abs(Fraction(value) - exact)
         assert err <= Fraction(pad), dims
