@@ -22,7 +22,6 @@ from .errors import (
     MaxEigenvalueNotSelected,
     NoConvergence,
     NotHermitian,
-    NotOrthonormal,
     ParamOutOfRange,
     ParseError,
     SelectionOutOfRange,
@@ -56,7 +55,6 @@ from .witness import (
     WitnessForm,
     WitnessReport,
     evaluate,
-    is_ces,
     make_witness,
     max_product_expectation,
     min_product_expectation,
@@ -100,7 +98,6 @@ __all__ = [
     "MaxEigenvalueNotSelected",
     "NoConvergence",
     "NotHermitian",
-    "NotOrthonormal",
     "OptResult",
     "ParamOutOfRange",
     "ParseError",
@@ -126,7 +123,6 @@ __all__ = [
     "grid_product_extremum",
     "hermitian_eig",
     "identity_extend",
-    "is_ces",
     "isotropic",
     "make_witness",
     "max_product_expectation",

@@ -73,8 +73,8 @@ from .witness import (
 TOLERANCES = {
     "hermiticity": HERMITICITY_TOL,
     "rank": RANK_TOL,
-    # the leader's stop, times `witness._stop_scale`: tr(sigma) up to 1 on a state
-    "seesaw": f"{SEESAW_TOL!r} * min(1, tr(sigma))",
+    # the leader's stop, times `witness._stop_scale`: tr(sigma) on a state
+    "seesaw": f"{SEESAW_TOL!r} * tr(sigma)",
     "tie": TIE_TOL,
     # the open end: the least margin -lambda_min(W) accepted, `witness._witness_report`
     "witness_neg": f"{TOL_NEG!r} * tr(sigma)",

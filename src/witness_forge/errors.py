@@ -46,10 +46,6 @@ class DimensionMismatch(DomainError):
     """Operand dimensions are incompatible."""
 
 
-class NotOrthonormal(DomainError):
-    """A supplied set of vectors is not orthonormal."""
-
-
 class ParamOutOfRange(DomainError):
     """A scalar parameter is outside its admissible range."""
 

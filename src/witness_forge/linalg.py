@@ -194,7 +194,7 @@ def partial_transpose(m: ComplexMatrix, party: int) -> ComplexMatrix:
     (k,) = _check_parties(n, [party])
     t = m.mat.reshape(m.dims + m.dims)
     t = np.swapaxes(t, k - 1, n + k - 1)
-    return ComplexMatrix(m.dims, t.reshape(m.dim, m.dim).copy())
+    return ComplexMatrix(m.dims, t.reshape(m.dim, m.dim))
 
 
 def _phase_fix(vecs: np.ndarray) -> None:

@@ -1,13 +1,14 @@
 """Validated quantum-state types and purification constructors.
 
 Density matrices are checked for Hermiticity, positive semidefiniteness
-and (when flagged normalized) unit trace at construction time, which
-keeps the extreme eigenvalues `lambda_min` and `lambda_max`; the
-canonical decomposition `spectrum` is built on first read. Every public
-constructor, file parsing included, finds the extremes by one
-eigensolve. `_with_extremes` is the one route that takes them from the
-caller instead, for an extension whose spectrum follows from its base;
-it reads the normalized flag from the trace and runs every other check.
+to PSD_TOL times their trace and (when flagged normalized) unit trace
+at construction time, which keeps the extreme eigenvalues `lambda_min`
+and `lambda_max`; the canonical decomposition `spectrum` is built on
+first read. Every public constructor, file parsing included, finds the
+extremes by one eigensolve. `_with_extremes` is the one route that
+takes them from the caller instead, for an extension whose spectrum
+follows from its base; it reads the normalized flag from the trace and
+runs every other check.
 Purifications follow the spectrum's order, pairing the i-th nonzero
 eigenvector with ancilla basis vector |i>; `_purification` checks a
 selection and gives its eigenvalues and columns |e_i>|slot_i>.
@@ -37,11 +38,15 @@ from .linalg import (
 )
 
 NORM_TOL = 1e-10  # a trace (density matrix) or norm (pure state) this close to 1 is 1
+PSD_TOL = 1e-10  # a lambda_min down to -PSD_TOL * trace is semidefinite to rounding
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A PSD Hermitian operator; trace 1 when `normalized` is set."""
+    """A PSD Hermitian operator; trace 1 when `normalized` is set.
+
+    Its computed lambda_min may be as low as -PSD_TOL * trace, so that
+    s * rho passes for every s > 0 exactly when rho does."""
 
     mat: ComplexMatrix
     normalized: bool = True
@@ -62,9 +67,9 @@ class DensityMatrix:
         elif tr <= 0.0:
             raise ParamOutOfRange(f"density matrix trace {tr!r} must be positive")
         lo, hi = _extreme_eigvals(self.mat.mat) if extremes is None else extremes
-        if lo < -1e-10:
+        if lo < -PSD_TOL * tr:
             raise ParamOutOfRange(
-                f"density matrix has eigenvalue {lo:.3e} below -1e-10"
+                f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL:g} * trace {tr:.3e}"
             )
         object.__setattr__(self, "lambda_min", lo)
         object.__setattr__(self, "lambda_max", hi)
@@ -87,7 +92,8 @@ def _with_extremes(dims: tuple[int, ...], arr: np.ndarray, lo: float, hi: float)
     """The DensityMatrix `arr` on `dims`, whose extreme eigenvalues `lo` and
     `hi` the caller knows exactly from how `arr` was built, so no eigensolve
     runs; normalized when its trace is 1 within NORM_TOL. Every other check
-    of `DensityMatrix.__post_init__` runs, the -1e-10 floor on `lo` included."""
+    of `DensityMatrix.__post_init__` runs, the -PSD_TOL * trace floor on `lo`
+    included."""
     mat = ComplexMatrix(dims, arr)
     d = object.__new__(DensityMatrix)
     object.__setattr__(d, "mat", mat)

@@ -30,8 +30,8 @@ _BLOCK entries. Each restart of a chunk stops at a looser screen,
 SEESAW_SCREEN_TOL, and only the chunk's leader sweeps on to SEESAW_TOL:
 the see-saw converges linearly, and most of a restart's last sweeps
 would polish a copy of the chunk's winner. Both stops scale with the
-searched matrix below size 1 (`_stop_scale`), so a search of s*sigma,
-s <= 1, sweeps as that of sigma. One generator per search,
+searched matrix, by tr sigma on a state (`_stop_scale`), so a search of
+s*sigma, s > 0, sweeps as that of sigma. One generator per search,
 default_rng([seed, 0]), draws every start (`_random_starts`): restart r
 takes row r of its normals, so a start depends neither on the restart
 count nor on the chunking, and restart 0 keeps the first draw of
@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -71,18 +70,16 @@ from .errors import (
     COutOfInterval,
     DimensionMismatch,
     NoConvergence,
-    NotOrthonormal,
     ParamOutOfRange,
 )
 from .linalg import PHASE_PIVOT_TOL, ComplexMatrix, ComplexVector, _lapack, _phase_fix
-from .qstate import DensityMatrix
+from .qstate import PSD_TOL, DensityMatrix
 
 SEESAW_TOL = 1e-12
 SEESAW_SCREEN_TOL = 1e-6
 SEESAW_MAX_ITERS = 500
 DEFAULT_RESTARTS = 32
 TOL_NEG = 1e-10
-CES_GAP = 1e-6
 
 
 class WitnessForm(str, Enum):
@@ -182,7 +179,7 @@ class Witness:
         block's winner |ab>."""
         if self.phi is None:
             return [f for win in wins for f in win]
-        anc = reduce(np.kron, wins[0]).conj() @ self.phi
+        anc = _kron_rows(wins[0], ()).conj() @ self.phi
         return [*wins[0], anc / np.linalg.norm(anc), *(f for win in wins[1:] for f in win)]
 
 
@@ -383,11 +380,11 @@ def _sweeps(
 
 def _stop_scale(mt: np.ndarray) -> float:
     """The factor on the see-saw's stops for the matrix m of `mt`: |tr m|
-    or max |m_ij|, whichever is larger, capped at 1, and 1 for m = 0. A
-    state has |m_ij| <= tr m, so its factor is min(1, tr m), 1 when it is
-    normalized; an indefinite m gets at least its largest modulus."""
+    or max |m_ij|, whichever is larger, and 1 for m = 0. A state has
+    |m_ij| <= tr m, so its factor is tr m, and the stops of s*m are s
+    times those of m; an indefinite m gets at least its largest modulus."""
     m = mt.reshape(math.prod(mt.shape[: mt.ndim // 2]), -1)
-    return min(1.0, max(abs(float(np.trace(m).real)), float(np.abs(m).max()))) or 1.0
+    return max(abs(float(np.trace(m).real)), float(np.abs(m).max())) or 1.0
 
 
 def _seesaw_run(
@@ -583,13 +580,15 @@ def _closed_pad(w: Witness, value: float, state: ProductState, trace: float) -> 
     witness. Here `trace` is tr sigma, D = sigma.dim, n the number of
     factors, N = ||mu||**2, u = 2**-53 and gamma_k = k u/(1 - k u)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.1).
-    - Size. sigma + eps I is positive semidefinite for eps = 2e-10, twice
-      the -1e-10 floor `DensityMatrix` puts on its computed lambda_min,
-      the other half for that eigenvalue's own error and for terms of
-      order u eps below. A semidefinite A has |A_ij| <= sqrt(A_ii A_jj),
-      so by Cauchy-Schwarz S = sum_ij |mu_i| |sigma_ij| |mu_j| <= N (tr
-      sigma + D eps) + 2 eps N = N T, T = tr sigma + (D + 2) eps, the 2 eps
-      for the diagonal's own shift. Likewise |<nu|sigma|nu>| <= T.
+    - Size. sigma + eps I is positive semidefinite for eps = 2 PSD_TOL
+      tr sigma, twice the -PSD_TOL tr sigma floor `DensityMatrix` puts on
+      its computed lambda_min, the other half for that eigenvalue's own
+      error and for terms of order u eps below. A semidefinite A has
+      |A_ij| <= sqrt(A_ii A_jj), so by Cauchy-Schwarz S = sum_ij |mu_i|
+      |sigma_ij| |mu_j| <= N (tr sigma + D eps) + 2 eps N = N T, T = tr
+      sigma (1 + 2 (D + 2) PSD_TOL), the 2 eps for the diagonal's own
+      shift. Likewise |<nu|sigma|nu>| <= T, and the pad of s*sigma at s*c
+      is s times that of sigma at c.
     - Product. An entry of the computed Kronecker row mu^ is a product of
       n entries, n - 1 complex products each within sqrt(2) gamma_2 <
       gamma_3 (ibid., Lemma 3.5), so |mu^_i - mu_i| <= gamma_(3n) |mu_i|,
@@ -616,7 +615,7 @@ def _closed_pad(w: Witness, value: float, state: ProductState, trace: float) -> 
     dim, n = w.sigma.dim, len(state.factors)
     norm2 = math.prod(float(np.vdot(f.vec, f.vec).real) for f in state.factors)
     e = abs(1.0 - norm2) + 2.0 * _gamma(sum(state.dims) + 3 * n) * norm2
-    t = trace + (dim + 2) * 2e-10
+    t = trace * (1.0 + 2.0 * (dim + 2) * PSD_TOL)
     pad = _U * abs(w.c - value) + (_gamma(2 * dim + 6 * n + 4) * (1.0 + e) + e) * t
     return pad * (1.0 + _gamma(dim + 16))
 
@@ -659,30 +658,3 @@ def verify_witness(
     search = max_product_expectation if w.form.sign > 0 else min_product_expectation
     wins = [[f.vec for f in search(b, restarts, seed).extremizer.factors] for b in w.blocks]
     return _witness_report(w, *_winner(w.sigma.mat.mat, w.lift(wins)))
-
-
-def is_ces(
-    basis: Sequence[ComplexVector],
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> tuple[bool, OptResult]:
-    """Heuristic completely-entangled-subspace check for span(basis).
-
-    Maximizes the product overlap with the subspace projector. Because
-    see-saw lower-bounds the max, True is heuristic while False
-    (overlap reaching 1) is conclusive.
-    """
-    if not basis:
-        raise ParamOutOfRange("basis must be non-empty")
-    dims = basis[0].dims
-    for b in basis:
-        if b.dims != dims:
-            raise DimensionMismatch("basis vectors live on different dims")
-    cols = np.column_stack([b.vec for b in basis])
-    gram = cols.conj().T @ cols
-    defect = np.abs(gram - np.eye(len(basis))).max()
-    if defect > 1e-10:
-        raise NotOrthonormal(f"basis gram deviates from identity by {defect:.3e}")
-    proj = ComplexMatrix(dims, cols @ cols.conj().T)
-    opt = max_product_expectation(proj, restarts, seed)
-    return opt.value < 1.0 - CES_GAP, opt

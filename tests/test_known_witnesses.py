@@ -6,6 +6,7 @@ Each value must lie within 1e-12 of its closed form and never beyond it
 only ever reaches a value a product state attains. The Tiles UPB state
 has no closed form, so it pins a bracket, and its grid scan's winner.
 Strict `make_witness` holds the Choi witness to its exact closed end.
+The extensions of the isotropic witness pin their maxima by partition.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import pytest
 
 from witness_forge import oracle
 from witness_forge.errors import COutOfInterval
-from witness_forge.linalg import ComplexMatrix
-from witness_forge.qstate import DensityMatrix
+from witness_forge.extend import partial_purify_extend, purify_extend
+from witness_forge.linalg import ComplexMatrix, partial_trace
+from witness_forge.qstate import DensityMatrix, PurificationSelection, isotropic
 from witness_forge.witness import (
     WitnessForm,
     make_witness,
@@ -169,3 +171,44 @@ def test_tiles_upb_grid_winner_is_the_fixed_order_unpruned_scans(monkeypatch):
             patched.setattr(oracle, "_below", lambda c, mu: np.zeros(c.shape[1:], dtype=bool))
             patched.setattr(oracle, "_cell_order", lambda cells, term: np.arange(cells.shape[1]))
             assert oracle._scan_grid(signed, (3, 3), x, 32) == winner
+
+
+def _regroup(m: np.ndarray, dims: tuple[int, ...], left: tuple[int, ...]) -> ComplexMatrix:
+    """m on `dims` as two parties, the parties in `left` and the rest, each
+    kept in its order."""
+    n = len(dims)
+    order = [*left, *(k for k in range(n) if k not in left)]
+    d = math.prod(dims[k] for k in left)
+    mt = m.reshape(dims + dims).transpose(order + [n + k for k in order])
+    return ComplexMatrix((d, m.shape[0] // d), mt.reshape(m.shape))
+
+
+# The product maxima of sigma' for the isotropic(0.2) witness at c = 0.35,
+# over A|B|C products and across the cuts AB|C, A|BC and B|AC, the cuts
+# given by their left group.
+_CUT_GROUPS = ((0, 1), (0,), (1,))
+_PARTITION_MAXIMA = {
+    "purify": (lambda w: purify_extend(w), (2, 2, 4), (0.3, 0.4, 0.5, 0.5)),
+    "partial": (lambda w: partial_purify_extend(w, PurificationSelection(((3, 0), (2, 1)), 2)),
+                (2, 2, 2), (0.3, 0.4, 0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARTITION_MAXIMA))
+def test_extended_isotropic_witness_maxima_by_partition(name):
+    # sigma' is rank one, so its maximum across a cut is lambda_max of the
+    # left group's reduced state (the top squared Schmidt coefficient), met
+    # by the see-saw within 1e-9; no cut is below the fully product maximum
+    extend, dims, maxima = _PARTITION_MAXIMA[name]
+    ext = extend(make_witness(WitnessForm.C_MINUS_SIGMA, isotropic(0.2), 0.35))
+    assert ext.dims == dims
+    m = ext.sigma.mat.mat
+    full = max_product_expectation(ext.sigma.mat, RESTARTS, SEED).value
+    assert abs(full - maxima[0]) <= 1e-9
+    for left, want in zip(_CUT_GROUPS, maxima[1:]):
+        cut = _regroup(m, dims, left)
+        got = max_product_expectation(cut, RESTARTS, SEED).value
+        schmidt = np.linalg.eigvalsh(partial_trace(cut, [1]).mat)[-1]
+        assert abs(got - schmidt) <= 1e-9, left
+        assert abs(got - want) <= 1e-9, left
+        assert got >= full - 1e-9, left

@@ -49,6 +49,21 @@ def test_density_matrix_validation():
         DensityMatrix(ComplexMatrix((2,), np.zeros((2, 2))), normalized=False)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_the_psd_floor_scales_with_the_trace(scale):
+    # lambda_min down to -1e-10 * trace passes, at every scale alike: a
+    # qutrit of spectrum (0.7, 0.3 + x, -x) in a random basis, times scale
+    u = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 6)).view(np.complex128))[0]
+    for x, passes in ((5e-11, True), (2e-10, False)):
+        m = scale * (u * [0.7, 0.3 + x, -x]) @ u.conj().T
+        build = lambda: DensityMatrix(ComplexMatrix((3,), (m + m.conj().T) / 2), normalized=False)
+        if passes:
+            assert build().lambda_min == pytest.approx(-x * scale, rel=1e-4)
+        else:
+            with pytest.raises(ParamOutOfRange):
+                build()
+
+
 def test_pure_state_validation():
     with pytest.raises(ParamOutOfRange):
         PureState(ComplexVector((2,), np.array([1.0, 1.0])))

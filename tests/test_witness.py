@@ -18,7 +18,6 @@ from witness_forge.errors import (
     COutOfInterval,
     DimensionMismatch,
     NoConvergence,
-    NotOrthonormal,
     ParamOutOfRange,
 )
 from witness_forge.linalg import ComplexMatrix, ComplexVector, hermitian_eig
@@ -31,7 +30,6 @@ from witness_forge.witness import (
     Witness,
     WitnessForm,
     evaluate,
-    is_ces,
     make_witness,
     max_product_expectation,
     min_product_expectation,
@@ -48,12 +46,9 @@ def _random_hermitian(rng: np.random.Generator, dims: tuple[int, ...]) -> Comple
     return ComplexMatrix(dims, (a + a.conj().T) / 2)
 
 
-def _bell(parity: int = 0) -> np.ndarray:
+def _bell() -> np.ndarray:
     v = np.zeros(4, dtype=complex)
-    if parity == 0:
-        v[0] = v[3] = np.sqrt(0.5)
-    else:
-        v[1] = v[2] = np.sqrt(0.5)
+    v[0] = v[3] = np.sqrt(0.5)
     return v
 
 
@@ -135,19 +130,22 @@ def test_seesaw_trajectory_is_monotone(monkeypatch):
     values, _, converged = _seesaw_run(mt, start)
     # every restart's objective after each party update, a stopped restart
     # keeping its last value: a restart leaves the batch after the first
-    # sweep that moves it by less than SEESAW_SCREEN_TOL, and then the
-    # leader, if its last sweep moved it by SEESAW_TOL or more, sweeps on
-    # alone until one moves it by less than SEESAW_TOL
+    # sweep that moves it by less than the screen, and then the leader, if
+    # its last sweep moved it by the stop or more, sweeps on alone until
+    # one moves it by less than the stop; both are SEESAW_SCREEN_TOL and
+    # SEESAW_TOL times the matrix's `_stop_scale`
+    scale = witness._stop_scale(mt)
+    screen, stop = SEESAW_SCREEN_TOL * scale, SEESAW_TOL * scale
     traj = [witness._expectation(mt, start)]
     active = np.arange(start[0].shape[0])
     last = np.full(active.shape, np.inf)  # each restart's last |change|
-    tol = SEESAW_SCREEN_TOL
+    tol = screen
     parties = len(start)
     for sweep in range(0, len(calls), parties):
         if not active.size:
             lead = int(np.argmax(traj[-1]))
-            assert tol == SEESAW_SCREEN_TOL and last[lead] >= SEESAW_TOL  # re-enters once
-            active, tol = np.array([lead]), SEESAW_TOL
+            assert tol == screen and last[lead] >= stop  # re-enters once
+            active, tol = np.array([lead]), stop
         prev = traj[-1][active]
         for vals in calls[sweep : sweep + parties]:
             assert vals.shape == active.shape
@@ -158,9 +156,9 @@ def test_seesaw_trajectory_is_monotone(monkeypatch):
         active = active[last[active] >= tol]
     traj = np.array(traj)
     assert len(calls) % parties == 0
-    # this start's leader leaves the screen between SEESAW_TOL and the screen
-    assert tol == SEESAW_TOL and active.size == 0 and converged.all()
-    assert last[np.argmax(values)] < SEESAW_TOL
+    # this start's leader leaves the screen between the stop and the screen
+    assert tol == stop and active.size == 0 and converged.all()
+    assert last[np.argmax(values)] < stop
     assert np.all(traj[1:] >= traj[:-1] - 1e-14)
     np.testing.assert_array_equal(traj[-1], values)
 
@@ -383,18 +381,21 @@ def _serial_seesaw(
 def _serial_screened(
     m: np.ndarray, starts: list[list[np.ndarray]], mode: str, max_iters: int
 ) -> tuple[list[float], list[bool]]:
-    """The batch's schedule one restart at a time: each stops at
-    SEESAW_SCREEN_TOL, then the leader, the first at the best value,
-    sweeps on to SEESAW_TOL within what is left of the cap if its last
-    sweep moved it by SEESAW_TOL or more."""
-    runs = [_serial_seesaw(m, s, mode, SEESAW_SCREEN_TOL, max_iters) for s in starts]
+    """The batch's schedule one restart at a time: each stops at the
+    screen, then the leader, the first at the best value, sweeps on to
+    the stop within what is left of the cap if its last sweep moved it
+    by the stop or more; the screen and the stop are SEESAW_SCREEN_TOL
+    and SEESAW_TOL times `_stop_scale(m)`."""
+    scale = witness._stop_scale(m)
+    screen, stop = SEESAW_SCREEN_TOL * scale, SEESAW_TOL * scale
+    runs = [_serial_seesaw(m, s, mode, screen, max_iters) for s in starts]
     values = [r[0] for r in runs]
-    converged = [r[3] < SEESAW_SCREEN_TOL for r in runs]
+    converged = [r[3] < screen for r in runs]
     i = int(np.argmax(values) if mode == "max" else np.argmin(values))
     _, factors, sweeps, delta = runs[i]
-    if delta >= SEESAW_TOL:
-        value, _, _, delta = _serial_seesaw(m, factors, mode, SEESAW_TOL, max_iters - sweeps)
-        values[i], converged[i] = value, delta < SEESAW_TOL
+    if delta >= stop:
+        value, _, _, delta = _serial_seesaw(m, factors, mode, stop, max_iters - sweeps)
+        values[i], converged[i] = value, delta < stop
     return values, converged
 
 
@@ -839,14 +840,17 @@ _GINIBRE_MAX = 0.11381980145845427
 # form on isotropic(0.2), (1/16, 3/16] for the primal form on the
 # four-level example; and about the closed end of a (4,4) Ginibre state,
 # where a search stopped early at a small scale would certify offsets
-# that its full search refutes. Then the verdicts at scale 1.
+# that its full search refutes, and where a search stopped late at a
+# large scale, or a pad with an absolute term, would flip the verdicts
+# 1e-14 from that end. Then the verdicts at scale 1.
 _SCALED_OFFSETS = [
     (WitnessForm.C_MINUS_SIGMA, lambda: isotropic(0.2), (0.3, 0.35, 0.3 - 1e-6, 0.4, 0.4 - 5e-11),
      [True, True, False, False, False]),
     (WitnessForm.SIGMA_MINUS_C, _example_four_level,
      (1 / 16, 1 / 16 + 1e-6, 0.1, 3 / 16, 3 / 16 + 1e-6), [False, True, True, True, False]),
     (WitnessForm.C_MINUS_SIGMA, _ginibre_four_by_four,
-     (_GINIBRE_MAX - 1e-6, _GINIBRE_MAX - 1e-8, _GINIBRE_MAX + 1e-6), [False, False, True]),
+     (_GINIBRE_MAX - 1e-6, _GINIBRE_MAX - 1e-8, _GINIBRE_MAX - 1e-14, _GINIBRE_MAX + 1e-14,
+      _GINIBRE_MAX + 1e-13, _GINIBRE_MAX + 1e-6), [False, False, False, True, True, True]),
 ]
 
 
@@ -855,10 +859,11 @@ _SCALED_OFFSETS = [
     ids=["isotropic", "four-level", "ginibre-4x4"],
 )
 def test_verdicts_do_not_change_with_the_scale_of_sigma(form, state, offsets, expected):
-    # both ends and the search's stops scale with tr(sigma): W at (s*c,
-    # s*sigma) is s*W, a witness exactly when W is, the open end's 5e-11
-    # margin refused at every scale, and the Ginibre offsets below the
-    # search's maximum refuted at every scale
+    # both ends, the PSD floor and the search's stops scale with
+    # tr(sigma), with no cap and no absolute term: W at (s*c, s*sigma) is
+    # s*W, a witness exactly when W is, the open end's 5e-11 margin
+    # refused at every scale, and the Ginibre offsets below the search's
+    # maximum refuted, those above it accepted, at every scale
     sigma = state()
 
     def verdicts(scale: float) -> list[bool]:
@@ -866,20 +871,19 @@ def test_verdicts_do_not_change_with_the_scale_of_sigma(form, state, offsets, ex
         return [verify_witness(Witness(form, c * scale, scaled), 8, 3).is_witness for c in offsets]
 
     assert verdicts(1.0) == expected
-    for scale in (1e-3, 1e-6, 1e-9, 5e-10, 1e-12):
+    for scale in (1e-12, 5e-10, 1e-9, 1e-6, 1e-3, 1e3, 1e6):
         assert verdicts(scale) == expected, scale
 
 
-def test_the_stops_scale_with_a_state_and_never_loosen():
-    # a state's stops scale with its trace up to 1; an indefinite matrix
-    # is sized by its largest modulus; no stop is looser than the module's
+def test_the_stops_scale_with_a_state():
+    # a state's stops scale with its trace, above 1 as below it; an
+    # indefinite matrix is sized by its largest modulus
     sigma = _ginibre_four_by_four().mat.mat
     mt = sigma.reshape(4, 4, 4, 4)
     assert abs(witness._stop_scale(mt) - 1.0) <= 1e-15
-    for s in (1e-3, 1e-12):
+    for s in (1e-12, 1e-3, 1e3):
         assert witness._stop_scale(s * mt) == pytest.approx(s, rel=1e-14)
         assert witness._stop_scale(-s * mt) == pytest.approx(s, rel=1e-14)  # a primal search
-    assert witness._stop_scale(1e3 * mt) == 1.0
     pauli = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex) * 1e-6
     assert witness._stop_scale(pauli.reshape(2, 2, 2, 2)) == 1e-6
     assert witness._stop_scale(np.zeros((2, 2, 2, 2), dtype=complex)) == 1.0
@@ -1080,27 +1084,6 @@ def test_example_four_level_witness_detects_its_eigenstate():
     assert abs(evaluate(w, det) + 1 / 8) <= 1e-12
 
 
-def test_is_ces_cases():
-    e01 = ComplexVector((2, 2), np.array([0, 1, 0, 0], dtype=complex))
-    flag, res = is_ces([e01], restarts=8, seed=0)
-    assert not flag and abs(res.value - 1.0) <= 1e-9
-
-    bell = ComplexVector((2, 2), _bell())
-    flag, res = is_ces([bell], restarts=8, seed=0)
-    assert flag and abs(res.value - 0.5) <= 1e-9
-
-    odd = ComplexVector((2, 2), _bell(1))
-    flag, res = is_ces([bell, odd], restarts=8, seed=0)
-    assert not flag and abs(res.value - 1.0) <= 1e-9
-
-
-def test_is_ces_requires_orthonormal_basis():
-    v = ComplexVector((2, 2), np.array([1, 0, 0, 0], dtype=complex))
-    w = ComplexVector((2, 2), np.array([0.9, 0.1, 0, 0], dtype=complex))
-    with pytest.raises(NotOrthonormal):
-        is_ces([v, w], restarts=4, seed=0)
-
-
 _E00 = ComplexVector((2, 2), np.eye(4)[0])
 
 
@@ -1111,12 +1094,8 @@ _E00 = ComplexVector((2, 2), np.eye(4)[0])
         (lambda: witness.ProductState((_E00,)), ParamOutOfRange),
         (lambda: witness.ProductState((ComplexVector((2,), np.ones(2)),)), ParamOutOfRange),
         (lambda: Witness(WitnessForm.C_MINUS_SIGMA, np.inf, isotropic(0.2)), ParamOutOfRange),
-        (lambda: is_ces([]), ParamOutOfRange),
-        (lambda: is_ces([_E00, ComplexVector((4,), np.eye(4)[1])]), DimensionMismatch),
     ],
-    ids=[
-        "no-factor", "two-party-factor", "non-unit-factor", "infinite-offset", "empty-basis", "mixed-basis-dims",
-    ],
+    ids=["no-factor", "two-party-factor", "non-unit-factor", "infinite-offset"],
 )
 def test_malformed_arguments_are_refused(build, error):
     with pytest.raises(error):
